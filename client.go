@@ -46,24 +46,42 @@ func (c *LightClient) WindowByTime(ts, te int64) (start, end int, ok bool) {
 	return c.light.WindowByTime(ts, te)
 }
 
-// Verify checks a time-window VO and returns the verified result set.
-// It runs the batched verification engine: a structural walk collects
-// every disjointness check, then one randomized pairing-product batch
-// resolves them across all cores — several times faster than checking
-// each proof's pairings individually, with identical accept/reject
-// behavior.
-func (c *LightClient) Verify(q Query, vo *VO) ([]Object, error) {
-	v := &core.Verifier{Acc: c.sys.acc, Light: c.light, Workers: c.sys.cfg.VerifyWorkers}
-	return v.VerifyTimeWindow(q, vo)
+// verifier builds the client's batched verification engine.
+func (c *LightClient) verifier() *core.Verifier {
+	return &core.Verifier{Acc: c.sys.acc, Light: c.light, Workers: c.sys.cfg.VerifyWorkers}
 }
 
-// VerifySequential checks a VO with the paper's baseline verifier: two
-// pairings per disjointness proof, resolved in walk order. It accepts
-// and rejects exactly the same VOs as Verify; it exists for
+// Verify checks a time-window answer — the parts must tile the query
+// window — and returns the verified result set. It runs the batched
+// verification engine: a structural walk collects every part's
+// disjointness checks, then ONE randomized pairing-product batch
+// resolves them across all cores, so cross-shard verification costs one
+// final batch, not one per shard — several times faster than checking
+// each proof's pairings individually, with identical accept/reject
+// behavior. A nil error certifies soundness and completeness.
+func (c *LightClient) Verify(q Query, parts []WindowPart) ([]Object, error) {
+	return c.verifier().VerifyWindowParts(q, parts)
+}
+
+// VerifySequential checks an answer with the paper's baseline verifier:
+// two pairings per disjointness proof, resolved in walk order. It
+// accepts and rejects exactly the same answers as Verify; it exists for
 // differential testing and as the batched engine's benchmark baseline.
-func (c *LightClient) VerifySequential(q Query, vo *VO) ([]Object, error) {
-	v := &core.Verifier{Acc: c.sys.acc, Light: c.light, Sequential: true}
-	return v.VerifyTimeWindow(q, vo)
+func (c *LightClient) VerifySequential(q Query, parts []WindowPart) ([]Object, error) {
+	v := c.verifier()
+	v.Sequential = true
+	return v.VerifyWindowParts(q, parts)
+}
+
+// VerifyDegraded checks a degraded time-window answer: the parts must
+// verify cryptographically AND, together with the declared gaps, tile
+// the query window exactly — a gap can neither hide a covered height
+// nor smuggle one in twice. When gaps are present the verified result
+// comes back alongside ErrDegraded, so a partial answer is never
+// mistaken for a complete one; with no gaps the behavior (and result)
+// is exactly Verify.
+func (c *LightClient) VerifyDegraded(q Query, parts []WindowPart, gaps []Gap) (*DegradedResult, error) {
+	return c.verifier().VerifyDegraded(q, parts, gaps)
 }
 
 // VerifyPublication checks a subscription delivery for query q.
@@ -77,7 +95,7 @@ func (c *LightClient) VerifyPublication(q Query, pub *Publication) ([]Object, er
 func (c *LightClient) VOSize(vo *VO) int { return vo.SizeBytes(c.sys.acc) }
 
 // SPClient is a light client's connection to a remote SP (a node
-// serving via FullNode.Serve). Every answer — one-shot or streamed —
+// serving via Node.Serve). Every answer — one-shot or streamed —
 // is verified locally against the client's own header store before it
 // is returned; the SP is never trusted.
 type SPClient struct {
@@ -148,8 +166,7 @@ func (s *SPClient) QueryCtx(ctx context.Context, q Query, batched bool) ([]Objec
 	if err := s.cli.SyncHeaders(ctx, s.c.light); err != nil {
 		return nil, err
 	}
-	ver := &core.Verifier{Acc: s.c.sys.acc, Light: s.c.light, Workers: s.c.sys.cfg.VerifyWorkers}
-	return s.cli.QueryVerified(ctx, q, batched, ver)
+	return s.cli.QueryVerified(ctx, q, batched, s.c.verifier())
 }
 
 // QueryDegraded runs a remote time-window query in degraded-read mode
@@ -168,8 +185,7 @@ func (s *SPClient) QueryDegradedCtx(ctx context.Context, q Query, batched bool) 
 	if err := s.cli.SyncHeaders(ctx, s.c.light); err != nil {
 		return nil, err
 	}
-	ver := &core.Verifier{Acc: s.c.sys.acc, Light: s.c.light, Workers: s.c.sys.cfg.VerifyWorkers}
-	return s.cli.QueryVerifiedDegraded(ctx, q, batched, ver)
+	return s.cli.QueryVerifiedDegraded(ctx, q, batched, s.c.verifier())
 }
 
 // Reconnects reports how many times the connection transparently

@@ -21,18 +21,18 @@
 // startup, fanning each new block's publications out to connected
 // subscribers — the paper's §7 scenario end to end.
 //
-// With -store the chain and its ADS bodies persist in a crash-safe
-// segmented-log directory: every mined block is fsynced at commit
-// time, and restarting with the same -store resumes from the last
-// fully committed block instead of re-mining (a torn tail left by a
-// crash is truncated automatically).
+// With -store the chain and its ADS bodies persist in crash-safe
+// segmented logs, one subdirectory per shard (shard-000, …): every
+// mined block is fsynced at commit time, and restarting with the same
+// -store resumes from the last fully committed block instead of
+// re-mining (a torn tail left by a crash is truncated automatically,
+// each shard recovering independently).
 //
-// With -shards N the SP partitions the chain by height range across N
-// shard workers: each owns its own block store subdirectory and proof
-// engine (the -workers budget is split, not multiplied), time-window
-// queries scatter-gather across the covering shards, and the merged
-// VOs verify client-side in one pairing batch. Restarting a sharded
-// -store recovers each shard independently.
+// With -shards N the SP spreads the chain by height range across N
+// shards: each owns its own block store subdirectory and proof engine
+// (the -workers budget is split, not multiplied), time-window queries
+// scatter-gather across the covering shards, and the merged VOs verify
+// client-side in one pairing batch. One shard is the default.
 //
 // The SP prints the deterministic system configuration that clients
 // must mirror (seed, accumulator, dataset) — in a production deployment
@@ -54,22 +54,11 @@ import (
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/crypto/pairing"
 	"github.com/vchain-go/vchain/internal/gateway"
-	"github.com/vchain-go/vchain/internal/proofs"
 	"github.com/vchain-go/vchain/internal/service"
 	"github.com/vchain-go/vchain/internal/shard"
-	"github.com/vchain-go/vchain/internal/storage"
 	"github.com/vchain-go/vchain/internal/subscribe"
 	"github.com/vchain-go/vchain/internal/workload"
 )
-
-// spNode is what this command needs from a node, satisfied by both the
-// monolithic core.FullNode and the sharded shard.Node.
-type spNode interface {
-	service.Chain
-	MineBlock(objs []chain.Object, ts int64) (*chain.Block, error)
-	Height() int
-	Close() error
-}
 
 func main() {
 	var (
@@ -87,7 +76,7 @@ func main() {
 		subLT    = flag.Int("lazy-threshold", 0, "blocks a lazy span may stay pending (0 = engine default)")
 		maxFrame = flag.Int("max-frame", 0, "wire frame size cap in bytes (0 = default)")
 		store    = flag.String("store", "", "block store directory: blocks and ADSs persist there and are recovered on restart (empty = in-memory)")
-	adsCache = flag.Int("ads-cache", 0, "decoded-ADS cache budget in blocks for durable stores, split across shards: older ADSs stay on disk and page in on demand (0 = unbounded)")
+		adsCache = flag.Int("ads-cache", 0, "decoded-ADS cache budget in blocks for durable stores, split across shards: older ADSs stay on disk and page in on demand (0 = unbounded)")
 		shards   = flag.Int("shards", 1, "shard the SP by height range across this many workers (queries scatter-gather, VOs merge into one pairing batch)")
 		band     = flag.Int("band", 0, "consecutive heights per shard band (0 = default)")
 
@@ -120,64 +109,36 @@ func main() {
 	q := 4096
 	acc := accumulator.KeyGenCon2Deterministic(pr, q, accumulator.HashEncoder{Q: q}, []byte("vchain-demo"))
 	builder := &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: ds.Width}
-	var node spNode
-	var snode *shard.Node // set when sharded, for the per-shard stats breakdown
-	if *shards > 1 {
-		opts := shard.Options{
-			Shards: *shards, Band: *band, Workers: *workers, CacheSize: *cache,
-			ADSCacheBlocks:   *adsCache,
-			FailureThreshold: *breakerN, BreakerCooldown: *breakerCD,
-		}
-		if *store != "" {
-			// Durable sharded SP: reopen every shard's segmented log
-			// (each recovering its own torn tail) and resume from the
-			// last height all shards agree on.
-			sn, rep, err := shard.Open(0, builder, *store, opts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "vchain-sp:", err)
-				os.Exit(1)
-			}
-			for _, sr := range rep.Shards {
-				switch {
-				case sr.Log.Truncated || sr.Dropped > 0:
-					fmt.Printf("store %s/%s: recovered %d records (torn tail: %v, %d stranded records dropped)\n",
-						*store, sr.Dir, sr.Log.Records, sr.Log.Truncated, sr.Dropped)
-				case sr.Log.Records > 0:
-					fmt.Printf("store %s/%s: reopened with %d records\n", *store, sr.Dir, sr.Log.Records)
-				}
-			}
-			if rep.Blocks > 0 {
-				fmt.Printf("store %s: resumed at height %d across %d shards\n", *store, rep.Blocks, *shards)
-			}
-			snode = sn
-		} else {
-			snode = shard.New(0, builder, opts)
-		}
-		node = snode
-	} else if *store != "" {
-		// Durable SP: reopen the segmented-log block store, recovering
-		// any crash-torn tail, and continue the chain from where the
-		// previous process stopped.
-		fn, err := core.OpenFullNode(0, builder, *store, storage.Options{}, core.WithADSCache(*adsCache))
+	opts := shard.Options{
+		Shards: *shards, Band: *band, Workers: *workers, CacheSize: *cache,
+		ADSCacheBlocks:   *adsCache,
+		FailureThreshold: *breakerN, BreakerCooldown: *breakerCD,
+	}
+	var node *shard.Node
+	if *store != "" {
+		// Durable SP: reopen every shard's segmented log (each
+		// recovering its own torn tail) and resume from the last height
+		// all shards agree on instead of re-mining.
+		var rep *shard.RecoveryReport
+		node, rep, err = shard.Open(0, builder, *store, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "vchain-sp:", err)
 			os.Exit(1)
 		}
-		if log, ok := fn.Backend().(*storage.Log); ok {
-			rep := log.Report()
-			if rep.Truncated {
-				fmt.Printf("store %s: recovered %d blocks (truncated a torn tail: %d bytes, %d segments dropped)\n",
-					*store, rep.Records, rep.DroppedBytes, rep.DroppedSegments)
-			} else if rep.Records > 0 {
-				fmt.Printf("store %s: reopened with %d blocks\n", *store, rep.Records)
+		for _, sr := range rep.Shards {
+			switch {
+			case sr.Log.Truncated || sr.Dropped > 0:
+				fmt.Printf("store %s/%s: recovered %d records (torn tail: %v, %d stranded records dropped)\n",
+					*store, sr.Dir, sr.Log.Records, sr.Log.Truncated, sr.Dropped)
+			case sr.Log.Records > 0:
+				fmt.Printf("store %s/%s: reopened with %d records\n", *store, sr.Dir, sr.Log.Records)
 			}
 		}
-		fn.Proofs = proofs.New(acc, proofs.Options{Workers: *workers, CacheSize: *cache})
-		node = fn
+		if rep.Blocks > 0 {
+			fmt.Printf("store %s: resumed at height %d across %d shards\n", *store, rep.Blocks, node.Shards())
+		}
 	} else {
-		fn := core.NewFullNode(0, builder)
-		fn.Proofs = proofs.New(acc, proofs.Options{Workers: *workers, CacheSize: *cache})
-		node = fn
+		node = shard.New(0, builder, opts)
 	}
 	defer node.Close()
 	mined := node.Height()
@@ -275,13 +236,13 @@ func main() {
 
 	// Shard supervision: quarantined shards (breaker tripped) are
 	// restarted from their durable logs once their cooldown passes.
-	if snode != nil && *supervise > 0 {
-		stop := snode.Supervise(*supervise)
+	if *supervise > 0 {
+		stop := node.Supervise(*supervise)
 		defer stop()
 		fmt.Printf("supervising %d shards every %v (breaker: %d failures, %v cooldown)\n",
-			*shards, *supervise, *breakerN, *breakerCD)
+			node.Shards(), *supervise, *breakerN, *breakerCD)
 	}
-	if snode != nil && *healthLog > 0 {
+	if *healthLog > 0 {
 		hticker := time.NewTicker(*healthLog)
 		defer hticker.Stop()
 		done := make(chan struct{})
@@ -290,7 +251,7 @@ func main() {
 			for {
 				select {
 				case <-hticker.C:
-					fmt.Println(healthLine(snode))
+					fmt.Println(healthLine(node))
 				case <-done:
 					return
 				}
@@ -329,24 +290,22 @@ func main() {
 	}
 	srv.Close()
 
-	// Aggregate across every engine: on a sharded SP each shard runs
-	// its own engine, and printing only the first engine's counters
-	// would under-report the process by a factor of the shard count.
+	// Aggregate across every engine: with several shards each runs its
+	// own engine, and printing only the first engine's counters would
+	// under-report the process by a factor of the shard count.
 	st := node.ProofStats()
 	fmt.Printf("proof engine: %d proofs computed, %d cache hits / %d misses (%.1f%% hit rate), %d agg groups, %d errors\n",
 		st.Proofs, st.CacheHits, st.CacheMisses, st.HitRate()*100, st.AggGroups, st.Errors)
-	if snode != nil {
-		var restarts, trips uint64
-		for _, ss := range snode.ShardStats() {
-			p := ss.Proofs
-			fmt.Printf("  shard %d [%s]: %d proofs, %d hits / %d misses, %d agg groups, %d errors; %d failures, %d restarts, %d breaker trips\n",
-				ss.Shard, ss.Health, p.Proofs, p.CacheHits, p.CacheMisses, p.AggGroups, p.Errors,
-				ss.Failures, ss.Restarts, ss.BreakerTrips)
-			restarts += ss.Restarts
-			trips += ss.BreakerTrips
-		}
-		fmt.Printf("fault tolerance: %d shard restarts, %d breaker trips\n", restarts, trips)
+	var restarts, trips uint64
+	for _, ss := range node.ShardStats() {
+		p := ss.Proofs
+		fmt.Printf("  shard %d [%s]: %d proofs, %d hits / %d misses, %d agg groups, %d errors; %d failures, %d restarts, %d breaker trips\n",
+			ss.Shard, ss.Health, p.Proofs, p.CacheHits, p.CacheMisses, p.AggGroups, p.Errors,
+			ss.Failures, ss.Restarts, ss.BreakerTrips)
+		restarts += ss.Restarts
+		trips += ss.BreakerTrips
 	}
+	fmt.Printf("fault tolerance: %d shard restarts, %d breaker trips\n", restarts, trips)
 	if ev := srv.Evictions(); ev > 0 {
 		fmt.Printf("slow consumers evicted: %d\n", ev)
 	}

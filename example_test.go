@@ -20,7 +20,7 @@ func Example() {
 		panic(err)
 	}
 
-	node := sys.NewFullNode()
+	node := sys.NewNode(1)
 	node.Mine([]vchain.Object{
 		{ID: 1, TS: 0, V: []int64{42}, W: []string{"sedan", "benz"}},
 		{ID: 2, TS: 0, V: []int64{99}, W: []string{"van", "audi"}},
@@ -35,8 +35,8 @@ func Example() {
 		Bool:  vchain.And(vchain.Or("sedan")),
 		Width: 8,
 	}
-	vo, _ := node.TimeWindow(q)
-	results, err := client.Verify(q, vo)
+	parts, _ := node.TimeWindow(q, false)
+	results, err := client.Verify(q, parts)
 	fmt.Println(len(results), err)
 	// Output: 1 <nil>
 }
@@ -47,7 +47,7 @@ func ExampleLightClient_Verify() {
 	sys, _ := vchain.NewSystem(vchain.Config{
 		Preset: "toy", BitWidth: 8, Capacity: 512, Seed: []byte("doc-cheat"),
 	})
-	node := sys.NewFullNode()
+	node := sys.NewNode(1)
 	for i := 0; i < 2; i++ {
 		node.Mine([]vchain.Object{
 			{ID: vchain.ObjectID(i + 1), TS: int64(i), V: []int64{7}, W: []string{"sedan"}},
@@ -57,21 +57,21 @@ func ExampleLightClient_Verify() {
 	client.SyncHeaders(node.Headers())
 
 	q := vchain.Query{StartBlock: 0, EndBlock: 1, Bool: vchain.And(vchain.Or("sedan")), Width: 8}
-	vo, _ := node.TimeWindow(q)
-	vo.Blocks = vo.Blocks[:1] // the "SP" hides the older block
+	parts, _ := node.TimeWindow(q, false)
+	parts[0].VO.Blocks = parts[0].VO.Blocks[:1] // the "SP" hides the older block
 
-	_, err := client.Verify(q, vo)
+	_, err := client.Verify(q, parts)
 	fmt.Println(errors.Is(err, vchain.ErrCompleteness))
 	// Output: true
 }
 
-// ExampleFullNode_Subscribe registers a continuous query and verifies
+// ExampleNode_Subscribe registers a continuous query and verifies
 // its publications.
-func ExampleFullNode_Subscribe() {
+func ExampleNode_Subscribe() {
 	sys, _ := vchain.NewSystem(vchain.Config{
 		Preset: "toy", BitWidth: 8, Capacity: 512, Seed: []byte("doc-sub"),
 	})
-	node := sys.NewFullNode()
+	node := sys.NewNode(1)
 	q := vchain.Query{Bool: vchain.And(vchain.Or("benz", "bmw")), Width: 8}
 	node.Subscribe(q, vchain.SubscribeOptions{UseIPTree: true, Dims: 1})
 

@@ -29,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	node := sys.NewFullNode()
+	node := sys.NewNode(1)
 
 	// Synthesize a small transaction history. Address "send:1FFYc" pays
 	// "recv:2DAAf" occasionally; background traffic fills the blocks.
@@ -71,24 +71,24 @@ func main() {
 		Bool:       vchain.And(vchain.Or("send:1FFYc"), vchain.Or("recv:2DAAf")),
 		Width:      10,
 	}
-	vo, err := node.TimeWindow(q)
+	parts, err := node.TimeWindow(q, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, err := client.Verify(q, vo)
+	results, err := client.Verify(q, parts)
 	if err != nil {
 		log.Fatalf("verification failed: %v", err)
 	}
-	fmt.Printf("verified %d matching transactions (VO %d bytes):\n", len(results), client.VOSize(vo))
+	fmt.Printf("verified %d matching transactions (VO %d bytes):\n", len(results), client.VOSize(parts[0].VO))
 	for _, tx := range results {
 		fmt.Printf("  block %d: amount=%d %v\n", tx.TS, tx.V[0], tx.W)
 	}
 
 	// Adversarial SP: silently truncate the VO to hide recent matches.
 	fmt.Println("\nsimulating a cheating SP that omits the latest blocks...")
-	vo2, _ := node.TimeWindow(q)
-	vo2.Blocks = vo2.Blocks[1:] // drop the newest block's proof
-	if _, err := client.Verify(q, vo2); err != nil {
+	forged, _ := node.TimeWindow(q, false)
+	forged[0].VO.Blocks = forged[0].VO.Blocks[1:] // drop the newest block's proof
+	if _, err := client.Verify(q, forged); err != nil {
 		fmt.Printf("caught: %v\n", err)
 		if errors.Is(err, vchain.ErrCompleteness) {
 			fmt.Println("(flagged as a completeness violation, as expected)")

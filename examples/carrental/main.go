@@ -30,8 +30,8 @@ func main() {
 
 	// Two independent full nodes simulate two SPs with different
 	// publication policies over identical chains.
-	realtime := sys.NewFullNode()
-	lazy := sys.NewFullNode()
+	realtime := sys.NewNode(1)
+	lazy := sys.NewNode(1)
 
 	q := vchain.Query{
 		Range: &vchain.RangeCond{Lo: []int64{200}, Hi: []int64{250}},
@@ -83,7 +83,7 @@ func main() {
 		lzPubs = append(lzPubs, *pub) // final pending span
 	}
 
-	verify := func(name string, node *vchain.FullNode, pubs []vchain.Publication) {
+	verify := func(name string, node *vchain.Node, pubs []vchain.Publication) {
 		client := sys.NewLightClient()
 		if err := client.SyncHeaders(node.Headers()); err != nil {
 			log.Fatal(err)

@@ -30,7 +30,7 @@ func main() {
 	}
 
 	// The full node mines blocks of temporal objects ⟨t, V, W⟩.
-	node := sys.NewFullNode()
+	node := sys.NewNode(1)
 	for i := 0; i < 4; i++ {
 		objs := []vchain.Object{
 			{ID: vchain.ObjectID(i*10 + 1), TS: int64(i), V: []int64{int64(20 + i)}, W: []string{"sedan", "benz"}},
@@ -57,15 +57,21 @@ func main() {
 		Bool:       vchain.And(vchain.Or("sedan")),
 		Width:      8,
 	}
-	vo, err := node.TimeWindow(q)
+	// The answer is a list of window parts tiling [StartBlock, EndBlock]:
+	// one per covering shard, so exactly one on this one-shard node.
+	parts, err := node.TimeWindow(q, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("VO size: %d bytes\n", client.VOSize(vo))
+	voBytes := 0
+	for _, p := range parts {
+		voBytes += client.VOSize(p.VO)
+	}
+	fmt.Printf("VO size: %d bytes\n", voBytes)
 
 	// Verification certifies soundness AND completeness: a nil error
 	// means these are exactly the matching objects, untampered.
-	results, err := client.Verify(q, vo)
+	results, err := client.Verify(q, parts)
 	if err != nil {
 		log.Fatalf("verification failed: %v", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/vchain-go/vchain/internal/gateway"
-	"github.com/vchain-go/vchain/internal/service"
 )
 
 // GatewayTenant provisions one API-key principal of the HTTP gateway.
@@ -56,19 +55,36 @@ func (h *GatewayHandle) Addr() string { return h.addr }
 // running; any gob endpoint is unaffected).
 func (h *GatewayHandle) Close() error { return h.gw.Close() }
 
-// serveGateway is the shared implementation behind both node types.
-func serveGateway(node service.Chain, addr string, cfg GatewayConfig, counters map[string]func() int64) (*GatewayHandle, error) {
-	gw, err := gateway.New(node, gateway.Config{
-		Tenants:         cfg.Tenants,
-		TenantRate:      cfg.TenantRate,
-		TenantBurst:     cfg.TenantBurst,
-		GlobalRate:      cfg.GlobalRate,
-		GlobalBurst:     cfg.GlobalBurst,
-		MaxInflight:     cfg.MaxInflight,
-		QueryTimeout:    cfg.QueryTimeout,
-		WriteTimeout:    cfg.WriteTimeout,
-		Logger:          cfg.Logger,
-		ServiceCounters: counters,
+// ServeGateway exposes this node over HTTP/JSON at addr
+// ("127.0.0.1:0" picks a port): authenticated tenants run verifiable
+// time-window queries (each answer part carries its canonical VO
+// bytes for external verification), and scrapers read Prometheus-style
+// metrics on /metrics, including per-shard health, failure, and restart
+// counters as vchain_shard_* families. A gateway runs alongside any gob
+// endpoint (Serve); the two share the node and its proof engines. The
+// exported vchain_service_evictions_total counter tracks the gob
+// endpoint's slow-consumer evictions when one is attached.
+func (n *Node) ServeGateway(addr string, cfg GatewayConfig) (*GatewayHandle, error) {
+	gw, err := gateway.New(n.node, gateway.Config{
+		Tenants:      cfg.Tenants,
+		TenantRate:   cfg.TenantRate,
+		TenantBurst:  cfg.TenantBurst,
+		GlobalRate:   cfg.GlobalRate,
+		GlobalBurst:  cfg.GlobalBurst,
+		MaxInflight:  cfg.MaxInflight,
+		QueryTimeout: cfg.QueryTimeout,
+		WriteTimeout: cfg.WriteTimeout,
+		Logger:       cfg.Logger,
+		ServiceCounters: map[string]func() int64{
+			"evictions": func() int64 {
+				n.mu.Lock()
+				defer n.mu.Unlock()
+				if n.srv == nil {
+					return 0
+				}
+				return int64(n.srv.Evictions())
+			},
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -78,43 +94,4 @@ func serveGateway(node service.Chain, addr string, cfg GatewayConfig, counters m
 		return nil, err
 	}
 	return &GatewayHandle{gw: gw, addr: bound}, nil
-}
-
-// ServeGateway exposes this node over HTTP/JSON at addr
-// ("127.0.0.1:0" picks a port): authenticated tenants run verifiable
-// time-window queries (each answer part carries its canonical VO
-// bytes for external verification), and scrapers read Prometheus-style
-// metrics on /metrics. A gateway runs alongside any gob endpoint
-// (Serve); the two share the node and its proof engine. The exported
-// vchain_service_evictions_total counter tracks the gob endpoint's
-// slow-consumer evictions when one is attached.
-func (n *FullNode) ServeGateway(addr string, cfg GatewayConfig) (*GatewayHandle, error) {
-	counters := map[string]func() int64{
-		"evictions": func() int64 {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			if n.srv == nil {
-				return 0
-			}
-			return int64(n.srv.Evictions())
-		},
-	}
-	return serveGateway(n.node, addr, cfg, counters)
-}
-
-// ServeGateway exposes the sharded node over HTTP/JSON; see
-// FullNode.ServeGateway. Per-shard health, failure, and restart
-// counters additionally surface as vchain_shard_* metric families.
-func (n *ShardedNode) ServeGateway(addr string, cfg GatewayConfig) (*GatewayHandle, error) {
-	counters := map[string]func() int64{
-		"evictions": func() int64 {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			if n.srv == nil {
-				return 0
-			}
-			return int64(n.srv.Evictions())
-		},
-	}
-	return serveGateway(n.node, addr, cfg, counters)
 }

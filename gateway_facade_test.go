@@ -9,7 +9,7 @@ import (
 )
 
 // TestFacadeServeGateway: the public ServeGateway surface works end to
-// end on both node shapes — a tenant-keyed JSON query answers with
+// end at every shard count — a tenant-keyed JSON query answers with
 // parts and VO bytes, and /metrics scrapes.
 func TestFacadeServeGateway(t *testing.T) {
 	sys := testSystem(t, "acc2", IndexBoth)
@@ -60,31 +60,10 @@ func TestFacadeServeGateway(t *testing.T) {
 		}
 	}
 
-	t.Run("full", func(t *testing.T) {
-		node := sys.NewFullNode()
-		for i := 0; i < 3; i++ {
-			if _, _, err := node.Mine(carBlock(i), int64(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		h, err := node.ServeGateway("127.0.0.1:0", GatewayConfig{
-			Tenants: []GatewayTenant{{Name: "test", Key: "k-test"}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer h.Close()
-		run(t, h)
-	})
-
-	t.Run("sharded", func(t *testing.T) {
-		node := sys.NewShardedNode(2)
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		node := sys.NewNode(shards)
 		defer node.Close()
-		for i := 0; i < 4; i++ {
-			if _, err := node.Mine(carBlock(i), int64(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		mine(t, node, 0, 10)
 		h, err := node.ServeGateway("127.0.0.1:0", GatewayConfig{
 			Tenants: []GatewayTenant{{Name: "test", Key: "k-test"}},
 		})

@@ -24,9 +24,8 @@ import (
 	"sync/atomic"
 )
 
-// Source is a keyed store of decoded values; for a full node the key
-// is the block height, for a shard worker it is the worker's local
-// record index. A missing key yields the zero value and a nil error —
+// Source is a store of decoded values keyed by block height (a node
+// keeps one per storage slot). A missing key yields the zero value and a nil error —
 // errors are reserved for page-in failures (IO, corruption, failed
 // re-verification), which callers must surface rather than treat as
 // absence.
@@ -40,10 +39,6 @@ type Source[T any] interface {
 	// a backend Truncate: after a rollback the discarded heights must
 	// not be served from cache.
 	InvalidateFrom(i int)
-	// Scratch returns the value for key i without touching the cache
-	// or its statistics — a bypass read for bulk scans (snapshot
-	// export) that must not fault the whole chain into a paged cache.
-	Scratch(i int) (T, error)
 	// Stats returns a snapshot of the source's counters.
 	Stats() Stats
 }
@@ -103,9 +98,6 @@ func (r *Resident[T]) InvalidateFrom(i int) {
 	}
 	r.mu.Unlock()
 }
-
-// Scratch implements Source; for a resident source it is At.
-func (r *Resident[T]) Scratch(i int) (T, error) { return r.At(i) }
 
 // Stats implements Source.
 func (r *Resident[T]) Stats() Stats {
@@ -276,18 +268,6 @@ func (p *Paged[T]) InvalidateFrom(i int) {
 		el = next
 	}
 	p.mu.Unlock()
-}
-
-// Scratch implements Source: a read that bypasses the cache, the
-// single-flight table, and the statistics — bulk exports page nothing
-// in and disturb nothing that is warm.
-func (p *Paged[T]) Scratch(i int) (T, error) {
-	data, err := p.cfg.Read(i)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return p.cfg.Decode(i, data)
 }
 
 // Stats implements Source.

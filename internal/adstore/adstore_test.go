@@ -20,9 +20,6 @@ func TestResidentBasics(t *testing.T) {
 	if v, _ := r.At(1); v != "b" {
 		t.Fatalf("At(1) = %q", v)
 	}
-	if v, _ := r.Scratch(2); v != "c" {
-		t.Fatalf("Scratch(2) = %q", v)
-	}
 	r.InvalidateFrom(1)
 	if v, _ := r.At(1); v != "" {
 		t.Fatalf("invalidated At(1) = %q", v)
@@ -186,20 +183,5 @@ func TestPagedReadErrorPropagates(t *testing.T) {
 	}
 	if s := p.Stats(); s.Entries != 0 || s.Decodes != 0 {
 		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestPagedScratchBypassesCache(t *testing.T) {
-	var decoded atomic.Int64
-	p := pagedOver(0, 0, &decoded)
-	if v, err := p.Scratch(4); err != nil || v != "v4" {
-		t.Fatalf("Scratch = %q, %v", v, err)
-	}
-	s := p.Stats()
-	if s.Entries != 0 || s.Hits != 0 || s.Misses != 0 || s.Decodes != 0 {
-		t.Fatalf("Scratch touched stats/cache: %+v", s)
-	}
-	if decoded.Load() != 1 {
-		t.Fatalf("decoded = %d, want 1", decoded.Load())
 	}
 }

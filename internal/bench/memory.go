@@ -10,7 +10,7 @@ import (
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/crypto/pairing"
-	"github.com/vchain-go/vchain/internal/storage"
+	"github.com/vchain-go/vchain/internal/shard"
 	"github.com/vchain-go/vchain/internal/workload"
 )
 
@@ -65,7 +65,7 @@ func memoryRow(acc accumulator.Accumulator, ds *workload.Dataset, o Options, n i
 	defer os.RemoveAll(dir)
 	storeDir := filepath.Join(dir, "store")
 
-	node, err := core.OpenFullNode(0, b, storeDir, storage.Options{})
+	node, _, err := shard.Open(0, b, storeDir, shard.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -83,17 +83,17 @@ func memoryRow(acc accumulator.Accumulator, ds *workload.Dataset, o Options, n i
 	// Resident: unbounded cache, warmed by a full-window query so
 	// every ADS body is decoded in RAM, as pre-tiering reopens were.
 	base := heapNow()
-	resident, err := core.OpenFullNode(0, b, storeDir, storage.Options{})
+	resident, _, err := shard.Open(0, b, storeDir, shard.Options{})
 	if err != nil {
 		return nil, err
 	}
-	if err := verifiedQuery(resident, acc, q); err != nil {
+	if err := verifiedQuery(resident.FullNode, acc, q); err != nil {
 		resident.Close()
 		return nil, fmt.Errorf("bench: resident warmup query: %w", err)
 	}
 	residentHeap := heapDelta(base)
 	t0 := time.Now()
-	if err := verifiedQuery(resident, acc, q); err != nil {
+	if err := verifiedQuery(resident.FullNode, acc, q); err != nil {
 		resident.Close()
 		return nil, fmt.Errorf("bench: resident query: %w", err)
 	}
@@ -109,12 +109,12 @@ func memoryRow(acc accumulator.Accumulator, ds *workload.Dataset, o Options, n i
 		cache = 2
 	}
 	base = heapNow()
-	paged, err := core.OpenFullNode(0, b, storeDir, storage.Options{}, core.WithADSCache(cache))
+	paged, _, err := shard.Open(0, b, storeDir, shard.Options{ADSCacheBlocks: cache})
 	if err != nil {
 		return nil, err
 	}
 	t0 = time.Now()
-	if err := verifiedQuery(paged, acc, q); err != nil {
+	if err := verifiedQuery(paged.FullNode, acc, q); err != nil {
 		paged.Close()
 		return nil, fmt.Errorf("bench: paged cold query: %w", err)
 	}

@@ -10,20 +10,16 @@ import (
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/crypto/pairing"
-	"github.com/vchain-go/vchain/internal/storage"
+	"github.com/vchain-go/vchain/internal/shard"
 	"github.com/vchain-go/vchain/internal/workload"
 )
 
-// RestartFig measures SP cold-start: how fast a full node comes back
-// after a restart with (a) the incremental segmented-log block store
-// versus (b) the legacy whole-chain gob snapshot. The log persists
-// every block at mine time (the "mine+persist" column is the full
-// mining cost including the per-commit fsync), so a restart is a
-// single reopen; the snapshot must first be serialized as one blob —
-// a cost a naive persist-on-mine policy pays again in full after every
-// block — and re-decoded on load. Both restart paths end with a
-// verified time-window query over the whole chain, so the numbers
-// cover everything up to serving traffic again.
+// RestartFig measures SP cold-start: how fast a node comes back after a
+// restart over the segmented-log block store. The log persists every
+// block at mine time (the "mine+persist" column is the full mining cost
+// including the per-commit fsync), so a restart is a single index-only
+// reopen. It ends with a verified time-window query over the whole
+// chain, so the number covers everything up to serving traffic again.
 func RestartFig(o Options) (*Table, error) {
 	o = o.withDefaults()
 	pr := pairing.ByName(o.Preset)
@@ -35,10 +31,10 @@ func RestartFig(o Options) (*Table, error) {
 	queries := ds.RandomQueries(1, workload.QueryConfig{Seed: o.Seed + 11, RangeDims: 1})
 
 	table := &Table{
-		Title: "Restart (cold-start vs snapshot reload)",
-		Note: fmt.Sprintf("4SQ, acc2/both, %d objects/block; reopen and load both end with a verified query",
+		Title: "Restart (cold start from the block log)",
+		Note: fmt.Sprintf("4SQ, acc2/both, %d objects/block; the reopen ends with a verified query",
 			o.ObjectsPerBlock),
-		Columns: []string{"blocks", "mine+persist (ms)", "log reopen (ms)", "snap save (ms)", "snap load (ms)", "log KB", "snap KB"},
+		Columns: []string{"blocks", "mine+persist (ms)", "log reopen (ms)", "log KB"},
 	}
 	for _, n := range []int{o.Blocks / 4, o.Blocks / 2, o.Blocks} {
 		if n < 2 {
@@ -53,7 +49,7 @@ func RestartFig(o Options) (*Table, error) {
 	return table, nil
 }
 
-// restartRow runs one chain length through both persistence paths.
+// restartRow mines one chain length to a log and reopens it.
 func restartRow(acc accumulator.Accumulator, ds *workload.Dataset, o Options, n int, q core.Query) ([]string, error) {
 	b := &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: o.SkipListSize, Width: ds.Width}
 	dir, err := os.MkdirTemp("", "vchain-restart-*")
@@ -62,12 +58,11 @@ func restartRow(acc accumulator.Accumulator, ds *workload.Dataset, o Options, n 
 	}
 	defer os.RemoveAll(dir)
 	storeDir := filepath.Join(dir, "store")
-	snapPath := filepath.Join(dir, "chain.gob")
 
 	// Mine the chain straight into the log: every block is durably
 	// committed as it is mined.
 	t0 := time.Now()
-	node, err := core.OpenFullNode(0, b, storeDir, storage.Options{})
+	node, _, err := shard.Open(0, b, storeDir, shard.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -78,28 +73,18 @@ func restartRow(acc accumulator.Accumulator, ds *workload.Dataset, o Options, n 
 		}
 	}
 	mineTime := time.Since(t0)
-
-	// Snapshot export from the same node (the legacy persistence
-	// unit: the whole chain, every time).
-	t0 = time.Now()
-	if err := node.SaveFile(snapPath); err != nil {
-		node.Close()
-		return nil, err
-	}
-	saveTime := time.Since(t0)
 	if err := node.Close(); err != nil {
 		return nil, err
 	}
-
 	q.StartBlock, q.EndBlock = 0, n-1
 
-	// Cold start A: reopen the log and serve a verified query.
+	// Cold start: reopen the log and serve a verified query.
 	t0 = time.Now()
-	reopened, err := core.OpenFullNode(0, b, storeDir, storage.Options{})
+	reopened, _, err := shard.Open(0, b, storeDir, shard.Options{})
 	if err != nil {
 		return nil, err
 	}
-	if err := verifiedQuery(reopened, acc, q); err != nil {
+	if err := verifiedQuery(reopened.FullNode, acc, q); err != nil {
 		reopened.Close()
 		return nil, fmt.Errorf("bench: post-reopen query: %w", err)
 	}
@@ -108,31 +93,11 @@ func restartRow(acc accumulator.Accumulator, ds *workload.Dataset, o Options, n 
 		return nil, err
 	}
 
-	// Cold start B: decode the snapshot into a fresh in-memory node
-	// and serve the same query.
-	t0 = time.Now()
-	loaded := core.NewFullNode(0, b)
-	if err := loaded.LoadFile(snapPath); err != nil {
-		return nil, err
-	}
-	if err := verifiedQuery(loaded, acc, q); err != nil {
-		return nil, fmt.Errorf("bench: post-load query: %w", err)
-	}
-	loadTime := time.Since(t0)
-
 	logBytes, err := dirBytes(storeDir)
 	if err != nil {
 		return nil, err
 	}
-	snapStat, err := os.Stat(snapPath)
-	if err != nil {
-		return nil, err
-	}
-	return []string{
-		fmt.Sprintf("%d", n),
-		ms(mineTime), ms(reopenTime), ms(saveTime), ms(loadTime),
-		kb(int(logBytes)), kb(int(snapStat.Size())),
-	}, nil
+	return []string{fmt.Sprintf("%d", n), ms(mineTime), ms(reopenTime), kb(int(logBytes))}, nil
 }
 
 // verifiedQuery runs q on the node and verifies the VO against a light

@@ -10,31 +10,22 @@ import (
 	"github.com/vchain-go/vchain/internal/storage"
 )
 
-// chainRecord is the legacy (v1) record unit: one gob stream holding
-// block and ADS together. It survives only as the decode fallback for
-// stores written before the framed v2 format below.
-type chainRecord struct {
-	Block *chain.Block
-	ADS   *BlockADS
-}
+// recMagic prefixes a chain record.
+var recMagic = []byte{0x00, 'V', 'C', 'R', '2'}
 
-// recMagicV2 prefixes a framed v2 record. The first byte is 0x00,
-// which no gob stream starts with (gob frames open with a non-zero
-// length), so v1 and v2 records coexist in one store unambiguously.
-var recMagicV2 = []byte{0x00, 'V', 'C', 'R', '2'}
-
-// encodeRecord renders a (block, ADS) pair as one self-contained v2
-// record: magic, a length-prefixed block gob, then the ADS gob. The
-// two halves are independently decodable, which is what makes reopen
-// lazy — an index-only open decodes just the block sections, and the
-// paged ADS source decodes just the ADS section on a cache miss.
-func encodeRecord(blk *chain.Block, ads *BlockADS) ([]byte, error) {
+// EncodeChainRecord renders a (block, ADS) pair as one self-contained
+// record: magic, a length-prefixed block gob, then the ADS gob. The two
+// halves are independently decodable, which is what makes reopen lazy —
+// an index-only open decodes just the block sections, and the paged ADS
+// source decodes just the ADS section on a cache miss. Every slot of
+// every node persists this one format.
+func EncodeChainRecord(blk *chain.Block, ads *BlockADS) ([]byte, error) {
 	var blkBuf bytes.Buffer
 	if err := gob.NewEncoder(&blkBuf).Encode(blk); err != nil {
 		return nil, fmt.Errorf("core: encoding chain record block: %w", err)
 	}
 	var buf bytes.Buffer
-	buf.Write(recMagicV2)
+	buf.Write(recMagic)
 	var lenb [4]byte
 	binary.BigEndian.PutUint32(lenb[:], uint32(blkBuf.Len()))
 	buf.Write(lenb[:])
@@ -45,60 +36,25 @@ func encodeRecord(blk *chain.Block, ads *BlockADS) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// splitRecordV2 returns the block and ADS sections of a v2 record, or
-// (nil, nil, false) for a v1 record.
-func splitRecordV2(data []byte) (blkGob, adsGob []byte, v2 bool, err error) {
-	if len(data) == 0 || data[0] != 0x00 {
-		return nil, nil, false, nil
+// splitRecord returns the block and ADS sections of a record.
+func splitRecord(data []byte) (blkGob, adsGob []byte, err error) {
+	if len(data) < len(recMagic)+4 || !bytes.Equal(data[:len(recMagic)], recMagic) {
+		return nil, nil, fmt.Errorf("core: malformed chain record")
 	}
-	if len(data) < len(recMagicV2)+4 || !bytes.Equal(data[:len(recMagicV2)], recMagicV2) {
-		return nil, nil, false, fmt.Errorf("core: malformed v2 chain record")
-	}
-	n := int(binary.BigEndian.Uint32(data[len(recMagicV2):]))
-	body := data[len(recMagicV2)+4:]
+	n := int(binary.BigEndian.Uint32(data[len(recMagic):]))
+	body := data[len(recMagic)+4:]
 	if n <= 0 || n >= len(body) {
-		return nil, nil, false, fmt.Errorf("core: malformed v2 chain record")
+		return nil, nil, fmt.Errorf("core: malformed chain record")
 	}
-	return body[:n], body[n:], true, nil
-}
-
-// decodeRecord is the inverse of encodeRecord, reading v1 records too.
-func decodeRecord(data []byte) (*chain.Block, *BlockADS, error) {
-	blkGob, adsGob, v2, err := splitRecordV2(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !v2 {
-		var rec chainRecord
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-			return nil, nil, fmt.Errorf("core: decoding chain record: %w", err)
-		}
-		if rec.Block == nil || rec.ADS == nil {
-			return nil, nil, fmt.Errorf("core: chain record missing block or ADS")
-		}
-		return rec.Block, rec.ADS, nil
-	}
-	var blk chain.Block
-	if err := gob.NewDecoder(bytes.NewReader(blkGob)).Decode(&blk); err != nil {
-		return nil, nil, fmt.Errorf("core: decoding chain record block: %w", err)
-	}
-	var ads BlockADS
-	if err := gob.NewDecoder(bytes.NewReader(adsGob)).Decode(&ads); err != nil {
-		return nil, nil, fmt.Errorf("core: decoding chain record ADS: %w", err)
-	}
-	return &blk, &ads, nil
+	return body[:n], body[n:], nil
 }
 
 // decodeRecordBlock decodes only the block half of a record: the
 // index-only reopen path, which skips the (much larger) ADS body.
 func decodeRecordBlock(data []byte) (*chain.Block, error) {
-	blkGob, _, v2, err := splitRecordV2(data)
+	blkGob, _, err := splitRecord(data)
 	if err != nil {
 		return nil, err
-	}
-	if !v2 {
-		blk, _, err := decodeRecord(data)
-		return blk, err
 	}
 	var blk chain.Block
 	if err := gob.NewDecoder(bytes.NewReader(blkGob)).Decode(&blk); err != nil {
@@ -107,48 +63,18 @@ func decodeRecordBlock(data []byte) (*chain.Block, error) {
 	return &blk, nil
 }
 
-// decodeRecordADS decodes only the ADS half of a record: the page-in
-// path, which already has the block in the chain store.
-func decodeRecordADS(data []byte) (*BlockADS, error) {
-	_, adsGob, v2, err := splitRecordV2(data)
+// DecodeChainRecordADS decodes only the ADS half of a record: the
+// page-in path, which already has the block in the chain store.
+func DecodeChainRecordADS(data []byte) (*BlockADS, error) {
+	_, adsGob, err := splitRecord(data)
 	if err != nil {
 		return nil, err
-	}
-	if !v2 {
-		_, ads, err := decodeRecord(data)
-		return ads, err
 	}
 	var ads BlockADS
 	if err := gob.NewDecoder(bytes.NewReader(adsGob)).Decode(&ads); err != nil {
 		return nil, fmt.Errorf("core: decoding chain record ADS: %w", err)
 	}
 	return &ads, nil
-}
-
-// EncodeChainRecord renders a (block, ADS) pair in the canonical commit
-// record format. The shard router persists the identical format into
-// its per-shard backends, so a shard directory is readable by the same
-// tooling as a monolithic store.
-func EncodeChainRecord(blk *chain.Block, ads *BlockADS) ([]byte, error) {
-	return encodeRecord(blk, ads)
-}
-
-// DecodeChainRecord is the inverse of EncodeChainRecord.
-func DecodeChainRecord(data []byte) (*chain.Block, *BlockADS, error) {
-	return decodeRecord(data)
-}
-
-// DecodeChainRecordBlock decodes only the block half of a record (see
-// decodeRecordBlock); shard reopen uses it to index without paying for
-// ADS decodes.
-func DecodeChainRecordBlock(data []byte) (*chain.Block, error) {
-	return decodeRecordBlock(data)
-}
-
-// DecodeChainRecordADS decodes only the ADS half of a record (see
-// decodeRecordADS); paged shard workers use it at page-in.
-func DecodeChainRecordADS(data []byte) (*BlockADS, error) {
-	return decodeRecordADS(data)
 }
 
 // VerifyADSCommitments checks a decoded ADS against an
@@ -172,13 +98,13 @@ func VerifyADSCommitments(b *Builder, hdr chain.Header, height int, ads *BlockAD
 	return nil
 }
 
-// ValidateCommit checks that (blk, ads) is a valid chain entry at the
+// validateCommit checks that (blk, ads) is a valid chain entry at the
 // given height of the store: height alignment, ADS/header commitment
 // match, and every chain-level rule (linkage, timestamps,
-// proof-of-work). It mutates nothing. FullNode's commit pipeline and
-// the shard router both run it before a byte reaches any backend, so a
-// record can never be durably persisted and then rejected.
-func ValidateCommit(b *Builder, against *chain.Store, height int, blk *chain.Block, ads *BlockADS) error {
+// proof-of-work). It mutates nothing. The commit pipeline runs it
+// before a byte reaches any backend, so a record can never be durably
+// persisted and then rejected.
+func validateCommit(b *Builder, against *chain.Store, height int, blk *chain.Block, ads *BlockADS) error {
 	if blk == nil {
 		return fmt.Errorf("core: commit of a nil block")
 	}
@@ -191,50 +117,59 @@ func ValidateCommit(b *Builder, against *chain.Store, height int, blk *chain.Blo
 	return against.Validate(blk)
 }
 
-// validateCommit checks that (blk, ads) is a valid next chain entry;
-// see ValidateCommit. The caller holds n.mu.
-func (n *FullNode) validateCommit(blk *chain.Block, ads *BlockADS, against *chain.Store, height int) error {
-	return ValidateCommit(n.Builder, against, height, blk, ads)
-}
-
-// commitLocked is the single choke point through which every (block,
-// ADS) pair enters the node: MineBlock, Load, and backend replay all
-// route through it. It validates, persists to the backend (unless the
-// record is already durable, i.e. during replay), publishes the ADS to
-// the source, and only then appends the block — readers gate on the
-// store height, so no one can ever observe the chain advanced to h+1
-// without the ADS at h reachable (cached for a resident source,
-// durable and pageable for a paged one). The n.mu write lock
-// serializes writers; readers never take it.
-func (n *FullNode) commitLocked(blk *chain.Block, ads *BlockADS, persist bool) error {
+// commitLocked is the single choke point through which every mined
+// (block, ADS) pair enters the node, whatever the slot count. It
+// validates, asks the guard whether the owning slot admits work,
+// persists to the slot's backend (nothing for an ephemeral one — no
+// point encoding a record the backend would discard), publishes the
+// ADS to the slot's source, and only then appends the block — readers
+// gate on the store height, so no one can ever observe the chain
+// advanced to h+1 without the ADS at h reachable (cached for a resident
+// source, durable and pageable for a paged one). The caller holds n.mu,
+// which serializes writers; readers never take it.
+func (n *FullNode) commitLocked(blk *chain.Block, ads *BlockADS) error {
 	height := n.Store.Height()
-	if err := n.validateCommit(blk, ads, n.Store, height); err != nil {
+	if err := validateCommit(n.Builder, n.Store, height, blk, ads); err != nil {
 		return err
 	}
-	if _, ephemeral := n.backend.(storage.Ephemeral); ephemeral {
-		// Nothing to persist: don't pay for encoding a record the
-		// backend would discard.
-		persist = false
+	i := n.Owner(height)
+	s := n.slots[i].Load()
+	// Circuit breaker: a slot the guard refuses sheds load instead of
+	// hammering a sick backend. Heights are sequential, so mining
+	// stalls (fail-fast, no state touched) until the slot is restored.
+	if n.Guard != nil {
+		if err := n.Guard.Admit(i); err != nil {
+			return fmt.Errorf("core: committing block %d: %w", height, err)
+		}
 	}
-	if persist {
-		data, err := encodeRecord(blk, ads)
+	_, ephemeral := s.backend.(storage.Ephemeral)
+	before := s.backend.Len()
+	if !ephemeral {
+		data, err := EncodeChainRecord(blk, ads)
 		if err != nil {
 			return err
 		}
-		if err := n.backend.Append(data); err != nil {
-			return fmt.Errorf("core: persisting block %d: %w", blk.Header.Height, err)
+		err = s.backend.Append(data)
+		if n.Guard != nil {
+			n.Guard.Appended(i, err)
+		}
+		if err != nil {
+			return fmt.Errorf("core: persisting block %d: %w", height, err)
 		}
 	}
-	n.ads.Add(height, ads)
+	// Source first, block second: readers gate on the store height
+	// without taking n.mu, so the ADS must be reachable before the
+	// height advances.
+	s.ads.Add(height, ads)
 	if err := n.Store.Append(blk); err != nil {
 		// Unreachable after validateCommit (n.mu serializes all
 		// writers), but if it ever fires the durable record and the
 		// cached ADS must not outlive the rejected in-RAM append.
-		n.ads.InvalidateFrom(height)
-		if persist {
-			if terr := n.backend.Truncate(height); terr != nil {
+		s.ads.InvalidateFrom(height)
+		if !ephemeral {
+			if terr := s.backend.Truncate(before); terr != nil {
 				return fmt.Errorf("core: store/backend divergence at block %d: %v (rollback: %v)",
-					blk.Header.Height, err, terr)
+					height, err, terr)
 			}
 		}
 		return err

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/vchain-go/vchain/internal/chain"
-	"github.com/vchain-go/vchain/internal/storage"
 )
 
 // crashHelperEnv names the env var that flips TestCrashHelperProcess
@@ -28,7 +27,7 @@ func TestCrashHelperProcess(t *testing.T) {
 	}
 	acc := testAccs(t)["acc2"]
 	b := &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 2, Width: testWidth}
-	node, err := OpenFullNode(0, b, dir, storage.Options{})
+	node, err := openLogNode(b, dir)
 	if err != nil {
 		fmt.Println("helper: open:", err)
 		os.Exit(1)
@@ -110,7 +109,7 @@ scan:
 	// beyond them is allowed and truncated.
 	acc := testAccs(t)["acc2"]
 	b := &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 2, Width: testWidth}
-	node, err := OpenFullNode(0, b, dir, storage.Options{})
+	node, err := openLogNode(b, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

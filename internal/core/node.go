@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
@@ -24,10 +25,16 @@ type ADSSource = adstore.Source[*BlockADS]
 // ChainView for the Builder and the SP.
 //
 // Every (block, ADS) pair enters the node through one atomic commit
-// pipeline (commitLocked) that validates, persists to the pluggable
-// storage backend, and publishes both halves under a single lock —
+// pipeline (commitLocked) that validates, persists to the owning
+// storage slot, and publishes both halves under a single lock —
 // readers can never observe the chain height advanced without the
 // matching ADS.
+//
+// Where a block's record and decoded ADS live is a placement decision,
+// not a second kind of node: heights are dealt to N ≥ 1 storage slots
+// in contiguous bands, owner(h) = (h/Band) % N. A plain node is the
+// one-slot case; internal/shard layers health supervision and a
+// scatter-gather planner over N slots.
 type FullNode struct {
 	// Store is the in-RAM block index: headers, hash lookup, and
 	// validation rules. It is populated exclusively through the commit
@@ -36,18 +43,20 @@ type FullNode struct {
 	// Builder constructs the ADS for mined blocks.
 	Builder *Builder
 
-	// mu serializes the commit pipeline (and snapshot export). Readers
-	// never take it: ADSAt gates on the store height and reads the
-	// source, both internally synchronized, so a slow page-in never
-	// stalls mining and vice versa.
-	mu sync.RWMutex
-	// ads owns the decoded ADS bodies; commits publish into it and
-	// ADSAt reads through it.
-	ads ADSSource
+	// mu serializes the commit pipeline and slot replacement. Readers
+	// never take it: ADSAt gates on the store height and loads the
+	// owning slot atomically, so a slow page-in never stalls mining and
+	// vice versa.
+	mu    sync.Mutex
+	band  int
+	slots []atomic.Pointer[slot]
+	// cacheBlocks is the node-wide decoded-ADS budget (WithADSCache),
+	// split evenly across the slots.
+	cacheBlocks int
 
-	// backend is the pluggable block store persisting committed
-	// records (the discarding storage.Null for plain in-memory nodes).
-	backend storage.Backend
+	// Guard, when set, vetoes and observes writes per slot (the shard
+	// layer's circuit breakers). Set it before the first commit.
+	Guard SlotGuard
 
 	// Proofs is the node's shared proof engine: every SP derived from
 	// this node routes its disjointness proofs through it, so repeated
@@ -62,6 +71,24 @@ type FullNode struct {
 	SetupStats SetupStats
 }
 
+// slot is one storage placement: a backend and the decoded-ADS source
+// over it (resident for an ephemeral backend, a paged LRU otherwise).
+// A slot is immutable; RestartSlot replaces it whole.
+type slot struct {
+	backend storage.Backend
+	ads     ADSSource
+}
+
+// SlotGuard lets the layer above veto and observe a slot's writes.
+// Both methods run under the commit lock.
+type SlotGuard interface {
+	// Admit returns a non-nil error to refuse a commit to the slot
+	// before any byte is written.
+	Admit(slot int) error
+	// Appended reports the outcome of the slot's backend Append.
+	Appended(slot int, err error)
+}
+
 // SetupStats aggregates ADS construction measurements.
 type SetupStats struct {
 	// Blocks is the number of blocks built.
@@ -73,31 +100,20 @@ type SetupStats struct {
 }
 
 // NodeOption tunes a FullNode's ADS residency.
-type NodeOption func(*nodeConfig)
-
-type nodeConfig struct {
-	cacheBlocks int
-	cacheBytes  int64
-}
+type NodeOption func(*FullNode)
 
 // WithADSCache bounds the node's decoded-ADS cache to at most blocks
-// entries (<= 0 leaves the entry count unbounded). It only applies to
-// nodes over a durable backend — an ephemeral node's decoded set is
-// its only copy and stays fully resident.
+// entries, split evenly across its slots (each keeps at least one);
+// <= 0 leaves the entry count unbounded. It only applies to slots over
+// a durable backend — an ephemeral slot's decoded set is its only copy
+// and stays fully resident.
 func WithADSCache(blocks int) NodeOption {
-	return func(c *nodeConfig) { c.cacheBlocks = blocks }
-}
-
-// WithADSCacheBytes bounds the node's decoded-ADS cache by estimated
-// footprint instead of (or in addition to) entry count.
-func WithADSCacheBytes(bytes int64) NodeOption {
-	return func(c *nodeConfig) { c.cacheBytes = bytes }
+	return func(n *FullNode) { n.cacheBlocks = blocks }
 }
 
 // NewFullNode creates an ephemeral node with the given proof-of-work
 // difficulty and ADS builder: nothing survives the process, and no
-// persistence cost is paid. Use NewFullNodeOn or OpenFullNode for
-// durability.
+// persistence cost is paid. Use NewFullNodeOn for durability.
 func NewFullNode(difficulty chain.Difficulty, b *Builder) *FullNode {
 	n, err := NewFullNodeOn(difficulty, b, storage.NewNull())
 	if err != nil {
@@ -107,108 +123,231 @@ func NewFullNode(difficulty chain.Difficulty, b *Builder) *FullNode {
 	return n
 }
 
-// NewFullNodeOn creates a node over an existing storage backend. The
-// reopen is index-only: each stored record's block half is decoded and
-// re-validated against the difficulty and linkage rules, but the ADS
-// bodies stay on the backend until a query pages them in — at which
-// point they are checked against their header commitments (a verified
-// fetch), so cold start costs one block decode per record, not a
-// re-mine and not even an ADS decode. Without a cache option the
-// paged set is unbounded (everything faulted in stays, matching the
-// old footprint once warm); WithADSCache/WithADSCacheBytes bound it.
-// The node owns the backend from here on (Close closes it); every
-// block mined or imported later is persisted to it at commit time.
+// NewFullNodeOn creates a one-slot node over an existing storage
+// backend; see NewBandedNode.
 func NewFullNodeOn(difficulty chain.Difficulty, b *Builder, be storage.Backend, opts ...NodeOption) (*FullNode, error) {
-	var cfg nodeConfig
+	n, _, err := NewBandedNode(difficulty, b, 1, []storage.Backend{be}, opts...)
+	return n, err
+}
+
+// NewBandedNode creates a node over one storage backend per slot, with
+// band consecutive heights per slot turn. The reopen is index-only:
+// records replay in height order across the slots, each record's block
+// half decoded and re-validated against the difficulty and linkage
+// rules, while the ADS bodies stay on the backends until a query pages
+// them in — at which point they are checked against their header
+// commitments (a verified fetch), so cold start costs one block decode
+// per record, not a re-mine and not even an ADS decode. The first slot
+// that runs out of records bounds the restored chain; later heights may
+// exist in other slots, but without the gap filled they can never be
+// served or re-validated, so they are truncated and counted per slot in
+// stranded. Without WithADSCache the paged sets are unbounded
+// (everything faulted in stays). The node owns the backends on success
+// (Close closes them); every block mined later is persisted to its
+// owning slot at commit time.
+func NewBandedNode(difficulty chain.Difficulty, b *Builder, band int, backends []storage.Backend, opts ...NodeOption) (n *FullNode, stranded []int, err error) {
+	n = &FullNode{
+		Store:   chain.NewStore(difficulty),
+		Builder: b,
+		band:    band,
+		slots:   make([]atomic.Pointer[slot], len(backends)),
+	}
 	for _, o := range opts {
-		o(&cfg)
+		o(n)
 	}
-	n := &FullNode{Store: chain.NewStore(difficulty), Builder: b, backend: be}
-	if _, ephemeral := be.(storage.Ephemeral); ephemeral {
-		n.ads = adstore.NewResident[*BlockADS]()
-	} else {
-		n.ads = adstore.NewPaged(adstore.PagedConfig[*BlockADS]{
-			Read:       be.Read,
-			Decode:     n.decodePagedADS,
-			Size:       func(ads *BlockADS) int { return ads.SizeBytes(b.Acc) },
-			MaxEntries: cfg.cacheBlocks,
-			MaxBytes:   cfg.cacheBytes,
-		})
+	for i, be := range backends {
+		n.slots[i].Store(n.newSlot(be))
 	}
-	for i := 0; i < be.Len(); i++ {
-		data, err := be.Read(i)
+	cursors := make([]int, len(backends))
+	for {
+		h := n.Store.Height()
+		o := n.Owner(h)
+		if cursors[o] >= backends[o].Len() {
+			break
+		}
+		data, err := backends[o].Read(cursors[o])
 		if err != nil {
-			return nil, fmt.Errorf("core: reading stored block %d: %w", i, err)
+			return nil, nil, fmt.Errorf("core: slot %d: reading stored block %d: %w", o, h, err)
 		}
 		blk, err := decodeRecordBlock(data)
 		if err != nil {
-			return nil, fmt.Errorf("core: stored block %d: %w", i, err)
+			return nil, nil, fmt.Errorf("core: slot %d: stored block %d: %w", o, h, err)
 		}
 		if err := n.Store.Append(blk); err != nil {
-			return nil, fmt.Errorf("core: stored block %d rejected: %w", i, err)
+			return nil, nil, fmt.Errorf("core: slot %d: stored block %d rejected: %w", o, h, err)
+		}
+		cursors[o]++
+	}
+	stranded = make([]int, len(backends))
+	for i, be := range backends {
+		if stranded[i] = be.Len() - cursors[i]; stranded[i] > 0 {
+			if err := be.Truncate(cursors[i]); err != nil {
+				return nil, nil, fmt.Errorf("core: slot %d: truncating %d stranded records: %w", i, stranded[i], err)
+			}
 		}
 	}
-	return n, nil
+	return n, stranded, nil
 }
 
-// decodePagedADS is the paged source's decode callback: it decodes the
-// ADS half of record height and re-verifies the commitments the lazy
-// reopen deferred — the rebuilt roots must match the validated header,
-// so a tampered record surfaces at page-in exactly as it would have at
-// an eager open.
+// newSlot pairs a backend with its decoded-ADS source. A paged source
+// reads through its own backend, so after RestartSlot an in-flight
+// page-in against the closed old backend fails cleanly instead of
+// touching the new one.
+func (n *FullNode) newSlot(be storage.Backend) *slot {
+	if _, ephemeral := be.(storage.Ephemeral); ephemeral {
+		return &slot{backend: be, ads: adstore.NewResident[*BlockADS]()}
+	}
+	perSlot := 0
+	if n.cacheBlocks > 0 {
+		perSlot = max(n.cacheBlocks/len(n.slots), 1)
+	}
+	return &slot{backend: be, ads: adstore.NewPaged(adstore.PagedConfig[*BlockADS]{
+		Read:       func(h int) ([]byte, error) { return be.Read(n.heightRecord(h)) },
+		Decode:     n.decodePagedADS,
+		Size:       func(ads *BlockADS) int { return ads.SizeBytes(n.Builder.Acc) },
+		MaxEntries: perSlot,
+	})}
+}
+
+// decodePagedADS is the paged sources' decode callback: it decodes the
+// ADS half of the record at height and re-verifies the commitments the
+// lazy reopen deferred — the rebuilt roots must match the validated
+// header, so a tampered record surfaces at page-in exactly as it would
+// have at an eager open.
 func (n *FullNode) decodePagedADS(height int, data []byte) (*BlockADS, error) {
-	ads, err := decodeRecordADS(data)
+	ads, err := DecodeChainRecordADS(data)
 	if err != nil {
 		return nil, fmt.Errorf("core: stored block %d: %w", height, err)
 	}
-	blk, err := n.Store.BlockAt(height)
+	hdr, err := n.HeaderAt(height)
 	if err != nil {
 		return nil, fmt.Errorf("core: paging in ADS %d: %w", height, err)
 	}
-	if err := VerifyADSCommitments(n.Builder, blk.Header, height, ads); err != nil {
+	if err := VerifyADSCommitments(n.Builder, hdr, height, ads); err != nil {
 		return nil, fmt.Errorf("core: paging in ADS %d: %w", height, err)
 	}
 	return ads, nil
 }
 
-// OpenFullNode opens (or creates) the segmented-log block store in dir
-// and indexes it into a node: the durable counterpart of NewFullNode.
-// A crash-torn log tail is truncated to the last valid record before
-// replay (see storage.Open). The reopen is lazy — see NewFullNodeOn.
-func OpenFullNode(difficulty chain.Difficulty, b *Builder, dir string, opts storage.Options, nopts ...NodeOption) (*FullNode, error) {
-	log, err := storage.Open(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	n, err := NewFullNodeOn(difficulty, b, log, nopts...)
-	if err != nil {
-		log.Close()
-		return nil, err
-	}
-	return n, nil
+// Owner returns the slot owning height h.
+func (n *FullNode) Owner(h int) int { return (h / n.band) % len(n.slots) }
+
+// Band returns the number of consecutive heights per slot turn.
+func (n *FullNode) Band() int { return n.band }
+
+// heightRecord maps a chain height to its record index within the
+// owning slot's backend (the inverse of recordHeight): height h sits in
+// global round h/(band*slots), at offset h%band within the band.
+func (n *FullNode) heightRecord(h int) int {
+	return h/(n.band*len(n.slots))*n.band + h%n.band
 }
 
-// Backend exposes the node's storage backend (e.g. to report recovery
-// statistics from a storage.Log).
-func (n *FullNode) Backend() storage.Backend { return n.backend }
+// recordHeight maps slot record index r back to its chain height:
+// record r sits in the slot's (r/band)-th owned band, at offset r%band
+// within it.
+func (n *FullNode) recordHeight(slot, r int) int {
+	return ((r/n.band)*len(n.slots)+slot)*n.band + r%n.band
+}
 
-// Close releases the storage backend. The node must not be used
+// ownedRecords returns how many heights below h the slot owns — the
+// record count its backend must hold for a chain of height h.
+func (n *FullNode) ownedRecords(slot, h int) int {
+	count := 0
+	for base := slot * n.band; base < h; base += len(n.slots) * n.band {
+		count += min(h-base, n.band)
+	}
+	return count
+}
+
+// RestartSlot closes slot i's backend and replaces it with the one
+// reopen returns, after checking that it holds exactly the records for
+// the heights the slot owns below the chain height and that every
+// record's block header matches the chain index. Surplus records can
+// exist when a faulted append landed valid bytes that the commit
+// pipeline rolled back logically — they are dropped. The decoded-ADS
+// set is NOT rebuilt: the slot comes back with an empty source and
+// repopulates lazily as queries fault heights in (each page-in verified
+// against its header), so the cost is one block decode per owned record
+// regardless of ADS size. Commits pause under the node lock for the
+// duration (a restart is rare and the slot's alternative is serving
+// nothing at all). On failure the slot keeps its closed backend.
+//
+//vchainlint:ignore lockio restart re-opens and verifies the log under a deliberate whole-node pause
+func (n *FullNode) RestartSlot(i int, reopen func() (storage.Backend, error)) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	// Close the sick backend first: a segmented log holds a directory
+	// flock that the re-open needs.
+	n.slots[i].Load().backend.Close()
+	be, err := reopen()
+	if err != nil {
+		return err
+	}
+	if err := n.verifySlot(i, be); err != nil {
+		be.Close()
+		return err
+	}
+	n.slots[i].Store(n.newSlot(be))
+	return nil
+}
+
+// verifySlot is RestartSlot's consistency check of a reopened backend
+// against the chain index.
+func (n *FullNode) verifySlot(i int, be storage.Backend) error {
+	want := n.ownedRecords(i, n.Store.Height())
+	if be.Len() > want {
+		if err := be.Truncate(want); err != nil {
+			return fmt.Errorf("truncating %d surplus records: %w", be.Len()-want, err)
+		}
+	}
+	if be.Len() < want {
+		return fmt.Errorf("log holds %d records, chain height %d requires %d", be.Len(), n.Store.Height(), want)
+	}
+	for r := 0; r < want; r++ {
+		h := n.recordHeight(i, r)
+		data, err := be.Read(r)
+		if err != nil {
+			return fmt.Errorf("reading record %d (height %d): %w", r, h, err)
+		}
+		blk, err := decodeRecordBlock(data)
+		if err != nil {
+			return fmt.Errorf("record %d (height %d): %w", r, h, err)
+		}
+		hdr, err := n.HeaderAt(h)
+		if err != nil {
+			return fmt.Errorf("record %d: no stored header at height %d: %w", r, h, err)
+		}
+		if blk.Header.Hash() != hdr.Hash() {
+			return fmt.Errorf("record %d (height %d): header diverges from chain", r, h)
+		}
+	}
+	return nil
+}
+
+// Close releases every slot's backend. The node must not be used
 // afterwards.
 func (n *FullNode) Close() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.backend.Close()
+	var firstErr error
+	for i := range n.slots {
+		if err := n.slots[i].Load().backend.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // ADSAt implements ChainView: (nil, nil) for a height with no block,
-// the ADS (paged in if necessary) for a committed height. A page-in
-// failure — IO error, corrupt record, failed commitment check — comes
-// back as the error; callers must surface it, not treat it as absence.
+// the ADS (paged in from the owning slot if necessary) for a committed
+// height. A page-in failure — IO error, corrupt record, failed
+// commitment check — comes back as the error; callers must surface it,
+// not treat it as absence.
 func (n *FullNode) ADSAt(height int) (*BlockADS, error) {
 	if height < 0 || height >= n.Store.Height() {
 		return nil, nil
 	}
-	ads, err := n.ads.At(height)
+	ads, err := n.slots[n.Owner(height)].Load().ads.At(height)
 	if err != nil {
 		return nil, fmt.Errorf("core: ADS at height %d: %w", height, err)
 	}
@@ -218,9 +357,24 @@ func (n *FullNode) ADSAt(height int) (*BlockADS, error) {
 	return ads, nil
 }
 
-// ADSStats snapshots the node's ADS-source counters (cache hits,
+// SlotADSStats snapshots one slot's ADS-source counters (cache hits,
 // misses, decodes, footprint).
-func (n *FullNode) ADSStats() adstore.Stats { return n.ads.Stats() }
+func (n *FullNode) SlotADSStats(i int) adstore.Stats { return n.slots[i].Load().ads.Stats() }
+
+// ADSStats sums the ADS-source counters over every slot.
+func (n *FullNode) ADSStats() adstore.Stats {
+	var total adstore.Stats
+	for i := range n.slots {
+		s := n.SlotADSStats(i)
+		total.Hits += s.Hits
+		total.Misses += s.Misses
+		total.Decodes += s.Decodes
+		total.Evictions += s.Evictions
+		total.Entries += s.Entries
+		total.Bytes += s.Bytes
+	}
+	return total
+}
 
 // HeaderAt implements ChainView.
 func (n *FullNode) HeaderAt(height int) (chain.Header, error) {
@@ -231,8 +385,8 @@ func (n *FullNode) HeaderAt(height int) (chain.Header, error) {
 	return b.Header, nil
 }
 
-// MineBlock builds the ADS for objs, solves proof-of-work, and appends
-// the block. It returns the new block.
+// MineBlock builds the ADS for objs, solves proof-of-work, and commits
+// the block to its owning slot. It returns the new block.
 func (n *FullNode) MineBlock(objs []chain.Object, ts int64) (*chain.Block, error) {
 	height := n.Store.Height()
 
@@ -267,7 +421,7 @@ func (n *FullNode) MineBlock(objs []chain.Object, ts int64) (*chain.Block, error
 	// cleanly here without touching any state.
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if err := n.commitLocked(blk, ads, true); err != nil {
+	if err := n.commitLocked(blk, ads); err != nil {
 		return nil, err
 	}
 	n.SetupStats.Blocks++

@@ -8,20 +8,7 @@ import (
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/chain"
-	"github.com/vchain-go/vchain/internal/storage"
 )
-
-// reopenPaged closes nothing: it opens dir with a bounded ADS cache
-// and registers cleanup.
-func reopenPaged(t *testing.T, b *Builder, dir string, nopts ...NodeOption) *FullNode {
-	t.Helper()
-	node, err := OpenFullNode(0, b, dir, storage.Options{}, nopts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { node.Close() })
-	return node
-}
 
 // TestPagedReopenServesIdenticalVO checks the tiering acceptance
 // criterion: a reopened node whose decoded-ADS residency is bounded to
@@ -50,7 +37,7 @@ func TestPagedReopenServesIdenticalVO(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	paged := reopenPaged(t, b, dir, WithADSCache(2))
+	paged := openTestNode(t, b, dir, WithADSCache(2))
 	pagedVO, err := paged.SP(false).TimeWindowQuery(q)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +86,7 @@ func TestPagedConcurrentQueriesAndMining(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	node := reopenPaged(t, b, dir, WithADSCache(2))
+	node := openTestNode(t, b, dir, WithADSCache(2))
 	light := chain.NewLightStore(0)
 	if err := light.Sync(node.Store.Headers()); err != nil {
 		t.Fatal(err)
@@ -168,7 +155,7 @@ func TestPagedSingleFlightDecodes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	node := reopenPaged(t, b, dir) // unbounded: entries never evict
+	node := openTestNode(t, b, dir) // unbounded: entries never evict
 	q := sedanBenzQuery(0, blocks-1)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -223,7 +210,7 @@ func TestMemoryBoundedReopenSmoke(t *testing.T) {
 	}
 
 	const cacheBlocks = 16
-	node := reopenPaged(t, b, dir, WithADSCache(cacheBlocks))
+	node := openTestNode(t, b, dir, WithADSCache(cacheBlocks))
 	if node.Height() != blocks {
 		t.Fatalf("reopened height %d, want %d", node.Height(), blocks)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
@@ -9,6 +10,13 @@ import (
 	"github.com/vchain-go/vchain/internal/multiset"
 	"github.com/vchain-go/vchain/internal/proofs"
 )
+
+// ErrADSUnavailable marks a window walk that could not fetch a block's
+// ADS from the view — a storage fault (IO error, corrupt record, failed
+// page-in re-verification), as opposed to a bad query or a proof that
+// cannot be computed. The shard planner turns only this class of span
+// failure into a degraded-read gap and breaker pressure.
+var ErrADSUnavailable = errors.New("core: block ADS unavailable")
 
 // SP is the service provider's query engine: a full node that answers
 // time-window queries with verification objects. It reads blocks and
@@ -143,7 +151,7 @@ func (sp *SP) TimeWindowQueryCtx(ctx context.Context, q Query) (*VO, error) {
 		}
 		ads, err := sp.View.ADSAt(h)
 		if err != nil {
-			return nil, fmt.Errorf("core: window walk at height %d: %w", h, err)
+			return nil, fmt.Errorf("core: window walk at height %d: %w: %w", h, ErrADSUnavailable, err)
 		}
 		if ads == nil {
 			return nil, fmt.Errorf("core: no ADS at height %d", h)

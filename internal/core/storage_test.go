@@ -1,23 +1,31 @@
 package core
 
 import (
-	"bytes"
-	"errors"
-	"os"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 
-	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/storage"
 )
 
-// openTestNode opens a log-backed node in dir with the standard test
-// builder.
-func openTestNode(t *testing.T, b *Builder, dir string) *FullNode {
+// openLogNode opens (or creates) the segmented log in dir and indexes
+// it into a one-slot node: what a one-shard durable node is underneath.
+func openLogNode(b *Builder, dir string, nopts ...NodeOption) (*FullNode, error) {
+	log, err := storage.Open(dir, storage.Options{})
+	if err != nil {
+		return nil, err
+	}
+	node, err := NewFullNodeOn(0, b, log, nopts...)
+	if err != nil {
+		log.Close()
+		return nil, err
+	}
+	return node, nil
+}
+
+// openTestNode is openLogNode with test cleanup.
+func openTestNode(t *testing.T, b *Builder, dir string, nopts ...NodeOption) *FullNode {
 	t.Helper()
-	node, err := OpenFullNode(0, b, dir, storage.Options{})
+	node, err := openLogNode(b, dir, nopts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,128 +33,11 @@ func openTestNode(t *testing.T, b *Builder, dir string) *FullNode {
 	return node
 }
 
-func TestOpenFullNodePersistsAcrossRestart(t *testing.T) {
-	acc := testAccs(t)["acc2"]
-	b := &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 2, Width: testWidth}
-	dir := t.TempDir()
+// Reopen, torn-tail recovery and concurrent mine/query run once for
+// every slot count in internal/shard (TestReopenSurvivesRestart,
+// TestReopenTornTail, TestConcurrentMineAndQuery).
 
-	node := openTestNode(t, b, dir)
-	const blocks = 5
-	for i := 0; i < blocks; i++ {
-		if _, err := node.MineBlock(carObjects(uint64(i*10)), int64(1000+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	headers := node.Store.Headers()
-	if err := node.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: the chain and every ADS body come back from the log —
-	// nothing is rebuilt (SetupStats counts ADS constructions).
-	re := openTestNode(t, b, dir)
-	if re.Height() != blocks {
-		t.Fatalf("reopened height %d, want %d", re.Height(), blocks)
-	}
-	if re.SetupStats.Blocks != 0 {
-		t.Fatalf("reopen rebuilt %d ADSs, want 0", re.SetupStats.Blocks)
-	}
-	for h, want := range headers {
-		got, err := re.HeaderAt(h)
-		if err != nil || got != want {
-			t.Fatalf("header %d = %+v, %v; want %+v", h, got, err, want)
-		}
-		if mustADS(t, re, h) == nil {
-			t.Fatalf("no ADS at %d after reopen", h)
-		}
-	}
-
-	// The reopened node serves a verifiable time-window query.
-	light := chain.NewLightStore(0)
-	if err := light.Sync(re.Store.Headers()); err != nil {
-		t.Fatal(err)
-	}
-	q := sedanBenzQuery(0, blocks-1)
-	vo, err := re.SP(false).TimeWindowQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := (&Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, vo)
-	if err != nil {
-		t.Fatalf("reopened node's VO rejected: %v", err)
-	}
-	if len(results) != blocks {
-		t.Fatalf("results %d, want %d", len(results), blocks)
-	}
-
-	// Mining continues the persisted chain.
-	if _, err := re.MineBlock(carObjects(uint64(blocks*10)), int64(1000+blocks)); err != nil {
-		t.Fatal(err)
-	}
-	if re.Height() != blocks+1 {
-		t.Fatalf("post-reopen mine: height %d", re.Height())
-	}
-}
-
-func TestOpenFullNodeRecoversFromTornTail(t *testing.T) {
-	acc := testAccs(t)["acc2"]
-	b := &Builder{Acc: acc, Mode: ModeIntra, Width: testWidth}
-	dir := t.TempDir()
-
-	node := openTestNode(t, b, dir)
-	for i := 0; i < 4; i++ {
-		if _, err := node.MineBlock(carObjects(uint64(i*10)), int64(1000+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	node.Close()
-
-	// Simulate a crash mid-append: chop bytes off the segment tail.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := filepath.Join(dir, ents[len(ents)-1].Name())
-	st, err := os.Stat(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(seg, st.Size()-7); err != nil {
-		t.Fatal(err)
-	}
-
-	re := openTestNode(t, b, dir)
-	if re.Height() != 3 {
-		t.Fatalf("recovered height %d, want 3", re.Height())
-	}
-	log, ok := re.Backend().(*storage.Log)
-	if !ok || !log.Report().Truncated {
-		t.Fatalf("expected a truncating recovery, got %T %+v", re.Backend(), log.Report())
-	}
-
-	// The surviving prefix still serves verifiable queries, and mining
-	// re-fills the lost height.
-	light := chain.NewLightStore(0)
-	if err := light.Sync(re.Store.Headers()); err != nil {
-		t.Fatal(err)
-	}
-	q := sedanBenzQuery(0, 2)
-	vo, err := re.SP(false).TimeWindowQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (&Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, vo); err != nil {
-		t.Fatalf("recovered node's VO rejected: %v", err)
-	}
-	if _, err := re.MineBlock(carObjects(uint64(99)), 2000); err != nil {
-		t.Fatal(err)
-	}
-	if re.Height() != 4 {
-		t.Fatalf("height %d after re-mining, want 4", re.Height())
-	}
-}
-
-func TestOpenFullNodeRejectsChainInvalidRecord(t *testing.T) {
+func TestReplayRejectsChainInvalidRecord(t *testing.T) {
 	// A record that passes CRC but fails chain validation (here: a
 	// record order tampered at the storage layer) is a hard error, not
 	// a silent truncation — CRC-clean corruption means tampering or a
@@ -173,64 +64,6 @@ func TestOpenFullNodeRejectsChainInvalidRecord(t *testing.T) {
 	}
 	if _, err := NewFullNodeOn(0, b, swapped); err == nil {
 		t.Fatal("reordered store accepted")
-	}
-}
-
-// TestConcurrentMineAndQuery is the -race regression for the torn
-// commit: before the atomic pipeline, Store.Append and the adss append
-// ran under different locks, so a concurrent query could observe
-// Store.Height() == h+1 while ADSAt(h) was still nil.
-func TestConcurrentMineAndQuery(t *testing.T) {
-	acc := testAccs(t)["acc2"]
-	b := &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 2, Width: testWidth}
-	node := NewFullNode(0, b)
-
-	const blocks = 6
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < blocks; i++ {
-			if _, err := node.MineBlock(carObjects(uint64(i*10)), int64(1000+i)); err != nil {
-				t.Errorf("mine %d: %v", i, err)
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	var torn atomic.Int64
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				// The invariant under attack: once the store height is
-				// visible, every ADS below it must be too.
-				h := node.Height()
-				for i := 0; i < h; i++ {
-					if ads, err := node.ADSAt(i); err != nil || ads == nil {
-						torn.Add(1)
-					}
-				}
-				if h > 0 {
-					q := sedanBenzQuery(0, h-1)
-					if _, err := node.SP(false).TimeWindowQuery(q); err != nil {
-						t.Errorf("query over [0,%d]: %v", h-1, err)
-						return
-					}
-				}
-			}
-		}()
-	}
-	<-done
-	wg.Wait()
-	if n := torn.Load(); n > 0 {
-		t.Fatalf("observed %d torn commits (height visible before ADS)", n)
 	}
 }
 
@@ -277,135 +110,37 @@ func TestConcurrentMinersStayAligned(t *testing.T) {
 	}
 }
 
-func TestLoadIsAllOrNothing(t *testing.T) {
-	acc := testAccs(t)["acc2"]
-	node, _ := buildTestChain(t, acc, ModeIntra, 4)
-	var buf bytes.Buffer
-	if err := node.Save(&buf); err != nil {
-		t.Fatal(err)
+// TestRecordPlacement pins the record-index ↔ height bijection that
+// banded replay, paged reads and slot restarts rely on.
+func TestRecordPlacement(t *testing.T) {
+	const slots, band, height = 3, 2, 20
+	backends := make([]storage.Backend, slots)
+	for i := range backends {
+		backends[i] = storage.NewNull()
 	}
-
-	// Corrupt a mid-snapshot block: swap ADSs 2 and 3 so block 2 fails
-	// the header cross-check after 0 and 1 validated.
-	hdr, entries := decodeSnapshot(t, buf.Bytes())
-	entries[2].ADS, entries[3].ADS = entries[3].ADS, entries[2].ADS
-	var tampered bytes.Buffer
-	encodeSnapshot(t, &tampered, hdr, entries)
-
-	restored, err := NewFullNodeOn(0, node.Builder, storage.NewMemory())
+	b := &Builder{Acc: testAccs(t)["acc2"], Mode: ModeIntra, Width: testWidth}
+	node, _, err := NewBandedNode(0, b, band, backends)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Load(&tampered); err == nil {
-		t.Fatal("tampered snapshot accepted")
-	}
-	// The old Load left blocks 0..1 behind; all-or-nothing means the
-	// node — and its backend — must still be completely empty.
-	if restored.Height() != 0 {
-		t.Fatalf("failed Load left height %d, want 0", restored.Height())
-	}
-	if ads, _ := restored.ADSAt(0); ads != nil {
-		t.Fatal("failed Load left an ADS behind")
-	}
-	if restored.Backend().Len() != 0 {
-		t.Fatalf("failed Load left %d persisted records", restored.Backend().Len())
-	}
+	defer node.Close()
 
-	// And the same node can then import the intact snapshot.
-	if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Height() != 4 {
-		t.Fatalf("clean import height %d, want 4", restored.Height())
-	}
-}
-
-// TestSnapshotMigratesOntoLogBackend is the snapshot → block store
-// migration path: import a legacy snapshot into a log-backed node,
-// restart, and serve verified queries from the log alone.
-func TestSnapshotMigratesOntoLogBackend(t *testing.T) {
-	acc := testAccs(t)["acc2"]
-	legacy, light := buildTestChain(t, acc, ModeBoth, 4)
-	var buf bytes.Buffer
-	if err := legacy.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	node := openTestNode(t, legacy.Builder, dir)
-	if err := node.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := node.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re := openTestNode(t, legacy.Builder, dir)
-	if re.Height() != 4 {
-		t.Fatalf("migrated height %d, want 4", re.Height())
-	}
-	q := sedanBenzQuery(0, 3)
-	vo, err := re.SP(false).TimeWindowQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (&Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, vo); err != nil {
-		t.Fatalf("migrated node's VO rejected: %v", err)
-	}
-	// Round trip back out: the export must match the legacy node's.
-	var out bytes.Buffer
-	if err := re.Save(&out); err != nil {
-		t.Fatal(err)
-	}
-	reHdr, reEntries := decodeSnapshot(t, out.Bytes())
-	if reHdr.Count != 4 || len(reEntries) != 4 {
-		t.Fatalf("re-export has %d blocks (%d entries)", reHdr.Count, len(reEntries))
-	}
-	for i, e := range reEntries {
-		if e.Block == nil || e.ADS == nil {
-			t.Fatalf("re-export entry %d missing block or ADS", i)
+	counts := make([]int, slots)
+	for h := 0; h < height; h++ {
+		o := node.Owner(h)
+		r := counts[o]
+		counts[o]++
+		if got := node.recordHeight(o, r); got != h {
+			t.Fatalf("recordHeight(%d, %d) = %d, want %d", o, r, got, h)
 		}
-	}
-}
-
-// failingBackend rejects appends after a budget — a disk-full stand-in
-// for Load's mid-import persistence failure.
-type failingBackend struct {
-	*storage.Memory
-	budget int
-}
-
-func (f *failingBackend) Append(data []byte) error {
-	if f.budget <= 0 {
-		return errors.New("disk full")
-	}
-	f.budget--
-	return f.Memory.Append(data)
-}
-
-func TestLoadRollsBackOnBackendFailure(t *testing.T) {
-	acc := testAccs(t)["acc2"]
-	node, _ := buildTestChain(t, acc, ModeIntra, 4)
-	var buf bytes.Buffer
-	if err := node.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	be := &failingBackend{Memory: storage.NewMemory(), budget: 2}
-	restored, err := NewFullNodeOn(0, node.Builder, be)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Load(&buf); err == nil {
-		t.Fatal("import over a failing backend succeeded")
-	}
-	// All-or-nothing even for persistence failures: nothing visible in
-	// RAM, nothing left in the backend.
-	ads, _ := restored.ADSAt(0)
-	if restored.Height() != 0 || ads != nil {
-		t.Fatalf("failed import left height %d visible", restored.Height())
-	}
-	if be.Len() != 0 {
-		t.Fatalf("failed import left %d records in the backend", be.Len())
+		if got := node.heightRecord(h); got != r {
+			t.Fatalf("heightRecord(%d) = %d, want %d", h, got, r)
+		}
+		// Partial chains: every slot's owned-record count below h+1.
+		for s := 0; s < slots; s++ {
+			if got := node.ownedRecords(s, h+1); got != counts[s] {
+				t.Fatalf("ownedRecords(%d, %d) = %d, want %d", s, h+1, got, counts[s])
+			}
+		}
 	}
 }

@@ -60,4 +60,3 @@ func BenchmarkFixedBaseVsGeneric(b *testing.B) {
 		}
 	})
 }
-

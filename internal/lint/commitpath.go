@@ -6,26 +6,25 @@ import (
 
 // CommitPath enforces the single-choke-point commit discipline: every
 // (block, ADS) pair reaches durable storage through
-// core.FullNode.commitLocked or shard.Node's commit path, both of
-// which validate before a byte lands and roll back on divergence.
-// Outside those packages (and the storage layer itself, the fault
-// injector that wraps it, and tests), a direct Append or Truncate on a
-// storage backend bypasses validation and the torn-state guarantees,
-// so any such call is a finding.
+// core.FullNode.commitLocked, which validates before a byte lands and
+// rolls back on divergence, whatever the shard count. Outside that
+// package (and the storage layer itself, the fault injector that wraps
+// it, and tests), a direct Append or Truncate on a storage backend
+// bypasses validation and the torn-state guarantees, so any such call
+// is a finding.
 var CommitPath = &Analyzer{
 	Name: "commitpath",
-	Doc: "commits must flow through the core/shard choke points\n\n" +
+	Doc: "commits must flow through the core choke point\n\n" +
 		"Flags direct Append/Truncate calls on internal/storage backend types " +
-		"outside internal/core, internal/shard, internal/storage, and internal/fault.",
+		"outside internal/core, internal/storage, and internal/fault.",
 	Run: runCommitPath,
 }
 
 // commitPathExempt lists the package suffixes allowed to touch backend
-// mutation directly: the two commit pipelines, the storage layer
-// itself, and the fault injector that wraps backends.
+// mutation directly: the commit pipeline, the storage layer itself,
+// and the fault injector that wraps backends.
 var commitPathExempt = []string{
 	"internal/core",
-	"internal/shard",
 	"internal/storage",
 	"internal/fault",
 }
@@ -51,7 +50,7 @@ func runCommitPath(pass *Pass) error {
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"direct storage backend %s outside the commit choke point: route (block, ADS) writes through core.FullNode/shard.Node commits", fn.Name())
+				"direct storage backend %s outside the commit choke point: route (block, ADS) writes through core.FullNode commits", fn.Name())
 			return true
 		})
 	}

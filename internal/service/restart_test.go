@@ -8,7 +8,7 @@ import (
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/pairingtest"
-	"github.com/vchain-go/vchain/internal/storage"
+	"github.com/vchain-go/vchain/internal/shard"
 )
 
 // TestServerOverReopenedStore is the SP-restart scenario end to end: a
@@ -21,7 +21,7 @@ func TestServerOverReopenedStore(t *testing.T) {
 	b := &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: 4}
 	dir := t.TempDir()
 
-	node, err := core.OpenFullNode(0, b, dir, storage.Options{})
+	node, _, err := shard.Open(0, b, dir, shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestServerOverReopenedStore(t *testing.T) {
 	}
 
 	// "Restart": a brand-new node over the same directory.
-	re, err := core.OpenFullNode(0, b, dir, storage.Options{})
+	re, _, err := shard.Open(0, b, dir, shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { re.Close() })
+	defer re.Close()
 	if re.SetupStats.Blocks != 0 {
 		t.Fatalf("restart rebuilt %d ADSs", re.SetupStats.Blocks)
 	}
@@ -98,7 +98,13 @@ func TestServerOverReopenedStore(t *testing.T) {
 	if len(d.Objects) != 1 || int(d.Objects[0].ID) != 41 {
 		t.Fatalf("post-restart publication delivered %v", d.Objects)
 	}
-	if re.Backend().Len() != 4 {
-		t.Fatalf("store has %d records, want 4", re.Backend().Len())
+	re.Close()
+	again, rep, err := shard.Open(0, b, dir, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if got := rep.Shards[0].Log.Records; got != 4 {
+		t.Fatalf("store has %d records, want 4", got)
 	}
 }

@@ -40,7 +40,7 @@ func faultyNode(t *testing.T, target int) (*shard.Node, *fault.Schedule) {
 // is owned by the target shard.
 func advanceToShard(t *testing.T, node *shard.Node, target int) {
 	t.Helper()
-	for node.OwnerForTest(node.Height()) != target {
+	for node.Owner(node.Height()) != target {
 		h := node.Height()
 		if _, err := node.MineBlock(carObjects(uint64(h*10)), int64(1000+h)); err != nil {
 			t.Fatalf("advancing to shard %d at height %d: %v", target, h, err)
@@ -53,7 +53,7 @@ func advanceToShard(t *testing.T, node *shard.Node, target int) {
 // then verifies mining fails fast.
 func mineUntilQuarantined(t *testing.T, node *shard.Node, target int) {
 	t.Helper()
-	if got := node.OwnerForTest(node.Height()); got != target {
+	if got := node.Owner(node.Height()); got != target {
 		t.Fatalf("next height %d owned by shard %d, want %d (advance first)", node.Height(), got, target)
 	}
 	for i := 0; i < 3; i++ {
@@ -173,44 +173,6 @@ func TestDegradedReadQuarantinedShard(t *testing.T) {
 	}
 	if _, err := ver.VerifyDegraded(q, fresh[1:], gaps2); !errors.Is(err, core.ErrCompleteness) {
 		t.Fatalf("silently shrunk degraded answer accepted: %v", err)
-	}
-}
-
-// TestDegradedPlannerMidQueryFailure exercises the other degradation
-// trigger: the shard is admitted (not quarantined) but fails during
-// the fan-out itself. Its spans must come back as gaps, not errors.
-func TestDegradedPlannerMidQueryFailure(t *testing.T) {
-	acc := testAcc(t)
-	node := shard.New(0, testBuilder(acc), shard.Options{Shards: 2, Band: 2, Workers: 2})
-	defer node.Close()
-	mineBlocks(t, node, 8)
-
-	// Sabotage shard 1's view: drop the ADS for height 7 (its highest
-	// owned height, hit first by the end-to-start walk).
-	node.DropADSForTest(7)
-
-	q := sedanBenzQuery(0, 7)
-	if _, err := node.TimeWindowParts(context.Background(), q, false); err == nil {
-		t.Fatal("strict query over a missing ADS succeeded")
-	}
-	parts, gaps, err := node.TimeWindowDegraded(context.Background(), q, false)
-	if err != nil {
-		t.Fatalf("degraded query: %v", err)
-	}
-	// Shard 1 owns {2,3} and {6,7}; the walk fails at 7, so both its
-	// spans gap out while shard 0's parts survive.
-	wantGaps := []core.Gap{{Start: 6, End: 7}, {Start: 2, End: 3}}
-	if !reflect.DeepEqual(gaps, wantGaps) {
-		t.Fatalf("gaps = %v, want %v", gaps, wantGaps)
-	}
-	light := lightFor(t, node.Headers())
-	ver := &core.Verifier{Acc: acc, Light: light}
-	if _, err := ver.VerifyDegraded(q, parts, gaps); !errors.Is(err, core.ErrDegraded) {
-		t.Fatalf("VerifyDegraded err = %v, want ErrDegraded", err)
-	}
-	// The failure fed the breaker.
-	if st := node.ShardStats()[1]; st.Failures == 0 {
-		t.Fatalf("planner failure not recorded in shard stats: %+v", st)
 	}
 }
 

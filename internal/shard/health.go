@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/vchain-go/vchain/internal/adstore"
-	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/proofs"
 	"github.com/vchain-go/vchain/internal/storage"
 )
@@ -77,8 +76,8 @@ type Stats struct {
 }
 
 // fail records a backend failure: Degraded below the threshold,
-// Quarantined (breaker trip) at it. threshold < 0 disables tripping.
-func (w *worker) fail(err error, threshold int) {
+// Quarantined (breaker trip) at it. A threshold < 0 disables tripping.
+func (w *worker) fail(err error) {
 	w.hmu.Lock()
 	defer w.hmu.Unlock()
 	w.failures++
@@ -87,7 +86,7 @@ func (w *worker) fail(err error, threshold int) {
 	if w.health == Quarantined {
 		return
 	}
-	if threshold > 0 && w.consecutive >= threshold {
+	if w.threshold > 0 && w.consecutive >= w.threshold {
 		w.health = Quarantined
 		w.trips++
 		w.trippedAt = time.Now()
@@ -200,118 +199,35 @@ func (n *Node) Quarantine(i int, reason error) error {
 	return nil
 }
 
-// recordHeight maps shard record index r back to its chain height:
-// record r sits in the shard's (r/Band)-th owned band, at offset
-// r%Band within it.
-func (n *Node) recordHeight(shard, r int) int {
-	band := n.opts.Band
-	return ((r/band)*n.opts.Shards+shard)*band + r%band
-}
-
-// ownedRecords returns how many heights below h shard owns — the
-// record count its log must hold for a chain of height h.
-func (n *Node) ownedRecords(shard, h int) int {
-	band := n.opts.Band
-	count := 0
-	for base := shard * band; base < h; base += n.opts.Shards * band {
-		if left := h - base; left < band {
-			count += left
-		} else {
-			count += band
-		}
-	}
-	return count
-}
-
-// RestartShard closes and re-opens shard i from its durable log,
-// re-verifying every record's block header against the global header
-// index, and closes the breaker on success. The decoded-ADS set is
-// NOT rebuilt: the shard comes back with an empty paged source and
-// repopulates lazily as queries fault heights in (each page-in
-// verified against its header), so restart cost is one block decode
-// per owned record regardless of ADS size. The whole node pauses under
-// the router lock for the duration (a restart is rare and the shard's
-// alternative is serving nothing at all). On failure the shard stays
-// quarantined and the cooldown restarts.
+// RestartShard closes and re-opens shard i from its durable log
+// (core.FullNode.RestartSlot: surplus records truncated, every record's
+// block header re-verified against the chain index, decoded ADSs
+// repopulating lazily), and closes the breaker on success. On failure
+// the shard stays quarantined and the cooldown restarts.
 //
 // Ephemeral shards (no store directory) have no log to re-open: the
 // restart just closes the breaker, modelling a transient fault blowing
 // over. Their in-RAM ADSs were never lost — commit fails before
 // touching state.
-//
-//vchainlint:ignore lockio restart re-opens and verifies the log under a deliberate whole-node pause
 func (n *Node) RestartShard(i int) error {
 	if i < 0 || i >= len(n.shards) {
 		return fmt.Errorf("shard: no shard %d", i)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	w := n.shards[i]
-
-	if n.dir == "" {
-		w.recovered()
-		return nil
-	}
-
-	// Close the sick backend first: the segmented log holds a
-	// directory flock that the re-open needs.
-	w.backend.Close()
-
-	restore := func() (storage.Backend, error) {
-		log, err := storage.Open(filepath.Join(n.dir, w.dir), n.opts.Storage)
+	if n.dir != "" {
+		err := n.RestartSlot(i, func() (storage.Backend, error) {
+			log, err := storage.Open(filepath.Join(n.dir, shardDir(i)), n.opts.Storage)
+			if err != nil {
+				return nil, fmt.Errorf("re-opening log: %w", err)
+			}
+			return n.opts.wrap(i, log), nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("re-opening log: %w", err)
+			err = fmt.Errorf("shard %d: restart: %w", i, err)
+			w.restartFailed(err)
+			return err
 		}
-		be := n.wrap(i, log)
-		// The shard must hold exactly the records for the heights it
-		// owns below the restored chain height. Surplus records can
-		// exist when a faulted append landed valid bytes that the
-		// commit pipeline rolled back logically — drop them.
-		want := n.ownedRecords(i, n.store.Height())
-		if be.Len() > want {
-			if err := be.Truncate(want); err != nil {
-				be.Close()
-				return nil, fmt.Errorf("truncating %d surplus records: %w", be.Len()-want, err)
-			}
-		}
-		if be.Len() < want {
-			be.Close()
-			return nil, fmt.Errorf("log holds %d records, chain height %d requires %d",
-				be.Len(), n.store.Height(), want)
-		}
-		for r := 0; r < want; r++ {
-			h := n.recordHeight(i, r)
-			data, err := be.Read(r)
-			if err != nil {
-				be.Close()
-				return nil, fmt.Errorf("reading record %d (height %d): %w", r, h, err)
-			}
-			blk, err := core.DecodeChainRecordBlock(data)
-			if err != nil {
-				be.Close()
-				return nil, fmt.Errorf("record %d (height %d): %w", r, h, err)
-			}
-			stored, err := n.store.BlockAt(h)
-			if err != nil {
-				be.Close()
-				return nil, fmt.Errorf("record %d: no stored header at height %d: %w", r, h, err)
-			}
-			if blk.Header.Hash() != stored.Header.Hash() {
-				be.Close()
-				return nil, fmt.Errorf("record %d (height %d): header diverges from chain", r, h)
-			}
-		}
-		return be, nil
 	}
-
-	be, err := restore()
-	if err != nil {
-		err = fmt.Errorf("shard %d: restart: %w", i, err)
-		w.restartFailed(err)
-		return err
-	}
-	w.backend = be
-	w.ads = n.pagedSource(w)
 	w.recovered()
 	return nil
 }

@@ -78,48 +78,53 @@ func TestShardedLazyReopenPagesIn(t *testing.T) {
 	}
 }
 
-// TestPageInFaultDegradesToGap injects read faults into one shard's
-// log after a lazy reopen: strict queries surface a typed error (no
-// panic), degraded queries gap out exactly the sick shard's heights,
-// and repeated page-in failures feed the breaker until the shard
-// quarantines.
-func TestPageInFaultDegradesToGap(t *testing.T) {
-	const target = 1
+// reopenWithFaultyShard mines blocks into a durable node whose target
+// shard's backend is fault-wrapped, closes it, and reopens it lazily
+// (the replay reads every record for its block half, so arm read
+// faults only on the returned schedule): from then on any ADS page-in
+// on the target shard goes through the schedule.
+func reopenWithFaultyShard(t *testing.T, opts shard.Options, target, blocks int) (*shard.Node, *fault.Schedule) {
+	t.Helper()
 	acc := testAcc(t)
 	sched := fault.NewSchedule()
-	opts := shard.Options{
-		Shards:           2,
-		Band:             2,
-		Workers:          2,
-		ADSCacheBlocks:   2, // 1 per shard: every older height must page in
-		FailureThreshold: 3,
-		BreakerCooldown:  time.Hour,
-		WrapBackend: func(id int, b storage.Backend) storage.Backend {
-			if id == target {
-				return fault.WrapBackend(b, sched)
-			}
-			return b
-		},
+	opts.WrapBackend = func(id int, b storage.Backend) storage.Backend {
+		if id == target {
+			return fault.WrapBackend(b, sched)
+		}
+		return b
 	}
 	dir := t.TempDir()
 	node, _, err := shard.Open(0, testBuilder(acc), dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const blocks = 8 // shard 1 owns {2,3} and {6,7}
 	mineBlocks(t, node, blocks)
 	if err := node.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Reopen first (the replay reads every record for its block half),
-	// THEN break the shard's reads: from here on, any ADS page-in on
-	// shard 1 hits injected IO errors.
 	re, _, err := shard.Open(0, testBuilder(acc), dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
+	t.Cleanup(func() { re.Close() })
+	return re, sched
+}
+
+// TestPageInFaultDegradesToGap injects read faults into one shard's
+// log after a lazy reopen: strict queries surface a typed error (no
+// panic), degraded queries gap out exactly the sick shard's heights,
+// and repeated page-in failures feed the breaker until the shard
+// quarantines.
+func TestPageInFaultDegradesToGap(t *testing.T) {
+	const target, blocks = 1, 8 // shard 1 owns {2,3} and {6,7}
+	re, sched := reopenWithFaultyShard(t, shard.Options{
+		Shards:           2,
+		Band:             2,
+		Workers:          2,
+		ADSCacheBlocks:   2, // 1 per shard: every older height must page in
+		FailureThreshold: 3,
+		BreakerCooldown:  time.Hour,
+	}, target, blocks)
 	sched.NextFailures(fault.OpRead, 1000)
 
 	q := sedanBenzQuery(0, blocks-1)
@@ -135,7 +140,7 @@ func TestPageInFaultDegradesToGap(t *testing.T) {
 	if !reflect.DeepEqual(gaps, wantGaps) {
 		t.Fatalf("gaps = %v, want %v (exactly the broken shard's heights)", gaps, wantGaps)
 	}
-	ver := &core.Verifier{Acc: acc, Light: lightFor(t, re.Headers())}
+	ver := &core.Verifier{Acc: re.Acc(), Light: lightFor(t, re.Headers())}
 	if _, err := ver.VerifyDegraded(q, parts, gaps); !errors.Is(err, core.ErrDegraded) {
 		t.Fatalf("VerifyDegraded err = %v, want ErrDegraded", err)
 	}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -23,8 +24,8 @@ func (n *Node) spans(start, end int) []span {
 	var out []span
 	h := end
 	for h >= start {
-		o := n.owner(h)
-		lo := (h / n.opts.Band) * n.opts.Band
+		o := n.Owner(h)
+		lo := (h / n.Band()) * n.Band()
 		if lo < start {
 			lo = start
 		}
@@ -58,7 +59,9 @@ func (n *Node) TimeWindowParts(ctx context.Context, q core.Query, batched bool) 
 }
 
 // TimeWindowDegraded is the degraded-read path: quarantined shards'
-// spans — and spans whose shard fails mid-query — are returned as Gaps
+// spans — and spans whose shard's storage fails mid-query
+// (core.ErrADSUnavailable; any other span error fails the query exactly
+// as on the strict path) — are returned as Gaps
 // instead of failing the query, so the client still gets every
 // provable part of the window plus a machine-readable account of what
 // is missing. The parts and gaps together tile the window exactly;
@@ -79,8 +82,8 @@ func (n *Node) scatter(ctx context.Context, q core.Query, batched, degraded bool
 	if q.StartBlock < 0 || q.EndBlock < q.StartBlock {
 		return nil, nil, fmt.Errorf("shard: invalid block window [%d, %d]", q.StartBlock, q.EndBlock)
 	}
-	if q.EndBlock >= n.store.Height() {
-		return nil, nil, fmt.Errorf("shard: window end %d beyond chain height %d", q.EndBlock, n.store.Height())
+	if height := n.Height(); q.EndBlock >= height {
+		return nil, nil, fmt.Errorf("shard: window end %d beyond chain height %d", q.EndBlock, height)
 	}
 
 	plan := n.spans(q.StartBlock, q.EndBlock)
@@ -139,7 +142,7 @@ func (n *Node) scatter(ctx context.Context, q core.Query, batched, degraded bool
 		wg.Add(1)
 		go func(w *worker, idxs []int) {
 			defer wg.Done()
-			sp := &core.SP{Acc: n.builder.Acc, View: n, Batch: batched, Engine: w.engine}
+			sp := &core.SP{Acc: n.Acc(), View: n.FullNode, Batch: batched, Engine: w.engine}
 			for k, i := range idxs {
 				sub := q
 				sub.StartBlock, sub.EndBlock = plan[i].start, plan[i].end
@@ -148,17 +151,21 @@ func (n *Node) scatter(ctx context.Context, q core.Query, batched, degraded bool
 					results[i] = vo
 					continue
 				}
-				if !degraded || ctx.Err() != nil {
-					// Strict mode, or the deadline/cancel reached us:
-					// the whole query fails.
+				if !degraded || ctx.Err() != nil || !errors.Is(err, core.ErrADSUnavailable) {
+					// Strict mode, the deadline/cancel reached us, or
+					// the failure is the query's own (a clause the key
+					// cannot prove, say) rather than the shard's: the
+					// whole query fails. Only storage faults may gap a
+					// span — a client must not be able to talk healthy
+					// shards into quarantine.
 					fatal(fmt.Errorf("shard %d: span [%d,%d]: %w", w.id, sub.StartBlock, sub.EndBlock, err))
 					return
 				}
-				// Degraded mode: this shard just proved itself sick.
-				// Its failed span and everything it still owed become
-				// gaps; the failure feeds the breaker so repeated
+				// Degraded mode: this shard's storage just proved itself
+				// sick. Its failed span and everything it still owed
+				// become gaps; the failure feeds the breaker so repeated
 				// sickness quarantines it.
-				w.fail(err, n.opts.FailureThreshold)
+				w.fail(err)
 				for _, j := range idxs[k:] {
 					skipped[j] = true
 				}

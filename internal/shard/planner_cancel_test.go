@@ -2,11 +2,13 @@ package shard_test
 
 import (
 	"context"
+	"errors"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
+	"github.com/vchain-go/vchain/internal/core"
+	"github.com/vchain-go/vchain/internal/fault"
 	"github.com/vchain-go/vchain/internal/shard"
 )
 
@@ -16,22 +18,18 @@ import (
 // at their next per-block check instead of proving the rest of their
 // spans for nobody. Run with -race.
 func TestPlannerCancelsSiblingsOnError(t *testing.T) {
-	acc := testAcc(t)
-	node := shard.New(0, testBuilder(acc), shard.Options{Shards: 2, Band: 1, Workers: 2})
-	defer node.Close()
+	// Shard 1 owns every odd height; breaking its reads after a lazy
+	// reopen makes its goroutine fail on the very first block of the
+	// walk, while shard 0 still owes 12 single-block spans.
 	const blocks = 24
-	mineBlocks(t, node, blocks)
-
-	// Shard 1 owns every odd height; killing its topmost ADS makes its
-	// goroutine fail on the very first block of the walk, while shard 0
-	// still owes 12 single-block spans.
-	node.DropADSForTest(blocks - 1)
+	node, sched := reopenWithFaultyShard(t, shard.Options{Shards: 2, Band: 1, Workers: 2}, 1, blocks)
+	sched.NextFailures(fault.OpRead, 1000)
 
 	before := runtime.NumGoroutine()
 	q := sedanBenzQuery(0, blocks-1)
 	if _, err := node.TimeWindowParts(context.Background(), q, false); err == nil {
-		t.Fatal("query over a missing ADS succeeded")
-	} else if !strings.Contains(err.Error(), "no ADS") {
+		t.Fatal("query over an unreadable shard succeeded")
+	} else if !errors.Is(err, fault.ErrInjected) || !errors.Is(err, core.ErrADSUnavailable) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 
@@ -60,41 +58,5 @@ func TestPlannerHonorsContextCancel(t *testing.T) {
 	cancel()
 	if _, err := node.TimeWindowParts(ctx, sedanBenzQuery(0, 3), false); err == nil {
 		t.Fatal("canceled context did not fail the query")
-	}
-}
-
-// TestRecordPlacement pins the record-index ↔ height bijection that
-// shard restarts rely on.
-func TestRecordPlacement(t *testing.T) {
-	acc := testAcc(t)
-	node := shard.New(0, testBuilder(acc), shard.Options{Shards: 3, Band: 2, Workers: 1})
-	defer node.Close()
-
-	const height = 20
-	counts := make([]int, 3)
-	for h := 0; h < height; h++ {
-		o := node.OwnerForTest(h)
-		r := counts[o]
-		counts[o]++
-		if got := node.RecordHeightForTest(o, r); got != h {
-			t.Fatalf("recordHeight(%d, %d) = %d, want %d", o, r, got, h)
-		}
-	}
-	for s := 0; s < 3; s++ {
-		if got := node.OwnedRecordsForTest(s, height); got != counts[s] {
-			t.Fatalf("ownedRecords(%d, %d) = %d, want %d", s, height, got, counts[s])
-		}
-		// Partial chains too.
-		for h := 0; h <= height; h++ {
-			want := 0
-			for x := 0; x < h; x++ {
-				if node.OwnerForTest(x) == s {
-					want++
-				}
-			}
-			if got := node.OwnedRecordsForTest(s, h); got != want {
-				t.Fatalf("ownedRecords(%d, %d) = %d, want %d", s, h, got, want)
-			}
-		}
 	}
 }

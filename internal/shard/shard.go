@@ -1,33 +1,27 @@
-// Package shard partitions a vChain SP across height-range shards.
+// Package shard spreads a vChain SP across height-range shards.
 //
 // The paper's SP proves each block's ADS independently, so the block
-// space is embarrassingly partitionable: this package splits the chain
-// into contiguous height bands assigned round-robin to N shard
-// workers, each owning its own storage backend, proof-engine slice,
-// and decoded-ADS source (internal/adstore: resident for ephemeral
-// shards, a paged LRU over the shard's log for durable ones). A router
-// in front preserves the monolithic node's semantics exactly:
+// space is embarrassingly partitionable — and where a block's record is
+// stored is a placement decision, not a second kind of node. The node
+// itself (block index, the one commit pipeline, mining, paged ADS
+// slots, height-ordered replay) is core.FullNode, which deals heights
+// to N ≥ 1 storage slots in contiguous bands. This package layers over
+// it what is genuinely about shards:
 //
-//   - Commit: a block commits to exactly one shard through the same
-//     validate-persist-publish discipline as core.FullNode — validated
-//     fully before a byte reaches the owning backend, then published
-//     under one lock, so readers never observe the chain height
-//     advanced without the matching ADS.
+//   - Topology: one crash-safe segmented-log subdirectory per shard
+//     (shard-000, shard-001, …) plus a SHARDS record fixing the
+//     partitioning at creation.
+//   - Supervision: a per-shard Healthy→Degraded→Quarantined circuit
+//     breaker on the commit path, operator quarantine, and supervised
+//     restart of a shard from its own log (health.go).
 //   - Query: a time-window query fans out to the covering shards in
 //     parallel (planner.go); the per-shard VOs tile the window and the
 //     union resolves through Verifier.VerifyWindowParts in ONE
-//     randomized pairing-product batch.
+//     randomized pairing-product batch. With one shard the answer is a
+//     single part — byte for byte the plain node's VO.
 //   - Budget: every shard engine shares one proofs.Limiter, so N
 //     shards split — never multiply — the configured proof worker
 //     budget.
-//
-// Persistence mirrors the monolithic layout per shard: each worker
-// owns a crash-safe segmented-log block store in its own subdirectory
-// (shard-000, shard-001, …) with the same record format, flock, and
-// torn-tail recovery. Reopening replays heights in order across the
-// shards; a shard whose tail was lost to a crash bounds the restored
-// chain, and surplus records in the other shards are truncated so the
-// directory set stays mutually consistent.
 package shard
 
 import (
@@ -37,8 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/vchain-go/vchain/internal/accumulator"
-	"github.com/vchain-go/vchain/internal/adstore"
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/proofs"
@@ -122,19 +114,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// worker is one shard: its backend, proof engine, and the decoded-ADS
-// source for the heights it owns. The router's mutex guards the
-// backend and ads fields themselves (RestartShard swaps both); the
-// source and backend are internally synchronized, so readers fetch the
-// pointers under a brief RLock and page in outside it. The worker's
-// own hmu guards only the health state machine (health.go) so health
-// can be read without the router lock.
+// worker is one shard's supervision state and proof engine; the
+// shard's storage slot (backend + decoded-ADS source) lives in the
+// embedded core.FullNode. hmu guards the health state machine
+// (health.go) so health can be read without the node's commit lock.
 type worker struct {
-	id      int
-	dir     string
-	backend storage.Backend
-	engine  *proofs.Engine
-	ads     core.ADSSource
+	id     int
+	engine *proofs.Engine
+	// threshold is Options.FailureThreshold.
+	threshold int
 
 	// Health state machine — see health.go. Guarded by hmu.
 	hmu         sync.Mutex
@@ -147,39 +135,44 @@ type worker struct {
 	lastErr     error
 }
 
-// Node is a sharded miner/SP. It implements core.ChainView (the global
-// view: ADSAt routes to the owning shard) and the service layer's
-// Chain interface, so it can stand wherever a core.FullNode does.
+// Node is a miner/SP whose chain is spread over N ≥ 1 shards. The
+// embedded core.FullNode is the node proper — block index, commit
+// pipeline, mining, paged ADS slots, one slot per shard — and this type
+// adds what is genuinely about shards: the on-disk topology, per-shard
+// health supervision, per-shard proof engines on one shared budget, and
+// the scatter-gather query planner. It implements the service layer's
+// Chain interface.
 type Node struct {
-	builder *core.Builder
-	opts    Options
+	*core.FullNode
+	opts Options
 
 	// dir is the store root for durable nodes; empty for ephemeral
 	// nodes. RestartShard re-opens a shard's log relative to it.
 	dir string
 
-	// store is the global block index (headers, hash lookup,
-	// validation); only ADSs and their persistence are sharded.
-	store *chain.Store
+	shards workers
+}
 
-	// limiter is the shared proof budget across all shard engines.
-	limiter *proofs.Limiter
-	shards  []*worker
+// workers is the shard set; it is the embedded node's SlotGuard, so the
+// circuit breakers sit on the one commit path.
+type workers []*worker
 
-	// router is the engine handed to the subscription/service layer;
-	// it shares the limiter, so subscription proofs draw from the same
-	// budget as query proofs.
-	router *proofs.Engine
+// Admit implements core.SlotGuard: a quarantined shard sheds commits.
+func (ws workers) Admit(i int) error {
+	if !ws[i].admit() {
+		return fmt.Errorf("shard %d: %w", i, ErrShardUnavailable)
+	}
+	return nil
+}
 
-	// mu serializes the commit pipeline and guards every worker's
-	// backend and ads fields. Readers (ADSAt, the paged Read callbacks)
-	// take it only long enough to fetch a pointer — page-in IO and
-	// decode always run outside it, so a slow fault-in never stalls
-	// mining and vice versa.
-	mu sync.RWMutex
-
-	// SetupStats accumulates miner-side ADS construction cost.
-	SetupStats core.SetupStats
+// Appended implements core.SlotGuard: only backend Append outcomes feed
+// the breaker from the commit path.
+func (ws workers) Appended(i int, err error) {
+	if err != nil {
+		ws[i].fail(err)
+	} else {
+		ws[i].ok()
+	}
 }
 
 // ShardReport is one shard's recovery outcome on reopen.
@@ -204,107 +197,53 @@ type RecoveryReport struct {
 	Shards []ShardReport
 }
 
-// newNode builds the router skeleton: store, limiter, engines, empty
-// workers. Backends are attached by the constructors.
-func newNode(difficulty chain.Difficulty, b *core.Builder, opts Options) *Node {
-	n := &Node{
-		builder: b,
-		opts:    opts,
-		store:   chain.NewStore(difficulty),
-		limiter: proofs.NewLimiter(opts.Workers),
-	}
-	perShard := opts.Workers / opts.Shards
-	if perShard < 1 {
-		perShard = 1
-	}
+// newNode layers the shard machinery over a core node with one slot
+// per shard: the limiter, the engines, and the breakers on the commit
+// path. The node's own engine serves subscriptions and shares the
+// limiter, so subscription proofs draw from the same budget as query
+// proofs. With one shard that engine also answers queries — queries and
+// subscriptions then share one proof cache, as on any plain node.
+func newNode(full *core.FullNode, dir string, opts Options) *Node {
+	n := &Node{FullNode: full, opts: opts, dir: dir}
+	acc, limiter := full.Acc(), proofs.NewLimiter(opts.Workers)
+	full.Proofs = proofs.New(acc, proofs.Options{Workers: opts.Workers, CacheSize: opts.CacheSize, Limiter: limiter})
 	for i := 0; i < opts.Shards; i++ {
-		n.shards = append(n.shards, &worker{
-			id: i,
-			engine: proofs.New(b.Acc, proofs.Options{
-				Workers:   perShard,
+		w := &worker{id: i, engine: full.Proofs, threshold: opts.FailureThreshold}
+		if opts.Shards > 1 {
+			w.engine = proofs.New(acc, proofs.Options{
+				Workers:   max(opts.Workers/opts.Shards, 1),
 				CacheSize: opts.CacheSize,
-				Limiter:   n.limiter,
-			}),
-		})
+				Limiter:   limiter,
+			})
+		}
+		n.shards = append(n.shards, w)
 	}
-	n.router = proofs.New(b.Acc, proofs.Options{
-		Workers:   opts.Workers,
-		CacheSize: opts.CacheSize,
-		Limiter:   n.limiter,
-	})
+	full.Guard = n.shards
 	return n
 }
 
 // New creates an ephemeral sharded node: nothing survives the process.
 // Use Open for a node whose chain persists across restarts.
 func New(difficulty chain.Difficulty, b *core.Builder, opts Options) *Node {
-	n := newNode(difficulty, b, opts.withDefaults())
-	for _, w := range n.shards {
-		w.backend = n.wrap(w.id, storage.NewNull())
-		w.ads = adstore.NewResident[*core.BlockADS]()
+	opts = opts.withDefaults()
+	backends := make([]storage.Backend, opts.Shards)
+	for i := range backends {
+		backends[i] = opts.wrap(i, storage.NewNull())
 	}
-	return n
-}
-
-// heightRecord maps an owned chain height to its record index within
-// the owning shard's log (the inverse of recordHeight): height h sits
-// in global round h/(Band*Shards), at offset h%Band within the band.
-func (n *Node) heightRecord(h int) int {
-	round := n.opts.Band * n.opts.Shards
-	return (h/round)*n.opts.Band + h%n.opts.Band
-}
-
-// pagedSource builds worker w's paged ADS source: a bounded LRU whose
-// misses read the owning record from the shard's log and whose decode
-// re-verifies the ADS against the global header index (a verified
-// fetch). The Read callback re-fetches w.backend under the router lock
-// each time, so the source stays valid across a RestartShard backend
-// swap — an in-flight read against the closed old backend fails
-// cleanly and surfaces as a page-in error.
-func (n *Node) pagedSource(w *worker) core.ADSSource {
-	perShard := 0
-	if n.opts.ADSCacheBlocks > 0 {
-		if perShard = n.opts.ADSCacheBlocks / n.opts.Shards; perShard < 1 {
-			perShard = 1
-		}
-	}
-	return adstore.NewPaged(adstore.PagedConfig[*core.BlockADS]{
-		Read: func(h int) ([]byte, error) {
-			n.mu.RLock()
-			be := w.backend
-			n.mu.RUnlock()
-			return be.Read(n.heightRecord(h))
-		},
-		Decode:     func(h int, data []byte) (*core.BlockADS, error) { return n.decodePagedADS(h, data) },
-		Size:       func(ads *core.BlockADS) int { return ads.SizeBytes(n.builder.Acc) },
-		MaxEntries: perShard,
-	})
-}
-
-// decodePagedADS decodes the ADS half of a shard record and re-checks
-// the commitments the lazy reopen deferred against the validated
-// global header at that height.
-func (n *Node) decodePagedADS(height int, data []byte) (*core.BlockADS, error) {
-	ads, err := core.DecodeChainRecordADS(data)
+	full, _, err := core.NewBandedNode(difficulty, b, opts.Band, backends)
 	if err != nil {
-		return nil, fmt.Errorf("stored record for height %d: %w", height, err)
+		// Impossible: empty backends have nothing to replay.
+		panic(err)
 	}
-	blk, err := n.store.BlockAt(height)
-	if err != nil {
-		return nil, fmt.Errorf("paging in ADS %d: %w", height, err)
-	}
-	if err := core.VerifyADSCommitments(n.builder, blk.Header, height, ads); err != nil {
-		return nil, err
-	}
-	return ads, nil
+	return newNode(full, "", opts)
 }
 
 // wrap applies the configured backend wrapper, if any.
-func (n *Node) wrap(shard int, b storage.Backend) storage.Backend {
-	if n.opts.WrapBackend == nil {
+func (o Options) wrap(shard int, b storage.Backend) storage.Backend {
+	if o.WrapBackend == nil {
 		return b
 	}
-	return n.opts.WrapBackend(shard, b)
+	return o.WrapBackend(shard, b)
 }
 
 // shardDir names shard i's subdirectory.
@@ -312,23 +251,25 @@ func shardDir(i int) string { return fmt.Sprintf("shard-%03d", i) }
 
 // Open opens (or creates) a sharded block store rooted at dir: one
 // segmented-log subdirectory per shard plus a topology record. Records
-// replay in height order across the shards; the returned report
-// carries each shard's storage recovery outcome. A shard directory
-// whose tail was torn by a crash bounds the restored chain — the other
-// shards are unaffected, and their records beyond the restored height
-// are truncated so mining resumes from a mutually consistent state.
+// replay in height order across the shards (core.NewBandedNode); the
+// returned report carries each shard's storage recovery outcome. A
+// shard directory whose tail was torn by a crash bounds the restored
+// chain — the other shards are unaffected, and their records beyond the
+// restored height are truncated so mining resumes from a mutually
+// consistent state.
 func Open(difficulty chain.Difficulty, b *core.Builder, dir string, opts Options) (*Node, *RecoveryReport, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("shard: creating store directory: %w", err)
 	}
 	// Unset topology fields adopt the directory's recorded values, so a
 	// reopen needs no out-of-band knowledge of how the store was
-	// created; explicit values are still validated against the record.
-	shards, band, ok, err := readMeta(dir)
+	// created; explicit values are validated against the record,
+	// because reinterpreting record placement would scramble the chain.
+	shards, band, recorded, err := readMeta(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	if ok {
+	if recorded {
 		if opts.Shards < 1 {
 			opts.Shards = shards
 		}
@@ -337,104 +278,108 @@ func Open(difficulty chain.Difficulty, b *core.Builder, dir string, opts Options
 		}
 	}
 	opts = opts.withDefaults()
-	if err := checkMeta(dir, &opts); err != nil {
-		return nil, nil, err
-	}
-
-	n := newNode(difficulty, b, opts)
-	n.dir = dir
-	report := &RecoveryReport{Shards: make([]ShardReport, opts.Shards)}
-	closeAll := func() {
-		for _, w := range n.shards {
-			if w.backend != nil {
-				w.backend.Close()
-			}
+	if recorded {
+		if shards != opts.Shards || band != opts.Band {
+			return nil, nil, fmt.Errorf("shard: store has %d shards with band %d, asked for %d/%d "+
+				"(the topology is fixed at creation)", shards, band, opts.Shards, opts.Band)
+		}
+	} else {
+		if err := checkUnrecorded(dir, opts.Shards); err != nil {
+			return nil, nil, err
+		}
+		if err := writeMeta(dir, opts.Shards, opts.Band); err != nil {
+			return nil, nil, err
 		}
 	}
-	for i, w := range n.shards {
-		w.dir = shardDir(i)
-		log, err := storage.Open(filepath.Join(dir, w.dir), opts.Storage)
+
+	report := &RecoveryReport{Shards: make([]ShardReport, opts.Shards)}
+	backends := make([]storage.Backend, 0, opts.Shards)
+	closeAll := func() {
+		for _, be := range backends {
+			be.Close()
+		}
+	}
+	for i := range report.Shards {
+		log, err := storage.Open(filepath.Join(dir, shardDir(i)), opts.Storage)
 		if err != nil {
 			closeAll()
 			return nil, nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		w.backend = n.wrap(i, log)
-		w.ads = n.pagedSource(w)
-		report.Shards[i] = ShardReport{Dir: w.dir, Log: log.Report()}
+		backends = append(backends, opts.wrap(i, log))
+		report.Shards[i] = ShardReport{Dir: shardDir(i), Log: log.Report()}
 	}
-
-	// Replay heights 0, 1, 2, … pulling each from its owning shard's
-	// next record. The replay is index-only: each record's block half is
-	// decoded and re-validated against the chain rules, while the ADS
-	// bodies stay on disk until a query pages them in (and verifies them
-	// against the headers indexed here). The first shard that runs out
-	// of records bounds the restored chain: later heights may exist in
-	// other shards, but without the gap filled they can never be served
-	// or re-validated, so they are truncated below.
-	cursors := make([]int, opts.Shards)
-	for {
-		h := n.store.Height()
-		o := n.owner(h)
-		w := n.shards[o]
-		if cursors[o] >= w.backend.Len() {
-			break
-		}
-		data, err := w.backend.Read(cursors[o])
-		if err != nil {
-			closeAll()
-			return nil, nil, fmt.Errorf("shard %d: reading stored block %d: %w", o, h, err)
-		}
-		blk, err := core.DecodeChainRecordBlock(data)
-		if err != nil {
-			closeAll()
-			return nil, nil, fmt.Errorf("shard %d: stored block %d: %w", o, h, err)
-		}
-		if err := n.store.Append(blk); err != nil {
-			closeAll()
-			return nil, nil, fmt.Errorf("shard %d: stored block %d rejected: %w", o, h, err)
-		}
-		cursors[o]++
+	full, stranded, err := core.NewBandedNode(difficulty, b, opts.Band, backends, core.WithADSCache(opts.ADSCacheBlocks))
+	if err != nil {
+		closeAll()
+		return nil, nil, fmt.Errorf("shard: %w", err)
 	}
-	report.Blocks = n.store.Height()
-
-	// Truncate records stranded above the restored height.
-	for i, w := range n.shards {
-		if surplus := w.backend.Len() - cursors[i]; surplus > 0 {
-			if err := w.backend.Truncate(cursors[i]); err != nil {
-				closeAll()
-				return nil, nil, fmt.Errorf("shard %d: truncating %d stranded records: %w", i, surplus, err)
-			}
-			report.Shards[i].Dropped = surplus
-		}
+	report.Blocks = full.Height()
+	for i, dropped := range stranded {
+		report.Shards[i].Dropped = dropped
 	}
-	return n, report, nil
+	return newNode(full, dir, opts), report, nil
 }
 
-// checkMeta validates (or writes) the directory's topology record. A
-// zero opts.Shards/Band adopts the stored topology; a conflicting
-// explicit value is an error, because reinterpreting record placement
-// would scramble the chain.
-func checkMeta(dir string, opts *Options) error {
-	shards, band, ok, err := readMeta(dir)
-	if err != nil {
-		return err
+// checkUnrecorded vets a directory without a topology record. A flat
+// block log (segments directly in dir, as written before every store
+// had a topology) is byte-for-byte a valid one-shard store's shard-000,
+// so it is refused with the fix rather than read through a second
+// layout; and once moved, it must be opened as one shard — dealing its
+// records to several would strand and truncate most of the chain.
+func checkUnrecorded(dir string, shards int) error {
+	first := filepath.Join(dir, shardDir(0))
+	if flat, _ := filepath.Glob(filepath.Join(dir, "*.vseg")); len(flat) > 0 {
+		return fmt.Errorf("shard: %s holds a flat block log, which is now the one-shard layout's %s; "+
+			"move it: mkdir %s && mv %s %s (with the COLD manifest, if any)",
+			dir, shardDir(0), first, filepath.Join(dir, "*.vseg"), first)
 	}
-	if !ok {
-		content := fmt.Sprintf("shards %d band %d\n", opts.Shards, opts.Band)
-		if err := os.WriteFile(filepath.Join(dir, metaFile), []byte(content), 0o644); err != nil {
-			return fmt.Errorf("shard: writing topology record: %w", err)
-		}
-		return nil
-	}
-	if shards != opts.Shards || band != opts.Band {
-		return fmt.Errorf("shard: store has %d shards with band %d, asked for %d/%d "+
-			"(the topology is fixed at creation)", shards, band, opts.Shards, opts.Band)
+	if _, err := os.Stat(first); err == nil && shards != 1 {
+		return fmt.Errorf("shard: %s has no topology record but already holds %s (a moved flat log): "+
+			"open it with one shard, not %d", dir, shardDir(0), shards)
 	}
 	return nil
 }
 
-// readMeta parses the topology record; ok is false when none exists
-// yet (a fresh directory).
+// writeMeta durably records the topology: temp file, fsync, rename,
+// fsync the directory — a crash leaves either no record or a whole one,
+// never a torn file that would reject every later Open. A temp file
+// stranded by such a crash is simply overwritten.
+func writeMeta(dir string, shards, band int) (err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("shard: writing topology record: %w", err)
+		}
+	}()
+	tmp := filepath.Join(dir, metaFile+".tmp")
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err = fmt.Fprintf(f, "shards %d band %d\n", shards, band); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, metaFile)); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// readMeta reads the topology record; ok is false when none exists yet
+// (a fresh directory). An empty record with no shard directory beside
+// it is the remnant of a create torn by a crash under the old
+// non-atomic writer: nothing was ever stored under it, so it counts as
+// absent and Open rewrites it instead of rejecting the store forever.
 func readMeta(dir string) (shards, band int, ok bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, metaFile))
 	if os.IsNotExist(err) {
@@ -443,212 +388,48 @@ func readMeta(dir string) (shards, band int, ok bool, err error) {
 	if err != nil {
 		return 0, 0, false, fmt.Errorf("shard: reading topology record: %w", err)
 	}
-	if _, err := fmt.Sscanf(string(data), "shards %d band %d", &shards, &band); err != nil || shards < 1 || band < 1 {
-		return 0, 0, false, fmt.Errorf("shard: malformed topology record %q", string(data))
+	if len(data) == 0 {
+		if _, serr := os.Stat(filepath.Join(dir, shardDir(0))); os.IsNotExist(serr) {
+			return 0, 0, false, nil
+		}
+	}
+	if shards, band, err = parseMeta(data); err != nil {
+		return 0, 0, false, err
 	}
 	return shards, band, true, nil
 }
 
-// owner returns the shard owning height h.
-func (n *Node) owner(h int) int {
-	return (h / n.opts.Band) % n.opts.Shards
+// parseMeta parses a topology record ("shards N band B").
+func parseMeta(data []byte) (shards, band int, err error) {
+	if _, err := fmt.Sscanf(string(data), "shards %d band %d", &shards, &band); err != nil || shards < 1 || band < 1 {
+		return 0, 0, fmt.Errorf("shard: malformed topology record %q", string(data))
+	}
+	return shards, band, nil
 }
-
-// commitLocked is the router's single choke point: every (block, ADS)
-// pair enters through it, exactly like core.FullNode's commitLocked
-// but routed to the owning shard. The *Locked suffix is the reviewed
-// exemption from the lockio rule: during replay the caller is
-// single-threaded; during mining the caller holds n.mu.
-func (n *Node) commitLocked(blk *chain.Block, ads *core.BlockADS, persist bool) error {
-	height := n.store.Height()
-	if err := core.ValidateCommit(n.builder, n.store, height, blk, ads); err != nil {
-		return err
-	}
-	w := n.shards[n.owner(height)]
-	// Circuit breaker: a quarantined shard sheds load instead of
-	// hammering a sick backend. Heights are sequential, so mining
-	// stalls (fail-fast, no state touched) until the supervisor
-	// restores the shard.
-	if !w.admit() {
-		return fmt.Errorf("shard %d: committing block %d: %w", w.id, height, ErrShardUnavailable)
-	}
-	if _, ephemeral := w.backend.(storage.Ephemeral); ephemeral {
-		persist = false
-	}
-	before := w.backend.Len()
-	if persist {
-		data, err := core.EncodeChainRecord(blk, ads)
-		if err != nil {
-			return err
-		}
-		if err := w.backend.Append(data); err != nil {
-			w.fail(err, n.opts.FailureThreshold)
-			return fmt.Errorf("shard %d: persisting block %d: %w", w.id, height, err)
-		}
-		w.ok()
-	}
-	// Source first, block second: readers gate on the store height
-	// without taking n.mu, so the ADS must be reachable before the
-	// height advances.
-	w.ads.Add(height, ads)
-	if err := n.store.Append(blk); err != nil {
-		// Unreachable after ValidateCommit (commits are serialized),
-		// but neither the durable record nor the cached ADS must
-		// outlive a rejected append.
-		w.ads.InvalidateFrom(height)
-		if persist {
-			if terr := w.backend.Truncate(before); terr != nil {
-				return fmt.Errorf("shard %d: store/backend divergence at block %d: %v (rollback: %v)",
-					w.id, height, err, terr)
-			}
-		}
-		return err
-	}
-	return nil
-}
-
-// MineBlock builds the ADS for objs, solves proof-of-work, and commits
-// the block to its owning shard. Identical discipline to
-// core.FullNode.MineBlock.
-func (n *Node) MineBlock(objs []chain.Object, ts int64) (*chain.Block, error) {
-	height := n.store.Height()
-
-	start := time.Now()
-	ads, err := n.builder.BuildBlock(height, objs, n)
-	if err != nil {
-		return nil, fmt.Errorf("shard: building ADS: %w", err)
-	}
-	buildTime := time.Since(start)
-
-	hdr := chain.Header{
-		Height:       uint64(height),
-		TS:           ts,
-		MerkleRoot:   ads.MerkleRoot(),
-		SkipListRoot: ads.SkipListRoot(n.builder.Acc),
-	}
-	if tip := n.store.Tip(); tip != nil {
-		hdr.PrevHash = tip.Header.Hash()
-		if ts < tip.Header.TS {
-			hdr.TS = tip.Header.TS
-		}
-	}
-	solved, err := chain.SolvePoW(hdr, n.store.Difficulty())
-	if err != nil {
-		return nil, err
-	}
-	blk := &chain.Block{Header: solved, Objects: objs}
-
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if err := n.commitLocked(blk, ads, true); err != nil {
-		return nil, err
-	}
-	n.SetupStats.Blocks++
-	n.SetupStats.BuildTime += buildTime
-	n.SetupStats.ADSBytes += ads.SizeBytes(n.builder.Acc)
-	return blk, nil
-}
-
-// ADSAt implements core.ChainView: the global view, routed to the
-// owning shard's source. (nil, nil) for a height with no block; a
-// page-in failure on the shard's log comes back as the error, which
-// the degraded query planner converts into breaker pressure and a
-// reported gap instead of a panic (see planner.go).
-func (n *Node) ADSAt(height int) (*core.BlockADS, error) {
-	if height < 0 || height >= n.store.Height() {
-		return nil, nil
-	}
-	w := n.shards[n.owner(height)]
-	n.mu.RLock()
-	src := w.ads
-	n.mu.RUnlock()
-	ads, err := src.At(height)
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: ADS at height %d: %w", w.id, height, err)
-	}
-	if ads == nil {
-		return nil, fmt.Errorf("shard %d: no ADS at committed height %d", w.id, height)
-	}
-	return ads, nil
-}
-
-// HeaderAt implements core.ChainView.
-func (n *Node) HeaderAt(height int) (chain.Header, error) {
-	b, err := n.store.BlockAt(height)
-	if err != nil {
-		return chain.Header{}, err
-	}
-	return b.Header, nil
-}
-
-// Headers returns every block header (what light clients sync).
-func (n *Node) Headers() []chain.Header { return n.store.Headers() }
-
-// Height returns the chain height.
-func (n *Node) Height() int { return n.store.Height() }
-
-// Store exposes the global block index (read-only for callers).
-func (n *Node) Store() *chain.Store { return n.store }
-
-// WindowByTime resolves a timestamp window to block heights.
-func (n *Node) WindowByTime(ts, te int64) (start, end int, ok bool) {
-	return n.store.WindowByTime(ts, te)
-}
-
-// Acc exposes the accumulator (public part) for verifiers.
-func (n *Node) Acc() accumulator.Accumulator { return n.builder.Acc }
-
-// BitWidth returns the builder's numeric attribute width.
-func (n *Node) BitWidth() int { return n.builder.Width }
 
 // Shards returns the shard count.
 func (n *Node) Shards() int { return n.opts.Shards }
 
-// Band returns the heights-per-band partitioning constant.
-func (n *Node) Band() int { return n.opts.Band }
-
-// ProofEngine returns the router's proof engine (used by the
-// subscription/service layer). It shares the deployment's proof
-// budget with the shard engines.
-func (n *Node) ProofEngine() *proofs.Engine { return n.router }
-
 // ShardStats snapshots each shard's health, proof-engine, and
 // ADS-source counters, in shard order.
 func (n *Node) ShardStats() []Stats {
-	n.mu.RLock()
-	sources := make([]core.ADSSource, len(n.shards))
-	for i, w := range n.shards {
-		sources[i] = w.ads
-	}
-	n.mu.RUnlock()
 	out := make([]Stats, len(n.shards))
 	for i, w := range n.shards {
 		out[i] = w.stats()
-		out[i].ADS = sources[i].Stats()
+		out[i].ADS = n.SlotADSStats(i)
 	}
 	return out
 }
 
-// ProofStats aggregates every engine's counters — the per-shard
-// engines plus the router's — into the process-wide view.
+// ProofStats aggregates every engine's counters — the node's own plus
+// each shard's — into the process-wide view (at one shard they are the
+// same engine, counted once).
 func (n *Node) ProofStats() proofs.Stats {
-	total := n.router.Stats()
-	for _, s := range n.ShardStats() {
-		total = total.Add(s.Proofs)
-	}
-	return total
-}
-
-// Close releases every shard's backend. The node must not be used
-// afterwards.
-func (n *Node) Close() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var firstErr error
+	total := n.ProofEngine().Stats()
 	for _, w := range n.shards {
-		if err := w.backend.Close(); err != nil && firstErr == nil {
-			firstErr = err
+		if w.engine != n.Proofs {
+			total = total.Add(w.engine.Stats())
 		}
 	}
-	return firstErr
+	return total
 }

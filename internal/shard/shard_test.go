@@ -157,66 +157,76 @@ func TestShardedBatchedParts(t *testing.T) {
 	defer node.Close()
 }
 
-// TestConcurrentMineAndQueryShards hammers a sharded node with
-// concurrent miners and cross-shard readers; run under -race it checks
-// the router's single-lock commit discipline (a reader can never see
-// the height advanced without the owning shard's ADS published).
-func TestConcurrentMineAndQueryShards(t *testing.T) {
-	acc := testAcc(t)
-	node := shard.New(0, testBuilder(acc), shard.Options{Shards: 3, Band: 2, Workers: 3})
-	mineBlocks(t, node, 4) // pre-mine so readers always have a window
-	defer node.Close()
+// TestConcurrentMineAndQuery hammers a node with a concurrent miner and
+// cross-shard readers at every shard count; run under -race it checks
+// the single-lock commit discipline (a reader can never see the height
+// advanced without the owning shard's ADS published — the torn-commit
+// regression) while every answer still verifies.
+func TestConcurrentMineAndQuery(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			acc := testAcc(t)
+			node := shard.New(0, testBuilder(acc), shard.Options{Shards: shards, Band: 2, Workers: shards})
+			mineBlocks(t, node, 4) // pre-mine so readers always have a window
+			defer node.Close()
 
-	const extra = 8
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			light := chain.NewLightStore(0)
-			ver := &core.Verifier{Acc: acc, Light: light}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				headers := node.Headers()
-				if err := light.Sync(headers[light.Height():]); err != nil {
-					t.Error(err)
-					return
-				}
-				q := sedanBenzQuery(0, light.Height()-1)
-				parts, err := node.TimeWindowParts(context.Background(), q, false)
-				if err != nil {
-					// The chain may have grown past the synced headers
-					// between Sync and the query; that is the only
-					// acceptable failure.
-					t.Error(err)
-					return
-				}
-				if _, err := ver.VerifyWindowParts(q, parts); err != nil {
-					t.Errorf("concurrent union verification: %v", err)
-					return
-				}
+			const extra = 8
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for r := 0; r < 3; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					light := chain.NewLightStore(0)
+					ver := &core.Verifier{Acc: acc, Light: light}
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						// The invariant under attack: once the store
+						// height is visible, every ADS below it is too.
+						for h := node.Height() - 1; h >= 0; h-- {
+							if ads, err := node.ADSAt(h); err != nil || ads == nil {
+								t.Errorf("torn commit: height %d visible before its ADS (%v)", h, err)
+								return
+							}
+						}
+						headers := node.Headers()
+						if err := light.Sync(headers[light.Height():]); err != nil {
+							t.Error(err)
+							return
+						}
+						q := sedanBenzQuery(0, light.Height()-1)
+						parts, err := node.TimeWindowParts(context.Background(), q, false)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if _, err := ver.VerifyWindowParts(q, parts); err != nil {
+							t.Errorf("concurrent union verification: %v", err)
+							return
+						}
+					}
+				}()
 			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(stop)
-		for i := 0; i < extra; i++ {
-			if _, err := node.MineBlock(carObjects(uint64(1000+i*10)), int64(5000+i)); err != nil {
-				t.Error(err)
-				return
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer close(stop)
+				for i := 0; i < extra; i++ {
+					if _, err := node.MineBlock(carObjects(uint64(1000+i*10)), int64(5000+i)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			wg.Wait()
+			if got := node.Height(); got != 4+extra {
+				t.Fatalf("height %d after concurrent mining, want %d", got, 4+extra)
 			}
-		}
-	}()
-	wg.Wait()
-	if got := node.Height(); got != 4+extra {
-		t.Fatalf("height %d after concurrent mining, want %d", got, 4+extra)
+		})
 	}
 }
 
@@ -241,109 +251,147 @@ func lastSegment(t *testing.T, dir string) string {
 }
 
 // TestReopenTornTail crashes one shard mid-write (a truncated final
-// record) and reopens: that shard's recovery report must surface the
-// torn tail, the other shards must stay intact (merely truncating the
-// records stranded above the restored height), and mining must resume.
+// record) and reopens, at every shard count: that shard's recovery
+// report must surface the torn tail, the other shards must stay intact
+// (merely truncating the records stranded above the restored height),
+// the surviving prefix must still verify, and mining must resume.
 func TestReopenTornTail(t *testing.T) {
-	acc := testAcc(t)
-	dir := t.TempDir()
-	opts := shard.Options{Shards: 3, Band: 1, Workers: 3}
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			acc := testAcc(t)
+			dir := t.TempDir()
+			opts := shard.Options{Shards: shards, Band: 1, Workers: shards}
 
-	node, rep, err := shard.Open(0, testBuilder(acc), dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Blocks != 0 {
-		t.Fatalf("fresh store restored %d blocks", rep.Blocks)
-	}
-	const blocks = 9 // band 1, 3 shards: shard i owns heights i, i+3, i+6
-	mineBlocks(t, node, blocks)
-	node.Close()
+			node, rep, err := shard.Open(0, testBuilder(acc), dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Blocks != 0 {
+				t.Fatalf("fresh store restored %d blocks", rep.Blocks)
+			}
+			const blocks = 9 // band 1: shard i owns heights i, i+shards, …
+			mineBlocks(t, node, blocks)
+			node.Close()
 
-	// Tear shard 1's tail: its last record (height 7) is cut short.
-	torn := lastSegment(t, filepath.Join(dir, "shard-001"))
-	st, err := os.Stat(torn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(torn, st.Size()-5); err != nil {
-		t.Fatal(err)
-	}
+			// Tear the tail of the shard owning height 7: its last
+			// record — the highest height it owns — is cut short.
+			torn := (blocks - 2) % shards
+			lost := blocks - 1
+			for lost%shards != torn {
+				lost--
+			}
+			seg := lastSegment(t, filepath.Join(dir, fmt.Sprintf("shard-%03d", torn)))
+			st, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(seg, st.Size()-5); err != nil {
+				t.Fatal(err)
+			}
 
-	node, rep, err = shard.Open(0, testBuilder(acc), dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	// Shard 1 now holds heights {1, 4}: the chain is whole up to 6 and
-	// stops there. Shard 2's height-8 record is stranded and dropped.
-	if rep.Blocks != 7 {
-		t.Fatalf("restored %d blocks, want 7", rep.Blocks)
-	}
-	if !rep.Shards[1].Log.Truncated {
-		t.Fatalf("shard 1 report %+v, want a torn-tail truncation", rep.Shards[1])
-	}
-	if rep.Shards[0].Log.Truncated || rep.Shards[2].Log.Truncated {
-		t.Fatalf("healthy shards report truncation: %+v", rep.Shards)
-	}
-	if rep.Shards[2].Dropped != 1 {
-		t.Fatalf("shard 2 dropped %d stranded records, want 1", rep.Shards[2].Dropped)
-	}
-	if got := node.Height(); got != 7 {
-		t.Fatalf("reopened height %d, want 7", got)
-	}
+			node, rep, err = shard.Open(0, testBuilder(acc), dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer node.Close()
+			// The chain is whole below the lost height and stops there;
+			// records above it in sibling shards are stranded and dropped.
+			if rep.Blocks != lost || node.Height() != lost {
+				t.Fatalf("restored %d blocks (height %d), want %d", rep.Blocks, node.Height(), lost)
+			}
+			dropped := 0
+			for i, sr := range rep.Shards {
+				if sr.Log.Truncated != (i == torn) {
+					t.Fatalf("shard %d report %+v (torn shard is %d)", i, sr, torn)
+				}
+				dropped += sr.Dropped
+			}
+			if want := blocks - 1 - lost; dropped != want {
+				t.Fatalf("dropped %d stranded records, want %d: %+v", dropped, want, rep.Shards)
+			}
 
-	// The restored chain still answers verifiable queries...
-	light := lightFor(t, node.Headers())
-	ver := &core.Verifier{Acc: acc, Light: light}
-	q := sedanBenzQuery(0, 6)
-	parts, err := node.TimeWindowParts(context.Background(), q, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ver.VerifyWindowParts(q, parts); err != nil {
-		t.Fatalf("post-recovery verification: %v", err)
-	}
-	// ...and mining resumes from the recovered height.
-	if _, err := node.MineBlock(carObjects(12345), 9999); err != nil {
-		t.Fatalf("mining after recovery: %v", err)
-	}
-	if got := node.Height(); got != 8 {
-		t.Fatalf("height %d after post-recovery mine, want 8", got)
+			// The restored chain still answers verifiable queries...
+			ver := &core.Verifier{Acc: acc, Light: lightFor(t, node.Headers())}
+			q := sedanBenzQuery(0, lost-1)
+			parts, err := node.TimeWindowParts(context.Background(), q, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ver.VerifyWindowParts(q, parts); err != nil {
+				t.Fatalf("post-recovery verification: %v", err)
+			}
+			// ...and mining re-fills the lost height.
+			if _, err := node.MineBlock(carObjects(12345), 9999); err != nil {
+				t.Fatalf("mining after recovery: %v", err)
+			}
+			if got := node.Height(); got != lost+1 {
+				t.Fatalf("height %d after post-recovery mine, want %d", got, lost+1)
+			}
+		})
 	}
 }
 
-// TestReopenSurvivesRestart round-trips a sharded store cleanly and
-// checks the topology guard rejects a conflicting shard count.
+// TestReopenSurvivesRestart round-trips a durable store cleanly at
+// every shard count — the chain and every ADS body come back from the
+// logs, nothing is rebuilt, the reopened node serves a verified query
+// and keeps mining — and checks the topology guard rejects a
+// conflicting shard count.
 func TestReopenSurvivesRestart(t *testing.T) {
-	acc := testAcc(t)
-	dir := t.TempDir()
-	opts := shard.Options{Shards: 2, Band: 2, Workers: 2}
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			acc := testAcc(t)
+			dir := t.TempDir()
+			opts := shard.Options{Shards: shards, Band: 2, Workers: shards}
 
-	node, _, err := shard.Open(0, testBuilder(acc), dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mineBlocks(t, node, 6)
-	headers := node.Headers()
-	node.Close()
+			node, _, err := shard.Open(0, testBuilder(acc), dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const blocks = 6
+			mineBlocks(t, node, blocks)
+			headers := node.Headers()
+			node.Close()
 
-	node, rep, err := shard.Open(0, testBuilder(acc), dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Blocks != 6 {
-		t.Fatalf("restored %d blocks, want 6", rep.Blocks)
-	}
-	if !reflect.DeepEqual(node.Headers(), headers) {
-		t.Fatal("reopened chain diverges")
-	}
-	node.Close()
+			// Reopen adopting the recorded topology.
+			node, rep, err := shard.Open(0, testBuilder(acc), dir, shard.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Blocks != blocks || node.Shards() != shards {
+				t.Fatalf("restored %d blocks over %d shards, want %d over %d", rep.Blocks, node.Shards(), blocks, shards)
+			}
+			if !reflect.DeepEqual(node.Headers(), headers) {
+				t.Fatal("reopened chain diverges")
+			}
+			if node.SetupStats.Blocks != 0 {
+				t.Fatalf("reopen rebuilt %d ADSs, want 0", node.SetupStats.Blocks)
+			}
+			for h := range headers {
+				if ads, err := node.ADSAt(h); err != nil || ads == nil {
+					t.Fatalf("no ADS at %d after reopen: %v", h, err)
+				}
+			}
+			ver := &core.Verifier{Acc: acc, Light: lightFor(t, headers)}
+			q := sedanBenzQuery(0, blocks-1)
+			parts, err := node.TimeWindowParts(context.Background(), q, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if objs, err := ver.VerifyWindowParts(q, parts); err != nil || len(objs) != blocks {
+				t.Fatalf("reopened node's answer: %d results, %v", len(objs), err)
+			}
+			// Mining continues the persisted chain.
+			if _, err := node.MineBlock(carObjects(uint64(blocks*10)), int64(1000+blocks)); err != nil {
+				t.Fatal(err)
+			}
+			node.Close()
 
-	if _, _, err := shard.Open(0, testBuilder(acc), dir, shard.Options{Shards: 4, Band: 2}); err == nil {
-		t.Fatal("conflicting shard count accepted")
-	} else if !strings.Contains(err.Error(), "topology") && !strings.Contains(err.Error(), "shards") {
-		t.Fatalf("unexpected topology error: %v", err)
+			if _, _, err := shard.Open(0, testBuilder(acc), dir, shard.Options{Shards: shards + 1, Band: 2}); err == nil {
+				t.Fatal("conflicting shard count accepted")
+			} else if !strings.Contains(err.Error(), "topology") {
+				t.Fatalf("unexpected topology error: %v", err)
+			}
+		})
 	}
 }
 

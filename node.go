@@ -1,22 +1,32 @@
 package vchain
 
 import (
+	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/service"
-	"github.com/vchain-go/vchain/internal/storage"
+	"github.com/vchain-go/vchain/internal/shard"
 	"github.com/vchain-go/vchain/internal/subscribe"
 )
 
-// FullNode is a miner and service provider over one chain: it mines
+// Node is a miner and service provider over one chain: it mines
 // ADS-carrying blocks, answers time-window queries with VOs, and runs
-// the subscription engine.
-type FullNode struct {
-	sys  *System
-	node *core.FullNode
+// the subscription engine. Its chain is spread over N ≥ 1 shards —
+// height bands, each with its own block store, decoded-ADS cache and
+// proof engine on one shared worker budget (Config.SPWorkers split, not
+// multiplied). Sharding is a placement decision, not a second kind of
+// node: every operation works at every N, a query answer is always a
+// list of WindowParts tiling the window (one part at N = 1, one per
+// covering shard beyond), and LightClient.Verify settles the union in a
+// single pairing-product batch.
+type Node struct {
+	sys      *System
+	node     *shard.Node
+	recovery *ShardRecovery
 
 	// mu guards the lazily created subscription engine, its fixed
 	// options, and the attached service endpoint.
@@ -36,49 +46,66 @@ func (s *System) builder() *core.Builder {
 	}
 }
 
-// NewFullNode creates an in-memory full node (miner + SP) for this
-// system: nothing survives the process. Use OpenFullNode for a node
-// whose chain persists across restarts.
-func (s *System) NewFullNode() *FullNode {
-	node := core.NewFullNode(chain.Difficulty(s.cfg.Difficulty), s.builder())
-	// Every SP derived from this node shares the deployment's proof
-	// engine: repeated windows, batched queries, and subscriptions all
-	// reuse one proof cache and worker pool.
-	node.Proofs = s.proofs
-	return &FullNode{sys: s, node: node}
+// shardOptions maps the system configuration onto shard options.
+func (s *System) shardOptions(shards int) shard.Options {
+	return shard.Options{
+		Shards:           shards,
+		Workers:          s.cfg.SPWorkers,
+		CacheSize:        s.cfg.ProofCacheSize,
+		ADSCacheBlocks:   s.cfg.ADSCacheBlocks,
+		FailureThreshold: s.cfg.ShardFailureThreshold,
+		BreakerCooldown:  s.cfg.ShardBreakerCooldown,
+	}
 }
 
-// OpenFullNode opens (or creates) a durable full node whose blocks and
-// ADS bodies live in a crash-safe segmented-log block store at dir.
-// Every mined or imported block is persisted atomically at commit
-// time. Reopening is index-only: the chain's headers re-validate
-// immediately, while ADS bodies stay on disk and page in on first use
-// (bounded by Config.ADSCacheBlocks), each fetch re-verified against
-// its header — never rebuilt — so a restarted SP serves verifiable
-// queries immediately without first decoding the whole chain. A torn
-// tail left by a crash is truncated to the last fully committed block.
-// The accumulator public key is not part of the store (it is
-// deployment configuration): this System must use the key that
-// produced it, or the header and page-in cross-checks will reject the
-// chain. Call Close when done with the node.
-func (s *System) OpenFullNode(dir string) (*FullNode, error) {
-	node, err := core.OpenFullNode(chain.Difficulty(s.cfg.Difficulty), s.builder(), dir, storage.Options{},
-		core.WithADSCache(s.cfg.ADSCacheBlocks))
+// NewNode creates an in-memory node (miner + SP) with the given shard
+// count (values < 1 mean 1): nothing survives the process. Use OpenNode
+// for a node whose chain persists across restarts.
+func (s *System) NewNode(shards int) *Node {
+	node := shard.New(chain.Difficulty(s.cfg.Difficulty), s.builder(), s.shardOptions(shards))
+	return &Node{sys: s, node: node}
+}
+
+// OpenNode opens (or creates) a durable node rooted at dir: one
+// crash-safe segmented-log subdirectory per shard (shard-000, …, each
+// with its own flock and torn-tail recovery) plus a topology record
+// fixing the partitioning. Every mined block is persisted atomically at
+// commit time. Reopening is index-only: heights replay in order across
+// the shards and the headers re-validate immediately, while ADS bodies
+// stay on disk and page in on first use (bounded by
+// Config.ADSCacheBlocks), each fetch re-verified against its header —
+// never rebuilt — so a restarted SP serves verifiable queries without
+// first decoding the whole chain. A shard whose tail was lost to a
+// crash bounds the restored chain and the other shards truncate their
+// stranded records, so mining resumes from a mutually consistent state;
+// inspect Recovery for the per-shard outcome. Passing shards < 1 adopts
+// the directory's recorded shard count (1 for a fresh directory); a
+// conflicting explicit count is an error. The accumulator public key is
+// not part of the store (it is deployment configuration): this System
+// must use the key that produced it, or the header and page-in
+// cross-checks will reject the chain. Call Close when done.
+func (s *System) OpenNode(dir string, shards int) (*Node, error) {
+	node, report, err := shard.Open(chain.Difficulty(s.cfg.Difficulty), s.builder(), dir, s.shardOptions(shards))
 	if err != nil {
 		return nil, fmt.Errorf("vchain: opening block store: %w", err)
 	}
-	node.Proofs = s.proofs
-	return &FullNode{sys: s, node: node}, nil
+	return &Node{sys: s, node: node, recovery: report}, nil
 }
 
-// Close releases the node's block store. The node — in-memory or
-// durable — must not be used afterwards.
-func (n *FullNode) Close() error { return n.node.Close() }
+// Recovery returns the reopen report (nil for in-memory nodes): chain
+// length restored plus each shard's torn-tail and stranded-record
+// counts.
+func (n *Node) Recovery() *ShardRecovery { return n.recovery }
 
-// Mine appends a block of objects with the given timestamp, returning
-// the new block. Registered subscriptions are processed automatically;
-// due publications are returned alongside.
-func (n *FullNode) Mine(objs []Object, ts int64) (*Block, []Publication, error) {
+// Close releases every shard's block store. The node — in-memory or
+// durable — must not be used afterwards.
+func (n *Node) Close() error { return n.node.Close() }
+
+// Mine appends a block of objects with the given timestamp — it commits
+// atomically to its owning shard — and returns the new block. Registered
+// subscriptions are processed automatically; due publications are
+// returned alongside.
+func (n *Node) Mine(objs []Object, ts int64) (*Block, []Publication, error) {
 	blk, err := n.node.MineBlock(objs, ts)
 	if err != nil {
 		return nil, nil, err
@@ -109,36 +136,79 @@ func (n *FullNode) Mine(objs []Object, ts int64) (*Block, []Publication, error) 
 }
 
 // Height returns the chain height.
-func (n *FullNode) Height() int { return n.node.Height() }
+func (n *Node) Height() int { return n.node.Height() }
+
+// Shards returns the shard count.
+func (n *Node) Shards() int { return n.node.Shards() }
 
 // Headers returns all block headers (what light clients sync).
-func (n *FullNode) Headers() []Header { return n.node.Store.Headers() }
+func (n *Node) Headers() []Header { return n.node.Headers() }
 
 // BlockAt returns a block by height.
-func (n *FullNode) BlockAt(height int) (*Block, error) { return n.node.Store.BlockAt(height) }
-
-// TimeWindow answers a time-window query, returning the VO (results
-// are embedded: VO.Results()).
-func (n *FullNode) TimeWindow(q Query) (*VO, error) {
-	return n.node.SPWith(false, n.sys.cfg.SPWorkers).TimeWindowQuery(q)
-}
+func (n *Node) BlockAt(height int) (*Block, error) { return n.node.Store.BlockAt(height) }
 
 // WindowByTime resolves a timestamp window [ts, te] to block heights
 // (the form queries take in the paper, §3). Pair with TimeWindow:
 //
 //	start, end, ok := node.WindowByTime(tsStart, tsEnd)
 //	q.StartBlock, q.EndBlock = start, end
-func (n *FullNode) WindowByTime(ts, te int64) (start, end int, ok bool) {
+func (n *Node) WindowByTime(ts, te int64) (start, end int, ok bool) {
 	return n.node.Store.WindowByTime(ts, te)
 }
 
-// TimeWindowBatched answers with online batch verification enabled
-// (§6.3); it falls back to individual proofs when the configured
-// accumulator cannot aggregate. Like TimeWindow, it honors
-// Config.SPWorkers for parallel proof computation.
-func (n *FullNode) TimeWindowBatched(q Query) (*VO, error) {
-	return n.node.SPWith(true, n.sys.cfg.SPWorkers).TimeWindowQuery(q)
+// TimeWindow answers a time-window query by scatter-gather across the
+// covering shards, returning the window parts (descending, tiling the
+// window; exactly one at N = 1). Verify with LightClient.Verify;
+// results are embedded (WindowPart.VO.Results()). batched enables
+// online batch verification (§6.3) per shard; it falls back to
+// individual proofs when the configured accumulator cannot aggregate.
+// Proofs are computed on Config.SPWorkers workers.
+func (n *Node) TimeWindow(q Query, batched bool) ([]WindowPart, error) {
+	return n.node.TimeWindowParts(context.Background(), q, batched)
 }
+
+// TimeWindowDegraded answers a time-window query in degraded-read
+// mode: sub-windows owned by quarantined shards (or shards whose
+// storage fails mid-query) come back as machine-readable Gaps instead
+// of failing the whole query. Parts and gaps together tile the window,
+// descending; verify the pair with LightClient.VerifyDegraded.
+func (n *Node) TimeWindowDegraded(q Query) ([]WindowPart, []Gap, error) {
+	return n.node.TimeWindowDegraded(context.Background(), q, false)
+}
+
+// Health reports one shard's current health state.
+func (n *Node) Health(shardIdx int) ShardHealth { return n.node.Health(shardIdx) }
+
+// Quarantine trips one shard's circuit breaker by hand (operational
+// fencing: e.g. its disk is known-bad). Strict queries touching the
+// shard fail with ErrShardUnavailable; degraded reads gap it out. The
+// supervisor (or RestartShard) brings it back.
+func (n *Node) Quarantine(shardIdx int, reason error) error {
+	return n.node.Quarantine(shardIdx, reason)
+}
+
+// RestartShard re-opens one quarantined shard from its durable log:
+// torn-tail recovery, surplus-record truncation, and a full header
+// re-verification of every restored block against the chain index. On
+// success the shard is healthy and serving again.
+func (n *Node) RestartShard(shardIdx int) error { return n.node.RestartShard(shardIdx) }
+
+// Supervise starts the shard supervisor: every interval it scans for
+// quarantined shards past their breaker cooldown and restarts them
+// from their logs. It returns a stop function; call it before Close.
+func (n *Node) Supervise(interval time.Duration) (stop func()) {
+	return n.node.Supervise(interval)
+}
+
+// ProofStats aggregates the proof-engine counters of the whole node:
+// proofs computed, cache hits/misses, evictions, and aggregation groups
+// across every shard engine plus the engine serving subscriptions (at
+// N = 1 one engine, and one proof cache, serves both).
+func (n *Node) ProofStats() ProofStats { return n.node.ProofStats() }
+
+// ShardStats snapshots each shard's operational state, in shard
+// order: health, proof counters, and failure/restart/breaker totals.
+func (n *Node) ShardStats() []ShardStat { return n.node.ShardStats() }
 
 // SubscribeOptions configure the node's subscription engine. The
 // engine is created on the first Subscribe call; every later call must
@@ -175,7 +245,7 @@ func (o SubscribeOptions) normalize() SubscribeOptions {
 // Subscribe registers a continuous query (its window fields are
 // ignored) and returns its subscription id. The first call fixes the
 // engine options; a later call with conflicting options is an error.
-func (n *FullNode) Subscribe(q Query, opts SubscribeOptions) (int, error) {
+func (n *Node) Subscribe(q Query, opts SubscribeOptions) (int, error) {
 	n.mu.Lock()
 	if n.engine == nil {
 		n.engine = subscribe.NewEngine(n.sys.acc, n.engineOptions(opts))
@@ -191,23 +261,23 @@ func (n *FullNode) Subscribe(q Query, opts SubscribeOptions) (int, error) {
 }
 
 // engineOptions maps facade subscription options onto the internal
-// engine's, wiring in the deployment's bit width and shared proof
+// engine's, wiring in the deployment's bit width and the node's proof
 // engine (used by both local Subscribe and Serve so the two paths
 // cannot drift).
-func (n *FullNode) engineOptions(opts SubscribeOptions) subscribe.Options {
+func (n *Node) engineOptions(opts SubscribeOptions) subscribe.Options {
 	return subscribe.Options{
 		UseIPTree:     opts.UseIPTree,
 		Lazy:          opts.Lazy,
 		LazyThreshold: opts.LazyThreshold,
 		Dims:          opts.Dims,
 		Width:         n.sys.cfg.BitWidth,
-		Proofs:        n.sys.proofs,
+		Proofs:        n.node.ProofEngine(),
 	}
 }
 
 // Unsubscribe deregisters a query, returning any final pending
 // publication.
-func (n *FullNode) Unsubscribe(id int) *Publication {
+func (n *Node) Unsubscribe(id int) *Publication {
 	n.mu.Lock()
 	engine := n.engine
 	n.mu.Unlock()
@@ -217,10 +287,9 @@ func (n *FullNode) Unsubscribe(id int) *Publication {
 	return engine.Deregister(id)
 }
 
-// RemoteSP is a running TCP service endpoint for one node — monolithic
-// (FullNode.Serve) or sharded (ShardedNode.Serve): header sync,
-// verifiable queries, and streaming subscriptions for remote light
-// clients.
+// RemoteSP is a running TCP service endpoint for one node (Node.Serve):
+// header sync, verifiable queries, and streaming subscriptions for
+// remote light clients.
 type RemoteSP struct {
 	srv    *service.Server
 	addr   string
@@ -243,12 +312,14 @@ func (r *RemoteSP) Close() error {
 
 // Serve exposes this node over TCP at addr ("127.0.0.1:0" picks a
 // port): remote light clients can sync headers, run verifiable
-// time-window queries, and register streaming subscriptions. The
-// subscription options configure the server's engine (shared by all
-// remote subscribers and backed by the deployment's proof engine);
-// publications fan out on the mining path as blocks are appended.
+// time-window queries (answered as window parts that verify in one
+// batch), and register streaming subscriptions. The subscription
+// options configure the server's engine (shared by all remote
+// subscribers and backed by the node's proof engine); publications are
+// sourced from the owning shard and fan out on the mining path as
+// blocks are appended.
 // A node serves at most one endpoint at a time.
-func (n *FullNode) Serve(addr string, opts SubscribeOptions) (*RemoteSP, error) {
+func (n *Node) Serve(addr string, opts SubscribeOptions) (*RemoteSP, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.srv != nil {
@@ -272,5 +343,5 @@ func (n *FullNode) Serve(addr string, opts SubscribeOptions) (*RemoteSP, error) 
 	return &RemoteSP{srv: srv, addr: bound, detach: detach}, nil
 }
 
-// Internal accessors used by the service layer and benchmarks.
-func (n *FullNode) Core() *core.FullNode { return n.node }
+// Core exposes the internal node (service layer, benchmarks).
+func (n *Node) Core() *shard.Node { return n.node }

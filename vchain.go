@@ -16,15 +16,15 @@
 // Quickstart:
 //
 //	sys, _ := vchain.NewSystem(vchain.Config{})
-//	node := sys.NewFullNode()
+//	node := sys.NewNode(1) // one shard; more spread the chain by height band
 //	node.Mine([]vchain.Object{{ID: 1, TS: 1, V: []int64{42}, W: []string{"sedan"}}}, 1)
 //
 //	client := sys.NewLightClient()
 //	client.SyncHeaders(node.Headers())
 //
 //	q := vchain.Query{EndBlock: 0, Bool: vchain.And(vchain.Or("sedan"))}
-//	vo, _ := node.TimeWindow(q)
-//	results, err := client.Verify(q, vo) // err == nil certifies integrity
+//	parts, _ := node.TimeWindow(q, false)
+//	results, err := client.Verify(q, parts) // err == nil certifies integrity
 //	_ = results
 package vchain
 
@@ -64,9 +64,9 @@ type (
 	// VO is a verification object.
 	VO = core.VO
 	// WindowPart is one shard's share of a time-window answer: a VO
-	// covering a contiguous sub-span of the window. A sharded SP
-	// returns parts; LightClient.VerifyParts settles their union in
-	// one pairing batch.
+	// covering a contiguous sub-span of the window. A node answers
+	// with parts tiling the window (one at a single shard);
+	// LightClient.Verify settles their union in one pairing batch.
 	WindowPart = core.WindowPart
 	// Gap is a contiguous sub-window a degraded answer could not
 	// prove (its owning shard was down).
@@ -81,7 +81,7 @@ type (
 	// ShardHealth is a shard's health state (ShardHealthy /
 	// ShardDegraded / ShardQuarantined).
 	ShardHealth = shard.Health
-	// ShardRecovery reports a sharded store's reopen outcome.
+	// ShardRecovery reports a durable node's reopen outcome.
 	ShardRecovery = shard.RecoveryReport
 	// ShardReport is one shard's recovery outcome within a
 	// ShardRecovery.
@@ -97,7 +97,7 @@ type (
 	// IndexMode selects the ADS indexes (IndexNone / IndexIntra /
 	// IndexBoth).
 	IndexMode = core.IndexMode
-	// ProofStats is a snapshot of the shared proof engine's counters
+	// ProofStats is a snapshot of a node's proof-engine counters
 	// (proofs computed, cache hits/misses, aggregation groups).
 	ProofStats = proofs.Stats
 )
@@ -141,7 +141,7 @@ var (
 	ErrShardUnavailable = shard.ErrShardUnavailable
 )
 
-// Shard health states (ShardedNode.ShardStats, ShardedNode.Health).
+// Shard health states (Node.ShardStats, Node.Health).
 const (
 	// ShardHealthy is a shard operating normally.
 	ShardHealthy = shard.Healthy
@@ -186,10 +186,10 @@ type Config struct {
 	// flush. 0 means all cores (GOMAXPROCS); 1 keeps verification on
 	// the calling goroutine.
 	VerifyWorkers int
-	// ProofCacheSize bounds the shared proof engine's LRU memoization
-	// cache: repeated (multiset, clause) disjointness proofs across
-	// queries, subscriptions, and blocks are served from it. 0 means
-	// the engine default (4096 entries); negative disables caching.
+	// ProofCacheSize bounds each proof engine's LRU memoization cache:
+	// repeated (multiset, clause) disjointness proofs across queries,
+	// subscriptions, and blocks are served from it. 0 means the engine
+	// default (4096 entries); negative disables caching.
 	ProofCacheSize int
 	// ShardFailureThreshold is the per-shard circuit breaker: that many
 	// consecutive backend failures quarantine the shard. 0 means the
@@ -199,7 +199,7 @@ type Config struct {
 	// the supervisor attempts a restart. 0 means the shard default (5s).
 	ShardBreakerCooldown time.Duration
 	// ADSCacheBlocks bounds a durable node's decoded-ADS cache to that
-	// many blocks (split across the shards of a sharded node), so RAM
+	// many blocks (split across its shards), so RAM
 	// stays flat as the chain grows: blocks beyond the budget stay on
 	// disk and page in on demand, each fetch re-verified against its
 	// header. 0 leaves the cache unbounded — everything paged in stays
@@ -247,16 +247,11 @@ func (c Config) withDefaults() Config {
 
 // System bundles the shared cryptographic state of one deployment. All
 // nodes and clients of the same chain must be created from the same
-// System (they share the accumulator public key).
-//
-// The System also owns the deployment's proof engine: one concurrent,
-// memoizing disjointness-proof subsystem shared by the time-window SP
-// paths, the batched path, and the subscription engine, so proofs are
-// computed once and reused across all of them.
+// System (they share the accumulator public key). Proof engines belong
+// to the nodes (Node.ProofStats).
 type System struct {
-	cfg    Config
-	acc    accumulator.Accumulator
-	proofs *proofs.Engine
+	cfg Config
+	acc accumulator.Accumulator
 }
 
 // NewSystem validates the configuration and runs the accumulator key
@@ -295,8 +290,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := proofs.New(acc, proofs.Options{Workers: cfg.SPWorkers, CacheSize: cfg.ProofCacheSize})
-	return &System{cfg: cfg, acc: acc, proofs: eng}, nil
+	return &System{cfg: cfg, acc: acc}, nil
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -304,8 +298,3 @@ func (s *System) Config() Config { return s.cfg }
 
 // Accumulator exposes the shared accumulator (public part).
 func (s *System) Accumulator() accumulator.Accumulator { return s.acc }
-
-// ProofStats returns a snapshot of the shared proof engine's counters:
-// proofs computed, cache hits/misses, evictions, and aggregation
-// groups across every SP path of this deployment.
-func (s *System) ProofStats() ProofStats { return s.proofs.Stats() }

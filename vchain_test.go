@@ -1,10 +1,18 @@
 package vchain
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/vchain-go/vchain/internal/chain"
+	"github.com/vchain-go/vchain/internal/core"
+	"github.com/vchain-go/vchain/internal/storage"
 )
 
 func testSystem(t testing.TB, accName string, mode IndexMode) *System {
@@ -33,125 +41,170 @@ func carBlock(i int) []Object {
 	}
 }
 
+// shardCounts is the matrix every facade behaviour runs over: one node
+// type, so nothing may work at one shard count only.
+var shardCounts = []int{1, 2, 4}
+
+// forEachShardCount runs fn as a subtest per shard count.
+func forEachShardCount(t *testing.T, fn func(t *testing.T, shards int)) {
+	t.Helper()
+	for _, shards := range shardCounts {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { fn(t, shards) })
+	}
+}
+
+// mine appends carBlock(from..to-1) to the node.
+func mine(t *testing.T, node *Node, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		if _, _, err := node.Mine(carBlock(i), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// syncedClient returns a light client holding the node's headers.
+func syncedClient(t *testing.T, sys *System, node *Node) *LightClient {
+	t.Helper()
+	client := sys.NewLightClient()
+	if err := client.SyncHeaders(node.Headers()); err != nil {
+		t.Fatal(err)
+	}
+	return client
+}
+
 func TestFacadeEndToEnd(t *testing.T) {
 	for _, accName := range []string{"acc1", "acc2"} {
 		t.Run(accName, func(t *testing.T) {
 			sys := testSystem(t, accName, IndexBoth)
-			node := sys.NewFullNode()
-			for i := 0; i < 3; i++ {
-				if _, _, err := node.Mine(carBlock(i), int64(i)); err != nil {
-					t.Fatal(err)
+			forEachShardCount(t, func(t *testing.T, shards int) {
+				node := sys.NewNode(shards)
+				defer node.Close()
+				const blocks = 12 // default band 8: the window crosses a band edge
+				mine(t, node, 0, blocks)
+				if node.Shards() != shards || len(node.ShardStats()) != shards {
+					t.Fatalf("shards %d, stats %d; want %d", node.Shards(), len(node.ShardStats()), shards)
 				}
-			}
-			client := sys.NewLightClient()
-			if err := client.SyncHeaders(node.Headers()); err != nil {
-				t.Fatal(err)
-			}
-			if client.Height() != 3 {
-				t.Fatalf("client height %d", client.Height())
-			}
-			q := Query{
-				StartBlock: 0, EndBlock: 2,
-				Range: &RangeCond{Lo: []int64{0}, Hi: []int64{5}},
-				Bool:  And(Or("sedan")),
-				Width: 4,
-			}
-			vo, err := node.TimeWindow(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			results, err := client.Verify(q, vo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(results) != 3 {
-				t.Fatalf("results %d, want 3", len(results))
-			}
-			if client.VOSize(vo) <= 0 {
-				t.Error("VO size should be positive")
-			}
-			if client.StorageBits() <= 0 {
-				t.Error("light storage should be positive")
-			}
+				client := syncedClient(t, sys, node)
+				if client.Height() != blocks {
+					t.Fatalf("client height %d", client.Height())
+				}
+				q := Query{
+					StartBlock: 0, EndBlock: blocks - 1,
+					Range: &RangeCond{Lo: []int64{0}, Hi: []int64{5}},
+					Bool:  And(Or("sedan")),
+					Width: 4,
+				}
+				for _, batched := range []bool{false, true} {
+					parts, err := node.TimeWindow(q, batched)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if shards == 1 && len(parts) != 1 {
+						t.Fatalf("one shard answered with %d parts", len(parts))
+					}
+					results, err := client.Verify(q, parts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(results) != blocks {
+						t.Fatalf("results %d, want %d", len(results), blocks)
+					}
+					// The reference verifier agrees with the batched one.
+					seq, err := client.VerifySequential(q, parts)
+					if err != nil || len(seq) != len(results) {
+						t.Fatalf("sequential verifier: %d results, %v", len(seq), err)
+					}
+					if client.VOSize(parts[0].VO) <= 0 {
+						t.Error("VO size should be positive")
+					}
+					// A dropped part is incompleteness.
+					if _, err := client.Verify(q, parts[1:]); !errors.Is(err, ErrCompleteness) {
+						t.Fatalf("dropped part: err = %v, want ErrCompleteness", err)
+					}
+				}
+				if client.StorageBits() <= 0 {
+					t.Error("light storage should be positive")
+				}
+				if st := node.ProofStats(); st.Proofs == 0 {
+					t.Error("aggregated proof stats empty")
+				}
+			})
 		})
 	}
 }
 
 func TestFacadeBatchedQuery(t *testing.T) {
 	sys := testSystem(t, "acc2", IndexIntra)
-	node := sys.NewFullNode()
-	for i := 0; i < 3; i++ {
-		if _, _, err := node.Mine(carBlock(i), int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	client := sys.NewLightClient()
-	if err := client.SyncHeaders(node.Headers()); err != nil {
-		t.Fatal(err)
-	}
+	node := sys.NewNode(1)
+	mine(t, node, 0, 3)
+	client := syncedClient(t, sys, node)
 	q := Query{StartBlock: 0, EndBlock: 2, Bool: And(Or("tesla")), Width: 4}
-	vo, err := node.TimeWindowBatched(q)
+	parts, err := node.TimeWindow(q, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Verify(q, vo); err != nil {
+	if _, err := client.Verify(q, parts); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestFacadeSubscription: in-process subscriptions work at every shard
+// count — each block's publication is sourced from its owning shard and
+// verifies against the headers alone.
 func TestFacadeSubscription(t *testing.T) {
 	sys := testSystem(t, "acc2", IndexBoth)
-	node := sys.NewFullNode()
-	q := Query{Bool: And(Or("sedan")), Width: 4}
-	id, err := node.Subscribe(q, SubscribeOptions{UseIPTree: true, Dims: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pubs []Publication
-	for i := 0; i < 3; i++ {
-		_, p, err := node.Mine(carBlock(i), int64(i))
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		node := sys.NewNode(shards)
+		defer node.Close()
+		q := Query{Bool: And(Or("sedan")), Width: 4}
+		id, err := node.Subscribe(q, SubscribeOptions{UseIPTree: true, Dims: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pubs = append(pubs, p...)
-	}
-	client := sys.NewLightClient()
-	if err := client.SyncHeaders(node.Headers()); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for i := range pubs {
-		objs, err := client.VerifyPublication(q, &pubs[i])
-		if err != nil {
-			t.Fatal(err)
+		const blocks = 20 // default band 8: every shard of 2, three of 4
+		var pubs []Publication
+		for i := 0; i < blocks; i++ {
+			_, p, err := node.Mine(carBlock(i), int64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pubs = append(pubs, p...)
 		}
-		total += len(objs)
-	}
-	if total != 3 {
-		t.Fatalf("subscription results %d, want 3", total)
-	}
-	if pub := node.Unsubscribe(id); pub != nil {
-		t.Error("no pending span expected in real-time mode")
-	}
+		client := syncedClient(t, sys, node)
+		total := 0
+		for i := range pubs {
+			objs, err := client.VerifyPublication(q, &pubs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += len(objs)
+		}
+		if total != blocks {
+			t.Fatalf("subscription results %d, want %d", total, blocks)
+		}
+		if pub := node.Unsubscribe(id); pub != nil {
+			t.Error("no pending span expected in real-time mode")
+		}
+		// Unsubscribed: mining publishes nothing more.
+		if _, p, err := node.Mine(carBlock(blocks), blocks); err != nil || len(p) != 0 {
+			t.Fatalf("after Unsubscribe: %d publications, %v", len(p), err)
+		}
+	})
 }
 
 func TestFacadeRejectsTamperedVO(t *testing.T) {
 	sys := testSystem(t, "acc2", IndexIntra)
-	node := sys.NewFullNode()
-	if _, _, err := node.Mine(carBlock(0), 0); err != nil {
-		t.Fatal(err)
-	}
-	client := sys.NewLightClient()
-	if err := client.SyncHeaders(node.Headers()); err != nil {
-		t.Fatal(err)
-	}
+	node := sys.NewNode(1)
+	mine(t, node, 0, 1)
+	client := syncedClient(t, sys, node)
 	q := Query{StartBlock: 0, EndBlock: 0, Bool: And(Or("sedan")), Width: 4}
-	vo, err := node.TimeWindow(q)
+	parts, err := node.TimeWindow(q, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vo.Blocks = nil // SP returns an empty VO
-	_, err = client.Verify(q, vo)
+	parts[0].VO.Blocks = nil // SP returns an empty VO
+	_, err = client.Verify(q, parts)
 	if !errors.Is(err, ErrCompleteness) {
 		t.Fatalf("want completeness violation, got %v", err)
 	}
@@ -159,7 +212,7 @@ func TestFacadeRejectsTamperedVO(t *testing.T) {
 
 func TestFacadeTimestampWindow(t *testing.T) {
 	sys := testSystem(t, "acc2", IndexIntra)
-	node := sys.NewFullNode()
+	node := sys.NewNode(1)
 	// Blocks at timestamps 100, 110, 120.
 	for i := 0; i < 3; i++ {
 		if _, _, err := node.Mine(carBlock(i), int64(100+10*i)); err != nil {
@@ -181,11 +234,11 @@ func TestFacadeTimestampWindow(t *testing.T) {
 		t.Fatal("node and client disagree on the window")
 	}
 	q := Query{StartBlock: start, EndBlock: end, Bool: And(Or("sedan")), Width: 4}
-	vo, err := node.TimeWindow(q)
+	parts, err := node.TimeWindow(q, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := client.Verify(q, vo)
+	results, err := client.Verify(q, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,22 +258,15 @@ func TestFacadeParallelSP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := sys.NewFullNode()
-	for i := 0; i < 3; i++ {
-		if _, _, err := node.Mine(carBlock(i), int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	client := sys.NewLightClient()
-	if err := client.SyncHeaders(node.Headers()); err != nil {
-		t.Fatal(err)
-	}
+	node := sys.NewNode(1)
+	mine(t, node, 0, 3)
+	client := syncedClient(t, sys, node)
 	q := Query{StartBlock: 0, EndBlock: 2, Bool: And(Or("sedan")), Width: 4}
-	vo, err := node.TimeWindow(q)
+	parts, err := node.TimeWindow(q, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Verify(q, vo); err != nil {
+	if _, err := client.Verify(q, parts); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -280,7 +326,7 @@ func TestConfigIndexDefaulting(t *testing.T) {
 // honored — it must fail loudly instead of pretending.
 func TestSubscribeConflictingOptions(t *testing.T) {
 	sys := testSystem(t, "acc2", IndexBoth)
-	node := sys.NewFullNode()
+	node := sys.NewNode(1)
 	q := Query{Bool: And(Or("sedan")), Width: 4}
 	if _, err := node.Subscribe(q, SubscribeOptions{UseIPTree: true}); err != nil {
 		t.Fatal(err)
@@ -310,66 +356,66 @@ func TestSubscribeConflictingOptions(t *testing.T) {
 // and receives ≥3 publications across mined blocks, each locally
 // verified before delivery.
 func TestFacadeRemoteSubscription(t *testing.T) {
+	sys := testSystem(t, "acc2", IndexBoth)
 	for _, lazy := range []bool{false, true} {
 		name := "eager"
 		if lazy {
 			name = "lazy"
 		}
 		t.Run(name, func(t *testing.T) {
-			sys := testSystem(t, "acc2", IndexBoth)
-			node := sys.NewFullNode()
-			sp, err := node.Serve("127.0.0.1:0", SubscribeOptions{UseIPTree: true, Lazy: lazy})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sp.Close()
-
-			client := sys.NewLightClient()
-			conn, err := client.DialSP(sp.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			stream, err := conn.Subscribe(Query{Bool: And(Or("sedan")), Width: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			for i := 0; i < 3; i++ {
-				if _, _, err := node.Mine(carBlock(i), int64(i)); err != nil {
+			forEachShardCount(t, func(t *testing.T, shards int) {
+				node := sys.NewNode(shards)
+				defer node.Close()
+				sp, err := node.Serve("127.0.0.1:0", SubscribeOptions{UseIPTree: true, Lazy: lazy})
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			// Every carBlock contains one sedan: eager and lazy modes
-			// both publish each block promptly.
-			total := 0
-			for i := 0; i < 3; i++ {
-				select {
-				case d := <-stream.C:
-					if d.Err != nil {
-						t.Fatalf("publication %d rejected: %v", i, d.Err)
-					}
-					total += len(d.Objects)
-				case <-time.After(10 * time.Second):
-					t.Fatalf("timed out waiting for publication %d", i)
-				}
-			}
-			if total != 3 {
-				t.Fatalf("verified results %d, want 3", total)
-			}
-			if err := stream.Close(); err != nil {
-				t.Fatal(err)
-			}
+				defer sp.Close()
 
-			// The same connection also answers verified one-shot
-			// queries.
-			res, err := conn.Query(Query{StartBlock: 0, EndBlock: 2, Bool: And(Or("sedan")), Width: 4}, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res) != 3 {
-				t.Fatalf("remote query results %d, want 3", len(res))
-			}
+				client := sys.NewLightClient()
+				conn, err := client.DialSP(sp.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				stream, err := conn.Subscribe(Query{Bool: And(Or("sedan")), Width: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				const blocks = 10 // default band 8: crosses into a second shard
+				mine(t, node, 0, blocks)
+				// Every carBlock contains one sedan: eager and lazy modes
+				// both publish each block promptly.
+				total := 0
+				for i := 0; i < blocks; i++ {
+					select {
+					case d := <-stream.C:
+						if d.Err != nil {
+							t.Fatalf("publication %d rejected: %v", i, d.Err)
+						}
+						total += len(d.Objects)
+					case <-time.After(10 * time.Second):
+						t.Fatalf("timed out waiting for publication %d", i)
+					}
+				}
+				if total != blocks {
+					t.Fatalf("verified results %d, want %d", total, blocks)
+				}
+				if err := stream.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				// The same connection also answers verified one-shot
+				// queries.
+				res, err := conn.Query(Query{StartBlock: 0, EndBlock: blocks - 1, Bool: And(Or("sedan")), Width: 4}, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res) != blocks {
+					t.Fatalf("remote query results %d, want %d", len(res), blocks)
+				}
+			})
 		})
 	}
 }
@@ -378,33 +424,37 @@ func TestFacadeRemoteSubscription(t *testing.T) {
 // node — mining no longer fans out to it and Serve works again.
 func TestFacadeServeLifecycle(t *testing.T) {
 	sys := testSystem(t, "acc2", IndexBoth)
-	node := sys.NewFullNode()
-	sp, err := node.Serve("127.0.0.1:0", SubscribeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := node.Serve("127.0.0.1:0", SubscribeOptions{}); err == nil {
-		t.Fatal("double Serve accepted")
-	}
-	if err := sp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := node.Mine(carBlock(0), 0); err != nil {
-		t.Fatalf("mining after Close failed: %v", err)
-	}
-	sp2, err := node.Serve("127.0.0.1:0", SubscribeOptions{})
-	if err != nil {
-		t.Fatalf("re-Serve after Close failed: %v", err)
-	}
-	defer sp2.Close()
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		node := sys.NewNode(shards)
+		defer node.Close()
+		sp, err := node.Serve("127.0.0.1:0", SubscribeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := node.Serve("127.0.0.1:0", SubscribeOptions{}); err == nil {
+			t.Fatal("double Serve accepted")
+		}
+		if err := sp.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := node.Mine(carBlock(0), 0); err != nil {
+			t.Fatalf("mining after Close failed: %v", err)
+		}
+		sp2, err := node.Serve("127.0.0.1:0", SubscribeOptions{})
+		if err != nil {
+			t.Fatalf("re-Serve after Close failed: %v", err)
+		}
+		defer sp2.Close()
+	})
 }
 
-// TestFacadeProofStats checks that the shared engine is really shared:
-// time-window, batched, and subscription traffic all land in one
-// stats snapshot, and repeated queries produce cache hits.
+// TestFacadeProofStats checks that a one-shard node's engine is really
+// shared: time-window, batched, and subscription traffic all land in
+// one stats snapshot (counted once), and repeated queries produce cache
+// hits.
 func TestFacadeProofStats(t *testing.T) {
 	sys := testSystem(t, "acc2", IndexBoth)
-	node := sys.NewFullNode()
+	node := sys.NewNode(1)
 	if _, err := node.Subscribe(Query{Bool: And(Or("sedan"), Or("tesla")), Width: 4}, SubscribeOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -413,22 +463,21 @@ func TestFacadeProofStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	afterSubs := sys.ProofStats()
+	afterSubs := node.ProofStats()
 	if afterSubs.Proofs == 0 {
 		t.Fatalf("subscription processing did not reach the shared engine: %+v", afterSubs)
 	}
 
 	q := Query{StartBlock: 0, EndBlock: 2, Bool: And(Or("sedan")), Width: 4}
-	if _, err := node.TimeWindow(q); err != nil {
-		t.Fatal(err)
+	for _, batched := range []bool{false, false, true} {
+		if _, err := node.TimeWindow(q, batched); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := node.TimeWindow(q); err != nil {
-		t.Fatal(err)
+	st := node.ProofStats()
+	if one := node.ShardStats()[0].Proofs; one != st {
+		t.Errorf("one-shard node counts its engine twice: node %+v, shard %+v", st, one)
 	}
-	if _, err := node.TimeWindowBatched(q); err != nil {
-		t.Fatal(err)
-	}
-	st := sys.ProofStats()
 	if st.CacheHits == 0 {
 		t.Errorf("repeated window produced no cache hits: %+v", st)
 	}
@@ -437,54 +486,139 @@ func TestFacadeProofStats(t *testing.T) {
 	}
 }
 
-func TestFacadeOpenFullNode(t *testing.T) {
+// TestFacadeOpenNode: a durable node survives a restart at every shard
+// count — a fresh node over the same directory adopts the recorded
+// topology and serves verifiable queries immediately (the paper's SP
+// restarting without a rebuild), mining continues the persisted chain,
+// and a conflicting explicit shard count is rejected.
+func TestFacadeOpenNode(t *testing.T) {
+	sys := testSystem(t, "acc2", IndexBoth)
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		dir := t.TempDir()
+		node, err := sys.OpenNode(dir, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const blocks = 10
+		mine(t, node, 0, blocks)
+		headers := node.Headers()
+		if err := node.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		re, err := sys.OpenNode(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		if re.Shards() != shards {
+			t.Fatalf("adopted %d shards, want %d", re.Shards(), shards)
+		}
+		if rec := re.Recovery(); rec == nil || rec.Blocks != blocks || len(rec.Shards) != shards {
+			t.Fatalf("recovery %+v, want %d blocks over %d shards", rec, blocks, shards)
+		}
+		if got := re.Headers(); len(got) != len(headers) || got[blocks-1] != headers[blocks-1] {
+			t.Fatalf("reopened chain diverges (%d headers, want %d)", len(got), len(headers))
+		}
+		client := syncedClient(t, sys, re)
+		q := Query{StartBlock: 0, EndBlock: blocks - 1, Bool: And(Or("sedan")), Width: 4}
+		parts, err := re.TimeWindow(q, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := client.Verify(q, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != blocks {
+			t.Fatalf("results %d, want %d", len(results), blocks)
+		}
+		// Mining continues the persisted chain through the same commit
+		// pipeline.
+		mine(t, re, blocks, blocks+1)
+		if re.Height() != blocks+1 {
+			t.Fatalf("post-reopen height %d, want %d", re.Height(), blocks+1)
+		}
+
+		if _, err := sys.OpenNode(dir, shards+1); err == nil {
+			t.Fatal("conflicting shard count accepted")
+		} else if !strings.Contains(err.Error(), "block store") {
+			t.Fatalf("unexpected error: %v", err)
+		}
+	})
+}
+
+// TestFacadeFlatStoreMigration: a block log kept directly in the store
+// directory (the layout before every store had a shard topology) is
+// refused with an error naming the fix; after moving the segments into
+// shard-000/ the same directory opens as a one-shard node and serves
+// VOs byte-identical to the ones the flat log's node served.
+func TestFacadeFlatStoreMigration(t *testing.T) {
 	sys := testSystem(t, "acc2", IndexBoth)
 	dir := t.TempDir()
-	node, err := sys.OpenFullNode(dir)
+	log, err := storage.Open(dir, storage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, _, err := node.Mine(carBlock(i), int64(i)); err != nil {
+	legacy, err := core.NewFullNodeOn(chain.Difficulty(sys.cfg.Difficulty), sys.builder(), log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blocks = 10
+	for i := 0; i < blocks; i++ {
+		if _, err := legacy.MineBlock(carBlock(i), int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := node.Close(); err != nil {
+	q := Query{StartBlock: 1, EndBlock: blocks - 1, Bool: And(Or("sedan")), Width: 4}
+	before, err := legacy.SP(false).TimeWindowQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := legacy.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// A fresh node over the same directory serves verifiable queries
-	// immediately — the paper's SP restarting without a rebuild.
-	re, err := sys.OpenFullNode(dir)
+	_, err = sys.OpenNode(dir, 0)
+	if err == nil {
+		t.Fatal("flat log directory opened without migration")
+	}
+	for _, want := range []string{"flat", "mkdir", "mv", "shard-000"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error does not explain the fix (missing %q): %v", want, err)
+		}
+	}
+
+	// Apply the fix the error names.
+	if err := os.Mkdir(filepath.Join(dir, "shard-000"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "*.vseg"))
+	for _, seg := range segs {
+		if err := os.Rename(seg, filepath.Join(dir, "shard-000", filepath.Base(seg))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A moved flat log is one shard; dealing it to more is refused.
+	if _, err := sys.OpenNode(dir, 2); err == nil {
+		t.Fatal("moved flat log opened as two shards")
+	}
+	node, err := sys.OpenNode(dir, 0)
+	if err != nil {
+		t.Fatalf("open after the move: %v", err)
+	}
+	defer node.Close()
+	if node.Shards() != 1 || node.Height() != blocks {
+		t.Fatalf("migrated node: %d shards, height %d; want 1 and %d", node.Shards(), node.Height(), blocks)
+	}
+	parts, err := node.TimeWindow(q, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if re.Height() != 3 {
-		t.Fatalf("reopened height %d, want 3", re.Height())
+	if len(parts) != 1 || !bytes.Equal(core.EncodeVO(sys.acc, parts[0].VO), core.EncodeVO(sys.acc, before)) {
+		t.Fatal("migrated store's VO is not byte-identical to the flat log's")
 	}
-	client := sys.NewLightClient()
-	if err := client.SyncHeaders(re.Headers()); err != nil {
+	if _, err := syncedClient(t, sys, node).Verify(q, parts); err != nil {
 		t.Fatal(err)
-	}
-	q := Query{StartBlock: 0, EndBlock: 2, Bool: And(Or("sedan")), Width: 4}
-	vo, err := re.TimeWindow(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := client.Verify(q, vo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("results %d, want 3", len(results))
-	}
-	// Mining continues the persisted chain through the same commit
-	// pipeline.
-	if _, _, err := re.Mine(carBlock(3), 3); err != nil {
-		t.Fatal(err)
-	}
-	if re.Height() != 4 {
-		t.Fatalf("post-reopen height %d, want 4", re.Height())
 	}
 }
