@@ -201,7 +201,7 @@ func (s *SPClient) Retries() int { return s.cli.Retries() }
 // Delivery.Err wrapping ErrSoundness/ErrCompleteness and are never
 // delivered as results.
 func (s *SPClient) Subscribe(q Query) (*RemoteStream, error) {
-	return s.cli.Subscribe(q, service.SubscribeConfig{
+	return s.cli.SubscribeCtx(context.Background(), q, service.SubscribeConfig{
 		Acc:           s.c.sys.acc,
 		Light:         s.c.light,
 		VerifyWorkers: s.c.sys.cfg.VerifyWorkers,

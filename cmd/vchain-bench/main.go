@@ -6,13 +6,11 @@
 //	vchain-bench -exp table1                 # one experiment
 //	vchain-bench -exp all                    # everything (slow)
 //	vchain-bench -exp fig9 -blocks 64 -queries 5 -preset default
-//	vchain-bench -exp shard -shards 2        # sharded SP smoke (1 vs 2 shards)
 //
 // Each experiment prints an aligned text table whose rows mirror the
 // paper's series, and writes the same data as a machine-readable
 // BENCH_<experiment>.json artifact into -json-dir (so CI and the
-// process tracking the perf trajectory can diff runs); see
-// EXPERIMENTS.md for the paper-vs-measured notes.
+// process tracking the perf trajectory can diff runs).
 package main
 
 import (
@@ -26,6 +24,7 @@ import (
 	"time"
 
 	"github.com/vchain-go/vchain/internal/bench"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 )
 
 // artifact is the JSON schema of one BENCH_<experiment>.json file:
@@ -46,19 +45,22 @@ type artifact struct {
 func main() {
 	var (
 		exp     = flag.String("exp", "", "experiment to run: "+strings.Join(bench.ExperimentNames(), ", ")+", or 'all'")
-		preset  = flag.String("preset", "toy", "pairing preset: toy | default | conservative")
+		preset  = flag.String("preset", "toy", "pairing preset: toy | default")
 		blocks  = flag.Int("blocks", 0, "chain length per configuration (0 = default)")
 		objs    = flag.Int("objects", 0, "objects per block (0 = default)")
 		queries = flag.Int("queries", 0, "queries averaged per data point (0 = default)")
 		skip    = flag.Int("skiplist", 0, "skip-list size ℓ (0 = default)")
 		seed    = flag.Int64("seed", 0, "workload seed (0 = default)")
-		shards  = flag.Int("shards", 0, "pin the 'shard' experiment to {1, N} shards (0 = full 1/2/4/NumCPU sweep)")
 		jsonDir = flag.String("json-dir", ".", "directory for BENCH_<experiment>.json artifacts (empty = don't write)")
 	)
 	flag.Parse()
 
 	if *exp == "" {
 		flag.Usage()
+		os.Exit(2)
+	}
+	if _, err := pairing.Lookup(*preset); err != nil {
+		fmt.Fprintf(os.Stderr, "vchain-bench: %v\n", err)
 		os.Exit(2)
 	}
 	opts := bench.Options{
@@ -68,7 +70,6 @@ func main() {
 		Queries:         *queries,
 		SkipListSize:    *skip,
 		Seed:            *seed,
-		Shards:          *shards,
 	}
 
 	names := []string{*exp}

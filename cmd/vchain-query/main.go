@@ -46,7 +46,11 @@ func main() {
 	)
 	flag.Parse()
 
-	pr := pairing.ByName(*preset)
+	pr, err := pairing.Lookup(*preset)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vchain-query:", err)
+		os.Exit(2)
+	}
 	q := 4096
 	acc := accumulator.KeyGenCon2Deterministic(pr, q, accumulator.HashEncoder{Q: q}, []byte("vchain-demo"))
 

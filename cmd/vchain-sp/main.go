@@ -102,7 +102,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vchain-sp:", err)
 		os.Exit(1)
 	}
-	pr := pairing.ByName(*preset)
+	pr, err := pairing.Lookup(*preset)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vchain-sp:", err)
+		os.Exit(2)
+	}
 	// The demo derives the accumulator key deterministically so that
 	// vchain-query and vchain-subscribe can reconstruct the same
 	// public key.

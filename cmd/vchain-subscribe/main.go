@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -41,7 +42,11 @@ func main() {
 	)
 	flag.Parse()
 
-	pr := pairing.ByName(*preset)
+	pr, err := pairing.Lookup(*preset)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vchain-subscribe:", err)
+		os.Exit(2)
+	}
 	q := 4096
 	acc := accumulator.KeyGenCon2Deterministic(pr, q, accumulator.HashEncoder{Q: q}, []byte("vchain-demo"))
 
@@ -63,7 +68,7 @@ func main() {
 	defer cli.Close()
 
 	light := chain.NewLightStore(0)
-	sub, err := cli.Subscribe(query, service.SubscribeConfig{Acc: acc, Light: light})
+	sub, err := cli.SubscribeCtx(context.Background(), query, service.SubscribeConfig{Acc: acc, Light: light})
 	if err != nil {
 		fatal(err)
 	}

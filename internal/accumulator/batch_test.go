@@ -6,14 +6,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 	"github.com/vchain-go/vchain/internal/multiset"
-	"github.com/vchain-go/vchain/internal/pairingtest"
 )
 
 // batchAccs returns both constructions over the shared toy parameters.
 func batchAccs(t testing.TB) map[string]Accumulator {
 	t.Helper()
-	pr := pairingtest.Params()
+	pr := pairing.Toy()
 	return map[string]Accumulator{
 		"acc1": KeyGenCon1Deterministic(pr, 64, []byte("batch")),
 		"acc2": KeyGenCon2Deterministic(pr, 256, HashEncoder{Q: 256}, []byte("batch")),

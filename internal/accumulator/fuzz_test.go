@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 	"github.com/vchain-go/vchain/internal/multiset"
-	"github.com/vchain-go/vchain/internal/pairingtest"
 )
 
 // FuzzAccDecode drives AccFromBytes / ProofFromBytes of both
@@ -14,7 +14,7 @@ import (
 // the verifier relies on), and accepted encodings must round-trip
 // byte-identically (canonicality).
 func FuzzAccDecode(f *testing.F) {
-	pr := pairingtest.Params()
+	pr := pairing.Toy()
 	acc1 := KeyGenCon1Deterministic(pr, 16, []byte("fuzz"))
 	acc2 := KeyGenCon2Deterministic(pr, 64, HashEncoder{Q: 64}, []byte("fuzz"))
 

@@ -5,9 +5,7 @@
 // Absolute numbers differ from the paper (different hardware, pairing
 // library, and scaled-down data), but each driver reports the same rows
 // or series so the paper's comparisons — which scheme wins, how costs
-// scale with the swept parameter — can be checked directly. The mapping
-// from experiment to driver lives in DESIGN.md; measured-vs-paper notes
-// live in EXPERIMENTS.md.
+// scale with the swept parameter — can be checked directly.
 package bench
 
 import (
@@ -41,10 +39,6 @@ type Options struct {
 	SkipListSize int
 	// Seed drives all generators.
 	Seed int64
-	// Shards pins the "shard" experiment to {1, Shards} instead of the
-	// full 1/2/4/NumCPU sweep (CI smoke runs use it to stay fast). 0
-	// means the full sweep. Other experiments ignore it.
-	Shards int
 }
 
 // DefaultOptions returns the laptop-scale defaults.
@@ -302,27 +296,22 @@ func kb(bytes int) string {
 // Experiments maps experiment names to drivers. cmd/vchain-bench and
 // the tests iterate this.
 var Experiments = map[string]func(Options) (*Table, error){
-	"table1":  Table1,
-	"fig9":    func(o Options) (*Table, error) { return TimeWindowFig(workload.FSQ, "Fig. 9", o) },
-	"fig10":   func(o Options) (*Table, error) { return TimeWindowFig(workload.WX, "Fig. 10", o) },
-	"fig11":   func(o Options) (*Table, error) { return TimeWindowFig(workload.ETH, "Fig. 11", o) },
-	"fig12":   func(o Options) (*Table, error) { return SubscriptionIPTreeFig(workload.FSQ, "Fig. 12", o) },
-	"fig13":   func(o Options) (*Table, error) { return SubscriptionPeriodFig(workload.FSQ, "Fig. 13", o) },
-	"fig14":   func(o Options) (*Table, error) { return SubscriptionPeriodFig(workload.WX, "Fig. 14", o) },
-	"fig15":   func(o Options) (*Table, error) { return SubscriptionPeriodFig(workload.ETH, "Fig. 15", o) },
-	"fig16":   MHTComparisonFig,
-	"fig17":   func(o Options) (*Table, error) { return SelectivityFig(workload.FSQ, "Fig. 17", o) },
-	"fig18":   func(o Options) (*Table, error) { return SelectivityFig(workload.WX, "Fig. 18", o) },
-	"fig19":   func(o Options) (*Table, error) { return SelectivityFig(workload.ETH, "Fig. 19", o) },
-	"fig20":   func(o Options) (*Table, error) { return SkipListFig(workload.FSQ, "Fig. 20", o) },
-	"fig21":   func(o Options) (*Table, error) { return SkipListFig(workload.WX, "Fig. 21", o) },
-	"fig22":   func(o Options) (*Table, error) { return SkipListFig(workload.ETH, "Fig. 22", o) },
-	"fault":   FaultFig,
-	"gateway": GatewayFig,
-	"memory":  MemoryFig,
-	"restart": RestartFig,
-	"shard":   ShardFig,
-	"verify":  func(o Options) (*Table, error) { return VerifyBatchFig(workload.FSQ, o) },
+	"table1": Table1,
+	"fig9":   func(o Options) (*Table, error) { return TimeWindowFig(workload.FSQ, "Fig. 9", o) },
+	"fig10":  func(o Options) (*Table, error) { return TimeWindowFig(workload.WX, "Fig. 10", o) },
+	"fig11":  func(o Options) (*Table, error) { return TimeWindowFig(workload.ETH, "Fig. 11", o) },
+	"fig12":  func(o Options) (*Table, error) { return SubscriptionIPTreeFig(workload.FSQ, "Fig. 12", o) },
+	"fig13":  func(o Options) (*Table, error) { return SubscriptionPeriodFig(workload.FSQ, "Fig. 13", o) },
+	"fig14":  func(o Options) (*Table, error) { return SubscriptionPeriodFig(workload.WX, "Fig. 14", o) },
+	"fig15":  func(o Options) (*Table, error) { return SubscriptionPeriodFig(workload.ETH, "Fig. 15", o) },
+	"fig16":  MHTComparisonFig,
+	"fig17":  func(o Options) (*Table, error) { return SelectivityFig(workload.FSQ, "Fig. 17", o) },
+	"fig18":  func(o Options) (*Table, error) { return SelectivityFig(workload.WX, "Fig. 18", o) },
+	"fig19":  func(o Options) (*Table, error) { return SelectivityFig(workload.ETH, "Fig. 19", o) },
+	"fig20":  func(o Options) (*Table, error) { return SkipListFig(workload.FSQ, "Fig. 20", o) },
+	"fig21":  func(o Options) (*Table, error) { return SkipListFig(workload.WX, "Fig. 21", o) },
+	"fig22":  func(o Options) (*Table, error) { return SkipListFig(workload.ETH, "Fig. 22", o) },
+	"verify": func(o Options) (*Table, error) { return VerifyBatchFig(workload.FSQ, o) },
 	"subscribe": func(o Options) (*Table, error) {
 		return SubscriptionStreamFig(workload.FSQ, o)
 	},

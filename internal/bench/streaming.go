@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -115,7 +116,7 @@ func runStream(pr *pairing.Params, ds *workload.Dataset, o Options,
 	)
 	subs := make([]*service.Subscription, len(queries))
 	for i, q := range queries {
-		sub, err := cli.Subscribe(q, service.SubscribeConfig{Acc: acc, Light: light})
+		sub, err := cli.SubscribeCtx(context.Background(), q, service.SubscribeConfig{Acc: acc, Light: light})
 		if err != nil {
 			return nil, err
 		}

@@ -5,13 +5,13 @@ import (
 
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 	"github.com/vchain-go/vchain/internal/multiset"
-	"github.com/vchain-go/vchain/internal/pairingtest"
 )
 
 func adsAcc(t testing.TB) accumulator.Accumulator {
 	t.Helper()
-	return accumulator.KeyGenCon2Deterministic(pairingtest.Params(), 512, accumulator.HashEncoder{Q: 512}, []byte("ads"))
+	return accumulator.KeyGenCon2Deterministic(pairing.Toy(), 512, accumulator.HashEncoder{Q: 512}, []byte("ads"))
 }
 
 func TestIndexModeString(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
-	"github.com/vchain-go/vchain/internal/pairingtest"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 )
 
 // testWidth keeps prefix sets small so toy accumulator keys suffice.
@@ -15,7 +15,7 @@ const testWidth = 4
 
 func testAccs(t testing.TB) map[string]accumulator.Accumulator {
 	t.Helper()
-	pr := pairingtest.Params()
+	pr := pairing.Toy()
 	return map[string]accumulator.Accumulator{
 		"acc1": accumulator.KeyGenCon1Deterministic(pr, 256, []byte("e2e")),
 		"acc2": accumulator.KeyGenCon2Deterministic(pr, 512, accumulator.HashEncoder{Q: 512}, []byte("e2e")),

@@ -8,7 +8,7 @@ import (
 
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
-	"github.com/vchain-go/vchain/internal/pairingtest"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 )
 
 // FuzzVODecode hammers the VO wire decoder with arbitrary bytes (and
@@ -23,7 +23,7 @@ func FuzzVODecode(f *testing.F) {
 	// Everything here runs under fuzz instrumentation, so the setup is
 	// deliberately tiny — two blocks, small keys — to leave the
 	// fuzztime budget to actual fuzzing.
-	pr := pairingtest.Params()
+	pr := pairing.Toy()
 	type target struct {
 		acc   accumulator.Accumulator
 		light *chain.LightStore

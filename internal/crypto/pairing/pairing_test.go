@@ -3,6 +3,7 @@ package pairing
 import (
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -59,6 +60,14 @@ func TestUnknownPresetPanics(t *testing.T) {
 		}
 	}()
 	ByName("no-such-preset")
+}
+
+func TestLookupUnknownPreset(t *testing.T) {
+	for _, name := range []string{"bogus", "conservative"} {
+		if _, err := Lookup(name); err == nil || !strings.Contains(err.Error(), "default, toy") {
+			t.Errorf("Lookup(%q) = %v, want an error naming the known presets", name, err)
+		}
+	}
 }
 
 func TestPairingNonDegenerate(t *testing.T) {

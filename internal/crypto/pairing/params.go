@@ -22,7 +22,10 @@ package pairing
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"math/big"
+	"sort"
+	"strings"
 	"sync"
 
 	"github.com/vchain-go/vchain/internal/crypto/ec"
@@ -31,7 +34,7 @@ import (
 
 // Params bundles everything needed to compute pairings.
 type Params struct {
-	// Name identifies the preset ("toy", "default", "conservative").
+	// Name identifies the preset ("toy" or "default").
 	Name string
 	// F is the base field F_p.
 	F *ff.Field
@@ -65,10 +68,9 @@ var presets = map[string]securityPreset{
 	"toy": {name: "toy", rBits: 50, pBits: 128},
 	// Default matches a classic ~80-bit-security supersingular setting
 	// (DLOG in F_p² with p ≈ 512 bits), adequate for a research
-	// reproduction; production deployments should prefer conservative.
+	// reproduction. No higher preset ships: that is a known limit, not
+	// a production-grade security level.
 	"default": {name: "default", rBits: 160, pBits: 512},
-	// Conservative pushes the field to 1024 bits.
-	"conservative": {name: "conservative", rBits: 256, pBits: 1024},
 }
 
 var (
@@ -76,20 +78,36 @@ var (
 	paramCacheMu sync.Mutex
 )
 
-// ByName returns (and caches) the named preset's parameters. Known
-// names are "toy", "default", and "conservative".
-func ByName(name string) *Params {
+// Lookup returns (and caches) the named preset's parameters. Known
+// names are "toy" and "default"; any other name is an error that lists
+// them.
+func Lookup(name string) (*Params, error) {
+	preset, ok := presets[name]
+	if !ok {
+		known := make([]string, 0, len(presets))
+		for k := range presets {
+			known = append(known, k)
+		}
+		sort.Strings(known)
+		return nil, fmt.Errorf("pairing: unknown parameter preset %q (known: %s)", name, strings.Join(known, ", "))
+	}
 	paramCacheMu.Lock()
 	defer paramCacheMu.Unlock()
 	if p, ok := paramCache[name]; ok {
-		return p
-	}
-	preset, ok := presets[name]
-	if !ok {
-		panic("pairing: unknown parameter preset " + name)
+		return p, nil
 	}
 	p := generate(preset)
 	paramCache[name] = p
+	return p, nil
+}
+
+// ByName is Lookup for names known to be valid: it panics on an
+// unknown preset.
+func ByName(name string) *Params {
+	p, err := Lookup(name)
+	if err != nil {
+		panic(err)
+	}
 	return p
 }
 

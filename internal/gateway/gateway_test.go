@@ -19,8 +19,8 @@ import (
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 	"github.com/vchain-go/vchain/internal/fault"
-	"github.com/vchain-go/vchain/internal/pairingtest"
 	"github.com/vchain-go/vchain/internal/service"
 	"github.com/vchain-go/vchain/internal/shard"
 	"github.com/vchain-go/vchain/internal/storage"
@@ -30,7 +30,7 @@ const testWidth = 4
 
 func testAcc(t testing.TB) accumulator.Accumulator {
 	t.Helper()
-	pr := pairingtest.Params()
+	pr := pairing.Toy()
 	return accumulator.KeyGenCon2Deterministic(pr, 512, accumulator.HashEncoder{Q: 512}, []byte("gateway"))
 }
 

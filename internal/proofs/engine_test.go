@@ -7,13 +7,13 @@ import (
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 	"github.com/vchain-go/vchain/internal/multiset"
-	"github.com/vchain-go/vchain/internal/pairingtest"
 )
 
 func testAcc(t testing.TB) accumulator.Accumulator {
 	t.Helper()
-	pr := pairingtest.Params()
+	pr := pairing.Toy()
 	return accumulator.KeyGenCon2Deterministic(pr, 512, accumulator.HashEncoder{Q: 512}, []byte("proofs"))
 }
 

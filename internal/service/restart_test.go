@@ -7,7 +7,7 @@ import (
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
-	"github.com/vchain-go/vchain/internal/pairingtest"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 	"github.com/vchain-go/vchain/internal/shard"
 )
 
@@ -17,7 +17,7 @@ import (
 // subscription fan-out from the persisted state, without rebuilding
 // any ADS.
 func TestServerOverReopenedStore(t *testing.T) {
-	acc := accumulator.KeyGenCon2Deterministic(pairingtest.Params(), 512, accumulator.HashEncoder{Q: 512}, []byte("restart"))
+	acc := accumulator.KeyGenCon2Deterministic(pairing.Toy(), 512, accumulator.HashEncoder{Q: 512}, []byte("restart"))
 	b := &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: 4}
 	dir := t.TempDir()
 
@@ -81,7 +81,7 @@ func TestServerOverReopenedStore(t *testing.T) {
 	// Subscription fan-out keeps working on the mining path: blocks
 	// mined after the restart reach remote subscribers (and land in
 	// the store).
-	sub, err := cli.Subscribe(sedanQuery(), SubscribeConfig{Acc: acc, Light: light})
+	sub, err := cli.SubscribeCtx(context.Background(), sedanQuery(), SubscribeConfig{Acc: acc, Light: light})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,14 @@ import (
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
-	"github.com/vchain-go/vchain/internal/pairingtest"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 )
 
 // buildCarNode mines the 3-block car chain shared by the request
 // tests.
 func buildCarNode(t *testing.T) (accumulator.Accumulator, *core.FullNode) {
 	t.Helper()
-	acc := accumulator.KeyGenCon2Deterministic(pairingtest.Params(), 512, accumulator.HashEncoder{Q: 512}, []byte("svc"))
+	acc := accumulator.KeyGenCon2Deterministic(pairing.Toy(), 512, accumulator.HashEncoder{Q: 512}, []byte("svc"))
 	b := &core.Builder{Acc: acc, Mode: core.ModeIntra, Width: 4}
 	node := core.NewFullNode(0, b)
 	for i := 0; i < 3; i++ {
@@ -193,7 +193,7 @@ func TestMultipleClients(t *testing.T) {
 func TestRemoteSkipVOOverWire(t *testing.T) {
 	// ModeBoth VOs contain skip entries (maps, digests, proofs): they
 	// must survive gob and verify at the remote client.
-	acc := accumulator.KeyGenCon2Deterministic(pairingtest.Params(), 512, accumulator.HashEncoder{Q: 512}, []byte("svc2"))
+	acc := accumulator.KeyGenCon2Deterministic(pairing.Toy(), 512, accumulator.HashEncoder{Q: 512}, []byte("svc2"))
 	b := &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: 4}
 	node := core.NewFullNode(0, b)
 	for i := 0; i < 8; i++ {

@@ -8,7 +8,7 @@ import (
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
-	"github.com/vchain-go/vchain/internal/pairingtest"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 	"github.com/vchain-go/vchain/internal/shard"
 )
 
@@ -16,7 +16,7 @@ import (
 // that any multi-block window crosses a shard boundary.
 func startShardedServer(t *testing.T) (string, accumulator.Accumulator) {
 	t.Helper()
-	acc := accumulator.KeyGenCon2Deterministic(pairingtest.Params(), 512, accumulator.HashEncoder{Q: 512}, []byte("svc"))
+	acc := accumulator.KeyGenCon2Deterministic(pairing.Toy(), 512, accumulator.HashEncoder{Q: 512}, []byte("svc"))
 	b := &core.Builder{Acc: acc, Mode: core.ModeIntra, Width: 4}
 	node := shard.New(0, b, shard.Options{Shards: 2, Band: 1, Workers: 2})
 	for i := 0; i < 4; i++ {

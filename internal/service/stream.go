@@ -73,15 +73,10 @@ type Subscription struct {
 	closeErr  error
 }
 
-// Subscribe registers a continuous query with the SP and returns its
-// verified delivery stream. The query's window fields are ignored.
-func (c *Client) Subscribe(q core.Query, cfg SubscribeConfig) (*Subscription, error) {
-	return c.SubscribeCtx(context.Background(), q, cfg)
-}
-
-// SubscribeCtx is Subscribe with a caller-scoped context bounding the
-// subscribe handshake. The context does not outlive the call: the
-// returned stream runs until Close or a transport failure.
+// SubscribeCtx registers a continuous query with the SP and returns
+// its verified delivery stream. The query's window fields are ignored.
+// ctx bounds the subscribe handshake only: the returned stream runs
+// until Close or a transport failure.
 func (c *Client) SubscribeCtx(ctx context.Context, q core.Query, cfg SubscribeConfig) (*Subscription, error) {
 	if cfg.Acc == nil || cfg.Light == nil {
 		return nil, errors.New("service: SubscribeConfig needs Acc and Light")

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net"
@@ -10,7 +11,7 @@ import (
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
-	"github.com/vchain-go/vchain/internal/pairingtest"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 	"github.com/vchain-go/vchain/internal/subscribe"
 )
 
@@ -26,7 +27,7 @@ type streamEnv struct {
 
 func newStreamEnv(t *testing.T, cfg ServerConfig) *streamEnv {
 	t.Helper()
-	acc := accumulator.KeyGenCon2Deterministic(pairingtest.Params(), 512, accumulator.HashEncoder{Q: 512}, []byte("stream"))
+	acc := accumulator.KeyGenCon2Deterministic(pairing.Toy(), 512, accumulator.HashEncoder{Q: 512}, []byte("stream"))
 	b := &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: 4}
 	node := core.NewFullNode(0, b)
 	srv := NewServer(node, cfg)
@@ -63,7 +64,7 @@ func (e *streamEnv) dialSub(t *testing.T, q core.Query) (*Client, *Subscription,
 	}
 	t.Cleanup(func() { cli.Close() })
 	light := chain.NewLightStore(0)
-	sub, err := cli.Subscribe(q, SubscribeConfig{Acc: e.acc, Light: light})
+	sub, err := cli.SubscribeCtx(context.Background(), q, SubscribeConfig{Acc: e.acc, Light: light})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +427,7 @@ func TestStreamOverrunUnsubscribes(t *testing.T) {
 	}
 	t.Cleanup(func() { cli.Close() })
 	light := chain.NewLightStore(0)
-	sub, err := cli.Subscribe(sedanQuery(), SubscribeConfig{Acc: env.acc, Light: light})
+	sub, err := cli.SubscribeCtx(context.Background(), sedanQuery(), SubscribeConfig{Acc: env.acc, Light: light})
 	if err != nil {
 		t.Fatal(err)
 	}

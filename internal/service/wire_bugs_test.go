@@ -10,14 +10,14 @@ import (
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
-	"github.com/vchain-go/vchain/internal/pairingtest"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 )
 
 // buildLongNode mines a chain long enough that its full header list
 // cannot fit one small frame.
 func buildLongNode(t *testing.T, blocks int) *core.FullNode {
 	t.Helper()
-	acc := accumulator.KeyGenCon2Deterministic(pairingtest.Params(), 512, accumulator.HashEncoder{Q: 512}, []byte("svc-long"))
+	acc := accumulator.KeyGenCon2Deterministic(pairing.Toy(), 512, accumulator.HashEncoder{Q: 512}, []byte("svc-long"))
 	b := &core.Builder{Acc: acc, Mode: core.ModeIntra, Width: 4}
 	node := core.NewFullNode(0, b)
 	for i := 0; i < blocks; i++ {

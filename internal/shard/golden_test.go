@@ -13,7 +13,7 @@ import (
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
-	"github.com/vchain-go/vchain/internal/pairingtest"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 	"github.com/vchain-go/vchain/internal/shard"
 	"github.com/vchain-go/vchain/internal/workload"
 )
@@ -38,7 +38,7 @@ func TestGoldenVectors(t *testing.T) {
 	for i := range queries {
 		queries[i].StartBlock, queries[i].EndBlock = windows[i][0], windows[i][1]
 	}
-	pr := pairingtest.Params()
+	pr := pairing.Toy()
 	// acc2 encodes through a dictionary: ids are assigned on first sight,
 	// which is deterministic here because the monolithic node mines and
 	// answers every query before any sharded node runs concurrently.

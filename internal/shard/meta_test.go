@@ -8,11 +8,11 @@ import (
 
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/core"
-	"github.com/vchain-go/vchain/internal/pairingtest"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 )
 
 func metaTestBuilder() *core.Builder {
-	acc := accumulator.KeyGenCon2Deterministic(pairingtest.Params(), 64, accumulator.HashEncoder{Q: 64}, []byte("meta"))
+	acc := accumulator.KeyGenCon2Deterministic(pairing.Toy(), 64, accumulator.HashEncoder{Q: 64}, []byte("meta"))
 	return &core.Builder{Acc: acc, Mode: core.ModeIntra, Width: 4}
 }
 

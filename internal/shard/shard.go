@@ -330,7 +330,7 @@ func checkUnrecorded(dir string, shards int) error {
 	first := filepath.Join(dir, shardDir(0))
 	if flat, _ := filepath.Glob(filepath.Join(dir, "*.vseg")); len(flat) > 0 {
 		return fmt.Errorf("shard: %s holds a flat block log, which is now the one-shard layout's %s; "+
-			"move it: mkdir %s && mv %s %s (with the COLD manifest, if any)",
+			"move it: mkdir %s && mv %s %s",
 			dir, shardDir(0), first, filepath.Join(dir, "*.vseg"), first)
 	}
 	if _, err := os.Stat(first); err == nil && shards != 1 {

@@ -14,7 +14,7 @@ import (
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
-	"github.com/vchain-go/vchain/internal/pairingtest"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 	"github.com/vchain-go/vchain/internal/shard"
 )
 
@@ -22,7 +22,7 @@ const testWidth = 4
 
 func testAcc(t testing.TB) accumulator.Accumulator {
 	t.Helper()
-	pr := pairingtest.Params()
+	pr := pairing.Toy()
 	return accumulator.KeyGenCon2Deterministic(pr, 512, accumulator.HashEncoder{Q: 512}, []byte("shard"))
 }
 

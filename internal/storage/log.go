@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Log is the durable backend: an append-only log of records split
@@ -37,8 +36,6 @@ type Log struct {
 	segs   []*segment
 	recs   []recordRef
 	report Report
-	cold   ColdStats
-	reads  atomic.Int64
 	closed bool
 }
 
@@ -60,14 +57,6 @@ type Options struct {
 	// nothing. Tests and chaos drills (internal/fault) use them to
 	// exercise the recovery paths deterministically.
 	Hooks *Hooks
-	// Cold, when non-nil, offloads each segment to this tier as it
-	// seals (fills and rolls over): the local file is removed and the
-	// segment's framing metadata is recorded in a manifest so reopen
-	// indexes it without a fetch. Reading a cold record fetches the
-	// segment back, verifies every record CRC against the manifest,
-	// and re-materializes it locally. A log whose manifest lists cold
-	// segments refuses to open without a tier configured.
-	Cold ColdTier
 }
 
 // Hooks intercept the log's file I/O for fault injection. Each hook is
@@ -118,20 +107,17 @@ const recHeaderLen = 8 // 4-byte length + 4-byte CRC
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// segment is one on-disk segment file, kept open read-write — or, when
-// cold, an offloaded segment known only by its manifest entry (f is
-// nil until a read promotes it back).
+// segment is one on-disk segment file, kept open read-write.
 type segment struct {
 	id   int
 	path string
 	f    *os.File
 	size int64
-	cold bool
 }
 
 // recordRef locates record i: the segment (index into Log.segs), the
 // payload offset, the payload length, and the payload's CRC32-C —
-// kept in RAM so every read (hot or cold) is verified against the
+// kept in RAM so every read is verified against the
 // checksum computed when the record was written.
 type recordRef struct {
 	seg int
@@ -168,119 +154,42 @@ func Open(dir string, opts Options) (*Log, error) {
 		dirF.Close()
 		return nil, err
 	}
-	man, err := readManifest(dir)
-	if err != nil {
-		dirF.Close()
-		return nil, err
-	}
-	if len(man.Segments) > 0 && opts.Cold == nil {
-		dirF.Close()
-		return nil, fmt.Errorf("storage: log %s has %d cold segments but no cold tier configured", dir, len(man.Segments))
-	}
-	coldByName := make(map[string]coldSeg, len(man.Segments))
-	for _, cs := range man.Segments {
-		coldByName[cs.Name] = cs
-	}
-	local := make(map[string]bool, len(names))
-	for _, name := range names {
-		local[name] = true
-	}
-
-	// Every segment id from 0 must be accounted for, locally or in the
-	// manifest; a local file beyond a hole means the directory is not
-	// ours to repair.
-	total := 0
-	for {
-		name := segName(total)
-		if !local[name] {
-			if _, ok := coldByName[name]; !ok {
-				break
-			}
-		}
-		total++
-	}
-	for _, name := range names {
-		var id int
-		fmt.Sscanf(name, "%08d.vseg", &id)
-		if id >= total {
-			dirF.Close()
-			return nil, fmt.Errorf("storage: unexpected segment %q (want %s)", name, segName(total))
-		}
-	}
-	manifestDirty := false
-	for id := 0; id < total; id++ {
-		name := segName(id)
-		if local[name] {
-			// A segment both local and in the manifest is a crash
-			// between the manifest write and the local removal of a
-			// seal: the local copy wins.
-			if _, dup := coldByName[name]; dup {
-				delete(coldByName, name)
-				manifestDirty = true
-			}
-			ok, err := l.scanSegment(name)
-			if err != nil {
-				l.Close()
-				return nil, err
-			}
-			if !ok {
-				// Recovery point: everything after the invalid record is
-				// unreachable (chain records are sequential), so later
-				// segments are dropped too — local files removed,
-				// manifest entries forgotten.
-				for later := id + 1; later < total; later++ {
-					ln := segName(later)
-					if cs, ok := coldByName[ln]; ok {
-						delete(coldByName, ln)
-						l.report.DroppedBytes += cs.Size
-						l.report.DroppedSegments++
-						manifestDirty = true
-						continue
-					}
-					p := filepath.Join(dir, ln)
-					if st, err := os.Stat(p); err == nil {
-						l.report.DroppedBytes += st.Size()
-					}
-					if err := os.Remove(p); err != nil {
-						l.Close()
-						return nil, fmt.Errorf("storage: dropping segment after corruption: %w", err)
-					}
-					l.report.DroppedSegments++
-				}
-				if err := l.syncDir(); err != nil {
-					l.Close()
-					return nil, err
-				}
-				break
-			}
-			continue
-		}
-		cs := coldByName[name]
-		delete(coldByName, name)
-		seg := &segment{id: len(l.segs), path: filepath.Join(dir, name), size: cs.Size, cold: true}
-		for _, r := range cs.Recs {
-			l.recs = append(l.recs, recordRef{seg: seg.id, off: r.Off, n: r.N, sum: r.Sum})
-		}
-		l.segs = append(l.segs, seg)
-	}
-	if len(coldByName) > 0 {
-		// Manifest entries past the contiguous run (or orphaned by
-		// recovery above) are dropped.
-		manifestDirty = true
-	}
-	if manifestDirty {
-		if err := l.writeManifestLocked(); err != nil {
+	for id, name := range names {
+		ok, err := l.scanSegment(name)
+		if err != nil {
 			l.Close()
 			return nil, err
 		}
+		if ok {
+			continue
+		}
+		// Recovery point: everything after the invalid record is
+		// unreachable (chain records are sequential), so later segments
+		// are dropped too.
+		for _, later := range names[id+1:] {
+			p := filepath.Join(dir, later)
+			if st, err := os.Stat(p); err == nil {
+				l.report.DroppedBytes += st.Size()
+			}
+			if err := os.Remove(p); err != nil {
+				l.Close()
+				return nil, fmt.Errorf("storage: dropping segment after corruption: %w", err)
+			}
+			l.report.DroppedSegments++
+		}
+		if err := l.syncDir(); err != nil {
+			l.Close()
+			return nil, err
+		}
+		break
 	}
 	l.report.Records = len(l.recs)
 	return l, nil
 }
 
-// listSegments returns the local segment file names in id order,
-// rejecting foreign files. Contiguity is checked against the cold
-// manifest by the caller: an id missing locally may be offloaded.
+// listSegments returns the segment file names in id order, rejecting
+// foreign files and gapped numbering: ids must run 0..n-1, and a
+// segment beyond a hole means the directory is not ours to repair.
 func listSegments(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -298,6 +207,11 @@ func listSegments(dir string) ([]string, error) {
 		names = append(names, e.Name())
 	}
 	sort.Strings(names)
+	for id, name := range names {
+		if name != segName(id) {
+			return nil, fmt.Errorf("storage: unexpected segment %q (want %s)", name, segName(id))
+		}
+	}
 	return names, nil
 }
 
@@ -454,16 +368,10 @@ func (l *Log) Append(data []byte) error {
 	}
 	recLen := int64(recHeaderLen + len(data))
 	seg := l.activeSegment()
-	if seg == nil || seg.cold || (seg.size+recLen > l.opts.SegmentBytes && seg.size > int64(len(logMagic))) {
-		prev := seg
+	if seg == nil || (seg.size+recLen > l.opts.SegmentBytes && seg.size > int64(len(logMagic))) {
 		var err error
 		if seg, err = l.newSegment(); err != nil {
 			return err
-		}
-		// The rolled-away segment is now immutable: offload it if a
-		// cold tier is configured.
-		if prev != nil {
-			l.sealLocked(prev)
 		}
 	}
 	sum := crc32.Checksum(data, crcTable)
@@ -539,46 +447,24 @@ func (l *Log) newSegment() (*segment, error) {
 // Read implements Backend. Every read verifies the payload against the
 // CRC32-C recorded at write time, so bit-rot surfaces as a typed
 // ErrCorruptRecord at page-in instead of a garbled decode downstream.
-// A record in a cold segment first promotes the whole segment back
-// from the tier (verified against the manifest) and then reads it
-// locally.
 func (l *Log) Read(i int) ([]byte, error) {
-	for {
-		l.mu.RLock()
-		if l.closed {
-			l.mu.RUnlock()
-			return nil, errors.New("storage: log closed")
-		}
-		if i < 0 || i >= len(l.recs) {
-			n := len(l.recs)
-			l.mu.RUnlock()
-			return nil, fmt.Errorf("%w: %d of %d", ErrOutOfRange, i, n)
-		}
-		ref := l.recs[i]
-		seg := l.segs[ref.seg]
-		if seg.cold {
-			id := ref.seg
-			l.mu.RUnlock()
-			l.mu.Lock()
-			err := l.promoteLocked(id)
-			l.mu.Unlock()
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		out := make([]byte, ref.n)
-		_, err := seg.f.ReadAt(out, ref.off)
-		l.mu.RUnlock()
-		if err != nil {
-			return nil, fmt.Errorf("storage: reading record %d: %w", i, err)
-		}
-		if crc32.Checksum(out, crcTable) != ref.sum {
-			return nil, fmt.Errorf("%w: record %d fails its CRC32-C", ErrCorruptRecord, i)
-		}
-		l.reads.Add(1)
-		return out, nil
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if l.closed {
+		return nil, errors.New("storage: log closed")
 	}
+	if i < 0 || i >= len(l.recs) {
+		return nil, fmt.Errorf("%w: %d of %d", ErrOutOfRange, i, len(l.recs))
+	}
+	ref := l.recs[i]
+	out := make([]byte, ref.n)
+	if _, err := l.segs[ref.seg].f.ReadAt(out, ref.off); err != nil {
+		return nil, fmt.Errorf("storage: reading record %d: %w", i, err)
+	}
+	if crc32.Checksum(out, crcTable) != ref.sum {
+		return nil, fmt.Errorf("%w: record %d fails its CRC32-C", ErrCorruptRecord, i)
+	}
+	return out, nil
 }
 
 // Truncate implements Backend: it discards records n.., removing
@@ -598,17 +484,10 @@ func (l *Log) Truncate(n int) error {
 	boundary := l.recs[n]
 	keepSegs := boundary.seg
 	cut := boundary.off - recHeaderLen
-	coldDropped := false
 	if cut > int64(len(logMagic)) {
-		// The boundary segment keeps its earlier records; if it was
-		// offloaded it must come back local first.
+		// The boundary segment keeps its earlier records.
 		keepSegs++
 		seg := l.segs[boundary.seg]
-		if seg.cold {
-			if err := l.promoteLocked(boundary.seg); err != nil {
-				return err
-			}
-		}
 		if err := seg.f.Truncate(cut); err != nil {
 			return fmt.Errorf("storage: truncating segment: %w", err)
 		}
@@ -618,13 +497,6 @@ func (l *Log) Truncate(n int) error {
 		seg.size = cut
 	}
 	for _, seg := range l.segs[keepSegs:] {
-		if seg.cold {
-			// Offloaded segment: no local file; its manifest entry is
-			// dropped below (the tier's blob is left orphaned — a
-			// re-seal of the same id overwrites it).
-			coldDropped = true
-			continue
-		}
 		seg.f.Close()
 		if err := os.Remove(seg.path); err != nil {
 			return fmt.Errorf("storage: removing truncated segment: %w", err)
@@ -632,11 +504,6 @@ func (l *Log) Truncate(n int) error {
 	}
 	l.segs = l.segs[:keepSegs]
 	l.recs = l.recs[:n]
-	if coldDropped {
-		if err := l.writeManifestLocked(); err != nil {
-			return err
-		}
-	}
 	return l.syncDir()
 }
 
@@ -650,9 +517,6 @@ func (l *Log) Close() error {
 	l.closed = true
 	var first error
 	for _, seg := range l.segs {
-		if seg.f == nil {
-			continue
-		}
 		if err := seg.f.Close(); err != nil && first == nil {
 			first = err
 		}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -193,6 +194,47 @@ func TestLogRecoversFromPartialFinalSegment(t *testing.T) {
 	checkRecords(t, re2, recs[:1])
 	if rep := re2.Report(); rep.DroppedSegments != 3 {
 		t.Fatalf("report %+v, want 3 dropped segments", rep)
+	}
+}
+
+// TestReadVerifiesCRC is the flipped-byte regression: a record whose
+// payload rots on disk after commit must fail Read with the typed
+// ErrCorruptRecord, not come back silently garbled.
+func TestReadVerifiesCRC(t *testing.T) {
+	dir := t.TempDir()
+	l := openTestLog(t, dir, Options{})
+	recs := fillLog(t, l, 3)
+	checkRecords(t, l, recs)
+
+	// Flip one payload byte of the middle record directly in the file.
+	l.mu.RLock()
+	ref := l.recs[1]
+	path := l.segs[ref.seg].path
+	off := ref.off
+	l.mu.RUnlock()
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off+3); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b[:], off+3); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	if _, err := l.Read(1); !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("Read of rotted record = %v, want ErrCorruptRecord", err)
+	}
+	// Neighbors are untouched.
+	if got, err := l.Read(0); err != nil || !bytes.Equal(got, recs[0]) {
+		t.Fatalf("Read(0) after rot: %v", err)
+	}
+	if got, err := l.Read(2); err != nil || !bytes.Equal(got, recs[2]) {
+		t.Fatalf("Read(2) after rot: %v", err)
 	}
 }
 

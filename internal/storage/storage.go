@@ -27,9 +27,8 @@ import (
 var ErrOutOfRange = errors.New("storage: record index out of range")
 
 // ErrCorruptRecord is returned by Read when a record's payload fails
-// its CRC32-C, and by cold-segment promotion when a fetched segment
-// does not match what was sealed. It means bit-rot or tampering, not
-// a transient IO failure: retrying the same read cannot succeed.
+// its CRC32-C. It means bit-rot or tampering, not a transient IO
+// failure: retrying the same read cannot succeed.
 var ErrCorruptRecord = errors.New("storage: corrupt record")
 
 // Backend is an ordered, append-only store of opaque records. Record i

@@ -7,19 +7,19 @@ import (
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
-	"github.com/vchain-go/vchain/internal/pairingtest"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 )
 
 const testWidth = 4
 
 func acc2(t testing.TB) accumulator.Accumulator {
 	t.Helper()
-	return accumulator.KeyGenCon2Deterministic(pairingtest.Params(), 512, accumulator.HashEncoder{Q: 512}, []byte("sub"))
+	return accumulator.KeyGenCon2Deterministic(pairing.Toy(), 512, accumulator.HashEncoder{Q: 512}, []byte("sub"))
 }
 
 func acc1(t testing.TB) accumulator.Accumulator {
 	t.Helper()
-	return accumulator.KeyGenCon1Deterministic(pairingtest.Params(), 256, []byte("sub"))
+	return accumulator.KeyGenCon1Deterministic(pairing.Toy(), 256, []byte("sub"))
 }
 
 // rentalBlocks feeds car-rental objects: block i contains a matching
@@ -391,7 +391,7 @@ func TestPublicationTamperingCaught(t *testing.T) {
 func ExampleEngine() {
 	// Compact walkthrough: a subscription receives a verifiable
 	// publication for a block containing a match.
-	pr := pairingtest.Params()
+	pr := pairing.Toy()
 	acc := accumulator.KeyGenCon2Deterministic(pr, 512, accumulator.HashEncoder{Q: 512}, []byte("ex"))
 	builder := &core.Builder{Acc: acc, Mode: core.ModeIntra, Width: 4}
 	node := core.NewFullNode(0, builder)

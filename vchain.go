@@ -158,8 +158,8 @@ const (
 // all roles of a deployment.
 type Config struct {
 	// Preset names the pairing parameters: "toy" (fast, insecure —
-	// tests only), "default" (≈80-bit classic setting), or
-	// "conservative". Empty means "default".
+	// tests only) or "default" (≈80-bit classic setting). Empty means
+	// "default".
 	Preset string
 	// Accumulator picks the construction: "acc1" (q-SDH, §5.2.1) or
 	// "acc2" (q-DHE with aggregation, §5.2.2). Empty means "acc2".
@@ -258,15 +258,11 @@ type System struct {
 // generation.
 func NewSystem(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
-	var pr *pairing.Params
-	switch cfg.Preset {
-	case "toy", "default", "conservative":
-		pr = pairing.ByName(cfg.Preset)
-	default:
-		return nil, fmt.Errorf("vchain: unknown preset %q", cfg.Preset)
+	pr, err := pairing.Lookup(cfg.Preset)
+	if err != nil {
+		return nil, fmt.Errorf("vchain: %w", err)
 	}
 	var acc accumulator.Accumulator
-	var err error
 	switch cfg.Accumulator {
 	case "acc1":
 		if len(cfg.Seed) > 0 {

@@ -272,8 +272,12 @@ func TestFacadeParallelSP(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewSystem(Config{Preset: "nope"}); err == nil {
-		t.Error("bad preset accepted")
+	// "conservative" was a preset once; it must now fail like any
+	// unknown name rather than reach key generation.
+	for _, preset := range []string{"nope", "conservative"} {
+		if _, err := NewSystem(Config{Preset: preset, Seed: []byte("x"), Capacity: 64}); err == nil {
+			t.Errorf("preset %q accepted", preset)
+		}
 	}
 	if _, err := NewSystem(Config{Preset: "toy", Accumulator: "acc3"}); err == nil {
 		t.Error("bad accumulator accepted")
