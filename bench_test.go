@@ -27,6 +27,7 @@ import (
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/crypto/pairing"
 	"github.com/vchain-go/vchain/internal/mhtree"
+	"github.com/vchain-go/vchain/internal/proofs"
 	"github.com/vchain-go/vchain/internal/subscribe"
 	"github.com/vchain-go/vchain/internal/workload"
 )
@@ -412,14 +413,14 @@ func BenchmarkClusteringAblation(b *testing.B) {
 }
 
 // BenchmarkSPParallelism measures the proof-worker pool (the paper's SP
-// runs 24 threads; this host has one core, so the interesting output is
-// that correctness holds and overhead is bounded).
+// runs 24 threads). Each engine runs uncached, so every iteration proves.
 func BenchmarkSPParallelism(b *testing.B) {
 	f := fixture(b, workload.FSQ, "acc2", core.ModeIntra, 0)
 	q := benchQuery(f, 7)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sp := f.node.SPWith(false, workers)
+			eng := proofs.New(f.acc, proofs.Options{Workers: workers, CacheSize: -1})
+			sp := &core.SP{Acc: f.acc, View: f.node, Engine: eng}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sp.TimeWindowQuery(q); err != nil {

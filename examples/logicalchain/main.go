@@ -20,6 +20,7 @@ import (
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/crypto/pairing"
+	"github.com/vchain-go/vchain/internal/proofs"
 )
 
 // logicalHeader mirrors the contract's BlockHeader struct.
@@ -124,7 +125,7 @@ func main() {
 	// The logical chain supports the same verifiable queries: search
 	// “blockchain” ∧ (“query” ∨ “search”) as in the paper's patent
 	// example (§1), over the logical blocks.
-	sp := &core.SP{Acc: acc, View: contract}
+	sp := &core.SP{Acc: acc, View: contract, Engine: proofs.New(acc, proofs.Options{})}
 	cnf := core.CNF{core.KeywordClause("blockchain"), core.KeywordClause("query", "search")}
 	matches := 0
 	for i := range contract.byHeight {

@@ -16,8 +16,8 @@ func TestEngineVOEquivalence(t *testing.T) {
 			q := sedanBenzQuery(0, 5)
 			ver := &Verifier{Acc: acc, Light: light}
 
-			// Reference: no shared engine (per-query uncached fallback).
-			ref, err := (&SP{Acc: acc, View: node}).TimeWindowQuery(q)
+			// Reference: a fresh uncached engine.
+			ref, err := (&SP{Acc: acc, View: node, Engine: proofs.New(acc, proofs.Options{CacheSize: -1})}).TimeWindowQuery(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestBatchedEngineEquivalence(t *testing.T) {
 	ver := &Verifier{Acc: acc, Light: light}
 
 	eng := proofs.New(acc, proofs.Options{Workers: 3})
-	sp := &SP{Acc: acc, View: node, Batch: true, Parallelism: 3, Engine: eng}
+	sp := &SP{Acc: acc, View: node, Batch: true, Engine: eng}
 	var sizes []int
 	for i := 0; i < 2; i++ {
 		vo, err := sp.TimeWindowQuery(q)

@@ -447,11 +447,6 @@ func (n *FullNode) SP(batch bool) *SP {
 	return &SP{Acc: n.Builder.Acc, View: n, Batch: batch, Engine: n.ProofEngine()}
 }
 
-// SPWith returns a query engine with an explicit proof-worker count.
-func (n *FullNode) SPWith(batch bool, parallelism int) *SP {
-	return &SP{Acc: n.Builder.Acc, View: n, Batch: batch, Parallelism: parallelism, Engine: n.ProofEngine()}
-}
-
 // Acc exposes the node's accumulator (public part) for verifiers.
 func (n *FullNode) Acc() accumulator.Accumulator { return n.Builder.Acc }
 
@@ -473,8 +468,7 @@ func (n *FullNode) ProofStats() proofs.Stats { return n.ProofEngine().Stats() }
 // unsharded node returns one part spanning the whole window. The
 // method exists so the service layer can serve monolithic and sharded
 // nodes through one interface; verifiers resolve the parts via
-// Verifier.VerifyWindowParts (identical to VerifyTimeWindow for a
-// single part). The context bounds the whole proof walk.
+// Verifier.VerifyWindowParts. The context bounds the whole proof walk.
 func (n *FullNode) TimeWindowParts(ctx context.Context, q Query, batched bool) ([]WindowPart, error) {
 	vo, err := n.SP(batched).TimeWindowQueryCtx(ctx, q)
 	if err != nil {

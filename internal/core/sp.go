@@ -22,11 +22,11 @@ var ErrADSUnavailable = errors.New("core: block ADS unavailable")
 // time-window queries with verification objects. It reads blocks and
 // their ADSs through a ChainView plus object access.
 //
-// All disjointness proofs are routed through a proofs.Engine, which
-// memoizes (multiset, clause) pairs and executes deferred proof tasks
-// on a bounded worker pool. Sharing one engine across SPs, repeated
-// queries, and the subscription engine is where cross-query proof
-// reuse (§6.3/§7) comes from.
+// All disjointness proofs are scheduled on a proofs.Run of the SP's
+// engine, which memoizes (multiset, clause) pairs and computes them on
+// its worker pool. Sharing one engine across SPs, repeated queries,
+// and the subscription engine is where cross-query proof reuse
+// (§6.3/§7) comes from.
 type SP struct {
 	// Acc is the shared accumulator construction.
 	Acc accumulator.Accumulator
@@ -36,32 +36,10 @@ type SP struct {
 	// sharing a clause are aggregated with Sum/ProofSum. Requires an
 	// aggregating accumulator (acc2); silently ignored otherwise.
 	Batch bool
-	// Parallelism sets the proof-computation worker count (the paper's
-	// SP runs 24 hyper-threads). Values ≤ 1 defer to the engine's
-	// default; an engine default of 1 computes proofs inline.
-	// Disjointness proofs dominate SP CPU, so this is where threads pay.
-	Parallelism int
-	// Engine is the shared proof engine. When nil, a private engine
-	// without a cache is created per query (legacy standalone use);
-	// FullNode.SP/SPWith always attach the node's shared engine.
+	// Engine is the proof engine (required); its worker count is the
+	// SP's proof parallelism. FullNode.SP attaches the node's shared
+	// engine.
 	Engine *proofs.Engine
-}
-
-// engine returns the configured shared engine or a private uncached
-// fallback matching the pre-engine semantics.
-func (sp *SP) engine() *proofs.Engine {
-	if sp.Engine != nil {
-		return sp.Engine
-	}
-	return proofs.New(sp.Acc, proofs.Options{Workers: sp.Parallelism, CacheSize: -1})
-}
-
-// workers resolves the effective worker count for this SP.
-func (sp *SP) workers(eng *proofs.Engine) int {
-	if sp.Parallelism > 0 {
-		return sp.Parallelism
-	}
-	return eng.Workers()
 }
 
 // canProve pre-checks that a deferred disjointness proof will succeed
@@ -96,19 +74,15 @@ func (b *aggVO) add(n *NodeVO, w multiset.Multiset, clause Clause) {
 	n.Group = idx
 }
 
-// finalize computes one aggregated proof per group and returns them in
-// insertion order. With a run, proof computation is deferred to the
-// worker pool.
-func (b *aggVO) finalize(run *proofs.Run) ([]MismatchGroup, error) {
+// finalize schedules one aggregated proof per group on run and returns
+// the groups in insertion order; their proofs land during Run.Wait.
+func (b *aggVO) finalize(run *proofs.Run) []MismatchGroup {
 	out := make([]MismatchGroup, len(b.clauses))
 	for i, cl := range b.clauses {
 		out[i] = MismatchGroup{Clause: cl}
 	}
-	err := b.agg.Finalize(run, func(i int, pf accumulator.Proof) { out[i].Proof = pf })
-	if err != nil {
-		return nil, fmt.Errorf("core: batched proof: %w", err)
-	}
-	return out, nil
+	b.agg.Finalize(run, func(i int, pf accumulator.Proof) { out[i].Proof = pf })
+	return out
 }
 
 // TimeWindowQuery processes q over [q.StartBlock, q.EndBlock] and
@@ -132,17 +106,12 @@ func (sp *SP) TimeWindowQueryCtx(ctx context.Context, q Query) (*VO, error) {
 	if q.StartBlock < 0 || q.EndBlock < q.StartBlock {
 		return nil, fmt.Errorf("core: invalid block window [%d, %d]", q.StartBlock, q.EndBlock)
 	}
-	eng := sp.engine()
 	vo := &VO{}
 	var batch *aggVO
 	if sp.Batch && sp.Acc.SupportsAgg() {
-		batch = newAggVO(eng)
+		batch = newAggVO(sp.Engine)
 	}
-	workers := sp.workers(eng)
-	var run *proofs.Run
-	if workers > 1 {
-		run = eng.NewRun()
-	}
+	run := sp.Engine.NewRun()
 
 	h := q.EndBlock
 	for h >= q.StartBlock {
@@ -159,37 +128,28 @@ func (sp *SP) TimeWindowQueryCtx(ctx context.Context, q Query) (*VO, error) {
 		// Try the largest usable skip first (Alg. 4): it must stay
 		// inside the window and its aggregated multiset must mismatch
 		// some clause.
-		if skip := sp.trySkip(ads, cnf, q.StartBlock, eng, run); skip != nil {
+		if skip := sp.trySkip(ads, cnf, q.StartBlock, run); skip != nil {
 			vo.Blocks = append(vo.Blocks, BlockVO{Height: h, Skip: skip})
 			h -= skip.Distance
 			continue
 		}
-		tree, err := sp.blockTreeVO(ads, cnf, batch, eng, run)
-		if err != nil {
-			return nil, err
-		}
-		vo.Blocks = append(vo.Blocks, BlockVO{Height: h, Tree: tree})
+		vo.Blocks = append(vo.Blocks, BlockVO{Height: h, Tree: sp.blockTreeVO(ads, cnf, batch, run)})
 		h--
 	}
 
 	if batch != nil {
-		groups, err := batch.finalize(run)
-		if err != nil {
-			return nil, err
-		}
-		vo.Groups = groups
+		vo.Groups = batch.finalize(run)
 	}
-	if run != nil {
-		if err := run.WaitCtx(ctx, workers); err != nil {
-			return nil, fmt.Errorf("core: parallel proof: %w", err)
-		}
+	if err := run.WaitCtx(ctx); err != nil {
+		return nil, fmt.Errorf("core: disjointness proof: %w", err)
 	}
 	return vo, nil
 }
 
 // trySkip returns the largest skip at ads.Height that stays within the
-// window and is provably disjoint from some clause, or nil.
-func (sp *SP) trySkip(ads *BlockADS, cnf CNF, startBlock int, eng *proofs.Engine, run *proofs.Run) *SkipVO {
+// window and mismatches some clause, or nil. The skip's proof is
+// scheduled on run.
+func (sp *SP) trySkip(ads *BlockADS, cnf CNF, startBlock int, run *proofs.Run) *SkipVO {
 	for i := len(ads.Skips) - 1; i >= 0; i-- {
 		entry := &ads.Skips[i]
 		if ads.Height-entry.Distance+1 < startBlock {
@@ -210,15 +170,7 @@ func (sp *SP) trySkip(ads *BlockADS, cnf CNF, startBlock int, eng *proofs.Engine
 			Digest:   entry.Digest,
 			PrevHash: entry.PrevHash,
 		}
-		if run != nil {
-			run.Add(entry.W, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) { out.Proof = pf })
-		} else {
-			pf, err := eng.Prove(entry.W, clause.Key(), clause.Multiset())
-			if err != nil {
-				continue // e.g. hash collision: try a smaller skip
-			}
-			out.Proof = pf
-		}
+		run.Add(entry.W, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) { out.Proof = pf })
 		siblings := make(map[int]chain.Digest, len(ads.Skips)-1)
 		for j := range ads.Skips {
 			if j == i {
@@ -234,23 +186,12 @@ func (sp *SP) trySkip(ads *BlockADS, cnf CNF, startBlock int, eng *proofs.Engine
 
 // BlockTreeVO runs the single-block traversal (Alg. 3) and returns its
 // tree VO. The subscription engine publishes these for matching blocks;
-// with a parallel engine the tree's mismatch proofs are computed on the
-// worker pool.
+// the tree's mismatch proofs are computed on the engine's worker pool.
 func (sp *SP) BlockTreeVO(ads *BlockADS, cnf CNF) (*NodeVO, error) {
-	eng := sp.engine()
-	workers := sp.workers(eng)
-	var run *proofs.Run
-	if workers > 1 {
-		run = eng.NewRun()
-	}
-	node, err := sp.blockTreeVO(ads, cnf, nil, eng, run)
-	if err != nil {
-		return nil, err
-	}
-	if run != nil {
-		if err := run.Wait(workers); err != nil {
-			return nil, fmt.Errorf("core: parallel proof: %w", err)
-		}
+	run := sp.Engine.NewRun()
+	node := sp.blockTreeVO(ads, cnf, nil, run)
+	if err := run.Wait(); err != nil {
+		return nil, fmt.Errorf("core: disjointness proof: %w", err)
 	}
 	return node, nil
 }
@@ -284,10 +225,11 @@ func RootMismatchVO(ads *BlockADS, clause Clause, pf accumulator.Proof) *NodeVO 
 
 // blockTreeVO runs Alg. 3 over one block's intra index (which in
 // ModeNil is the plain tree whose internal nodes carry no digests, so
-// traversal always reaches the leaves).
-func (sp *SP) blockTreeVO(ads *BlockADS, cnf CNF, batch *aggVO, eng *proofs.Engine, run *proofs.Run) (*NodeVO, error) {
-	var build func(n *IntraNode) (*NodeVO, error)
-	build = func(n *IntraNode) (*NodeVO, error) {
+// traversal always reaches the leaves). Mismatch proofs join their
+// batch group or, unbatched, are scheduled on run.
+func (sp *SP) blockTreeVO(ads *BlockADS, cnf CNF, batch *aggVO, run *proofs.Run) *NodeVO {
+	var build func(n *IntraNode) *NodeVO
+	build = func(n *IntraNode) *NodeVO {
 		// Prunable node: carries a digest and mismatches some clause.
 		if n.HasDigest {
 			if clause, bad := cnf.FindMismatch(n.W); bad {
@@ -303,19 +245,12 @@ func (sp *SP) blockTreeVO(ads *BlockADS, cnf CNF, batch *aggVO, eng *proofs.Engi
 				} else {
 					out.PreHash = internalPreHash(n.Left.Hash, n.Right.Hash)
 				}
-				switch {
-				case batch != nil:
+				if batch != nil {
 					batch.add(out, n.W, clause)
-				case run != nil:
+				} else {
 					run.Add(n.W, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) { out.Proof = &pf })
-				default:
-					pf, err := eng.Prove(n.W, clause.Key(), clause.Multiset())
-					if err != nil {
-						return nil, fmt.Errorf("core: mismatch proof: %w", err)
-					}
-					out.Proof = &pf
 				}
-				return out, nil
+				return out
 			}
 		}
 		if n.IsLeaf() {
@@ -327,16 +262,11 @@ func (sp *SP) blockTreeVO(ads *BlockADS, cnf CNF, batch *aggVO, eng *proofs.Engi
 				Digest:    n.Digest,
 				HasDigest: n.HasDigest,
 				Group:     -1,
-			}, nil
+			}
 		}
-		l, err := build(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := build(n.Right)
-		if err != nil {
-			return nil, err
-		}
+		// Left before right: batch group indexes follow traversal order.
+		l := build(n.Left)
+		r := build(n.Right)
 		return &NodeVO{
 			Kind:      KindExpand,
 			Digest:    n.Digest,
@@ -344,7 +274,7 @@ func (sp *SP) blockTreeVO(ads *BlockADS, cnf CNF, batch *aggVO, eng *proofs.Engi
 			Left:      l,
 			Right:     r,
 			Group:     -1,
-		}, nil
+		}
 	}
 	return build(ads.Root)
 }

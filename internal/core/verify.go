@@ -47,8 +47,8 @@ type Verifier struct {
 	// check runs its own VerifyDisjoint, in collection order. This is
 	// the paper's baseline client and the differential-testing anchor.
 	Sequential bool
-	// Workers bounds the batched flush's parallelism. 0 means
-	// GOMAXPROCS; 1 keeps the flush on the calling goroutine.
+	// Workers bounds the batched flush's parallelism: chunks are
+	// verified on at most that many goroutines. 0 means GOMAXPROCS.
 	Workers int
 }
 
@@ -126,9 +126,7 @@ func (v *Verifier) flush(cc *checkCollector) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > chunks {
-		workers = chunks
-	}
+	workers = min(workers, chunks)
 
 	// firstBad is the lowest collection index of a failing check, or
 	// len(checks) when all chunks verified.
@@ -152,20 +150,6 @@ func (v *Verifier) flush(cc *checkCollector) error {
 			}
 		}
 		return hi - 1
-	}
-
-	if workers <= 1 {
-		for c := 0; c < chunks; c++ {
-			lo := c * flushBatchSize
-			hi := lo + flushBatchSize
-			if hi > len(checks) {
-				hi = len(checks)
-			}
-			if bad := locate(lo, hi); bad >= 0 {
-				return checks[bad].err
-			}
-		}
-		return nil
 	}
 
 	var (
@@ -229,26 +213,10 @@ func (v *Verifier) VerifySpan(q Query, from, to int, vo *VO) ([]chain.Object, er
 // VerifyTimeWindow checks a VO against q and the light headers,
 // returning the verified result set. Any mismatch between the VO and
 // the committed chain state yields an error; a nil error certifies both
-// soundness and completeness of the returned objects.
+// soundness and completeness of the returned objects. It is
+// VerifyWindowParts with one part spanning the whole window.
 func (v *Verifier) VerifyTimeWindow(q Query, vo *VO) ([]chain.Object, error) {
-	cnf, err := q.CNF()
-	if err != nil {
-		return nil, err
-	}
-	if q.EndBlock >= v.Light.Height() {
-		return nil, fmt.Errorf("%w: window end %d beyond synced headers (%d)",
-			ErrCompleteness, q.EndBlock, v.Light.Height())
-	}
-	cc := newCheckCollector(v.Acc)
-	results, err := v.collectWindow(q, cnf, vo, cc)
-	if err != nil {
-		return nil, err
-	}
-	// Phase 2: resolve every pending pairing check.
-	if err := v.flush(cc); err != nil {
-		return nil, err
-	}
-	return results, nil
+	return v.VerifyWindowParts(q, []WindowPart{{Start: q.StartBlock, End: q.EndBlock, VO: vo}})
 }
 
 // WindowPart is one shard's share of a time-window answer: a VO
@@ -271,8 +239,7 @@ type WindowPart struct {
 // All parts share one check collector, so every pending pairing check
 // across every shard's VO resolves in a single randomized
 // pairing-product flush — cross-shard verification costs one final
-// batch, not one per shard. A single part spanning the whole window is
-// exactly VerifyTimeWindow. It is VerifyDegraded with no gaps allowed:
+// batch, not one per shard. It is VerifyDegraded with no gaps allowed:
 // the strict entry point for callers that require full coverage.
 func (v *Verifier) VerifyWindowParts(q Query, parts []WindowPart) ([]chain.Object, error) {
 	res, err := v.VerifyDegraded(q, parts, nil)

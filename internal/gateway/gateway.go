@@ -188,7 +188,7 @@ func (g *Gateway) register(node service.Chain) {
 		func() float64 { return time.Since(g.start).Seconds() })
 	r.GaugeFunc("vchain_chain_height",
 		"Blocks on the served chain.",
-		func() float64 { return float64(len(node.Headers())) })
+		func() float64 { return float64(node.Height()) })
 
 	// Proof engine: scrape-time snapshot aggregated across every
 	// engine of the node (all shards on a sharded SP).
@@ -294,7 +294,7 @@ func (g *Gateway) mountScrape(mux *http.ServeMux) {
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"status":"ok","height":%d}`+"\n", len(g.node.Headers()))
+		fmt.Fprintf(w, `{"status":"ok","height":%d}`+"\n", g.node.Height())
 	})
 }
 
@@ -561,7 +561,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request, tenant str
 		errorJSON(w, http.StatusBadRequest, "bad query body: "+err.Error())
 		return
 	}
-	height := len(g.node.Headers())
+	height := g.node.Height()
 	if req.StartBlock < 0 || req.EndBlock < req.StartBlock || req.EndBlock >= height {
 		errorJSON(w, http.StatusBadRequest,
 			fmt.Sprintf("bad window [%d, %d] over chain height %d", req.StartBlock, req.EndBlock, height))
@@ -735,7 +735,7 @@ type gatewayCounts struct {
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request, tenant string) {
 	ps := g.node.ProofStats()
 	resp := statsResponse{
-		Height: len(g.node.Headers()),
+		Height: g.node.Height(),
 		Proofs: proofStats{
 			Proofs:      ps.Proofs,
 			CacheHits:   ps.CacheHits,

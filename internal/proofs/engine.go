@@ -26,7 +26,6 @@ package proofs
 import (
 	"container/list"
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -41,9 +40,8 @@ const DefaultCacheSize = 4096
 
 // Options configure an Engine.
 type Options struct {
-	// Workers is the default worker count for deferred runs (Run.Wait
-	// with workers <= 0) — the paper's SP uses 24. Values <= 1 mean
-	// proofs execute inline on the waiting goroutine.
+	// Workers is the worker-pool size of every deferred run (Run.Wait)
+	// — the paper's SP uses 24. Values <= 1 mean a pool of one.
 	Workers int
 	// CacheSize bounds the LRU proof cache: 0 means DefaultCacheSize,
 	// negative disables caching entirely.
@@ -209,9 +207,6 @@ func New(acc accumulator.Accumulator, opts Options) *Engine {
 // Acc returns the engine's accumulator.
 func (e *Engine) Acc() accumulator.Accumulator { return e.acc }
 
-// Workers returns the default worker count.
-func (e *Engine) Workers() int { return e.workers }
-
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
@@ -335,13 +330,13 @@ func (r *Run) Add(w multiset.Multiset, clauseKey string, clauseW multiset.Multis
 // Len returns the number of scheduled tasks.
 func (r *Run) Len() int { return len(r.tasks) }
 
-// Wait executes all scheduled tasks on up to `workers` goroutines
-// (workers <= 0 means the engine default) and invokes each task's
+// Wait executes all scheduled tasks on a pool of the engine's worker
+// count (never more goroutines than tasks) and invokes each task's
 // assign callback with its proof. The first error wins; remaining
 // successful assignments still happen. The run is empty afterwards
 // and may be reused.
-func (r *Run) Wait(workers int) error {
-	return r.WaitCtx(context.Background(), workers)
+func (r *Run) Wait() error {
+	return r.WaitCtx(context.Background())
 }
 
 // WaitCtx is Wait under a deadline: once the context ends, remaining
@@ -350,33 +345,13 @@ func (r *Run) Wait(workers int) error {
 // per task rather than pinning the worker budget until the backlog is
 // exhausted. Tasks already inside the pairing code run to completion
 // (and still populate the cache).
-func (r *Run) WaitCtx(ctx context.Context, workers int) error {
+func (r *Run) WaitCtx(ctx context.Context) error {
 	if len(r.tasks) == 0 {
 		return nil
 	}
 	tasks := r.tasks
 	r.tasks = nil
-	if workers <= 0 {
-		workers = r.e.workers
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		var firstErr error
-		for i := range tasks {
-			t := &tasks[i]
-			pf, err := r.e.ProveCtx(ctx, t.w, t.clauseKey, t.clauseW)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			t.assign(pf)
-		}
-		return firstErr
-	}
+	workers := min(r.e.workers, len(tasks))
 
 	type result struct {
 		idx int
@@ -455,26 +430,15 @@ func (a *Aggregator) Add(clauseKey string, w, clauseW multiset.Multiset) int {
 // Len returns the number of groups.
 func (a *Aggregator) Len() int { return len(a.order) }
 
-// Finalize computes one aggregated proof per group, in group-index
-// order. With a run, proofs are deferred to the worker pool (assign
-// fires during Run.Wait); otherwise they are computed inline and the
-// first failure aborts.
-func (a *Aggregator) Finalize(run *Run, assign func(index int, pf accumulator.Proof)) error {
+// Finalize schedules one aggregated proof per group on run, in
+// group-index order; assign fires with each group's proof during
+// Run.Wait.
+func (a *Aggregator) Finalize(run *Run, assign func(index int, pf accumulator.Proof)) {
 	a.e.mu.Lock()
 	a.e.stats.AggGroups += uint64(len(a.order))
 	a.e.mu.Unlock()
 	for _, k := range a.order {
 		g := a.groups[k]
-		if run != nil {
-			idx := g.index
-			run.Add(g.w, g.key, g.clauseW, func(pf accumulator.Proof) { assign(idx, pf) })
-			continue
-		}
-		pf, err := a.e.Prove(g.w, g.key, g.clauseW)
-		if err != nil {
-			return fmt.Errorf("proofs: aggregated proof for group %d: %w", g.index, err)
-		}
-		assign(g.index, pf)
+		run.Add(g.w, g.key, g.clauseW, func(pf accumulator.Proof) { assign(g.index, pf) })
 	}
-	return nil
 }

@@ -202,7 +202,7 @@ func TestRunAssignsAllTasks(t *testing.T) {
 		if run.Len() != n {
 			t.Fatalf("run length %d", run.Len())
 		}
-		if err := run.Wait(workers); err != nil {
+		if err := run.Wait(); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
@@ -213,7 +213,7 @@ func TestRunAssignsAllTasks(t *testing.T) {
 			t.Fatalf("workers=%d: %d computations, want 3", workers, st.Proofs)
 		}
 		// An exhausted run is reusable and a no-op.
-		if err := run.Wait(workers); err != nil {
+		if err := run.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestRunFirstErrorWins(t *testing.T) {
 		okPf = pf
 		assigned = true
 	})
-	err := run.Wait(2)
+	err := run.Wait()
 	if !errors.Is(err, accumulator.ErrNotDisjoint) {
 		t.Fatalf("want ErrNotDisjoint, got %v", err)
 	}
@@ -270,10 +270,12 @@ func TestAggregatorGroupOrdering(t *testing.T) {
 
 	proofs := make([]accumulator.Proof, 3)
 	seen := make([]bool, 3)
-	if err := a.Finalize(nil, func(i int, pf accumulator.Proof) {
+	run := e.NewRun()
+	a.Finalize(run, func(i int, pf accumulator.Proof) {
 		proofs[i] = pf
 		seen[i] = true
-	}); err != nil {
+	})
+	if err := run.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	for i, ok := range seen {
@@ -290,21 +292,6 @@ func TestAggregatorGroupOrdering(t *testing.T) {
 	if st := e.Stats(); st.AggGroups != 3 {
 		t.Fatalf("AggGroups %d, want 3", st.AggGroups)
 	}
-
-	// Deferred finalize via a run produces the same assignments.
-	a2 := e.NewAggregator()
-	for _, ad := range adds {
-		a2.Add(ad.k, ad.w, ad.cw)
-	}
-	run := e.NewRun()
-	deferred := make([]accumulator.Proof, 3)
-	if err := a2.Finalize(run, func(i int, pf accumulator.Proof) { deferred[i] = pf }); err != nil {
-		t.Fatal(err)
-	}
-	if err := run.Wait(2); err != nil {
-		t.Fatal(err)
-	}
-	verify(t, acc, multiset.New("benz"), multiset.New("audi"), deferred[1])
 }
 
 // BenchmarkProve measures the cache-hit speedup on a repeated

@@ -543,24 +543,6 @@ func (c *Client) SyncHeaders(ctx context.Context, light *chain.LightStore) error
 	}
 }
 
-// Query runs a remote time-window query and returns the (unverified)
-// VO; the caller must verify it with a core.Verifier. Against a
-// sharded SP whose answer crossed shards, the response has no single
-// VO — use QueryParts.
-func (c *Client) Query(ctx context.Context, q core.Query, batched bool) (*core.VO, error) {
-	resp, err := c.callIdem(ctx, &Request{Kind: "query", Query: q, Batched: batched})
-	if err != nil {
-		return nil, err
-	}
-	if resp.VO == nil {
-		if len(resp.Parts) > 0 {
-			return nil, errors.New("service: SP returned a sharded multi-part answer; use QueryParts")
-		}
-		return nil, errors.New("service: SP returned no VO")
-	}
-	return resp.VO, nil
-}
-
 // QueryParts runs a remote time-window query and returns the
 // (unverified) answer as window parts: one part spanning the whole
 // window from an unsharded SP, one per covering shard from a sharded
@@ -571,13 +553,7 @@ func (c *Client) QueryParts(ctx context.Context, q core.Query, batched bool) ([]
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Parts) > 0 {
-		return resp.Parts, nil
-	}
-	if resp.VO == nil {
-		return nil, errors.New("service: SP returned no VO")
-	}
-	return []core.WindowPart{{Start: q.StartBlock, End: q.EndBlock, VO: resp.VO}}, nil
+	return resp.Parts, nil
 }
 
 // QueryDegraded runs a remote time-window query in degraded-read mode:
@@ -590,18 +566,13 @@ func (c *Client) QueryDegraded(ctx context.Context, q core.Query, batched bool) 
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(resp.Parts) == 0 && resp.VO != nil {
-		// A pre-degraded server answered strictly: whole-window VO.
-		return []core.WindowPart{{Start: q.StartBlock, End: q.EndBlock, VO: resp.VO}}, resp.Gaps, nil
-	}
 	return resp.Parts, resp.Gaps, nil
 }
 
 // QueryVerified runs a remote time-window query and verifies the
 // answer locally with the supplied verifier before returning the
-// results — the one-call path a light client actually wants. It
-// accepts both answer shapes (single VO and sharded parts); either
-// way every pending pairing check resolves in one batched flush. The
+// results — the one-call path a light client actually wants. Every
+// part's pending pairing checks resolve in one batched flush. The
 // returned objects carry the full soundness/completeness guarantee;
 // any SP misbehavior surfaces as the verifier's error. The verifier
 // defaults to the batched engine; set ver.Sequential for the baseline.

@@ -66,11 +66,7 @@ func TestServerOverReopenedStore(t *testing.T) {
 	// Remote verified query over the persisted chain.
 	q := sedanQuery()
 	q.StartBlock, q.EndBlock = 0, 2
-	vo, err := cli.Query(context.Background(), q, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := (&core.Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, vo)
+	results, err := (&core.Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, queryVO(t, cli, q, false))
 	if err != nil {
 		t.Fatalf("reopened SP's VO rejected: %v", err)
 	}

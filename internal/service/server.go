@@ -390,12 +390,6 @@ func (sc *serverConn) process(req *Request) *Response {
 		if err != nil {
 			return &Response{Err: err.Error()}
 		}
-		// A whole-window single part rides the legacy VO field, so
-		// pre-shard clients keep working against any server; a genuine
-		// multi-part answer needs a parts-aware client.
-		if len(parts) == 1 && parts[0].Start == req.Query.StartBlock && parts[0].End == req.Query.EndBlock {
-			return &Response{VO: parts[0].VO}
-		}
 		return &Response{Parts: parts}
 	case "stats":
 		st := s.node.ProofStats()

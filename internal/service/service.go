@@ -40,6 +40,8 @@ type Chain interface {
 	core.ChainView
 	// Headers returns every block header.
 	Headers() []chain.Header
+	// Height returns the chain height without copying any header.
+	Height() int
 	// TimeWindowParts answers a time-window query as a descending
 	// part list tiling the window. The context carries the client's
 	// propagated deadline into the proof walk.
@@ -101,14 +103,9 @@ type Response struct {
 	Err string
 	// Headers answers a headers request.
 	Headers []chain.Header
-	// VO answers a query request served by a single VO spanning the
-	// whole window (every pre-shard SP, and a sharded SP whose window
-	// fits one shard).
-	VO *core.VO
-	// Parts answers a query request served by a sharded SP whose
-	// window crossed shards: the per-shard VOs, descending, tiling the
-	// window. Exactly one of VO and Parts is set on a successful query
-	// response.
+	// Parts answers a query request: the window's VOs, descending,
+	// tiling the window — one part from an unsharded SP, one per
+	// covering shard from a sharded one.
 	Parts []core.WindowPart
 	// Gaps lists the unproven sub-windows of a degraded answer
 	// (AllowDegraded requests only). Parts and Gaps together tile the

@@ -42,6 +42,20 @@ func startServer(t *testing.T) (*Server, string, accumulator.Accumulator) {
 	return srv, addr, acc
 }
 
+// queryVO runs a remote query and returns its answer's single part,
+// which must span the whole window.
+func queryVO(t *testing.T, cli *Client, q core.Query, batched bool) *core.VO {
+	t.Helper()
+	parts, err := cli.QueryParts(context.Background(), q, batched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != 1 || parts[0].Start != q.StartBlock || parts[0].End != q.EndBlock {
+		t.Fatalf("answer in %d part(s), want one spanning [%d,%d]", len(parts), q.StartBlock, q.EndBlock)
+	}
+	return parts[0].VO
+}
+
 func TestRemoteQueryAndVerify(t *testing.T) {
 	_, addr, acc := startServer(t)
 	cli, err := Dial(addr)
@@ -63,10 +77,7 @@ func TestRemoteQueryAndVerify(t *testing.T) {
 	}
 
 	q := core.Query{StartBlock: 0, EndBlock: 2, Bool: core.CNF{core.KeywordClause("sedan")}, Width: 4}
-	vo, err := cli.Query(context.Background(), q, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vo := queryVO(t, cli, q, false)
 	results, err := (&core.Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, vo)
 	if err != nil {
 		t.Fatalf("remote VO failed verification: %v", err)
@@ -89,10 +100,7 @@ func TestRemoteBatchedQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := core.Query{StartBlock: 0, EndBlock: 2, Bool: core.CNF{core.KeywordClause("tesla")}, Width: 4}
-	vo, err := cli.Query(context.Background(), q, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vo := queryVO(t, cli, q, true)
 	if len(vo.Groups) == 0 {
 		t.Error("batched query produced no groups")
 	}
@@ -158,7 +166,7 @@ func TestServerErrors(t *testing.T) {
 	defer cli.Close()
 	// Invalid query window.
 	q := core.Query{StartBlock: 5, EndBlock: 1, Bool: core.CNF{core.KeywordClause("x")}, Width: 4}
-	if _, err := cli.Query(context.Background(), q, false); err == nil || !strings.Contains(err.Error(), "SP error") {
+	if _, err := cli.QueryParts(context.Background(), q, false); err == nil || !strings.Contains(err.Error(), "SP error") {
 		t.Errorf("invalid window: %v", err)
 	}
 	// Unknown request kind.
@@ -224,10 +232,7 @@ func TestRemoteSkipVOOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := core.Query{StartBlock: 0, EndBlock: 7, Bool: core.CNF{core.KeywordClause("tesla")}, Width: 4}
-	vo, err := cli.Query(context.Background(), q, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vo := queryVO(t, cli, q, false)
 	hasSkip := false
 	for i := range vo.Blocks {
 		if vo.Blocks[i].Skip != nil {
@@ -274,7 +279,7 @@ func TestRemoteStats(t *testing.T) {
 
 	q := core.Query{StartBlock: 0, EndBlock: 2, Bool: core.CNF{core.KeywordClause("sedan")}, Width: 4}
 	for i := 0; i < 3; i++ {
-		if _, err := cli.Query(context.Background(), q, false); err != nil {
+		if _, err := cli.QueryParts(context.Background(), q, false); err != nil {
 			t.Fatal(err)
 		}
 	}

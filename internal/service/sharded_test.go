@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
@@ -51,8 +50,8 @@ func shardedLight(t *testing.T, cli *Client) *chain.LightStore {
 }
 
 // TestRemoteShardedQueryParts round-trips a cross-shard window over the
-// wire: the response carries multiple parts, the legacy single-VO Query
-// refuses it, and the union verifies in one batch client-side.
+// wire: the response carries multiple parts and the union verifies in
+// one batch client-side.
 func TestRemoteShardedQueryParts(t *testing.T) {
 	addr, acc := startShardedServer(t)
 	cli, err := Dial(addr)
@@ -78,15 +77,11 @@ func TestRemoteShardedQueryParts(t *testing.T) {
 		t.Fatalf("results %d, want 4", len(results))
 	}
 
-	// The legacy single-VO accessor must not silently drop parts.
-	if _, err := cli.Query(context.Background(), q, false); err == nil || !strings.Contains(err.Error(), "QueryParts") {
-		t.Fatalf("legacy Query on a multi-part answer: err = %v, want a QueryParts redirect", err)
-	}
 }
 
-// TestRemoteShardedSingleShardWindow checks wire back-compat: a window
-// inside one shard band comes back as a plain single VO, so unsharded
-// clients keep working against a sharded SP.
+// TestRemoteShardedSingleShardWindow checks that a window inside one
+// shard band comes back as one part spanning it, exactly as from an
+// unsharded SP.
 func TestRemoteShardedSingleShardWindow(t *testing.T) {
 	addr, acc := startShardedServer(t)
 	cli, err := Dial(addr)
@@ -97,11 +92,7 @@ func TestRemoteShardedSingleShardWindow(t *testing.T) {
 	light := shardedLight(t, cli)
 
 	q := core.Query{StartBlock: 2, EndBlock: 2, Bool: core.CNF{core.KeywordClause("sedan")}, Width: 4}
-	vo, err := cli.Query(context.Background(), q, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (&core.Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, vo); err != nil {
+	if _, err := (&core.Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, queryVO(t, cli, q, false)); err != nil {
 		t.Fatal(err)
 	}
 }

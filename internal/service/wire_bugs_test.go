@@ -120,7 +120,7 @@ func TestDeadlineClampedClientSide(t *testing.T) {
 	}
 	defer cli.Close()
 	q := core.Query{EndBlock: 1, Bool: core.CNF{core.KeywordClause("x")}, Width: 4}
-	cli.Query(context.Background(), q, false) // outcome irrelevant; the wire capture is the assertion
+	cli.QueryParts(context.Background(), q, false) // outcome irrelevant; the wire capture is the assertion
 
 	select {
 	case ms := <-got:
@@ -174,7 +174,7 @@ func TestServerRejectsNonPositiveDeadline(t *testing.T) {
 	if resp.Err != "" {
 		t.Fatalf("positive deadline rejected: %s", resp.Err)
 	}
-	if resp.VO == nil {
-		t.Fatal("positive-deadline query returned no VO")
+	if len(resp.Parts) == 0 {
+		t.Fatal("positive-deadline query returned no parts")
 	}
 }

@@ -32,11 +32,8 @@ type Options struct {
 	// Proofs is the shared proof engine all disjointness proofs route
 	// through; pass the deployment-wide engine so subscriptions reuse
 	// proofs cached by time-window queries (and vice versa). Left nil,
-	// the engine creates a private one with Workers workers.
+	// the engine creates a private one with default options.
 	Proofs *proofs.Engine
-	// Workers sets the private engine's worker count when Proofs is
-	// nil; ignored otherwise.
-	Workers int
 }
 
 // Effective values of the zero-valued Options fields. Exported so
@@ -119,7 +116,7 @@ func NewEngine(acc accumulator.Accumulator, opts Options) *Engine {
 	opts = opts.withDefaults()
 	eng := opts.Proofs
 	if eng == nil {
-		eng = proofs.New(acc, proofs.Options{Workers: opts.Workers})
+		eng = proofs.New(acc, proofs.Options{})
 	}
 	return &Engine{Acc: acc, Opts: opts, proofs: eng, subs: map[int]*subState{}}
 }
@@ -261,7 +258,7 @@ func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Public
 					func(pf accumulator.Proof) { d.proof = pf })
 			}
 		}
-		if err := run.Wait(0); err != nil {
+		if err := run.Wait(); err != nil {
 			return nil, fmt.Errorf("subscribe: mismatch proof: %w", err)
 		}
 	}

@@ -108,14 +108,9 @@ type (
 const (
 	// IndexNone disables both indexes (the basic scheme of §5). It is
 	// a config-only sentinel: Config maps it to the internal nil mode.
-	IndexNone IndexMode = -1
-	// IndexNil is the internal nil mode.
-	//
-	// Deprecated: as a Config.Index value it is indistinguishable from
-	// "unset" and defaults to IndexBoth; use IndexNone instead.
-	IndexNil   = core.ModeNil
-	IndexIntra = core.ModeIntra
-	IndexBoth  = core.ModeBoth
+	IndexNone  IndexMode = -1
+	IndexIntra           = core.ModeIntra
+	IndexBoth            = core.ModeBoth
 )
 
 // Or builds a disjunctive clause of keywords: Or("benz", "bmw") is
@@ -179,12 +174,11 @@ type Config struct {
 	// Difficulty is the proof-of-work difficulty in leading zero bits.
 	// Default 8.
 	Difficulty uint8
-	// SPWorkers is the SP's proof-computation worker count (the paper's
-	// SP runs 24 hyper-threads). Default 1 (inline).
+	// SPWorkers is the size of the SP's proof worker pool (the paper's
+	// SP runs 24 hyper-threads). Default 1.
 	SPWorkers int
-	// VerifyWorkers bounds the light client's batched verification
-	// flush. 0 means all cores (GOMAXPROCS); 1 keeps verification on
-	// the calling goroutine.
+	// VerifyWorkers bounds how many goroutines the light client's
+	// batched verification flush uses. 0 means all cores (GOMAXPROCS).
 	VerifyWorkers int
 	// ProofCacheSize bounds each proof engine's LRU memoization cache:
 	// repeated (multiset, clause) disjointness proofs across queries,

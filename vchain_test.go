@@ -311,7 +311,7 @@ func TestConfigIndexDefaulting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.Config().Index; got != IndexNil {
+	if got := sys.Config().Index; got != core.ModeNil {
 		t.Errorf("IndexNone got Index %v, want the nil mode", got)
 	}
 	// An explicitly chosen mode is preserved.
