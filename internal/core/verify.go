@@ -48,7 +48,8 @@ type Verifier struct {
 	// the paper's baseline client and the differential-testing anchor.
 	Sequential bool
 	// Workers bounds the batched flush's parallelism: chunks are
-	// verified on at most that many goroutines. 0 means GOMAXPROCS.
+	// verified on at most that many goroutines, the caller's included.
+	// 0 means GOMAXPROCS.
 	Workers int
 }
 
@@ -157,34 +158,40 @@ func (v *Verifier) flush(cc *checkCollector) error {
 		wg   sync.WaitGroup
 		next int
 	)
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for {
+			mu.Lock()
+			c := next
+			next++
+			stop := firstBad < len(checks) // a failure already found
+			mu.Unlock()
+			if c >= chunks || stop {
+				return
+			}
+			lo := c * flushBatchSize
+			hi := lo + flushBatchSize
+			if hi > len(checks) {
+				hi = len(checks)
+			}
+			if bad := locate(lo, hi); bad >= 0 {
+				mu.Lock()
+				if bad < firstBad {
+					firstBad = bad
+				}
+				mu.Unlock()
+			}
+		}
+	}
+	// The calling goroutine is one of the workers, so a one-chunk flush
+	// starts no goroutine.
+	for range workers - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				mu.Lock()
-				c := next
-				next++
-				stop := firstBad < len(checks) // a failure already found
-				mu.Unlock()
-				if c >= chunks || stop {
-					return
-				}
-				lo := c * flushBatchSize
-				hi := lo + flushBatchSize
-				if hi > len(checks) {
-					hi = len(checks)
-				}
-				if bad := locate(lo, hi); bad >= 0 {
-					mu.Lock()
-					if bad < firstBad {
-						firstBad = bad
-					}
-					mu.Unlock()
-				}
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	if firstBad < len(checks) {
 		return checks[firstBad].err

@@ -28,6 +28,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/multiset"
@@ -40,8 +41,9 @@ const DefaultCacheSize = 4096
 
 // Options configure an Engine.
 type Options struct {
-	// Workers is the worker-pool size of every deferred run (Run.Wait)
-	// — the paper's SP uses 24. Values <= 1 mean a pool of one.
+	// Workers is the worker-pool size of every deferred run (Run.Wait),
+	// the waiting goroutine included — the paper's SP uses 24. Values
+	// <= 1 mean a pool of one.
 	Workers int
 	// CacheSize bounds the LRU proof cache: 0 means DefaultCacheSize,
 	// negative disables caching entirely.
@@ -320,9 +322,8 @@ type Run struct {
 func (e *Engine) NewRun() *Run { return &Run{e: e} }
 
 // Add schedules one proof; assign receives the proof when Wait
-// executes the run. Assign callbacks run on worker goroutines but
-// never concurrently with each other, so plain closures over VO
-// fields are safe.
+// executes the run. Assign callbacks run on the waiting goroutine in
+// scheduling order, so plain closures over VO fields are safe.
 func (r *Run) Add(w multiset.Multiset, clauseKey string, clauseW multiset.Multiset, assign func(accumulator.Proof)) {
 	r.tasks = append(r.tasks, task{w: w, clauseKey: clauseKey, clauseW: clauseW, assign: assign})
 }
@@ -331,10 +332,10 @@ func (r *Run) Add(w multiset.Multiset, clauseKey string, clauseW multiset.Multis
 func (r *Run) Len() int { return len(r.tasks) }
 
 // Wait executes all scheduled tasks on a pool of the engine's worker
-// count (never more goroutines than tasks) and invokes each task's
-// assign callback with its proof. The first error wins; remaining
-// successful assignments still happen. The run is empty afterwards
-// and may be reused.
+// count (never more workers than tasks) and invokes each task's
+// assign callback with its proof. The first error in scheduling order
+// wins; remaining successful assignments still happen. The run is
+// empty afterwards and may be reused.
 func (r *Run) Wait() error {
 	return r.WaitCtx(context.Background())
 }
@@ -346,46 +347,41 @@ func (r *Run) Wait() error {
 // exhausted. Tasks already inside the pairing code run to completion
 // (and still populate the cache).
 func (r *Run) WaitCtx(ctx context.Context) error {
-	if len(r.tasks) == 0 {
-		return nil
-	}
 	tasks := r.tasks
 	r.tasks = nil
-	workers := min(r.e.workers, len(tasks))
+	pfs := make([]accumulator.Proof, len(tasks))
+	errs := make([]error, len(tasks))
 
-	type result struct {
-		idx int
-		pf  accumulator.Proof
-		err error
+	// Workers claim task indexes from a shared counter. The waiting
+	// goroutine is one of them, so a pool of one starts no goroutine.
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(tasks); i = int(next.Add(1) - 1) {
+			t := &tasks[i]
+			pfs[i], errs[i] = r.e.ProveCtx(ctx, t.w, t.clauseKey, t.clauseW)
+		}
 	}
-	jobs := make(chan int)
-	results := make(chan result, len(tasks))
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for range min(r.e.workers, len(tasks)) - 1 {
+		wg.Add(1)
 		go func() {
-			for idx := range jobs {
-				t := &tasks[idx]
-				pf, err := r.e.ProveCtx(ctx, t.w, t.clauseKey, t.clauseW)
-				results <- result{idx: idx, pf: pf, err: err}
-			}
+			defer wg.Done()
+			work()
 		}()
 	}
-	go func() {
-		for i := range tasks {
-			jobs <- i
-		}
-		close(jobs)
-	}()
+	work()
+	wg.Wait()
+
 	var firstErr error
-	for range tasks {
-		res := <-results
-		if res.err != nil {
+	for i := range tasks {
+		if errs[i] != nil {
 			if firstErr == nil {
-				firstErr = res.err
+				firstErr = errs[i]
 			}
 			continue
 		}
 		// Serialized on the waiting goroutine: assigns never race.
-		tasks[res.idx].assign(res.pf)
+		tasks[i].assign(pfs[i])
 	}
 	return firstErr
 }
