@@ -3,22 +3,19 @@
 // ctxflow — the mechanical form of the invariants this codebase's
 // correctness arguments rest on.
 //
-// Standalone, over package patterns (default ./...):
+// It runs over package patterns (default ./...):
 //
 //	vchain-lint ./...
 //	vchain-lint -run lockio,ctxflow -json ./internal/...
 //
-// Or as a go vet tool, which reuses cmd/go's build cache and export
-// data:
+// `go test ./internal/lint/` (TestRepositoryLintClean) enforces the
+// same suite over the whole module; this command is for running a
+// subset, or for machine-readable findings.
 //
-//	go vet -vettool=$(which vchain-lint) ./...
-//
-// Exit status: 0 clean, 1 findings or usage error (standalone),
-// 2 findings (vet tool protocol).
+// Exit status: 0 clean, 1 findings, load errors or usage error.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -33,8 +30,7 @@ import (
 var (
 	jsonOut = flag.Bool("json", false, "emit findings as a JSON array of {file,line,col,analyzer,message}")
 	runList = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	tests   = flag.Bool("tests", false, "also analyze in-package _test.go files (standalone mode)")
-	vFlag   = flag.String("V", "", "print version and exit (go vet tool protocol)")
+	tests   = flag.Bool("tests", false, "also analyze in-package _test.go files")
 )
 
 func usage() {
@@ -53,67 +49,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vchain-lint: ")
 	flag.Usage = usage
-
-	// cmd/go probes a vet tool with a bare -flags argument and expects
-	// a JSON description of the flags it may forward.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		printFlagsJSON()
-		return
-	}
 	flag.Parse()
-
-	if *vFlag != "" {
-		printVersion()
-		return
-	}
 
 	analyzers, err := selectAnalyzers(*runList)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetTool(args[0], analyzers, *jsonOut))
-	}
-	os.Exit(runStandalone(args, analyzers, *jsonOut, *tests))
-}
-
-// printFlagsJSON implements the -flags handshake: each entry tells
-// cmd/go a flag's name, whether it is boolean, and its usage text.
-func printFlagsJSON() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var out []jsonFlag
-	flag.VisitAll(func(f *flag.Flag) {
-		b, isBool := f.Value.(interface{ IsBoolFlag() bool })
-		out = append(out, jsonFlag{Name: f.Name, Bool: isBool && b.IsBoolFlag(), Usage: f.Usage})
-	})
-	data, err := json.MarshalIndent(out, "", "\t")
-	if err != nil {
-		log.Fatal(err)
-	}
-	os.Stdout.Write(append(data, '\n'))
-}
-
-// printVersion implements the -V=full handshake: cmd/go hashes the
-// reported identity into its action cache, so the identity must change
-// whenever the binary does — hence the self-hash.
-func printVersion() {
-	sum := "unknown"
-	if prog, err := os.Executable(); err == nil {
-		if f, err := os.Open(prog); err == nil {
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				sum = fmt.Sprintf("%x", h.Sum(nil))
-			}
-			f.Close()
-		}
-	}
-	fmt.Printf("vchain-lint version devel buildID=%s\n", sum)
+	os.Exit(run(flag.Args(), analyzers, *jsonOut, *tests))
 }
 
 func selectAnalyzers(runList string) ([]*lint.Analyzer, error) {
@@ -132,7 +74,7 @@ func selectAnalyzers(runList string) ([]*lint.Analyzer, error) {
 	return out, nil
 }
 
-func runStandalone(patterns []string, analyzers []*lint.Analyzer, jsonOut, tests bool) int {
+func run(patterns []string, analyzers []*lint.Analyzer, jsonOut, tests bool) int {
 	pkgs, err := lint.Load(lint.LoadOptions{Tests: tests}, patterns...)
 	if err != nil {
 		log.Fatal(err)

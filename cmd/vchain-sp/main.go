@@ -29,10 +29,10 @@
 // each shard recovering independently).
 //
 // With -shards N the SP spreads the chain by height range across N
-// shards: each owns its own block store subdirectory and proof engine
-// (the -workers budget is split, not multiplied), time-window queries
-// scatter-gather across the covering shards, and the merged VOs verify
-// client-side in one pairing batch. One shard is the default.
+// shards: each owns its own block store subdirectory, a time-window
+// query answers one VO per shard span, all of them proved on the node's
+// one -workers pool, and the parts verify client-side in one pairing
+// batch. One shard is the default.
 //
 // The SP prints the deterministic system configuration that clients
 // must mirror (seed, accumulator, dataset) — in a production deployment
@@ -68,7 +68,7 @@ func main() {
 		objs     = flag.Int("objects", 4, "objects per block")
 		preset   = flag.String("preset", "toy", "pairing preset")
 		seed     = flag.Int64("seed", 42, "workload seed")
-		workers  = flag.Int("workers", 4, "proof-computation workers (a sharded SP splits this budget across shards)")
+		workers  = flag.Int("workers", 4, "proof-computation workers: the one pool every query and subscription proves on, at any shard count")
 		cache    = flag.Int("proof-cache", 0, "proof cache entries (0 = default, <0 disables)")
 		interval = flag.Duration("mine-interval", 0, "keep mining one block per interval after startup (0 = off)")
 		subLazy  = flag.Bool("sub-lazy", false, "lazy subscription authentication (§7.2): defer mismatch proofs into spans")
@@ -77,7 +77,7 @@ func main() {
 		maxFrame = flag.Int("max-frame", 0, "wire frame size cap in bytes (0 = default)")
 		store    = flag.String("store", "", "block store directory: blocks and ADSs persist there and are recovered on restart (empty = in-memory)")
 		adsCache = flag.Int("ads-cache", 0, "decoded-ADS cache budget in blocks for durable stores, split across shards: older ADSs stay on disk and page in on demand (0 = unbounded)")
-		shards   = flag.Int("shards", 1, "shard the SP by height range across this many workers (queries scatter-gather, VOs merge into one pairing batch)")
+		shards   = flag.Int("shards", 1, "shard the SP by height range across this many shards (one VO per shard span, verified in one pairing batch)")
 		band     = flag.Int("band", 0, "consecutive heights per shard band (0 = default)")
 
 		breakerN  = flag.Int("breaker-threshold", 0, "consecutive shard failures before its circuit breaker quarantines it (0 = default 3, <0 disables)")
@@ -294,18 +294,13 @@ func main() {
 	}
 	srv.Close()
 
-	// Aggregate across every engine: with several shards each runs its
-	// own engine, and printing only the first engine's counters would
-	// under-report the process by a factor of the shard count.
 	st := node.ProofStats()
 	fmt.Printf("proof engine: %d proofs computed, %d cache hits / %d misses (%.1f%% hit rate), %d agg groups, %d errors\n",
 		st.Proofs, st.CacheHits, st.CacheMisses, st.HitRate()*100, st.AggGroups, st.Errors)
 	var restarts, trips uint64
 	for _, ss := range node.ShardStats() {
-		p := ss.Proofs
-		fmt.Printf("  shard %d [%s]: %d proofs, %d hits / %d misses, %d agg groups, %d errors; %d failures, %d restarts, %d breaker trips\n",
-			ss.Shard, ss.Health, p.Proofs, p.CacheHits, p.CacheMisses, p.AggGroups, p.Errors,
-			ss.Failures, ss.Restarts, ss.BreakerTrips)
+		fmt.Printf("  shard %d [%s]: %d failures, %d restarts, %d breaker trips\n",
+			ss.Shard, ss.Health, ss.Failures, ss.Restarts, ss.BreakerTrips)
 		restarts += ss.Restarts
 		trips += ss.BreakerTrips
 	}

@@ -57,9 +57,9 @@ func (r *DegradedResult) Covered() int {
 	return n
 }
 
-// VerifyDegraded checks a possibly-partial scatter-gathered window
-// answer: parts and gaps together must tile [q.StartBlock, q.EndBlock]
-// contiguously in descending order, and each part's VO must verify
+// VerifyDegraded checks a possibly-partial window answer: parts and
+// gaps together must tile [q.StartBlock, q.EndBlock] contiguously in
+// descending order, and each part's VO must verify
 // against its span. Verification is identical to VerifyWindowParts —
 // one shared check collector, one randomized pairing-product flush —
 // with gaps allowed to stand in for missing tiles. Per-tile soundness

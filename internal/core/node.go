@@ -34,7 +34,7 @@ type ADSSource = adstore.Source[*BlockADS]
 // not a second kind of node: heights are dealt to N ≥ 1 storage slots
 // in contiguous bands, owner(h) = (h/Band) % N. A plain node is the
 // one-slot case; internal/shard layers health supervision and a
-// scatter-gather planner over N slots.
+// per-span query planner over N slots.
 type FullNode struct {
 	// Store is the in-RAM block index: headers, hash lookup, and
 	// validation rules. It is populated exclusively through the commit
@@ -459,9 +459,8 @@ func (n *FullNode) Headers() []chain.Header { return n.Store.Headers() }
 // BitWidth returns the builder's numeric attribute width.
 func (n *FullNode) BitWidth() int { return n.Builder.Width }
 
-// ProofStats snapshots the node's proof-engine counters. On a sharded
-// node the same method aggregates across shards; the service layer
-// calls it without caring which it has.
+// ProofStats snapshots the node's proof-engine counters — the whole
+// node's, since every query and subscription proves on that engine.
 func (n *FullNode) ProofStats() proofs.Stats { return n.ProofEngine().Stats() }
 
 // TimeWindowParts answers a time-window query as a part list: the

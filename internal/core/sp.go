@@ -99,6 +99,29 @@ func (sp *SP) TimeWindowQuery(q Query) (*VO, error) {
 // ends — so a caller's timeout propagates all the way into the proof
 // engine instead of a slow window pinning SP goroutines forever.
 func (sp *SP) TimeWindowQueryCtx(ctx context.Context, q Query) (*VO, error) {
+	run := sp.Engine.NewRun()
+	vo, err := sp.Walk(ctx, q, run)
+	if err != nil {
+		return nil, err
+	}
+	if err := run.WaitCtx(ctx); err != nil {
+		return nil, fmt.Errorf("core: disjointness proof: %w", err)
+	}
+	return vo, nil
+}
+
+// Walk plans q's answer without proving it: it walks the window end to
+// start, returns the VO, and schedules every disjointness proof the VO
+// needs on run. The VO is complete once run.WaitCtx returns nil. One
+// run can carry several windows' walks; on error Walk leaves run as it
+// found it, so the caller can drop the failed window and prove the
+// rest.
+func (sp *SP) Walk(ctx context.Context, q Query, run *proofs.Run) (vo *VO, err error) {
+	defer func(mark int) {
+		if err != nil {
+			run.Truncate(mark)
+		}
+	}(run.Len())
 	cnf, err := q.CNF()
 	if err != nil {
 		return nil, err
@@ -106,12 +129,11 @@ func (sp *SP) TimeWindowQueryCtx(ctx context.Context, q Query) (*VO, error) {
 	if q.StartBlock < 0 || q.EndBlock < q.StartBlock {
 		return nil, fmt.Errorf("core: invalid block window [%d, %d]", q.StartBlock, q.EndBlock)
 	}
-	vo := &VO{}
+	vo = &VO{}
 	var batch *aggVO
 	if sp.Batch && sp.Acc.SupportsAgg() {
 		batch = newAggVO(sp.Engine)
 	}
-	run := sp.Engine.NewRun()
 
 	h := q.EndBlock
 	for h >= q.StartBlock {
@@ -139,9 +161,6 @@ func (sp *SP) TimeWindowQueryCtx(ctx context.Context, q Query) (*VO, error) {
 
 	if batch != nil {
 		vo.Groups = batch.finalize(run)
-	}
-	if err := run.WaitCtx(ctx); err != nil {
-		return nil, fmt.Errorf("core: disjointness proof: %w", err)
 	}
 	return vo, nil
 }

@@ -240,7 +240,7 @@ type WindowPart struct {
 	VO *VO
 }
 
-// VerifyWindowParts checks a scatter-gathered time-window answer: the
+// VerifyWindowParts checks a time-window answer given as parts: the
 // parts must tile [q.StartBlock, q.EndBlock] contiguously in
 // descending order, and each part's VO must verify against its span.
 // All parts share one check collector, so every pending pairing check

@@ -190,8 +190,7 @@ func (g *Gateway) register(node service.Chain) {
 		"Blocks on the served chain.",
 		func() float64 { return float64(node.Height()) })
 
-	// Proof engine: scrape-time snapshot aggregated across every
-	// engine of the node (all shards on a sharded SP).
+	// Proof engine: scrape-time snapshot of the node's one engine.
 	r.CollectCounter("vchain_proofs_total",
 		"Disjointness proofs computed (cache misses that reached the accumulator).",
 		func() float64 { return float64(node.ProofStats().Proofs) })
@@ -235,8 +234,6 @@ func (g *Gateway) register(node service.Chain) {
 				func(s shard.Stats) float64 { return float64(s.Restarts) }},
 			{"vchain_shard_breaker_trips_total", "Transitions into quarantine.", kindCounter,
 				func(s shard.Stats) float64 { return float64(s.BreakerTrips) }},
-			{"vchain_shard_proofs_total", "Disjointness proofs computed by the shard's engine.", kindCounter,
-				func(s shard.Stats) float64 { return float64(s.Proofs.Proofs) }},
 		}
 		for _, fam := range shardFamilies {
 			fam := fam
@@ -667,10 +664,11 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request, tenant str
 	json.NewEncoder(w).Encode(&resp)
 }
 
-// queryError maps a planner/proof failure onto an HTTP status: caller
-// mistakes are 400, an expired budget 504, a quarantined shard on the
-// strict path 503 (with the degraded path advertised), anything else
-// 500.
+// queryError maps a planner/proof failure onto an HTTP status: an
+// expired budget is 504, and a server-side fault on the strict path —
+// a quarantined shard, or a shard's storage failing to page an ADS in —
+// is 503 with the degraded path advertised. Everything else is the
+// caller's query (an over-capacity clause, say) and stays 400.
 func (g *Gateway) queryError(w http.ResponseWriter, r *http.Request, tenant string, q core.Query, err error) {
 	if g.log != nil {
 		g.log.Warn("gateway query failed",
@@ -684,7 +682,7 @@ func (g *Gateway) queryError(w http.ResponseWriter, r *http.Request, tenant stri
 		errorJSON(w, http.StatusGatewayTimeout, "query deadline exceeded")
 	case errors.Is(err, context.Canceled):
 		errorJSON(w, 499, "client closed request") // nginx's code for a gone client
-	case errors.Is(err, shard.ErrShardUnavailable):
+	case errors.Is(err, shard.ErrShardUnavailable), errors.Is(err, core.ErrADSUnavailable):
 		errorJSON(w, http.StatusServiceUnavailable,
 			"a covering shard is unavailable; retry with allowDegraded for a partial answer")
 	default:
@@ -713,7 +711,6 @@ type proofStats struct {
 type shardStats struct {
 	Shard        int    `json:"shard"`
 	Health       string `json:"health"`
-	Proofs       uint64 `json:"proofs"`
 	Failures     uint64 `json:"failures"`
 	Restarts     uint64 `json:"restarts"`
 	BreakerTrips uint64 `json:"breakerTrips"`
@@ -761,7 +758,6 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request, tenant str
 			resp.Shards = append(resp.Shards, shardStats{
 				Shard:        s.Shard,
 				Health:       s.Health.String(),
-				Proofs:       s.Proofs.Proofs,
 				Failures:     s.Failures,
 				Restarts:     s.Restarts,
 				BreakerTrips: s.BreakerTrips,

@@ -435,6 +435,71 @@ func TestDegradedHTTPQuery(t *testing.T) {
 	}
 }
 
+// TestStorageFaultHTTPQuery: over a reopened 2-shard node whose shard 1
+// fails every page-in, the failure is the server's, not the caller's —
+// a strict query answers 503 pointing at the degraded path, and an
+// allowDegraded query returns 200 with exactly that shard's heights as
+// gaps.
+func TestStorageFaultHTTPQuery(t *testing.T) {
+	const blocks, target = 8, 1
+	sched := fault.NewSchedule()
+	opts := shard.Options{
+		Shards:  2,
+		Band:    2,
+		Workers: 2,
+		WrapBackend: func(id int, b storage.Backend) storage.Backend {
+			if id == target {
+				return fault.WrapBackend(b, sched)
+			}
+			return b
+		},
+	}
+	b, dir := testBuilder(testAcc(t)), t.TempDir()
+	node, _, err := shard.Open(0, b, dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < blocks; i++ {
+		if _, err := node.MineBlock(carObjects(uint64(i*10)), int64(1000+i)); err != nil {
+			t.Fatalf("mining block %d: %v", i, err)
+		}
+	}
+	if err := node.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The reopen replays block halves only; every ADS pages in on
+	// demand, and shard 1's page-ins now fail.
+	node, _, err = shard.Open(0, b, dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	sched.NextFailures(fault.OpRead, 1000)
+	_, base := startGateway(t, node, Config{})
+
+	resp, body := do(t, "POST", base+"/v1/query", "", queryBody(0, blocks-1, false))
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("strict query over a failing shard: status %d, want 503 (body %s)", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "allowDegraded") {
+		t.Fatalf("503 body %q does not advertise the degraded path", body)
+	}
+
+	resp, body = do(t, "POST", base+"/v1/query", "", queryBody(0, blocks-1, true))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("degraded query: status %d (body %s)", resp.StatusCode, body)
+	}
+	var qr queryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatal(err)
+	}
+	// Band 2, 2 shards, 8 blocks: shard 1 owns {2,3} and {6,7}.
+	wantGaps := []gapJSON{{Start: 6, End: 7}, {Start: 2, End: 3}}
+	if !qr.Degraded || !reflect.DeepEqual(qr.Gaps, wantGaps) {
+		t.Fatalf("degraded=%v gaps=%v, want gaps %v (exactly the failing shard's heights)", qr.Degraded, qr.Gaps, wantGaps)
+	}
+}
+
 // TestMetricsExposition: the scrape output is well-formed text
 // exposition — every family has HELP and TYPE lines, request counters
 // carry tenant/endpoint/code labels, latency histograms have

@@ -11,14 +11,16 @@
 //     alias a shared field-element representation, nor leak them.
 //   - typederr: sentinel errors are matched with errors.Is, never ==,
 //     and are wrapped with %w, never flattened through %v.
-//   - ctxflow: exported concurrency entry points in the service,
-//     proofs, and shard-planner layers accept a context.Context.
+//   - ctxflow: exported concurrency entry points in the service and
+//     proofs layers accept a context.Context.
 //
-// The suite runs standalone via cmd/vchain-lint, or under
-// `go vet -vettool`. The framework below is a minimal, self-contained
-// analogue of golang.org/x/tools/go/analysis (which is not vendored
-// here): an Analyzer inspects one type-checked package at a time
-// through a Pass and reports position-anchored diagnostics.
+// TestRepositoryLintClean runs the suite over the whole module as part
+// of `go test ./...`; cmd/vchain-lint runs it from the command line (a
+// subset with -run, machine-readable with -json). The framework below
+// is a minimal, self-contained analogue of golang.org/x/tools/go/analysis
+// (which is not vendored here): an Analyzer inspects one type-checked
+// package at a time through a Pass and reports position-anchored
+// diagnostics.
 package lint
 
 import (

@@ -4,47 +4,39 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 )
 
 // CtxFlow keeps cancellation plumbed through the layers where a query
-// can fan out or block: the RPC service, the proof engine, and the
-// shard scatter planner. PR 7 threaded context.Context end to end
-// (client deadline → wire → server → planner → proofs) precisely
-// because an uncancellable blocking path wedges the whole SP when one
-// shard or peer stalls. This analyzer stops regressions: an exported
-// function in those layers that spawns goroutines or blocks on
-// channels must accept a context.Context. The sanctioned legacy shape
-// is a thin wrapper delegating to the ctx-taking variant
-// (Prove → ProveCtx): the wrapper itself neither spawns nor blocks, so
-// it passes.
+// can fan out or block: the RPC service and the proof engine.
+// context.Context is threaded end to end (client deadline → wire →
+// server → planner → proofs) precisely because an uncancellable
+// blocking path wedges the whole SP when one shard or peer stalls.
+// This analyzer stops regressions: an exported function in those
+// layers that spawns goroutines or blocks on channels must accept a
+// context.Context. The sanctioned legacy shape is a thin wrapper
+// delegating to the ctx-taking variant (Prove → ProveCtx): the wrapper
+// itself neither spawns nor blocks, so it passes. The shard planner is
+// out of scope: it walks on the calling goroutine and blocks only
+// inside the proof engine's Run.WaitCtx.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "exported concurrency entry points accept a context.Context\n\n" +
-		"Flags exported functions in internal/service, internal/proofs, and the shard " +
-		"planner that start goroutines or block on channels without a ctx parameter.",
+		"Flags exported functions in internal/service and internal/proofs that start " +
+		"goroutines or block on channels without a ctx parameter.",
 	Run: runCtxFlow,
 }
 
-// ctxFlowPackages are fully in scope; the shard package is in scope
-// only for its planner file (the supervisor and health machinery run
-// on their own lifecycle, not per-request).
+// ctxFlowPackages are the packages in scope.
 var ctxFlowPackages = []string{
 	"internal/service",
 	"internal/proofs",
 }
 
-const ctxFlowShardFile = "planner.go"
-
 func runCtxFlow(pass *Pass) error {
-	inShard := pathHasSuffix(pass.Pkg.Path(), "internal/shard")
-	if !pathHasAnySuffix(pass.Pkg.Path(), ctxFlowPackages...) && !inShard {
+	if !pathHasAnySuffix(pass.Pkg.Path(), ctxFlowPackages...) {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if inShard && filepath.Base(pass.Fset.Position(f.Pos()).Filename) != ctxFlowShardFile {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !fd.Name.IsExported() {

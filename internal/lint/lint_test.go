@@ -33,10 +33,6 @@ func TestCtxFlowFixtureService(t *testing.T) {
 	RunFixture(t, CtxFlow, "ctxflow/internal/service")
 }
 
-func TestCtxFlowFixtureShardPlannerOnly(t *testing.T) {
-	RunFixture(t, CtxFlow, "ctxflow/internal/shard")
-}
-
 // TestOutOfScopePackagesUntouched runs the scoped analyzers over a
 // fixture whose package path matches none of their scopes; they must
 // stay silent regardless of the fixture's contents.
@@ -127,8 +123,8 @@ func TestFormatVerbs(t *testing.T) {
 }
 
 // TestRepositoryLintClean runs the full analyzer suite over the real
-// module: the tree must be lint-clean at every commit. This is the
-// same invariant CI enforces through cmd/vchain-lint.
+// module: the tree must be lint-clean at every commit. This test is
+// the gate; cmd/vchain-lint runs the same suite from the command line.
 func TestRepositoryLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-tree typecheck is slow; run without -short")

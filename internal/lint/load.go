@@ -118,14 +118,6 @@ func Load(opts LoadOptions, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// CheckFiles parses and type-checks one package's files with a
-// caller-supplied importer. It is the entry point for drivers that
-// resolve imports themselves — the go vet unitchecker protocol hands
-// the driver export-data files chosen by cmd/go instead of source.
-func CheckFiles(fset *token.FileSet, imp types.Importer, importPath, dir string, names []string) (*Package, error) {
-	return checkFiles(fset, imp, importPath, dir, names)
-}
-
 // checkFiles parses and type-checks one package's files (named
 // relative to dir).
 func checkFiles(fset *token.FileSet, imp types.Importer, importPath, dir string, names []string) (*Package, error) {

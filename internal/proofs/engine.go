@@ -48,47 +48,6 @@ type Options struct {
 	// CacheSize bounds the LRU proof cache: 0 means DefaultCacheSize,
 	// negative disables caching entirely.
 	CacheSize int
-	// Limiter, when set, replaces the engine's private concurrency
-	// bound: every engine sharing one Limiter splits its budget instead
-	// of multiplying it. A sharded SP hands the same Limiter to all of
-	// its per-shard engines so N shards in one process still compute at
-	// most the configured number of proofs at once. Nil keeps the
-	// historical behavior: a private bound of max(Workers, GOMAXPROCS).
-	Limiter *Limiter
-}
-
-// Limiter is a concurrency budget for proof computation, shareable
-// across engines. It bounds ProveDisjoint calls in flight across every
-// engine created with it.
-type Limiter struct {
-	sem chan struct{}
-}
-
-// NewLimiter creates a budget of n concurrent proof computations
-// (minimum 1).
-func NewLimiter(n int) *Limiter {
-	if n < 1 {
-		n = 1
-	}
-	return &Limiter{sem: make(chan struct{}, n)}
-}
-
-// Cap returns the budget.
-func (l *Limiter) Cap() int { return cap(l.sem) }
-
-func (l *Limiter) acquire() { l.sem <- struct{}{} }
-func (l *Limiter) release() { <-l.sem }
-
-// acquireCtx waits for a budget slot or the context's end, whichever
-// comes first — a canceled query's queued proof tasks give up their
-// wait instead of pinning the budget queue.
-func (l *Limiter) acquireCtx(ctx context.Context) error {
-	select {
-	case l.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // Stats is a point-in-time snapshot of engine counters.
@@ -120,20 +79,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.CacheHits) / float64(total)
 }
 
-// Add returns the counter-wise sum of s and o. A sharded deployment
-// runs one engine per shard; summing their snapshots yields the
-// process-wide view a CLI or dashboard should report.
-func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		Proofs:      s.Proofs + o.Proofs,
-		CacheHits:   s.CacheHits + o.CacheHits,
-		CacheMisses: s.CacheMisses + o.CacheMisses,
-		Evictions:   s.Evictions + o.Evictions,
-		AggGroups:   s.AggGroups + o.AggGroups,
-		Errors:      s.Errors + o.Errors,
-	}
-}
-
 // Engine computes, caches, and aggregates disjointness proofs on
 // behalf of every proof consumer of one deployment.
 type Engine struct {
@@ -141,14 +86,10 @@ type Engine struct {
 	workers   int
 	cacheSize int
 
-	// lim bounds proof computations in flight across all concurrent
-	// runs using this engine — and, when Options.Limiter was supplied,
-	// across every engine sharing that limiter — so stacking runs (or
-	// stacking shard engines) cannot oversubscribe the host. A private
-	// limiter has capacity max(Workers, GOMAXPROCS), keeping per-run
-	// worker counts above the engine default able to parallelize up to
-	// the hardware.
-	lim *Limiter
+	// sem bounds proof computations in flight across all concurrent
+	// runs using this engine, so stacking runs cannot oversubscribe the
+	// host. Its capacity is max(Workers, GOMAXPROCS).
+	sem chan struct{}
 
 	mu       sync.Mutex
 	lru      *list.List // of *cacheEntry, most recent first
@@ -187,19 +128,11 @@ func New(acc accumulator.Accumulator, opts Options) *Engine {
 	if size == 0 {
 		size = DefaultCacheSize
 	}
-	lim := opts.Limiter
-	if lim == nil {
-		maxConc := workers
-		if n := runtime.GOMAXPROCS(0); n > maxConc {
-			maxConc = n
-		}
-		lim = NewLimiter(maxConc)
-	}
 	return &Engine{
 		acc:       acc,
 		workers:   workers,
 		cacheSize: size,
-		lim:       lim,
+		sem:       make(chan struct{}, max(workers, runtime.GOMAXPROCS(0))),
 		lru:       list.New(),
 		items:     map[cacheKey]*list.Element{},
 		inflight:  map[cacheKey]*flight{},
@@ -288,11 +221,13 @@ func (e *Engine) ProveCtx(ctx context.Context, w multiset.Multiset, clauseKey st
 // updates the computation counters. A context expiring while queued
 // for the budget aborts without touching the pairing counters.
 func (e *Engine) compute(ctx context.Context, w, clauseW multiset.Multiset) (accumulator.Proof, error) {
-	if err := e.lim.acquireCtx(ctx); err != nil {
-		return accumulator.Proof{}, err
+	select {
+	case e.sem <- struct{}{}:
+	case <-ctx.Done():
+		return accumulator.Proof{}, ctx.Err()
 	}
 	pf, err := e.acc.ProveDisjoint(w, clauseW)
-	e.lim.release()
+	<-e.sem
 	e.mu.Lock()
 	e.stats.Proofs++
 	if err != nil {
@@ -330,6 +265,14 @@ func (r *Run) Add(w multiset.Multiset, clauseKey string, clauseW multiset.Multis
 
 // Len returns the number of scheduled tasks.
 func (r *Run) Len() int { return len(r.tasks) }
+
+// Truncate drops every task scheduled after the first n, so a caller
+// building one run from several walks can withdraw a walk that failed
+// part-way without computing its proofs.
+func (r *Run) Truncate(n int) {
+	clear(r.tasks[n:])
+	r.tasks = r.tasks[:n]
+}
 
 // Wait executes all scheduled tasks on a pool of the engine's worker
 // count (never more workers than tasks) and invokes each task's

@@ -55,10 +55,11 @@ type Chain interface {
 	Acc() accumulator.Accumulator
 	// BitWidth is the numeric attribute width of the deployment.
 	BitWidth() int
-	// ProofEngine is the engine backing the subscription engine.
+	// ProofEngine is the node's one proof engine: it backs both the
+	// time-window queries and the subscription engine.
 	ProofEngine() *proofs.Engine
-	// ProofStats aggregates proof counters across the whole node
-	// (every shard engine on a sharded node).
+	// ProofStats snapshots that engine's counters, which cover the
+	// whole node at every shard count.
 	ProofStats() proofs.Stats
 }
 

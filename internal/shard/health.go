@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/vchain-go/vchain/internal/adstore"
-	"github.com/vchain-go/vchain/internal/proofs"
 	"github.com/vchain-go/vchain/internal/storage"
 )
 
@@ -54,14 +53,12 @@ func (h Health) String() string {
 var ErrShardUnavailable = errors.New("shard: shard unavailable (quarantined)")
 
 // Stats is one shard's observable state: health, failure accounting,
-// and its proof-engine counters.
+// and its decoded-ADS counters.
 type Stats struct {
 	// Shard is the shard index.
 	Shard int
 	// Health is the shard's current supervision state.
 	Health Health
-	// Proofs snapshots the shard engine's counters.
-	Proofs proofs.Stats
 	// ADS snapshots the shard's decoded-ADS source counters (cache
 	// hits, misses, page-in decodes, footprint).
 	ADS adstore.Stats
@@ -162,7 +159,6 @@ func (w *worker) stats() Stats {
 	s := Stats{
 		Shard:        w.id,
 		Health:       w.health,
-		Proofs:       w.engine.Stats(),
 		Failures:     w.failures,
 		Restarts:     w.restarts,
 		BreakerTrips: w.trips,

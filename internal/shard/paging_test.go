@@ -3,12 +3,16 @@ package shard_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/fault"
+	"github.com/vchain-go/vchain/internal/proofs"
 	"github.com/vchain-go/vchain/internal/shard"
 	"github.com/vchain-go/vchain/internal/storage"
 )
@@ -78,18 +82,26 @@ func TestShardedLazyReopenPagesIn(t *testing.T) {
 	}
 }
 
-// reopenWithFaultyShard mines blocks into a durable node whose target
-// shard's backend is fault-wrapped, closes it, and reopens it lazily
-// (the replay reads every record for its block half, so arm read
-// faults only on the returned schedule): from then on any ADS page-in
-// on the target shard goes through the schedule.
+// reopenWithFaultyShard reopens a node (reopenWrapped) whose target
+// shard's backend goes through the returned fault schedule. The
+// replay reads every record for its block half, so arm read faults
+// only after it returns.
 func reopenWithFaultyShard(t *testing.T, opts shard.Options, target, blocks int) (*shard.Node, *fault.Schedule) {
 	t.Helper()
-	acc := testAcc(t)
 	sched := fault.NewSchedule()
+	wrap := func(b storage.Backend) storage.Backend { return fault.WrapBackend(b, sched) }
+	return reopenWrapped(t, opts, target, blocks, wrap), sched
+}
+
+// reopenWrapped mines blocks into a durable node whose target shard's
+// backend is wrapped by wrap, closes it, and reopens it lazily: from
+// then on any ADS page-in on the target shard goes through the wrapper.
+func reopenWrapped(t *testing.T, opts shard.Options, target, blocks int, wrap func(storage.Backend) storage.Backend) *shard.Node {
+	t.Helper()
+	acc := testAcc(t)
 	opts.WrapBackend = func(id int, b storage.Backend) storage.Backend {
 		if id == target {
-			return fault.WrapBackend(b, sched)
+			return wrap(b)
 		}
 		return b
 	}
@@ -107,36 +119,106 @@ func reopenWithFaultyShard(t *testing.T, opts shard.Options, target, blocks int)
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { re.Close() })
-	return re, sched
+	return re
+}
+
+// readBudget fails the reads of the backends it wraps once armed and
+// its budget is spent — a disk that serves a few page-ins and then
+// breaks mid-walk.
+type readBudget struct {
+	armed atomic.Bool
+	left  atomic.Int64
+	// goroutines is runtime.NumGoroutine() at the first failed read.
+	goroutines atomic.Int64
+}
+
+// arm lets the next pass reads through and fails every later one.
+func (rb *readBudget) arm(pass int) {
+	rb.left.Store(int64(pass))
+	rb.armed.Store(true)
+}
+
+func (rb *readBudget) wrap(b storage.Backend) storage.Backend { return budgetedBackend{b, rb} }
+
+type budgetedBackend struct {
+	storage.Backend
+	rb *readBudget
+}
+
+func (b budgetedBackend) Read(i int) ([]byte, error) {
+	if b.rb.armed.Load() && b.rb.left.Add(-1) < 0 {
+		b.rb.goroutines.CompareAndSwap(0, int64(runtime.NumGoroutine()))
+		return nil, fmt.Errorf("reading record %d: %w", i, fault.ErrInjected)
+	}
+	return b.Backend.Read(i)
 }
 
 // TestPageInFaultDegradesToGap injects read faults into one shard's
-// log after a lazy reopen: strict queries surface a typed error (no
+// log after a lazy reopen: a fault that strikes mid-span gaps the span
+// without proving any of it, strict queries surface a typed error (no
 // panic), degraded queries gap out exactly the sick shard's heights,
 // and repeated page-in failures feed the breaker until the shard
 // quarantines.
 func TestPageInFaultDegradesToGap(t *testing.T) {
 	const target, blocks = 1, 8 // shard 1 owns {2,3} and {6,7}
-	re, sched := reopenWithFaultyShard(t, shard.Options{
+	opts := shard.Options{
 		Shards:           2,
 		Band:             2,
 		Workers:          2,
 		ADSCacheBlocks:   2, // 1 per shard: every older height must page in
 		FailureThreshold: 3,
 		BreakerCooldown:  time.Hour,
-	}, target, blocks)
+	}
+	q := sedanBenzQuery(0, blocks-1)
+	wantGaps := []core.Gap{{Start: 6, End: 7}, {Start: 2, End: 3}}
+
+	// A fault mid-span: shard 1's first page-in (height 7) succeeds and
+	// the next (height 6) fails, so the walk of [6,7] has already
+	// scheduled height 7's proofs when it fails. The gapped span must
+	// leave no proof task behind: the query proves exactly what a fresh
+	// engine proves for the returned parts, request for request.
+	var reads readBudget
+	mid := reopenWrapped(t, opts, target, blocks, reads.wrap)
+	reads.arm(1)
+	before := mid.ProofStats()
+	parts, gaps, err := mid.TimeWindowDegraded(context.Background(), q, false)
+	if err != nil {
+		t.Fatalf("degraded query with a mid-span fault: %v", err)
+	}
+	if !reflect.DeepEqual(gaps, wantGaps) {
+		t.Fatalf("mid-span fault: gaps = %v, want %v", gaps, wantGaps)
+	}
+	ref := proofs.New(mid.Acc(), proofs.Options{})
+	sp := &core.SP{Acc: mid.Acc(), View: mid.FullNode, Engine: ref}
+	run := ref.NewRun()
+	for _, p := range parts {
+		sub := q
+		sub.StartBlock, sub.EndBlock = p.Start, p.End
+		if _, err := sp.Walk(context.Background(), sub, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := run.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	got, want := mid.ProofStats(), ref.Stats()
+	requests := func(s proofs.Stats) uint64 { return s.CacheHits + s.CacheMisses }
+	if got.Proofs-before.Proofs != want.Proofs || requests(got)-requests(before) != requests(want) {
+		t.Fatalf("degraded query computed %d proofs over %d requests; its parts need %d over %d",
+			got.Proofs-before.Proofs, requests(got)-requests(before), want.Proofs, requests(want))
+	}
+
+	re, sched := reopenWithFaultyShard(t, opts, target, blocks)
 	sched.NextFailures(fault.OpRead, 1000)
 
-	q := sedanBenzQuery(0, blocks-1)
 	if _, err := re.TimeWindowParts(context.Background(), q, false); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("strict query over broken shard: err = %v, want injected page-in error", err)
 	}
 
-	parts, gaps, err := re.TimeWindowDegraded(context.Background(), q, false)
+	parts, gaps, err = re.TimeWindowDegraded(context.Background(), q, false)
 	if err != nil {
 		t.Fatalf("degraded query: %v", err)
 	}
-	wantGaps := []core.Gap{{Start: 6, End: 7}, {Start: 2, End: 3}}
 	if !reflect.DeepEqual(gaps, wantGaps) {
 		t.Fatalf("gaps = %v, want %v (exactly the broken shard's heights)", gaps, wantGaps)
 	}

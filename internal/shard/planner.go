@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/vchain-go/vchain/internal/core"
 )
@@ -39,20 +38,18 @@ func (n *Node) spans(start, end int) []span {
 	return out
 }
 
-// TimeWindowParts answers a time-window query by scatter-gather: the
-// planner slices the window into per-shard spans, fans the sub-queries
-// out to the owning shards in parallel (each shard proving on its own
-// engine, all drawing from the shared worker budget), and returns the
-// per-span VOs as parts ordered descending by height. The parts tile
-// the window exactly; Verifier.VerifyWindowParts resolves their union
-// through one randomized pairing-product batch, and the merged result
-// set is byte-identical to the unsharded SP's (skips only ever elide
-// result-free blocks).
+// TimeWindowParts answers a time-window query as per-span parts: the
+// planner slices the window into per-shard spans, walks each span onto
+// one proof run of the node's engine, proves the whole run at once, and
+// returns the per-span VOs as parts ordered descending by height. The
+// parts tile the window exactly; Verifier.VerifyWindowParts resolves
+// their union through one randomized pairing-product batch, and the
+// merged result set is byte-identical to the unsharded SP's (skips only
+// ever elide result-free blocks).
 //
-// This is the strict path: a quarantined shard in the plan, or any
-// span failure, fails the whole query. The first error cancels the
-// remaining fan-out — sibling shards stop at their next block instead
-// of proving a window nobody will read.
+// This is the strict path: a quarantined shard in the plan, or a span
+// whose walk fails, fails the whole query before a single proof is
+// computed.
 func (n *Node) TimeWindowParts(ctx context.Context, q core.Query, batched bool) ([]core.WindowPart, error) {
 	parts, _, err := n.scatter(ctx, q, batched, false)
 	return parts, err
@@ -73,8 +70,9 @@ func (n *Node) TimeWindowDegraded(ctx context.Context, q core.Query, batched boo
 }
 
 // scatter is the planner's engine: it validates the window, plans the
-// spans, fans out per-owner goroutines, and assembles parts (and, in
-// degraded mode, gaps) in plan order.
+// spans, walks them in plan order onto one run, waits for that run
+// once, and assembles parts (and, in degraded mode, gaps) in plan
+// order.
 func (n *Node) scatter(ctx context.Context, q core.Query, batched, degraded bool) ([]core.WindowPart, []core.Gap, error) {
 	if _, err := q.CNF(); err != nil {
 		return nil, nil, err
@@ -87,95 +85,52 @@ func (n *Node) scatter(ctx context.Context, q core.Query, batched, degraded bool
 	}
 
 	plan := n.spans(q.StartBlock, q.EndBlock)
-	results := make([]*core.VO, len(plan))
-	skipped := make([]bool, len(plan)) // true: span becomes a gap (degraded only)
 
-	// Quarantined owners shed load before any work is spawned: strict
-	// queries fail fast, degraded ones turn the spans into gaps.
-	quarantined := make(map[int]bool)
+	// down marks owners whose spans become gaps (degraded only).
+	// Quarantined owners shed load before any span is walked: strict
+	// queries fail fast, degraded ones gap the owner's spans.
+	down := make(map[int]bool)
 	for _, s := range plan {
-		if quarantined[s.owner] || n.shards[s.owner].admit() {
+		if down[s.owner] || n.shards[s.owner].admit() {
 			continue
 		}
 		if !degraded {
 			return nil, nil, fmt.Errorf("shard %d: span [%d,%d]: %w", s.owner, s.start, s.end, ErrShardUnavailable)
 		}
-		quarantined[s.owner] = true
-	}
-	for i, s := range plan {
-		if quarantined[s.owner] {
-			skipped[i] = true
-		}
+		down[s.owner] = true
 	}
 
-	// Group the plan by owner: one goroutine per covering shard, each
-	// working through its spans sequentially on its own engine.
-	byOwner := make(map[int][]int)
+	sp := n.SP(batched)
+	run := sp.Engine.NewRun()
+	vos := make([]*core.VO, len(plan)) // nil: the span becomes a gap
 	for i, s := range plan {
-		if skipped[i] {
+		if down[s.owner] {
 			continue
 		}
-		byOwner[s.owner] = append(byOwner[s.owner], i)
-	}
-
-	// The derived context is the fan-out's kill switch: the first
-	// fatal error cancels it, and every sibling goroutine aborts at
-	// its next per-block check instead of leaking until wg.Wait.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fatal := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
+		sub := q
+		sub.StartBlock, sub.EndBlock = s.start, s.end
+		vo, err := sp.Walk(ctx, sub, run)
+		if err == nil {
+			vos[i] = vo
+			continue
 		}
-		errMu.Unlock()
+		if !degraded || ctx.Err() != nil || !errors.Is(err, core.ErrADSUnavailable) {
+			// Strict mode, the deadline/cancel reached us, or the
+			// failure is the query's own (a clause the key cannot
+			// prove, say) rather than the shard's: the whole query
+			// fails. Only storage faults may gap a span — a client must
+			// not be able to talk healthy shards into quarantine.
+			return nil, nil, fmt.Errorf("shard %d: span [%d,%d]: %w", s.owner, s.start, s.end, err)
+		}
+		// Degraded mode: this shard's storage just proved itself sick.
+		// Walk withdrew the span's proofs from the run; the span and
+		// the owner's later spans become gaps, and the failure feeds
+		// the breaker so repeated sickness quarantines it.
+		n.shards[s.owner].fail(err)
+		down[s.owner] = true
 	}
-	for owner, idxs := range byOwner {
-		w := n.shards[owner]
-		wg.Add(1)
-		go func(w *worker, idxs []int) {
-			defer wg.Done()
-			sp := &core.SP{Acc: n.Acc(), View: n.FullNode, Batch: batched, Engine: w.engine}
-			for k, i := range idxs {
-				sub := q
-				sub.StartBlock, sub.EndBlock = plan[i].start, plan[i].end
-				vo, err := sp.TimeWindowQueryCtx(ctx, sub)
-				if err == nil {
-					results[i] = vo
-					continue
-				}
-				if !degraded || ctx.Err() != nil || !errors.Is(err, core.ErrADSUnavailable) {
-					// Strict mode, the deadline/cancel reached us, or
-					// the failure is the query's own (a clause the key
-					// cannot prove, say) rather than the shard's: the
-					// whole query fails. Only storage faults may gap a
-					// span — a client must not be able to talk healthy
-					// shards into quarantine.
-					fatal(fmt.Errorf("shard %d: span [%d,%d]: %w", w.id, sub.StartBlock, sub.EndBlock, err))
-					return
-				}
-				// Degraded mode: this shard's storage just proved itself
-				// sick. Its failed span and everything it still owed
-				// become gaps; the failure feeds the breaker so repeated
-				// sickness quarantines it.
-				w.fail(err)
-				for _, j := range idxs[k:] {
-					skipped[j] = true
-				}
-				return
-			}
-		}(w, idxs)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
+	if err := run.WaitCtx(ctx); err != nil {
+		return nil, nil, fmt.Errorf("shard: disjointness proof: %w", err)
 	}
 
 	// Assemble in plan order (descending by height). Adjacent gaps
@@ -185,7 +140,7 @@ func (n *Node) scatter(ctx context.Context, q core.Query, batched, degraded bool
 		gaps  []core.Gap
 	)
 	for i, s := range plan {
-		if skipped[i] {
+		if vos[i] == nil {
 			if len(gaps) > 0 && gaps[len(gaps)-1].Start == s.end+1 {
 				gaps[len(gaps)-1].Start = s.start
 			} else {
@@ -193,7 +148,7 @@ func (n *Node) scatter(ctx context.Context, q core.Query, batched, degraded bool
 			}
 			continue
 		}
-		parts = append(parts, core.WindowPart{Start: s.start, End: s.end, VO: results[i]})
+		parts = append(parts, core.WindowPart{Start: s.start, End: s.end, VO: vos[i]})
 	}
 	return parts, gaps, nil
 }

@@ -14,14 +14,13 @@
 //   - Supervision: a per-shard Healthy→Degraded→Quarantined circuit
 //     breaker on the commit path, operator quarantine, and supervised
 //     restart of a shard from its own log (health.go).
-//   - Query: a time-window query fans out to the covering shards in
-//     parallel (planner.go); the per-shard VOs tile the window and the
-//     union resolves through Verifier.VerifyWindowParts in ONE
-//     randomized pairing-product batch. With one shard the answer is a
-//     single part — byte for byte the plain node's VO.
-//   - Budget: every shard engine shares one proofs.Limiter, so N
-//     shards split — never multiply — the configured proof worker
-//     budget.
+//   - Query: a time-window query is planned into per-shard spans
+//     (planner.go); every span is walked onto one proof run of the
+//     node's one engine, so the answer is one part per span, proved on
+//     one worker pool. The parts tile the window and the union resolves
+//     through Verifier.VerifyWindowParts in ONE randomized
+//     pairing-product batch. With one shard the answer is a single
+//     part — byte for byte the plain node's VO.
 package shard
 
 import (
@@ -56,11 +55,11 @@ type Options struct {
 	// is fixed at store creation; reopening validates it against the
 	// directory's topology record.
 	Band int
-	// Workers is the total proof-computation budget shared by all
-	// shard engines (split, not multiplied: the engines share one
-	// proofs.Limiter of this capacity). 0 means one worker per shard.
+	// Workers sizes the node's one proof engine: the worker pool every
+	// query's and subscription's proofs run on. 0 means one worker per
+	// shard.
 	Workers int
-	// CacheSize bounds each shard engine's proof cache (see
+	// CacheSize bounds that engine's proof cache (see
 	// proofs.Options.CacheSize).
 	CacheSize int
 	// ADSCacheBlocks bounds the node's decoded-ADS cache, in blocks,
@@ -114,13 +113,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// worker is one shard's supervision state and proof engine; the
-// shard's storage slot (backend + decoded-ADS source) lives in the
-// embedded core.FullNode. hmu guards the health state machine
-// (health.go) so health can be read without the node's commit lock.
+// worker is one shard's supervision state; the shard's storage slot
+// (backend + decoded-ADS source) lives in the embedded core.FullNode.
+// hmu guards the health state machine (health.go) so health can be
+// read without the node's commit lock.
 type worker struct {
-	id     int
-	engine *proofs.Engine
+	id int
 	// threshold is Options.FailureThreshold.
 	threshold int
 
@@ -137,11 +135,10 @@ type worker struct {
 
 // Node is a miner/SP whose chain is spread over N ≥ 1 shards. The
 // embedded core.FullNode is the node proper — block index, commit
-// pipeline, mining, paged ADS slots, one slot per shard — and this type
-// adds what is genuinely about shards: the on-disk topology, per-shard
-// health supervision, per-shard proof engines on one shared budget, and
-// the scatter-gather query planner. It implements the service layer's
-// Chain interface.
+// pipeline, mining, paged ADS slots (one per shard), the one proof
+// engine — and this type adds what is genuinely about shards: the
+// on-disk topology, per-shard health supervision, and the query
+// planner. It implements the service layer's Chain interface.
 type Node struct {
 	*core.FullNode
 	opts Options
@@ -198,25 +195,14 @@ type RecoveryReport struct {
 }
 
 // newNode layers the shard machinery over a core node with one slot
-// per shard: the limiter, the engines, and the breakers on the commit
-// path. The node's own engine serves subscriptions and shares the
-// limiter, so subscription proofs draw from the same budget as query
-// proofs. With one shard that engine also answers queries — queries and
-// subscriptions then share one proof cache, as on any plain node.
+// per shard: the node's one proof engine, which answers queries and
+// subscriptions from one worker pool and one cache, and the breakers
+// on the commit path.
 func newNode(full *core.FullNode, dir string, opts Options) *Node {
 	n := &Node{FullNode: full, opts: opts, dir: dir}
-	acc, limiter := full.Acc(), proofs.NewLimiter(opts.Workers)
-	full.Proofs = proofs.New(acc, proofs.Options{Workers: opts.Workers, CacheSize: opts.CacheSize, Limiter: limiter})
+	full.Proofs = proofs.New(full.Acc(), proofs.Options{Workers: opts.Workers, CacheSize: opts.CacheSize})
 	for i := 0; i < opts.Shards; i++ {
-		w := &worker{id: i, engine: full.Proofs, threshold: opts.FailureThreshold}
-		if opts.Shards > 1 {
-			w.engine = proofs.New(acc, proofs.Options{
-				Workers:   max(opts.Workers/opts.Shards, 1),
-				CacheSize: opts.CacheSize,
-				Limiter:   limiter,
-			})
-		}
-		n.shards = append(n.shards, w)
+		n.shards = append(n.shards, &worker{id: i, threshold: opts.FailureThreshold})
 	}
 	full.Guard = n.shards
 	return n
@@ -410,8 +396,8 @@ func parseMeta(data []byte) (shards, band int, err error) {
 // Shards returns the shard count.
 func (n *Node) Shards() int { return n.opts.Shards }
 
-// ShardStats snapshots each shard's health, proof-engine, and
-// ADS-source counters, in shard order.
+// ShardStats snapshots each shard's health and ADS-source counters, in
+// shard order. The node's proof counters are ProofStats.
 func (n *Node) ShardStats() []Stats {
 	out := make([]Stats, len(n.shards))
 	for i, w := range n.shards {
@@ -419,17 +405,4 @@ func (n *Node) ShardStats() []Stats {
 		out[i].ADS = n.SlotADSStats(i)
 	}
 	return out
-}
-
-// ProofStats aggregates every engine's counters — the node's own plus
-// each shard's — into the process-wide view (at one shard they are the
-// same engine, counted once).
-func (n *Node) ProofStats() proofs.Stats {
-	total := n.ProofEngine().Stats()
-	for _, w := range n.shards {
-		if w.engine != n.Proofs {
-			total = total.Add(w.engine.Stats())
-		}
-	}
-	return total
 }

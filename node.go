@@ -16,13 +16,14 @@ import (
 // Node is a miner and service provider over one chain: it mines
 // ADS-carrying blocks, answers time-window queries with VOs, and runs
 // the subscription engine. Its chain is spread over N ≥ 1 shards —
-// height bands, each with its own block store, decoded-ADS cache and
-// proof engine on one shared worker budget (Config.SPWorkers split, not
-// multiplied). Sharding is a placement decision, not a second kind of
-// node: every operation works at every N, a query answer is always a
-// list of WindowParts tiling the window (one part at N = 1, one per
-// covering shard beyond), and LightClient.Verify settles the union in a
-// single pairing-product batch.
+// height bands, each with its own block store and decoded-ADS cache —
+// while every proof, for queries and subscriptions alike, runs on the
+// node's one proof engine (Config.SPWorkers workers, one cache).
+// Sharding is a placement decision, not a second kind of node: every
+// operation works at every N, a query answer is always a list of
+// WindowParts tiling the window (one part at N = 1, one per shard span
+// beyond), and LightClient.Verify settles the union in a single
+// pairing-product batch.
 type Node struct {
 	sys      *System
 	node     *shard.Node
@@ -156,13 +157,13 @@ func (n *Node) WindowByTime(ts, te int64) (start, end int, ok bool) {
 	return n.node.Store.WindowByTime(ts, te)
 }
 
-// TimeWindow answers a time-window query by scatter-gather across the
-// covering shards, returning the window parts (descending, tiling the
-// window; exactly one at N = 1). Verify with LightClient.Verify;
-// results are embedded (WindowPart.VO.Results()). batched enables
-// online batch verification (§6.3) per shard; it falls back to
-// individual proofs when the configured accumulator cannot aggregate.
-// Proofs are computed on Config.SPWorkers workers.
+// TimeWindow answers a time-window query with one window part per
+// shard span (descending, tiling the window; exactly one at N = 1).
+// Verify with LightClient.Verify; results are embedded
+// (WindowPart.VO.Results()). batched enables online batch verification
+// (§6.3) per part; it falls back to individual proofs when the
+// configured accumulator cannot aggregate. All of the query's proofs
+// run as one batch on the node's Config.SPWorkers workers.
 func (n *Node) TimeWindow(q Query, batched bool) ([]WindowPart, error) {
 	return n.node.TimeWindowParts(context.Background(), q, batched)
 }
@@ -200,14 +201,15 @@ func (n *Node) Supervise(interval time.Duration) (stop func()) {
 	return n.node.Supervise(interval)
 }
 
-// ProofStats aggregates the proof-engine counters of the whole node:
-// proofs computed, cache hits/misses, evictions, and aggregation groups
-// across every shard engine plus the engine serving subscriptions (at
-// N = 1 one engine, and one proof cache, serves both).
+// ProofStats snapshots the node's proof-engine counters: proofs
+// computed, cache hits/misses, evictions, and aggregation groups. One
+// engine serves queries and subscriptions at every shard count, so this
+// is the whole node.
 func (n *Node) ProofStats() ProofStats { return n.node.ProofStats() }
 
 // ShardStats snapshots each shard's operational state, in shard
-// order: health, proof counters, and failure/restart/breaker totals.
+// order: health, decoded-ADS counters, and failure/restart/breaker
+// totals.
 func (n *Node) ShardStats() []ShardStat { return n.node.ShardStats() }
 
 // SubscribeOptions configure the node's subscription engine. The

@@ -76,7 +76,7 @@ type (
 	// query window (LightClient.VerifyDegraded enforces exactly that).
 	DegradedResult = core.DegradedResult
 	// ShardStat is one shard's operational snapshot: health state,
-	// proof counters, failure/restart/breaker-trip totals.
+	// decoded-ADS counters, failure/restart/breaker-trip totals.
 	ShardStat = shard.Stats
 	// ShardHealth is a shard's health state (ShardHealthy /
 	// ShardDegraded / ShardQuarantined).
@@ -174,16 +174,18 @@ type Config struct {
 	// Difficulty is the proof-of-work difficulty in leading zero bits.
 	// Default 8.
 	Difficulty uint8
-	// SPWorkers is the size of the SP's proof worker pool (the paper's
-	// SP runs 24 hyper-threads). Default 1.
+	// SPWorkers is the size of the node's one proof worker pool, which
+	// every query and subscription proves on at any shard count (the
+	// paper's SP runs 24 hyper-threads). 0 means one worker per shard.
 	SPWorkers int
 	// VerifyWorkers bounds how many goroutines the light client's
 	// batched verification flush uses. 0 means all cores (GOMAXPROCS).
 	VerifyWorkers int
-	// ProofCacheSize bounds each proof engine's LRU memoization cache:
-	// repeated (multiset, clause) disjointness proofs across queries,
-	// subscriptions, and blocks are served from it. 0 means the engine
-	// default (4096 entries); negative disables caching.
+	// ProofCacheSize bounds the node's proof engine's LRU memoization
+	// cache: repeated (multiset, clause) disjointness proofs across
+	// queries, subscriptions, blocks and shards are served from it. 0
+	// means the engine default (4096 entries); negative disables
+	// caching.
 	ProofCacheSize int
 	// ShardFailureThreshold is the per-shard circuit breaker: that many
 	// consecutive backend failures quarantine the shard. 0 means the

@@ -452,41 +452,51 @@ func TestFacadeServeLifecycle(t *testing.T) {
 	})
 }
 
-// TestFacadeProofStats checks that a one-shard node's engine is really
-// shared: time-window, batched, and subscription traffic all land in
-// one stats snapshot (counted once), and repeated queries produce cache
-// hits.
+// TestFacadeProofStats checks that a node proves on one engine at every
+// shard count: subscription, time-window and batched traffic all land
+// in one ProofStats snapshot, which is the engine's own, and a repeated
+// window is served entirely from that engine's cache.
 func TestFacadeProofStats(t *testing.T) {
 	sys := testSystem(t, "acc2", IndexBoth)
-	node := sys.NewNode(1)
-	if _, err := node.Subscribe(Query{Bool: And(Or("sedan"), Or("tesla")), Width: 4}, SubscribeOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, _, err := node.Mine(carBlock(i), int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	afterSubs := node.ProofStats()
-	if afterSubs.Proofs == 0 {
-		t.Fatalf("subscription processing did not reach the shared engine: %+v", afterSubs)
-	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			node := sys.NewNode(shards)
+			if _, err := node.Subscribe(Query{Bool: And(Or("sedan"), Or("tesla")), Width: 4}, SubscribeOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			// Ten blocks span two default bands, so both shards own heights.
+			mine(t, node, 0, 10)
+			afterSubs := node.ProofStats()
+			if afterSubs.Proofs == 0 {
+				t.Fatalf("subscription processing did not reach the node's engine: %+v", afterSubs)
+			}
 
-	q := Query{StartBlock: 0, EndBlock: 2, Bool: And(Or("sedan")), Width: 4}
-	for _, batched := range []bool{false, false, true} {
-		if _, err := node.TimeWindow(q, batched); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := node.ProofStats()
-	if one := node.ShardStats()[0].Proofs; one != st {
-		t.Errorf("one-shard node counts its engine twice: node %+v, shard %+v", st, one)
-	}
-	if st.CacheHits == 0 {
-		t.Errorf("repeated window produced no cache hits: %+v", st)
-	}
-	if st.CacheMisses <= afterSubs.CacheMisses && st.CacheHits <= afterSubs.CacheHits {
-		t.Errorf("time-window traffic did not reach the shared engine: %+v vs %+v", st, afterSubs)
+			q := Query{StartBlock: 0, EndBlock: 9, Bool: And(Or("sedan")), Width: 4}
+			parts, err := node.TimeWindow(q, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(parts) != shards {
+				t.Fatalf("%d parts, want one per shard (%d)", len(parts), shards)
+			}
+			if _, err := node.TimeWindow(q, false); err != nil {
+				t.Fatal(err)
+			}
+			first := node.ProofStats()
+			if first.CacheMisses <= afterSubs.CacheMisses || first.AggGroups == 0 {
+				t.Errorf("time-window traffic did not reach the node's engine: %+v vs %+v", first, afterSubs)
+			}
+			if _, err := node.TimeWindow(q, false); err != nil {
+				t.Fatal(err)
+			}
+			st := node.ProofStats()
+			if eng := node.Core().ProofEngine().Stats(); st != eng {
+				t.Errorf("ProofStats %+v is not the node engine's %+v", st, eng)
+			}
+			if st.CacheMisses != first.CacheMisses || st.CacheHits <= first.CacheHits {
+				t.Errorf("repeated window not served from cache: %+v then %+v", first, st)
+			}
+		})
 	}
 }
 
