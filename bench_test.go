@@ -235,6 +235,7 @@ func BenchmarkSubscriptionIPTree(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := subscribe.NewEngine(f.acc, subscribe.Options{
 					UseIPTree: useIP, Dims: f.ds.Dims, Width: f.ds.Width,
+					Proofs: proofs.New(f.acc, proofs.Options{}),
 				})
 				for _, q := range queries {
 					if _, err := eng.Register(q); err != nil {
@@ -274,6 +275,7 @@ func BenchmarkSubscriptionPeriod(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := subscribe.NewEngine(f.acc, subscribe.Options{
 					Lazy: scheme.lazy, UseIPTree: true, Dims: f.ds.Dims, Width: f.ds.Width,
+					Proofs: proofs.New(f.acc, proofs.Options{}),
 				})
 				ids := make([]int, len(queries))
 				for j, q := range queries {

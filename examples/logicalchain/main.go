@@ -126,16 +126,14 @@ func main() {
 	// “blockchain” ∧ (“query” ∨ “search”) as in the paper's patent
 	// example (§1), over the logical blocks.
 	sp := &core.SP{Acc: acc, View: contract, Engine: proofs.New(acc, proofs.Options{})}
-	cnf := core.CNF{core.KeywordClause("blockchain"), core.KeywordClause("query", "search")}
-	matches := 0
-	for i := range contract.byHeight {
-		ads, _ := contract.ADSAt(i)
-		tree, err := sp.BlockTreeVO(ads, cnf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		vo := &core.VO{Blocks: []core.BlockVO{{Height: i, Tree: tree}}}
-		matches += len(vo.Results())
+	vo, err := sp.TimeWindowQuery(core.Query{
+		StartBlock: 0,
+		EndBlock:   len(contract.byHeight) - 1,
+		Bool:       core.CNF{core.KeywordClause("blockchain"), core.KeywordClause("query", "search")},
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
+	matches := len(vo.Results())
 	fmt.Printf("patent search found %d matches across the logical chain\n", matches)
 }

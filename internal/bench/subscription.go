@@ -6,6 +6,7 @@ import (
 
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/crypto/pairing"
+	"github.com/vchain-go/vchain/internal/proofs"
 	"github.com/vchain-go/vchain/internal/subscribe"
 	"github.com/vchain-go/vchain/internal/workload"
 )
@@ -25,8 +26,10 @@ type subscriptionRun struct {
 }
 
 func runSubscription(s *setup, queries []core.Query, opts subscribe.Options, period int) (*subscriptionRun, error) {
+	// A fresh proof engine per run keeps sweep rows independent, as in
+	// runWindowQueries.
+	opts.Proofs = proofs.New(s.acc, proofs.Options{})
 	eng := subscribe.NewEngine(s.acc, opts)
-	st0 := eng.ProofStats()
 	ids := make([]int, len(queries))
 	for i, q := range queries {
 		id, err := eng.Register(q)
@@ -64,7 +67,7 @@ func runSubscription(s *setup, queries []core.Query, opts subscribe.Options, per
 		}
 	}
 	out.spTime += time.Since(t0)
-	out.proofs, out.hitRate = statsDelta(st0, eng.ProofStats())
+	out.proofs, out.hitRate = statsDelta(proofs.Stats{}, opts.Proofs.Stats())
 
 	for i := range pubs {
 		pub := &pubs[i]

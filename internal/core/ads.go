@@ -121,12 +121,6 @@ func (s *SkipEntry) hashEntry(acc accumulator.Accumulator) chain.Digest {
 	return sha256.Sum256(buf)
 }
 
-// SkipEntryHash exposes the skip entry's commitment leaf for packages
-// that assemble skip VOs outside the SP (the subscription engine).
-func SkipEntryHash(s *SkipEntry, acc accumulator.Accumulator) chain.Digest {
-	return s.hashEntry(acc)
-}
-
 // SkipDistances returns the jump lengths for a skip list of the given
 // size: 4, 8, …, 2^(size+1), matching the maximum-jump annotation of
 // Figs. 20–22 (size 1 → max 4, size 3 → max 16, size 5 → max 64).

@@ -42,17 +42,6 @@ type SP struct {
 	Engine *proofs.Engine
 }
 
-// canProve pre-checks that a deferred disjointness proof will succeed
-// (capacity-wise) so skip decisions can be made before proofs exist.
-func canProve(acc accumulator.Accumulator, w multiset.Multiset, clause Clause) bool {
-	if max := acc.MaxCardinality(); max >= 0 {
-		if w.Cardinality() > max || len(clause) > max {
-			return false
-		}
-	}
-	return true
-}
-
 // aggVO adapts the engine's same-clause Aggregator to VO assembly: it
 // tracks which Clause owns each group index and materializes the
 // MismatchGroup list.
@@ -178,49 +167,49 @@ func (sp *SP) trySkip(ads *BlockADS, cnf CNF, startBlock int, run *proofs.Run) *
 		if !ok {
 			continue
 		}
-		if !canProve(sp.Acc, entry.W, clause) {
+		out := ads.SkipVO(i, clause, sp.Acc)
+		if out == nil {
 			// Over the key's capacity: fall back to smaller skips or
 			// per-block processing rather than failing the query.
 			continue
 		}
-		out := &SkipVO{
-			Distance: entry.Distance,
-			Clause:   clause,
-			Digest:   entry.Digest,
-			PrevHash: entry.PrevHash,
-		}
 		run.Add(entry.W, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) { out.Proof = pf })
-		siblings := make(map[int]chain.Digest, len(ads.Skips)-1)
-		for j := range ads.Skips {
-			if j == i {
-				continue
-			}
-			siblings[ads.Skips[j].Distance] = ads.Skips[j].hashEntry(sp.Acc)
-		}
-		out.Siblings = siblings
 		return out
 	}
 	return nil
 }
 
-// BlockTreeVO runs the single-block traversal (Alg. 3) and returns its
-// tree VO. The subscription engine publishes these for matching blocks;
-// the tree's mismatch proofs are computed on the engine's worker pool.
-func (sp *SP) BlockTreeVO(ads *BlockADS, cnf CNF) (*NodeVO, error) {
-	run := sp.Engine.NewRun()
-	node := sp.blockTreeVO(ads, cnf, nil, run)
-	if err := run.Wait(); err != nil {
-		return nil, fmt.Errorf("core: disjointness proof: %w", err)
+// SkipVO builds the VO entry that cites skip entry i against clause:
+// the entry's distance, digest and landing hash plus the commitment
+// leaves of its siblings. The caller fills the proof. It returns nil
+// when acc's key is too small to prove the entry's multiset disjoint
+// from clause, so callers fall back to a smaller skip.
+func (a *BlockADS) SkipVO(i int, clause Clause, acc accumulator.Accumulator) *SkipVO {
+	entry := &a.Skips[i]
+	if max := acc.MaxCardinality(); max >= 0 && (entry.W.Cardinality() > max || len(clause) > max) {
+		return nil
 	}
-	return node, nil
+	siblings := make(map[int]chain.Digest, len(a.Skips)-1)
+	for j := range a.Skips {
+		if j != i {
+			siblings[a.Skips[j].Distance] = a.Skips[j].hashEntry(acc)
+		}
+	}
+	return &SkipVO{
+		Distance: entry.Distance,
+		Clause:   clause,
+		Digest:   entry.Digest,
+		PrevHash: entry.PrevHash,
+		Siblings: siblings,
+	}
 }
 
 // RootMismatchVO builds the block-level mismatch entry subscriptions
 // publish when an entire block provably misses a clause: the root's
-// digest, pre-hash, and a disjointness proof. It returns nil when the
-// root carries no digest (ModeNil), in which case the caller must fall
-// back to a full traversal.
-func RootMismatchVO(ads *BlockADS, clause Clause, pf accumulator.Proof) *NodeVO {
+// digest and pre-hash, with a zero proof the caller fills in place. It
+// returns nil when the root carries no digest (ModeNil), in which case
+// the caller must fall back to a full traversal.
+func RootMismatchVO(ads *BlockADS, clause Clause) *NodeVO {
 	root := ads.Root
 	if !root.HasDigest {
 		return nil
@@ -237,7 +226,7 @@ func RootMismatchVO(ads *BlockADS, clause Clause, pf accumulator.Proof) *NodeVO 
 		HasDigest: true,
 		PreHash:   pre,
 		Clause:    clause,
-		Proof:     &pf,
+		Proof:     &accumulator.Proof{},
 		Group:     -1,
 	}
 }

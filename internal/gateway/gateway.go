@@ -452,7 +452,6 @@ func toHeaderJSON(h chain.Header) headerJSON {
 
 // handleHeaders serves GET /v1/headers?from=N&limit=M.
 func (g *Gateway) handleHeaders(w http.ResponseWriter, r *http.Request, tenant string) {
-	all := g.node.Headers()
 	from, limit := 0, DefaultHeaderPage
 	if s := r.URL.Query().Get("from"); s != "" {
 		v, err := strconv.Atoi(s)
@@ -473,21 +472,18 @@ func (g *Gateway) handleHeaders(w http.ResponseWriter, r *http.Request, tenant s
 		}
 		limit = v
 	}
-	if from > len(all) {
-		errorJSON(w, http.StatusBadRequest, fmt.Sprintf("from %d beyond height %d", from, len(all)))
+	page, height, err := service.HeaderPage(g.node, from, limit)
+	if err != nil {
+		errorJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	batch := all[from:]
-	if len(batch) > limit {
-		batch = batch[:limit]
-	}
-	hs := make([]headerJSON, len(batch))
-	for i, h := range batch {
+	hs := make([]headerJSON, len(page))
+	for i, h := range page {
 		hs[i] = toHeaderJSON(h)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
-		"height":  len(all),
+		"height":  height,
 		"from":    from,
 		"headers": hs,
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -681,4 +682,110 @@ func TestServeAndClose(t *testing.T) {
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Fatal("gateway still serving after Close")
 	}
+}
+
+// pagedOnly is a service.Chain whose Headers fails the test: serving
+// one page of a header sync must not copy every header of the chain.
+type pagedOnly struct {
+	service.Chain
+	t testing.TB
+}
+
+func (c pagedOnly) Headers() []chain.Header {
+	c.t.Error("a header page copied the whole chain")
+	return c.Chain.Headers()
+}
+
+// TestHeaderSyncPagesWithoutFullCopy syncs a light store page by page
+// over gob and over HTTP from a chain whose Headers fails the test, and
+// checks that both synced stores match the node.
+func TestHeaderSyncPagesWithoutFullCopy(t *testing.T) {
+	const blocks, page = 40, 16
+	node := buildNode(t, blocks)
+	served := pagedOnly{Chain: node, t: t}
+	matches := func(front string, light *chain.LightStore) {
+		t.Helper()
+		if light.Height() != blocks {
+			t.Fatalf("%s: synced %d headers, want %d", front, light.Height(), blocks)
+		}
+		for h := 0; h < blocks; h++ {
+			got, _ := light.HeaderAt(h)
+			want, _ := node.HeaderAt(h)
+			if got != want {
+				t.Fatalf("%s: header %d differs from the node's", front, h)
+			}
+		}
+	}
+
+	// gob: a 4 KB frame cap holds 16 headers a batch.
+	srv := service.NewServer(served, service.ServerConfig{MaxFrame: 4096})
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := service.Dial(addr, service.ClientConfig{MaxFrame: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	light := chain.NewLightStore(0)
+	if err := cli.SyncHeaders(context.Background(), light); err != nil {
+		t.Fatal(err)
+	}
+	matches("gob", light)
+
+	// HTTP: GET /v1/headers pages of 16 until one comes back empty.
+	_, base := startGateway(t, served, Config{})
+	light = chain.NewLightStore(0)
+	for {
+		resp, body := do(t, "GET", fmt.Sprintf("%s/v1/headers?from=%d&limit=%d", base, light.Height(), page), "", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("headers from %d: status %d (body %s)", light.Height(), resp.StatusCode, body)
+		}
+		var got struct {
+			Height  int          `json:"height"`
+			Headers []headerJSON `json:"headers"`
+		}
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Height != blocks || len(got.Headers) > page {
+			t.Fatalf("page from %d: height %d, %d headers", light.Height(), got.Height, len(got.Headers))
+		}
+		if len(got.Headers) == 0 {
+			break
+		}
+		hs := make([]chain.Header, len(got.Headers))
+		for i, hj := range got.Headers {
+			hs[i] = headerFromJSON(t, hj)
+		}
+		if err := light.Sync(hs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	matches("HTTP", light)
+}
+
+// headerFromJSON decodes one /v1/headers entry, checking its hash.
+func headerFromJSON(t testing.TB, hj headerJSON) chain.Header {
+	t.Helper()
+	h := chain.Header{Height: hj.Height, TS: hj.TS, Nonce: hj.Nonce}
+	for _, f := range []struct {
+		dst *chain.Digest
+		hex string
+	}{{&h.PrevHash, hj.PrevHash}, {&h.MerkleRoot, hj.MerkleRoot}, {&h.SkipListRoot, hj.SkipListRoot}} {
+		if f.hex == "" {
+			continue // an omitted skip-list root is zero
+		}
+		b, err := hex.DecodeString(f.hex)
+		if err != nil || len(b) != len(f.dst) {
+			t.Fatalf("header %d: bad digest %q", hj.Height, f.hex)
+		}
+		copy(f.dst[:], b)
+	}
+	if sum := h.Hash(); hex.EncodeToString(sum[:]) != hj.Hash {
+		t.Fatalf("header %d: decoded header does not hash to %s", hj.Height, hj.Hash)
+	}
+	return h
 }

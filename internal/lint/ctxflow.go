@@ -14,7 +14,7 @@ import (
 // This analyzer stops regressions: an exported function in those
 // layers that spawns goroutines or blocks on channels must accept a
 // context.Context. The sanctioned legacy shape is a thin wrapper
-// delegating to the ctx-taking variant (Prove → ProveCtx): the wrapper
+// delegating to the ctx-taking variant (Serve → ServeCtx): the wrapper
 // itself neither spawns nor blocks, so it passes. The shard planner is
 // out of scope: it walks on the calling goroutine and blocks only
 // inside the proof engine's Run.WaitCtx.

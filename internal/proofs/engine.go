@@ -9,7 +9,8 @@
 //
 //   - a bounded worker pool executing deferred proof tasks scheduled
 //     with assign callbacks (Run), so VO construction can stay
-//     single-threaded while proof computation fans out;
+//     single-threaded while proof computation fans out. A Run is the
+//     only entry point: callers plan (Add), then prove (WaitCtx);
 //   - an LRU memoization cache keyed by (multiset digest, clause key)
 //     with single-flight deduplication, so concurrent and repeated
 //     requests for the same proof compute it once;
@@ -18,9 +19,9 @@
 //   - a Stats snapshot (proofs computed, cache hits/misses,
 //     aggregation groups) for CLIs and benchmarks.
 //
-// One Engine is shared by the time-window SP paths, the subscription
-// engine, and the service layer of a deployment; it is safe for
-// concurrent use.
+// One Engine is shared by the time-window SP paths (one run per query)
+// and the subscription engine (one run per block, plus one for a lazy
+// span's fresh skip proofs); it is safe for concurrent use.
 package proofs
 
 import (
@@ -41,7 +42,7 @@ const DefaultCacheSize = 4096
 
 // Options configure an Engine.
 type Options struct {
-	// Workers is the worker-pool size of every deferred run (Run.Wait),
+	// Workers is the worker-pool size of every deferred run (Run.WaitCtx),
 	// the waiting goroutine included — the paper's SP uses 24. Values
 	// <= 1 mean a pool of one.
 	Workers int
@@ -149,22 +150,17 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// Prove returns a proof that w and the clause's multiset are disjoint,
+// prove returns a proof that w and the clause's multiset are disjoint,
 // serving it from the cache when an equal pair was proved before and
 // joining an in-flight computation when one is already underway.
-// clauseKey must uniquely determine clauseW.
-func (e *Engine) Prove(w multiset.Multiset, clauseKey string, clauseW multiset.Multiset) (accumulator.Proof, error) {
-	return e.ProveCtx(context.Background(), w, clauseKey, clauseW)
-}
-
-// ProveCtx is Prove under a deadline: a done context fails the request
-// before any pairing work starts, while waiting for the concurrency
-// budget, or while joined onto another caller's in-flight computation.
-// A computation already running is never interrupted (the pairing code
-// has no cancellation points) — its result still lands in the cache
-// for the next caller, so cancellation costs at most one proof of
-// wasted work per worker.
-func (e *Engine) ProveCtx(ctx context.Context, w multiset.Multiset, clauseKey string, clauseW multiset.Multiset) (accumulator.Proof, error) {
+// clauseKey must uniquely determine clauseW. A done context fails the
+// request before any pairing work starts, while waiting for the
+// concurrency budget, or while joined onto another caller's in-flight
+// computation. A computation already running is never interrupted (the
+// pairing code has no cancellation points) — its result still lands in
+// the cache for the next caller, so cancellation costs at most one
+// proof of wasted work per worker.
+func (e *Engine) prove(ctx context.Context, w multiset.Multiset, clauseKey string, clauseW multiset.Multiset) (accumulator.Proof, error) {
 	if err := ctx.Err(); err != nil {
 		return accumulator.Proof{}, err
 	}
@@ -246,8 +242,9 @@ type task struct {
 }
 
 // Run collects deferred proof tasks scheduled during VO construction
-// and executes them on the worker pool at Wait. Runs are not safe for
-// concurrent Add; build the run single-threaded, then Wait.
+// and executes them on the worker pool at WaitCtx. It is the only way
+// to compute a proof. Runs are not safe for concurrent Add; build the
+// run single-threaded, then WaitCtx.
 type Run struct {
 	e     *Engine
 	tasks []task
@@ -256,7 +253,7 @@ type Run struct {
 // NewRun starts an empty deferred-task run.
 func (e *Engine) NewRun() *Run { return &Run{e: e} }
 
-// Add schedules one proof; assign receives the proof when Wait
+// Add schedules one proof; assign receives the proof when WaitCtx
 // executes the run. Assign callbacks run on the waiting goroutine in
 // scheduling order, so plain closures over VO fields are safe.
 func (r *Run) Add(w multiset.Multiset, clauseKey string, clauseW multiset.Multiset, assign func(accumulator.Proof)) {
@@ -274,16 +271,11 @@ func (r *Run) Truncate(n int) {
 	r.tasks = r.tasks[:n]
 }
 
-// Wait executes all scheduled tasks on a pool of the engine's worker
-// count (never more workers than tasks) and invokes each task's
+// WaitCtx executes all scheduled tasks on a pool of the engine's
+// worker count (never more workers than tasks) and invokes each task's
 // assign callback with its proof. The first error in scheduling order
 // wins; remaining successful assignments still happen. The run is
-// empty afterwards and may be reused.
-func (r *Run) Wait() error {
-	return r.WaitCtx(context.Background())
-}
-
-// WaitCtx is Wait under a deadline: once the context ends, remaining
+// empty afterwards and may be reused. Once the context ends, remaining
 // tasks fail fast with the context error instead of computing — a
 // canceled query drains its deferred proof backlog in one cheap check
 // per task rather than pinning the worker budget until the backlog is
@@ -301,7 +293,7 @@ func (r *Run) WaitCtx(ctx context.Context) error {
 	work := func() {
 		for i := int(next.Add(1) - 1); i < len(tasks); i = int(next.Add(1) - 1) {
 			t := &tasks[i]
-			pfs[i], errs[i] = r.e.ProveCtx(ctx, t.w, t.clauseKey, t.clauseW)
+			pfs[i], errs[i] = r.e.prove(ctx, t.w, t.clauseKey, t.clauseW)
 		}
 	}
 	var wg sync.WaitGroup
@@ -371,7 +363,7 @@ func (a *Aggregator) Len() int { return len(a.order) }
 
 // Finalize schedules one aggregated proof per group on run, in
 // group-index order; assign fires with each group's proof during
-// Run.Wait.
+// Run.WaitCtx.
 func (a *Aggregator) Finalize(run *Run, assign func(index int, pf accumulator.Proof)) {
 	a.e.mu.Lock()
 	a.e.stats.AggGroups += uint64(len(a.order))

@@ -1,6 +1,7 @@
 package proofs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -44,19 +45,27 @@ func verify(t *testing.T, acc accumulator.Accumulator, w, cw multiset.Multiset, 
 	}
 }
 
+// proveOne proves one pair on a run of its own.
+func proveOne(e *Engine, w multiset.Multiset, clauseKey string, cw multiset.Multiset) (pf accumulator.Proof, err error) {
+	run := e.NewRun()
+	run.Add(w, clauseKey, cw, func(p accumulator.Proof) { pf = p })
+	err = run.WaitCtx(context.Background())
+	return pf, err
+}
+
 func TestProveCachesRepeatedPairs(t *testing.T) {
 	acc := testAcc(t)
 	e := New(acc, Options{})
 	w := multiset.New("sedan", "benz")
 	cw := multiset.New("van")
 
-	pf1, err := e.Prove(w, key("van"), cw)
+	pf1, err := proveOne(e, w, key("van"), cw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// An equal multiset built differently must hit the same entry.
 	w2 := multiset.New("benz", "sedan")
-	pf2, err := e.Prove(w2, key("van"), cw)
+	pf2, err := proveOne(e, w2, key("van"), cw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +81,7 @@ func TestProveCachesRepeatedPairs(t *testing.T) {
 	}
 
 	// A different clause with the same multiset is a distinct entry.
-	if _, err := e.Prove(w, key("audi"), multiset.New("audi")); err != nil {
+	if _, err := proveOne(e, w, key("audi"), multiset.New("audi")); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Proofs != 2 {
@@ -84,10 +93,10 @@ func TestProveErrorsAreNotCached(t *testing.T) {
 	e := New(testAcc(t), Options{})
 	w := multiset.New("sedan")
 	cw := multiset.New("sedan") // not disjoint: must fail
-	if _, err := e.Prove(w, key("sedan"), cw); !errors.Is(err, accumulator.ErrNotDisjoint) {
+	if _, err := proveOne(e, w, key("sedan"), cw); !errors.Is(err, accumulator.ErrNotDisjoint) {
 		t.Fatalf("want ErrNotDisjoint, got %v", err)
 	}
-	if _, err := e.Prove(w, key("sedan"), cw); !errors.Is(err, accumulator.ErrNotDisjoint) {
+	if _, err := proveOne(e, w, key("sedan"), cw); !errors.Is(err, accumulator.ErrNotDisjoint) {
 		t.Fatalf("want ErrNotDisjoint again, got %v", err)
 	}
 	st := e.Stats()
@@ -103,7 +112,7 @@ func TestCacheEviction(t *testing.T) {
 		multiset.New("a"), multiset.New("b"), multiset.New("c"),
 	}
 	for _, w := range pairs {
-		if _, err := e.Prove(w, key("van"), cw); err != nil {
+		if _, err := proveOne(e, w, key("van"), cw); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,11 +120,11 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("want 1 eviction, stats %+v", st)
 	}
 	// "a" was evicted (LRU): proving it again recomputes.
-	if _, err := e.Prove(pairs[0], key("van"), cw); err != nil {
+	if _, err := proveOne(e, pairs[0], key("van"), cw); err != nil {
 		t.Fatal(err)
 	}
 	// "c" is still resident.
-	if _, err := e.Prove(pairs[2], key("van"), cw); err != nil {
+	if _, err := proveOne(e, pairs[2], key("van"), cw); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
@@ -128,7 +137,7 @@ func TestCacheDisabled(t *testing.T) {
 	e := New(testAcc(t), Options{CacheSize: -1})
 	w, cw := multiset.New("sedan"), multiset.New("van")
 	for i := 0; i < 3; i++ {
-		if _, err := e.Prove(w, key("van"), cw); err != nil {
+		if _, err := proveOne(e, w, key("van"), cw); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +157,7 @@ func TestConcurrentProveSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pf, err := e.Prove(w, key("van"), cw)
+			pf, err := proveOne(e, w, key("van"), cw)
 			if err != nil {
 				t.Error(err)
 				return
@@ -175,7 +184,7 @@ func TestConcurrentProveMixed(t *testing.T) {
 			defer wg.Done()
 			w := multiset.New(fmt.Sprintf("elt%d", i%10))
 			cw := multiset.New("van")
-			pf, err := e.Prove(w, key("van"), cw)
+			pf, err := proveOne(e, w, key("van"), cw)
 			if err != nil {
 				t.Error(err)
 				return
@@ -202,7 +211,7 @@ func TestRunAssignsAllTasks(t *testing.T) {
 		if run.Len() != n {
 			t.Fatalf("run length %d", run.Len())
 		}
-		if err := run.Wait(); err != nil {
+		if err := run.WaitCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
@@ -213,7 +222,7 @@ func TestRunAssignsAllTasks(t *testing.T) {
 			t.Fatalf("workers=%d: %d computations, want 3", workers, st.Proofs)
 		}
 		// An exhausted run is reusable and a no-op.
-		if err := run.Wait(); err != nil {
+		if err := run.WaitCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +241,7 @@ func TestRunFirstErrorWins(t *testing.T) {
 		okPf = pf
 		assigned = true
 	})
-	err := run.Wait()
+	err := run.WaitCtx(context.Background())
 	if !errors.Is(err, accumulator.ErrNotDisjoint) {
 		t.Fatalf("want ErrNotDisjoint, got %v", err)
 	}
@@ -275,7 +284,7 @@ func TestAggregatorGroupOrdering(t *testing.T) {
 		proofs[i] = pf
 		seen[i] = true
 	})
-	if err := run.Wait(); err != nil {
+	if err := run.WaitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for i, ok := range seen {
@@ -305,19 +314,19 @@ func BenchmarkProve(b *testing.B) {
 		e := New(acc, Options{CacheSize: -1})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Prove(w, key("van"), cw); err != nil {
+			if _, err := proveOne(e, w, key("van"), cw); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		e := New(acc, Options{})
-		if _, err := e.Prove(w, key("van"), cw); err != nil {
+		if _, err := proveOne(e, w, key("van"), cw); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Prove(w, key("van"), cw); err != nil {
+			if _, err := proveOne(e, w, key("van"), cw); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package proofs
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -54,7 +55,7 @@ func TestConcurrentRunsRespectEngineBound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := run.Wait(); err != nil {
+			if err := run.WaitCtx(context.Background()); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -82,7 +83,7 @@ func TestRunTruncateWithdrawsTasks(t *testing.T) {
 	if run.Len() != 2 {
 		t.Fatalf("run length %d after Truncate(2)", run.Len())
 	}
-	if err := run.Wait(); err != nil {
+	if err := run.WaitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if assigned != 2 {

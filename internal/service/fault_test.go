@@ -16,14 +16,16 @@ import (
 	"github.com/vchain-go/vchain/internal/shard"
 )
 
-// TestClientRetryReconnect injects a connection failure under the
-// first dial's read path: the first attempt dies with a transport
+// TestClientRetryReconnect injects a connection failure into the
+// first request's write: the first attempt dies with a transport
 // error, the retry policy re-dials, and the second attempt answers —
-// transparently to the caller.
+// transparently to the caller. (A failed first read would race the
+// call: the reader goroutine reads as soon as the connection is up, so
+// the client could re-dial before the call and never retry.)
 func TestClientRetryReconnect(t *testing.T) {
 	_, addr, _ := startServer(t)
 	sched := fault.NewSchedule()
-	sched.AddRules(fault.Rule{Op: fault.OpConnRead, From: 1, To: 1, Fail: true})
+	sched.AddRules(fault.Rule{Op: fault.OpConnWrite, From: 1, To: 1, Fail: true})
 	cli, err := Dial(addr, ClientConfig{
 		Dialer: fault.Dialer(sched),
 		Retry:  RetryPolicy{Attempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},

@@ -352,21 +352,17 @@ func (sc *serverConn) process(req *Request) *Response {
 	s := sc.srv
 	switch req.Kind {
 	case "headers":
-		all := s.node.Headers()
-		if req.FromHeight < 0 || req.FromHeight > len(all) {
-			return &Response{Err: fmt.Sprintf("bad FromHeight %d", req.FromHeight)}
-		}
 		// Bounded batches keep every response frame below the frame
 		// cap no matter how long the chain grows; the client's
 		// SyncHeaders loops until it is caught up. The bound is derived
 		// from the configured cap: a hard-coded batch would overflow a
 		// small-MaxFrame server's writer, degrade to an error response,
 		// and wedge header sync.
-		batch := all[req.FromHeight:]
-		if limit := s.cfg.headerBatch(); len(batch) > limit {
-			batch = batch[:limit]
+		page, _, err := HeaderPage(s.node, req.FromHeight, s.cfg.headerBatch())
+		if err != nil {
+			return &Response{Err: err.Error()}
 		}
-		return &Response{Headers: batch}
+		return &Response{Headers: page}
 	case "query":
 		// The client's remaining call budget rides the request; deriving
 		// a context from it means a query whose caller has already given

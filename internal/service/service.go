@@ -21,6 +21,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
@@ -38,7 +39,8 @@ import (
 // verifies either shape through Verifier.VerifyWindowParts.
 type Chain interface {
 	core.ChainView
-	// Headers returns every block header.
+	// Headers returns every block header. The front ends page header
+	// sync with Height and HeaderAt instead (HeaderPage).
 	Headers() []chain.Header
 	// Height returns the chain height without copying any header.
 	Height() int
@@ -61,6 +63,25 @@ type Chain interface {
 	// ProofStats snapshots that engine's counters, which cover the
 	// whole node at every shard count.
 	ProofStats() proofs.Stats
+}
+
+// HeaderPage reads at most limit headers from height from on with
+// HeaderAt, so one page of a header sync costs O(limit) however long
+// the chain is. It also returns the chain height the page was read
+// under; a from outside [0, height] is an error.
+func HeaderPage(c Chain, from, limit int) ([]chain.Header, int, error) {
+	height := c.Height()
+	if from < 0 || from > height {
+		return nil, height, fmt.Errorf("from height %d outside [0, %d]", from, height)
+	}
+	page := make([]chain.Header, min(limit, height-from))
+	for i := range page {
+		var err error
+		if page[i], err = c.HeaderAt(from + i); err != nil {
+			return nil, height, err
+		}
+	}
+	return page, height, nil
 }
 
 // Request is a client → SP message.

@@ -198,7 +198,7 @@ func TestPageInFaultDegradesToGap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := run.Wait(); err != nil {
+	if err := run.WaitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	got, want := mid.ProofStats(), ref.Stats()

@@ -1,6 +1,7 @@
 package subscribe
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -29,10 +30,9 @@ type Options struct {
 	Dims, Width int
 	// MaxDepth caps IP-tree splitting; zero means 8.
 	MaxDepth int
-	// Proofs is the shared proof engine all disjointness proofs route
-	// through; pass the deployment-wide engine so subscriptions reuse
-	// proofs cached by time-window queries (and vice versa). Left nil,
-	// the engine creates a private one with default options.
+	// Proofs is the proof engine (required). Every block's proofs run
+	// on its worker pool; pass the node's engine so subscriptions reuse
+	// proofs cached by time-window queries (and vice versa).
 	Proofs *proofs.Engine
 }
 
@@ -111,18 +111,11 @@ type subState struct {
 	pendingFrom int
 }
 
-// NewEngine creates a subscription engine.
+// NewEngine creates a subscription engine proving on opts.Proofs,
+// which must be set.
 func NewEngine(acc accumulator.Accumulator, opts Options) *Engine {
-	opts = opts.withDefaults()
-	eng := opts.Proofs
-	if eng == nil {
-		eng = proofs.New(acc, proofs.Options{})
-	}
-	return &Engine{Acc: acc, Opts: opts, proofs: eng, subs: map[int]*subState{}}
+	return &Engine{Acc: acc, Opts: opts.withDefaults(), proofs: opts.Proofs, subs: map[int]*subState{}}
 }
-
-// ProofStats returns a snapshot of the proof-engine counters.
-func (e *Engine) ProofStats() proofs.Stats { return e.proofs.Stats() }
 
 // Register adds a subscription query (its block window fields are
 // ignored) and returns its id.
@@ -185,148 +178,156 @@ func (e *Engine) tree() (*IPTree, error) {
 // ProcessBlock evaluates every subscription against the newly confirmed
 // block and returns due publications (§7). The SP calls it once per
 // mined block, in order.
+//
+// It plans first and proves second: every subscription's block VO is
+// built with its disjointness proofs scheduled on one run of the proof
+// engine, one WaitCtx computes them all on the worker pool, and only
+// then are publications assembled. Lazy collapses that need a fresh
+// skip proof schedule it on the emptied run, which is waited once more
+// before ProcessBlock returns.
 func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Publication, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if len(e.subs) == 0 {
 		return nil, nil
 	}
-
-	// Decide per query: which clause (if any) the whole block misses.
-	// With the IP-tree, each distinct clause is tested once and its
-	// proof computed once; without it, per query.
-	type decision struct {
-		mismatch bool
-		clause   core.Clause
-		proof    accumulator.Proof
-	}
-	decisions := make(map[int]*decision, len(e.subs))
-
-	if tree, err := e.tree(); err != nil {
+	ctx := context.TODO() // ProcessBlock takes no context yet
+	h := ads.Height
+	ids := sortedStateIDs(e.subs)
+	run := e.proofs.NewRun()
+	decided, err := e.decide(ads, ids, run)
+	if err != nil {
 		return nil, err
-	} else if tree != nil {
-		groups, err := tree.ClauseGroups()
+	}
+	sp := &core.SP{Acc: e.Acc, View: view, Engine: e.proofs}
+	planned := make([]core.BlockVO, len(ids))
+	for i, id := range ids {
+		if m := decided[id]; m != nil {
+			if node := core.RootMismatchVO(ads, m.clause); node != nil {
+				m.nodes = append(m.nodes, node)
+				planned[i] = core.BlockVO{Height: h, Tree: node}
+				continue
+			}
+		}
+		// The block (possibly) holds results, or its root carries no
+		// digest (ModeNil): walk the one-block window, where no skip
+		// fits, for the block's tree VO.
+		q := e.subs[id].q
+		q.StartBlock, q.EndBlock = h, h
+		vo, err := sp.Walk(ctx, q, run)
 		if err != nil {
 			return nil, err
 		}
-		// Widely shared clauses first: each computed proof should
-		// decide as many queries as possible, so the number of proofs
-		// never exceeds the number of queries (the nip cost) and drops
-		// well below it when queries share conditions — the Fig. 12
-		// effect.
-		sortGroupsByFanout(groups)
-		for _, g := range groups {
-			// Compute a proof only if some still-undecided query needs
-			// this clause.
-			needed := false
-			for _, id := range g.Queries {
-				if _, done := decisions[id]; !done {
-					if _, ok := e.subs[id]; ok {
-						needed = true
-						break
-					}
-				}
-			}
-			if !needed || g.Clause.Matches(ads.BlockW) {
-				continue
-			}
-			pf, err := e.proofs.Prove(ads.BlockW, g.Clause.Key(), g.Clause.Multiset())
-			if err != nil {
-				return nil, fmt.Errorf("subscribe: shared mismatch proof: %w", err)
-			}
-			for _, id := range g.Queries {
-				if _, done := decisions[id]; done {
-					continue
-				}
-				if _, ok := e.subs[id]; !ok {
-					continue
-				}
-				decisions[id] = &decision{mismatch: true, clause: g.Clause, proof: pf}
-			}
-		}
-	} else {
-		// Without the IP-tree every query decides independently;
-		// schedule the per-query block-mismatch proofs as one deferred
-		// run so they execute on the worker pool, with the engine cache
-		// deduplicating queries that happen to share a clause.
-		run := e.proofs.NewRun()
-		for id, s := range e.subs {
-			if clause, bad := s.cnf.FindMismatch(ads.BlockW); bad {
-				d := &decision{mismatch: true, clause: clause}
-				decisions[id] = d
-				run.Add(ads.BlockW, clause.Key(), clause.Multiset(),
-					func(pf accumulator.Proof) { d.proof = pf })
-			}
-		}
-		if err := run.Wait(); err != nil {
-			return nil, fmt.Errorf("subscribe: mismatch proof: %w", err)
-		}
+		planned[i] = vo.Blocks[0]
+	}
+	if err := run.WaitCtx(ctx); err != nil {
+		return nil, fmt.Errorf("subscribe: disjointness proof: %w", err)
 	}
 
-	sp := &core.SP{Acc: e.Acc, View: view, Engine: e.proofs}
 	var pubs []Publication
-	for _, id := range sortedStateIDs(e.subs) {
+	for i, id := range ids {
 		s := e.subs[id]
-		d := decisions[id]
-		if d != nil && d.mismatch {
-			node := core.RootMismatchVO(ads, d.clause, d.proof)
-			if node == nil {
-				// Non-indexed block: prove leaf by leaf via traversal.
-				var err error
-				node, err = sp.BlockTreeVO(ads, s.cnf)
-				if err != nil {
-					return nil, err
-				}
+		if !e.Opts.Lazy {
+			pubs = append(pubs, Publication{
+				QueryID: id, From: h, To: h,
+				VO: &core.VO{Blocks: []core.BlockVO{planned[i]}},
+			})
+			continue
+		}
+		if len(s.pending) == 0 {
+			s.pendingFrom = h
+		}
+		s.pending = append(s.pending, planned[i])
+		// A mismatch block stays pending until the threshold; a block
+		// that may hold results publishes the span at once.
+		if decided[id] != nil {
+			if err := e.collapse(s, ads, run); err != nil {
+				return nil, err
 			}
-			bvo := core.BlockVO{Height: ads.Height, Tree: node}
-			if !e.Opts.Lazy {
-				pubs = append(pubs, Publication{
-					QueryID: id, From: ads.Height, To: ads.Height,
-					VO: &core.VO{Blocks: []core.BlockVO{bvo}},
-				})
+			if len(s.pending) < e.Opts.LazyThreshold {
 				continue
 			}
-			e.push(s, ads, bvo, view)
-			if len(s.pending) >= e.Opts.LazyThreshold {
-				if p := e.flushLocked(s); p != nil {
-					pubs = append(pubs, *p)
-				}
-			}
-			continue
 		}
-
-		// The block (possibly) contains results: full traversal.
-		node, err := sp.BlockTreeVO(ads, s.cnf)
-		if err != nil {
-			return nil, err
-		}
-		bvo := core.BlockVO{Height: ads.Height, Tree: node}
-		if e.Opts.Lazy && len(s.pending) > 0 {
-			s.pending = append(s.pending, bvo)
-			if p := e.flushLocked(s); p != nil {
-				pubs = append(pubs, *p)
-			}
-			continue
-		}
-		pubs = append(pubs, Publication{
-			QueryID: id, From: ads.Height, To: ads.Height,
-			VO: &core.VO{Blocks: []core.BlockVO{bvo}},
-		})
+		pubs = append(pubs, *e.flushLocked(s))
+	}
+	if err := run.WaitCtx(ctx); err != nil {
+		return nil, fmt.Errorf("subscribe: skip proof: %w", err)
 	}
 	return pubs, nil
 }
 
-// push appends a mismatch block VO to the pending stack, collapsing
-// trailing same-coverage entries into a skip when the block's skip list
-// aligns (Alg. 5).
-func (e *Engine) push(s *subState, ads *core.BlockADS, bvo core.BlockVO, view core.ChainView) {
-	if len(s.pending) == 0 {
-		s.pendingFrom = bvo.Height
-	}
-	s.pending = append(s.pending, bvo)
+// mismatch is a block-level decision: the whole block misses clause,
+// and the queries it decides publish a root mismatch node citing it.
+// Its proof is one task on the block's run, whose callback fills every
+// node.
+type mismatch struct {
+	clause core.Clause
+	nodes  []*core.NodeVO
+}
 
-	// Find the largest skip whose distance d matches the trailing d
-	// single-block mismatch entries ending at this height.
+// decide finds, without proving, the clause the whole block misses for
+// each query that has one, and schedules one (BlockW, clause) proof per
+// decision on run. With the IP-tree each distinct clause is tested and
+// proved once for all the queries it decides; without it, per query.
+func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) (map[int]*mismatch, error) {
+	decided := make(map[int]*mismatch, len(ids))
+	schedule := func(clause core.Clause) *mismatch {
+		m := &mismatch{clause: clause}
+		run.Add(ads.BlockW, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) {
+			for _, n := range m.nodes {
+				*n.Proof = pf
+			}
+		})
+		return m
+	}
+	tree, err := e.tree()
+	if err != nil {
+		return nil, err
+	}
+	if tree == nil {
+		for _, id := range ids {
+			if clause, bad := e.subs[id].cnf.FindMismatch(ads.BlockW); bad {
+				decided[id] = schedule(clause)
+			}
+		}
+		return decided, nil
+	}
+	groups, err := tree.ClauseGroups()
+	if err != nil {
+		return nil, err
+	}
+	// Widely shared clauses first: each proof should decide as many
+	// queries as possible, so the number of proofs never exceeds the
+	// number of queries (the nip cost) and drops well below it when
+	// queries share conditions — the Fig. 12 effect.
+	sortGroupsByFanout(groups)
+	for _, g := range groups {
+		if g.Clause.Matches(ads.BlockW) {
+			continue
+		}
+		// Prove the clause only if some still-undecided query needs it.
+		var m *mismatch
+		for _, id := range g.Queries {
+			if _, done := decided[id]; done {
+				continue
+			}
+			if _, ok := e.subs[id]; !ok {
+				continue
+			}
+			if m == nil {
+				m = schedule(g.Clause)
+			}
+			decided[id] = m
+		}
+	}
+	return decided, nil
+}
+
+// collapse folds the trailing single-block mismatch entries of the
+// pending span into the largest skip of ads whose distance d matches
+// them (Alg. 5). Same-clause per-block proofs aggregate by ProofSum;
+// any other skip proof is scheduled on run.
+func (e *Engine) collapse(s *subState, ads *core.BlockADS, run *proofs.Run) error {
 	for i := len(ads.Skips) - 1; i >= 0; i-- {
 		entry := &ads.Skips[i]
 		d := entry.Distance
@@ -349,9 +350,7 @@ func (e *Engine) push(s *subState, ads *core.BlockADS, bvo core.BlockVO, view co
 			} else if !clause.Equal(b.Tree.Clause) {
 				sameClause = false
 			}
-			if b.Tree.Proof != nil {
-				pfs = append(pfs, *b.Tree.Proof)
-			}
+			pfs = append(pfs, *b.Tree.Proof) // proved by the block's run
 		}
 		if !ok || clause == nil {
 			continue
@@ -367,37 +366,25 @@ func (e *Engine) push(s *subState, ads *core.BlockADS, bvo core.BlockVO, view co
 			clause = cl
 			sameClause = false
 		}
-		var pf accumulator.Proof
-		var err error
-		if sameClause && e.Acc.SupportsAgg() && len(pfs) == d {
+		skip := ads.SkipVO(i, clause, e.Acc)
+		if skip == nil {
+			continue // over the key's capacity: try a smaller skip
+		}
+		if sameClause && e.Acc.SupportsAgg() {
 			// Aggregate the already-computed per-block proofs (the
 			// ProofSum path of §7.2) instead of proving from scratch.
-			pf, err = e.Acc.ProofSum(pfs...)
-		} else {
-			pf, err = e.proofs.Prove(entry.W, clause.Key(), clause.Multiset())
-		}
-		if err != nil {
-			continue
-		}
-		siblings := make(map[int]coreDigest, len(ads.Skips)-1)
-		for j := range ads.Skips {
-			if j == i {
-				continue
+			pf, err := e.Acc.ProofSum(pfs...)
+			if err != nil {
+				return fmt.Errorf("subscribe: skip proof sum: %w", err)
 			}
-			siblings[ads.Skips[j].Distance] = core.SkipEntryHash(&ads.Skips[j], e.Acc)
+			skip.Proof = pf
+		} else {
+			run.Add(entry.W, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) { skip.Proof = pf })
 		}
-		skip := &core.SkipVO{
-			Distance: d,
-			Clause:   clause,
-			Proof:    pf,
-			Digest:   entry.Digest,
-			PrevHash: entry.PrevHash,
-			Siblings: siblings,
-		}
-		s.pending = s.pending[:len(s.pending)-d]
-		s.pending = append(s.pending, core.BlockVO{Height: ads.Height, Skip: skip})
-		break
+		s.pending = append(s.pending[:len(s.pending)-d], core.BlockVO{Height: ads.Height, Skip: skip})
+		return nil
 	}
+	return nil
 }
 
 // flushLocked publishes and clears a subscription's pending span.
@@ -428,8 +415,6 @@ func (e *Engine) flushLocked(s *subState) *Publication {
 func VerifyPublication(v *core.Verifier, q core.Query, pub *Publication) ([]chain.Object, error) {
 	return v.VerifySpan(q, pub.From, pub.To, pub.VO)
 }
-
-type coreDigest = chain.Digest
 
 // sortGroupsByFanout orders clause groups by member count descending
 // (ties: smaller clause first, then stable by key).

@@ -8,6 +8,7 @@ import (
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/crypto/pairing"
+	"github.com/vchain-go/vchain/internal/proofs"
 )
 
 const testWidth = 4
@@ -50,17 +51,27 @@ type fixture struct {
 	node   *core.FullNode
 	light  *chain.LightStore
 	engine *Engine
+	proofs *proofs.Engine
 	pubs   map[int][]Publication
 }
 
+// newProofs is a fresh default proof engine over acc.
+func newProofs(acc accumulator.Accumulator) *proofs.Engine {
+	return proofs.New(acc, proofs.Options{})
+}
+
 // run mines `blocks` blocks, matching where matchAt says, processing
-// subscriptions after every block.
+// subscriptions after every block. A nil opts.Proofs gets a fresh
+// default engine.
 func run(t *testing.T, acc accumulator.Accumulator, opts Options, blocks int, matchAt func(int) bool, queries ...core.Query) *fixture {
 	t.Helper()
 	b := &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: testWidth}
 	node := core.NewFullNode(0, b)
+	if opts.Proofs == nil {
+		opts.Proofs = newProofs(acc)
+	}
 	engine := NewEngine(acc, opts)
-	f := &fixture{node: node, engine: engine, pubs: map[int][]Publication{}}
+	f := &fixture{node: node, engine: engine, proofs: opts.Proofs, pubs: map[int][]Publication{}}
 	for _, q := range queries {
 		if _, err := engine.Register(q); err != nil {
 			t.Fatal(err)
@@ -170,7 +181,7 @@ func TestDeregisterFlushesPending(t *testing.T) {
 	acc := acc2(t)
 	b := &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: testWidth}
 	node := core.NewFullNode(0, b)
-	engine := NewEngine(acc, Options{Lazy: true, Dims: 1, Width: testWidth})
+	engine := NewEngine(acc, Options{Lazy: true, Dims: 1, Width: testWidth, Proofs: newProofs(acc)})
 	id, err := engine.Register(carQuery())
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +255,8 @@ func TestMixedSubscriptions(t *testing.T) {
 }
 
 func TestRegisterRejectsEmptyQuery(t *testing.T) {
-	engine := NewEngine(acc2(t), Options{})
+	acc := acc2(t)
+	engine := NewEngine(acc, Options{Proofs: newProofs(acc)})
 	if _, err := engine.Register(core.Query{}); err == nil {
 		t.Error("empty query accepted")
 	}
@@ -257,7 +269,7 @@ func TestProcessBlockNoSubscriptions(t *testing.T) {
 	if _, err := node.MineBlock(rentalObjects(0, true), 1); err != nil {
 		t.Fatal(err)
 	}
-	engine := NewEngine(acc, Options{})
+	engine := NewEngine(acc, Options{Proofs: newProofs(acc)})
 	pubs, err := engine.ProcessBlock(adsAt(t, node, 0), node)
 	if err != nil || pubs != nil {
 		t.Errorf("want no-op, got %v, %v", pubs, err)
@@ -325,7 +337,7 @@ func TestRegistrationChurnRebuildsIPTree(t *testing.T) {
 	acc := acc2(t)
 	b := &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: testWidth}
 	node := core.NewFullNode(0, b)
-	engine := NewEngine(acc, Options{UseIPTree: true, Dims: 1, Width: testWidth})
+	engine := NewEngine(acc, Options{UseIPTree: true, Dims: 1, Width: testWidth, Proofs: newProofs(acc)})
 	q1 := carQuery()
 	id1, err := engine.Register(q1)
 	if err != nil {
@@ -395,7 +407,7 @@ func ExampleEngine() {
 	acc := accumulator.KeyGenCon2Deterministic(pr, 512, accumulator.HashEncoder{Q: 512}, []byte("ex"))
 	builder := &core.Builder{Acc: acc, Mode: core.ModeIntra, Width: 4}
 	node := core.NewFullNode(0, builder)
-	engine := NewEngine(acc, Options{Dims: 1, Width: 4})
+	engine := NewEngine(acc, Options{Dims: 1, Width: 4, Proofs: proofs.New(acc, proofs.Options{})})
 
 	q := core.Query{Bool: core.CNF{core.KeywordClause("sedan")}, Width: 4}
 	id, _ := engine.Register(q)

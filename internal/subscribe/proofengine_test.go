@@ -1,8 +1,14 @@
 package subscribe
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"github.com/vchain-go/vchain/internal/accumulator"
+	"github.com/vchain-go/vchain/internal/core"
+	"github.com/vchain-go/vchain/internal/multiset"
 	"github.com/vchain-go/vchain/internal/proofs"
 )
 
@@ -36,8 +42,8 @@ func TestSharedEngineDeduplicatesAcrossQueries(t *testing.T) {
 }
 
 // TestSharedEngineParallelMatchesSerial checks that publications
-// produced with a parallel, cached engine verify identically to the
-// default serial path.
+// produced with a parallel, cached engine verify identically to a
+// one-worker engine's.
 func TestSharedEngineParallelMatchesSerial(t *testing.T) {
 	acc := acc2(t)
 	match := func(i int) bool { return i%2 == 0 }
@@ -69,13 +75,115 @@ func TestSharedEngineParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEngineStatsExposed checks the ProofStats accessor counts work.
+// TestEngineStatsExposed checks that subscription proofs are counted
+// on the engine passed as Options.Proofs.
 func TestEngineStatsExposed(t *testing.T) {
 	acc := acc2(t)
 	never := func(int) bool { return false }
 	f := run(t, acc, Options{Dims: 1, Width: testWidth}, 3, never, carQuery())
-	st := f.engine.ProofStats()
+	st := f.proofs.Stats()
 	if st.Proofs == 0 {
 		t.Fatalf("subscription processing computed no proofs: %+v", st)
+	}
+}
+
+var errInjectedProof = errors.New("injected proof failure")
+
+// failingAcc fails every disjointness proof whose first multiset is
+// larger than one block's: exactly the skip proofs of a lazy collapse.
+type failingAcc struct {
+	accumulator.Accumulator
+	blockCard int
+}
+
+func (a failingAcc) ProveDisjoint(x1, x2 multiset.Multiset) (accumulator.Proof, error) {
+	if x1.Cardinality() > a.blockCard {
+		return accumulator.Proof{}, errInjectedProof
+	}
+	return a.Accumulator.ProveDisjoint(x1, x2)
+}
+
+// TestLazySkipProofFailureFailsBlock pins that a fresh skip proof that
+// fails for any reason but the key's capacity fails ProcessBlock at
+// every worker count, instead of silently falling back to a smaller
+// skip.
+func TestLazySkipProofFailureFailsBlock(t *testing.T) {
+	acc := acc1(t) // no ProofSum: every collapse proves its skip afresh
+	for _, workers := range []int{1, 4} {
+		node := core.NewFullNode(0, &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: testWidth})
+		if _, err := node.MineBlock(rentalObjects(0, false), 1000); err != nil {
+			t.Fatal(err)
+		}
+		failing := failingAcc{Accumulator: acc, blockCard: adsAt(t, node, 0).BlockW.Cardinality()}
+		engine := NewEngine(acc, Options{Lazy: true, Dims: 1, Width: testWidth,
+			Proofs: proofs.New(failing, proofs.Options{Workers: workers})})
+		if _, err := engine.Register(carQuery()); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		for h := 0; h < 8 && err == nil; h++ {
+			if h > 0 {
+				if _, err := node.MineBlock(rentalObjects(h, false), int64(1000+h)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err = engine.ProcessBlock(adsAt(t, node, h), node)
+		}
+		if !errors.Is(err, errInjectedProof) {
+			t.Errorf("%d workers: got %v, want the injected skip-proof failure", workers, err)
+		}
+	}
+}
+
+// rendezvousAcc holds its first ProveDisjoint until a second one
+// starts, or until a bound passes, and records whether they met.
+type rendezvousAcc struct {
+	accumulator.Accumulator
+	calls  atomic.Int32
+	second chan struct{}
+	met    atomic.Bool
+}
+
+func (a *rendezvousAcc) ProveDisjoint(x1, x2 multiset.Multiset) (accumulator.Proof, error) {
+	switch a.calls.Add(1) {
+	case 1:
+		select {
+		case <-a.second:
+			a.met.Store(true)
+		case <-time.After(5 * time.Second):
+		}
+	case 2:
+		close(a.second)
+	}
+	return a.Accumulator.ProveDisjoint(x1, x2)
+}
+
+// TestIPTreeGroupProofsRunConcurrently pins that one block's IP-tree
+// group proofs run on the engine's worker pool: on a 2-worker engine,
+// two of them are in flight at once.
+func TestIPTreeGroupProofsRunConcurrently(t *testing.T) {
+	acc := acc1(t)
+	node := core.NewFullNode(0, &core.Builder{Acc: acc, Mode: core.ModeIntra, Width: testWidth})
+	if _, err := node.MineBlock(rentalObjects(0, false), 1000); err != nil {
+		t.Fatal(err)
+	}
+	racc := &rendezvousAcc{Accumulator: acc, second: make(chan struct{})}
+	engine := NewEngine(acc, Options{UseIPTree: true, Dims: 1, Width: testWidth,
+		Proofs: proofs.New(racc, proofs.Options{Workers: 2})})
+	// Two clauses the block misses: two groups, each deciding its query
+	// with a root mismatch, so the block needs exactly their two proofs.
+	for _, kw := range []string{"sedan", "benz"} {
+		if _, err := engine.Register(core.Query{Bool: core.CNF{core.KeywordClause(kw)}, Width: testWidth}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := engine.ProcessBlock(adsAt(t, node, 0), node); err != nil {
+		t.Fatal(err)
+	}
+	if n := racc.calls.Load(); n != 2 {
+		t.Fatalf("%d proofs computed, want the two group proofs", n)
+	}
+	if !racc.met.Load() {
+		t.Fatal("the two group proofs ran one after the other")
 	}
 }
