@@ -1,7 +1,7 @@
 // Command vchain-lint runs the project's analyzer suite
-// (internal/lint): commitpath, lockio, bigintalias, typederr, and
-// ctxflow — the mechanical form of the invariants this codebase's
-// correctness arguments rest on.
+// (internal/lint): commitpath, lockio, typederr and ctxflow — the
+// mechanical form of the invariants this codebase's correctness
+// arguments rest on.
 //
 // It runs over package patterns (default ./...):
 //

@@ -95,17 +95,16 @@ func nodeHash(pre chain.Digest, accBytes []byte) chain.Digest {
 
 // SkipEntry is one level of the inter-block skip list (§6.2) stored in
 // the block at height h: it aggregates the Distance blocks
-// [h−Distance+1, h] (multiset sum) and records the header hash of the
-// landing block h−Distance.
+// [h−Distance+1, h] and records the header hash of the landing block
+// h−Distance. The aggregated multiset, the sum of the covered blocks'
+// BlockW, is not stored: BlockADS.SkipSpans derives it.
 type SkipEntry struct {
 	// Distance is the jump length (4, 8, 16, … — powers of two).
 	Distance int
 	// PrevHash is the header hash of block h−Distance, which the
 	// verifier checks against its own header store before jumping.
 	PrevHash chain.Digest
-	// W is the multiset sum over the covered blocks.
-	W multiset.Multiset
-	// Digest is acc(W).
+	// Digest is acc(W) for the covered blocks' multiset sum W.
 	Digest accumulator.Acc
 }
 
@@ -357,6 +356,40 @@ func (b *Builder) buildTree(nodes []*IntraNode, indexed, cluster bool) (*IntraNo
 	return nodes[0], nil
 }
 
+// SkipSpans derives the multisets the skip entries 0..top of a
+// aggregate: spans[i] is the sum of BlockW over the blocks
+// [Height−Distance_i+1, Height] that entry i covers. It reads the
+// covered blocks through view, in one pass for all levels since each
+// span contains the smaller ones. A non-nil more ends the pass early:
+// after the first span it rejects, SkipSpans returns the spans derived
+// so far, that one included. A page-in failure is ErrADSUnavailable,
+// like any other page-in of a window walk.
+func (a *BlockADS) SkipSpans(view ChainView, top int, more func(w multiset.Multiset) bool) ([]multiset.Multiset, error) {
+	spans := make([]multiset.Multiset, 0, top+1)
+	sum := a.BlockW.Clone()
+	h := a.Height - 1
+	for i := 0; i <= top; i++ {
+		for ; h > a.Height-a.Skips[i].Distance; h-- {
+			prev, err := view.ADSAt(h)
+			if err != nil {
+				return nil, fmt.Errorf("core: skip span at height %d: %w: %w", h, ErrADSUnavailable, err)
+			}
+			if prev == nil {
+				return nil, fmt.Errorf("core: skip span: no ADS at height %d", h)
+			}
+			for e, n := range prev.BlockW {
+				sum[e] += n
+			}
+		}
+		spans = append(spans, sum)
+		if i == top || (more != nil && !more(sum)) {
+			break
+		}
+		sum = sum.Clone()
+	}
+	return spans, nil
+}
+
 // buildSkips constructs the skip entries for ads.Height. A distance-d
 // entry exists only when d prior-or-current blocks [h−d+1, h] all exist
 // (h−d ≥ −1 is not enough: the landing block h−d must exist too, except
@@ -397,6 +430,7 @@ func (b *Builder) buildSkips(ads *BlockADS, view ChainView) error {
 			// "both" construction time (§9.1).
 			dig, err = b.Acc.Sum(accs...)
 		} else {
+			// acc1 needs the span's multiset itself, which is not kept.
 			dig, err = b.Acc.Setup(sum)
 		}
 		if err != nil {
@@ -409,7 +443,6 @@ func (b *Builder) buildSkips(ads *BlockADS, view ChainView) error {
 		ads.Skips = append(ads.Skips, SkipEntry{
 			Distance: d,
 			PrevHash: hdr.Hash(),
-			W:        sum,
 			Digest:   dig,
 		})
 	}

@@ -150,17 +150,22 @@ func TestSkipEntriesAggregateCorrectly(t *testing.T) {
 	if len(ads.Skips) != 2 { // distances 4 and 8
 		t.Fatalf("skips %d, want 2", len(ads.Skips))
 	}
-	for _, s := range ads.Skips {
-		// W must be the multiset sum over the covered blocks.
+	spans, err := ads.SkipSpans(node, len(ads.Skips)-1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range ads.Skips {
+		// The derived span must be the multiset sum over the covered
+		// blocks.
 		want := multiset.Multiset{}
 		for j := 8 - s.Distance + 1; j <= 8; j++ {
 			want = multiset.Sum(want, mustADS(t, node, j).BlockW)
 		}
-		if !multiset.Equal(s.W, want) {
-			t.Fatalf("skip %d W mismatch", s.Distance)
+		if !multiset.Equal(spans[i], want) {
+			t.Fatalf("skip %d span mismatch", s.Distance)
 		}
 		// Digest must accumulate that sum.
-		direct, err := acc.Setup(s.W)
+		direct, err := acc.Setup(spans[i])
 		if err != nil {
 			t.Fatal(err)
 		}

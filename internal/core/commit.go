@@ -4,14 +4,26 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/storage"
 )
 
-// recMagic prefixes a chain record.
-var recMagic = []byte{0x00, 'V', 'C', 'R', '2'}
+// recMagic prefixes a chain record. Version 3 stores field elements as
+// their Montgomery limbs (ff.Elt's gob form) and skip entries without
+// their multisets.
+var recMagic = []byte{0x00, 'V', 'C', 'R', '3'}
+
+// recMagicV2 prefixes records of the previous format, whose field
+// elements gob-encode canonical integers. Decoded as version 3 they
+// would yield wrong points, so they are refused outright.
+var recMagicV2 = []byte{0x00, 'V', 'C', 'R', '2'}
+
+// ErrOldRecordFormat marks a store written in record format VCR2 by an
+// older build. It cannot be read; re-mine the chain into a new store.
+var ErrOldRecordFormat = errors.New("core: chain record in format VCR2, which this build cannot read; re-mine the chain into a new store")
 
 // EncodeChainRecord renders a (block, ADS) pair as one self-contained
 // record: magic, a length-prefixed block gob, then the ADS gob. The two
@@ -38,6 +50,9 @@ func EncodeChainRecord(blk *chain.Block, ads *BlockADS) ([]byte, error) {
 
 // splitRecord returns the block and ADS sections of a record.
 func splitRecord(data []byte) (blkGob, adsGob []byte, err error) {
+	if bytes.HasPrefix(data, recMagicV2) {
+		return nil, nil, ErrOldRecordFormat
+	}
 	if len(data) < len(recMagic)+4 || !bytes.Equal(data[:len(recMagic)], recMagic) {
 		return nil, nil, fmt.Errorf("core: malformed chain record")
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/chain"
+	"github.com/vchain-go/vchain/internal/multiset"
 )
 
 // TestPagedReopenServesIdenticalVO checks the tiering acceptance
@@ -250,4 +251,78 @@ func TestMemoryBoundedReopenSmoke(t *testing.T) {
 	}
 	t.Logf("HeapAlloc %d MiB for a %d-block chain (%s)", ms.HeapAlloc>>20, blocks,
 		fmt.Sprintf("%d cached ADSs", st.Entries))
+}
+
+// TestSkipSpansFromEvictedBlocks derives skip spans on a reopened node
+// whose decoded-ADS cache holds one block, so every covered block must
+// page in (evicting the one before it): the spans equal the warm
+// node's, and a query answered by skips is the warm node's VO and
+// verifies.
+func TestSkipSpansFromEvictedBlocks(t *testing.T) {
+	acc := testAccs(t)["acc2"]
+	b := &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 2, Width: testWidth}
+	dir := t.TempDir()
+	const blocks = 12
+	warm := openTestNode(t, b, dir)
+	for i := 0; i < blocks; i++ {
+		if _, err := warm.MineBlock(carObjects(uint64(i*10)), int64(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	top := mustADS(t, warm, blocks-1)
+	want, err := top.SkipSpans(warm, len(top.Skips)-1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{StartBlock: 0, EndBlock: blocks - 1, Bool: CNF{KeywordClause("tesla")}, Width: testWidth}
+	warmVO, err := warm.SP(false).TimeWindowQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if firstSkip(warmVO) == nil {
+		t.Fatal("query took no skip")
+	}
+	headers := warm.Store.Headers()
+	if err := warm.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	paged := openTestNode(t, b, dir, WithADSCache(1))
+	ads := mustADS(t, paged, blocks-1)
+	before := paged.ADSStats().Decodes
+	got, err := ads.SkipSpans(paged, len(ads.Skips)-1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The distance-8 span covers heights 4..11: seven page-ins besides
+	// the block that holds the skips.
+	if decodes := paged.ADSStats().Decodes - before; decodes != 7 {
+		t.Fatalf("deriving the spans decoded %d blocks, want 7", decodes)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d spans, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !multiset.Equal(got[i], want[i]) {
+			t.Fatalf("span %d differs from the warm node's", ads.Skips[i].Distance)
+		}
+	}
+
+	pagedVO, err := paged.SP(false).TimeWindowQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warmVO, pagedVO) {
+		t.Fatal("paged node's skip VO differs from the warm node's")
+	}
+	light := chain.NewLightStore(0)
+	if err := light.Sync(headers); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, pagedVO); err != nil {
+		t.Fatalf("paged node's skip VO rejected: %v", err)
+	}
+	if st := paged.ADSStats(); st.Entries > 1 {
+		t.Fatalf("cache holds %d entries, budget is 1", st.Entries)
+	}
 }

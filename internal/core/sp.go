@@ -139,7 +139,11 @@ func (sp *SP) Walk(ctx context.Context, q Query, run *proofs.Run) (vo *VO, err e
 		// Try the largest usable skip first (Alg. 4): it must stay
 		// inside the window and its aggregated multiset must mismatch
 		// some clause.
-		if skip := sp.trySkip(ads, cnf, q.StartBlock, run); skip != nil {
+		skip, err := sp.trySkip(ads, cnf, q.StartBlock, run)
+		if err != nil {
+			return nil, fmt.Errorf("core: window walk at height %d: %w", h, err)
+		}
+		if skip != nil {
 			vo.Blocks = append(vo.Blocks, BlockVO{Height: h, Skip: skip})
 			h -= skip.Distance
 			continue
@@ -156,37 +160,50 @@ func (sp *SP) Walk(ctx context.Context, q Query, run *proofs.Run) (vo *VO, err e
 
 // trySkip returns the largest skip at ads.Height that stays within the
 // window and mismatches some clause, or nil. The skip's proof is
-// scheduled on run.
-func (sp *SP) trySkip(ads *BlockADS, cnf CNF, startBlock int, run *proofs.Run) *SkipVO {
-	for i := len(ads.Skips) - 1; i >= 0; i-- {
-		entry := &ads.Skips[i]
-		if ads.Height-entry.Distance+1 < startBlock {
-			continue // would overshoot the window
-		}
-		clause, ok := cnf.FindMismatch(entry.W)
+// scheduled on run. Deriving the spans' multisets pages in covered
+// blocks, all inside the window; it stops at the first span that
+// matches the CNF, since every larger span contains it and matches too.
+func (sp *SP) trySkip(ads *BlockADS, cnf CNF, startBlock int, run *proofs.Run) (*SkipVO, error) {
+	top := len(ads.Skips) - 1
+	for top >= 0 && ads.Height-ads.Skips[top].Distance+1 < startBlock {
+		top-- // would overshoot the window
+	}
+	if top < 0 {
+		return nil, nil
+	}
+	spans, err := ads.SkipSpans(sp.View, top, func(w multiset.Multiset) bool {
+		_, bad := cnf.FindMismatch(w)
+		return bad
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := len(spans) - 1; i >= 0; i-- {
+		clause, ok := cnf.FindMismatch(spans[i])
 		if !ok {
 			continue
 		}
-		out := ads.SkipVO(i, clause, sp.Acc)
+		out := ads.SkipVO(i, spans[i], clause, sp.Acc)
 		if out == nil {
 			// Over the key's capacity: fall back to smaller skips or
 			// per-block processing rather than failing the query.
 			continue
 		}
-		run.Add(entry.W, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) { out.Proof = pf })
-		return out
+		run.Add(spans[i], clause.Key(), clause.Multiset(), func(pf accumulator.Proof) { out.Proof = pf })
+		return out, nil
 	}
-	return nil
+	return nil, nil
 }
 
-// SkipVO builds the VO entry that cites skip entry i against clause:
-// the entry's distance, digest and landing hash plus the commitment
-// leaves of its siblings. The caller fills the proof. It returns nil
-// when acc's key is too small to prove the entry's multiset disjoint
-// from clause, so callers fall back to a smaller skip.
-func (a *BlockADS) SkipVO(i int, clause Clause, acc accumulator.Accumulator) *SkipVO {
+// SkipVO builds the VO entry that cites skip entry i, whose span
+// multiset is w (see SkipSpans), against clause: the entry's distance,
+// digest and landing hash plus the commitment leaves of its siblings.
+// The caller fills the proof. It returns nil when acc's key is too
+// small to prove w disjoint from clause, so callers fall back to a
+// smaller skip.
+func (a *BlockADS) SkipVO(i int, w multiset.Multiset, clause Clause, acc accumulator.Accumulator) *SkipVO {
 	entry := &a.Skips[i]
-	if max := acc.MaxCardinality(); max >= 0 && (entry.W.Cardinality() > max || len(clause) > max) {
+	if max := acc.MaxCardinality(); max >= 0 && (w.Cardinality() > max || len(clause) > max) {
 		return nil
 	}
 	siblings := make(map[int]chain.Digest, len(a.Skips)-1)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -142,5 +144,44 @@ func TestRecordPlacement(t *testing.T) {
 				t.Fatalf("ownedRecords(%d, %d) = %d, want %d", s, h+1, got, counts[s])
 			}
 		}
+	}
+}
+
+// TestOpenRefusesRecordFormatV2 stores a record under the previous
+// format's magic: opening the store must fail with ErrOldRecordFormat,
+// naming the format and the fix, instead of decoding wrong points.
+func TestOpenRefusesRecordFormatV2(t *testing.T) {
+	b := &Builder{Acc: testAccs(t)["acc2"], Mode: ModeIntra, Width: testWidth}
+	mem := storage.NewMemory()
+	node, err := NewFullNodeOn(0, b, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.MineBlock(carObjects(0), 1000); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := mem.Read(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append(append([]byte(nil), recMagicV2...), rec[len(recMagic):]...)
+
+	dir := t.TempDir()
+	log, err := storage.Open(dir, storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Append(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = openLogNode(b, dir)
+	if !errors.Is(err, ErrOldRecordFormat) {
+		t.Fatalf("open of a VCR2 store: %v, want ErrOldRecordFormat", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "VCR2") || !strings.Contains(msg, "re-mine") {
+		t.Fatalf("error %q does not name the old format and the fix", msg)
 	}
 }

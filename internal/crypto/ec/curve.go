@@ -10,9 +10,11 @@
 // are the ingredients the pairing package needs for a Type-1 (symmetric)
 // bilinear pairing.
 //
-// Points use affine coordinates with an explicit infinity flag. All
-// arithmetic is math/big-based; this library favours auditable
-// correctness over raw speed, which the vChain benchmarks account for.
+// Points use affine coordinates with an explicit infinity flag; the hot
+// paths (ScalarMul, MultiScalarMul, fixed-base tables) run in Jacobian
+// coordinates and convert back once. Coordinates are ff.Elt values, so
+// the group arithmetic allocates nothing per field operation; math/big
+// appears here only for scalars.
 package ec
 
 import (
@@ -52,7 +54,7 @@ func (c *Curve) Infinity() Point { return Point{Inf: true} }
 func (c *Curve) NewPoint(x, y ff.Elt) (Point, error) {
 	p := Point{X: x, Y: y}
 	if !c.IsOnCurve(p) {
-		return Point{}, fmt.Errorf("ec: point (%v, %v) not on curve", x, y)
+		return Point{}, fmt.Errorf("ec: point not on curve")
 	}
 	return p, nil
 }
@@ -150,7 +152,7 @@ func (c *Curve) HashToPoint(msg []byte, hashFn func([]byte) []byte) Point {
 	ctr := byte(0)
 	for {
 		h := hashFn(append(msg, ctr))
-		x := f.NewElt(new(big.Int).SetBytes(h))
+		x := f.Reduce(h)
 		rhs := f.Add(f.Mul(f.Square(x), x), f.One())
 		if y, ok := f.Sqrt(rhs); ok {
 			return Point{X: x, Y: y}

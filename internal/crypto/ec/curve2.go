@@ -1,7 +1,6 @@
 package ec
 
 import (
-	"fmt"
 	"math/big"
 
 	"github.com/vchain-go/vchain/internal/crypto/ff"
@@ -127,11 +126,4 @@ func (c *Curve2) ScalarMul(p Point2, k *big.Int) Point2 {
 		}
 	}
 	return r
-}
-
-func (p Point2) String() string {
-	if p.Inf {
-		return "∞"
-	}
-	return fmt.Sprintf("(%v, %v)", p.X, p.Y)
 }

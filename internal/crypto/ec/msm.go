@@ -85,9 +85,6 @@ func (c *Curve) MultiScalarMul(points []Point, scalars []*big.Int) Point {
 	if maxBits == 1 {
 		return c.sumAll(pts)
 	}
-	if maxBits <= msmSmallScalarBits && c.invCostMuls()+3 < jacMixedAddMuls {
-		return c.msmSmallAffine(pts, ks, maxBits)
-	}
 
 	w := msmWindowBits(len(pts))
 	nWindows := (maxBits + w - 1) / w
@@ -145,70 +142,23 @@ func (c *Curve) MultiScalarMul(points []Point, scalars []*big.Int) Point {
 	return c.FromJac(acc)
 }
 
-// invCostMuls estimates how many modular multiplications one field
-// inversion costs. Measured against math/big: ~3.5 on moduli up to two
-// 64-bit words, ~11 beyond — extended GCD scales more gently than
-// multiplication, so inversions get relatively cheaper as fields shrink.
-func (c *Curve) invCostMuls() int {
-	if c.F.P.BitLen() <= 128 {
-		return 4
-	}
-	return 11
-}
-
-// jacMixedAddMuls is the multiplication count of one mixed Jacobian
-// addition, the unit the cost models below compare against.
-const jacMixedAddMuls = 11
-
-// sumAll returns Σ points[i], choosing coordinates by cost: an affine
-// addition pays an inversion plus ~3 multiplications, a mixed Jacobian
-// addition ~11 multiplications with a single deferred inversion. On
-// small fields (cheap inversions) the affine chain wins outright; on
-// large fields Jacobian wins once a few additions share the final
-// inversion. This is the multiplicity-1 fast path of Construction 2's
-// Setup/ProveDisjoint, whose exponent multiplicities are almost always
-// exactly 1.
+// sumAll returns Σ points[i]: the multiplicity-1 fast path of
+// Construction 2's Setup/ProveDisjoint, whose exponent multiplicities
+// are almost always exactly 1. Mixed Jacobian additions (~11
+// multiplications each) share one final inversion. An inversion costs
+// about 35 multiplications at the default preset and 60–80 at toy
+// (BenchmarkFieldInv against BenchmarkFieldMul), so an affine chain,
+// which pays one per addition, wins only for a single addition: there
+// it saves the mixed addition next to the one inversion both pay.
 func (c *Curve) sumAll(points []Point) Point {
-	n := len(points)
-	ic := c.invCostMuls()
-	if (n-1)*(ic+3) < (n-1)*jacMixedAddMuls+ic {
-		acc := points[0]
-		for _, p := range points[1:] {
-			acc = c.Add(acc, p)
-		}
-		return acc
+	if len(points) == 2 {
+		return c.Add(points[0], points[1])
 	}
 	var acc JacPoint
 	for _, p := range points {
 		acc = c.JacAddMixed(acc, p)
 	}
 	return c.FromJac(acc)
-}
-
-// msmSmallScalarBits bounds the scalar width of the affine bucket path:
-// one window, at most 15 buckets, scalars fit an int.
-const msmSmallScalarBits = 4
-
-// msmSmallAffine is the bucket method specialized for small scalars on
-// fields whose inversions are cheaper than a mixed Jacobian addition
-// (see invCostMuls): a single window of 2^maxBits − 1 buckets filled
-// and combined with affine additions. Construction 2's exponent
-// multiplicities land here on small parameter presets.
-func (c *Curve) msmSmallAffine(pts []Point, ks []*big.Int, maxBits int) Point {
-	buckets := make([]Point, (1<<maxBits)-1)
-	for i := range buckets {
-		buckets[i] = c.Infinity()
-	}
-	for i, k := range ks {
-		d := int(k.Int64())
-		buckets[d-1] = c.Add(buckets[d-1], pts[i])
-	}
-	running, sum := c.Infinity(), c.Infinity()
-	for j := len(buckets) - 1; j >= 0; j-- {
-		running = c.Add(running, buckets[j])
-		sum = c.Add(sum, running)
-	}
-	return sum
 }
 
 // scalarDigit extracts the w-bit digit of k starting at bit off.

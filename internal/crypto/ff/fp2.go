@@ -42,10 +42,6 @@ func (e Elt2) IsZero() bool { return e.A.IsZero() && e.B.IsZero() }
 // Equal reports element equality.
 func (e Elt2) Equal(o Elt2) bool { return e.A.Equal(o.A) && e.B.Equal(o.B) }
 
-func (e Elt2) String() string {
-	return fmt.Sprintf("(%s + %s·i)", e.A, e.B)
-}
-
 // Add returns a+b.
 func (x *Ext) Add(a, b Elt2) Elt2 {
 	return Elt2{A: x.Base.Add(a.A, b.A), B: x.Base.Add(a.B, b.B)}

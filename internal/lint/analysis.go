@@ -7,8 +7,6 @@
 //     choke points — no direct storage backend mutation elsewhere.
 //   - lockio: no file/network I/O, gob coding, or proving while a
 //     node/shard publish mutex is held (the PR 5 torn-state race).
-//   - bigintalias: ff/ec/pairing must not mutate big.Int values that
-//     alias a shared field-element representation, nor leak them.
 //   - typederr: sentinel errors are matched with errors.Is, never ==,
 //     and are wrapped with %w, never flattened through %v.
 //   - ctxflow: exported concurrency entry points in the service and
@@ -150,18 +148,4 @@ func hasContextParam(sig *types.Signature) bool {
 		}
 	}
 	return false
-}
-
-// isBigIntPtr reports whether t is *math/big.Int.
-func isBigIntPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Int" && obj.Pkg() != nil && obj.Pkg().Path() == "math/big"
 }

@@ -3,7 +3,6 @@ package lint
 // All returns the full vchain analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		BigIntAlias,
 		CommitPath,
 		CtxFlow,
 		LockIO,

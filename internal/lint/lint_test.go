@@ -21,10 +21,6 @@ func TestLockIOFixture(t *testing.T) {
 	RunFixture(t, LockIO, "lockio/internal/core")
 }
 
-func TestBigIntAliasFixture(t *testing.T) {
-	RunFixture(t, BigIntAlias, "bigintalias/crypto/ff")
-}
-
 func TestTypedErrFixture(t *testing.T) {
 	RunFixture(t, TypedErr, "typederr/app")
 }
@@ -47,7 +43,7 @@ func TestOutOfScopePackagesUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{LockIO, BigIntAlias, CtxFlow})
+	diags, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{LockIO, CtxFlow})
 	if err != nil {
 		t.Fatal(err)
 	}

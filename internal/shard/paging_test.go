@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -283,5 +284,43 @@ func TestRestartShardRepopulatesLazily(t *testing.T) {
 	}
 	if got := node.ShardStats()[target].ADS.Decodes; got == 0 {
 		t.Fatal("query after restart decoded no ADSs")
+	}
+}
+
+// TestSkipSpanPageInFault fails a page-in inside a skip's span. With
+// bands of 4 on 2 shards, shard 1's span [12,15] is answered by the
+// distance-4 skip at height 15, whose multiset is derived from the
+// covered heights 12–14. Height 15 pages in and height 14 fails: the
+// strict query fails with ErrADSUnavailable, and the degraded query
+// gaps shard 1's spans.
+func TestSkipSpanPageInFault(t *testing.T) {
+	const target, blocks = 1, 16
+	opts := shard.Options{Shards: 2, Band: 4, Workers: 2, ADSCacheBlocks: 2, FailureThreshold: -1}
+	q := core.Query{StartBlock: 0, EndBlock: blocks - 1, Bool: core.CNF{core.KeywordClause("tesla")}, Width: testWidth}
+
+	var reads readBudget
+	re := reopenWrapped(t, opts, target, blocks, reads.wrap)
+	reads.arm(1)
+	_, err := re.TimeWindowParts(context.Background(), q, false)
+	if !errors.Is(err, core.ErrADSUnavailable) || !strings.Contains(err.Error(), "skip span at height 14") {
+		t.Fatalf("strict query with a failed span page-in: err = %v, want ErrADSUnavailable at height 14", err)
+	}
+
+	reads.arm(1)
+	parts, gaps, err := re.TimeWindowDegraded(context.Background(), q, false)
+	if err != nil {
+		t.Fatalf("degraded query with a failed span page-in: %v", err)
+	}
+	if want := []core.Gap{{Start: 12, End: 15}, {Start: 4, End: 7}}; !reflect.DeepEqual(gaps, want) {
+		t.Fatalf("gaps = %v, want %v", gaps, want)
+	}
+	ver := &core.Verifier{Acc: re.Acc(), Light: lightFor(t, re.Headers())}
+	if _, err := ver.VerifyDegraded(q, parts, gaps); !errors.Is(err, core.ErrDegraded) {
+		t.Fatalf("VerifyDegraded err = %v, want ErrDegraded", err)
+	}
+	// Shard 0's span [8,11] is still answered by its skip ([0,3] has
+	// none: its landing block would precede genesis).
+	if p := parts[0]; p.Start != 8 || p.VO.Blocks[0].Skip == nil {
+		t.Fatalf("part [%d,%d] is not the skip-answered span [8,11]", p.Start, p.End)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
+	"github.com/vchain-go/vchain/internal/multiset"
 	"github.com/vchain-go/vchain/internal/proofs"
 )
 
@@ -241,7 +242,7 @@ func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Public
 		// A mismatch block stays pending until the threshold; a block
 		// that may hold results publishes the span at once.
 		if decided[id] != nil {
-			if err := e.collapse(s, ads, run); err != nil {
+			if err := e.collapse(s, ads, view, run); err != nil {
 				return nil, err
 			}
 			if len(s.pending) < e.Opts.LazyThreshold {
@@ -327,10 +328,10 @@ func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) (map[int
 // pending span into the largest skip of ads whose distance d matches
 // them (Alg. 5). Same-clause per-block proofs aggregate by ProofSum;
 // any other skip proof is scheduled on run.
-func (e *Engine) collapse(s *subState, ads *core.BlockADS, run *proofs.Run) error {
+func (e *Engine) collapse(s *subState, ads *core.BlockADS, view core.ChainView, run *proofs.Run) error {
+	var spans []multiset.Multiset // derived at the largest candidate skip
 	for i := len(ads.Skips) - 1; i >= 0; i-- {
-		entry := &ads.Skips[i]
-		d := entry.Distance
+		d := ads.Skips[i].Distance
 		if d > len(s.pending) {
 			continue
 		}
@@ -355,18 +356,25 @@ func (e *Engine) collapse(s *subState, ads *core.BlockADS, run *proofs.Run) erro
 		if !ok || clause == nil {
 			continue
 		}
+		if spans == nil {
+			var err error
+			if spans, err = ads.SkipSpans(view, i, nil); err != nil {
+				return fmt.Errorf("subscribe: %w", err)
+			}
+		}
+		w := spans[i]
 		// The skip's aggregated multiset must miss the clause we will
 		// cite; if per-block clauses diverged, fall back to the first
 		// clause that the aggregate misses.
-		if !sameClause || clause.Matches(entry.W) {
-			cl, bad := s.cnf.FindMismatch(entry.W)
+		if !sameClause || clause.Matches(w) {
+			cl, bad := s.cnf.FindMismatch(w)
 			if !bad {
 				continue
 			}
 			clause = cl
 			sameClause = false
 		}
-		skip := ads.SkipVO(i, clause, e.Acc)
+		skip := ads.SkipVO(i, w, clause, e.Acc)
 		if skip == nil {
 			continue // over the key's capacity: try a smaller skip
 		}
@@ -379,7 +387,7 @@ func (e *Engine) collapse(s *subState, ads *core.BlockADS, run *proofs.Run) erro
 			}
 			skip.Proof = pf
 		} else {
-			run.Add(entry.W, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) { skip.Proof = pf })
+			run.Add(w, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) { skip.Proof = pf })
 		}
 		s.pending = append(s.pending[:len(s.pending)-d], core.BlockVO{Height: ads.Height, Skip: skip})
 		return nil
