@@ -69,13 +69,53 @@ func BenchmarkSetupCon1(b *testing.B) {
 	}
 }
 
+// benchChecks builds k valid disjointness checks in the verifier's
+// workload shape: every check carries a distinct node digest, verified
+// against one of the query's few clause accumulators (a
+// sedan∧(benz∨bmw)-style query has 2–4 clauses).
+func benchChecks(b *testing.B, acc Accumulator, k, clauses int) []DisjointCheck {
+	clAccs := make([]Acc, clauses)
+	clSets := make([]multiset.Multiset, clauses)
+	for j := range clAccs {
+		clSets[j] = benchMultiset(fmt.Sprintf("c%d", j), 2)
+		var err error
+		clAccs[j], err = acc.Setup(clSets[j])
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	checks := make([]DisjointCheck, k)
+	for i := range checks {
+		// Retry on toy-domain hash collisions between the window and
+		// clause multisets (see checkPool in batch_test.go).
+		for try := 0; ; try++ {
+			if try == 32 {
+				b.Fatal("could not find disjoint multisets")
+			}
+			w := benchMultiset(fmt.Sprintf("w%d.%d.%d", k, i, try), 3)
+			pf, err := acc.ProveDisjoint(w, clSets[i%clauses])
+			if errors.Is(err, ErrNotDisjoint) {
+				continue
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			aw, err := acc.Setup(w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			checks[i] = DisjointCheck{Acc1: aw, Acc2: clAccs[i%clauses], Proof: pf}
+			break
+		}
+	}
+	return checks
+}
+
 // BenchmarkVerifyDisjointBatch compares the client's two verification
-// paths at growing batch sizes: `sequential` is today's per-proof loop
-// (two full pairings per check — the light-client hot path before this
-// engine), `batched` is VerifyDisjointBatch (lockstep Miller loops,
+// paths at growing batch sizes: `sequential` is the per-proof loop
+// (one pairing-product check per proof), `batched` is
+// VerifyDisjointBatch (one Miller loop per distinct second argument,
 // one shared final exponentiation, one multi-scalar right-hand side).
-// The /256 sequential-vs-batched ratio is the acceptance criterion of
-// the batched verification engine (target ≥ 6.5× single-thread).
 func BenchmarkVerifyDisjointBatch(b *testing.B) {
 	pr := pairing.Toy()
 	accs := map[string]Accumulator{
@@ -84,45 +124,8 @@ func BenchmarkVerifyDisjointBatch(b *testing.B) {
 	}
 	for _, name := range []string{"acc1", "acc2"} {
 		acc := accs[name]
-		// The verifier's workload shape: every check carries a distinct
-		// node digest, verified against one of the query's few clause
-		// accumulators (a sedan∧(benz∨bmw)-style query has 2–4 clauses).
-		const clauses = 4
-		clAccs := make([]Acc, clauses)
-		clSets := make([]multiset.Multiset, clauses)
-		for j := range clAccs {
-			clSets[j] = benchMultiset(fmt.Sprintf("c%d", j), 2)
-			var err error
-			clAccs[j], err = acc.Setup(clSets[j])
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
 		for _, k := range []int{16, 256} {
-			checks := make([]DisjointCheck, k)
-			for i := range checks {
-				// Retry on toy-domain hash collisions between the window
-				// and clause multisets (see checkPool in batch_test.go).
-				for try := 0; ; try++ {
-					if try == 32 {
-						b.Fatal("could not find disjoint multisets")
-					}
-					w := benchMultiset(fmt.Sprintf("w%d.%d.%d", k, i, try), 3)
-					pf, err := acc.ProveDisjoint(w, clSets[i%clauses])
-					if errors.Is(err, ErrNotDisjoint) {
-						continue
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					aw, err := acc.Setup(w)
-					if err != nil {
-						b.Fatal(err)
-					}
-					checks[i] = DisjointCheck{Acc1: aw, Acc2: clAccs[i%clauses], Proof: pf}
-					break
-				}
-			}
+			checks := benchChecks(b, acc, k, 4)
 			b.Run(fmt.Sprintf("%s/%d/sequential", name, k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for _, ch := range checks {
@@ -140,6 +143,24 @@ func BenchmarkVerifyDisjointBatch(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkVerifyDisjointBatchDefault runs acc2's batch check at the
+// default preset in the shapes clients meet: one check (a subscription
+// publication), two, a gob_prove-sized answer of 12 checks over 3
+// clauses, and 40 checks over 8 clauses.
+func BenchmarkVerifyDisjointBatchDefault(b *testing.B) {
+	acc := KeyGenCon2Deterministic(pairing.Default(), 256, HashEncoder{Q: 256}, []byte("bench"))
+	for _, shape := range []struct{ k, clauses int }{{1, 1}, {2, 1}, {12, 3}, {40, 8}} {
+		checks := benchChecks(b, acc, shape.k, shape.clauses)
+		b.Run(fmt.Sprintf("k=%d/clauses=%d", shape.k, shape.clauses), func(b *testing.B) {
+			for b.Loop() {
+				if !acc.VerifyDisjointBatch(checks) {
+					b.Fatal("valid batch rejected")
+				}
+			}
+		})
 	}
 }
 

@@ -247,7 +247,7 @@ func (c *Con1) VerifyDisjoint(acc1, acc2 Acc, proof Proof) bool {
 // VerifyDisjointBatch implements Accumulator: the k verification
 // equations ê(acc1_i, F1_i)·ê(acc2_i, F2_i) == ê(g, g) collapse into
 // one randomized pairing-product check with a single final
-// exponentiation, lockstep Miller loops, and one multi-scalar
+// exponentiation, shared Miller loops, and one multi-scalar
 // right-hand side (pairing.PairingCheckBatch). The second pair is
 // emitted as ê(F2_i, acc2_i) — the Type-1 pairing is symmetric — so
 // that the clause accumulator, which repeats across the checks of one

@@ -186,18 +186,23 @@ func (c *Con2) ProveDisjoint(x1, x2 multiset.Multiset) (Proof, error) {
 	return Proof{F1: c.pr.C.MultiScalarMul(pts, ks), F2: c.pr.C.Infinity()}, nil
 }
 
-// VerifyDisjoint implements Accumulator: ê(dA(X1), dB(X2)) =? ê(π, g).
+// VerifyDisjoint implements Accumulator: ê(dA(X1), dB(X2)) =? ê(π, g),
+// checked as one product with one Miller loop and one final
+// exponentiation (pairing.PairingEqual).
 func (c *Con2) VerifyDisjoint(acc1, acc2 Acc, proof Proof) bool {
-	lhs := c.pr.Pair(acc1.A, acc2.B)
-	rhs := c.pr.Pair(proof.F1, c.pr.G)
-	return lhs.Equal(rhs)
+	return c.pr.PairingEqual(
+		[]pairing.PairPair{{P: acc1.A, Q: acc2.B}},
+		[]pairing.PairPair{{P: proof.F1, Q: c.pr.G}},
+	)
 }
 
 // VerifyDisjointBatch implements Accumulator: the k verification
 // equations ê(dA_i, dB_i) == ê(π_i, g) collapse into one randomized
-// check — all left-hand Miller loops run in lockstep, every right-hand
-// side folds into a single multi-scalar multiplication against g, and
-// the final exponentiation happens once (pairing.PairingCheckBatch).
+// check — left-hand sides sharing a clause and every right-hand side
+// (all against g) fold into one multi-scalar multiplication and one
+// Miller loop per distinct second argument, and the final
+// exponentiation happens once (pairing.PairingCheckBatch). One check
+// is VerifyDisjoint.
 func (c *Con2) VerifyDisjointBatch(checks []DisjointCheck) bool {
 	if len(checks) == 1 {
 		return c.VerifyDisjoint(checks[0].Acc1, checks[0].Acc2, checks[0].Proof)

@@ -46,7 +46,9 @@ type IntraNode struct {
 	// Hash is the node hash: H(preHash ‖ accBytes) when the node
 	// carries a digest, preHash alone otherwise. See preHash below.
 	Hash chain.Digest
-	// W is the attribute multiset (union of children / object's W').
+	// W is a leaf's attribute multiset, the object's W'. Internal nodes
+	// do not store theirs: it is the union of the leaves below
+	// (Def. 6.1), which Multiset derives.
 	W multiset.Multiset
 	// Digest is acc(W); zero-valued for internal nodes in ModeNil.
 	Digest accumulator.Acc
@@ -60,6 +62,26 @@ type IntraNode struct {
 
 // IsLeaf reports whether the node is a leaf.
 func (n *IntraNode) IsLeaf() bool { return n.Obj != nil }
+
+// Multiset returns the node's attribute multiset: a leaf's W, or the
+// union of the leaves below an internal node, built on each call.
+func (n *IntraNode) Multiset() multiset.Multiset {
+	if n.IsLeaf() {
+		return n.W
+	}
+	return multiset.Union(n.Left.Multiset(), n.Right.Multiset())
+}
+
+// dropInternalW clears the multisets a record of format VCR3 stored on
+// internal nodes, so decoded trees have the one shape BuildBlock makes.
+func (n *IntraNode) dropInternalW() {
+	if n == nil || n.IsLeaf() {
+		return
+	}
+	n.W = nil
+	n.Left.dropInternalW()
+	n.Right.dropInternalW()
+}
 
 // preHash is the digest-independent part of a node hash:
 //
@@ -151,7 +173,8 @@ type BlockADS struct {
 	// Root is the intra-block index root.
 	Root *IntraNode
 	// BlockW is the block-level attribute multiset (union over
-	// objects' W'), the unit aggregated by skip entries.
+	// objects' W', so the root's multiset), the unit aggregated by skip
+	// entries.
 	BlockW multiset.Multiset
 	// BlockDigest is acc(BlockW) (equals Root.Digest in indexed modes).
 	BlockDigest accumulator.Acc
@@ -258,16 +281,17 @@ func (b *Builder) BuildBlock(height int, objs []chain.Object, view ChainView) (*
 	}
 
 	indexed := b.Mode != ModeNil
-	root, err := b.buildTree(leaves, indexed, indexed && !b.NoCluster)
+	root, blockW, err := b.buildTree(leaves, indexed, indexed && !b.NoCluster)
 	if err != nil {
 		return nil, err
 	}
-
-	// Block-level multiset: union across objects (it equals the intra
-	// root's W in indexed modes by construction).
-	blockW := multiset.Multiset{}
-	for _, l := range leaves {
-		blockW = multiset.Union(blockW, l.W)
+	if !indexed {
+		// Block-level multiset: the union across objects, which an
+		// indexed tree formed at its root.
+		blockW = multiset.Multiset{}
+		for _, l := range leaves {
+			blockW = multiset.Union(blockW, l.W)
+		}
 	}
 	var blockDig accumulator.Acc
 	if indexed {
@@ -298,62 +322,68 @@ func (b *Builder) BuildBlock(height int, objs []chain.Object, view ChainView) (*
 // level the unpaired node with the largest attribute multiset picks the
 // partner maximizing Jaccard similarity; pairs become parents of the
 // next level. In non-indexed mode the pairing is positional and
-// internal nodes carry no attribute data.
-func (b *Builder) buildTree(nodes []*IntraNode, indexed, cluster bool) (*IntraNode, error) {
+// internal nodes carry no attribute data. An indexed build forms each
+// parent's union for the clustering and the parent's Setup, then drops
+// it: only leaves keep their W. It returns the root and, when indexed,
+// the root's union, the block's multiset.
+func (b *Builder) buildTree(leaves []*IntraNode, indexed, cluster bool) (*IntraNode, multiset.Multiset, error) {
+	type item struct {
+		n *IntraNode
+		w multiset.Multiset
+	}
+	nodes := make([]item, len(leaves))
+	for i, l := range leaves {
+		nodes[i] = item{n: l, w: l.W}
+	}
 	for len(nodes) > 1 {
-		var next []*IntraNode
-		remaining := make([]*IntraNode, len(nodes))
+		var next []item
+		remaining := make([]item, len(nodes))
 		copy(remaining, nodes)
 		for len(remaining) > 1 {
-			var nl *IntraNode
 			li := 0
 			if cluster {
 				// argmax |W|
-				for i, n := range remaining {
-					if nl == nil || n.W.Len() > nl.W.Len() {
-						nl, li = n, i
+				for i, it := range remaining {
+					if it.w.Len() > remaining[li].w.Len() {
+						li = i
 					}
 				}
-			} else {
-				nl = remaining[0]
 			}
+			nl := remaining[li]
 			remaining = append(remaining[:li], remaining[li+1:]...)
 
-			var nr *IntraNode
 			ri := 0
 			if cluster {
 				best := -1.0
-				for i, n := range remaining {
-					j := multiset.Jaccard(nl.W, n.W)
-					if nr == nil || j > best {
-						nr, ri, best = n, i, j
+				for i, it := range remaining {
+					if j := multiset.Jaccard(nl.w, it.w); j > best {
+						ri, best = i, j
 					}
 				}
-			} else {
-				nr = remaining[0]
 			}
+			nr := remaining[ri]
 			remaining = append(remaining[:ri], remaining[ri+1:]...)
 
-			parent := &IntraNode{Left: nl, Right: nr}
-			pre := internalPreHash(nl.Hash, nr.Hash)
+			parent := item{n: &IntraNode{Left: nl.n, Right: nr.n}}
+			pre := internalPreHash(nl.n.Hash, nr.n.Hash)
 			if indexed {
-				parent.W = multiset.Union(nl.W, nr.W)
-				dig, err := b.Acc.Setup(parent.W)
+				parent.w = multiset.Union(nl.w, nr.w)
+				dig, err := b.Acc.Setup(parent.w)
 				if err != nil {
-					return nil, fmt.Errorf("core: internal digest: %w", err)
+					return nil, nil, fmt.Errorf("core: internal digest: %w", err)
 				}
-				parent.Digest = dig
-				parent.HasDigest = true
-				parent.Hash = nodeHash(pre, b.Acc.AccBytes(dig))
+				parent.n.Digest = dig
+				parent.n.HasDigest = true
+				parent.n.Hash = nodeHash(pre, b.Acc.AccBytes(dig))
 			} else {
-				parent.Hash = pre
+				parent.n.Hash = pre
 			}
 			next = append(next, parent)
 		}
 		// A leftover odd node is carried to the next level unchanged.
 		nodes = append(next, remaining...)
 	}
-	return nodes[0], nil
+	return nodes[0].n, nodes[0].w, nil
 }
 
 // SkipSpans derives the multisets the skip entries 0..top of a

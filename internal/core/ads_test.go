@@ -88,7 +88,9 @@ func TestBuildBlockOddCount(t *testing.T) {
 }
 
 func TestIntraNodeUnionInvariant(t *testing.T) {
-	// Every internal node's W must equal the union of its children's.
+	// Every internal node's multiset must equal the union of its
+	// children's, and its digest must accumulate it. Internal nodes do
+	// not store the multiset, and the root's is the block's BlockW.
 	acc := adsAcc(t)
 	b := &Builder{Acc: acc, Mode: ModeIntra, Width: testWidth}
 	node := NewFullNode(0, b)
@@ -96,14 +98,27 @@ func TestIntraNodeUnionInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !multiset.Equal(ads.Root.Multiset(), ads.BlockW) {
+		t.Fatalf("root multiset %v != BlockW %v", ads.Root.Multiset(), ads.BlockW)
+	}
 	var walk func(n *IntraNode)
 	walk = func(n *IntraNode) {
 		if n == nil || n.IsLeaf() {
 			return
 		}
-		want := multiset.Union(n.Left.W, n.Right.W)
-		if !multiset.Equal(n.W, want) {
-			t.Fatalf("internal W %v != union %v", n.W, want)
+		if n.W != nil {
+			t.Fatal("internal node stores its multiset")
+		}
+		want := multiset.Union(n.Left.Multiset(), n.Right.Multiset())
+		if !multiset.Equal(n.Multiset(), want) {
+			t.Fatalf("internal W %v != union %v", n.Multiset(), want)
+		}
+		dig, err := acc.Setup(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !acc.AccEqual(n.Digest, dig) {
+			t.Fatal("internal digest does not accumulate the union")
 		}
 		walk(n.Left)
 		walk(n.Right)
@@ -262,8 +277,8 @@ func TestJaccardClusteringGroupsSimilarObjects(t *testing.T) {
 		t.Fatal("unexpected tree shape")
 	}
 	oneObj := ObjectMultiset(objs[0], testWidth).Len()
-	if l.W.Len() != oneObj || r.W.Len() != oneObj {
+	if l.Multiset().Len() != oneObj || r.Multiset().Len() != oneObj {
 		t.Errorf("clustering failed: level-1 sizes %d and %d, want %d (perfect pairing)",
-			l.W.Len(), r.W.Len(), oneObj)
+			l.Multiset().Len(), r.Multiset().Len(), oneObj)
 	}
 }

@@ -11,14 +11,21 @@ import (
 	"github.com/vchain-go/vchain/internal/storage"
 )
 
-// recMagic prefixes a chain record. Version 3 stores field elements as
-// their Montgomery limbs (ff.Elt's gob form) and skip entries without
-// their multisets.
-var recMagic = []byte{0x00, 'V', 'C', 'R', '3'}
+// recMagic prefixes a chain record. Version 4 stores field elements as
+// their Montgomery limbs (ff.Elt's gob form), skip entries without
+// their multisets, and the multisets of intra-index leaves only.
+var recMagic = []byte{0x00, 'V', 'C', 'R', '4'}
 
-// recMagicV2 prefixes records of the previous format, whose field
-// elements gob-encode canonical integers. Decoded as version 3 they
-// would yield wrong points, so they are refused outright.
+// recMagicV3 prefixes records of the previous format, which also
+// stored every internal intra-index node's multiset. The gob type is
+// the same, so they are read, and those multisets dropped at decode.
+// The version bump keeps builds that predate it from reading internal
+// nodes without multisets: they refuse a VCR4 record as malformed.
+var recMagicV3 = []byte{0x00, 'V', 'C', 'R', '3'}
+
+// recMagicV2 prefixes records of format 2, whose field elements
+// gob-encode canonical integers. Decoded as a later format they would
+// yield wrong points, so they are refused outright.
 var recMagicV2 = []byte{0x00, 'V', 'C', 'R', '2'}
 
 // ErrOldRecordFormat marks a store written in record format VCR2 by an
@@ -53,7 +60,7 @@ func splitRecord(data []byte) (blkGob, adsGob []byte, err error) {
 	if bytes.HasPrefix(data, recMagicV2) {
 		return nil, nil, ErrOldRecordFormat
 	}
-	if len(data) < len(recMagic)+4 || !bytes.Equal(data[:len(recMagic)], recMagic) {
+	if len(data) < len(recMagic)+4 || !bytes.HasPrefix(data, recMagic) && !bytes.HasPrefix(data, recMagicV3) {
 		return nil, nil, fmt.Errorf("core: malformed chain record")
 	}
 	n := int(binary.BigEndian.Uint32(data[len(recMagic):]))
@@ -89,6 +96,7 @@ func DecodeChainRecordADS(data []byte) (*BlockADS, error) {
 	if err := gob.NewDecoder(bytes.NewReader(adsGob)).Decode(&ads); err != nil {
 		return nil, fmt.Errorf("core: decoding chain record ADS: %w", err)
 	}
+	ads.Root.dropInternalW()
 	return &ads, nil
 }
 

@@ -248,16 +248,43 @@ func RootMismatchVO(ads *BlockADS, clause Clause) *NodeVO {
 	}
 }
 
+// findMismatch is cnf.FindMismatch of n's multiset, decided against
+// the leaves below n without building their union: a union is
+// disjoint from a clause exactly when each of its leaves is.
+func findMismatch(cnf CNF, n *IntraNode) (Clause, bool) {
+	var best Clause
+	for _, c := range cnf {
+		if (best == nil || len(c) < len(best)) && !matchesBelow(c, n) {
+			best = c
+		}
+	}
+	return best, best != nil
+}
+
+// matchesBelow reports whether clause c intersects some leaf below n.
+func matchesBelow(c Clause, n *IntraNode) bool {
+	if n.IsLeaf() {
+		return c.Matches(n.W)
+	}
+	return matchesBelow(c, n.Left) || matchesBelow(c, n.Right)
+}
+
 // blockTreeVO runs Alg. 3 over one block's intra index (which in
 // ModeNil is the plain tree whose internal nodes carry no digests, so
 // traversal always reaches the leaves). Mismatch proofs join their
-// batch group or, unbatched, are scheduled on run.
+// batch group or, unbatched, are scheduled on run. Only a node that
+// gets proven needs its multiset: the block's BlockW at the root, else
+// the union IntraNode.Multiset derives.
 func (sp *SP) blockTreeVO(ads *BlockADS, cnf CNF, batch *aggVO, run *proofs.Run) *NodeVO {
 	var build func(n *IntraNode) *NodeVO
 	build = func(n *IntraNode) *NodeVO {
 		// Prunable node: carries a digest and mismatches some clause.
 		if n.HasDigest {
-			if clause, bad := cnf.FindMismatch(n.W); bad {
+			if clause, bad := findMismatch(cnf, n); bad {
+				w := ads.BlockW
+				if n != ads.Root {
+					w = n.Multiset()
+				}
 				out := &NodeVO{
 					Kind:      KindMismatch,
 					Digest:    n.Digest,
@@ -271,9 +298,9 @@ func (sp *SP) blockTreeVO(ads *BlockADS, cnf CNF, batch *aggVO, run *proofs.Run)
 					out.PreHash = internalPreHash(n.Left.Hash, n.Right.Hash)
 				}
 				if batch != nil {
-					batch.add(out, n.W, clause)
+					batch.add(out, w, clause)
 				} else {
-					run.Add(n.W, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) { out.Proof = &pf })
+					run.Add(w, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) { out.Proof = &pf })
 				}
 				return out
 			}

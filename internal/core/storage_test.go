@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"strings"
 	"sync"
@@ -183,5 +185,167 @@ func TestOpenRefusesRecordFormatV2(t *testing.T) {
 	}
 	if msg := err.Error(); !strings.Contains(msg, "VCR2") || !strings.Contains(msg, "re-mine") {
 		t.Fatalf("error %q does not name the old format and the fix", msg)
+	}
+}
+
+// TestRecordFormatV4 checks what a fresh store writes: records under
+// the VCR4 magic whose ADS section stores the multisets of leaves only.
+func TestRecordFormatV4(t *testing.T) {
+	b := &Builder{Acc: testAccs(t)["acc2"], Mode: ModeBoth, SkipSize: 2, Width: testWidth}
+	mem := storage.NewMemory()
+	node, err := NewFullNodeOn(0, b, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := node.MineBlock(carObjects(uint64(i*10)), int64(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < mem.Len(); i++ {
+		rec, err := mem.Read(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(rec, []byte("\x00VCR4")) {
+			t.Fatalf("record %d starts %q, want the VCR4 magic", i, rec[:5])
+		}
+		root := rawRecordADS(t, rec).Root
+		if n := storedInternalW(root); n != 0 {
+			t.Fatalf("record %d stores %d internal multisets", i, n)
+		}
+		var leaves func(n *IntraNode) int
+		leaves = func(n *IntraNode) int {
+			if n.IsLeaf() {
+				if len(n.W) == 0 {
+					t.Fatalf("record %d: a leaf without its multiset", i)
+				}
+				return 1
+			}
+			return leaves(n.Left) + leaves(n.Right)
+		}
+		if got := leaves(root); got != len(carObjects(0)) {
+			t.Fatalf("record %d: %d leaves", i, got)
+		}
+	}
+}
+
+// rawRecordADS decodes a record's ADS section as stored, without
+// DecodeChainRecordADS's normalization.
+func rawRecordADS(t *testing.T, rec []byte) *BlockADS {
+	t.Helper()
+	_, adsGob, err := splitRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ads BlockADS
+	if err := gob.NewDecoder(bytes.NewReader(adsGob)).Decode(&ads); err != nil {
+		t.Fatal(err)
+	}
+	return &ads
+}
+
+// storedInternalW counts the internal nodes below n that hold a
+// multiset.
+func storedInternalW(n *IntraNode) int {
+	if n.IsLeaf() {
+		return 0
+	}
+	c := storedInternalW(n.Left) + storedInternalW(n.Right)
+	if n.W != nil {
+		c++
+	}
+	return c
+}
+
+// TestOpenReadsRecordFormatV3 hand-builds a store in the previous
+// record format, which also stored every internal node's multiset:
+// it opens, pages in with those multisets dropped, and answers every
+// query with the VO bytes of the node that mined the chain.
+func TestOpenReadsRecordFormatV3(t *testing.T) {
+	acc := testAccs(t)["acc2"]
+	b := &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 2, Width: testWidth}
+	mem := storage.NewMemory()
+	warm, err := NewFullNodeOn(0, b, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blocks = 12
+	for i := 0; i < blocks; i++ {
+		if _, err := warm.MineBlock(carObjects(uint64(i*10)), int64(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dir := t.TempDir()
+	log, err := storage.Open(dir, storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < blocks; h++ {
+		rec, err := mem.Read(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ads, err := DecodeChainRecordADS(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fill func(n *IntraNode)
+		fill = func(n *IntraNode) {
+			if n.IsLeaf() {
+				return
+			}
+			n.W = n.Multiset()
+			fill(n.Left)
+			fill(n.Right)
+		}
+		fill(ads.Root)
+		blk, err := warm.Store.BlockAt(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v4, err := EncodeChainRecord(blk, ads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v3 := append(append([]byte(nil), recMagicV3...), v4[len(recMagic):]...)
+		if n := storedInternalW(rawRecordADS(t, v3).Root); n == 0 {
+			t.Fatal("the hand-built VCR3 record stores no internal multiset")
+		}
+		if err := log.Append(v3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	old := openTestNode(t, b, dir, WithADSCache(1))
+	if old.Store.Height() != blocks {
+		t.Fatalf("opened %d blocks, want %d", old.Store.Height(), blocks)
+	}
+	if n := storedInternalW(mustADS(t, old, blocks-1).Root); n != 0 {
+		t.Fatalf("a paged-in VCR3 record kept %d internal multisets", n)
+	}
+	for _, q := range []Query{
+		sedanBenzQuery(0, blocks-1),
+		{StartBlock: 0, EndBlock: blocks - 1, Bool: CNF{KeywordClause("tesla")}, Width: testWidth},
+		{StartBlock: 3, EndBlock: 9, Bool: CNF{KeywordClause("van", "tesla")}, Width: testWidth},
+	} {
+		want, err := warm.SP(false).TimeWindowQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := old.SP(false).TimeWindowQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(EncodeVO(acc, got), EncodeVO(acc, want)) {
+			t.Fatalf("query %v: the VCR3 store answers with different VO bytes", q.Bool)
+		}
+	}
+	if old.ADSStats().Decodes == 0 {
+		t.Fatal("no record was paged in")
 	}
 }

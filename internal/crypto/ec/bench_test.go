@@ -105,7 +105,8 @@ func msmWNAFLoop(c *Curve, points []Point, scalars []*big.Int) Point {
 
 // BenchmarkMSM compares Pippenger multi-scalar multiplication with the
 // seed's affine loop and a per-point wNAF loop at the sizes the
-// accumulator layers see.
+// accumulator layers see, and Pippenger with Straus at the batched
+// pairing check's 64-bit scalars.
 func BenchmarkMSM(b *testing.B) {
 	c := benchCurve()
 	for _, n := range []int{16, 256, 4096} {
@@ -128,6 +129,32 @@ func BenchmarkMSM(b *testing.B) {
 				}
 			})
 		}
+	}
+	// The batched pairing check's randomizer collapse: a few points
+	// against 64-bit scalars, through MultiScalarMul and through each
+	// engine directly.
+	for _, n := range []int{2, 4, 12, 40} {
+		pts := benchPoints(c, n)
+		ks := benchScalars(n)
+		for i := range ks {
+			ks[i] = new(big.Int).Rsh(ks[i], 160-64)
+		}
+		label := "bits=64/" + sizeLabel("n", n)
+		b.Run(label, func(b *testing.B) {
+			for b.Loop() {
+				c.MultiScalarMul(pts, ks)
+			}
+		})
+		b.Run(label+"/pippenger", func(b *testing.B) {
+			for b.Loop() {
+				c.msmPippenger(pts, ks, 64)
+			}
+		})
+		b.Run(label+"/straus", func(b *testing.B) {
+			for b.Loop() {
+				c.msmStraus(pts, ks, 64)
+			}
+		})
 	}
 }
 

@@ -50,7 +50,10 @@ var msmSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 // accumulation happens in Jacobian coordinates (no inversions); the
 // single conversion back to affine pays the only inversion. Windows are
 // computed in parallel when the input is large enough and more than one
-// CPU is available.
+// CPU is available. For scalars of strausMinBits or more, the
+// interleaved wNAF method (msmStraus) runs instead whenever its
+// operation count is the smaller one: a few wide scalars, such as the
+// batched pairing check's 64-bit randomizers.
 //
 // Infinity points and zero (or nil) scalars contribute nothing;
 // negative scalars negate their point. Slices must have equal length.
@@ -85,7 +88,15 @@ func (c *Curve) MultiScalarMul(points []Point, scalars []*big.Int) Point {
 	if maxBits == 1 {
 		return c.sumAll(pts)
 	}
+	if maxBits >= strausMinBits && strausCost(len(pts), maxBits) < pippengerCost(len(pts), maxBits) {
+		return c.msmStraus(pts, ks, maxBits)
+	}
+	return c.msmPippenger(pts, ks, maxBits)
+}
 
+// msmPippenger returns Σ ks[i]·pts[i] for positive scalars of at most
+// bits bits by the bucket method MultiScalarMul describes.
+func (c *Curve) msmPippenger(pts []Point, ks []*big.Int, maxBits int) Point {
 	w := msmWindowBits(len(pts))
 	nWindows := (maxBits + w - 1) / w
 	sums := make([]JacPoint, nWindows)
@@ -138,6 +149,90 @@ func (c *Curve) MultiScalarMul(points []Point, scalars []*big.Int) Point {
 			acc = c.JacDouble(acc)
 		}
 		acc = c.JacAdd(acc, sums[wi])
+	}
+	return c.FromJac(acc)
+}
+
+// Operation costs in field multiplications (squarings counted as
+// multiplications) for the curve coefficient a = 0: a mixed addition,
+// a general Jacobian addition, a doubling, one NormalizeJac entry, and
+// an inversion, which is about 35 multiplications at the default preset
+// (BenchmarkFieldInv against BenchmarkFieldMul).
+const (
+	mixedAddMuls  = 11
+	jacAddMuls    = 16
+	jacDoubleMuls = 7
+	normalizeMuls = 7
+	invMuls       = 35
+)
+
+// strausMinBits is the narrowest scalar the Straus method is
+// considered for. The operation count also favours it at the small
+// multiplicities of Construction 2's Setup and ProveDisjoint, but there
+// it measured slower than Pippenger and sumAll: its per-scalar digit
+// recoding and table normalization are overheads the count leaves out.
+// The 64-bit randomizers of the batched pairing check are what it is
+// for.
+const strausMinBits = 32
+
+// pippengerCost estimates MultiScalarMul's bucket method: per window,
+// one mixed addition per non-zero digit and two general additions per
+// bucket, then the doublings and window additions that combine them.
+func pippengerCost(n, bits int) int {
+	w := msmWindowBits(n)
+	windows := (bits + w - 1) / w
+	fills := n * ((1 << w) - 1) >> w
+	return windows*(fills*mixedAddMuls+2*((1<<w)-1)*jacAddMuls+jacAddMuls) + windows*w*jacDoubleMuls
+}
+
+// strausCost estimates msmStraus: the odd-multiple tables and their
+// one normalization, one doubling per bit, and one mixed addition per
+// non-zero wNAF digit, about one in w+1.
+func strausCost(n, bits int) int {
+	w := wnafWidthFor(bits)
+	t := 1 << (w - 2)
+	table := n*(jacDoubleMuls+(t-1)*jacAddMuls+t*normalizeMuls) + invMuls
+	return table + (bits+1)*jacDoubleMuls + n*((bits+w)/(w+1))*mixedAddMuls
+}
+
+// msmStraus returns Σ ks[i]·pts[i] for positive scalars of at most bits
+// bits by interleaved wNAF (Straus): a table of odd multiples per
+// point, all normalized to affine with one inversion, and a single
+// doubling chain that every scalar's digits add into. Against Pippenger
+// it wins for a few wide scalars, where the bucket method pays its
+// bucket combination once per narrow window.
+func (c *Curve) msmStraus(pts []Point, ks []*big.Int, bits int) Point {
+	w := wnafWidthFor(bits)
+	size := 1 << (w - 2)
+	jtab := make([]JacPoint, len(pts)*size)
+	digits := make([][]int8, len(pts))
+	top := 0
+	for i, p := range pts {
+		digits[i] = wnafDigits(ks[i], w)
+		top = max(top, len(digits[i]))
+		t := jtab[i*size : (i+1)*size]
+		t[0] = c.ToJac(p)
+		if size > 1 {
+			twoP := c.JacDouble(t[0])
+			for j := 1; j < size; j++ {
+				t[j] = c.JacAdd(t[j-1], twoP)
+			}
+		}
+	}
+	tab := c.NormalizeJac(jtab)
+	var acc JacPoint
+	for bit := top - 1; bit >= 0; bit-- {
+		acc = c.JacDouble(acc)
+		for i, ds := range digits {
+			if bit >= len(ds) {
+				continue
+			}
+			if d := ds[bit]; d > 0 {
+				acc = c.JacAddMixed(acc, tab[i*size+int(d-1)/2])
+			} else if d < 0 {
+				acc = c.JacAddMixed(acc, c.Neg(tab[i*size+int(-d-1)/2]))
+			}
+		}
 	}
 	return c.FromJac(acc)
 }
@@ -214,6 +309,10 @@ func (c *Curve) scalarMulWNAF(p Point, k *big.Int) Point {
 	}
 	return c.FromJac(acc)
 }
+
+// NAF returns the non-adjacent form of k > 0, least significant digit
+// first: digits in {−1, 0, 1}, no two adjacent ones non-zero.
+func NAF(k *big.Int) []int8 { return wnafDigits(k, 2) }
 
 // wnafDigits returns the width-w non-adjacent form of k > 0, least
 // significant digit first. Non-zero digits are odd, lie in

@@ -55,6 +55,34 @@ func TestMSMMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestMSMEnginesAgreeOnWideScalars runs 64-bit scalars, the width at
+// which MultiScalarMul may pick the Straus method, through both engines
+// directly and through the dispatcher. The test curve has small-order
+// points, so some odd-multiple table entries are infinity.
+func TestMSMEnginesAgreeOnWideScalars(t *testing.T) {
+	c := testCurve(t)
+	rng := rand.New(rand.NewSource(53))
+	base := findPoint(t, c)
+	for _, n := range []int{2, 3, 4, 12, 40} {
+		pts := make([]Point, n)
+		ks := make([]*big.Int, n)
+		for i := range pts {
+			pts[i] = c.ScalarMul(base, big.NewInt(int64(rng.Intn(1000)+1)))
+			ks[i] = new(big.Int).SetUint64(rng.Uint64() | 1<<63)
+		}
+		want := msmReference(c, pts, ks)
+		if got := c.MultiScalarMul(pts, ks); !got.Equal(want) {
+			t.Fatalf("n=%d: MultiScalarMul %v != naive %v", n, got, want)
+		}
+		if got := c.msmStraus(pts, ks, 64); !got.Equal(want) {
+			t.Fatalf("n=%d: Straus %v != naive %v", n, got, want)
+		}
+		if got := c.msmPippenger(pts, ks, 64); !got.Equal(want) {
+			t.Fatalf("n=%d: Pippenger %v != naive %v", n, got, want)
+		}
+	}
+}
+
 func TestMSMEdgeCases(t *testing.T) {
 	c := testCurve(t)
 	base := findPoint(t, c)

@@ -268,35 +268,6 @@ func (f *Field) Inv(a Elt) Elt {
 	return f.Mul(Elt{l: limbsOf(v)}, f.r3)
 }
 
-// InvMany returns the inverses of xs using Montgomery's trick: one
-// modular inversion plus 3(n−1) multiplications for the whole slice.
-// It panics on a zero input, like Inv. The batched Miller loop leans on
-// this: a modular inversion costs tens of multiplications, so sharing
-// one across a batch makes the per-element cost almost vanish.
-func (f *Field) InvMany(xs []Elt) []Elt {
-	n := len(xs)
-	switch n {
-	case 0:
-		return nil
-	case 1:
-		return []Elt{f.Inv(xs[0])}
-	}
-	// prefix[i] = x_0·…·x_i
-	prefix := make([]Elt, n)
-	prefix[0] = xs[0]
-	for i := 1; i < n; i++ {
-		prefix[i] = f.Mul(prefix[i-1], xs[i])
-	}
-	inv := f.Inv(prefix[n-1]) // panics on zero if any x_i is zero
-	out := make([]Elt, n)
-	for i := n - 1; i >= 1; i-- {
-		out[i] = f.Mul(inv, prefix[i-1])
-		inv = f.Mul(inv, xs[i])
-	}
-	out[0] = inv
-	return out
-}
-
 // Exp returns a^k by square-and-multiply. Negative exponents invert
 // first.
 func (f *Field) Exp(a Elt, k *big.Int) Elt {

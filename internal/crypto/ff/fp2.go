@@ -106,26 +106,6 @@ func (x *Ext) Inv(a Elt2) Elt2 {
 	return Elt2{A: f.Mul(a.A, n), B: f.Neg(f.Mul(a.B, n))}
 }
 
-// InvMany inverts many F_p² elements at once: a⁻¹ = conj(a)/N(a) with
-// the base-field norms inverted together through Field.InvMany, so the
-// whole slice costs a single modular inversion. Panics on a zero input.
-func (x *Ext) InvMany(as []Elt2) []Elt2 {
-	if len(as) == 0 {
-		return nil
-	}
-	f := x.Base
-	norms := make([]Elt, len(as))
-	for i, a := range as {
-		norms[i] = x.Norm(a)
-	}
-	invs := f.InvMany(norms)
-	out := make([]Elt2, len(as))
-	for i, a := range as {
-		out[i] = Elt2{A: f.Mul(a.A, invs[i]), B: f.Neg(f.Mul(a.B, invs[i]))}
-	}
-	return out
-}
-
 // Exp returns a^k by square-and-multiply. Negative exponents invert first.
 func (x *Ext) Exp(a Elt2, k *big.Int) Elt2 {
 	if k.Sign() < 0 {

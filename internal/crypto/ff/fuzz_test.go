@@ -78,12 +78,6 @@ func checkFieldOps(t *testing.T, f *ff.Field, a, b, k []byte) {
 	if ai.Sign() != 0 {
 		inv := new(big.Int).ModInverse(ai, p)
 		want("Inv", f.Inv(x), inv)
-		if bi.Sign() != 0 {
-			invs := f.InvMany([]ff.Elt{x, y, x})
-			want("InvMany[0]", invs[0], inv)
-			want("InvMany[1]", invs[1], new(big.Int).ModInverse(bi, p))
-			want("InvMany[2]", invs[2], inv)
-		}
 	}
 
 	jac := big.Jacobi(ai, p)

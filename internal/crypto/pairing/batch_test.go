@@ -14,51 +14,6 @@ func randPoint(pr *Params, rng *rand.Rand) ec.Point {
 	return pr.C.ScalarMul(pr.G, k)
 }
 
-func TestMillerManyMatchesSingle(t *testing.T) {
-	pr := Toy()
-	rng := rand.New(rand.NewSource(41))
-	for _, n := range []int{1, 2, 3, 7} {
-		ps := make([]ec.Point, n)
-		ats := make([]ec.Point2, n)
-		for i := range ps {
-			ps[i] = randPoint(pr, rng)
-			ats[i] = pr.C2.Distort(randPoint(pr, rng))
-		}
-		got := pr.millerMany(ps, ats)
-		for i := range ps {
-			want := pr.miller(ps[i], ats[i])
-			if !got[i].Equal(want) {
-				t.Fatalf("n=%d slot %d: lockstep Miller diverges from reference", n, i)
-			}
-		}
-	}
-}
-
-func TestMillerManyDegenerateSlots(t *testing.T) {
-	// Slots that hit degenerate steps (small-order points, y = 0) must
-	// not desynchronize the batch. The 2-torsion point (−1, 0) forces a
-	// vertical-tangent step; mixing it with honest slots exercises the
-	// per-slot degenerate path inside the lockstep loop.
-	pr := Toy()
-	rng := rand.New(rand.NewSource(43))
-	f := pr.F
-	twoTorsion := ec.Point{X: f.FromInt64(-1), Y: f.Zero()}
-	if !pr.C.IsOnCurve(twoTorsion) {
-		t.Fatal("(−1, 0) not on curve")
-	}
-	honest := randPoint(pr, rng)
-	at := pr.C2.Distort(randPoint(pr, rng))
-	ps := []ec.Point{twoTorsion, honest, twoTorsion}
-	ats := []ec.Point2{at, at, at}
-	got := pr.millerMany(ps, ats)
-	for i := range ps {
-		want := pr.miller(ps[i], ats[i])
-		if !got[i].Equal(want) {
-			t.Fatalf("slot %d: degenerate-slot batch diverges from reference", i)
-		}
-	}
-}
-
 func TestPairingCheck(t *testing.T) {
 	pr := Toy()
 	a := big.NewInt(1234)

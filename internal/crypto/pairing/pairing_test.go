@@ -198,30 +198,3 @@ func BenchmarkPairToy(b *testing.B) {
 		pr.Pair(p, pr.G)
 	}
 }
-
-// BenchmarkMillerLoop and BenchmarkFinalExp split one Pair into its two
-// halves at each preset: the Miller loop f_{r,P}(φ(Q)) and the final
-// exponentiation f^((p²−1)/r).
-func BenchmarkMillerLoop(b *testing.B) {
-	for _, name := range []string{"toy", "default"} {
-		b.Run(name, func(b *testing.B) {
-			pr := ByName(name)
-			p, at := pr.C.ScalarMul(pr.G, big.NewInt(12345)), pr.C2.Distort(pr.G)
-			for b.Loop() {
-				pr.miller(p, at)
-			}
-		})
-	}
-}
-
-func BenchmarkFinalExp(b *testing.B) {
-	for _, name := range []string{"toy", "default"} {
-		b.Run(name, func(b *testing.B) {
-			pr := ByName(name)
-			f := pr.miller(pr.C.ScalarMul(pr.G, big.NewInt(12345)), pr.C2.Distort(pr.G))
-			for b.Loop() {
-				pr.X.Exp(f, pr.finalExp)
-			}
-		})
-	}
-}

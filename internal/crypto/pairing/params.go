@@ -51,8 +51,10 @@ type Params struct {
 	Cofactor *big.Int
 	// G is a fixed generator of the order-r subgroup.
 	G ec.Point
-	// finalExp is (p²−1)/r, the exponent of the final exponentiation.
-	finalExp *big.Int
+	// rNAF and cofNAF are the non-adjacent forms of R and Cofactor,
+	// least significant digit first: the Miller loop's schedule and the
+	// final exponentiation's exponent after its p−1 part.
+	rNAF, cofNAF []int8
 }
 
 // securityPreset describes a deterministic parameter search target.
@@ -159,11 +161,6 @@ func generate(ps securityPreset) *Params {
 		}
 	}
 
-	// finalExp = (p²−1)/r.
-	fe := new(big.Int).Mul(p, p)
-	fe.Sub(fe, one)
-	fe.Div(fe, r)
-
 	return &Params{
 		Name:     ps.name,
 		F:        f,
@@ -173,7 +170,8 @@ func generate(ps securityPreset) *Params {
 		R:        r,
 		Cofactor: cofactor,
 		G:        g,
-		finalExp: fe,
+		rNAF:     ec.NAF(r),
+		cofNAF:   ec.NAF(cofactor),
 	}
 }
 

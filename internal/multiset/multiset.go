@@ -27,15 +27,6 @@ func New(elems ...string) Multiset {
 	return m
 }
 
-// FromSet builds a multiset with multiplicity 1 for each distinct key.
-func FromSet(elems map[string]struct{}) Multiset {
-	m := make(Multiset, len(elems))
-	for e := range elems {
-		m[e] = 1
-	}
-	return m
-}
-
 // Clone returns a deep copy.
 func (m Multiset) Clone() Multiset {
 	out := make(Multiset, len(m))
