@@ -63,3 +63,70 @@ func TestTorsionProofVerdicts(t *testing.T) {
 		}
 	}
 }
+
+// TestCon1TorsionProofVerdicts pins Construction 1's verdicts for
+// proofs moved off G by a small-torsion point, and for the bare
+// torsion points (0, ±1) and (−1, 0) as proofs. The proof points sit
+// in the pairings' second argument, where (0, ±1) is the one kind of
+// point the distortion map sends to an F_p-rational evaluation point.
+// With the accumulators in G, a torsion component of a proof point
+// pairs to 1 and is accepted; the bare points are rejected. A
+// one-check batch runs the sequential check. A batch of the same check
+// twice is pinned where F2 is honest: the batch loops F2 as a first
+// argument, where a torsion component's fate depends on the randomizer,
+// but keeps F1 as a second argument against accumulators in G.
+func TestCon1TorsionProofVerdicts(t *testing.T) {
+	c := con1(t, 32)
+	pr := c.Params()
+	f := pr.F
+	x1 := multiset.New("sedan", "benz")
+	x2 := multiset.New("van")
+	a1, err := c.Setup(x1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, err := c.Setup(x2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := c.ProveDisjoint(x1, x2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2 := ec.Point{X: f.FromInt64(-1), Y: f.Zero()}
+	t3 := ec.Point{X: f.Zero(), Y: f.One()}
+	t3n := ec.Point{X: f.Zero(), Y: f.FromInt64(-1)}
+	cases := []struct {
+		name   string
+		f1, f2 ec.Point
+		want   bool
+	}{
+		{"honest", pf.F1, pf.F2, true},
+		{"F1+(-1,0)", pr.C.Add(pf.F1, t2), pf.F2, true},
+		{"F1+(0,1)", pr.C.Add(pf.F1, t3), pf.F2, true},
+		{"F2+(0,-1)", pf.F1, pr.C.Add(pf.F2, t3n), true},
+		{"F1=(0,1)", t3, pf.F2, false},
+		{"F1=(0,-1)", t3n, pf.F2, false},
+		{"F2=(0,1)", pf.F1, t3, false},
+		{"F1=(-1,0)", t2, pf.F2, false},
+		{"F1,F2=(0,1),(0,-1)", t3, t3n, false},
+	}
+	for _, tc := range cases {
+		if !pr.C.IsOnCurve(tc.f1) || !pr.C.IsOnCurve(tc.f2) {
+			t.Fatalf("%s: proof off the curve", tc.name)
+		}
+		proof := Proof{F1: tc.f1, F2: tc.f2}
+		if got := c.VerifyDisjoint(a1, a2, proof); got != tc.want {
+			t.Errorf("%s: VerifyDisjoint = %v, want %v", tc.name, got, tc.want)
+		}
+		check := DisjointCheck{Acc1: a1, Acc2: a2, Proof: proof}
+		if got := c.VerifyDisjointBatch([]DisjointCheck{check}); got != tc.want {
+			t.Errorf("%s: one-check VerifyDisjointBatch = %v, want %v", tc.name, got, tc.want)
+		}
+		if tc.f2.Equal(pf.F2) {
+			if got := c.VerifyDisjointBatch([]DisjointCheck{check, check}); got != tc.want {
+				t.Errorf("%s: two-check VerifyDisjointBatch = %v, want %v", tc.name, got, tc.want)
+			}
+		}
+	}
+}

@@ -285,14 +285,6 @@ func (b *Builder) BuildBlock(height int, objs []chain.Object, view ChainView) (*
 	if err != nil {
 		return nil, err
 	}
-	if !indexed {
-		// Block-level multiset: the union across objects, which an
-		// indexed tree formed at its root.
-		blockW = multiset.Multiset{}
-		for _, l := range leaves {
-			blockW = multiset.Union(blockW, l.W)
-		}
-	}
 	var blockDig accumulator.Acc
 	if indexed {
 		blockDig = root.Digest
@@ -322,10 +314,10 @@ func (b *Builder) BuildBlock(height int, objs []chain.Object, view ChainView) (*
 // level the unpaired node with the largest attribute multiset picks the
 // partner maximizing Jaccard similarity; pairs become parents of the
 // next level. In non-indexed mode the pairing is positional and
-// internal nodes carry no attribute data. An indexed build forms each
-// parent's union for the clustering and the parent's Setup, then drops
-// it: only leaves keep their W. It returns the root and, when indexed,
-// the root's union, the block's multiset.
+// internal nodes carry no attribute data. Every build forms each
+// parent's union, for the clustering and, when indexed, the parent's
+// Setup, then drops it: only leaves keep their W. It returns the root
+// and the root's union, the block's multiset.
 func (b *Builder) buildTree(leaves []*IntraNode, indexed, cluster bool) (*IntraNode, multiset.Multiset, error) {
 	type item struct {
 		n *IntraNode
@@ -364,10 +356,9 @@ func (b *Builder) buildTree(leaves []*IntraNode, indexed, cluster bool) (*IntraN
 			nr := remaining[ri]
 			remaining = append(remaining[:ri], remaining[ri+1:]...)
 
-			parent := item{n: &IntraNode{Left: nl.n, Right: nr.n}}
+			parent := item{n: &IntraNode{Left: nl.n, Right: nr.n}, w: multiset.Union(nl.w, nr.w)}
 			pre := internalPreHash(nl.n.Hash, nr.n.Hash)
 			if indexed {
-				parent.w = multiset.Union(nl.w, nr.w)
 				dig, err := b.Acc.Setup(parent.w)
 				if err != nil {
 					return nil, nil, fmt.Errorf("core: internal digest: %w", err)

@@ -131,8 +131,8 @@ func BenchmarkMSM(b *testing.B) {
 		}
 	}
 	// The batched pairing check's randomizer collapse: a few points
-	// against 64-bit scalars, through MultiScalarMul and through each
-	// engine directly.
+	// against 64-bit scalars, through MultiScalarMulShort and through
+	// each engine directly.
 	for _, n := range []int{2, 4, 12, 40} {
 		pts := benchPoints(c, n)
 		ks := benchScalars(n)
@@ -142,7 +142,7 @@ func BenchmarkMSM(b *testing.B) {
 		label := "bits=64/" + sizeLabel("n", n)
 		b.Run(label, func(b *testing.B) {
 			for b.Loop() {
-				c.MultiScalarMul(pts, ks)
+				c.MultiScalarMulShort(pts, ks)
 			}
 		})
 		b.Run(label+"/pippenger", func(b *testing.B) {

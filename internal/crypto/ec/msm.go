@@ -50,14 +50,28 @@ var msmSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 // accumulation happens in Jacobian coordinates (no inversions); the
 // single conversion back to affine pays the only inversion. Windows are
 // computed in parallel when the input is large enough and more than one
-// CPU is available. For scalars of strausMinBits or more, the
-// interleaved wNAF method (msmStraus) runs instead whenever its
-// operation count is the smaller one: a few wide scalars, such as the
-// batched pairing check's 64-bit randomizers.
+// CPU is available.
 //
 // Infinity points and zero (or nil) scalars contribute nothing;
 // negative scalars negate their point. Slices must have equal length.
 func (c *Curve) MultiScalarMul(points []Point, scalars []*big.Int) Point {
+	return c.multiScalarMul(points, scalars, false)
+}
+
+// MultiScalarMulShort is MultiScalarMul for a few scalars much shorter
+// than the group order, such as the batched pairing check's 64-bit
+// randomizers: it runs the interleaved wNAF method (msmStraus) instead
+// of the bucket method whenever its operation count is the smaller
+// one. The accumulators' commitments and proofs use MultiScalarMul,
+// which never does: at Construction 2's small multiplicities the count
+// favours Straus too, but it measured slower than Pippenger and sumAll,
+// because its per-scalar digit recoding and table normalization are
+// overheads the count leaves out.
+func (c *Curve) MultiScalarMulShort(points []Point, scalars []*big.Int) Point {
+	return c.multiScalarMul(points, scalars, true)
+}
+
+func (c *Curve) multiScalarMul(points []Point, scalars []*big.Int, short bool) Point {
 	if len(points) != len(scalars) {
 		panic("ec: MultiScalarMul: len(points) != len(scalars)")
 	}
@@ -88,7 +102,7 @@ func (c *Curve) MultiScalarMul(points []Point, scalars []*big.Int) Point {
 	if maxBits == 1 {
 		return c.sumAll(pts)
 	}
-	if maxBits >= strausMinBits && strausCost(len(pts), maxBits) < pippengerCost(len(pts), maxBits) {
+	if short && strausCost(len(pts), maxBits) < pippengerCost(len(pts), maxBits) {
 		return c.msmStraus(pts, ks, maxBits)
 	}
 	return c.msmPippenger(pts, ks, maxBits)
@@ -165,15 +179,6 @@ const (
 	normalizeMuls = 7
 	invMuls       = 35
 )
-
-// strausMinBits is the narrowest scalar the Straus method is
-// considered for. The operation count also favours it at the small
-// multiplicities of Construction 2's Setup and ProveDisjoint, but there
-// it measured slower than Pippenger and sumAll: its per-scalar digit
-// recoding and table normalization are overheads the count leaves out.
-// The 64-bit randomizers of the batched pairing check are what it is
-// for.
-const strausMinBits = 32
 
 // pippengerCost estimates MultiScalarMul's bucket method: per window,
 // one mixed addition per non-zero digit and two general additions per

@@ -56,9 +56,9 @@ func TestMSMMatchesNaive(t *testing.T) {
 }
 
 // TestMSMEnginesAgreeOnWideScalars runs 64-bit scalars, the width at
-// which MultiScalarMul may pick the Straus method, through both engines
-// directly and through the dispatcher. The test curve has small-order
-// points, so some odd-multiple table entries are infinity.
+// which MultiScalarMulShort may pick the Straus method, through both
+// engines directly and through both entry points. The test curve has
+// small-order points, so some odd-multiple table entries are infinity.
 func TestMSMEnginesAgreeOnWideScalars(t *testing.T) {
 	c := testCurve(t)
 	rng := rand.New(rand.NewSource(53))
@@ -73,6 +73,9 @@ func TestMSMEnginesAgreeOnWideScalars(t *testing.T) {
 		want := msmReference(c, pts, ks)
 		if got := c.MultiScalarMul(pts, ks); !got.Equal(want) {
 			t.Fatalf("n=%d: MultiScalarMul %v != naive %v", n, got, want)
+		}
+		if got := c.MultiScalarMulShort(pts, ks); !got.Equal(want) {
+			t.Fatalf("n=%d: MultiScalarMulShort %v != naive %v", n, got, want)
 		}
 		if got := c.msmStraus(pts, ks, 64); !got.Equal(want) {
 			t.Fatalf("n=%d: Straus %v != naive %v", n, got, want)

@@ -65,7 +65,8 @@ const batchExponentBits = 64
 //
 //   - pairs sharing a second argument Q merge by bilinearity —
 //     ∏ ê(P_i, Q)^{e_i} = ê(Σ e_i·P_i, Q) — into one multi-scalar
-//     multiplication (64-bit scalars, so usually the Straus method)
+//     multiplication (64-bit scalars, so usually the Straus method of
+//     ec.Curve.MultiScalarMulShort)
 //     and ONE Miller loop per distinct Q. All RHSs share G, and vChain
 //     verifier batches check many digests against the few clause
 //     accumulators of one query, so the dominant arguments repeat
@@ -161,7 +162,7 @@ func (pr *Params) batchProduct(eqs []BatchEquation, exps []*big.Int) GT {
 			}
 			continue
 		}
-		s := pr.C.MultiScalarMul(b.pts, b.ks)
+		s := pr.C.MultiScalarMulShort(b.pts, b.ks)
 		shared = pr.millerArgs(shared, []PairPair{{P: s, Q: b.q}}, false)
 	}
 

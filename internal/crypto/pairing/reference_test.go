@@ -13,7 +13,10 @@ import (
 // digits of r in affine coordinates, with numerator and denominator
 // kept apart and divided once at the end. It is written out in full
 // rather than through millerStep, so the shipped loop is checked
-// against code it does not share.
+// against code it does not share. A vertical can vanish only at an
+// F_p-rational evaluation point, φ((0, ±1)) = (0, ±1), for a looped
+// point with a 3-torsion component; the value is then undefined, and
+// refMiller returns zero, the value the shipped loop rejects with.
 func refMiller(pr *Params, p ec.Point, at ec.Point2) ff.Elt2 {
 	f, x := pr.F, pr.X
 	vert := func(x0 ff.Elt) ff.Elt2 { return x.Sub(at.X, x.FromBase(x0)) }
@@ -50,6 +53,9 @@ func refMiller(pr *Params, p ec.Point, at ec.Point2) ff.Elt2 {
 			l, vt, next := step(v, p)
 			num, den, v = x.Mul(num, l), x.Mul(den, vt), next
 		}
+	}
+	if den.IsZero() {
+		return x.Zero() // a vanishing vertical: no value, the loop rejects
 	}
 	return x.Mul(num, x.Inv(den))
 }
@@ -115,12 +121,15 @@ func presetsUnderTest(t *testing.T) []*Params {
 
 // TestPairMatchesReference pins Pair and PairProduct bit for bit to the
 // affine binary-schedule loop and the generic final exponentiation,
-// for looped points in and outside G and evaluation points in G.
+// for looped points in and outside G, evaluated at points of G and at
+// the 3-torsion points (0, ±1), which Construction 1's proofs can be.
 func TestPairMatchesReference(t *testing.T) {
 	for _, pr := range presetsUnderTest(t) {
 		rng := rand.New(rand.NewSource(71))
 		ps := loopedPoints(pr, rng)
-		qs := []ec.Point{pr.G, randPoint(pr, rng), pr.C.Infinity()}
+		// (0, ±1) are F_p-rational under the distortion map: the one
+		// evaluation point at which a line of the loop can vanish.
+		qs := []ec.Point{pr.G, randPoint(pr, rng), pr.C.Infinity(), ps[7], ps[8]}
 		var pairs []PairPair
 		want := pr.GTOne()
 		for i, p := range ps {
@@ -244,7 +253,7 @@ func TestFinalExpZero(t *testing.T) {
 // FuzzMillerLoop runs arbitrary on-curve first arguments (hash-to-curve
 // points with every cofactor component, plus optional torsion) against
 // second arguments in G at the toy preset: Pair must equal the
-// reference pairing and never panic.
+// reference pairing and never panic, also evaluated at (0, 1).
 func FuzzMillerLoop(f *testing.F) {
 	pr := Toy()
 	f.Add([]byte("p"), []byte{1}, uint8(0))
@@ -266,6 +275,10 @@ func FuzzMillerLoop(f *testing.F) {
 		q := pr.C.ScalarMul(pr.G, new(big.Int).SetBytes(qScalar))
 		if got, want := pr.Pair(p, q), refPair(pr, p, q); !got.Equal(want) {
 			t.Fatalf("Pair differs from the reference for P from %x (mode %d), k = %x", pSeed, mode%5, qScalar)
+		}
+		t3 := ec.Point{X: pr.F.Zero(), Y: pr.F.One()}
+		if got, want := pr.Pair(p, t3), refPair(pr, p, t3); !got.Equal(want) {
+			t.Fatalf("Pair(P, (0, 1)) differs from the reference for P from %x (mode %d)", pSeed, mode%5)
 		}
 	})
 }
