@@ -85,11 +85,11 @@ func main() {
 		fatal(err)
 	}
 
-	// QueryParts handles both answer shapes: a monolithic SP returns one
-	// part spanning the window, a sharded SP several (one per covering
-	// shard span); either way the union verifies in one pairing batch.
-	// With -degraded the SP may additionally declare gaps for shards it
-	// cannot serve; the gap claims are verified to tile the window.
+	// A strict answer is one part spanning the window at every shard
+	// count. With -degraded the SP may declare gaps for the heights of
+	// shards it cannot serve, with one part per run between them; the
+	// gap claims are verified to tile the window, and all parts settle
+	// in one pairing batch.
 	var parts []core.WindowPart
 	var gaps []core.Gap
 	if *degraded {
@@ -107,7 +107,7 @@ func main() {
 	if len(parts) == 1 {
 		fmt.Printf("VO received: %d bytes\n", voBytes)
 	} else {
-		fmt.Printf("VO received: %d bytes in %d shard parts\n", voBytes, len(parts))
+		fmt.Printf("VO received: %d bytes in %d parts\n", voBytes, len(parts))
 	}
 	if n := cli.Retries(); n > 0 {
 		fmt.Printf("transport: %d retries, %d reconnects\n", n, cli.Reconnects())

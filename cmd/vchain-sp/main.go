@@ -29,10 +29,9 @@
 // each shard recovering independently).
 //
 // With -shards N the SP spreads the chain by height range across N
-// shards: each owns its own block store subdirectory, a time-window
-// query answers one VO per shard span, all of them proved on the node's
-// one -workers pool, and the parts verify client-side in one pairing
-// batch. One shard is the default.
+// shards: each owns its own block store subdirectory, and a time-window
+// query still answers one VO, byte for byte the one-shard answer,
+// proved on the node's one -workers pool. One shard is the default.
 //
 // The SP prints the deterministic system configuration that clients
 // must mirror (seed, accumulator, dataset) — in a production deployment
@@ -77,7 +76,7 @@ func main() {
 		maxFrame = flag.Int("max-frame", 0, "wire frame size cap in bytes (0 = default)")
 		store    = flag.String("store", "", "block store directory: blocks and ADSs persist there and are recovered on restart (empty = in-memory)")
 		adsCache = flag.Int("ads-cache", 0, "decoded-ADS cache budget in blocks for durable stores, split across shards: older ADSs stay on disk and page in on demand (0 = unbounded)")
-		shards   = flag.Int("shards", 1, "shard the SP by height range across this many shards (one VO per shard span, verified in one pairing batch)")
+		shards   = flag.Int("shards", 1, "shard the SP by height range across this many shards (answers stay one VO, the same bytes at every count)")
 		band     = flag.Int("band", 0, "consecutive heights per shard band (0 = default)")
 
 		breakerN  = flag.Int("breaker-threshold", 0, "consecutive shard failures before its circuit breaker quarantines it (0 = default 3, <0 disables)")

@@ -58,7 +58,7 @@ func main() {
 		Width:      8,
 	}
 	// The answer is a list of window parts tiling [StartBlock, EndBlock]:
-	// one per covering shard, so exactly one on this one-shard node.
+	// exactly one at every shard count (degraded reads add gaps).
 	parts, err := node.TimeWindow(q, false)
 	if err != nil {
 		log.Fatal(err)

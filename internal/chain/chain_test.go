@@ -84,18 +84,11 @@ func TestStoreAppendAndLinkage(t *testing.T) {
 	if err != nil || got != b0 {
 		t.Fatal("BlockAt(0) wrong")
 	}
-	byHash, err := s.BlockByHash(b1.Header.Hash())
-	if err != nil || byHash != b1 {
-		t.Fatal("BlockByHash wrong")
-	}
 	if s.Tip() != b1 {
 		t.Fatal("Tip wrong")
 	}
 	if _, err := s.BlockAt(5); !errors.Is(err, ErrNotFound) {
 		t.Fatal("missing height should be ErrNotFound")
-	}
-	if _, err := s.BlockByHash(Digest{9}); !errors.Is(err, ErrNotFound) {
-		t.Fatal("missing hash should be ErrNotFound")
 	}
 }
 

@@ -6,23 +6,22 @@ import (
 	"sync"
 )
 
-// ErrNotFound is returned when a height or hash is absent.
+// ErrNotFound is returned when a height is absent.
 var ErrNotFound = errors.New("chain: not found")
 
-// Store is the full-node chain state: all blocks, indexed by height and
-// by header hash. It validates linkage, proof-of-work, and timestamp
+// Store is the full-node chain state: all blocks, indexed by height.
+// It validates linkage, proof-of-work, and timestamp
 // monotonicity on append. It is safe for concurrent use.
 type Store struct {
 	mu         sync.RWMutex
 	blocks     []*Block
-	byHash     map[Digest]int
 	difficulty Difficulty
 }
 
 // NewStore creates an empty full-node store enforcing the given
 // difficulty on appended blocks.
 func NewStore(d Difficulty) *Store {
-	return &Store{byHash: make(map[Digest]int), difficulty: d}
+	return &Store{difficulty: d}
 }
 
 // Difficulty returns the enforced proof-of-work difficulty.
@@ -43,7 +42,6 @@ func (s *Store) Append(b *Block) error {
 		return err
 	}
 	s.blocks = append(s.blocks, b)
-	s.byHash[b.Header.Hash()] = int(b.Header.Height)
 	return nil
 }
 
@@ -90,17 +88,6 @@ func (s *Store) BlockAt(height int) (*Block, error) {
 		return nil, fmt.Errorf("%w: height %d", ErrNotFound, height)
 	}
 	return s.blocks[height], nil
-}
-
-// BlockByHash returns the block whose header hashes to d.
-func (s *Store) BlockByHash(d Digest) (*Block, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	i, ok := s.byHash[d]
-	if !ok {
-		return nil, fmt.Errorf("%w: hash %x", ErrNotFound, d[:4])
-	}
-	return s.blocks[i], nil
 }
 
 // Tip returns the latest block, or nil when empty.

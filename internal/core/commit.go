@@ -174,7 +174,7 @@ func (n *FullNode) commitLocked(blk *chain.Block, ads *BlockADS) error {
 		}
 		err = s.backend.Append(data)
 		if n.Guard != nil {
-			n.Guard.Appended(i, err)
+			n.Guard.Report(i, err)
 		}
 		if err != nil {
 			return fmt.Errorf("core: persisting block %d: %w", height, err)

@@ -9,7 +9,7 @@ import (
 
 // ErrDegraded marks a window answer that verified but does not cover
 // the full query window: one or more shards were unavailable and their
-// spans came back as explicit gaps instead of provable tiles. It is a
+// heights came back as explicit gaps instead of provable tiles. It is a
 // distinct failure class from ErrSoundness/ErrCompleteness — the
 // returned tiles are cryptographically correct, the answer is just
 // openly incomplete. Callers that accept partial answers check
@@ -19,7 +19,8 @@ import (
 var ErrDegraded = errors.New("vchain: degraded answer (window has unproven gaps)")
 
 // Gap is one contiguous block span of the query window that the SP
-// could not prove (its owning shard was quarantined). Gaps are
+// could not prove: its owning storage slot was down (a quarantined
+// shard, or a page-in that failed during the query). Gaps are
 // machine-readable: a client knows exactly which heights the verified
 // result set says nothing about, and can re-query them later.
 type Gap struct {

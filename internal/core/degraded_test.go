@@ -7,7 +7,7 @@ import (
 )
 
 // degradedAnswer proves the window minus the gap heights as descending
-// parts, the way the sharded planner's degraded path does.
+// parts, the way the window planner's degraded path does.
 func degradedAnswer(t *testing.T, node *FullNode, q Query, gaps []Gap) []WindowPart {
 	t.Helper()
 	inGap := func(h int) bool {

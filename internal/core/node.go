@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -33,12 +32,14 @@ type ADSSource = adstore.Source[*BlockADS]
 // Where a block's record and decoded ADS live is a placement decision,
 // not a second kind of node: heights are dealt to N ≥ 1 storage slots
 // in contiguous bands, owner(h) = (h/Band) % N. A plain node is the
-// one-slot case; internal/shard layers health supervision and a
-// per-span query planner over N slots.
+// one-slot case; internal/shard layers topology and health supervision
+// over N slots. A time-window query is one walk over the window's
+// serving heights (plan.go), so the answer never depends on the slot
+// count.
 type FullNode struct {
-	// Store is the in-RAM block index: headers, hash lookup, and
-	// validation rules. It is populated exclusively through the commit
-	// pipeline; external callers must treat it as read-only.
+	// Store is the in-RAM block index: headers and validation rules.
+	// It is populated exclusively through the commit pipeline; external
+	// callers must treat it as read-only.
 	Store *chain.Store
 	// Builder constructs the ADS for mined blocks.
 	Builder *Builder
@@ -54,7 +55,7 @@ type FullNode struct {
 	// split evenly across the slots.
 	cacheBlocks int
 
-	// Guard, when set, vetoes and observes writes per slot (the shard
+	// Guard, when set, vetoes and observes work per slot (the shard
 	// layer's circuit breakers). Set it before the first commit.
 	Guard SlotGuard
 
@@ -79,14 +80,16 @@ type slot struct {
 	ads     ADSSource
 }
 
-// SlotGuard lets the layer above veto and observe a slot's writes.
-// Both methods run under the commit lock.
+// SlotGuard lets the layer above veto a slot's work and observe its
+// storage outcomes. Queries call it concurrently with the commit path.
 type SlotGuard interface {
-	// Admit returns a non-nil error to refuse a commit to the slot
-	// before any byte is written.
+	// Admit returns a non-nil error to refuse the slot work: a commit
+	// before any byte is written, or a window's heights before any walk.
 	Admit(slot int) error
-	// Appended reports the outcome of the slot's backend Append.
-	Appended(slot int, err error)
+	// Report delivers a storage outcome on the slot: every backend
+	// Append (under the commit lock), and every page-in failure that
+	// turns a degraded read's heights into a gap.
+	Report(slot int, err error)
 }
 
 // SetupStats aggregates ADS construction measurements.
@@ -231,9 +234,6 @@ func (n *FullNode) decodePagedADS(height int, data []byte) (*BlockADS, error) {
 
 // Owner returns the slot owning height h.
 func (n *FullNode) Owner(h int) int { return (h / n.band) % len(n.slots) }
-
-// Band returns the number of consecutive heights per slot turn.
-func (n *FullNode) Band() int { return n.band }
 
 // heightRecord maps a chain height to its record index within the
 // owning slot's backend (the inverse of recordHeight): height h sits in
@@ -462,25 +462,3 @@ func (n *FullNode) BitWidth() int { return n.Builder.Width }
 // ProofStats snapshots the node's proof-engine counters — the whole
 // node's, since every query and subscription proves on that engine.
 func (n *FullNode) ProofStats() proofs.Stats { return n.ProofEngine().Stats() }
-
-// TimeWindowParts answers a time-window query as a part list: the
-// unsharded node returns one part spanning the whole window. The
-// method exists so the service layer can serve monolithic and sharded
-// nodes through one interface; verifiers resolve the parts via
-// Verifier.VerifyWindowParts. The context bounds the whole proof walk.
-func (n *FullNode) TimeWindowParts(ctx context.Context, q Query, batched bool) ([]WindowPart, error) {
-	vo, err := n.SP(batched).TimeWindowQueryCtx(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return []WindowPart{{Start: q.StartBlock, End: q.EndBlock, VO: vo}}, nil
-}
-
-// TimeWindowDegraded implements the service layer's degraded query
-// entry point. A monolithic node has no shards to lose: it either
-// answers the full window or fails — degradation never yields gaps
-// here, matching the strict path exactly.
-func (n *FullNode) TimeWindowDegraded(ctx context.Context, q Query, batched bool) ([]WindowPart, []Gap, error) {
-	parts, err := n.TimeWindowParts(ctx, q, batched)
-	return parts, nil, err
-}

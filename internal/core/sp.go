@@ -14,8 +14,8 @@ import (
 // ErrADSUnavailable marks a window walk that could not fetch a block's
 // ADS from the view — a storage fault (IO error, corrupt record, failed
 // page-in re-verification), as opposed to a bad query or a proof that
-// cannot be computed. The shard planner turns only this class of span
-// failure into a degraded-read gap and breaker pressure.
+// cannot be computed. A degraded window read turns only this class of
+// failure into a gap, charged to the slot owning the failing height.
 var ErrADSUnavailable = errors.New("core: block ADS unavailable")
 
 // SP is the service provider's query engine: a full node that answers

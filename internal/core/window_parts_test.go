@@ -7,7 +7,7 @@ import (
 )
 
 // splitWindow answers a window as several independently-proved parts,
-// descending, the way a sharded SP's planner does.
+// descending, the way a degraded answer's serving runs are.
 func splitWindow(t *testing.T, node *FullNode, q Query, cuts []int) []WindowPart {
 	t.Helper()
 	parts := make([]WindowPart, 0, len(cuts)+1)

@@ -20,9 +20,6 @@ func WrapBackend(b storage.Backend, s *Schedule) *Backend {
 	return &Backend{inner: b, sched: s}
 }
 
-// Inner returns the wrapped backend.
-func (b *Backend) Inner() storage.Backend { return b.inner }
-
 // Len implements storage.Backend. Length queries are never faulted:
 // they are how supervisors inspect a sick backend.
 func (b *Backend) Len() int { return b.inner.Len() }

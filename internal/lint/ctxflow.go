@@ -15,7 +15,7 @@ import (
 // layers that spawns goroutines or blocks on channels must accept a
 // context.Context. The sanctioned legacy shape is a thin wrapper
 // delegating to the ctx-taking variant (Serve → ServeCtx): the wrapper
-// itself neither spawns nor blocks, so it passes. The shard planner is
+// itself neither spawns nor blocks, so it passes. The window planner is
 // out of scope: it walks on the calling goroutine and blocks only
 // inside the proof engine's Run.WaitCtx.
 var CtxFlow = &Analyzer{

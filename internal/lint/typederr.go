@@ -11,7 +11,7 @@ import (
 // TypedErr enforces the sentinel-error contract. The tree exposes
 // typed sentinels (core.ErrSoundness, shard.ErrShardUnavailable,
 // storage.ErrCorruptRecord, ...) that cross many wrapping layers —
-// commit pipelines, the shard planner, the retrying RPC client — so
+// commit pipelines, the window planner, the retrying RPC client — so
 // identity comparison silently breaks the moment anyone adds context
 // with %w. Two findings:
 //

@@ -103,8 +103,8 @@ func (c ClientConfig) withDefaults() ClientConfig {
 }
 
 // maxOrphans bounds publications parked while a Subscribe ack is in
-// flight; beyond it frames are counted as dropped rather than
-// buffered (the pen exists for a race window, not for storage).
+// flight; beyond it frames are dropped rather than buffered (the pen
+// exists for a race window, not for storage).
 const maxOrphans = 256
 
 // ErrClosed reports an operation on a closed or failed connection.
@@ -156,7 +156,6 @@ type Client struct {
 	subs       map[int]*Subscription
 	err        error // current generation's terminal error
 	closing    bool  // user-initiated Close in progress
-	dropped    int   // pushed publications with no local subscription
 	reconnects int
 	retries    int
 
@@ -310,8 +309,6 @@ func (c *Client) readLoop(gen *genState) {
 		if sub == nil {
 			if c.subscribing > 0 && len(c.orphans) < maxOrphans {
 				c.orphans = append(c.orphans, resp.Pub)
-			} else {
-				c.dropped++
 			}
 		}
 		c.mu.Unlock()
@@ -545,9 +542,9 @@ func (c *Client) SyncHeaders(ctx context.Context, light *chain.LightStore) error
 
 // QueryParts runs a remote time-window query and returns the
 // (unverified) answer as window parts: one part spanning the whole
-// window from an unsharded SP, one per covering shard from a sharded
-// one. Verify with core.Verifier.VerifyWindowParts, which settles the
-// union in a single pairing-product batch.
+// window, at every shard count of the SP. Verify with
+// core.Verifier.VerifyWindowParts, which settles the parts in a single
+// pairing-product batch.
 func (c *Client) QueryParts(ctx context.Context, q core.Query, batched bool) ([]core.WindowPart, error) {
 	resp, err := c.callIdem(ctx, &Request{Kind: "query", Query: q, Batched: batched})
 	if err != nil {
@@ -608,15 +605,6 @@ func (c *Client) Stats(ctx context.Context) (proofs.Stats, error) {
 		return proofs.Stats{}, errors.New("service: SP returned no stats")
 	}
 	return *resp.Stats, nil
-}
-
-// DroppedPublications reports pushed publications that arrived with no
-// matching local subscription (late frames after an unsubscribe, or a
-// misbehaving SP inventing ids).
-func (c *Client) DroppedPublications() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
 }
 
 // Close disconnects. In-flight calls fail with ErrClosed, every

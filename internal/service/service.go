@@ -34,9 +34,9 @@ import (
 // sharded shard.Node, indistinguishable to the wire protocol. The
 // embedded ChainView feeds the subscription engine (publications are
 // sourced from the owning shard via ADSAt); TimeWindowParts is the
-// query entry point — an unsharded node answers with one part, a
-// sharded node with one part per covering shard, and the client
-// verifies either shape through Verifier.VerifyWindowParts.
+// query entry point, and both node types answer it with
+// core.FullNode's one planner: one part, the same bytes at every shard
+// count. Clients verify it through Verifier.VerifyWindowParts.
 type Chain interface {
 	core.ChainView
 	// Headers returns every block header. The front ends page header
@@ -48,10 +48,9 @@ type Chain interface {
 	// part list tiling the window. The context carries the client's
 	// propagated deadline into the proof walk.
 	TimeWindowParts(ctx context.Context, q core.Query, batched bool) ([]core.WindowPart, error)
-	// TimeWindowDegraded is the degraded-read entry point: unprovable
-	// sub-windows (a sharded node's quarantined or failing shards)
-	// come back as gaps instead of failing the query. A monolithic
-	// node never yields gaps.
+	// TimeWindowDegraded is the degraded-read entry point: the heights
+	// of quarantined shards, or of a slot whose page-in fails, come
+	// back as gaps instead of failing the query.
 	TimeWindowDegraded(ctx context.Context, q core.Query, batched bool) ([]core.WindowPart, []core.Gap, error)
 	// Acc exposes the accumulator public part.
 	Acc() accumulator.Accumulator

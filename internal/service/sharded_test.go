@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -16,8 +17,26 @@ import (
 func startShardedServer(t *testing.T) (string, accumulator.Accumulator) {
 	t.Helper()
 	acc := accumulator.KeyGenCon2Deterministic(pairing.Toy(), 512, accumulator.HashEncoder{Q: 512}, []byte("svc"))
-	b := &core.Builder{Acc: acc, Mode: core.ModeIntra, Width: 4}
-	node := shard.New(0, b, shard.Options{Shards: 2, Band: 1, Workers: 2})
+	node := shard.New(0, shardedBuilder(acc), shard.Options{Shards: 2, Band: 1, Workers: 2})
+	mineSharded(t, node)
+	srv := NewServer(node)
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(); node.Close() })
+	return addr, acc
+}
+
+func shardedBuilder(acc accumulator.Accumulator) *core.Builder {
+	return &core.Builder{Acc: acc, Mode: core.ModeIntra, Width: 4}
+}
+
+// mineSharded mines the fixture's four blocks into node.
+func mineSharded(t *testing.T, node interface {
+	MineBlock([]chain.Object, int64) (*chain.Block, error)
+}) {
+	t.Helper()
 	for i := 0; i < 4; i++ {
 		objs := []chain.Object{
 			{ID: chain.ObjectID(i*10 + 1), TS: int64(i), V: []int64{4}, W: []string{"sedan", "benz"}},
@@ -27,13 +46,6 @@ func startShardedServer(t *testing.T) (string, accumulator.Accumulator) {
 			t.Fatal(err)
 		}
 	}
-	srv := NewServer(node)
-	addr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close(); node.Close() })
-	return addr, acc
 }
 
 func shardedLight(t *testing.T, cli *Client) *chain.LightStore {
@@ -50,8 +62,8 @@ func shardedLight(t *testing.T, cli *Client) *chain.LightStore {
 }
 
 // TestRemoteShardedQueryParts round-trips a cross-shard window over the
-// wire: the response carries multiple parts and the union verifies in
-// one batch client-side.
+// wire: the response is one part whose VO encodes byte for byte as an
+// unsharded node's, and it verifies client-side.
 func TestRemoteShardedQueryParts(t *testing.T) {
 	addr, acc := startShardedServer(t)
 	cli, err := Dial(addr)
@@ -62,21 +74,23 @@ func TestRemoteShardedQueryParts(t *testing.T) {
 	light := shardedLight(t, cli)
 
 	q := core.Query{StartBlock: 0, EndBlock: 3, Bool: core.CNF{core.KeywordClause("sedan")}, Width: 4}
-	parts, err := cli.QueryParts(context.Background(), q, false)
+	vo := queryVO(t, cli, q, false)
+	mono := core.NewFullNode(0, shardedBuilder(acc))
+	mineSharded(t, mono)
+	want, err := mono.SP(false).TimeWindowQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parts) < 2 {
-		t.Fatalf("cross-shard window answered in %d part(s), want >= 2", len(parts))
+	if !bytes.Equal(core.EncodeVO(acc, vo), core.EncodeVO(acc, want)) {
+		t.Fatal("cross-shard answer over gob differs from the unsharded node's VO")
 	}
-	results, err := (&core.Verifier{Acc: acc, Light: light}).VerifyWindowParts(q, parts)
+	results, err := (&core.Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, vo)
 	if err != nil {
-		t.Fatalf("remote sharded VO failed union verification: %v", err)
+		t.Fatalf("remote sharded VO failed verification: %v", err)
 	}
 	if len(results) != 4 {
 		t.Fatalf("results %d, want 4", len(results))
 	}
-
 }
 
 // TestRemoteShardedSingleShardWindow checks that a window inside one

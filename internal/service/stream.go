@@ -128,7 +128,6 @@ func (c *Client) SubscribeCtx(ctx context.Context, q core.Query, cfg SubscribeCo
 		c.orphans = rest
 	}
 	if c.subscribing == 0 {
-		c.dropped += len(c.orphans)
 		c.orphans = nil
 	}
 	c.mu.Unlock()

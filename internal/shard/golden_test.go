@@ -23,8 +23,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden part-digest fi
 // TestGoldenVectors extends core's golden VO fixtures across shard
 // counts: it pins the SHA-256 of core.EncodeVO for every part of a
 // seeded corpus over acc1/acc2 × unbatched/batched × shards ∈ {1,2,4},
-// plus the monolithic core.FullNode VO, which must equal the N = 1
-// single part byte for byte. A refactor of the node layers must pass
+// plus the monolithic core.FullNode VO. Every sharded answer must be a
+// single part equal to the monolithic VO byte for byte. A refactor of the node layers must pass
 // without -update; regenerate with `go test -run TestGoldenVectors
 // -update ./internal/shard/` only after an intentional format change.
 func TestGoldenVectors(t *testing.T) {
@@ -87,13 +87,11 @@ func TestGoldenVectors(t *testing.T) {
 						sum := fmt.Sprintf("%x", sha256.Sum256(core.EncodeVO(a.acc, p.VO)))
 						got = append(got, fmt.Sprintf("%s/batched=%v/%s/q%d/[%d,%d] %s",
 							a.name, batched, nd.name, qi, p.Start, p.End, sum))
-						switch nd.name {
-						case "mono":
+						switch {
+						case nd.name == "mono":
 							mono[qi] = sum
-						case "shards=1":
-							if len(parts) != 1 || sum != mono[qi] {
-								t.Errorf("%s batched=%v q%d: the N=1 answer is not the monolithic VO", a.name, batched, qi)
-							}
+						case len(parts) != 1 || sum != mono[qi]:
+							t.Errorf("%s batched=%v %s q%d: the answer is not the monolithic VO", a.name, batched, nd.name, qi)
 						}
 					}
 				}

@@ -18,7 +18,7 @@ import (
 //
 // A Degraded shard still serves (its failures may be transient); a
 // Quarantined shard's breaker is open — commits to it fail fast and
-// the degraded query planner reports its heights as gaps — until the
+// degraded reads report its heights as gaps — until the
 // supervisor restores it from its durable log.
 type Health int
 

@@ -155,8 +155,8 @@ func (b budgetedBackend) Read(i int) ([]byte, error) {
 }
 
 // TestPageInFaultDegradesToGap injects read faults into one shard's
-// log after a lazy reopen: a fault that strikes mid-span gaps the span
-// without proving any of it, strict queries surface a typed error (no
+// log after a lazy reopen: a fault that strikes mid-walk gaps the
+// shard's heights without proving any of them, strict queries surface a typed error (no
 // panic), degraded queries gap out exactly the sick shard's heights,
 // and repeated page-in failures feed the breaker until the shard
 // quarantines.
@@ -173,11 +173,11 @@ func TestPageInFaultDegradesToGap(t *testing.T) {
 	q := sedanBenzQuery(0, blocks-1)
 	wantGaps := []core.Gap{{Start: 6, End: 7}, {Start: 2, End: 3}}
 
-	// A fault mid-span: shard 1's first page-in (height 7) succeeds and
-	// the next (height 6) fails, so the walk of [6,7] has already
-	// scheduled height 7's proofs when it fails. The gapped span must
-	// leave no proof task behind: the query proves exactly what a fresh
-	// engine proves for the returned parts, request for request.
+	// A fault mid-walk: shard 1's first page-in (height 7) succeeds and
+	// the next (height 6) fails, so the walk has already scheduled
+	// height 7's proofs when it fails. The gapped heights must leave no
+	// proof task behind: the query proves exactly what a fresh engine
+	// proves for the returned parts, request for request.
 	var reads readBudget
 	mid := reopenWrapped(t, opts, target, blocks, reads.wrap)
 	reads.arm(1)
@@ -288,11 +288,11 @@ func TestRestartShardRepopulatesLazily(t *testing.T) {
 }
 
 // TestSkipSpanPageInFault fails a page-in inside a skip's span. With
-// bands of 4 on 2 shards, shard 1's span [12,15] is answered by the
-// distance-4 skip at height 15, whose multiset is derived from the
-// covered heights 12–14. Height 15 pages in and height 14 fails: the
+// bands of 4 on 2 shards and a query no block matches, the walk tries
+// the skips at height 15, whose multisets are derived from the covered
+// heights 14, 13, …. Height 15 pages in and height 14 fails: the
 // strict query fails with ErrADSUnavailable, and the degraded query
-// gaps shard 1's spans.
+// gaps shard 1's heights.
 func TestSkipSpanPageInFault(t *testing.T) {
 	const target, blocks = 1, 16
 	opts := shard.Options{Shards: 2, Band: 4, Workers: 2, ADSCacheBlocks: 2, FailureThreshold: -1}
@@ -318,7 +318,7 @@ func TestSkipSpanPageInFault(t *testing.T) {
 	if _, err := ver.VerifyDegraded(q, parts, gaps); !errors.Is(err, core.ErrDegraded) {
 		t.Fatalf("VerifyDegraded err = %v, want ErrDegraded", err)
 	}
-	// Shard 0's span [8,11] is still answered by its skip ([0,3] has
+	// Shard 0's run [8,11] is still answered by its skip ([0,3] has
 	// none: its landing block would precede genesis).
 	if p := parts[0]; p.Start != 8 || p.VO.Blocks[0].Skip == nil {
 		t.Fatalf("part [%d,%d] is not the skip-answered span [8,11]", p.Start, p.End)

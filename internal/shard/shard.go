@@ -12,15 +12,14 @@
 //     (shard-000, shard-001, …) plus a SHARDS record fixing the
 //     partitioning at creation.
 //   - Supervision: a per-shard Healthy→Degraded→Quarantined circuit
-//     breaker on the commit path, operator quarantine, and supervised
-//     restart of a shard from its own log (health.go).
-//   - Query: a time-window query is planned into per-shard spans
-//     (planner.go); every span is walked onto one proof run of the
-//     node's one engine, so the answer is one part per span, proved on
-//     one worker pool. The parts tile the window and the union resolves
-//     through Verifier.VerifyWindowParts in ONE randomized
-//     pairing-product batch. With one shard the answer is a single
-//     part — byte for byte the plain node's VO.
+//     breaker, operator quarantine, and supervised restart of a shard
+//     from its own log (health.go). The breakers are the node's
+//     core.SlotGuard: they see every commit and every page-in failure
+//     of a degraded read.
+//
+// Queries are core.FullNode's own: a strict answer is one part, byte
+// for byte the one-node VO at every shard count, and a degraded answer
+// gaps exactly the heights of shards that are down.
 package shard
 
 import (
@@ -136,9 +135,9 @@ type worker struct {
 // Node is a miner/SP whose chain is spread over N ≥ 1 shards. The
 // embedded core.FullNode is the node proper — block index, commit
 // pipeline, mining, paged ADS slots (one per shard), the one proof
-// engine — and this type adds what is genuinely about shards: the
-// on-disk topology, per-shard health supervision, and the query
-// planner. It implements the service layer's Chain interface.
+// engine, time-window queries — and this type adds what is genuinely
+// about shards: the on-disk topology and per-shard health supervision.
+// It implements the service layer's Chain interface.
 type Node struct {
 	*core.FullNode
 	opts Options
@@ -151,10 +150,11 @@ type Node struct {
 }
 
 // workers is the shard set; it is the embedded node's SlotGuard, so the
-// circuit breakers sit on the one commit path.
+// circuit breakers sit on the one commit path and the one query path.
 type workers []*worker
 
-// Admit implements core.SlotGuard: a quarantined shard sheds commits.
+// Admit implements core.SlotGuard: a quarantined shard sheds commits
+// and queries.
 func (ws workers) Admit(i int) error {
 	if !ws[i].admit() {
 		return fmt.Errorf("shard %d: %w", i, ErrShardUnavailable)
@@ -162,9 +162,9 @@ func (ws workers) Admit(i int) error {
 	return nil
 }
 
-// Appended implements core.SlotGuard: only backend Append outcomes feed
-// the breaker from the commit path.
-func (ws workers) Appended(i int, err error) {
+// Report implements core.SlotGuard: backend Append outcomes and
+// degraded page-in failures feed the breaker.
+func (ws workers) Report(i int, err error) {
 	if err != nil {
 		ws[i].fail(err)
 	} else {

@@ -2,7 +2,6 @@ package shard_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -131,30 +130,6 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		}
 		node.Close()
 	}
-}
-
-// TestShardedBatchedParts runs the union path with online batch
-// verification (§6.3) enabled per shard.
-func TestShardedBatchedParts(t *testing.T) {
-	acc := testAcc(t)
-	const blocks = 8
-	node := shard.New(0, testBuilder(acc), shard.Options{Shards: 2, Band: 2, Workers: 2})
-	mineBlocks(t, node, blocks)
-	light := lightFor(t, node.Headers())
-	ver := &core.Verifier{Acc: acc, Light: light}
-
-	q := sedanBenzQuery(0, blocks-1)
-	parts, err := node.TimeWindowParts(context.Background(), q, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) < 2 {
-		t.Fatalf("full window over 2 shards planned %d part(s), want >= 2", len(parts))
-	}
-	if _, err := ver.VerifyWindowParts(q, parts); err != nil {
-		t.Fatalf("batched union verification: %v", err)
-	}
-	defer node.Close()
 }
 
 // TestConcurrentMineAndQuery hammers a node with a concurrent miner and
@@ -392,44 +367,5 @@ func TestReopenSurvivesRestart(t *testing.T) {
 				t.Fatalf("unexpected topology error: %v", err)
 			}
 		})
-	}
-}
-
-// TestWindowPartsRejectsBadTiling feeds the union verifier parts with
-// gaps, overlaps, and wrong order: every shape must be rejected as a
-// completeness violation (an SP must not be able to silently omit a
-// sub-window).
-func TestWindowPartsRejectsBadTiling(t *testing.T) {
-	acc := testAcc(t)
-	const blocks = 8
-	node := shard.New(0, testBuilder(acc), shard.Options{Shards: 2, Band: 2, Workers: 2})
-	mineBlocks(t, node, blocks)
-	defer node.Close()
-	light := lightFor(t, node.Headers())
-	ver := &core.Verifier{Acc: acc, Light: light}
-
-	q := sedanBenzQuery(0, blocks-1)
-	parts, err := node.TimeWindowParts(context.Background(), q, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) < 3 {
-		t.Fatalf("need >= 3 parts to mutate, got %d", len(parts))
-	}
-	if _, err := ver.VerifyWindowParts(q, parts); err != nil {
-		t.Fatalf("honest parts rejected: %v", err)
-	}
-
-	mutations := map[string][]core.WindowPart{
-		"dropped middle part": append(append([]core.WindowPart{}, parts[0]), parts[2:]...),
-		"reversed order":      {parts[1], parts[0]},
-		"duplicated part":     append(append([]core.WindowPart{}, parts[0], parts[0]), parts[1:]...),
-		"truncated tail":      parts[:len(parts)-1],
-		"nil VO":              {{Start: parts[0].Start, End: parts[0].End, VO: nil}},
-	}
-	for name, mutated := range mutations {
-		if _, err := ver.VerifyWindowParts(q, mutated); !errors.Is(err, core.ErrCompleteness) {
-			t.Errorf("%s: err = %v, want ErrCompleteness", name, err)
-		}
 	}
 }

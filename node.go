@@ -20,10 +20,9 @@ import (
 // while every proof, for queries and subscriptions alike, runs on the
 // node's one proof engine (Config.SPWorkers workers, one cache).
 // Sharding is a placement decision, not a second kind of node: every
-// operation works at every N, a query answer is always a list of
-// WindowParts tiling the window (one part at N = 1, one per shard span
-// beyond), and LightClient.Verify settles the union in a single
-// pairing-product batch.
+// operation works at every N, and a strict query answer is one
+// WindowPart, byte for byte the same at every N. LightClient.Verify
+// settles it in a single pairing-product batch.
 type Node struct {
 	sys      *System
 	node     *shard.Node
@@ -157,21 +156,20 @@ func (n *Node) WindowByTime(ts, te int64) (start, end int, ok bool) {
 	return n.node.Store.WindowByTime(ts, te)
 }
 
-// TimeWindow answers a time-window query with one window part per
-// shard span (descending, tiling the window; exactly one at N = 1).
-// Verify with LightClient.Verify; results are embedded
-// (WindowPart.VO.Results()). batched enables online batch verification
-// (§6.3) per part; it falls back to individual proofs when the
-// configured accumulator cannot aggregate. All of the query's proofs
-// run as one batch on the node's Config.SPWorkers workers.
+// TimeWindow answers a time-window query with one window part spanning
+// the window, at every shard count. Verify with LightClient.Verify;
+// results are embedded (WindowPart.VO.Results()). batched enables
+// online batch verification (§6.3); it falls back to individual proofs
+// when the configured accumulator cannot aggregate. All of the query's
+// proofs run as one batch on the node's Config.SPWorkers workers.
 func (n *Node) TimeWindow(q Query, batched bool) ([]WindowPart, error) {
 	return n.node.TimeWindowParts(context.Background(), q, batched)
 }
 
 // TimeWindowDegraded answers a time-window query in degraded-read
-// mode: sub-windows owned by quarantined shards (or shards whose
-// storage fails mid-query) come back as machine-readable Gaps instead
-// of failing the whole query. Parts and gaps together tile the window,
+// mode: the heights of quarantined shards (or of a shard whose storage
+// fails mid-query) come back as machine-readable Gaps instead of
+// failing the whole query, with one part per run of serving heights. Parts and gaps together tile the window,
 // descending; verify the pair with LightClient.VerifyDegraded.
 func (n *Node) TimeWindowDegraded(q Query) ([]WindowPart, []Gap, error) {
 	return n.node.TimeWindowDegraded(context.Background(), q, false)
