@@ -2,7 +2,6 @@ package vchain
 
 import (
 	"context"
-	"time"
 
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
@@ -48,7 +47,7 @@ func (c *LightClient) WindowByTime(ts, te int64) (start, end int, ok bool) {
 
 // verifier builds the client's batched verification engine.
 func (c *LightClient) verifier() *core.Verifier {
-	return &core.Verifier{Acc: c.sys.acc, Light: c.light, Workers: c.sys.cfg.VerifyWorkers}
+	return &core.Verifier{Acc: c.sys.acc, Light: c.light}
 }
 
 // Verify checks a time-window answer — the parts must tile the query
@@ -103,42 +102,24 @@ type SPClient struct {
 	cli *service.Client
 }
 
-// SPOptions tunes an SP connection: timeouts and the retry policy for
-// idempotent requests (header sync, queries, stats). The zero value
-// means the service defaults: 10s dial, 30s RPC, no retries.
+// SPOptions tunes an SP connection's retry policy for idempotent
+// requests (header sync, queries, stats). The zero value means no
+// retries. A call's deadline is its context's.
 type SPOptions struct {
-	// DialTimeout bounds connection establishment.
-	DialTimeout time.Duration
-	// RPCTimeout bounds each request/response round trip. The deadline
-	// also rides the request so the SP abandons a proof walk whose
-	// caller has given up.
-	RPCTimeout time.Duration
 	// RetryAttempts is the total tries per idempotent call (default 1:
 	// no retries). Failed connections are re-dialed transparently
-	// between attempts; subscriptions are never retried.
+	// between attempts, after a jittered backoff; subscriptions are
+	// never retried.
 	RetryAttempts int
-	// RetryBaseBackoff is the first retry's backoff ceiling (default
-	// 50ms), doubling per retry up to RetryMaxBackoff (default 2s),
-	// with jitter.
-	RetryBaseBackoff time.Duration
-	// RetryMaxBackoff caps the exponential backoff.
-	RetryMaxBackoff time.Duration
 }
 
 // DialSP connects this light client to a remote SP. The connection
 // shares the client's header store: headers sync over it and every VO
-// verifies against it. Optional SPOptions tune timeouts and retries.
+// verifies against it. Optional SPOptions tune retries.
 func (c *LightClient) DialSP(addr string, opts ...SPOptions) (*SPClient, error) {
 	var cfg service.ClientConfig
 	if len(opts) > 0 {
-		o := opts[0]
-		cfg.DialTimeout = o.DialTimeout
-		cfg.RPCTimeout = o.RPCTimeout
-		cfg.Retry = service.RetryPolicy{
-			Attempts:    o.RetryAttempts,
-			BaseBackoff: o.RetryBaseBackoff,
-			MaxBackoff:  o.RetryMaxBackoff,
-		}
+		cfg.Retry = service.RetryPolicy{Attempts: opts[0].RetryAttempts}
 	}
 	cli, err := service.Dial(addr, cfg)
 	if err != nil {
@@ -154,15 +135,11 @@ func (s *SPClient) SyncHeaders() error {
 }
 
 // Query runs a remote time-window query and verifies the VO locally
-// before returning the results (headers are synced first). A nil
-// error certifies soundness and completeness.
-func (s *SPClient) Query(q Query, batched bool) ([]Object, error) {
-	return s.QueryCtx(context.Background(), q, batched)
-}
-
-// QueryCtx is Query under a caller context: the deadline bounds the
-// round trip locally and propagates to the SP's proof walk.
-func (s *SPClient) QueryCtx(ctx context.Context, q Query, batched bool) ([]Object, error) {
+// before returning the results (headers are synced first). The
+// context's deadline bounds the round trip locally and propagates to
+// the SP's proof walk. A nil error certifies soundness and
+// completeness.
+func (s *SPClient) Query(ctx context.Context, q Query, batched bool) ([]Object, error) {
 	if err := s.cli.SyncHeaders(ctx, s.c.light); err != nil {
 		return nil, err
 	}
@@ -176,12 +153,7 @@ func (s *SPClient) QueryCtx(ctx context.Context, q Query, batched bool) ([]Objec
 // result has no gaps and the error is nil. The gap claims are
 // cryptographically checked to tile the window exactly with the
 // proved parts — the SP cannot shrink the answer silently.
-func (s *SPClient) QueryDegraded(q Query, batched bool) (*DegradedResult, error) {
-	return s.QueryDegradedCtx(context.Background(), q, batched)
-}
-
-// QueryDegradedCtx is QueryDegraded under a caller context.
-func (s *SPClient) QueryDegradedCtx(ctx context.Context, q Query, batched bool) (*DegradedResult, error) {
+func (s *SPClient) QueryDegraded(ctx context.Context, q Query, batched bool) (*DegradedResult, error) {
 	if err := s.cli.SyncHeaders(ctx, s.c.light); err != nil {
 		return nil, err
 	}
@@ -202,9 +174,8 @@ func (s *SPClient) Retries() int { return s.cli.Retries() }
 // delivered as results.
 func (s *SPClient) Subscribe(q Query) (*RemoteStream, error) {
 	return s.cli.SubscribeCtx(context.Background(), q, service.SubscribeConfig{
-		Acc:           s.c.sys.acc,
-		Light:         s.c.light,
-		VerifyWorkers: s.c.sys.cfg.VerifyWorkers,
+		Acc:   s.c.sys.acc,
+		Light: s.c.light,
 	})
 }
 

@@ -82,7 +82,6 @@ func main() {
 		breakerN  = flag.Int("breaker-threshold", 0, "consecutive shard failures before its circuit breaker quarantines it (0 = default 3, <0 disables)")
 		breakerCD = flag.Duration("breaker-cooldown", 0, "quarantine cooldown before the supervisor retries a shard restart (0 = default 5s)")
 		supervise = flag.Duration("supervise", time.Second, "shard supervisor scan interval: restart quarantined shards from their logs (0 = off)")
-		healthLog = flag.Duration("health-log", 0, "print a one-line shard health summary every interval (0 = off)")
 
 		httpAddr    = flag.String("http", "", "HTTP/JSON gateway address: /v1 query API plus /metrics (empty = off)")
 		tenantsFile = flag.String("tenants", "", "tenant provisioning file, name:key[:rate[:burst]] per line (empty = open gateway)")
@@ -245,22 +244,6 @@ func main() {
 		fmt.Printf("supervising %d shards every %v (breaker: %d failures, %v cooldown)\n",
 			node.Shards(), *supervise, *breakerN, *breakerCD)
 	}
-	if *healthLog > 0 {
-		hticker := time.NewTicker(*healthLog)
-		defer hticker.Stop()
-		done := make(chan struct{})
-		defer close(done)
-		go func() {
-			for {
-				select {
-				case <-hticker.C:
-					fmt.Println(healthLine(node))
-				case <-done:
-					return
-				}
-			}
-		}()
-	}
 
 	if *interval > 0 {
 		// Continuous mining: cycle the dataset's blocks so subscribers
@@ -311,17 +294,4 @@ func main() {
 		fmt.Printf("gateway: %d requests served, %d VO bytes shipped\n",
 			gw.RequestsServed(), gw.VOBytesServed())
 	}
-}
-
-// healthLine renders the periodic one-line shard health summary, e.g.
-// "shards: 0=healthy 1=quarantined(2 restarts) 2=healthy 3=healthy".
-func healthLine(n *shard.Node) string {
-	line := "shards:"
-	for _, ss := range n.ShardStats() {
-		line += fmt.Sprintf(" %d=%s", ss.Shard, ss.Health)
-		if ss.Restarts > 0 || ss.BreakerTrips > 0 {
-			line += fmt.Sprintf("(%d trips, %d restarts)", ss.BreakerTrips, ss.Restarts)
-		}
-	}
-	return line
 }

@@ -2,6 +2,7 @@ package vchain
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -78,7 +79,14 @@ func TestFacadeDegradedReads(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cli.Close()
-		wres, err := cli.QueryDegraded(q, false)
+		// A strict remote query fails typed too, and is not retried.
+		if _, err := cli.Query(context.Background(), q, false); !errors.Is(err, ErrShardUnavailable) {
+			t.Fatalf("remote strict query err = %v, want ErrShardUnavailable", err)
+		}
+		if got := cli.Retries(); got != 0 {
+			t.Fatalf("remote strict query retried %d times", got)
+		}
+		wres, err := cli.QueryDegraded(context.Background(), q, false)
 		if !errors.Is(err, ErrDegraded) {
 			t.Fatalf("remote degraded err = %v, want ErrDegraded", err)
 		}
@@ -93,7 +101,7 @@ func TestFacadeDegradedReads(t *testing.T) {
 		if got := node.Health(target); got != ShardHealthy {
 			t.Fatalf("post-restart health = %v, want healthy", got)
 		}
-		results, err := cli.Query(q, false)
+		results, err := cli.Query(context.Background(), q, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +166,7 @@ func TestDegradedQueryCannotQuarantine(t *testing.T) {
 	})
 
 	for i := 0; i < 3; i++ { // the default breaker threshold
-		if res, err := cli.QueryDegraded(hostile, false); err == nil || errors.Is(err, ErrDegraded) {
+		if res, err := cli.QueryDegraded(context.Background(), hostile, false); err == nil || errors.Is(err, ErrDegraded) {
 			t.Fatalf("gob attempt %d: unprovable query came back as gaps %+v (err %v), want a query error", i, res, err)
 		}
 		resp, err := http.Post("http://"+gw.Addr()+"/v1/query", "application/json", bytes.NewReader(body))
@@ -178,7 +186,7 @@ func TestDegradedQueryCannotQuarantine(t *testing.T) {
 	}
 	// Honest strict queries still get full answers.
 	q := Query{StartBlock: 0, EndBlock: blocks - 1, Bool: And(Or("sedan")), Width: 4}
-	results, err := cli.Query(q, false)
+	results, err := cli.Query(context.Background(), q, false)
 	if err != nil {
 		t.Fatalf("strict query after the hostile ones: %v", err)
 	}

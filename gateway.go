@@ -2,7 +2,6 @@ package vchain
 
 import (
 	"log/slog"
-	"time"
 
 	"github.com/vchain-go/vchain/internal/gateway"
 )
@@ -17,8 +16,8 @@ func LoadGatewayTenants(path string) ([]GatewayTenant, error) {
 }
 
 // GatewayConfig tunes a node's HTTP front door: admission control
-// (tenants, token buckets, inflight cap), timeouts, and logging. The
-// zero value serves an open, unlimited-rate gateway.
+// (tenants, token buckets, inflight cap) and logging. The zero value
+// serves an open, unlimited-rate gateway.
 type GatewayConfig struct {
 	// Tenants are the provisioned API-key principals; empty means the
 	// gateway is open (anonymous tenant).
@@ -27,17 +26,12 @@ type GatewayConfig struct {
 	// (0 rate = unlimited).
 	TenantRate  float64
 	TenantBurst int
-	// GlobalRate / GlobalBurst cap the whole gateway.
-	GlobalRate  float64
-	GlobalBurst int
+	// GlobalRate caps the whole gateway (its burst derives from the
+	// rate).
+	GlobalRate float64
 	// MaxInflight caps concurrently processed requests (0 = default
 	// 64, negative = uncapped); excess load sheds with 429.
 	MaxInflight int
-	// QueryTimeout bounds one query's proof walk (0 = 30s).
-	QueryTimeout time.Duration
-	// WriteTimeout disconnects clients that stop draining responses
-	// (0 = the wire layer's frame timeout).
-	WriteTimeout time.Duration
 	// Logger receives structured request logs; nil disables them.
 	Logger *slog.Logger
 }
@@ -66,15 +60,12 @@ func (h *GatewayHandle) Close() error { return h.gw.Close() }
 // endpoint's slow-consumer evictions when one is attached.
 func (n *Node) ServeGateway(addr string, cfg GatewayConfig) (*GatewayHandle, error) {
 	gw, err := gateway.New(n.node, gateway.Config{
-		Tenants:      cfg.Tenants,
-		TenantRate:   cfg.TenantRate,
-		TenantBurst:  cfg.TenantBurst,
-		GlobalRate:   cfg.GlobalRate,
-		GlobalBurst:  cfg.GlobalBurst,
-		MaxInflight:  cfg.MaxInflight,
-		QueryTimeout: cfg.QueryTimeout,
-		WriteTimeout: cfg.WriteTimeout,
-		Logger:       cfg.Logger,
+		Tenants:     cfg.Tenants,
+		TenantRate:  cfg.TenantRate,
+		TenantBurst: cfg.TenantBurst,
+		GlobalRate:  cfg.GlobalRate,
+		MaxInflight: cfg.MaxInflight,
+		Logger:      cfg.Logger,
 		ServiceCounters: map[string]func() int64{
 			"evictions": func() int64 {
 				n.mu.Lock()

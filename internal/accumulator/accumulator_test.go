@@ -311,7 +311,7 @@ func TestKeyGenRandomized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2a.DomainBound() != 8 {
+	if c2a.q != 8 {
 		t.Error("domain bound lost")
 	}
 }

@@ -27,8 +27,8 @@ type Con2 struct {
 	// enc maps attribute strings into [1, q−1].
 	enc ElementEncoder
 	// encMu guards encCache, a memo of enc.Encode results. Only enabled
-	// for the stateless HashEncoder: a DictEncoder's assignment can be
-	// replaced wholesale through Restore, which would leave a memo stale.
+	// for the stateless HashEncoder, whose every Encode rehashes; a
+	// DictEncoder already answers from its own map.
 	encMu    sync.RWMutex
 	encCache map[string]int
 }
@@ -76,14 +76,8 @@ func keyGenCon2WithTrapdoor(pr *pairing.Params, q int, enc ElementEncoder, s *bi
 // Name implements Accumulator.
 func (c *Con2) Name() string { return "acc2" }
 
-// DomainBound returns q.
-func (c *Con2) DomainBound() int { return c.q }
-
 // Params exposes the pairing parameters.
 func (c *Con2) Params() *pairing.Params { return c.pr }
-
-// Encoder returns the element encoder (shared with verifiers).
-func (c *Con2) Encoder() ElementEncoder { return c.enc }
 
 // encodeElem runs the encoder for one element, through the memo when
 // the encoder is stateless.

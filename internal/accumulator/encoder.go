@@ -41,8 +41,7 @@ func (h HashEncoder) Encode(elem string) (int, error) {
 
 // DictEncoder assigns consecutive identifiers on first sight. It is the
 // in-process stand-in for the paper's trusted oracle: collision-free by
-// construction, but all parties must share the same instance (or a
-// replica synchronized through the Snapshot/Restore pair).
+// construction, but all parties must share the same instance.
 type DictEncoder struct {
 	mu   sync.Mutex
 	q    int
@@ -77,31 +76,4 @@ func (d *DictEncoder) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.ids)
-}
-
-// Snapshot returns a copy of the current assignment, letting a light
-// client replicate the oracle state.
-func (d *DictEncoder) Snapshot() map[string]int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[string]int, len(d.ids))
-	for k, v := range d.ids {
-		out[k] = v
-	}
-	return out
-}
-
-// Restore replaces the assignment with a snapshot.
-func (d *DictEncoder) Restore(snap map[string]int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.ids = make(map[string]int, len(snap))
-	max := 0
-	for k, v := range snap {
-		d.ids[k] = v
-		if v > max {
-			max = v
-		}
-	}
-	d.next = max + 1
 }

@@ -49,31 +49,6 @@ func TestDictEncoderSequentialAndBounded(t *testing.T) {
 	}
 }
 
-func TestDictEncoderSnapshotRestore(t *testing.T) {
-	d := NewDictEncoder(100)
-	d.Encode("x")
-	d.Encode("y")
-	snap := d.Snapshot()
-
-	replica := NewDictEncoder(100)
-	replica.Restore(snap)
-	vx, _ := replica.Encode("x")
-	if vx != 1 {
-		t.Errorf("restored id for x = %d, want 1", vx)
-	}
-	// New allocations continue after the snapshot's max.
-	vz, _ := replica.Encode("z")
-	if vz != 3 {
-		t.Errorf("fresh id after restore = %d, want 3", vz)
-	}
-	// Snapshot is a copy: mutating it must not touch the encoder.
-	snap["x"] = 42
-	vx2, _ := replica.Encode("x")
-	if vx2 != 1 {
-		t.Error("snapshot mutation leaked into encoder")
-	}
-}
-
 func TestDictEncoderConcurrent(t *testing.T) {
 	d := NewDictEncoder(10000)
 	var wg sync.WaitGroup

@@ -10,7 +10,7 @@
 //   - Paged keeps a bounded LRU of decoded values over a durable
 //     backend's record index: a miss reads the record bytes back,
 //     decodes (and cryptographically re-verifies) them, and caches the
-//     result under a byte/entry budget. Concurrent misses for the same
+//     result under an entry budget. Concurrent misses for the same
 //     index decode once (single-flight).
 //
 // The package is generic over the decoded value so it does not import
@@ -115,16 +115,12 @@ type PagedConfig[T any] struct {
 	// (header roots vs the rebuilt ADS), so a page-in is a verified
 	// fetch: corrupt or tampered records error here.
 	Decode func(i int, data []byte) (T, error)
-	// Size estimates the in-RAM footprint of a decoded value, for the
-	// byte budget. Nil means "count entries only".
+	// Size estimates the in-RAM footprint of a decoded value, reported
+	// as Stats.Bytes. Nil means "count entries only".
 	Size func(v T) int
 	// MaxEntries bounds the number of cached values; <= 0 means no
-	// entry bound.
+	// bound. The most recent entry is always retained.
 	MaxEntries int
-	// MaxBytes bounds the estimated cache footprint; <= 0 means no
-	// byte bound. The most recent entry is always retained even if it
-	// alone exceeds the budget.
-	MaxBytes int64
 }
 
 type pagedEntry[T any] struct {
@@ -233,9 +229,7 @@ func (p *Paged[T]) insertLocked(i int, v T) {
 		p.entries[i] = p.lru.PushFront(e)
 		p.bytes += e.size
 	}
-	for p.lru.Len() > 1 &&
-		((p.cfg.MaxEntries > 0 && p.lru.Len() > p.cfg.MaxEntries) ||
-			(p.cfg.MaxBytes > 0 && p.bytes > p.cfg.MaxBytes)) {
+	for p.cfg.MaxEntries > 0 && p.lru.Len() > p.cfg.MaxEntries {
 		back := p.lru.Back()
 		e := back.Value.(*pagedEntry[T])
 		p.lru.Remove(back)

@@ -34,7 +34,7 @@ func TestResidentBasics(t *testing.T) {
 
 // pagedOver returns a Paged source decoding "v<i>" strings from a
 // fake record store, with a decode counter independent of Stats.
-func pagedOver(maxEntries int, maxBytes int64, decoded *atomic.Int64) *Paged[string] {
+func pagedOver(maxEntries int, decoded *atomic.Int64) *Paged[string] {
 	return NewPaged(PagedConfig[string]{
 		Read: func(i int) ([]byte, error) {
 			if i < 0 || i >= 100 {
@@ -50,12 +50,11 @@ func pagedOver(maxEntries int, maxBytes int64, decoded *atomic.Int64) *Paged[str
 		},
 		Size:       func(v string) int { return len(v) },
 		MaxEntries: maxEntries,
-		MaxBytes:   maxBytes,
 	})
 }
 
 func TestPagedHitMissEvict(t *testing.T) {
-	p := pagedOver(2, 0, nil)
+	p := pagedOver(2, nil)
 	for _, i := range []int{0, 1, 2} { // 0 evicted when 2 arrives
 		if v, err := p.At(i); err != nil || v != fmt.Sprintf("v%d", i) {
 			t.Fatalf("At(%d) = %q, %v", i, v, err)
@@ -73,26 +72,6 @@ func TestPagedHitMissEvict(t *testing.T) {
 	}
 	if s := p.Stats(); s.Misses != 4 {
 		t.Fatalf("misses = %d, want 4", s.Misses)
-	}
-}
-
-func TestPagedByteBudget(t *testing.T) {
-	p := pagedOver(0, 5, nil) // "v0" is 2 bytes: budget holds 2 entries
-	p.At(0)
-	p.At(1)
-	p.At(2)
-	s := p.Stats()
-	if s.Entries != 2 || s.Bytes > 5 {
-		t.Fatalf("stats = %+v, want 2 entries within 5 bytes", s)
-	}
-}
-
-func TestPagedSingleEntryExceedsBudget(t *testing.T) {
-	p := pagedOver(0, 1, nil) // every entry over budget: newest retained
-	p.At(0)
-	p.At(1)
-	if s := p.Stats(); s.Entries != 1 {
-		t.Fatalf("entries = %d, want 1 (newest always kept)", s.Entries)
 	}
 }
 
@@ -132,7 +111,7 @@ func TestPagedSingleFlight(t *testing.T) {
 }
 
 func TestPagedInvalidateFrom(t *testing.T) {
-	p := pagedOver(0, 0, nil)
+	p := pagedOver(0, nil)
 	p.At(0)
 	p.At(1)
 	p.At(2)

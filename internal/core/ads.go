@@ -72,17 +72,6 @@ func (n *IntraNode) Multiset() multiset.Multiset {
 	return multiset.Union(n.Left.Multiset(), n.Right.Multiset())
 }
 
-// dropInternalW clears the multisets a record of format VCR3 stored on
-// internal nodes, so decoded trees have the one shape BuildBlock makes.
-func (n *IntraNode) dropInternalW() {
-	if n == nil || n.IsLeaf() {
-		return
-	}
-	n.W = nil
-	n.Left.dropInternalW()
-	n.Right.dropInternalW()
-}
-
 // preHash is the digest-independent part of a node hash:
 //
 //	leaf:     H(0x00 ‖ objectHash)

@@ -16,21 +16,16 @@ import (
 // their multisets, and the multisets of intra-index leaves only.
 var recMagic = []byte{0x00, 'V', 'C', 'R', '4'}
 
-// recMagicV3 prefixes records of the previous format, which also
-// stored every internal intra-index node's multiset. The gob type is
-// the same, so they are read, and those multisets dropped at decode.
-// The version bump keeps builds that predate it from reading internal
-// nodes without multisets: they refuse a VCR4 record as malformed.
-var recMagicV3 = []byte{0x00, 'V', 'C', 'R', '3'}
+// oldRecMagics prefix records of the formats before VCR4: VCR2, whose
+// field elements gob-encode canonical integers, and VCR3, which also
+// stored every internal intra-index node's multiset. Both are refused
+// outright; builds that predate VCR4 refuse its records as malformed.
+var oldRecMagics = [][]byte{{0x00, 'V', 'C', 'R', '2'}, {0x00, 'V', 'C', 'R', '3'}}
 
-// recMagicV2 prefixes records of format 2, whose field elements
-// gob-encode canonical integers. Decoded as a later format they would
-// yield wrong points, so they are refused outright.
-var recMagicV2 = []byte{0x00, 'V', 'C', 'R', '2'}
-
-// ErrOldRecordFormat marks a store written in record format VCR2 by an
-// older build. It cannot be read; re-mine the chain into a new store.
-var ErrOldRecordFormat = errors.New("core: chain record in format VCR2, which this build cannot read; re-mine the chain into a new store")
+// ErrOldRecordFormat marks a store written in record format VCR2 or
+// VCR3 by an older build. It cannot be read; re-mine the chain into a
+// new store.
+var ErrOldRecordFormat = errors.New("core: chain record in format VCR2 or VCR3, which this build cannot read; re-mine the chain into a new store")
 
 // EncodeChainRecord renders a (block, ADS) pair as one self-contained
 // record: magic, a length-prefixed block gob, then the ADS gob. The two
@@ -57,10 +52,12 @@ func EncodeChainRecord(blk *chain.Block, ads *BlockADS) ([]byte, error) {
 
 // splitRecord returns the block and ADS sections of a record.
 func splitRecord(data []byte) (blkGob, adsGob []byte, err error) {
-	if bytes.HasPrefix(data, recMagicV2) {
-		return nil, nil, ErrOldRecordFormat
+	for _, old := range oldRecMagics {
+		if bytes.HasPrefix(data, old) {
+			return nil, nil, ErrOldRecordFormat
+		}
 	}
-	if len(data) < len(recMagic)+4 || !bytes.HasPrefix(data, recMagic) && !bytes.HasPrefix(data, recMagicV3) {
+	if len(data) < len(recMagic)+4 || !bytes.HasPrefix(data, recMagic) {
 		return nil, nil, fmt.Errorf("core: malformed chain record")
 	}
 	n := int(binary.BigEndian.Uint32(data[len(recMagic):]))
@@ -96,7 +93,6 @@ func DecodeChainRecordADS(data []byte) (*BlockADS, error) {
 	if err := gob.NewDecoder(bytes.NewReader(adsGob)).Decode(&ads); err != nil {
 		return nil, fmt.Errorf("core: decoding chain record ADS: %w", err)
 	}
-	ads.Root.dropInternalW()
 	return &ads, nil
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"strings"
 	"sync"
@@ -149,10 +148,19 @@ func TestRecordPlacement(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesRecordFormatV2 stores a record under the previous
-// format's magic: opening the store must fail with ErrOldRecordFormat,
-// naming the format and the fix, instead of decoding wrong points.
-func TestOpenRefusesRecordFormatV2(t *testing.T) {
+// TestOpenRefusesRecordFormatV2 stores a record under the VCR2 magic:
+// opening the store must fail with ErrOldRecordFormat, naming the
+// format and the fix, instead of decoding wrong points.
+func TestOpenRefusesRecordFormatV2(t *testing.T) { testOpenRefusesOldFormat(t, "VCR2") }
+
+// TestOpenRefusesRecordFormatV3 does the same for the VCR3 magic,
+// whose records also stored every internal node's multiset.
+func TestOpenRefusesRecordFormatV3(t *testing.T) { testOpenRefusesOldFormat(t, "VCR3") }
+
+// testOpenRefusesOldFormat mines one block, re-stamps its record with
+// an old format's magic in a fresh log, and requires the open to fail
+// with ErrOldRecordFormat naming that format and the fix.
+func testOpenRefusesOldFormat(t *testing.T, format string) {
 	b := &Builder{Acc: testAccs(t)["acc2"], Mode: ModeIntra, Width: testWidth}
 	mem := storage.NewMemory()
 	node, err := NewFullNodeOn(0, b, mem)
@@ -166,7 +174,7 @@ func TestOpenRefusesRecordFormatV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := append(append([]byte(nil), recMagicV2...), rec[len(recMagic):]...)
+	old := append([]byte("\x00"+format), rec[len(recMagic):]...)
 
 	dir := t.TempDir()
 	log, err := storage.Open(dir, storage.Options{})
@@ -181,9 +189,9 @@ func TestOpenRefusesRecordFormatV2(t *testing.T) {
 	}
 	_, err = openLogNode(b, dir)
 	if !errors.Is(err, ErrOldRecordFormat) {
-		t.Fatalf("open of a VCR2 store: %v, want ErrOldRecordFormat", err)
+		t.Fatalf("open of a %s store: %v, want ErrOldRecordFormat", format, err)
 	}
-	if msg := err.Error(); !strings.Contains(msg, "VCR2") || !strings.Contains(msg, "re-mine") {
+	if msg := err.Error(); !strings.Contains(msg, format) || !strings.Contains(msg, "re-mine") {
 		t.Fatalf("error %q does not name the old format and the fix", msg)
 	}
 }
@@ -210,7 +218,11 @@ func TestRecordFormatV4(t *testing.T) {
 		if !bytes.HasPrefix(rec, []byte("\x00VCR4")) {
 			t.Fatalf("record %d starts %q, want the VCR4 magic", i, rec[:5])
 		}
-		root := rawRecordADS(t, rec).Root
+		ads, err := DecodeChainRecordADS(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := ads.Root
 		if n := storedInternalW(root); n != 0 {
 			t.Fatalf("record %d stores %d internal multisets", i, n)
 		}
@@ -230,21 +242,6 @@ func TestRecordFormatV4(t *testing.T) {
 	}
 }
 
-// rawRecordADS decodes a record's ADS section as stored, without
-// DecodeChainRecordADS's normalization.
-func rawRecordADS(t *testing.T, rec []byte) *BlockADS {
-	t.Helper()
-	_, adsGob, err := splitRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ads BlockADS
-	if err := gob.NewDecoder(bytes.NewReader(adsGob)).Decode(&ads); err != nil {
-		t.Fatal(err)
-	}
-	return &ads
-}
-
 // storedInternalW counts the internal nodes below n that hold a
 // multiset.
 func storedInternalW(n *IntraNode) int {
@@ -256,96 +253,4 @@ func storedInternalW(n *IntraNode) int {
 		c++
 	}
 	return c
-}
-
-// TestOpenReadsRecordFormatV3 hand-builds a store in the previous
-// record format, which also stored every internal node's multiset:
-// it opens, pages in with those multisets dropped, and answers every
-// query with the VO bytes of the node that mined the chain.
-func TestOpenReadsRecordFormatV3(t *testing.T) {
-	acc := testAccs(t)["acc2"]
-	b := &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 2, Width: testWidth}
-	mem := storage.NewMemory()
-	warm, err := NewFullNodeOn(0, b, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const blocks = 12
-	for i := 0; i < blocks; i++ {
-		if _, err := warm.MineBlock(carObjects(uint64(i*10)), int64(1000+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	dir := t.TempDir()
-	log, err := storage.Open(dir, storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for h := 0; h < blocks; h++ {
-		rec, err := mem.Read(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ads, err := DecodeChainRecordADS(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fill func(n *IntraNode)
-		fill = func(n *IntraNode) {
-			if n.IsLeaf() {
-				return
-			}
-			n.W = n.Multiset()
-			fill(n.Left)
-			fill(n.Right)
-		}
-		fill(ads.Root)
-		blk, err := warm.Store.BlockAt(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v4, err := EncodeChainRecord(blk, ads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v3 := append(append([]byte(nil), recMagicV3...), v4[len(recMagic):]...)
-		if n := storedInternalW(rawRecordADS(t, v3).Root); n == 0 {
-			t.Fatal("the hand-built VCR3 record stores no internal multiset")
-		}
-		if err := log.Append(v3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	old := openTestNode(t, b, dir, WithADSCache(1))
-	if old.Store.Height() != blocks {
-		t.Fatalf("opened %d blocks, want %d", old.Store.Height(), blocks)
-	}
-	if n := storedInternalW(mustADS(t, old, blocks-1).Root); n != 0 {
-		t.Fatalf("a paged-in VCR3 record kept %d internal multisets", n)
-	}
-	for _, q := range []Query{
-		sedanBenzQuery(0, blocks-1),
-		{StartBlock: 0, EndBlock: blocks - 1, Bool: CNF{KeywordClause("tesla")}, Width: testWidth},
-		{StartBlock: 3, EndBlock: 9, Bool: CNF{KeywordClause("van", "tesla")}, Width: testWidth},
-	} {
-		want, err := warm.SP(false).TimeWindowQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := old.SP(false).TimeWindowQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(EncodeVO(acc, got), EncodeVO(acc, want)) {
-			t.Fatalf("query %v: the VCR3 store answers with different VO bytes", q.Bool)
-		}
-	}
-	if old.ADSStats().Decodes == 0 {
-		t.Fatal("no record was paged in")
-	}
 }

@@ -49,14 +49,6 @@ func (p Point2) Equal(q Point2) bool {
 	return p.X.Equal(q.X) && p.Y.Equal(q.Y)
 }
 
-// Lift embeds an E(F_p) point into E(F_p²).
-func (c *Curve2) Lift(p Point) Point2 {
-	if p.Inf {
-		return c.Infinity()
-	}
-	return Point2{X: c.X.FromBase(p.X), Y: c.X.FromBase(p.Y)}
-}
-
 // Distort applies the distortion map φ(x, y) = (ζ·x, y), carrying an
 // E(F_p) point to an E(F_p²) point outside the base-field subgroup.
 // This is what makes the modified Tate pairing non-degenerate on a

@@ -27,12 +27,6 @@ import (
 // accumulators, collapse into one loop per distinct Q, which is where
 // batched verification's speedup comes from.
 
-// PairingCheck reports whether ∏ ê(P_i, Q_i) == 1, with one Miller
-// loop and one final exponentiation for all pairs.
-func (pr *Params) PairingCheck(pairs ...PairPair) bool {
-	return pr.IsOne(pr.PairProduct(pairs...))
-}
-
 // BatchEquation is one pairing-product verification equation
 //
 //	∏_j ê(P_j, Q_j) == ê(R, G)

@@ -23,13 +23,13 @@ func TestPairingCheck(t *testing.T) {
 	pb := pr.C.ScalarMul(pr.G, b)
 	pab := pr.C.ScalarMul(pr.G, ab)
 	// ê(aG, bG)·ê(−abG, G) == 1.
-	if !pr.PairingCheck(PairPair{P: pa, Q: pb}, PairPair{P: pr.C.Neg(pab), Q: pr.G}) {
+	if !pr.IsOne(pr.PairProduct(PairPair{P: pa, Q: pb}, PairPair{P: pr.C.Neg(pab), Q: pr.G})) {
 		t.Error("true pairing check rejected")
 	}
-	if pr.PairingCheck(PairPair{P: pa, Q: pb}, PairPair{P: pab, Q: pr.G}) {
+	if pr.IsOne(pr.PairProduct(PairPair{P: pa, Q: pb}, PairPair{P: pab, Q: pr.G})) {
 		t.Error("false pairing check accepted")
 	}
-	if !pr.PairingCheck() {
+	if !pr.IsOne(pr.PairProduct()) {
 		t.Error("empty check must hold")
 	}
 }

@@ -1,7 +1,6 @@
 package pairing
 
 import (
-	"fmt"
 	"math/big"
 
 	"github.com/vchain-go/vchain/internal/crypto/ec"
@@ -27,18 +26,6 @@ func (a GT) Equal(b GT) bool { return a.V.Equal(b.V) }
 
 // IsOne reports whether a is the identity.
 func (pr *Params) IsOne(a GT) bool { return a.V.Equal(pr.X.One()) }
-
-// GTBytes encodes a G_T element.
-func (pr *Params) GTBytes(a GT) []byte { return pr.X.Bytes(a.V) }
-
-// GTFromBytes decodes a G_T element.
-func (pr *Params) GTFromBytes(b []byte) (GT, error) {
-	v, err := pr.X.EltFromBytes(b)
-	if err != nil {
-		return GT{}, fmt.Errorf("pairing: %w", err)
-	}
-	return GT{V: v}, nil
-}
 
 // Pair computes the modified Tate pairing ê(P, Q) for P, Q in the
 // order-r subgroup of E(F_p). ê(∞, Q) = ê(P, ∞) = 1.

@@ -136,21 +136,6 @@ func TestPairingIdentityArguments(t *testing.T) {
 	}
 }
 
-func TestGTBytesRoundTrip(t *testing.T) {
-	pr := toy(t)
-	e := pr.PairBase()
-	back, err := pr.GTFromBytes(pr.GTBytes(e))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(e) {
-		t.Fatal("GT round trip mismatch")
-	}
-	if _, err := pr.GTFromBytes([]byte{9}); err == nil {
-		t.Error("short GT encoding accepted")
-	}
-}
-
 func TestRandScalarInRange(t *testing.T) {
 	pr := toy(t)
 	seen := map[string]bool{}

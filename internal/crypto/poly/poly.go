@@ -45,15 +45,6 @@ func (rg *Ring) Zero() Poly { return Poly{} }
 // One returns the constant polynomial 1.
 func (rg *Ring) One() Poly { return Poly{big.NewInt(1)} }
 
-// Constant returns the constant polynomial c.
-func (rg *Ring) Constant(c *big.Int) Poly {
-	v := new(big.Int).Mod(c, rg.R)
-	if v.Sign() == 0 {
-		return Poly{}
-	}
-	return Poly{v}
-}
-
 // FromCoeffs builds a polynomial from low-to-high coefficients,
 // reducing each mod r and trimming.
 func (rg *Ring) FromCoeffs(cs []*big.Int) Poly {

@@ -162,7 +162,7 @@ type admitter struct {
 func newAdmitter(cfg Config) (*admitter, error) {
 	a := &admitter{
 		byKey:  make(map[string]*tenantState, len(cfg.Tenants)),
-		global: newBucket(cfg.GlobalRate, cfg.GlobalBurst),
+		global: newBucket(cfg.GlobalRate, 0),
 	}
 	for _, t := range cfg.Tenants {
 		if t.Name == "" || t.Key == "" {

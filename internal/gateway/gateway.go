@@ -29,7 +29,6 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -76,24 +75,19 @@ type Config struct {
 	// TenantBurst is the default bucket depth (0 derives from the rate).
 	TenantBurst int
 	// GlobalRate caps the whole gateway in requests/second across all
-	// tenants. 0 means unlimited.
+	// tenants; its bucket depth derives from the rate. 0 means
+	// unlimited.
 	GlobalRate float64
-	// GlobalBurst is the global bucket depth.
-	GlobalBurst int
 	// MaxInflight caps concurrently processed /v1 requests
 	// (DefaultMaxInflight when 0, negative means uncapped). Excess
 	// load sheds fail-fast with 429 + Retry-After.
 	MaxInflight int
-	// QueryTimeout bounds one query's proof walk
-	// (DefaultQueryTimeout when 0).
-	QueryTimeout time.Duration
 	// WriteTimeout is the slow-client write deadline: a client that
 	// cannot drain its response within it is disconnected, the same
 	// discipline the gob service applies to started frames
-	// (service.DefaultFrameTimeout when 0).
+	// (service.DefaultFrameTimeout when 0). It also bounds reading one
+	// request.
 	WriteTimeout time.Duration
-	// ReadTimeout bounds reading one request (WriteTimeout's default).
-	ReadTimeout time.Duration
 	// Logger receives structured request logs (tenant, endpoint,
 	// window, outcome, latency). Nil disables request logging.
 	Logger *slog.Logger
@@ -305,18 +299,14 @@ func (g *Gateway) Serve(addr string) (string, error) {
 	if wt <= 0 {
 		wt = service.DefaultFrameTimeout
 	}
-	rt := g.cfg.ReadTimeout
-	if rt <= 0 {
-		rt = wt
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("gateway: listen: %w", err)
 	}
 	srv := &http.Server{
 		Handler:           g.Handler(),
-		ReadTimeout:       rt,
-		ReadHeaderTimeout: rt,
+		ReadTimeout:       wt,
+		ReadHeaderTimeout: wt,
 		WriteTimeout:      wt,
 		IdleTimeout:       60 * time.Second,
 	}
@@ -584,11 +574,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request, tenant str
 		return
 	}
 
-	timeout := g.cfg.QueryTimeout
-	if timeout <= 0 {
-		timeout = DefaultQueryTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), DefaultQueryTimeout)
 	defer cancel()
 
 	t0 := time.Now()
@@ -660,11 +646,13 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request, tenant str
 	json.NewEncoder(w).Encode(&resp)
 }
 
-// queryError maps a planner/proof failure onto an HTTP status: an
-// expired budget is 504, and a server-side fault on the strict path —
-// a quarantined shard, or a shard's storage failing to page an ADS in —
-// is 503 with the degraded path advertised. Everything else is the
-// caller's query (an over-capacity clause, say) and stays 400.
+// queryError maps a planner/proof failure onto an HTTP status by the
+// sentinel it wraps, classified by the gob wire's one table
+// (service.CodeOf): an expired budget is 504, and a server-side fault
+// on the strict path — a quarantined shard, or a shard's storage
+// failing to page an ADS in — is 503 with the degraded path
+// advertised. Everything else is the caller's query (an over-capacity
+// clause, say) and stays 400.
 func (g *Gateway) queryError(w http.ResponseWriter, r *http.Request, tenant string, q core.Query, err error) {
 	if g.log != nil {
 		g.log.Warn("gateway query failed",
@@ -673,12 +661,12 @@ func (g *Gateway) queryError(w http.ResponseWriter, r *http.Request, tenant stri
 			"err", err.Error(),
 		)
 	}
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
+	switch service.CodeOf(err) {
+	case service.CodeDeadline:
 		errorJSON(w, http.StatusGatewayTimeout, "query deadline exceeded")
-	case errors.Is(err, context.Canceled):
+	case service.CodeCanceled:
 		errorJSON(w, 499, "client closed request") // nginx's code for a gone client
-	case errors.Is(err, shard.ErrShardUnavailable), errors.Is(err, core.ErrADSUnavailable):
+	case service.CodeShardUnavailable, service.CodeADSUnavailable:
 		errorJSON(w, http.StatusServiceUnavailable,
 			"a covering shard is unavailable; retry with allowDegraded for a partial answer")
 	default:

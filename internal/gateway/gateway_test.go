@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -152,7 +153,8 @@ func TestUnknownKeyUnauthorized(t *testing.T) {
 }
 
 // TestRateLimited: a burst-1 tenant gets exactly one request through,
-// then 429 with a Retry-After hint; an unlimited tenant on the same
+// then 429 with a Retry-After hint, as does a tenant on the gateway's
+// default TenantRate/TenantBurst; an unlimited tenant on the same
 // gateway is unaffected.
 func TestRateLimited(t *testing.T) {
 	node := buildNode(t, 4)
@@ -160,7 +162,10 @@ func TestRateLimited(t *testing.T) {
 		Tenants: []Tenant{
 			{Name: "slow", Key: "k-slow", Rate: 0.5, Burst: 1},
 			{Name: "ops", Key: "k-ops", Rate: -1},
+			{Name: "dflt", Key: "k-dflt"}, // inherits TenantRate/TenantBurst
 		},
+		TenantRate:  0.5,
+		TenantBurst: 1,
 	})
 
 	resp, _ := do(t, "GET", base+"/v1/stats", "k-slow", nil)
@@ -177,6 +182,11 @@ func TestRateLimited(t *testing.T) {
 	if got := g.mRateLimited.With("slow").Value(); got != 1 {
 		t.Fatalf("rate-limited counter for slow = %d, want 1", got)
 	}
+	for i, want := range []int{http.StatusOK, http.StatusTooManyRequests} {
+		if resp, _ := do(t, "GET", base+"/v1/stats", "k-dflt", nil); resp.StatusCode != want {
+			t.Fatalf("default-rate tenant request %d: status %d, want %d", i, resp.StatusCode, want)
+		}
+	}
 
 	// The unlimited tenant keeps flowing.
 	for i := 0; i < 5; i++ {
@@ -192,9 +202,8 @@ func TestRateLimited(t *testing.T) {
 func TestGlobalRateLimit(t *testing.T) {
 	node := buildNode(t, 4)
 	_, base := startGateway(t, node, Config{
-		Tenants:     []Tenant{{Name: "a", Key: "ka", Rate: -1}, {Name: "b", Key: "kb", Rate: -1}},
-		GlobalRate:  0.5,
-		GlobalBurst: 1,
+		Tenants:    []Tenant{{Name: "a", Key: "ka", Rate: -1}, {Name: "b", Key: "kb", Rate: -1}},
+		GlobalRate: 0.5,
 	})
 	resp, _ := do(t, "GET", base+"/v1/stats", "ka", nil)
 	if resp.StatusCode != http.StatusOK {
@@ -298,10 +307,31 @@ func TestQueryExternallyVerifiable(t *testing.T) {
 	}
 }
 
-// TestQueryValidation rejects malformed bodies and windows with 400.
+// lockedBuffer is a log sink the gateway's handler goroutines and the
+// test can share.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestQueryValidation rejects malformed bodies and windows with 400,
+// and logs each refusal through Config.Logger.
 func TestQueryValidation(t *testing.T) {
 	node := buildNode(t, 4)
-	_, base := startGateway(t, node, Config{})
+	var logs lockedBuffer
+	_, base := startGateway(t, node, Config{Logger: slog.New(slog.NewTextHandler(&logs, nil))})
 	cases := []struct {
 		name string
 		body any
@@ -318,6 +348,14 @@ func TestQueryValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, resp.StatusCode, body)
 		}
+	}
+	// Every refusal reaches the request log; a line is written once
+	// its handler returns, which may trail the response.
+	for deadline := time.Now().Add(5 * time.Second); strings.Count(logs.String(), "code=400") < len(cases); {
+		if time.Now().After(deadline) {
+			t.Fatalf("request log %q lacks the %d refusals", logs.String(), len(cases))
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -508,7 +546,7 @@ func TestStorageFaultHTTPQuery(t *testing.T) {
 // hit ratio renders 0, never NaN.
 func TestMetricsExposition(t *testing.T) {
 	node := buildNode(t, 4)
-	_, base := startGateway(t, node, Config{
+	g, base := startGateway(t, node, Config{
 		Tenants: []Tenant{{Name: "alice", Key: "k-alice"}},
 	})
 
@@ -539,6 +577,18 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if strings.Contains(out, "NaN") {
 		t.Fatal("/metrics contains NaN")
+	}
+
+	// The standalone scrape listener (vchain-sp -metrics) serves the
+	// same families and none of the query API.
+	ms := httptest.NewServer(g.MetricsHandler())
+	defer ms.Close()
+	if resp, body := do(t, "GET", ms.URL+"/metrics", "", nil); resp.StatusCode != http.StatusOK ||
+		!strings.Contains(string(body), "vchain_chain_height 4") {
+		t.Fatalf("scrape listener /metrics: %d %q", resp.StatusCode, body)
+	}
+	if resp, _ := do(t, "POST", ms.URL+"/v1/query", "k-alice", queryBody(0, 3, false)); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("scrape listener /v1/query: %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -24,11 +24,12 @@ type RetryPolicy struct {
 	// retries, matching the pre-retry client exactly).
 	Attempts int
 	// BaseBackoff is the first retry's backoff ceiling (default 50ms);
-	// later retries double it up to MaxBackoff.
+	// later retries double it up to maxBackoff.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential backoff (default 2s).
-	MaxBackoff time.Duration
 }
+
+// maxBackoff caps a retry's exponential backoff.
+const maxBackoff = 2 * time.Second
 
 // backoff returns the pause before retry attempt a (1-based): capped
 // exponential with half-jitter, so a fleet of clients losing one SP
@@ -38,15 +39,11 @@ func (p RetryPolicy) backoff(a int) time.Duration {
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
-	max := p.MaxBackoff
-	if max <= 0 {
-		max = 2 * time.Second
-	}
 	d := base
 	for i := 1; i < a; i++ {
 		d *= 2
-		if d >= max || d <= 0 {
-			d = max
+		if d >= maxBackoff || d <= 0 {
+			d = maxBackoff
 			break
 		}
 	}
@@ -70,9 +67,6 @@ type ClientConfig struct {
 	// 0): a malicious SP cannot stream an unbounded frame into the
 	// decoder.
 	MaxFrame int
-	// SubBuffer is a subscription's delivery channel capacity (default
-	// 16).
-	SubBuffer int
 	// SubQueue caps a subscription's pending (pushed but not yet
 	// verified) publications (default 1024). An SP pushing faster than
 	// the client can verify for that long is flooding; the stream ends
@@ -93,14 +87,14 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 30 * time.Second
 	}
-	if c.SubBuffer <= 0 {
-		c.SubBuffer = 16
-	}
 	if c.SubQueue <= 0 {
 		c.SubQueue = 1024
 	}
 	return c
 }
+
+// subBuffer is a subscription's delivery channel capacity.
+const subBuffer = 16
 
 // maxOrphans bounds publications parked while a Subscribe ack is in
 // flight; beyond it frames are dropped rather than buffered (the pen
@@ -116,10 +110,17 @@ var ErrClosed = errors.New("service: connection closed")
 type SPError struct {
 	// Msg is the SP's error text.
 	Msg string
+	// Code names the sentinel the SP's error wrapped.
+	Code Code
 }
 
 // Error implements error.
 func (e *SPError) Error() string { return "service: SP error: " + e.Msg }
+
+// Unwrap returns the sentinel the SP's error wrapped (nil for
+// CodeNone), so errors.Is(err, shard.ErrShardUnavailable) holds over
+// the wire as it does in process.
+func (e *SPError) Unwrap() error { return e.Code.Err() }
 
 // genState is one connection generation: the socket, its framing, and
 // its lifecycle. A reconnect replaces the client's generation
@@ -422,7 +423,7 @@ func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, *genSt
 	select {
 	case resp := <-ch:
 		if resp.Err != "" {
-			return nil, gen, &SPError{Msg: resp.Err}
+			return nil, gen, &SPError{Msg: resp.Err, Code: resp.Code}
 		}
 		return resp, gen, nil
 	case <-gen.done:

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -28,7 +29,7 @@ func TestClientRetryReconnect(t *testing.T) {
 	sched.AddRules(fault.Rule{Op: fault.OpConnWrite, From: 1, To: 1, Fail: true})
 	cli, err := Dial(addr, ClientConfig{
 		Dialer: fault.Dialer(sched),
-		Retry:  RetryPolicy{Attempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
+		Retry:  RetryPolicy{Attempts: 3, BaseBackoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,6 +177,41 @@ func TestRemoteDegradedQuery(t *testing.T) {
 	}
 	if res2.Covered() != res.Covered() || len(res2.Objects) != len(res.Objects) {
 		t.Fatal("one-call degraded path diverges from manual verify")
+	}
+}
+
+// TestDegradedTypedErrorOverGob pins that a strict query failing on a
+// quarantined shard surfaces over the wire as it does in process:
+// errors.Is(err, shard.ErrShardUnavailable) holds, the SPError carries
+// the code, and the answer is final (never retried).
+func TestDegradedTypedErrorOverGob(t *testing.T) {
+	addr, _, _ := startDegradedServer(t)
+	cli, err := Dial(addr, ClientConfig{Retry: RetryPolicy{Attempts: 3, BaseBackoff: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	q := core.Query{StartBlock: 0, EndBlock: 3, Bool: core.CNF{core.KeywordClause("sedan")}, Width: 4}
+	_, err = cli.QueryParts(context.Background(), q, false)
+	if !errors.Is(err, shard.ErrShardUnavailable) {
+		t.Fatalf("strict query err = %v, want errors.Is ErrShardUnavailable", err)
+	}
+	var spe *SPError
+	if !errors.As(err, &spe) || spe.Code != CodeShardUnavailable {
+		t.Fatalf("strict query err = %#v, want an SPError with CodeShardUnavailable", err)
+	}
+	if got := cli.Retries(); got != 0 {
+		t.Fatalf("SP error retried %d times", got)
+	}
+	// Every code round-trips through its sentinel; an unknown code from
+	// a newer SP unwraps to nothing.
+	for c := CodeNone + 1; c.Err() != nil; c++ {
+		if got := CodeOf(fmt.Errorf("wrapped: %w", c.Err())); got != c {
+			t.Fatalf("CodeOf(%v) = %d, want %d", c.Err(), got, c)
+		}
+	}
+	if CodeOf(errors.New("bad query")) != CodeNone || Code(200).Err() != nil {
+		t.Fatal("an unknown error or code must map to nothing")
 	}
 }
 

@@ -360,7 +360,7 @@ func (sc *serverConn) process(req *Request) *Response {
 		// and wedge header sync.
 		page, _, err := HeaderPage(s.node, req.FromHeight, s.cfg.headerBatch())
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return errResponse(err)
 		}
 		return &Response{Headers: page}
 	case "query":
@@ -378,13 +378,13 @@ func (sc *serverConn) process(req *Request) *Response {
 		if req.AllowDegraded {
 			parts, gaps, err := s.node.TimeWindowDegraded(ctx, req.Query, req.Batched)
 			if err != nil {
-				return &Response{Err: err.Error()}
+				return errResponse(err)
 			}
 			return &Response{Parts: parts, Gaps: gaps}
 		}
 		parts, err := s.node.TimeWindowParts(ctx, req.Query, req.Batched)
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return errResponse(err)
 		}
 		return &Response{Parts: parts}
 	case "stats":
@@ -404,7 +404,7 @@ func (sc *serverConn) process(req *Request) *Response {
 		id, err := s.engine.Register(req.Query)
 		if err != nil {
 			s.mu.Unlock()
-			return &Response{Err: err.Error()}
+			return errResponse(err)
 		}
 		s.subOwner[id] = sc
 		sc.subs[id] = struct{}{}

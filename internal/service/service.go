@@ -21,12 +21,14 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/proofs"
+	"github.com/vchain-go/vchain/internal/shard"
 	"github.com/vchain-go/vchain/internal/subscribe"
 )
 
@@ -83,6 +85,53 @@ func HeaderPage(c Chain, from, limit int) ([]chain.Header, int, error) {
 	return page, height, nil
 }
 
+// Code is a wire error code: it names the sentinel an SP error wraps.
+type Code uint8
+
+// The wire error codes. CodeNone marks an error that wraps no sentinel
+// (a malformed query, say): the caller's own fault.
+const (
+	CodeNone Code = iota
+	CodeDeadline
+	CodeCanceled
+	CodeShardUnavailable
+	CodeADSUnavailable
+)
+
+// sentinels maps each code to its sentinel, in the order CodeOf tests
+// them. The gob server, the client's SPError and the HTTP gateway's
+// status all read this one table.
+var sentinels = [...]error{
+	CodeDeadline:         context.DeadlineExceeded,
+	CodeCanceled:         context.Canceled,
+	CodeShardUnavailable: shard.ErrShardUnavailable,
+	CodeADSUnavailable:   core.ErrADSUnavailable,
+}
+
+// CodeOf returns the code of the first sentinel err wraps, or CodeNone.
+func CodeOf(err error) Code {
+	for c, s := range sentinels {
+		if s != nil && errors.Is(err, s) {
+			return Code(c)
+		}
+	}
+	return CodeNone
+}
+
+// Err returns the code's sentinel: nil for CodeNone and for a code
+// this build does not know.
+func (c Code) Err() error {
+	if int(c) >= len(sentinels) {
+		return nil
+	}
+	return sentinels[c]
+}
+
+// errResponse answers a request with err's text and code.
+func errResponse(err error) *Response {
+	return &Response{Err: err.Error(), Code: CodeOf(err)}
+}
+
 // Request is a client → SP message.
 type Request struct {
 	// Seq matches the request to its response. Clients use strictly
@@ -122,6 +171,9 @@ type Response struct {
 	Seq uint64
 	// Err carries a processing error, empty on success.
 	Err string
+	// Code names the sentinel Err wraps (CodeNone if none), so a
+	// remote caller's errors.Is sees what an in-process caller sees.
+	Code Code
 	// Headers answers a headers request.
 	Headers []chain.Header
 	// Parts answers a query request: the window's VOs, descending,

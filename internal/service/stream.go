@@ -37,9 +37,6 @@ type SubscribeConfig struct {
 	// span are fetched and PoW-validated automatically before the
 	// span's VO is verified.
 	Light *chain.LightStore
-	// VerifyWorkers bounds the batched verification flush (0 = all
-	// cores).
-	VerifyWorkers int
 }
 
 // Subscription is a client-side stream of locally verified
@@ -109,7 +106,7 @@ func (c *Client) SubscribeCtx(ctx context.Context, q core.Query, cfg SubscribeCo
 		sub = &Subscription{
 			c: c, gen: gen, q: q, cfg: cfg,
 			ID:     resp.SubID,
-			out:    make(chan Delivery, c.cfg.SubBuffer),
+			out:    make(chan Delivery, subBuffer),
 			signal: make(chan struct{}, 1),
 			lastTo: -1,
 		}
@@ -339,7 +336,7 @@ func (s *Subscription) verify(pub *subscribe.Publication) Delivery {
 			core.ErrCompleteness, pub.From, pub.To, s.lastTo+1)
 		return d
 	}
-	ver := &core.Verifier{Acc: s.cfg.Acc, Light: s.cfg.Light, Workers: s.cfg.VerifyWorkers}
+	ver := &core.Verifier{Acc: s.cfg.Acc, Light: s.cfg.Light}
 	d.Objects, d.Err = subscribe.VerifyPublication(ver, s.q, pub)
 	return d
 }

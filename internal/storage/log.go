@@ -22,7 +22,7 @@ import (
 //	record:  [4-byte payload length][4-byte CRC32-C of payload][payload]
 //
 // Append writes the framed record and fsyncs the segment before
-// returning (unless Options.NoSync), so a record is durable exactly
+// returning, so a record is durable exactly
 // when its commit succeeds. Open rebuilds the in-RAM offset index by
 // scanning every segment; the first torn or corrupt record ends the
 // scan, the containing segment is truncated at the last valid record,
@@ -49,9 +49,6 @@ type Options struct {
 	// rejected, and a scanned length field beyond the bound is treated
 	// as corruption. Default 1 GiB.
 	MaxRecordBytes int
-	// NoSync disables the per-append fsync. Throughput benchmarks
-	// only: a crash may lose acknowledged records.
-	NoSync bool
 	// Hooks inject faults into the log's file I/O (fsync failures,
 	// torn frame writes). Nil — the production configuration — injects
 	// nothing. Tests and chaos drills (internal/fault) use them to
@@ -400,10 +397,8 @@ func (l *Log) Append(data []byte) error {
 	if _, err := seg.f.WriteAt(frame, seg.size); err != nil {
 		return fmt.Errorf("storage: appending record: %w", err)
 	}
-	if !l.opts.NoSync {
-		if err := l.syncSeg(seg.f); err != nil {
-			return fmt.Errorf("storage: syncing segment: %w", err)
-		}
+	if err := l.syncSeg(seg.f); err != nil {
+		return fmt.Errorf("storage: syncing segment: %w", err)
 	}
 	l.recs = append(l.recs, recordRef{seg: seg.id, off: seg.size + recHeaderLen, n: len(data), sum: sum})
 	seg.size += recLen
@@ -429,15 +424,13 @@ func (l *Log) newSegment() (*segment, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: writing segment magic: %w", err)
 	}
-	if !l.opts.NoSync {
-		if err := l.syncSeg(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := l.syncDir(); err != nil {
-			f.Close()
-			return nil, err
-		}
+	if err := l.syncSeg(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := l.syncDir(); err != nil {
+		f.Close()
+		return nil, err
 	}
 	seg := &segment{id: id, path: path, f: f, size: int64(len(logMagic))}
 	l.segs = append(l.segs, seg)

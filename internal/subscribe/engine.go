@@ -29,8 +29,6 @@ type Options struct {
 	LazyThreshold int
 	// Dims and Width describe the numeric space for the IP-tree.
 	Dims, Width int
-	// MaxDepth caps IP-tree splitting; zero means 8.
-	MaxDepth int
 	// Proofs is the proof engine (required). Every block's proofs run
 	// on its worker pool; pass the node's engine so subscriptions reuse
 	// proofs cached by time-window queries (and vice versa).
@@ -43,18 +41,16 @@ type Options struct {
 const (
 	// DefaultLazyThreshold is the pending-block bound of §7.2.
 	DefaultLazyThreshold = 64
-	// DefaultMaxDepth caps IP-tree splitting.
-	DefaultMaxDepth = 8
 	// DefaultDims is the numeric dimensionality.
 	DefaultDims = 1
 )
 
+// DefaultMaxDepth caps the engine's IP-tree splitting.
+const DefaultMaxDepth = 8
+
 func (o Options) withDefaults() Options {
 	if o.LazyThreshold <= 0 {
 		o.LazyThreshold = DefaultLazyThreshold
-	}
-	if o.MaxDepth <= 0 {
-		o.MaxDepth = DefaultMaxDepth
 	}
 	if o.Dims <= 0 {
 		o.Dims = DefaultDims
@@ -166,7 +162,7 @@ func (e *Engine) tree() (*IPTree, error) {
 		for id, s := range e.subs {
 			qs[id] = s.q
 		}
-		t, err := NewIPTree(e.Opts.Dims, e.Opts.Width, e.Opts.MaxDepth, qs)
+		t, err := NewIPTree(e.Opts.Dims, e.Opts.Width, DefaultMaxDepth, qs)
 		if err != nil {
 			return nil, err
 		}
@@ -268,12 +264,19 @@ type mismatch struct {
 
 // decide finds, without proving, the clause the whole block misses for
 // each query that has one, and schedules one (BlockW, clause) proof per
-// decision on run. With the IP-tree each distinct clause is tested and
-// proved once for all the queries it decides; without it, per query.
+// decision on run when the block's root carries a digest to cite it.
+// With the IP-tree each distinct clause is tested and proved once for
+// all the queries it decides; without it, per query.
 func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) (map[int]*mismatch, error) {
 	decided := make(map[int]*mismatch, len(ids))
 	schedule := func(clause core.Clause) *mismatch {
 		m := &mismatch{clause: clause}
+		if !ads.Root.HasDigest {
+			// ModeNil: no root mismatch node can cite the proof
+			// (RootMismatchVO returns nil), so only the decision is
+			// kept; lazy mode still needs it.
+			return m
+		}
 		run.Add(ads.BlockW, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) {
 			for _, n := range m.nodes {
 				*n.Proof = pf

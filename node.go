@@ -49,12 +49,9 @@ func (s *System) builder() *core.Builder {
 // shardOptions maps the system configuration onto shard options.
 func (s *System) shardOptions(shards int) shard.Options {
 	return shard.Options{
-		Shards:           shards,
-		Workers:          s.cfg.SPWorkers,
-		CacheSize:        s.cfg.ProofCacheSize,
-		ADSCacheBlocks:   s.cfg.ADSCacheBlocks,
-		FailureThreshold: s.cfg.ShardFailureThreshold,
-		BreakerCooldown:  s.cfg.ShardBreakerCooldown,
+		Shards:         shards,
+		Workers:        s.cfg.SPWorkers,
+		ADSCacheBlocks: s.cfg.ADSCacheBlocks,
 	}
 }
 

@@ -30,7 +30,6 @@ package vchain
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
@@ -178,22 +177,6 @@ type Config struct {
 	// every query and subscription proves on at any shard count (the
 	// paper's SP runs 24 hyper-threads). 0 means one worker per shard.
 	SPWorkers int
-	// VerifyWorkers bounds how many goroutines the light client's
-	// batched verification flush uses. 0 means all cores (GOMAXPROCS).
-	VerifyWorkers int
-	// ProofCacheSize bounds the node's proof engine's LRU memoization
-	// cache: repeated (multiset, clause) disjointness proofs across
-	// queries, subscriptions, blocks and shards are served from it. 0
-	// means the engine default (4096 entries); negative disables
-	// caching.
-	ProofCacheSize int
-	// ShardFailureThreshold is the per-shard circuit breaker: that many
-	// consecutive backend failures quarantine the shard. 0 means the
-	// shard default (3); negative disables the breaker.
-	ShardFailureThreshold int
-	// ShardBreakerCooldown is how long a quarantined shard waits before
-	// the supervisor attempts a restart. 0 means the shard default (5s).
-	ShardBreakerCooldown time.Duration
 	// ADSCacheBlocks bounds a durable node's decoded-ADS cache to that
 	// many blocks (split across its shards), so RAM
 	// stays flat as the chain grows: blocks beyond the budget stay on
@@ -205,9 +188,6 @@ type Config struct {
 	// Seed, when non-empty, derives the accumulator trapdoor
 	// deterministically (reproducible benchmarks and tests only).
 	Seed []byte
-	// Encoder supplies the acc2 element encoder; nil means a
-	// HashEncoder over the capacity domain.
-	Encoder accumulator.ElementEncoder
 }
 
 func (c Config) withDefaults() Config {
@@ -267,10 +247,7 @@ func NewSystem(cfg Config) (*System, error) {
 			acc, err = accumulator.KeyGenCon1(pr, cfg.Capacity)
 		}
 	case "acc2":
-		enc := cfg.Encoder
-		if enc == nil {
-			enc = accumulator.HashEncoder{Q: cfg.Capacity}
-		}
+		enc := accumulator.HashEncoder{Q: cfg.Capacity}
 		if len(cfg.Seed) > 0 {
 			acc = accumulator.KeyGenCon2Deterministic(pr, cfg.Capacity, enc, cfg.Seed)
 		} else {

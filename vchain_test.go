@@ -2,6 +2,7 @@ package vchain
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -412,7 +413,7 @@ func TestFacadeRemoteSubscription(t *testing.T) {
 
 				// The same connection also answers verified one-shot
 				// queries.
-				res, err := conn.Query(Query{StartBlock: 0, EndBlock: blocks - 1, Bool: And(Or("sedan")), Width: 4}, false)
+				res, err := conn.Query(context.Background(), Query{StartBlock: 0, EndBlock: blocks - 1, Bool: And(Or("sedan")), Width: 4}, false)
 				if err != nil {
 					t.Fatal(err)
 				}
