@@ -18,6 +18,7 @@
 package vchain_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -151,7 +152,7 @@ func BenchmarkTimeWindowQuery(b *testing.B) {
 					sp := f.node.SP(false)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, err := sp.TimeWindowQuery(q); err != nil {
+						if _, err := sp.TimeWindowQuery(context.Background(), q); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -174,7 +175,7 @@ func BenchmarkTimeWindowVerify(b *testing.B) {
 				}
 				f := fixture(b, workload.FSQ, accName, mode, skip)
 				q := benchQuery(f, 7)
-				vo, err := f.node.SP(false).TimeWindowQuery(q)
+				vo, err := f.node.SP(false).TimeWindowQuery(context.Background(), q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -203,7 +204,7 @@ func BenchmarkOnlineBatchVerification(b *testing.B) {
 			name = "batched"
 		}
 		b.Run(name, func(b *testing.B) {
-			vo, err := f.node.SP(batched).TimeWindowQuery(q)
+			vo, err := f.node.SP(batched).TimeWindowQuery(context.Background(), q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -345,7 +346,7 @@ func BenchmarkSelectivity(b *testing.B) {
 			sp := f.node.SP(false)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sp.TimeWindowQuery(q); err != nil {
+				if _, err := sp.TimeWindowQuery(context.Background(), q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -366,7 +367,7 @@ func BenchmarkSkipListSize(b *testing.B) {
 			sp := f.node.SP(false)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sp.TimeWindowQuery(q); err != nil {
+				if _, err := sp.TimeWindowQuery(context.Background(), q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -399,14 +400,14 @@ func BenchmarkClusteringAblation(b *testing.B) {
 			q := ds.RandomQueries(1, workload.QueryConfig{Seed: 31})[0]
 			q.StartBlock, q.EndBlock = 0, node.Height()-1
 			sp := node.SP(false)
-			vo, err := sp.TimeWindowQuery(q)
+			vo, err := sp.TimeWindowQuery(context.Background(), q)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(vo.SizeBytes(acc)), "VO-bytes")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sp.TimeWindowQuery(q); err != nil {
+				if _, err := sp.TimeWindowQuery(context.Background(), q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -425,7 +426,7 @@ func BenchmarkSPParallelism(b *testing.B) {
 			sp := &core.SP{Acc: f.acc, View: f.node, Engine: eng}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sp.TimeWindowQuery(q); err != nil {
+				if _, err := sp.TimeWindowQuery(context.Background(), q); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -54,8 +54,7 @@ func (c *LightClient) verifier() *core.Verifier {
 // window — and returns the verified result set. It runs the batched
 // verification engine: a structural walk collects every part's
 // disjointness checks, then ONE randomized pairing-product batch
-// resolves them across all cores, so cross-shard verification costs one
-// final batch, not one per shard — several times faster than checking
+// resolves them across all cores — several times faster than checking
 // each proof's pairings individually, with identical accept/reject
 // behavior. A nil error certifies soundness and completeness.
 func (c *LightClient) Verify(q Query, parts []WindowPart) ([]Object, error) {

@@ -19,11 +19,7 @@ import (
 	"strings"
 	"time"
 
-	"github.com/vchain-go/vchain/internal/accumulator"
-	"github.com/vchain-go/vchain/internal/chain"
-	"github.com/vchain-go/vchain/internal/core"
-	"github.com/vchain-go/vchain/internal/crypto/pairing"
-	"github.com/vchain-go/vchain/internal/service"
+	"github.com/vchain-go/vchain"
 )
 
 func main() {
@@ -37,94 +33,75 @@ func main() {
 		width    = flag.Int("width", 8, "numeric bit width (must match the SP)")
 		preset   = flag.String("preset", "toy", "pairing preset (must match the SP)")
 		batched  = flag.Bool("batched", false, "request online batch verification")
-		seqVer   = flag.Bool("seq-verify", false, "use the sequential baseline verifier instead of the batched engine")
-		workers  = flag.Int("verify-workers", 0, "batched verification workers (0 = all cores)")
-		timeout  = flag.Duration("timeout", 0, "per-call deadline, propagated into the SP's proof walk (0 = SP client default)")
+		timeout  = flag.Duration("timeout", 0, "query deadline, propagated into the SP's proof walk (0 = the client's 30s per-call default)")
 		retries  = flag.Int("retries", 1, "total attempts per idempotent call (transport failures re-dial between attempts)")
-		backoff  = flag.Duration("retry-backoff", 0, "first retry's backoff ceiling, doubling with jitter (0 = default 50ms)")
 		degraded = flag.Bool("degraded", false, "accept a verified partial answer (with machine-readable gaps) when the SP has shards down")
 	)
 	flag.Parse()
 
-	pr, err := pairing.Lookup(*preset)
+	// The SP's demo System: the same seed and preset rebuild
+	// its accumulator public key.
+	sys, err := vchain.NewSystem(vchain.Config{Preset: *preset, BitWidth: *width, Seed: []byte("vchain-demo")})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vchain-query:", err)
 		os.Exit(2)
 	}
-	q := 4096
-	acc := accumulator.KeyGenCon2Deterministic(pr, q, accumulator.HashEncoder{Q: q}, []byte("vchain-demo"))
-
-	cli, err := service.Dial(*spAddr, service.ClientConfig{
-		RPCTimeout: *timeout,
-		Retry:      service.RetryPolicy{Attempts: *retries, BaseBackoff: *backoff},
-	})
+	client := sys.NewLightClient()
+	sp, err := client.DialSP(*spAddr, vchain.SPOptions{RetryAttempts: *retries})
 	if err != nil {
 		fatal(err)
 	}
-	defer cli.Close()
+	defer sp.Close()
 
-	ctx := context.Background()
-	light := chain.NewLightStore(0)
-	if err := cli.SyncHeaders(ctx, light); err != nil {
+	if err := sp.SyncHeaders(); err != nil {
 		fatal(fmt.Errorf("header sync failed (tampered chain?): %w", err))
 	}
-	fmt.Printf("synced %d headers (%d bits of light storage)\n", light.Height(), light.SizeBits())
+	fmt.Printf("synced %d headers (%d bits of light storage)\n", client.Height(), client.StorageBits())
 
 	end := *to
 	if end <= 0 {
-		end = light.Height() - 1
+		end = client.Height() - 1
 	}
-	query := core.Query{StartBlock: *from, EndBlock: end, Width: *width}
+	query := vchain.Query{StartBlock: *from, EndBlock: end, Width: *width}
 	if *keywords != "" {
-		query.Bool = core.CNF{core.KeywordClause(strings.Split(*keywords, ",")...)}
+		query.Bool = vchain.And(vchain.Or(strings.Split(*keywords, ",")...))
 	}
 	if *lo >= 0 {
-		query.Range = &core.RangeCond{Lo: []int64{*lo}, Hi: []int64{*hi}}
+		query.Range = &vchain.RangeCond{Lo: []int64{*lo}, Hi: []int64{*hi}}
 	}
 	if _, err := query.CNF(); err != nil {
 		fatal(err)
 	}
 
-	// A strict answer is one part spanning the window at every shard
-	// count. With -degraded the SP may declare gaps for the heights of
-	// shards it cannot serve, with one part per run between them; the
-	// gap claims are verified to tile the window, and all parts settle
-	// in one pairing batch.
-	var parts []core.WindowPart
-	var gaps []core.Gap
-	if *degraded {
-		parts, gaps, err = cli.QueryDegraded(ctx, query, *batched)
-	} else {
-		parts, err = cli.QueryParts(ctx, query, *batched)
+	// A strict answer is one VO spanning the window. With -degraded
+	// the SP may declare gaps for the heights of shards it cannot
+	// serve; the client verifies that the gaps and the proved parts
+	// tile the window.
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
 	}
-	if err != nil {
+	t0 := time.Now()
+	var res *vchain.DegradedResult
+	if *degraded {
+		res, err = sp.QueryDegraded(ctx, query, *batched)
+	} else {
+		res = &vchain.DegradedResult{}
+		res.Objects, err = sp.Query(ctx, query, *batched)
+	}
+	switch {
+	case errors.Is(err, vchain.ErrSoundness) || errors.Is(err, vchain.ErrCompleteness):
+		fatal(fmt.Errorf("VERIFICATION FAILED — the SP is cheating or misconfigured: %w", err))
+	case err != nil && !errors.Is(err, vchain.ErrDegraded):
 		fatal(err)
 	}
-	voBytes := 0
-	for _, p := range parts {
-		voBytes += p.VO.SizeBytes(acc)
+	if n := sp.Retries(); n > 0 {
+		fmt.Printf("transport: %d retries, %d reconnects\n", n, sp.Reconnects())
 	}
-	if len(parts) == 1 {
-		fmt.Printf("VO received: %d bytes\n", voBytes)
-	} else {
-		fmt.Printf("VO received: %d bytes in %d parts\n", voBytes, len(parts))
-	}
-	if n := cli.Retries(); n > 0 {
-		fmt.Printf("transport: %d retries, %d reconnects\n", n, cli.Reconnects())
-	}
-
-	ver := &core.Verifier{Acc: acc, Light: light, Sequential: *seqVer, Workers: *workers}
-	t0 := time.Now()
-	res, err := ver.VerifyDegraded(query, parts, gaps)
-	if err != nil && !errors.Is(err, core.ErrDegraded) {
-		fatal(fmt.Errorf("VERIFICATION FAILED — the SP is cheating or misconfigured: %w", err))
-	}
-	mode := "batched"
-	if *seqVer {
-		mode = "sequential"
-	}
-	fmt.Printf("verified %d results in %v (%s; soundness + completeness hold):\n",
-		len(res.Objects), time.Since(t0).Round(time.Microsecond), mode)
+	fmt.Printf("verified %d results in %v (soundness + completeness hold):\n",
+		len(res.Objects), time.Since(t0).Round(time.Microsecond))
 	for _, o := range res.Objects {
 		fmt.Printf("  %v\n", o)
 	}

@@ -33,9 +33,9 @@
 // query still answers one VO, byte for byte the one-shard answer,
 // proved on the node's one -workers pool. One shard is the default.
 //
-// The SP prints the deterministic system configuration that clients
-// must mirror (seed, accumulator, dataset) — in a production deployment
-// this would be chain metadata; here it keeps the demo self-contained.
+// The SP runs on the public vchain API with a deterministic System
+// (seed "vchain-demo", -preset, the dataset's width) that vchain-query
+// and vchain-subscribe rebuild from their flags: chain metadata, here.
 package main
 
 import (
@@ -48,14 +48,7 @@ import (
 	"os/signal"
 	"time"
 
-	"github.com/vchain-go/vchain/internal/accumulator"
-	"github.com/vchain-go/vchain/internal/chain"
-	"github.com/vchain-go/vchain/internal/core"
-	"github.com/vchain-go/vchain/internal/crypto/pairing"
-	"github.com/vchain-go/vchain/internal/gateway"
-	"github.com/vchain-go/vchain/internal/service"
-	"github.com/vchain-go/vchain/internal/shard"
-	"github.com/vchain-go/vchain/internal/subscribe"
+	"github.com/vchain-go/vchain"
 	"github.com/vchain-go/vchain/internal/workload"
 )
 
@@ -68,19 +61,14 @@ func main() {
 		preset   = flag.String("preset", "toy", "pairing preset")
 		seed     = flag.Int64("seed", 42, "workload seed")
 		workers  = flag.Int("workers", 4, "proof-computation workers: the one pool every query and subscription proves on, at any shard count")
-		cache    = flag.Int("proof-cache", 0, "proof cache entries (0 = default, <0 disables)")
 		interval = flag.Duration("mine-interval", 0, "keep mining one block per interval after startup (0 = off)")
 		subLazy  = flag.Bool("sub-lazy", false, "lazy subscription authentication (§7.2): defer mismatch proofs into spans")
 		subIP    = flag.Bool("sub-iptree", true, "share clause evaluation across subscriptions with the IP-tree (§7.1)")
 		subLT    = flag.Int("lazy-threshold", 0, "blocks a lazy span may stay pending (0 = engine default)")
-		maxFrame = flag.Int("max-frame", 0, "wire frame size cap in bytes (0 = default)")
 		store    = flag.String("store", "", "block store directory: blocks and ADSs persist there and are recovered on restart (empty = in-memory)")
 		adsCache = flag.Int("ads-cache", 0, "decoded-ADS cache budget in blocks for durable stores, split across shards: older ADSs stay on disk and page in on demand (0 = unbounded)")
 		shards   = flag.Int("shards", 1, "shard the SP by height range across this many shards (answers stay one VO, the same bytes at every count)")
-		band     = flag.Int("band", 0, "consecutive heights per shard band (0 = default)")
 
-		breakerN  = flag.Int("breaker-threshold", 0, "consecutive shard failures before its circuit breaker quarantines it (0 = default 3, <0 disables)")
-		breakerCD = flag.Duration("breaker-cooldown", 0, "quarantine cooldown before the supervisor retries a shard restart (0 = default 5s)")
 		supervise = flag.Duration("supervise", time.Second, "shard supervisor scan interval: restart quarantined shards from their logs (0 = off)")
 
 		httpAddr    = flag.String("http", "", "HTTP/JSON gateway address: /v1 query API plus /metrics (empty = off)")
@@ -97,36 +85,28 @@ func main() {
 		Kind: workload.Kind(*dataset), Blocks: *blocks, ObjectsPerBlock: *objs, Seed: *seed,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vchain-sp:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	pr, err := pairing.Lookup(*preset)
+	sys, err := vchain.NewSystem(vchain.Config{
+		Preset:         *preset,
+		BitWidth:       ds.Width,
+		SPWorkers:      *workers,
+		ADSCacheBlocks: *adsCache,
+		Seed:           []byte("vchain-demo"),
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vchain-sp:", err)
 		os.Exit(2)
 	}
-	// The demo derives the accumulator key deterministically so that
-	// vchain-query and vchain-subscribe can reconstruct the same
-	// public key.
-	q := 4096
-	acc := accumulator.KeyGenCon2Deterministic(pr, q, accumulator.HashEncoder{Q: q}, []byte("vchain-demo"))
-	builder := &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: ds.Width}
-	opts := shard.Options{
-		Shards: *shards, Band: *band, Workers: *workers, CacheSize: *cache,
-		ADSCacheBlocks:   *adsCache,
-		FailureThreshold: *breakerN, BreakerCooldown: *breakerCD,
-	}
-	var node *shard.Node
+	var node *vchain.Node
 	if *store != "" {
 		// Durable SP: reopen every shard's segmented log (each
 		// recovering its own torn tail) and resume from the last height
 		// all shards agree on instead of re-mining.
-		var rep *shard.RecoveryReport
-		node, rep, err = shard.Open(0, builder, *store, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vchain-sp:", err)
-			os.Exit(1)
+		if node, err = sys.OpenNode(*store, *shards); err != nil {
+			fatal(err)
 		}
+		rep := node.Recovery()
 		for _, sr := range rep.Shards {
 			switch {
 			case sr.Log.Truncated || sr.Dropped > 0:
@@ -140,91 +120,68 @@ func main() {
 			fmt.Printf("store %s: resumed at height %d across %d shards\n", *store, rep.Blocks, node.Shards())
 		}
 	} else {
-		node = shard.New(0, builder, opts)
+		node = sys.NewNode(*shards)
 	}
 	defer node.Close()
-	mined := node.Height()
-	mine := func(objs []chain.Object) error {
-		if _, err := node.MineBlock(objs, int64(mined)); err != nil {
-			return err
-		}
-		mined++
-		return nil
+	mine := func() error {
+		h := node.Height()
+		_, _, err := node.Mine(ds.Blocks[h%len(ds.Blocks)], int64(h))
+		return err
 	}
-	if mined < *blocks {
-		fmt.Printf("mining %d blocks of %s (%d objects each)...\n", *blocks-mined, *dataset, *objs)
+	if h := node.Height(); h < *blocks {
+		fmt.Printf("mining %d blocks of %s (%d objects each)...\n", *blocks-h, *dataset, *objs)
 	}
-	for mined < *blocks {
-		if err := mine(ds.Blocks[mined%len(ds.Blocks)]); err != nil {
-			fmt.Fprintln(os.Stderr, "vchain-sp:", err)
-			os.Exit(1)
+	for node.Height() < *blocks {
+		if err := mine(); err != nil {
+			fatal(err)
 		}
 	}
-	srv := service.NewServer(node, service.ServerConfig{
-		MaxFrame: *maxFrame,
-		Subscriptions: subscribe.Options{
-			UseIPTree:     *subIP,
-			Lazy:          *subLazy,
-			LazyThreshold: *subLT,
-			Dims:          ds.Dims,
-			Width:         ds.Width,
-		},
+	sp, err := node.Serve(*listen, vchain.SubscribeOptions{
+		UseIPTree:     *subIP,
+		Lazy:          *subLazy,
+		LazyThreshold: *subLT,
+		Dims:          ds.Dims,
 	})
-	addr, err := srv.Serve(*listen)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vchain-sp:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Printf("serving on %s  (dataset=%s blocks=%d preset=%s seed=%d width=%d shards=%d)\n",
-		addr, *dataset, *blocks, *preset, *seed, ds.Width, *shards)
-	fmt.Println("query with:     vchain-query -sp", addr, "-preset", *preset, "-width", ds.Width)
-	fmt.Println("subscribe with: vchain-subscribe -sp", addr, "-preset", *preset, "-width", ds.Width)
+		sp.Addr(), *dataset, *blocks, *preset, *seed, ds.Width, node.Shards())
+	fmt.Println("query with:     vchain-query -sp", sp.Addr(), "-preset", *preset, "-width", ds.Width)
+	fmt.Println("subscribe with: vchain-subscribe -sp", sp.Addr(), "-preset", *preset, "-width", ds.Width)
 
 	// HTTP front door: the JSON query API with per-tenant admission
 	// control, and/or a standalone scrape-only metrics listener. Both
 	// draw from one gateway (one metric registry) layered over the same
 	// node the gob endpoint serves.
-	var gw *gateway.Gateway
 	if *httpAddr != "" || *metricsAddr != "" {
-		var tenants []gateway.Tenant
+		var tenants []vchain.GatewayTenant
 		if *tenantsFile != "" {
-			tenants, err = gateway.LoadTenants(*tenantsFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "vchain-sp:", err)
-				os.Exit(1)
+			if tenants, err = vchain.LoadGatewayTenants(*tenantsFile); err != nil {
+				fatal(err)
 			}
 		}
-		gw, err = gateway.New(node, gateway.Config{
+		gw, err := node.ServeGateway(*httpAddr, vchain.GatewayConfig{
 			Tenants:     tenants,
 			TenantRate:  *rate,
 			TenantBurst: *burst,
 			GlobalRate:  *globalRate,
 			MaxInflight: *inflight,
 			Logger:      slog.New(slog.NewTextHandler(os.Stdout, nil)),
-			ServiceCounters: map[string]func() int64{
-				"evictions": func() int64 { return int64(srv.Evictions()) },
-			},
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "vchain-sp:", err)
-			os.Exit(1)
+			fatal(err)
 		}
+		defer gw.Close()
 		if *httpAddr != "" {
-			haddr, err := gw.Serve(*httpAddr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "vchain-sp:", err)
-				os.Exit(1)
-			}
-			defer gw.Close()
 			fmt.Printf("gateway on http://%s  (tenants=%d rate=%g inflight=%d)\n",
-				haddr, len(tenants), *rate, *inflight)
-			fmt.Printf("scrape with:    curl http://%s/metrics\n", haddr)
+				gw.Addr(), len(tenants), *rate, *inflight)
+			fmt.Printf("scrape with:    curl http://%s/metrics\n", gw.Addr())
 		}
 		if *metricsAddr != "" {
 			mln, err := net.Listen("tcp", *metricsAddr)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "vchain-sp:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			msrv := &http.Server{Handler: gw.MetricsHandler(), ReadHeaderTimeout: 10 * time.Second}
 			go msrv.Serve(mln)
@@ -241,14 +198,13 @@ func main() {
 	if *supervise > 0 {
 		stop := node.Supervise(*supervise)
 		defer stop()
-		fmt.Printf("supervising %d shards every %v (breaker: %d failures, %v cooldown)\n",
-			node.Shards(), *supervise, *breakerN, *breakerCD)
+		fmt.Printf("supervising %d shards every %v\n", node.Shards(), *supervise)
 	}
 
 	if *interval > 0 {
 		// Continuous mining: cycle the dataset's blocks so subscribers
-		// keep receiving publications. ProcessBlock fans each block's
-		// due publications out to every connected subscriber.
+		// keep receiving publications. Mine fans each block's due
+		// publications out to every connected subscriber.
 		ticker := time.NewTicker(*interval)
 		defer ticker.Stop()
 		fmt.Printf("mining one block every %v (ctrl-C to stop)\n", *interval)
@@ -256,16 +212,9 @@ func main() {
 		for {
 			select {
 			case <-ticker.C:
-				if err := mine(ds.Blocks[mined%len(ds.Blocks)]); err != nil {
+				if err := mine(); err != nil {
 					fmt.Fprintln(os.Stderr, "vchain-sp: mining:", err)
 					break loop
-				}
-				if err := srv.ProcessBlock(mined - 1); err != nil {
-					fmt.Fprintln(os.Stderr, "vchain-sp: fan-out:", err)
-					break loop
-				}
-				if subs := srv.Subscriptions(); len(subs) > 0 {
-					fmt.Printf("height %d mined; %d subscription(s) processed\n", mined-1, len(subs))
 				}
 			case <-ch:
 				break loop
@@ -274,7 +223,7 @@ func main() {
 	} else {
 		<-ch
 	}
-	srv.Close()
+	sp.Close()
 
 	st := node.ProofStats()
 	fmt.Printf("proof engine: %d proofs computed, %d cache hits / %d misses (%.1f%% hit rate), %d agg groups, %d errors\n",
@@ -287,11 +236,12 @@ func main() {
 		trips += ss.BreakerTrips
 	}
 	fmt.Printf("fault tolerance: %d shard restarts, %d breaker trips\n", restarts, trips)
-	if ev := srv.Evictions(); ev > 0 {
+	if ev := sp.Evictions(); ev > 0 {
 		fmt.Printf("slow consumers evicted: %d\n", ev)
 	}
-	if gw != nil {
-		fmt.Printf("gateway: %d requests served, %d VO bytes shipped\n",
-			gw.RequestsServed(), gw.VOBytesServed())
-	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "vchain-sp:", err)
+	os.Exit(1)
 }

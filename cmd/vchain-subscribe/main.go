@@ -16,18 +16,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"strings"
 
-	"github.com/vchain-go/vchain/internal/accumulator"
-	"github.com/vchain-go/vchain/internal/chain"
-	"github.com/vchain-go/vchain/internal/core"
-	"github.com/vchain-go/vchain/internal/crypto/pairing"
-	"github.com/vchain-go/vchain/internal/service"
+	"github.com/vchain-go/vchain"
 )
 
 func main() {
@@ -42,84 +37,68 @@ func main() {
 	)
 	flag.Parse()
 
-	pr, err := pairing.Lookup(*preset)
+	// The SP's demo System: the same seed and preset rebuild
+	// its accumulator public key.
+	sys, err := vchain.NewSystem(vchain.Config{Preset: *preset, BitWidth: *width, Seed: []byte("vchain-demo")})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vchain-subscribe:", err)
 		os.Exit(2)
 	}
-	q := 4096
-	acc := accumulator.KeyGenCon2Deterministic(pr, q, accumulator.HashEncoder{Q: q}, []byte("vchain-demo"))
 
-	query := core.Query{Width: *width}
+	query := vchain.Query{Width: *width}
 	if *keywords != "" {
-		query.Bool = core.CNF{core.KeywordClause(strings.Split(*keywords, ",")...)}
+		query.Bool = vchain.And(vchain.Or(strings.Split(*keywords, ",")...))
 	}
 	if *lo >= 0 {
-		query.Range = &core.RangeCond{Lo: []int64{*lo}, Hi: []int64{*hi}}
+		query.Range = &vchain.RangeCond{Lo: []int64{*lo}, Hi: []int64{*hi}}
 	}
 	if _, err := query.CNF(); err != nil {
 		fatal(err)
 	}
 
-	cli, err := service.Dial(*spAddr)
+	client := sys.NewLightClient()
+	sp, err := client.DialSP(*spAddr)
 	if err != nil {
 		fatal(err)
 	}
-	defer cli.Close()
+	defer sp.Close()
 
-	light := chain.NewLightStore(0)
-	sub, err := cli.SubscribeCtx(context.Background(), query, service.SubscribeConfig{Acc: acc, Light: light})
+	sub, err := sp.Subscribe(query)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("subscribed (id %d); streaming verified publications...\n", sub.ID)
 
+	// An interrupt or the -count'th publication closes the stream; the
+	// loop still drains the final flush (lazy mode) before C closes.
 	interrupt := make(chan os.Signal, 1)
 	signal.Notify(interrupt, os.Interrupt)
-
+	go func() {
+		<-interrupt
+		sub.Close()
+	}()
 	received, results := 0, 0
-	for {
-		select {
-		case d, ok := <-sub.C:
-			if !ok {
-				if err := sub.Err(); err != nil {
-					fatal(fmt.Errorf("stream ended abnormally after %d publications: %w", received, err))
-				}
-				fmt.Printf("stream ended: %d publications, %d verified results\n", received, results)
-				return
+	for d := range sub.C {
+		if d.Err != nil {
+			fatal(fmt.Errorf("VERIFICATION FAILED — the SP is cheating or misconfigured: %w", d.Err))
+		}
+		received++
+		results += len(d.Objects)
+		fmt.Printf("publication [%d,%d]: %d matching objects (verified; %d headers synced)\n",
+			d.Pub.From, d.Pub.To, len(d.Objects), client.Height())
+		for _, o := range d.Objects {
+			fmt.Printf("  %v\n", o)
+		}
+		if received == *count {
+			if err := sub.Close(); err != nil {
+				fatal(err)
 			}
-			if d.Err != nil {
-				fatal(fmt.Errorf("VERIFICATION FAILED — the SP is cheating or misconfigured: %w", d.Err))
-			}
-			received++
-			results += len(d.Objects)
-			fmt.Printf("publication [%d,%d]: %d matching objects (verified; %d headers synced)\n",
-				d.Pub.From, d.Pub.To, len(d.Objects), light.Height())
-			for _, o := range d.Objects {
-				fmt.Printf("  %v\n", o)
-			}
-			if *count > 0 && received >= *count {
-				if err := sub.Close(); err != nil {
-					fatal(err)
-				}
-				// Drain the final flush (lazy mode) before exiting.
-				for d := range sub.C {
-					if d.Err != nil {
-						fatal(fmt.Errorf("VERIFICATION FAILED on final span: %w", d.Err))
-					}
-					results += len(d.Objects)
-					fmt.Printf("final span [%d,%d]: %d matching objects (verified)\n",
-						d.Pub.From, d.Pub.To, len(d.Objects))
-				}
-				fmt.Printf("done: %d publications, %d verified results\n", received, results)
-				return
-			}
-		case <-interrupt:
-			sub.Close()
-			fmt.Printf("interrupted: %d publications, %d verified results\n", received, results)
-			return
 		}
 	}
+	if err := sub.Err(); err != nil {
+		fatal(fmt.Errorf("stream ended abnormally after %d publications: %w", received, err))
+	}
+	fmt.Printf("done: %d publications, %d verified results\n", received, results)
 }
 
 func fatal(err error) {

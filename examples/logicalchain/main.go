@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"log"
@@ -126,7 +127,7 @@ func main() {
 	// “blockchain” ∧ (“query” ∨ “search”) as in the paper's patent
 	// example (§1), over the logical blocks.
 	sp := &core.SP{Acc: acc, View: contract, Engine: proofs.New(acc, proofs.Options{})}
-	vo, err := sp.TimeWindowQuery(core.Query{
+	vo, err := sp.TimeWindowQuery(context.Background(), core.Query{
 		StartBlock: 0,
 		EndBlock:   len(contract.byHeight) - 1,
 		Bool:       core.CNF{core.KeywordClause("blockchain"), core.KeywordClause("query", "search")},

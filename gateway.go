@@ -2,6 +2,7 @@ package vchain
 
 import (
 	"log/slog"
+	"net/http"
 
 	"github.com/vchain-go/vchain/internal/gateway"
 )
@@ -36,14 +37,18 @@ type GatewayConfig struct {
 	Logger *slog.Logger
 }
 
-// GatewayHandle is a running HTTP gateway endpoint.
+// GatewayHandle is a node's HTTP gateway (Node.ServeGateway).
 type GatewayHandle struct {
 	gw   *gateway.Gateway
 	addr string
 }
 
-// Addr returns the bound listen address.
+// Addr returns the bound listen address ("" without a listener).
 func (h *GatewayHandle) Addr() string { return h.addr }
+
+// MetricsHandler returns the scrape-only surface (/metrics, /healthz)
+// over the gateway's one registry, for a listener off the query network.
+func (h *GatewayHandle) MetricsHandler() http.Handler { return h.gw.MetricsHandler() }
 
 // Close stops the gateway and its open connections (the node keeps
 // running; any gob endpoint is unaffected).
@@ -54,7 +59,8 @@ func (h *GatewayHandle) Close() error { return h.gw.Close() }
 // time-window queries (each answer part carries its canonical VO
 // bytes for external verification), and scrapers read Prometheus-style
 // metrics on /metrics, including per-shard health, failure, and restart
-// counters as vchain_shard_* families. A gateway runs alongside any gob
+// counters as vchain_shard_* families; an empty addr builds it without
+// a listener, for MetricsHandler alone. A gateway runs alongside any gob
 // endpoint (Serve); the two share the node and its proof engines. The
 // exported vchain_service_evictions_total counter tracks the gob
 // endpoint's slow-consumer evictions when one is attached.
@@ -80,9 +86,11 @@ func (n *Node) ServeGateway(addr string, cfg GatewayConfig) (*GatewayHandle, err
 	if err != nil {
 		return nil, err
 	}
-	bound, err := gw.Serve(addr)
-	if err != nil {
-		return nil, err
+	h := &GatewayHandle{gw: gw}
+	if addr != "" {
+		if h.addr, err = gw.Serve(addr); err != nil {
+			return nil, err
+		}
 	}
-	return &GatewayHandle{gw: gw, addr: bound}, nil
+	return h, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -73,4 +74,43 @@ func TestFacadeServeGateway(t *testing.T) {
 		defer h.Close()
 		run(t, h)
 	})
+}
+
+// TestFacadeGatewayMetricsOnly: ServeGateway with an empty address
+// opens no listener, and the handle's MetricsHandler serves the scrape
+// surface alone — node counters on /metrics, no /v1 query route.
+func TestFacadeGatewayMetricsOnly(t *testing.T) {
+	sys := testSystem(t, "acc2", IndexBoth)
+	node := sys.NewNode(1)
+	defer node.Close()
+	mine(t, node, 0, 3)
+	h, err := node.ServeGateway("", GatewayConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if h.Addr() != "" {
+		t.Fatalf("gateway without a listener reports address %q", h.Addr())
+	}
+	srv := httptest.NewServer(h.MetricsHandler())
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(buf.String(), "vchain_proofs_total") {
+		t.Fatalf("/metrics status %d without the proof counter:\n%s", resp.StatusCode, buf.String())
+	}
+	resp, err = http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("scrape-only handler answered /v1/query with %d", resp.StatusCode)
+	}
 }

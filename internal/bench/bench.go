@@ -9,6 +9,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -254,7 +255,7 @@ func runWindowQueries(s *setup, queries []core.Query, start, end int, batched bo
 	for _, q := range queries {
 		q.StartBlock, q.EndBlock = start, end
 		t0 := time.Now()
-		vo, err := sp.TimeWindowQuery(q)
+		vo, err := sp.TimeWindowQuery(context.Background(), q)
 		if err != nil {
 			return windowMetrics{}, err
 		}

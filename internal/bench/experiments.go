@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -322,7 +323,7 @@ func VerifyBatchFig(kind workload.Kind, o Options) (*Table, error) {
 			for i, q := range queries {
 				q.StartBlock, q.EndBlock = start, end
 				qs[i] = q
-				if vos[i], err = s.node.SP(false).TimeWindowQuery(q); err != nil {
+				if vos[i], err = s.node.SP(false).TimeWindowQuery(context.Background(), q); err != nil {
 					return nil, err
 				}
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/chain"
@@ -35,7 +36,7 @@ func clusteredVsPositional(t *testing.T, noCluster bool) int {
 		t.Fatal(err)
 	}
 	q := Query{StartBlock: 0, EndBlock: 3, Bool: CNF{KeywordClause("classA")}, Width: testWidth}
-	vo, err := node.SP(false).TimeWindowQuery(q)
+	vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

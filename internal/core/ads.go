@@ -165,8 +165,6 @@ type BlockADS struct {
 	// objects' W', so the root's multiset), the unit aggregated by skip
 	// entries.
 	BlockW multiset.Multiset
-	// BlockDigest is acc(BlockW) (equals Root.Digest in indexed modes).
-	BlockDigest accumulator.Acc
 	// Skips holds the inter-block entries (empty unless ModeBoth).
 	Skips []SkipEntry
 }
@@ -274,21 +272,10 @@ func (b *Builder) BuildBlock(height int, objs []chain.Object, view ChainView) (*
 	if err != nil {
 		return nil, err
 	}
-	var blockDig accumulator.Acc
-	if indexed {
-		blockDig = root.Digest
-	} else {
-		blockDig, err = b.Acc.Setup(blockW)
-		if err != nil {
-			return nil, fmt.Errorf("core: block digest: %w", err)
-		}
-	}
-
 	ads := &BlockADS{
-		Height:      height,
-		Root:        root,
-		BlockW:      blockW,
-		BlockDigest: blockDig,
+		Height: height,
+		Root:   root,
+		BlockW: blockW,
 	}
 
 	if b.Mode == ModeBoth {
@@ -404,7 +391,8 @@ func (a *BlockADS) SkipSpans(view ChainView, top int, more func(w multiset.Multi
 // entry exists only when d prior-or-current blocks [h−d+1, h] all exist
 // (h−d ≥ −1 is not enough: the landing block h−d must exist too, except
 // for the exact-genesis landing d = h+1 which has no use and is
-// skipped).
+// skipped). It runs in ModeBoth only, where every block's Root.Digest
+// is acc(BlockW).
 func (b *Builder) buildSkips(ads *BlockADS, view ChainView) error {
 	h := ads.Height
 	for _, d := range SkipDistances(b.SkipSize) {
@@ -415,7 +403,7 @@ func (b *Builder) buildSkips(ads *BlockADS, view ChainView) error {
 		// Aggregate blocks [h-d+1, h]: the current block plus d−1
 		// predecessors.
 		sum := ads.BlockW.Clone()
-		accs := []accumulator.Acc{ads.BlockDigest}
+		accs := []accumulator.Acc{ads.Root.Digest}
 		ok := true
 		for j := h - d + 1; j < h; j++ {
 			prev, err := view.ADSAt(j)
@@ -427,7 +415,7 @@ func (b *Builder) buildSkips(ads *BlockADS, view ChainView) error {
 				break
 			}
 			sum = multiset.Sum(sum, prev.BlockW)
-			accs = append(accs, prev.BlockDigest)
+			accs = append(accs, prev.Root.Digest)
 		}
 		if !ok {
 			continue

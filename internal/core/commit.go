@@ -98,9 +98,14 @@ func DecodeChainRecordADS(data []byte) (*BlockADS, error) {
 
 // VerifyADSCommitments checks a decoded ADS against an
 // already-validated header: presence, height alignment, and the two
-// root commitments. It is the half of commit validation a lazy reopen
-// defers — the paged sources run it at page-in, so a tampered stored
-// ADS surfaces exactly as it would have at an eager open.
+// root commitments. The intra-index root is rebuilt bottom-up from the
+// leaves' objects and the stored digests, and every stored node hash
+// must equal its rebuilt one. It is the half of commit validation a
+// lazy reopen defers — the paged sources run it at page-in, so a
+// tampered stored ADS surfaces exactly as it would have at an eager
+// open. The multisets (leaf W, BlockW) are not re-derived: the header
+// does not commit them, and a wrong one only makes the SP send proofs
+// that clients reject.
 func VerifyADSCommitments(b *Builder, hdr chain.Header, height int, ads *BlockADS) error {
 	if ads == nil || ads.Root == nil {
 		return fmt.Errorf("core: block %d missing ADS", height)
@@ -108,11 +113,43 @@ func VerifyADSCommitments(b *Builder, hdr chain.Header, height int, ads *BlockAD
 	if ads.Height != height {
 		return fmt.Errorf("core: ADS height %d does not match block %d", ads.Height, height)
 	}
+	if err := b.rehash(ads.Root); err != nil {
+		return fmt.Errorf("core: block %d ADS: %w", height, err)
+	}
 	if ads.MerkleRoot() != hdr.MerkleRoot {
 		return fmt.Errorf("core: block %d ADS root does not match header", height)
 	}
 	if got := ads.SkipListRoot(b.Acc); got != hdr.SkipListRoot {
 		return fmt.Errorf("core: block %d skip root does not match header", height)
+	}
+	return nil
+}
+
+// rehash recomputes n's hash from its subtree — a leaf's object, the
+// children's recomputed hashes, and the stored digests — and fails if
+// the stored Hash of n or of any node below differs from it.
+func (b *Builder) rehash(n *IntraNode) error {
+	var pre chain.Digest
+	switch {
+	case n.IsLeaf():
+		pre = leafPreHash(n.Obj.Hash())
+	case n.Left == nil || n.Right == nil:
+		return fmt.Errorf("internal index node without two children")
+	default:
+		if err := b.rehash(n.Left); err != nil {
+			return err
+		}
+		if err := b.rehash(n.Right); err != nil {
+			return err
+		}
+		pre = internalPreHash(n.Left.Hash, n.Right.Hash)
+	}
+	h := pre
+	if n.HasDigest {
+		h = nodeHash(pre, b.Acc.AccBytes(n.Digest))
+	}
+	if h != n.Hash {
+		return fmt.Errorf("index node hash does not match its contents")
 	}
 	return nil
 }

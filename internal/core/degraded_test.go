@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -31,7 +32,7 @@ func degradedAnswer(t *testing.T, node *FullNode, q Query, gaps []Gap) []WindowP
 		if h == q.StartBlock || inGap(h-1) {
 			sub := q
 			sub.StartBlock, sub.EndBlock = h, end
-			vo, err := node.SP(false).TimeWindowQuery(sub)
+			vo, err := node.SP(false).TimeWindowQuery(context.Background(), sub)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -63,7 +64,7 @@ func TestEndToEndAllModesAndAccs(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", accName, mode), func(t *testing.T) {
 				node, light := buildTestChain(t, acc, mode, 3)
 				q := sedanBenzQuery(0, 2)
-				vo, err := node.SP(false).TimeWindowQuery(q)
+				vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +96,7 @@ func TestEndToEndRangeQuery(t *testing.T) {
 		Range: &RangeCond{Lo: []int64{3}, Hi: []int64{5}},
 		Width: testWidth,
 	}
-	vo, err := node.SP(false).TimeWindowQuery(q)
+	vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestEndToEndCombinedRangeAndBoolean(t *testing.T) {
 		Bool:  CNF{KeywordClause("benz")},
 		Width: testWidth,
 	}
-	vo, err := node.SP(false).TimeWindowQuery(q)
+	vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestEndToEndNoResults(t *testing.T) {
 					Bool:  CNF{KeywordClause("tesla")},
 					Width: testWidth,
 				}
-				vo, err := node.SP(false).TimeWindowQuery(q)
+				vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -175,7 +176,7 @@ func TestEndToEndBatchVerification(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, light := buildTestChain(t, acc, ModeIntra, 4)
 	q := sedanBenzQuery(0, 3)
-	vo, err := node.SP(true).TimeWindowQuery(q) // batch on
+	vo, err := node.SP(true).TimeWindowQuery(context.Background(), q) // batch on
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestEndToEndBatchVerification(t *testing.T) {
 		t.Fatalf("got %d results, want 4", len(results))
 	}
 	// Batch mode should shrink the VO relative to individual proofs.
-	voPlain, err := node.SP(false).TimeWindowQuery(q)
+	voPlain, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestBatchIgnoredForAcc1(t *testing.T) {
 	acc := testAccs(t)["acc1"]
 	node, light := buildTestChain(t, acc, ModeIntra, 2)
 	q := sedanBenzQuery(0, 1)
-	vo, err := node.SP(true).TimeWindowQuery(q) // batch requested but unsupported
+	vo, err := node.SP(true).TimeWindowQuery(context.Background(), q) // batch requested but unsupported
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestTamperedResultObjectRejected(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, light := buildTestChain(t, acc, ModeIntra, 2)
 	q := sedanBenzQuery(0, 1)
-	vo, err := node.SP(false).TimeWindowQuery(q)
+	vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestOmittedResultRejected(t *testing.T) {
 		t.Run(accName, func(t *testing.T) {
 			node, light := buildTestChain(t, acc, ModeIntra, 1)
 			q := sedanBenzQuery(0, 0)
-			vo, err := node.SP(false).TimeWindowQuery(q)
+			vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,7 +323,7 @@ func TestTruncatedVORejected(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, light := buildTestChain(t, acc, ModeIntra, 3)
 	q := sedanBenzQuery(0, 2)
-	vo, err := node.SP(false).TimeWindowQuery(q)
+	vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func TestForeignClauseRejected(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, light := buildTestChain(t, acc, ModeIntra, 1)
 	q := sedanBenzQuery(0, 0)
-	vo, err := node.SP(false).TimeWindowQuery(q)
+	vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +385,7 @@ func TestSkipTamperingRejected(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, light := buildTestChain(t, acc, ModeBoth, 8)
 	q := Query{StartBlock: 0, EndBlock: 7, Bool: CNF{KeywordClause("tesla")}, Width: testWidth}
-	vo, err := node.SP(false).TimeWindowQuery(q)
+	vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,21 +401,21 @@ func TestSkipTamperingRejected(t *testing.T) {
 	}
 
 	// (a) Tamper with the landing hash: teleport attack.
-	voA, _ := node.SP(false).TimeWindowQuery(q)
+	voA, _ := node.SP(false).TimeWindowQuery(context.Background(), q)
 	voA.Blocks[skipIdx].Skip.PrevHash[0] ^= 0xFF
 	if _, err := (&Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, voA); err == nil {
 		t.Fatal("teleporting skip accepted")
 	}
 
 	// (b) Tamper with the skip digest.
-	voB, _ := node.SP(false).TimeWindowQuery(q)
+	voB, _ := node.SP(false).TimeWindowQuery(context.Background(), q)
 	voB.Blocks[skipIdx].Skip.Digest = accumulator.Acc{}
 	if _, err := (&Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, voB); err == nil {
 		t.Fatal("forged skip digest accepted")
 	}
 
 	// (c) Overstate the distance (skip more blocks than proven).
-	voC, _ := node.SP(false).TimeWindowQuery(q)
+	voC, _ := node.SP(false).TimeWindowQuery(context.Background(), q)
 	voC.Blocks[skipIdx].Skip.Distance *= 2
 	if _, err := (&Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, voC); err == nil {
 		t.Fatal("overstated skip distance accepted")
@@ -425,7 +426,7 @@ func TestWindowBeyondChainRejected(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, light := buildTestChain(t, acc, ModeIntra, 2)
 	q := sedanBenzQuery(0, 5) // chain has only 2 blocks
-	if _, err := node.SP(false).TimeWindowQuery(q); err == nil {
+	if _, err := node.SP(false).TimeWindowQuery(context.Background(), q); err == nil {
 		t.Error("SP accepted out-of-range window")
 	}
 	_, err := (&Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, &VO{})
@@ -438,7 +439,7 @@ func TestVOSizePositiveAndOrdered(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, _ := buildTestChain(t, acc, ModeIntra, 3)
 	q := sedanBenzQuery(0, 2)
-	vo, err := node.SP(false).TimeWindowQuery(q)
+	vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +448,7 @@ func TestVOSizePositiveAndOrdered(t *testing.T) {
 	}
 	// Larger window, larger VO.
 	q1 := sedanBenzQuery(0, 0)
-	vo1, _ := node.SP(false).TimeWindowQuery(q1)
+	vo1, _ := node.SP(false).TimeWindowQuery(context.Background(), q1)
 	if vo1.SizeBytes(acc) >= vo.SizeBytes(acc) {
 		t.Error("VO size should grow with the window")
 	}

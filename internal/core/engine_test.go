@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/proofs"
@@ -17,7 +18,7 @@ func TestEngineVOEquivalence(t *testing.T) {
 			ver := &Verifier{Acc: acc, Light: light}
 
 			// Reference: a fresh uncached engine.
-			ref, err := (&SP{Acc: acc, View: node, Engine: proofs.New(acc, proofs.Options{CacheSize: -1})}).TimeWindowQuery(q)
+			ref, err := (&SP{Acc: acc, View: node, Engine: proofs.New(acc, proofs.Options{CacheSize: -1})}).TimeWindowQuery(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -30,10 +31,10 @@ func TestEngineVOEquivalence(t *testing.T) {
 			// almost entirely from the cache.
 			eng := proofs.New(acc, proofs.Options{Workers: 2})
 			sp := &SP{Acc: acc, View: node, Engine: eng}
-			if _, err := sp.TimeWindowQuery(q); err != nil {
+			if _, err := sp.TimeWindowQuery(context.Background(), q); err != nil {
 				t.Fatal(err)
 			}
-			warm, err := sp.TimeWindowQuery(q)
+			warm, err := sp.TimeWindowQuery(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +73,7 @@ func TestBatchedEngineEquivalence(t *testing.T) {
 	sp := &SP{Acc: acc, View: node, Batch: true, Engine: eng}
 	var sizes []int
 	for i := 0; i < 2; i++ {
-		vo, err := sp.TimeWindowQuery(q)
+		vo, err := sp.TimeWindowQuery(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +116,7 @@ func BenchmarkRepeatedWindowQuery(b *testing.B) {
 			eng := proofs.New(acc, proofs.Options{Workers: 1, CacheSize: cfg.cache})
 			sp := &SP{Acc: acc, View: node, Engine: eng}
 			// Warm once so both variants measure steady state.
-			vo, err := sp.TimeWindowQuery(q)
+			vo, err := sp.TimeWindowQuery(context.Background(), q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -124,7 +125,7 @@ func BenchmarkRepeatedWindowQuery(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sp.TimeWindowQuery(q); err != nil {
+				if _, err := sp.TimeWindowQuery(context.Background(), q); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -41,7 +42,7 @@ func FuzzVODecode(f *testing.F) {
 				f.Fatal(err)
 			}
 		}
-		vo, err := node.SP(acc.SupportsAgg()).TimeWindowQuery(sedanBenzQuery(0, 1))
+		vo, err := node.SP(acc.SupportsAgg()).TimeWindowQuery(context.Background(), sedanBenzQuery(0, 1))
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -9,6 +11,7 @@ import (
 
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/multiset"
+	"github.com/vchain-go/vchain/internal/storage"
 )
 
 // TestPagedReopenServesIdenticalVO checks the tiering acceptance
@@ -29,7 +32,7 @@ func TestPagedReopenServesIdenticalVO(t *testing.T) {
 		}
 	}
 	q := sedanBenzQuery(0, blocks-1)
-	warmVO, err := warm.SP(false).TimeWindowQuery(q)
+	warmVO, err := warm.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +42,7 @@ func TestPagedReopenServesIdenticalVO(t *testing.T) {
 	}
 
 	paged := openTestNode(t, b, dir, WithADSCache(2))
-	pagedVO, err := paged.SP(false).TimeWindowQuery(q)
+	pagedVO, err := paged.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +106,7 @@ func TestPagedConcurrentQueriesAndMining(t *testing.T) {
 				// different residency sets.
 				start := (g + i) % (blocks / 2)
 				q := sedanBenzQuery(start, start+blocks/2-1)
-				vo, err := node.SP(false).TimeWindowQuery(q)
+				vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 				if err != nil {
 					t.Errorf("goroutine %d query %d: %v", g, i, err)
 					return
@@ -163,7 +166,7 @@ func TestPagedSingleFlightDecodes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := node.SP(false).TimeWindowQuery(q); err != nil {
+			if _, err := node.SP(false).TimeWindowQuery(context.Background(), q); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -219,7 +222,7 @@ func TestMemoryBoundedReopenSmoke(t *testing.T) {
 	// Serve a verified query over a recent window: pages in a working
 	// set, evicting as it goes.
 	q := sedanBenzQuery(blocks-64, blocks-1)
-	vo, err := node.SP(false).TimeWindowQuery(q)
+	vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +278,7 @@ func TestSkipSpansFromEvictedBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{StartBlock: 0, EndBlock: blocks - 1, Bool: CNF{KeywordClause("tesla")}, Width: testWidth}
-	warmVO, err := warm.SP(false).TimeWindowQuery(q)
+	warmVO, err := warm.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +311,7 @@ func TestSkipSpansFromEvictedBlocks(t *testing.T) {
 		}
 	}
 
-	pagedVO, err := paged.SP(false).TimeWindowQuery(q)
+	pagedVO, err := paged.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,5 +327,89 @@ func TestSkipSpansFromEvictedBlocks(t *testing.T) {
 	}
 	if st := paged.ADSStats(); st.Entries > 1 {
 		t.Fatalf("cache holds %d entries, budget is 1", st.Entries)
+	}
+}
+
+// TestPagedRejectsTamperedRecord rewrites one record of a backend that
+// keeps no checksums, re-encoded so that it decodes cleanly: a leaf's
+// object or a leaf's digest changes while every stored hash stays as
+// mined. The reopened node must refuse that ADS at page-in and still
+// serve the untouched heights.
+func TestPagedRejectsTamperedRecord(t *testing.T) {
+	acc := testAccs(t)["acc2"]
+	b := &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 2, Width: testWidth}
+	mem := storage.NewMemory()
+	node, err := NewFullNodeOn(0, b, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blocks, target = 3, 1
+	for i := 0; i < blocks; i++ {
+		if _, err := node.MineBlock(carObjects(uint64(i*10)), int64(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaves := func(ads *BlockADS) (first, last *IntraNode) {
+		first, last = ads.Root, ads.Root
+		for !first.IsLeaf() {
+			first = first.Left
+		}
+		for !last.IsLeaf() {
+			last = last.Right
+		}
+		return first, last
+	}
+	cases := map[string]func(ads *BlockADS){
+		"leaf object": func(ads *BlockADS) {
+			l, _ := leaves(ads)
+			l.Obj.W = []string{"tampered"}
+		},
+		"leaf digest": func(ads *BlockADS) {
+			l, r := leaves(ads)
+			if bytes.Equal(acc.AccBytes(l.Digest), acc.AccBytes(r.Digest)) {
+				t.Fatal("fixture leaves share a digest")
+			}
+			l.Digest, r.Digest = r.Digest, l.Digest
+		},
+	}
+	for name, tamper := range cases {
+		t.Run(name, func(t *testing.T) {
+			tampered := storage.NewMemory()
+			for h := 0; h < mem.Len(); h++ {
+				rec, err := mem.Read(h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if h == target {
+					blk, err := decodeRecordBlock(rec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ads, err := DecodeChainRecordADS(rec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tamper(ads)
+					if rec, err = EncodeChainRecord(blk, ads); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tampered.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reopened, err := NewFullNodeOn(0, b, tampered)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := reopened.ADSAt(target); err == nil {
+				t.Fatal("tampered ADS paged in")
+			}
+			for h := 0; h < blocks; h++ {
+				if h != target {
+					mustADS(t, reopened, h)
+				}
+			}
+		})
 	}
 }

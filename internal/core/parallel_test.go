@@ -28,11 +28,11 @@ func TestParallelSPMatchesSequential(t *testing.T) {
 				node, light := buildTestChain(t, acc, mode, 5)
 				q := sedanBenzQuery(0, 4)
 
-				seq, err := node.SP(false).TimeWindowQuery(q)
+				seq, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				par, err := spWithWorkers(node, acc, false, 4).TimeWindowQuery(q)
+				par, err := spWithWorkers(node, acc, false, 4).TimeWindowQuery(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,7 +67,7 @@ func TestParallelSPWithBatch(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, light := buildTestChain(t, acc, ModeIntra, 4)
 	q := sedanBenzQuery(0, 3)
-	vo, err := spWithWorkers(node, acc, true, 3).TimeWindowQuery(q)
+	vo, err := spWithWorkers(node, acc, true, 3).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestParallelSPNoResults(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, light := buildTestChain(t, acc, ModeBoth, 8)
 	q := Query{StartBlock: 0, EndBlock: 7, Bool: CNF{KeywordClause("tesla")}, Width: testWidth}
-	vo, err := spWithWorkers(node, acc, false, 4).TimeWindowQuery(q)
+	vo, err := spWithWorkers(node, acc, false, 4).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAnswersIndependentOfWorkerCount(t *testing.T) {
 				for qi, q := range queries {
 					var want []byte
 					for _, workers := range workerCounts {
-						vo, err := spWithWorkers(node, acc, batched, workers).TimeWindowQuery(q)
+						vo, err := spWithWorkers(node, acc, batched, workers).TimeWindowQuery(context.Background(), q)
 						if err != nil {
 							t.Fatalf("query %d, %d workers: %v", qi, workers, err)
 						}
@@ -152,7 +152,7 @@ func TestAnswersIndependentOfWorkerCount(t *testing.T) {
 			}
 			failing := failingAcc{Accumulator: acc, blockCard: root.BlockW.Cardinality()}
 			for _, workers := range workerCounts {
-				_, err := spWithWorkers(node, failing, false, workers).TimeWindowQuery(queries[1])
+				_, err := spWithWorkers(node, failing, false, workers).TimeWindowQuery(context.Background(), queries[1])
 				if !errors.Is(err, errInjectedProof) {
 					t.Errorf("%d workers: got %v, want the injected proof failure", workers, err)
 				}
@@ -182,7 +182,7 @@ func TestDeadlineStopsProvingAtOneWorker(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sp := spWithWorkers(node, cancelingAcc{Accumulator: acc, cancel: cancel}, false, 1)
-	if _, err := sp.TimeWindowQueryCtx(ctx, q); !errors.Is(err, context.Canceled) {
+	if _, err := sp.TimeWindowQuery(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want an error wrapping context.Canceled", err)
 	}
 	if st := sp.Engine.Stats(); st.Proofs != 1 {

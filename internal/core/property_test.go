@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -101,7 +102,7 @@ func TestRandomizedEquivalenceWithBruteForce(t *testing.T) {
 					if err := light.Sync(node.Store.Headers()); err != nil {
 						t.Fatal(err)
 					}
-					vo, err := node.SP(batch).TimeWindowQuery(q)
+					vo, err := node.SP(batch).TimeWindowQuery(context.Background(), q)
 					if err != nil {
 						t.Fatalf("%s: SP failed: %v", label, err)
 					}
@@ -141,7 +142,7 @@ func TestVOResultsMatchVerifier(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, light := buildTestChain(t, acc, ModeIntra, 3)
 	q := sedanBenzQuery(0, 2)
-	vo, err := node.SP(false).TimeWindowQuery(q)
+	vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

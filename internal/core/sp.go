@@ -77,17 +77,11 @@ func (b *aggVO) finalize(run *proofs.Run) []MismatchGroup {
 // TimeWindowQuery processes q over [q.StartBlock, q.EndBlock] and
 // returns the VO (Alg. 4 with Alg. 3 inside, or the basic per-object
 // Alg. 1 when no index exists). The result set is embedded in the VO
-// (VO.Results()).
-func (sp *SP) TimeWindowQuery(q Query) (*VO, error) {
-	return sp.TimeWindowQueryCtx(context.Background(), q)
-}
-
-// TimeWindowQueryCtx is TimeWindowQuery under a deadline: the
-// end-to-start walk checks the context once per block, and the
-// deferred proof run fails its remaining tasks fast once the context
-// ends — so a caller's timeout propagates all the way into the proof
-// engine instead of a slow window pinning SP goroutines forever.
-func (sp *SP) TimeWindowQueryCtx(ctx context.Context, q Query) (*VO, error) {
+// (VO.Results()). The end-to-start walk checks ctx once per block, and
+// the deferred proof run fails its remaining tasks fast once ctx ends —
+// so a caller's timeout propagates all the way into the proof engine
+// instead of a slow window pinning SP goroutines forever.
+func (sp *SP) TimeWindowQuery(ctx context.Context, q Query) (*VO, error) {
 	run := sp.Engine.NewRun()
 	vo, err := sp.Walk(ctx, q, run)
 	if err != nil {

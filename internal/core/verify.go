@@ -226,12 +226,11 @@ func (v *Verifier) VerifyTimeWindow(q Query, vo *VO) ([]chain.Object, error) {
 	return v.VerifyWindowParts(q, []WindowPart{{Start: q.StartBlock, End: q.EndBlock, VO: vo}})
 }
 
-// WindowPart is one shard's share of a time-window answer: a VO
-// covering the contiguous height span [Start, End] of the original
-// window. A sharded SP returns the window as a slice of parts ordered
-// descending by height (matching the SP's end-to-start walk); the
-// parts tile the window exactly, so their concatenated block entries
-// are identical to the unsharded VO's.
+// WindowPart is a VO covering the contiguous height span [Start, End]
+// of a time-window answer. A strict answer is one part spanning the
+// window at every shard count. Only a degraded read returns several:
+// one per run of serving heights between gaps, ordered descending by
+// height (matching the SP's end-to-start walk).
 type WindowPart struct {
 	// Start and End bound this part's block span, inclusive.
 	Start, End int
@@ -244,10 +243,9 @@ type WindowPart struct {
 // parts must tile [q.StartBlock, q.EndBlock] contiguously in
 // descending order, and each part's VO must verify against its span.
 // All parts share one check collector, so every pending pairing check
-// across every shard's VO resolves in a single randomized
-// pairing-product flush — cross-shard verification costs one final
-// batch, not one per shard. It is VerifyDegraded with no gaps allowed:
-// the strict entry point for callers that require full coverage.
+// resolves in a single randomized pairing-product flush. It is
+// VerifyDegraded with no gaps allowed: the strict entry point for
+// callers that require full coverage.
 func (v *Verifier) VerifyWindowParts(q Query, parts []WindowPart) ([]chain.Object, error) {
 	res, err := v.VerifyDegraded(q, parts, nil)
 	if err != nil {

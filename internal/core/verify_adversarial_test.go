@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
@@ -484,7 +485,7 @@ func TestAdversarialTreeVO(t *testing.T) {
 			node, light := buildTestChain(t, acc, ModeIntra, 2)
 			q := sedanBenzQuery(0, 1)
 			fresh := func(t *testing.T) *advCtx {
-				vo, err := node.SP(false).TimeWindowQuery(q)
+				vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -504,7 +505,7 @@ func TestAdversarialSkipVO(t *testing.T) {
 			node, light := buildTestChain(t, acc, ModeBoth, 12)
 			q := Query{StartBlock: 0, EndBlock: 11, Bool: CNF{KeywordClause("tesla")}, Width: testWidth}
 			fresh := func(t *testing.T) *advCtx {
-				vo, err := node.SP(false).TimeWindowQuery(q)
+				vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -523,7 +524,7 @@ func TestAdversarialGroupVO(t *testing.T) {
 	node, light := buildTestChain(t, acc, ModeIntra, 4)
 	q := sedanBenzQuery(0, 3)
 	fresh := func(t *testing.T) *advCtx {
-		vo, err := node.SP(true).TimeWindowQuery(q)
+		vo, err := node.SP(true).TimeWindowQuery(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -544,7 +545,7 @@ func TestAdversarialAgreementOnCodec(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, light := buildTestChain(t, acc, ModeIntra, 2)
 	q := sedanBenzQuery(0, 1)
-	vo, err := node.SP(false).TimeWindowQuery(q)
+	vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -18,7 +19,7 @@ func BenchmarkVerifyTimeWindow(b *testing.B) {
 		acc := testAccs(b)[accName]
 		node, light := buildTestChain(b, acc, ModeIntra, 8)
 		q := sedanBenzQuery(0, 7)
-		vo, err := node.SP(false).TimeWindowQuery(q)
+		vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 func surgicalVO(t *testing.T, acc accumulator.Accumulator, mode IndexMode, blocks int, q Query) (*FullNode, *chain.LightStore, *VO) {
 	t.Helper()
 	node, light := buildTestChain(t, acc, mode, blocks)
-	vo, err := node.SP(false).TimeWindowQuery(q)
+	vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestVerifyBatchGroupMismatchClause(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, light := buildTestChain(t, acc, ModeIntra, 2)
 	q := sedanBenzQuery(0, 1)
-	vo, err := node.SP(true).TimeWindowQuery(q)
+	vo, err := node.SP(true).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestVerifyBatchGroupForeignClause(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, light := buildTestChain(t, acc, ModeIntra, 2)
 	q := sedanBenzQuery(0, 1)
-	vo, err := node.SP(true).TimeWindowQuery(q)
+	vo, err := node.SP(true).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestVOGobRoundTrip(t *testing.T) {
 			t.Run(accName+"/"+mode.String(), func(t *testing.T) {
 				node, light := buildTestChain(t, acc, mode, 5)
 				q := sedanBenzQuery(0, 4)
-				vo, err := node.SP(false).TimeWindowQuery(q)
+				vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -48,7 +49,7 @@ func TestVOSizeComponents(t *testing.T) {
 	// All-mismatch query: the VO should contain skips, whose size is
 	// accounted.
 	q := Query{StartBlock: 0, EndBlock: 7, Bool: CNF{KeywordClause("tesla")}, Width: testWidth}
-	vo, err := node.SP(false).TimeWindowQuery(q)
+	vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestVOSizeComponents(t *testing.T) {
 	// Results are excluded from VO size: an all-results query's VO must
 	// be smaller than the raw objects it certifies.
 	q2 := sedanBenzQuery(0, 7)
-	vo2, err := node.SP(false).TimeWindowQuery(q2)
+	vo2, err := node.SP(false).TimeWindowQuery(context.Background(), q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestVOResultsTraversalOrder(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, _ := buildTestChain(t, acc, ModeIntra, 3)
 	q := sedanBenzQuery(0, 2)
-	vo, err := node.SP(false).TimeWindowQuery(q)
+	vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

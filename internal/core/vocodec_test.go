@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -23,7 +24,7 @@ func TestVOCodecRoundTrip(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/batched=%v", accName, mode, batched), func(t *testing.T) {
 					node, light := buildTestChain(t, acc, mode, 4)
 					q := sedanBenzQuery(0, 3)
-					vo, err := node.SP(batched).TimeWindowQuery(q)
+					vo, err := node.SP(batched).TimeWindowQuery(context.Background(), q)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -63,7 +64,7 @@ func TestVOCodecRoundTrip(t *testing.T) {
 func TestVOCodecRejectsMalformed(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, _ := buildTestChain(t, acc, ModeIntra, 2)
-	vo, err := node.SP(false).TimeWindowQuery(sedanBenzQuery(0, 1))
+	vo, err := node.SP(false).TimeWindowQuery(context.Background(), sedanBenzQuery(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestEncodeVOMalformedShapes(t *testing.T) {
 	}
 	for _, s := range shapes {
 		t.Run(s.name, func(t *testing.T) {
-			vo, err := node.SP(false).TimeWindowQuery(q)
+			vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +159,7 @@ func TestSizeBytesMatchesCodec(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, _ := buildTestChain(t, acc, ModeBoth, 8)
 	q := Query{StartBlock: 0, EndBlock: 7, Bool: CNF{KeywordClause("tesla")}, Width: testWidth}
-	vo, err := node.SP(false).TimeWindowQuery(q)
+	vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func (g goldenCase) build(t testing.TB) (accumulator.Accumulator, *FullNode, []c
 			t.Fatal(err)
 		}
 	}
-	vo, err := node.SP(g.acc == "acc2").TimeWindowQuery(sedanBenzQuery(0, 4))
+	vo, err := node.SP(g.acc == "acc2").TimeWindowQuery(context.Background(), sedanBenzQuery(0, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -24,7 +25,7 @@ func splitWindow(t *testing.T, node *FullNode, q Query, cuts []int) []WindowPart
 		}
 		sub := q
 		sub.StartBlock, sub.EndBlock = start, end
-		vo, err := node.SP(false).TimeWindowQuery(sub)
+		vo, err := node.SP(false).TimeWindowQuery(context.Background(), sub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +43,7 @@ func TestVerifyWindowPartsMatchesWhole(t *testing.T) {
 	ver := &Verifier{Acc: acc, Light: light}
 	q := sedanBenzQuery(0, 5)
 
-	whole, err := node.SP(false).TimeWindowQuery(q)
+	whole, err := node.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestVerifyWindowPartsSharesOneFlush(t *testing.T) {
 	for _, span := range [][2]int{{2, 3}, {0, 1}} {
 		sub := q
 		sub.StartBlock, sub.EndBlock = span[0], span[1]
-		vo, err := node.SP(true).TimeWindowQuery(sub) // batched SP proofs
+		vo, err := node.SP(true).TimeWindowQuery(context.Background(), sub) // batched SP proofs
 		if err != nil {
 			t.Fatal(err)
 		}

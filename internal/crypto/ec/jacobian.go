@@ -20,9 +20,6 @@ type JacPoint struct {
 // IsInf reports whether the point is the group identity.
 func (p JacPoint) IsInf() bool { return p.Z.IsZero() }
 
-// JacInfinity returns the identity in Jacobian form.
-func (c *Curve) JacInfinity() JacPoint { return JacPoint{} }
-
 // ToJac lifts an affine point to Jacobian coordinates (Z = 1).
 func (c *Curve) ToJac(p Point) JacPoint {
 	if p.Inf {

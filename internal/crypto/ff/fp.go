@@ -7,7 +7,7 @@
 // and arithmetic allocates nothing: additions are math/bits carry
 // chains and multiplications a Montgomery product. math/big
 // appears only at the edges: building elements from integers,
-// inversion, the exponents of Exp/Sqrt/Legendre, and parameter
+// inversion, the exponents of Exp/Sqrt, and parameter
 // generation. The quadratic extension F_p² is realized as
 // F_p[i]/(i²+1), which is a field whenever p ≡ 3 (mod 4).
 package ff
@@ -41,8 +41,6 @@ type Field struct {
 	size int
 	// sqrtExp caches (P+1)/4 for square roots (valid since P ≡ 3 mod 4).
 	sqrtExp *big.Int
-	// legendreExp caches (P−1)/2 for Euler's criterion.
-	legendreExp *big.Int
 }
 
 // NewField creates the prime field F_p. It panics if p is not an odd
@@ -81,7 +79,6 @@ func NewField(p *big.Int) *Field {
 	f.r3 = Elt{l: limbsOf(rk)}
 	f.sqrtExp = new(big.Int).Add(p, big.NewInt(1))
 	f.sqrtExp.Rsh(f.sqrtExp, 2)
-	f.legendreExp = new(big.Int).Rsh(p, 1) // (p−1)/2 for odd p
 	return f
 }
 
@@ -282,18 +279,6 @@ func (f *Field) Exp(a Elt, k *big.Int) Elt {
 		}
 	}
 	return r
-}
-
-// Legendre returns 1 if a is a non-zero quadratic residue mod p, -1 if a
-// is a non-residue, and 0 if a is zero.
-func (f *Field) Legendre(a Elt) int {
-	if a.IsZero() {
-		return 0
-	}
-	if f.Exp(a, f.legendreExp).Equal(f.one) {
-		return 1
-	}
-	return -1
 }
 
 // Sqrt returns a square root of a and true, or the zero element and

@@ -1,9 +1,6 @@
 package ff
 
-import (
-	"fmt"
-	"math/big"
-)
+import "math/big"
 
 // Ext is the quadratic extension F_p² = F_p[i]/(i²+1). It is a field
 // because the base modulus is ≡ 3 (mod 4), making -1 a non-residue.
@@ -120,32 +117,6 @@ func (x *Ext) Exp(a Elt2, k *big.Int) Elt2 {
 		}
 	}
 	return r
-}
-
-// Bytes returns the fixed-width encoding A‖B.
-func (x *Ext) Bytes(e Elt2) []byte {
-	a := x.Base.Bytes(e.A)
-	b := x.Base.Bytes(e.B)
-	out := make([]byte, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-// EltFromBytes decodes an encoding produced by Bytes.
-func (x *Ext) EltFromBytes(b []byte) (Elt2, error) {
-	size := (x.Base.P.BitLen() + 7) / 8
-	if len(b) != 2*size {
-		return Elt2{}, fmt.Errorf("ff: want %d bytes for F_p² element, got %d", 2*size, len(b))
-	}
-	a, err := x.Base.EltFromBytes(b[:size])
-	if err != nil {
-		return Elt2{}, err
-	}
-	bb, err := x.Base.EltFromBytes(b[size:])
-	if err != nil {
-		return Elt2{}, err
-	}
-	return Elt2{A: a, B: bb}, nil
 }
 
 // CubeRootOfUnity returns a primitive cube root of unity ζ ∈ F_p².

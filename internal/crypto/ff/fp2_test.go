@@ -117,24 +117,6 @@ func TestExtExpLawsAndGroupOrder(t *testing.T) {
 	}
 }
 
-func TestExtBytesRoundTrip(t *testing.T) {
-	x := testExt(t)
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 20; i++ {
-		a := randElt2(x, rng)
-		back, err := x.EltFromBytes(x.Bytes(a))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !back.Equal(a) {
-			t.Fatal("round trip mismatch")
-		}
-	}
-	if _, err := x.EltFromBytes([]byte{1, 2, 3}); err == nil {
-		t.Error("short encoding accepted")
-	}
-}
-
 func TestCubeRootOfUnity(t *testing.T) {
 	x := testExt(t) // 1019 ≡ 2 (mod 3)
 	zeta := x.CubeRootOfUnity()

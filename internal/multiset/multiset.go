@@ -84,17 +84,6 @@ func Sum(a, b Multiset) Multiset {
 	return out
 }
 
-// SumAll folds Sum over any number of multisets.
-func SumAll(ms ...Multiset) Multiset {
-	out := Multiset{}
-	for _, m := range ms {
-		for k, v := range m {
-			out[k] += v
-		}
-	}
-	return out
-}
-
 // Intersect returns the multiset intersection (per-element min).
 func Intersect(a, b Multiset) Multiset {
 	small, large := a, b

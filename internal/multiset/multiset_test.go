@@ -54,16 +54,6 @@ func TestUnionVsSum(t *testing.T) {
 	}
 }
 
-func TestSumAll(t *testing.T) {
-	s := SumAll(New("x"), New("x", "y"), New())
-	if s.Count("x") != 2 || s.Count("y") != 1 {
-		t.Fatalf("SumAll wrong: %v", s)
-	}
-	if SumAll().Len() != 0 {
-		t.Error("SumAll() should be empty")
-	}
-}
-
 func TestIntersectAndDisjoint(t *testing.T) {
 	a := New("a", "a", "b")
 	b := New("a", "b", "b")

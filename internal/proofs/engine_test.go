@@ -293,7 +293,7 @@ func TestAggregatorGroupOrdering(t *testing.T) {
 		}
 	}
 	// Group 0 proves the *sum* of its members' multisets.
-	verify(t, acc, multiset.SumAll(multiset.New("sedan"), multiset.New("sedan", "benz")),
+	verify(t, acc, multiset.Sum(multiset.New("sedan"), multiset.New("sedan", "benz")),
 		multiset.New("van"), proofs[0])
 	verify(t, acc, multiset.New("benz"), multiset.New("audi"), proofs[1])
 	verify(t, acc, multiset.New("sedan"), multiset.New("bmw"), proofs[2])

@@ -177,8 +177,8 @@ type Response struct {
 	// Headers answers a headers request.
 	Headers []chain.Header
 	// Parts answers a query request: the window's VOs, descending,
-	// tiling the window — one part from an unsharded SP, one per
-	// covering shard from a sharded one.
+	// tiling the window. A strict answer is one part at every shard
+	// count; a degraded one has one part per run between gaps.
 	Parts []core.WindowPart
 	// Gaps lists the unproven sub-windows of a degraded answer
 	// (AllowDegraded requests only). Parts and Gaps together tile the

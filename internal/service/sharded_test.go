@@ -77,7 +77,7 @@ func TestRemoteShardedQueryParts(t *testing.T) {
 	vo := queryVO(t, cli, q, false)
 	mono := core.NewFullNode(0, shardedBuilder(acc))
 	mineSharded(t, mono)
-	want, err := mono.SP(false).TimeWindowQuery(q)
+	want, err := mono.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func TestPlannerHealthyDegradedIsStrict(t *testing.T) {
 
 	q := sedanBenzQuery(1, blocks-2)
 	for _, batched := range []bool{false, true} {
-		want, err := mono.SP(batched).TimeWindowQuery(q)
+		want, err := mono.SP(batched).TimeWindowQuery(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,9 +58,6 @@ type Options struct {
 	// query's and subscription's proofs run on. 0 means one worker per
 	// shard.
 	Workers int
-	// CacheSize bounds that engine's proof cache (see
-	// proofs.Options.CacheSize).
-	CacheSize int
 	// ADSCacheBlocks bounds the node's decoded-ADS cache, in blocks,
 	// split evenly across the shards (each worker keeps at least one
 	// entry). 0 leaves the paged sources unbounded — everything faulted
@@ -200,7 +197,7 @@ type RecoveryReport struct {
 // on the commit path.
 func newNode(full *core.FullNode, dir string, opts Options) *Node {
 	n := &Node{FullNode: full, opts: opts, dir: dir}
-	full.Proofs = proofs.New(full.Acc(), proofs.Options{Workers: opts.Workers, CacheSize: opts.CacheSize})
+	full.Proofs = proofs.New(full.Acc(), proofs.Options{Workers: opts.Workers})
 	for i := 0; i < opts.Shards; i++ {
 		n.shards = append(n.shards, &worker{id: i, threshold: opts.FailureThreshold})
 	}

@@ -97,7 +97,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		}
 		for _, w := range windows {
 			q := sedanBenzQuery(w[0], w[1])
-			wantVO, err := mono.SP(false).TimeWindowQuery(q)
+			wantVO, err := mono.SP(false).TimeWindowQuery(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}

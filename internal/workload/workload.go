@@ -247,17 +247,3 @@ func (d *Dataset) RandomQueries(n int, qc QueryConfig) []core.Query {
 	}
 	return out
 }
-
-// DistinctElements returns the number of distinct multiset elements the
-// dataset produces — what a DictEncoder (acc2 oracle) must accommodate.
-func (d *Dataset) DistinctElements() int {
-	seen := map[string]bool{}
-	for _, blk := range d.Blocks {
-		for _, o := range blk {
-			for e := range core.ObjectMultiset(o, d.Width) {
-				seen[e] = true
-			}
-		}
-	}
-	return len(seen)
-}

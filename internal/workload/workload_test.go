@@ -163,16 +163,3 @@ func TestQueryCNFAgreesWithDirect(t *testing.T) {
 		}
 	}
 }
-
-func TestDistinctElementsBounded(t *testing.T) {
-	ds, _ := Generate(Config{Kind: WX, Blocks: 5, Seed: 1})
-	n := ds.DistinctElements()
-	if n == 0 {
-		t.Fatal("no elements")
-	}
-	// Upper bound: all possible prefixes per dim + vocabulary.
-	bound := ds.Dims*(1<<uint(ds.Width+1)) + len(ds.Vocabulary)
-	if n > bound {
-		t.Fatalf("distinct elements %d exceed bound %d", n, bound)
-	}
-}

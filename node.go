@@ -166,8 +166,9 @@ func (n *Node) TimeWindow(q Query, batched bool) ([]WindowPart, error) {
 // TimeWindowDegraded answers a time-window query in degraded-read
 // mode: the heights of quarantined shards (or of a shard whose storage
 // fails mid-query) come back as machine-readable Gaps instead of
-// failing the whole query, with one part per run of serving heights. Parts and gaps together tile the window,
-// descending; verify the pair with LightClient.VerifyDegraded.
+// failing the whole query, with one part per run of serving heights.
+// Parts and gaps together tile the window, descending; verify the pair
+// with LightClient.VerifyDegraded.
 func (n *Node) TimeWindowDegraded(q Query) ([]WindowPart, []Gap, error) {
 	return n.node.TimeWindowDegraded(context.Background(), q, false)
 }

@@ -62,10 +62,10 @@ type (
 	CNF = core.CNF
 	// VO is a verification object.
 	VO = core.VO
-	// WindowPart is one shard's share of a time-window answer: a VO
-	// covering a contiguous sub-span of the window. A node answers
-	// with parts tiling the window (one at a single shard);
-	// LightClient.Verify settles their union in one pairing batch.
+	// WindowPart is a VO covering a contiguous span of a time-window
+	// answer. A strict answer is one part at every shard count; a
+	// degraded read returns one part per run between gaps.
+	// LightClient.Verify settles all parts in one pairing batch.
 	WindowPart = core.WindowPart
 	// Gap is a contiguous sub-window a degraded answer could not
 	// prove (its owning shard was down).

@@ -586,7 +586,7 @@ func TestFacadeFlatStoreMigration(t *testing.T) {
 		}
 	}
 	q := Query{StartBlock: 1, EndBlock: blocks - 1, Bool: And(Or("sedan")), Width: 4}
-	before, err := legacy.SP(false).TimeWindowQuery(q)
+	before, err := legacy.SP(false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
