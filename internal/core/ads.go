@@ -46,11 +46,9 @@ type IntraNode struct {
 	// Hash is the node hash: H(preHash ‖ accBytes) when the node
 	// carries a digest, preHash alone otherwise. See preHash below.
 	Hash chain.Digest
-	// W is a leaf's attribute multiset, the object's W'. Internal nodes
-	// do not store theirs: it is the union of the leaves below
-	// (Def. 6.1), which Multiset derives.
-	W multiset.Multiset
-	// Digest is acc(W); zero-valued for internal nodes in ModeNil.
+	// Digest is acc(W) for the node's attribute multiset W, which is
+	// not stored: Multiset derives it. Zero-valued for internal nodes
+	// in ModeNil.
 	Digest accumulator.Acc
 	// HasDigest reports whether Digest is meaningful.
 	HasDigest bool
@@ -63,13 +61,15 @@ type IntraNode struct {
 // IsLeaf reports whether the node is a leaf.
 func (n *IntraNode) IsLeaf() bool { return n.Obj != nil }
 
-// Multiset returns the node's attribute multiset: a leaf's W, or the
-// union of the leaves below an internal node, built on each call.
-func (n *IntraNode) Multiset() multiset.Multiset {
+// Multiset returns the node's attribute multiset, built on each call
+// from the objects below it: a leaf's W' = trans(V) + W at the block's
+// bit width (BlockADS.Width), or the union of the leaves below an
+// internal node (Def. 6.1).
+func (n *IntraNode) Multiset(width int) multiset.Multiset {
 	if n.IsLeaf() {
-		return n.W
+		return ObjectMultiset(*n.Obj, width)
 	}
-	return multiset.Union(n.Left.Multiset(), n.Right.Multiset())
+	return multiset.Union(n.Left.Multiset(width), n.Right.Multiset(width))
 }
 
 // preHash is the digest-independent part of a node hash:
@@ -161,6 +161,9 @@ type BlockADS struct {
 	Height int
 	// Root is the intra-block index root.
 	Root *IntraNode
+	// Width is the numeric bit width the leaves' multisets are derived
+	// at (IntraNode.Multiset).
+	Width int
 	// BlockW is the block-level attribute multiset (union over
 	// objects' W', so the root's multiset), the unit aggregated by skip
 	// entries.
@@ -248,19 +251,19 @@ func (b *Builder) BuildBlock(height int, objs []chain.Object, view ChainView) (*
 		width = DefaultBitWidth
 	}
 
-	// Leaves: one per object, with W' = trans(V) + W and acc(W').
+	// Leaves: one per object, with acc(W') for W' = trans(V) + W.
 	leaves := make([]*IntraNode, len(objs))
+	ws := make([]multiset.Multiset, len(objs))
 	for i := range objs {
 		o := objs[i].Clone()
-		w := ObjectMultiset(o, width)
-		dig, err := b.Acc.Setup(w)
+		ws[i] = ObjectMultiset(o, width)
+		dig, err := b.Acc.Setup(ws[i])
 		if err != nil {
 			return nil, fmt.Errorf("core: leaf digest for object %d: %w", o.ID, err)
 		}
 		pre := leafPreHash(o.Hash())
 		leaves[i] = &IntraNode{
 			Hash:      nodeHash(pre, b.Acc.AccBytes(dig)),
-			W:         w,
 			Digest:    dig,
 			HasDigest: true,
 			Obj:       &o,
@@ -268,13 +271,14 @@ func (b *Builder) BuildBlock(height int, objs []chain.Object, view ChainView) (*
 	}
 
 	indexed := b.Mode != ModeNil
-	root, blockW, err := b.buildTree(leaves, indexed, indexed && !b.NoCluster)
+	root, blockW, err := b.buildTree(leaves, ws, indexed, indexed && !b.NoCluster)
 	if err != nil {
 		return nil, err
 	}
 	ads := &BlockADS{
 		Height: height,
 		Root:   root,
+		Width:  width,
 		BlockW: blockW,
 	}
 
@@ -290,18 +294,19 @@ func (b *Builder) BuildBlock(height int, objs []chain.Object, view ChainView) (*
 // level the unpaired node with the largest attribute multiset picks the
 // partner maximizing Jaccard similarity; pairs become parents of the
 // next level. In non-indexed mode the pairing is positional and
-// internal nodes carry no attribute data. Every build forms each
-// parent's union, for the clustering and, when indexed, the parent's
-// Setup, then drops it: only leaves keep their W. It returns the root
-// and the root's union, the block's multiset.
-func (b *Builder) buildTree(leaves []*IntraNode, indexed, cluster bool) (*IntraNode, multiset.Multiset, error) {
+// internal nodes carry no attribute data. ws are the leaves'
+// multisets. Every build forms each parent's union, for the clustering
+// and, when indexed, the parent's Setup, then drops it: no node keeps
+// its multiset. It returns the root and the root's union, the block's
+// multiset.
+func (b *Builder) buildTree(leaves []*IntraNode, ws []multiset.Multiset, indexed, cluster bool) (*IntraNode, multiset.Multiset, error) {
 	type item struct {
 		n *IntraNode
 		w multiset.Multiset
 	}
 	nodes := make([]item, len(leaves))
 	for i, l := range leaves {
-		nodes[i] = item{n: l, w: l.W}
+		nodes[i] = item{n: l, w: ws[i]}
 	}
 	for len(nodes) > 1 {
 		var next []item

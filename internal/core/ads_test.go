@@ -89,8 +89,9 @@ func TestBuildBlockOddCount(t *testing.T) {
 
 func TestIntraNodeUnionInvariant(t *testing.T) {
 	// Every internal node's multiset must equal the union of its
-	// children's, and its digest must accumulate it. Internal nodes do
-	// not store the multiset, and the root's is the block's BlockW.
+	// children's and every leaf's its object's W' at the block's width,
+	// and each digest must accumulate its node's multiset. The root's
+	// multiset is the block's BlockW.
 	acc := adsAcc(t)
 	b := &Builder{Acc: acc, Mode: ModeIntra, Width: testWidth}
 	node := NewFullNode(0, b)
@@ -98,27 +99,32 @@ func TestIntraNodeUnionInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !multiset.Equal(ads.Root.Multiset(), ads.BlockW) {
-		t.Fatalf("root multiset %v != BlockW %v", ads.Root.Multiset(), ads.BlockW)
+	if ads.Width != testWidth {
+		t.Fatalf("ADS width %d, want %d", ads.Width, testWidth)
+	}
+	if !multiset.Equal(ads.Root.Multiset(ads.Width), ads.BlockW) {
+		t.Fatalf("root multiset %v != BlockW %v", ads.Root.Multiset(ads.Width), ads.BlockW)
 	}
 	var walk func(n *IntraNode)
 	walk = func(n *IntraNode) {
-		if n == nil || n.IsLeaf() {
+		if n == nil {
 			return
 		}
-		if n.W != nil {
-			t.Fatal("internal node stores its multiset")
+		var want multiset.Multiset
+		if n.IsLeaf() {
+			want = ObjectMultiset(*n.Obj, testWidth)
+		} else {
+			want = multiset.Union(n.Left.Multiset(ads.Width), n.Right.Multiset(ads.Width))
 		}
-		want := multiset.Union(n.Left.Multiset(), n.Right.Multiset())
-		if !multiset.Equal(n.Multiset(), want) {
-			t.Fatalf("internal W %v != union %v", n.Multiset(), want)
+		if !multiset.Equal(n.Multiset(ads.Width), want) {
+			t.Fatalf("node W %v != %v", n.Multiset(ads.Width), want)
 		}
 		dig, err := acc.Setup(want)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !acc.AccEqual(n.Digest, dig) {
-			t.Fatal("internal digest does not accumulate the union")
+			t.Fatal("node digest does not accumulate its multiset")
 		}
 		walk(n.Left)
 		walk(n.Right)
@@ -277,8 +283,8 @@ func TestJaccardClusteringGroupsSimilarObjects(t *testing.T) {
 		t.Fatal("unexpected tree shape")
 	}
 	oneObj := ObjectMultiset(objs[0], testWidth).Len()
-	if l.Multiset().Len() != oneObj || r.Multiset().Len() != oneObj {
+	if l.Multiset(testWidth).Len() != oneObj || r.Multiset(testWidth).Len() != oneObj {
 		t.Errorf("clustering failed: level-1 sizes %d and %d, want %d (perfect pairing)",
-			l.Multiset().Len(), r.Multiset().Len(), oneObj)
+			l.Multiset(testWidth).Len(), r.Multiset(testWidth).Len(), oneObj)
 	}
 }

@@ -11,21 +11,23 @@ import (
 	"github.com/vchain-go/vchain/internal/storage"
 )
 
-// recMagic prefixes a chain record. Version 4 stores field elements as
+// recMagic prefixes a chain record. Version 5 stores field elements as
 // their Montgomery limbs (ff.Elt's gob form), skip entries without
-// their multisets, and the multisets of intra-index leaves only.
-var recMagic = []byte{0x00, 'V', 'C', 'R', '4'}
+// their multisets, no intra-index node's multiset (a leaf derives its
+// W' from its object at the ADS's Width), and the block's BlockW.
+var recMagic = []byte{0x00, 'V', 'C', 'R', '5'}
 
-// oldRecMagics prefix records of the formats before VCR4: VCR2, whose
-// field elements gob-encode canonical integers, and VCR3, which also
-// stored every internal intra-index node's multiset. Both are refused
-// outright; builds that predate VCR4 refuse its records as malformed.
-var oldRecMagics = [][]byte{{0x00, 'V', 'C', 'R', '2'}, {0x00, 'V', 'C', 'R', '3'}}
+// oldRecMagics prefix records of the formats before VCR5: VCR2, whose
+// field elements gob-encode canonical integers, VCR3, which also
+// stored every internal intra-index node's multiset, and VCR4, which
+// stored every leaf's. All are refused outright; builds that predate
+// VCR5 refuse its records as malformed.
+var oldRecMagics = [][]byte{{0x00, 'V', 'C', 'R', '2'}, {0x00, 'V', 'C', 'R', '3'}, {0x00, 'V', 'C', 'R', '4'}}
 
-// ErrOldRecordFormat marks a store written in record format VCR2 or
-// VCR3 by an older build. It cannot be read; re-mine the chain into a
-// new store.
-var ErrOldRecordFormat = errors.New("core: chain record in format VCR2 or VCR3, which this build cannot read; re-mine the chain into a new store")
+// ErrOldRecordFormat marks a store written in record format VCR2, VCR3
+// or VCR4 by an older build. It cannot be read; re-mine the chain into
+// a new store.
+var ErrOldRecordFormat = errors.New("core: chain record in format VCR2, VCR3 or VCR4, which this build cannot read; re-mine the chain into a new store")
 
 // EncodeChainRecord renders a (block, ADS) pair as one self-contained
 // record: magic, a length-prefixed block gob, then the ADS gob. The two
@@ -103,9 +105,9 @@ func DecodeChainRecordADS(data []byte) (*BlockADS, error) {
 // must equal its rebuilt one. It is the half of commit validation a
 // lazy reopen defers — the paged sources run it at page-in, so a
 // tampered stored ADS surfaces exactly as it would have at an eager
-// open. The multisets (leaf W, BlockW) are not re-derived: the header
-// does not commit them, and a wrong one only makes the SP send proofs
-// that clients reject.
+// open. BlockW and Width are not re-checked: the header does not commit
+// them, and a wrong one only makes the SP send proofs that clients
+// reject.
 func VerifyADSCommitments(b *Builder, hdr chain.Header, height int, ads *BlockADS) error {
 	if ads == nil || ads.Root == nil {
 		return fmt.Errorf("core: block %d missing ADS", height)

@@ -74,6 +74,32 @@ func (r *DegradedResult) Covered() int {
 // Any other error means the answer (even its covered spans) must be
 // discarded.
 func (v *Verifier) VerifyDegraded(q Query, parts []WindowPart, gaps []Gap) (*DegradedResult, error) {
+	cc := newCheckCollector(v.Acc)
+	results, err := v.collectParts(q, parts, gaps, cc)
+	if err != nil {
+		return nil, err
+	}
+	// One flush for the union: a single randomized pairing-product
+	// batch settles every returned tile's deferred checks together.
+	if err := v.flush(cc.pending); err != nil {
+		return nil, err
+	}
+	res := &DegradedResult{Objects: results, Parts: parts, Gaps: gaps}
+	if len(gaps) > 0 {
+		missing := 0
+		for _, g := range gaps {
+			missing += g.Blocks()
+		}
+		return res, fmt.Errorf("%w: %d of %d window blocks unproven across %d gap(s)",
+			ErrDegraded, missing, q.EndBlock-q.StartBlock+1, len(gaps))
+	}
+	return res, nil
+}
+
+// collectParts is VerifyDegraded's structural phase: it checks that
+// parts and gaps tile the window and walks every part's VO, deferring
+// each pairing check into cc.
+func (v *Verifier) collectParts(q Query, parts []WindowPart, gaps []Gap, cc *checkCollector) ([]chain.Object, error) {
 	cnf, err := q.CNF()
 	if err != nil {
 		return nil, err
@@ -82,7 +108,6 @@ func (v *Verifier) VerifyDegraded(q Query, parts []WindowPart, gaps []Gap) (*Deg
 		return nil, fmt.Errorf("%w: window end %d beyond synced headers (%d)",
 			ErrCompleteness, q.EndBlock, v.Light.Height())
 	}
-	cc := newCheckCollector(v.Acc)
 	var results []chain.Object
 	expect := q.EndBlock
 	pi, gi := 0, 0
@@ -131,19 +156,5 @@ func (v *Verifier) VerifyDegraded(q Query, parts []WindowPart, gaps []Gap) (*Deg
 	if gi != len(gaps) {
 		return nil, fmt.Errorf("%w: %d surplus gaps", ErrCompleteness, len(gaps)-gi)
 	}
-	// One flush for the union: a single randomized pairing-product
-	// batch settles every returned tile's deferred checks together.
-	if err := v.flush(cc); err != nil {
-		return nil, err
-	}
-	res := &DegradedResult{Objects: results, Parts: parts, Gaps: gaps}
-	if len(gaps) > 0 {
-		missing := 0
-		for _, g := range gaps {
-			missing += g.Blocks()
-		}
-		return res, fmt.Errorf("%w: %d of %d window blocks unproven across %d gap(s)",
-			ErrDegraded, missing, q.EndBlock-q.StartBlock+1, len(gaps))
-	}
-	return res, nil
+	return results, nil
 }

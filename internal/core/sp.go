@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
@@ -242,25 +243,26 @@ func RootMismatchVO(ads *BlockADS, clause Clause) *NodeVO {
 	}
 }
 
-// findMismatch is cnf.FindMismatch of n's multiset, decided against
-// the leaves below n without building their union: a union is
-// disjoint from a clause exactly when each of its leaves is.
-func findMismatch(cnf CNF, n *IntraNode) (Clause, bool) {
+// findMismatch is cnf.FindMismatch of n's multiset at the bit width,
+// decided against the objects below n without building a multiset: a
+// union is disjoint from a clause exactly when each of its leaves is.
+func findMismatch(cnf CNF, n *IntraNode, width int) (Clause, bool) {
 	var best Clause
 	for _, c := range cnf {
-		if (best == nil || len(c) < len(best)) && !matchesBelow(c, n) {
+		if (best == nil || len(c) < len(best)) && !matchesBelow(c, n, width) {
 			best = c
 		}
 	}
 	return best, best != nil
 }
 
-// matchesBelow reports whether clause c intersects some leaf below n.
-func matchesBelow(c Clause, n *IntraNode) bool {
+// matchesBelow reports whether clause c intersects the multiset of some
+// leaf below n.
+func matchesBelow(c Clause, n *IntraNode, width int) bool {
 	if n.IsLeaf() {
-		return c.Matches(n.W)
+		return slices.ContainsFunc(c, func(e string) bool { return objectHas(n.Obj, width, e) })
 	}
-	return matchesBelow(c, n.Left) || matchesBelow(c, n.Right)
+	return matchesBelow(c, n.Left, width) || matchesBelow(c, n.Right, width)
 }
 
 // blockTreeVO runs Alg. 3 over one block's intra index (which in
@@ -274,10 +276,10 @@ func (sp *SP) blockTreeVO(ads *BlockADS, cnf CNF, batch *aggVO, run *proofs.Run)
 	build = func(n *IntraNode) *NodeVO {
 		// Prunable node: carries a digest and mismatches some clause.
 		if n.HasDigest {
-			if clause, bad := findMismatch(cnf, n); bad {
+			if clause, bad := findMismatch(cnf, n, ads.Width); bad {
 				w := ads.BlockW
 				if n != ads.Root {
-					w = n.Multiset()
+					w = n.Multiset(ads.Width)
 				}
 				out := &NodeVO{
 					Kind:      KindMismatch,

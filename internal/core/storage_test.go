@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/vchain-go/vchain/internal/multiset"
 	"github.com/vchain-go/vchain/internal/storage"
 )
 
@@ -157,6 +158,10 @@ func TestOpenRefusesRecordFormatV2(t *testing.T) { testOpenRefusesOldFormat(t, "
 // whose records also stored every internal node's multiset.
 func TestOpenRefusesRecordFormatV3(t *testing.T) { testOpenRefusesOldFormat(t, "VCR3") }
 
+// TestOpenRefusesRecordFormatV4 does the same for the VCR4 magic,
+// whose records stored every leaf's multiset.
+func TestOpenRefusesRecordFormatV4(t *testing.T) { testOpenRefusesOldFormat(t, "VCR4") }
+
 // testOpenRefusesOldFormat mines one block, re-stamps its record with
 // an old format's magic in a fresh log, and requires the open to fail
 // with ErrOldRecordFormat naming that format and the fix.
@@ -196,10 +201,13 @@ func testOpenRefusesOldFormat(t *testing.T, format string) {
 	}
 }
 
-// TestRecordFormatV4 checks what a fresh store writes: records under
-// the VCR4 magic whose ADS section stores the multisets of leaves only.
-func TestRecordFormatV4(t *testing.T) {
-	b := &Builder{Acc: testAccs(t)["acc2"], Mode: ModeBoth, SkipSize: 2, Width: testWidth}
+// TestRecordFormatV5 checks what a fresh store writes: records under
+// the VCR5 magic whose ADS section carries the block's width and
+// BlockW, and leaves whose multisets the decoded ADS derives from their
+// objects: every node's digest accumulates its derived multiset.
+func TestRecordFormatV5(t *testing.T) {
+	acc := testAccs(t)["acc2"]
+	b := &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 2, Width: testWidth}
 	mem := storage.NewMemory()
 	node, err := NewFullNodeOn(0, b, mem)
 	if err != nil {
@@ -215,42 +223,35 @@ func TestRecordFormatV4(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasPrefix(rec, []byte("\x00VCR4")) {
-			t.Fatalf("record %d starts %q, want the VCR4 magic", i, rec[:5])
+		if !bytes.HasPrefix(rec, []byte("\x00VCR5")) {
+			t.Fatalf("record %d starts %q, want the VCR5 magic", i, rec[:5])
 		}
 		ads, err := DecodeChainRecordADS(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		root := ads.Root
-		if n := storedInternalW(root); n != 0 {
-			t.Fatalf("record %d stores %d internal multisets", i, n)
+		if ads.Width != testWidth {
+			t.Fatalf("record %d: width %d, want %d", i, ads.Width, testWidth)
+		}
+		if !multiset.Equal(ads.Root.Multiset(ads.Width), ads.BlockW) {
+			t.Fatalf("record %d: derived root multiset differs from BlockW", i)
 		}
 		var leaves func(n *IntraNode) int
 		leaves = func(n *IntraNode) int {
+			dig, err := acc.Setup(n.Multiset(ads.Width))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !acc.AccEqual(dig, n.Digest) {
+				t.Fatalf("record %d: a node's digest does not accumulate its derived multiset", i)
+			}
 			if n.IsLeaf() {
-				if len(n.W) == 0 {
-					t.Fatalf("record %d: a leaf without its multiset", i)
-				}
 				return 1
 			}
 			return leaves(n.Left) + leaves(n.Right)
 		}
-		if got := leaves(root); got != len(carObjects(0)) {
+		if got := leaves(ads.Root); got != len(carObjects(0)) {
 			t.Fatalf("record %d: %d leaves", i, got)
 		}
 	}
-}
-
-// storedInternalW counts the internal nodes below n that hold a
-// multiset.
-func storedInternalW(n *IntraNode) int {
-	if n.IsLeaf() {
-		return 0
-	}
-	c := storedInternalW(n.Left) + storedInternalW(n.Right)
-	if n.W != nil {
-		c++
-	}
-	return c
 }

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/vchain-go/vchain/internal/chain"
@@ -86,11 +87,16 @@ func bitsOf(v uint64, width int) string {
 // expands a numeric value into its full set of binary prefixes, one
 // element per prefix length 1..width. trans(4) over width 3 yields
 // {1*, 10*, 100} rendered as {"n<dim>:1", "n<dim>:10", "n<dim>:100"}.
+//
+// The elements share one string: the prefix of length l is the first
+// l bits of the full element, so a leaf's W' holds one allocation per
+// dimension rather than one per prefix.
 func Trans(v int64, dim, width int) []string {
-	bits := bitsOf(clampToWidth(v, width), width)
+	full := numericElement(dim, bitsOf(clampToWidth(v, width), width))
+	head := len(full) - width
 	out := make([]string, width)
 	for l := 1; l <= width; l++ {
-		out[l-1] = numericElement(dim, bits[:l])
+		out[l-1] = full[:head+l]
 	}
 	return out
 }
@@ -113,6 +119,43 @@ func ObjectMultiset(o chain.Object, width int) multiset.Multiset {
 		m.Add(KeywordElement(kw), 1)
 	}
 	return m
+}
+
+// objectHas reports whether element e occurs in ObjectMultiset(*o,
+// width) without building it: a keyword element names one of o's
+// keywords, and a numeric element "n<dim>:<bits>" (dim in decimal
+// without leading zeros, 1 ≤ len(bits) ≤ width) is a prefix of o's
+// value in that dimension.
+func objectHas(o *chain.Object, width int, e string) bool {
+	if kw, ok := strings.CutPrefix(e, keywordPrefix); ok {
+		return slices.Contains(o.W, kw)
+	}
+	rest, ok := strings.CutPrefix(e, "n")
+	if !ok {
+		return false
+	}
+	digits, bits, ok := strings.Cut(rest, ":")
+	if !ok || digits == "" || len(digits) > 1 && digits[0] == '0' || len(bits) == 0 || len(bits) > width {
+		return false
+	}
+	dim := 0
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' || dim > len(o.V) {
+			return false
+		}
+		dim = dim*10 + int(digits[i]-'0')
+	}
+	if dim >= len(o.V) {
+		return false
+	}
+	v := clampToWidth(o.V[dim], width)
+	for i := 0; i < len(bits); i++ {
+		bit := byte('0' + v>>uint(width-1-i)&1)
+		if bits[i] != bit {
+			return false
+		}
+	}
+	return true
 }
 
 // RangeCover computes the minimal set of binary prefixes exactly

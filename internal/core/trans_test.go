@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -183,6 +184,41 @@ func TestRangeClauses(t *testing.T) {
 	}
 	if _, err := RangeClauses([]int64{5}, []int64{2}, 3); err == nil {
 		t.Error("inverted range accepted")
+	}
+}
+
+// TestObjectHasMatchesObjectMultiset: membership decided on the object
+// equals membership in its built W', for every element of W', for
+// range covers and keywords of random queries, and for strings that
+// only look like elements.
+func TestObjectHasMatchesObjectMultiset(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	hostile := []string{"", "n", "n:", "n0", "n0:", "n:1", "n01:1", "n+0:1", "n-0:1", "n 0:1", "n0:2", "n0:1x",
+		"n0:10:1", "n99999999999999999999:1", "w:", "w", "x:1", "N0:1", "w:n0:1"}
+	for _, width := range []int{1, 3, 8, 13, 32, 63, 64} {
+		for range 40 {
+			o := chain.Object{V: make([]int64, 1+rng.Intn(3)), W: []string{"a", "n0:1"}[:rng.Intn(3)]}
+			for d := range o.V {
+				o.V[d] = rng.Int63n(1<<20) - 1<<10 // negative values clamp to 0
+				if rng.Intn(4) == 0 {
+					o.V[d] = rng.Int63()
+				}
+			}
+			w := ObjectMultiset(o, width)
+			elems := append([]string{}, hostile...)
+			elems = append(elems, w.Elements()...)
+			for d := range len(o.V) + 1 {
+				lo := rng.Int63n(1 << 12)
+				elems = append(elems, RangeCover(lo, lo+rng.Int63n(1<<12), d, width)...)
+				elems = append(elems, numericElement(d, "1"+strings.Repeat("0", width)))
+			}
+			elems = append(elems, KeywordElement("a"), KeywordElement("b"), KeywordElement(""))
+			for _, e := range elems {
+				if got, want := objectHas(&o, width, e), w.Contains(e); got != want {
+					t.Fatalf("width %d, object %v: objectHas(%q) = %v, W' says %v", width, o, e, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -47,9 +47,10 @@ type Verifier struct {
 	// check runs its own VerifyDisjoint, in collection order. This is
 	// the paper's baseline client and the differential-testing anchor.
 	Sequential bool
-	// Workers bounds the batched flush's parallelism: chunks are
-	// verified on at most that many goroutines, the caller's included.
-	// 0 means GOMAXPROCS.
+	// Workers bounds how many flushBatchSize chunks of a batched flush
+	// are verified at once, the caller's goroutine included. 0 means
+	// GOMAXPROCS. It does not bound the pairing layer, which splits
+	// each chunk's Miller loop across up to GOMAXPROCS goroutines.
 	Workers int
 }
 
@@ -102,14 +103,13 @@ func (cc *checkCollector) add(acc1, acc2 accumulator.Acc, proof accumulator.Proo
 	})
 }
 
-// flush resolves every pending check. Sequential mode replays them
+// flush resolves the pending checks. Sequential mode replays them
 // one by one in collection order; batched mode splits them into
 // flushBatchSize chunks verified concurrently, re-verifying any
 // rejected chunk individually so the surfaced error is the first
 // failing check in collection order — exactly what the sequential
 // flush would return.
-func (v *Verifier) flush(cc *checkCollector) error {
-	checks := cc.pending
+func (v *Verifier) flush(checks []pendingCheck) error {
 	if len(checks) == 0 {
 		return nil
 	}
@@ -202,19 +202,95 @@ func (v *Verifier) flush(cc *checkCollector) error {
 // VerifySpan checks a VO covering the contiguous block span
 // [from, to] — the form subscription publications take (§7). The
 // query's own window fields are ignored; the span is validated for
-// shape and header coverage before the time-window machinery runs.
-// This is the single entry point for publication verification: the
-// subscription engine's client side and the service stream both route
-// through it.
+// shape and header coverage before the time-window machinery runs. It
+// is VerifySpans with one span.
 func (v *Verifier) VerifySpan(q Query, from, to int, vo *VO) ([]chain.Object, error) {
-	if vo == nil {
+	r := v.VerifySpans([]Span{{Query: q, From: from, To: to, VO: vo}})[0]
+	return r.Objects, r.Err
+}
+
+// Span is one job of VerifySpans: a VO covering the contiguous block
+// span [From, To] for Query, whose window fields are ignored.
+type Span struct {
+	Query    Query
+	From, To int
+	VO       *VO
+}
+
+// SpanResult is VerifySpans' verdict on one span: Err == nil certifies
+// Objects as the span's result set, and a non-nil Err leaves Objects
+// nil.
+type SpanResult struct {
+	Objects []chain.Object
+	Err     error
+}
+
+// VerifySpans checks many spans, such as the subscription publications
+// one connection has waiting, with one pairing flush. Each span runs
+// the structural walk into its own pending list, the walks sharing one
+// clause memo. The union of the lists, byte-identical equations kept
+// once, is then flushed as one batch. If that flush rejects, every
+// span's list is flushed alone, so a tampered span fails only itself.
+// Each result is the one VerifySpan returns for its span alone: the
+// same objects and the same error. Sequential flushes every span alone,
+// check by check.
+func (v *Verifier) VerifySpans(spans []Span) []SpanResult {
+	out := make([]SpanResult, len(spans))
+	clauses := make(map[string]accumulator.Acc)
+	pending := make([][]pendingCheck, len(spans))
+	var live []int
+	for i, s := range spans {
+		cc := &checkCollector{acc: v.Acc, clauses: clauses}
+		objs, err := v.collectSpan(s, cc)
+		if err != nil {
+			out[i].Err = err
+			continue
+		}
+		out[i].Objects, pending[i] = objs, cc.pending
+		live = append(live, i)
+	}
+	if len(live) > 1 && !v.Sequential && v.flush(v.distinct(pending)) == nil {
+		return out
+	}
+	for _, i := range live {
+		if err := v.flush(pending[i]); err != nil {
+			out[i] = SpanResult{Err: err}
+		}
+	}
+	return out
+}
+
+// collectSpan validates one span's shape and runs its structural walk
+// into cc.
+func (v *Verifier) collectSpan(s Span, cc *checkCollector) ([]chain.Object, error) {
+	if s.VO == nil {
 		return nil, fmt.Errorf("%w: publication without VO", ErrCompleteness)
 	}
-	if from < 0 || to < from {
-		return nil, fmt.Errorf("%w: invalid publication span [%d,%d]", ErrCompleteness, from, to)
+	if s.From < 0 || s.To < s.From {
+		return nil, fmt.Errorf("%w: invalid publication span [%d,%d]", ErrCompleteness, s.From, s.To)
 	}
-	q.StartBlock, q.EndBlock = from, to
-	return v.VerifyTimeWindow(q, vo)
+	q := s.Query
+	q.StartBlock, q.EndBlock = s.From, s.To
+	return v.collectParts(q, []WindowPart{{Start: s.From, End: s.To, VO: s.VO}}, nil, cc)
+}
+
+// distinct concatenates the pending lists, keeping one copy of every
+// check whose (acc₁, acc₂, π) encodes to the same bytes: spans whose
+// queries share a clause often carry the same proof.
+func (v *Verifier) distinct(lists [][]pendingCheck) []pendingCheck {
+	var out []pendingCheck
+	seen := make(map[string]bool)
+	for _, list := range lists {
+		for _, pc := range list {
+			key := string(v.Acc.AccBytes(pc.check.Acc1)) + string(v.Acc.AccBytes(pc.check.Acc2)) +
+				string(v.Acc.ProofBytes(pc.check.Proof))
+			if !seen[key] {
+				seen[key] = true
+				out = append(out, pc)
+			}
+		}
+	}
+	return out
 }
 
 // VerifyTimeWindow checks a VO against q and the light headers,

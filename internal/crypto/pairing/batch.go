@@ -3,6 +3,7 @@ package pairing
 import (
 	"crypto/rand"
 	"math/big"
+	"runtime"
 
 	"github.com/vchain-go/vchain/internal/crypto/ec"
 )
@@ -160,14 +161,12 @@ func (pr *Params) batchProduct(eqs []BatchEquation, exps []*big.Int) GT {
 		shared = pr.millerArgs(shared, []PairPair{{P: s, Q: b.q}}, false)
 	}
 
-	acc := pr.X.One()
-	if len(shared) > 0 {
-		acc = pr.millerLoop(shared)
-	}
+	n := runtime.GOMAXPROCS(0)
+	terms := splitArgs(nil, shared, n)
 	for i, args := range own {
 		if len(args) > 0 {
-			acc = pr.X.Mul(acc, pr.X.Exp(pr.millerLoop(args), exps[i]))
+			terms = append(terms, millerTerm{args: args, exp: exps[i]})
 		}
 	}
-	return GT{V: pr.finalExp(acc)}
+	return GT{V: pr.finalExp(pr.millerTerms(terms, n))}
 }

@@ -2,6 +2,9 @@ package pairing
 
 import (
 	"math/big"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"github.com/vchain-go/vchain/internal/crypto/ec"
 	"github.com/vchain-go/vchain/internal/crypto/ff"
@@ -87,6 +90,64 @@ func (pr *Params) millerArgs(args []millerArg, pairs []PairPair, inv bool) []mil
 }
 
 // millerLoop returns ∏ f_{r,P_i}(φ(Q_i)), up to a factor in F_p*, for
+// the non-empty args, cut into contiguous ranges run on up to
+// GOMAXPROCS goroutines.
+func (pr *Params) millerLoop(args []millerArg) ff.Elt2 {
+	n := runtime.GOMAXPROCS(0)
+	return pr.millerTerms(splitArgs(nil, args, n), n)
+}
+
+// millerTerm is one factor of a Miller product: the value of one loop
+// over args (millerRange), raised to exp unless exp is nil.
+type millerTerm struct {
+	args []millerArg
+	exp  *big.Int
+}
+
+// splitArgs appends args to terms as at most n contiguous ranges.
+func splitArgs(terms []millerTerm, args []millerArg, n int) []millerTerm {
+	n = min(n, len(args))
+	for w := range n {
+		terms = append(terms, millerTerm{args: args[w*len(args)/n : (w+1)*len(args)/n]})
+	}
+	return terms
+}
+
+// millerTerms returns the product of the terms' values, computing them
+// on up to n goroutines, the caller's included. A range's value is the
+// product of its pairs' values, so cutting a loop into ranges changes
+// nothing, element for element: F_p² multiplication commutes, and a
+// zero value (a vanishing line) still zeroes the product.
+func (pr *Params) millerTerms(terms []millerTerm, n int) ff.Elt2 {
+	vals := make([]ff.Elt2, len(terms))
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(terms); i = int(next.Add(1) - 1) {
+			v := pr.millerRange(terms[i].args)
+			if terms[i].exp != nil {
+				v = pr.X.Exp(v, terms[i].exp)
+			}
+			vals[i] = v
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(n, len(terms)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	f := pr.X.One()
+	for _, v := range vals {
+		f = pr.X.Mul(f, v)
+	}
+	return f
+}
+
+// millerRange returns ∏ f_{r,P_i}(φ(Q_i)), up to a factor in F_p*, for
 // the non-empty args: one loop over the signed digits of r (its NAF,
 // rNAF) that advances every pair's point and shares the accumulator's
 // squaring.
@@ -107,7 +168,7 @@ func (pr *Params) millerArgs(args []millerArg, pairs []PairPair, inv bool) []mil
 // give functions with the same divisor that differ by an F_p*
 // constant: the reduced pairing is bit-identical. For Q in G, x_Q ≠ 0,
 // so φ(Q) is not F_p-rational and no line or vertical vanishes there.
-func (pr *Params) millerLoop(args []millerArg) ff.Elt2 {
+func (pr *Params) millerRange(args []millerArg) ff.Elt2 {
 	x := pr.X
 	ts := make([]ec.JacPoint, len(args))
 	negs := make([]ec.Point, len(args))
@@ -217,7 +278,7 @@ func (pr *Params) stepValue(c0, c1, x3, z3 ff.Elt, at ec.Point2) ff.Elt2 {
 }
 
 // affineStep runs one degenerate step a+b through the exact affine
-// millerStep, in millerLoop's form.
+// millerStep, in millerRange's form.
 func (pr *Params) affineStep(a, b ec.Point, at ec.Point2) (ec.JacPoint, ff.Elt2) {
 	l, v, next := pr.millerStep(a, b, at)
 	return pr.C.ToJac(next), pr.X.Mul(l, pr.X.Conj(v))
@@ -255,7 +316,7 @@ func (pr *Params) finalExp(f ff.Elt2) ff.Elt2 {
 // a+b itself, in affine coordinates with one slope inversion.
 // Degenerate cases (vertical chord, point at infinity) follow the
 // standard divisor conventions: an absent factor contributes 1. The
-// Jacobian steps of millerLoop fall back to it where their formulas do
+// Jacobian steps of millerRange fall back to it where their formulas do
 // not apply.
 func (pr *Params) millerStep(a, b ec.Point, at ec.Point2) (ff.Elt2, ff.Elt2, ec.Point) {
 	f := pr.F

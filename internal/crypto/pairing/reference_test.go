@@ -280,7 +280,82 @@ func FuzzMillerLoop(f *testing.F) {
 		if got, want := pr.Pair(p, t3), refPair(pr, p, t3); !got.Equal(want) {
 			t.Fatalf("Pair(P, (0, 1)) differs from the reference for P from %x (mode %d)", pSeed, mode%5)
 		}
+		// The same pairs, one of them conjugated, as one loop and split.
+		args := pr.millerArgs(nil, []PairPair{{P: p, Q: q}, {P: pr.G, Q: q}}, false)
+		args = pr.millerArgs(args, []PairPair{{P: p, Q: t3}}, true)
+		one := pr.millerTerms(splitArgs(nil, args, 1), 1)
+		for n := 2; n <= len(args); n++ {
+			if !pr.millerTerms(splitArgs(nil, args, n), n).Equal(one) {
+				t.Fatalf("Miller loop split %d ways differs from one loop for P from %x (mode %d)", n, pSeed, mode%5)
+			}
+		}
 	})
+}
+
+// TestMillerSplitMatchesOneLoop pins the split Miller loop to the
+// one-goroutine loop bit for bit, before and after the final
+// exponentiation, for 1–9 args cut into every number of ranges. The
+// args are the hostile on-curve points of loopedPoints (torsion
+// components, the bare points (−1, 0) and (0, ±1)) evaluated at G, at
+// a point of G and at (0, ±1), half of them entering conjugated as
+// PairingEqual's right-hand side does; every set is also run with a
+// pair whose tangent vanishes at its evaluation point, whose zero
+// Miller value must stay a reject however the loop is cut.
+func TestMillerSplitMatchesOneLoop(t *testing.T) {
+	for _, pr := range presetsUnderTest(t) {
+		rng := rand.New(rand.NewSource(83))
+		var ps []ec.Point
+		for _, p := range loopedPoints(pr, rng) {
+			if !p.Inf {
+				ps = append(ps, p)
+			}
+		}
+		t3 := ec.Point{X: pr.F.Zero(), Y: pr.F.One()}
+		t3n := ec.Point{X: pr.F.Zero(), Y: pr.F.FromInt64(-1)}
+		qs := []ec.Point{pr.G, randPoint(pr, rng), t3, t3n}
+		var pairs []PairPair
+		for i, p := range ps {
+			pairs = append(pairs, PairPair{P: p, Q: qs[i%len(qs)]})
+		}
+		rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+		vanish := PairPair{P: t3, Q: t3}
+		for m := 1; m <= 9; m++ {
+			for _, zero := range []bool{false, true} {
+				sel := make([]PairPair, m)
+				for i := range sel {
+					sel[i] = pairs[(m*m+i)%len(pairs)]
+				}
+				if zero {
+					sel[m/2] = vanish
+				}
+				args := pr.millerArgs(pr.millerArgs(nil, sel[:m/2], false), sel[m/2:], true)
+				one := pr.millerRange(args)
+				want := pr.finalExp(one)
+				if zero && !want.IsZero() {
+					t.Fatalf("%s: %d args with a vanishing tangent: Miller value not zero", pr.Name, m)
+				}
+				for n := 1; n <= m; n++ {
+					got := pr.millerTerms(splitArgs(nil, args, n), n)
+					if !got.Equal(one) {
+						t.Fatalf("%s: %d args split %d ways (vanishing %v): Miller value differs from one loop", pr.Name, m, n, zero)
+					}
+					if !pr.finalExp(got).Equal(want) {
+						t.Fatalf("%s: %d args split %d ways (vanishing %v): reduced value differs from one loop", pr.Name, m, n, zero)
+					}
+				}
+				// The batch's shape: the loop's ranges beside one-pair
+				// loops raised to their randomizers, on n goroutines.
+				e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 64))
+				terms := []millerTerm{{args: args[:1], exp: e}}
+				wantTerms := pr.X.Mul(pr.X.Exp(pr.millerRange(args[:1]), e), pr.millerRange(args[1:]))
+				for n := 1; n <= m; n++ {
+					if got := pr.millerTerms(splitArgs(terms, args[1:], n), n); !got.Equal(wantTerms) {
+						t.Fatalf("%s: %d args with a raised term on %d goroutines: value differs from sequential", pr.Name, m, n)
+					}
+				}
+			}
+		}
+	}
 }
 
 // BenchmarkMillerLoop and BenchmarkFinalExp split one Pair into its two

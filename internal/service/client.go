@@ -166,6 +166,10 @@ type Client struct {
 	// yet) instead of being dropped.
 	subscribing int
 	orphans     []*subscribe.Publication
+
+	// verifies batches the verification of the publications this
+	// client's streams have waiting.
+	verifies verifyGroup
 }
 
 // Dial connects to an SP. An optional ClientConfig tunes timeouts,

@@ -298,7 +298,9 @@ func (s *Subscription) Err() error {
 }
 
 // verify checks one pushed publication: header auto-sync for the
-// covered span, stream continuity, then the span VO itself.
+// covered span, stream continuity, then the span VO itself. It runs in
+// the connection's group commit (verifyGroup), so the publications the
+// connection's streams have waiting are settled together.
 //
 // The continuity anchor advances only on a successfully verified
 // span, and re-arms (accept any From, like the stream's first
@@ -310,33 +312,122 @@ func (s *Subscription) Err() error {
 // the consumer the stream's completeness guarantee was interrupted at
 // that point.
 func (s *Subscription) verify(pub *subscribe.Publication) Delivery {
-	d := Delivery{Pub: pub}
-	defer func() {
-		if d.Err != nil {
-			s.lastTo = -1
-		} else {
-			s.lastTo = pub.To
+	j := &verifyJob{s: s, pub: pub, d: Delivery{Pub: pub}}
+	s.c.verifies.do(j, s.c.verifyBatch)
+	if j.d.Err != nil {
+		s.lastTo = -1
+	} else {
+		s.lastTo = pub.To
+	}
+	return j.d
+}
+
+// verifyJob is one publication of stream s waiting in the group
+// commit. The stream's goroutine is blocked in do until done, so the
+// leader may read s's query, configuration and continuity anchor.
+type verifyJob struct {
+	s    *Subscription
+	pub  *subscribe.Publication
+	d    Delivery
+	done bool // guarded by verifyGroup.mu
+}
+
+// verifyGroup is a connection's group commit for stream verification.
+// The first stream goroutine to arrive leads: it takes every job
+// queued by then, runs them as one batch, and on finishing hands
+// leadership to a waiter whose job arrived meanwhile. There is no
+// timer: a lone publication is verified at once, and the publications
+// that arrive while a batch runs form the next one. The zero value is
+// ready to use.
+type verifyGroup struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []*verifyJob
+	leading bool
+}
+
+// do queues j and returns once a batch containing it has run.
+func (g *verifyGroup) do(j *verifyJob, run func([]*verifyJob)) {
+	g.mu.Lock()
+	if g.cond == nil {
+		g.cond = sync.NewCond(&g.mu)
+	}
+	g.queue = append(g.queue, j)
+	for !j.done {
+		if g.leading {
+			g.cond.Wait()
+			continue
 		}
-	}()
-	// Header auto-sync: fetch (and PoW-validate) everything up to the
-	// span's newest block. The SP supplies the headers but cannot
-	// forge them — SyncHeaders re-checks linkage and proof-of-work.
-	if s.cfg.Light.Height() <= pub.To {
-		if err := s.c.SyncHeaders(context.Background(), s.cfg.Light); err != nil {
-			d.Err = fmt.Errorf("service: header sync for publication [%d,%d]: %w",
-				pub.From, pub.To, err)
-			return d
+		g.leading = true
+		batch := g.queue
+		g.queue = nil
+		g.mu.Unlock()
+		run(batch)
+		g.mu.Lock()
+		for _, b := range batch {
+			b.done = true
+		}
+		g.leading = false
+		g.cond.Broadcast()
+	}
+	g.mu.Unlock()
+}
+
+// verifyBatch settles one group-commit batch. Jobs that share an
+// (Acc, Light) configuration sync headers once and verify their spans
+// in one core.Verifier.VerifySpans call.
+func (c *Client) verifyBatch(jobs []*verifyJob) {
+	var groups [][]*verifyJob
+next:
+	for _, j := range jobs {
+		for i, g := range groups {
+			if g[0].s.cfg == j.s.cfg {
+				groups[i] = append(g, j)
+				continue next
+			}
+		}
+		groups = append(groups, []*verifyJob{j})
+	}
+	for _, g := range groups {
+		c.verifyJobs(g[0].s.cfg, g)
+	}
+}
+
+// verifyJobs verifies jobs that share cfg.
+func (c *Client) verifyJobs(cfg SubscribeConfig, jobs []*verifyJob) {
+	// Header auto-sync: one sync fetches (and PoW-validates) the chain
+	// past the newest block any job covers. The SP supplies the headers
+	// but cannot forge them — SyncHeaders re-checks linkage and
+	// proof-of-work. A failed sync fails the jobs it left uncovered.
+	var syncErr error
+	for _, j := range jobs {
+		if cfg.Light.Height() <= j.pub.To {
+			syncErr = c.SyncHeaders(context.Background(), cfg.Light)
+			break
 		}
 	}
-	// Continuity: consecutive publications must tile the chain. A span
-	// that skips blocks is an SP silently withholding results — a
-	// completeness violation even when the span itself verifies.
-	if s.lastTo >= 0 && pub.From != s.lastTo+1 {
-		d.Err = fmt.Errorf("%w: publication span [%d,%d] does not continue at block %d",
-			core.ErrCompleteness, pub.From, pub.To, s.lastTo+1)
-		return d
+	var spans []core.Span
+	var walked []*verifyJob
+	for _, j := range jobs {
+		pub := j.pub
+		switch {
+		case syncErr != nil && cfg.Light.Height() <= pub.To:
+			j.d.Err = fmt.Errorf("service: header sync for publication [%d,%d]: %w",
+				pub.From, pub.To, syncErr)
+		case j.s.lastTo >= 0 && pub.From != j.s.lastTo+1:
+			// Continuity: consecutive publications must tile the chain.
+			// A span that skips blocks is an SP silently withholding
+			// results — a completeness violation even when the span
+			// itself verifies.
+			j.d.Err = fmt.Errorf("%w: publication span [%d,%d] does not continue at block %d",
+				core.ErrCompleteness, pub.From, pub.To, j.s.lastTo+1)
+		default:
+			spans = append(spans, core.Span{Query: j.s.q, From: pub.From, To: pub.To, VO: pub.VO})
+			walked = append(walked, j)
+		}
 	}
-	ver := &core.Verifier{Acc: s.cfg.Acc, Light: s.cfg.Light}
-	d.Objects, d.Err = subscribe.VerifyPublication(ver, s.q, pub)
-	return d
+	ver := &core.Verifier{Acc: cfg.Acc, Light: cfg.Light}
+	for i, r := range ver.VerifySpans(spans) {
+		walked[i].d.Objects, walked[i].d.Err = r.Objects, r.Err
+	}
 }

@@ -3,8 +3,10 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -307,6 +309,165 @@ func TestStreamAdversarial(t *testing.T) {
 		}
 		_ = cliVan
 	})
+}
+
+// TestStreamTamperedAmongHonest: eight subscriptions with overlapping
+// clauses share one connection, so their publications are verified in
+// shared batches. The SP swaps one stream's proof for another valid
+// curve point: that stream alone gets ErrSoundness, and its continuity
+// anchor re-arms, so after a withheld publication its next honest one
+// is accepted. The other seven deliver the naive scan's objects.
+func TestStreamTamperedAmongHonest(t *testing.T) {
+	env := newStreamEnv(t, ServerConfig{})
+	cli, err := Dial(env.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	kw := core.KeywordClause
+	queries := []core.Query{
+		{Bool: core.CNF{kw("sedan")}},
+		{Bool: core.CNF{kw("van")}},
+		{Bool: core.CNF{kw("sedan", "van")}},
+		{Bool: core.CNF{kw("bmw")}},
+		{Bool: core.CNF{kw("sedan"), kw("benz")}},
+		{Bool: core.CNF{kw("van"), kw("audi", "bmw")}},
+		{Bool: core.CNF{kw("benz")}},
+		{Bool: core.CNF{kw("bmw"), kw("sedan")}},
+	}
+	light := chain.NewLightStore(0)
+	var subs []*Subscription
+	for _, q := range queries {
+		q.Width = 4
+		sub, err := cli.SubscribeCtx(context.Background(), q, SubscribeConfig{Acc: env.acc, Light: light})
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, sub)
+	}
+	victim := subs[3] // "bmw": no block matches, so every publication carries proofs
+
+	var mode string // "swap-proof", "drop" or honest
+	env.srv.tamperPub = func(p *subscribe.Publication) *subscribe.Publication {
+		if p.QueryID != victim.ID || mode == "" {
+			return p
+		}
+		if mode == "drop" {
+			return nil
+		}
+		// Publications may share VO nodes: tamper with a private copy.
+		vo, err := core.DecodeVO(env.acc, core.EncodeVO(env.acc, p.VO))
+		if err != nil {
+			t.Error(err)
+			return p
+		}
+		if !swapProof(env.acc, vo) {
+			t.Error("victim publication carries no proof")
+		}
+		cp := *p
+		cp.VO = vo
+		return &cp
+	}
+
+	blocks := [][]chain.Object{
+		{{ID: 1, TS: 1, V: []int64{4}, W: []string{"sedan", "benz"}}, {ID: 2, TS: 1, V: []int64{4}, W: []string{"van", "audi"}}},
+		{{ID: 3, TS: 2, V: []int64{4}, W: []string{"van", "benz"}}, {ID: 4, TS: 2, V: []int64{4}, W: []string{"sedan", "audi"}}},
+		{{ID: 5, TS: 3, V: []int64{4}, W: []string{"sedan", "benz"}}},
+		{{ID: 6, TS: 4, V: []int64{4}, W: []string{"van", "audi"}}, {ID: 7, TS: 4, V: []int64{4}, W: []string{"sedan"}}},
+	}
+	for h, objs := range blocks {
+		mode = map[int]string{1: "swap-proof", 2: "drop"}[h]
+		env.mine(t, objs)
+		for i, sub := range subs {
+			if sub == victim && mode == "drop" {
+				continue
+			}
+			d := recv(t, sub)
+			if sub == victim && mode == "swap-proof" {
+				if !errors.Is(d.Err, core.ErrSoundness) || d.Objects != nil {
+					t.Fatalf("block %d: tampered stream got %v with %d objects, want ErrSoundness", h, d.Err, len(d.Objects))
+				}
+				continue
+			}
+			if d.Err != nil {
+				t.Fatalf("block %d, stream %d: honest publication rejected: %v", h, i, d.Err)
+			}
+			if d.Pub.From != h || d.Pub.To != h {
+				t.Fatalf("block %d, stream %d: publication covers [%d,%d]", h, i, d.Pub.From, d.Pub.To)
+			}
+			var want []chain.ObjectID
+			for _, o := range objs {
+				if sub.q.MatchesObject(o.V, o.W) {
+					want = append(want, o.ID)
+				}
+			}
+			var got []chain.ObjectID
+			for _, o := range d.Objects {
+				got = append(got, o.ID)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("block %d, stream %d: objects %v, naive scan %v", h, i, got, want)
+			}
+		}
+	}
+}
+
+// TestBatchSyncFailsUncoveredOnly: when a batch's one header sync
+// fails, the publications the light store does not cover yet fail
+// with the sync error, and a covered publication in the same batch
+// still verifies.
+func TestBatchSyncFailsUncoveredOnly(t *testing.T) {
+	env := newStreamEnv(t, ServerConfig{})
+	cli, sub, light := env.dialSub(t, sedanQuery())
+	env.mine(t, block(1, "sedan"))
+	d := recv(t, sub)
+	if d.Err != nil {
+		t.Fatal(d.Err)
+	}
+	cli.Close() // every later header sync fails
+	covered := &verifyJob{s: &Subscription{q: sedanQuery(), lastTo: -1}, pub: d.Pub}
+	ahead := &verifyJob{s: &Subscription{q: sedanQuery(), lastTo: 0},
+		pub: &subscribe.Publication{QueryID: sub.ID, From: 1, To: 1, VO: d.Pub.VO}}
+	cli.verifyJobs(SubscribeConfig{Acc: env.acc, Light: light}, []*verifyJob{covered, ahead})
+	if covered.d.Err != nil || len(covered.d.Objects) != 1 {
+		t.Fatalf("covered publication: %d objects, err %v", len(covered.d.Objects), covered.d.Err)
+	}
+	if ahead.d.Err == nil || !strings.Contains(ahead.d.Err.Error(), "header sync for publication [1,1]") {
+		t.Fatalf("uncovered publication: %v, want the header sync error", ahead.d.Err)
+	}
+}
+
+// swapProof replaces the first disjointness proof in vo with another
+// valid curve point: twice the proof. It reports whether vo held one.
+func swapProof(acc accumulator.Accumulator, vo *core.VO) bool {
+	swap := func(p *accumulator.Proof) {
+		*p, _ = acc.ProofSum(*p, *p)
+	}
+	var walk func(n *core.NodeVO) bool
+	walk = func(n *core.NodeVO) bool {
+		if n == nil {
+			return false
+		}
+		if n.Kind == core.KindMismatch && n.Proof != nil {
+			swap(n.Proof)
+			return true
+		}
+		return walk(n.Left) || walk(n.Right)
+	}
+	for i := range vo.Blocks {
+		if s := vo.Blocks[i].Skip; s != nil {
+			swap(&s.Proof)
+			return true
+		}
+		if walk(vo.Blocks[i].Tree) {
+			return true
+		}
+	}
+	if len(vo.Groups) > 0 {
+		swap(&vo.Groups[0].Proof)
+		return true
+	}
+	return false
 }
 
 // flipFirstResult applies f to the first result object found in the VO.

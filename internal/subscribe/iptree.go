@@ -11,6 +11,7 @@ package subscribe
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/vchain-go/vchain/internal/core"
 )
@@ -21,6 +22,10 @@ import (
 // Condition Inverted File (BCIF: clause → queries, for full-cover
 // queries). It groups similar queries so the SP evaluates and proves
 // each distinct clause once instead of once per query.
+//
+// The grid is built on first use (ClassifyPoint, Depth). The engine's
+// block decisions read only ClauseGroups, which needs no grid, so a
+// subscription engine never pays for the cells.
 type IPTree struct {
 	// Dims is the numeric dimensionality of the indexed space.
 	Dims int
@@ -30,8 +35,9 @@ type IPTree struct {
 	// resolved by direct evaluation).
 	MaxDepth int
 
-	root    *ipNode
-	queries map[int]core.Query
+	gridOnce sync.Once
+	root     *ipNode
+	queries  map[int]core.Query
 	// splitDims caps how many dimensions each split halves: a full 2^d
 	// fan-out explodes for high-dimensional spaces (WX has 7), so cells
 	// split along the first splitDims dimensions only; the remaining
@@ -73,18 +79,20 @@ func NewIPTree(dims, width, maxDepth int, queries map[int]core.Query) (*IPTree, 
 	if t.splitDims > 2 {
 		t.splitDims = 2
 	}
-	lo := make([]int64, dims)
-	hi := make([]int64, dims)
-	for d := range hi {
-		hi[d] = (int64(1) << uint(width)) - 1
-	}
-	all := make([]int, 0, len(queries))
-	for id := range queries {
-		all = append(all, id)
-	}
-	sortIDs(all)
-	t.root = t.build(lo, hi, 0, all)
 	return t, nil
+}
+
+// grid returns the tree's root cell, building the grid on first call.
+func (t *IPTree) grid() *ipNode {
+	t.gridOnce.Do(func() {
+		lo := make([]int64, t.Dims)
+		hi := make([]int64, t.Dims)
+		for d := range hi {
+			hi[d] = (int64(1) << uint(t.Width)) - 1
+		}
+		t.root = t.build(lo, hi, 0, sortedQueryIDs(t.queries))
+	})
+	return t.root
 }
 
 // queryRect returns the query's numeric rectangle, expanding a missing
@@ -213,7 +221,7 @@ func (t *IPTree) ClassifyPoint(v []int64) Classification {
 	var out Classification
 	seen := map[int]bool{}
 	decided := map[int]bool{}
-	n := t.root
+	n := t.grid()
 	for _, id := range n.partial {
 		seen[id] = true
 	}
@@ -332,7 +340,7 @@ func (t *IPTree) Depth() int {
 		}
 		return best
 	}
-	return walk(t.root)
+	return walk(t.grid())
 }
 
 func sortIDs(xs []int) {

@@ -30,11 +30,11 @@ func TestIPTreeBuildFig8(t *testing.T) {
 	}
 	// Root: everything is partial except none (no query covers the
 	// whole space).
-	if len(tree.root.full) != 0 {
-		t.Errorf("root full covers: %v", tree.root.full)
+	if len(tree.grid().full) != 0 {
+		t.Errorf("root full covers: %v", tree.grid().full)
 	}
-	if len(tree.root.partial) != 4 {
-		t.Errorf("root partial covers: %v", tree.root.partial)
+	if len(tree.grid().partial) != 4 {
+		t.Errorf("root partial covers: %v", tree.grid().partial)
 	}
 }
 
@@ -130,7 +130,7 @@ func TestIPTreeBCIFSharing(t *testing.T) {
 			walk(c)
 		}
 	}
-	walk(tree.root)
+	walk(tree.grid())
 	if hit == nil {
 		t.Fatal("no cell fully covered by q1 and q2")
 	}
