@@ -107,6 +107,23 @@ type Accumulator interface {
 	ProofFromBytes(b []byte) (Proof, error)
 }
 
+// Union returns acc(x1 ∪ x2), for the per-element-max union of Def.
+// 6.1, given acc1 = acc(x1) and acc2 = acc(x2). Construction 2's
+// digest is linear in the multiplicities, so Con2.Union pays for the
+// intersection only. Construction 1's digest is g^{∏(x_i+s)}: a union
+// multiplies in the exponent, which no group operation on acc1 and
+// acc2 does, so it runs Setup over the union, as does any Accumulator
+// without a Union method (a wrapper that forwards only this package's
+// interface).
+func Union(a Accumulator, x1, x2 multiset.Multiset, acc1, acc2 Acc) (Acc, error) {
+	if u, ok := a.(interface {
+		Union(x1, x2 multiset.Multiset, acc1, acc2 Acc) (Acc, error)
+	}); ok {
+		return u.Union(x1, x2, acc1, acc2)
+	}
+	return a.Setup(multiset.Union(x1, x2))
+}
+
 // ErrNotDisjoint is returned by ProveDisjoint when the multisets share
 // an element: no valid proof exists (unforgeability).
 var ErrNotDisjoint = errors.New("accumulator: multisets are not disjoint")

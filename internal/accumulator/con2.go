@@ -123,22 +123,42 @@ func (c *Con2) encode(x multiset.Multiset) (map[int]int, error) {
 
 // Setup implements Accumulator:
 // acc(X) = (g^{Σ m_i s^{x_i}}, g^{Σ m_i s^{q−x_i}}).
-func (c *Con2) Setup(x multiset.Multiset) (Acc, error) {
+func (c *Con2) Setup(x multiset.Multiset) (Acc, error) { return c.combine(x, 1) }
+
+// Union is the package's Union for Construction 2: max(m1, m2) =
+// m1 + m2 − min(m1, m2) per element, so acc(x1 ∪ x2) = acc1 + acc2 −
+// acc(x1 ∩ x2). The intersection is taken before encoding, so encoder
+// collisions sum exactly as they do in Setup.
+func (c *Con2) Union(x1, x2 multiset.Multiset, acc1, acc2 Acc) (Acc, error) {
+	return c.combine(multiset.Intersect(x1, x2), -1, acc1, acc2)
+}
+
+// one is the shared unit scalar; MultiScalarMul never writes scalars.
+var one = big.NewInt(1)
+
+// combine returns Σ accs + sign·acc(x) as one MultiScalarMul per
+// component: scalar 1 on each acc and sign·m_i on each element's power.
+// When every scalar is ±1 the call takes MultiScalarMul's addition
+// chain, mixed Jacobian additions with one inversion, which is how
+// Setup, Union and Sum all add points.
+func (c *Con2) combine(x multiset.Multiset, sign int64, accs ...Acc) (Acc, error) {
 	enc, err := c.encode(x)
 	if err != nil {
 		return Acc{}, err
 	}
-	ptsA := make([]ec.Point, 0, len(enc))
-	ptsB := make([]ec.Point, 0, len(enc))
-	ks := make([]*big.Int, 0, len(enc))
+	n := len(accs) + len(enc)
+	ptsA := make([]ec.Point, 0, n)
+	ptsB := make([]ec.Point, 0, n)
+	ks := make([]*big.Int, 0, n)
+	for _, a := range accs {
+		ptsA, ptsB, ks = append(ptsA, a.A), append(ptsB, a.B), append(ks, one)
+	}
 	for v, m := range enc {
 		ptsA = append(ptsA, c.pk[v])
 		ptsB = append(ptsB, c.pk[c.q-v])
-		ks = append(ks, big.NewInt(int64(m)))
+		ks = append(ks, big.NewInt(sign*int64(m)))
 	}
-	da := c.pr.C.MultiScalarMul(ptsA, ks)
-	db := c.pr.C.MultiScalarMul(ptsB, ks)
-	return Acc{A: da, B: db}, nil
+	return Acc{A: c.pr.C.MultiScalarMul(ptsA, ks), B: c.pr.C.MultiScalarMul(ptsB, ks)}, nil
 }
 
 // ProveDisjoint implements Accumulator:
@@ -218,26 +238,22 @@ func (c *Con2) SupportsAgg() bool { return true }
 // multiset cardinality is not.
 func (c *Con2) MaxCardinality() int { return -1 }
 
-// Sum implements Accumulator: acc(ΣX_i) = (∏ dA_i, ∏ dB_i).
-func (c *Con2) Sum(accs ...Acc) (Acc, error) {
-	out := Acc{A: c.pr.C.Infinity(), B: c.pr.C.Infinity()}
-	for _, a := range accs {
-		out.A = c.pr.C.Add(out.A, a.A)
-		out.B = c.pr.C.Add(out.B, a.B)
-	}
-	return out, nil
-}
+// Sum implements Accumulator: acc(ΣX_i) = (∏ dA_i, ∏ dB_i), one
+// addition chain per component.
+func (c *Con2) Sum(accs ...Acc) (Acc, error) { return c.combine(nil, 1, accs...) }
 
 // ProofSum implements Accumulator: aggregates proofs π_i =
 // ProveDisjoint(X_i, Y) sharing the same second multiset Y into the
-// proof for (ΣX_i, Y). The caller is responsible for the shared-Y
-// precondition (the paper states it as a requirement on inputs).
+// proof for (ΣX_i, Y), on the same addition chain as Sum. The caller is
+// responsible for the shared-Y precondition (the paper states it as a
+// requirement on inputs).
 func (c *Con2) ProofSum(proofs ...Proof) (Proof, error) {
-	out := Proof{F1: c.pr.C.Infinity(), F2: c.pr.C.Infinity()}
-	for _, p := range proofs {
-		out.F1 = c.pr.C.Add(out.F1, p.F1)
+	pts := make([]ec.Point, len(proofs))
+	ks := make([]*big.Int, len(proofs))
+	for i, p := range proofs {
+		pts[i], ks[i] = p.F1, one
 	}
-	return out, nil
+	return Proof{F1: c.pr.C.MultiScalarMul(pts, ks), F2: c.pr.C.Infinity()}, nil
 }
 
 // AccEqual implements Accumulator.

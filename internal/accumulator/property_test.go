@@ -214,3 +214,75 @@ func ExampleCon2_aggregation() {
 	fmt.Println(acc.AccEqual(sum, direct))
 	// Output: true
 }
+
+// unionCases returns multiset pairs covering the shapes a parent's
+// children take: random, disjoint, equal, nested, heavily overlapping
+// with different multiplicities, and empty on either side.
+func unionCases(rng *rand.Rand) [][2]multiset.Multiset {
+	vocab := []string{"u1", "u2", "u3", "u4", "u5", "u6", "u7", "u8"}
+	x := multiset.New("u1", "u2", "u3", "u4", "u5")
+	x.Add("u2", 2)
+	heavy := x.Clone()
+	heavy.Add("u1", 1)
+	heavy.Add("u3", 2)
+	heavy.Add("u6", 1)
+	cases := [][2]multiset.Multiset{
+		{multiset.New("u1", "u2"), multiset.New("u3", "u4")},
+		{x, x.Clone()},
+		{multiset.New("u2", "u4"), x},
+		{x, heavy},
+		{multiset.Multiset{}, x},
+		{x, multiset.Multiset{}},
+	}
+	for i := 0; i < 10; i++ {
+		cases = append(cases, [2]multiset.Multiset{randomMultiset(rng, vocab, 6), randomMultiset(rng, vocab, 6)})
+	}
+	return cases
+}
+
+// TestAccUnionMatchesSetupOfUnion: Union(x1, x2, acc(x1), acc(x2)) ==
+// Setup(x1 ∪ x2) for both constructions at toy and (full runs only)
+// default, and for acc2 under a HashEncoder whose tiny domain makes
+// distinct elements collide.
+func TestAccUnionMatchesSetupOfUnion(t *testing.T) {
+	presets := []string{"toy"}
+	if !testing.Short() {
+		presets = append(presets, "default")
+	}
+	for _, preset := range presets {
+		pr := pairing.ByName(preset)
+		accs := map[string]Accumulator{
+			"acc1":         KeyGenCon1Deterministic(pr, 64, []byte("union")),
+			"acc2":         KeyGenCon2Deterministic(pr, 64, HashEncoder{Q: 64}, []byte("union")),
+			"acc2-collide": KeyGenCon2Deterministic(pr, 4, HashEncoder{Q: 4}, []byte("union")),
+		}
+		for name, acc := range accs {
+			t.Run(preset+"/"+name, func(t *testing.T) {
+				for i, c := range unionCases(rand.New(rand.NewSource(558))) {
+					if got, want := unionAcc(t, acc, c[0], c[1]), setupAcc(t, acc, multiset.Union(c[0], c[1])); !acc.AccEqual(got, want) {
+						t.Fatalf("case %d: Union != Setup(Union) for %v, %v", i, c[0], c[1])
+					}
+				}
+			})
+		}
+	}
+}
+
+func setupAcc(t testing.TB, acc Accumulator, x multiset.Multiset) Acc {
+	t.Helper()
+	a, err := acc.Setup(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// unionAcc runs Union from freshly set-up digests of x1 and x2.
+func unionAcc(t testing.TB, acc Accumulator, x1, x2 multiset.Multiset) Acc {
+	t.Helper()
+	a, err := Union(acc, x1, x2, setupAcc(t, acc, x1), setupAcc(t, acc, x2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
