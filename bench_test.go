@@ -221,8 +221,8 @@ func BenchmarkOnlineBatchVerification(b *testing.B) {
 }
 
 // BenchmarkSubscriptionIPTree measures per-block subscription
-// processing with many registered queries, with and without the
-// IP-tree (Fig. 12).
+// processing with many registered queries, with and without clause
+// sharing, the IP-tree's BCIF grouping (Fig. 12).
 func BenchmarkSubscriptionIPTree(b *testing.B) {
 	f := fixture(b, workload.FSQ, "acc2", core.ModeBoth, benchSkip)
 	queries := f.ds.RandomQueries(8, workload.QueryConfig{Seed: 13})
@@ -235,8 +235,7 @@ func BenchmarkSubscriptionIPTree(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng := subscribe.NewEngine(f.acc, subscribe.Options{
-					UseIPTree: useIP, Dims: f.ds.Dims, Width: f.ds.Width,
-					Proofs: proofs.New(f.acc, proofs.Options{}),
+					UseIPTree: useIP, Proofs: proofs.New(f.acc, proofs.Options{}),
 				})
 				for _, q := range queries {
 					if _, err := eng.Register(q); err != nil {
@@ -275,8 +274,7 @@ func BenchmarkSubscriptionPeriod(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng := subscribe.NewEngine(f.acc, subscribe.Options{
-					Lazy: scheme.lazy, UseIPTree: true, Dims: f.ds.Dims, Width: f.ds.Width,
-					Proofs: proofs.New(f.acc, proofs.Options{}),
+					Lazy: scheme.lazy, UseIPTree: true, Proofs: proofs.New(f.acc, proofs.Options{}),
 				})
 				ids := make([]int, len(queries))
 				for j, q := range queries {

@@ -63,7 +63,7 @@ func main() {
 		workers  = flag.Int("workers", 4, "proof-computation workers: the one pool every query and subscription proves on, at any shard count")
 		interval = flag.Duration("mine-interval", 0, "keep mining one block per interval after startup (0 = off)")
 		subLazy  = flag.Bool("sub-lazy", false, "lazy subscription authentication (§7.2): defer mismatch proofs into spans")
-		subIP    = flag.Bool("sub-iptree", true, "share clause evaluation across subscriptions with the IP-tree (§7.1)")
+		subIP    = flag.Bool("sub-iptree", true, "share clause evaluation across subscriptions by the IP-tree's clause groups (§7.1)")
 		subLT    = flag.Int("lazy-threshold", 0, "blocks a lazy span may stay pending (0 = engine default)")
 		store    = flag.String("store", "", "block store directory: blocks and ADSs persist there and are recovered on restart (empty = in-memory)")
 		adsCache = flag.Int("ads-cache", 0, "decoded-ADS cache budget in blocks for durable stores, split across shards: older ADSs stay on disk and page in on demand (0 = unbounded)")
@@ -140,7 +140,6 @@ func main() {
 		UseIPTree:     *subIP,
 		Lazy:          *subLazy,
 		LazyThreshold: *subLT,
-		Dims:          ds.Dims,
 	})
 	if err != nil {
 		fatal(err)

@@ -38,10 +38,10 @@ func main() {
 		Bool:  vchain.And(vchain.Or("sedan"), vchain.Or("benz", "bmw")),
 		Width: 9,
 	}
-	if _, err := realtime.Subscribe(q, vchain.SubscribeOptions{UseIPTree: true, Dims: 1}); err != nil {
+	if _, err := realtime.Subscribe(q, vchain.SubscribeOptions{UseIPTree: true}); err != nil {
 		log.Fatal(err)
 	}
-	lazyID, err := lazy.Subscribe(q, vchain.SubscribeOptions{UseIPTree: true, Lazy: true, Dims: 1})
+	lazyID, err := lazy.Subscribe(q, vchain.SubscribeOptions{UseIPTree: true, Lazy: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // rather than in-process: register queries from a light client, mine
 // the dataset block by block with fan-out, and locally verify every
 // pushed publication. Reported per scheme (eager/lazy × with and
-// without the IP-tree): publications per second of wall-clock
+// without clause sharing): publications per second of wall-clock
 // (mining + fan-out + wire + client verification, overlapped as they
 // are in deployment) and per-publication VO bytes.
 func SubscriptionStreamFig(kind workload.Kind, o Options) (*Table, error) {
@@ -31,7 +31,7 @@ func SubscriptionStreamFig(kind workload.Kind, o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Subscriptions share conditions (the IP-tree's premise).
+	// Subscriptions share conditions (clause sharing's premise).
 	pool := o.Queries / 2
 	if pool < 2 {
 		pool = 2
@@ -93,8 +93,6 @@ func runStream(pr *pairing.Params, ds *workload.Dataset, o Options,
 	node := core.NewFullNode(0, &core.Builder{
 		Acc: acc, Mode: core.ModeBoth, SkipSize: o.SkipListSize, Width: ds.Width,
 	})
-	opts.Dims = ds.Dims
-	opts.Width = ds.Width
 	srv := service.NewServer(node, service.ServerConfig{Subscriptions: opts})
 	addr, err := srv.Serve("127.0.0.1:0")
 	if err != nil {

@@ -86,7 +86,8 @@ func runSubscription(s *setup, queries []core.Query, opts subscribe.Options, per
 
 // SubscriptionIPTreeFig reproduces Fig. 12: accumulated SP CPU time as
 // the number of registered queries grows, for real-time/lazy × with and
-// without the IP-tree (acc2 only, as in the paper).
+// without clause sharing, the IP-tree's BCIF grouping of §7.1 (acc2
+// only, as in the paper).
 func SubscriptionIPTreeFig(kind workload.Kind, title string, o Options) (*Table, error) {
 	o = o.withDefaults()
 	pr := pairing.ByName(o.Preset)
@@ -109,14 +110,14 @@ func SubscriptionIPTreeFig(kind workload.Kind, title string, o Options) (*Table,
 		name string
 		opts subscribe.Options
 	}{
-		{"real-nip", subscribe.Options{Dims: ds.Dims, Width: ds.Width}},
-		{"real-ip", subscribe.Options{UseIPTree: true, Dims: ds.Dims, Width: ds.Width}},
-		{"lazy-nip", subscribe.Options{Lazy: true, Dims: ds.Dims, Width: ds.Width}},
-		{"lazy-ip", subscribe.Options{Lazy: true, UseIPTree: true, Dims: ds.Dims, Width: ds.Width}},
+		{"real-nip", subscribe.Options{}},
+		{"real-ip", subscribe.Options{UseIPTree: true}},
+		{"lazy-nip", subscribe.Options{Lazy: true}},
+		{"lazy-ip", subscribe.Options{Lazy: true, UseIPTree: true}},
 	}
 	for _, sch := range schemes {
 		for _, n := range counts {
-			// Subscriptions share conditions (the IP-tree's premise):
+			// Subscriptions share conditions (clause sharing's premise):
 			// draw Boolean clauses from a pool of ~n/3 distinct ones.
 			pool := n / 3
 			if pool < 2 {
@@ -174,9 +175,7 @@ func SubscriptionPeriodFig(kind workload.Kind, title string, o Options) (*Table,
 			return nil, err
 		}
 		for _, period := range periods {
-			run, err := runSubscription(s, queries, subscribe.Options{
-				Lazy: sch.lazy, UseIPTree: true, Dims: ds.Dims, Width: ds.Width,
-			}, period)
+			run, err := runSubscription(s, queries, subscribe.Options{Lazy: sch.lazy, UseIPTree: true}, period)
 			if err != nil {
 				return nil, err
 			}

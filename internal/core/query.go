@@ -153,7 +153,9 @@ func (q Query) BitWidth() int {
 
 // CNF returns the unified Boolean condition ϒ' = trans([α,β]) ∧ ϒ of
 // §5.3: range-cover clauses for each dimension followed by the keyword
-// clauses.
+// clauses. It is the one validation of a query's condition, shared by
+// every front door: a query without a condition, with an empty clause
+// (which no object satisfies), or with an invalid range is an error.
 func (q Query) CNF() (CNF, error) {
 	var out CNF
 	if q.Range != nil {
@@ -162,6 +164,11 @@ func (q Query) CNF() (CNF, error) {
 			return nil, err
 		}
 		out = append(out, rc...)
+	}
+	for i, c := range q.Bool {
+		if len(c) == 0 {
+			return nil, fmt.Errorf("core: empty OR-clause %d in the Boolean condition", i)
+		}
 	}
 	out = append(out, q.Bool...)
 	if len(out) == 0 {

@@ -124,6 +124,14 @@ func TestQueryCNFComposition(t *testing.T) {
 	if _, err := (Query{Range: &RangeCond{Lo: []int64{1}, Hi: []int64{2}}}).CNF(); err != nil {
 		t.Error(err)
 	}
+	// An empty OR-clause is refused even beside a valid one, and so is
+	// a range of zero dimensions beside a keyword clause.
+	if _, err := (Query{Bool: CNF{KeywordClause("x"), KeywordClause()}}).CNF(); err == nil {
+		t.Error("empty OR-clause accepted")
+	}
+	if _, err := (Query{Range: &RangeCond{}, Bool: CNF{KeywordClause("x")}}).CNF(); err == nil {
+		t.Error("zero-dimension range accepted")
+	}
 }
 
 func TestQueryCNFAgreesWithDirectEvaluation(t *testing.T) {

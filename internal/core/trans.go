@@ -197,10 +197,14 @@ func RangeCover(lo, hi int64, dim, width int) []string {
 
 // RangeClauses transforms a multi-dimensional range [lo, hi] into CNF
 // clauses: one OR-clause of covering prefixes per dimension, ANDed
-// together (§5.3). An error is reported for inverted or empty ranges.
+// together (§5.3). An error is reported for a range of zero dimensions
+// and for inverted or empty ranges.
 func RangeClauses(lo, hi []int64, width int) ([]Clause, error) {
 	if len(lo) != len(hi) {
 		return nil, fmt.Errorf("core: range bounds have dimensions %d and %d", len(lo), len(hi))
+	}
+	if len(lo) == 0 {
+		return nil, fmt.Errorf("core: range has no dimensions")
 	}
 	out := make([]Clause, 0, len(lo))
 	for d := range lo {

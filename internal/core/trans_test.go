@@ -185,6 +185,9 @@ func TestRangeClauses(t *testing.T) {
 	if _, err := RangeClauses([]int64{5}, []int64{2}, 3); err == nil {
 		t.Error("inverted range accepted")
 	}
+	if _, err := RangeClauses(nil, nil, 3); err == nil {
+		t.Error("zero-dimension range accepted")
+	}
 }
 
 // TestObjectHasMatchesObjectMultiset: membership decided on the object

@@ -359,6 +359,68 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
+// TestEmptyClauseRefusedAtEveryFrontDoor: core.Query.CNF is the one
+// validation of a query's condition, so a query with an empty OR-clause
+// is refused with core's error in process, over gob, over HTTP, and at
+// subscribe.
+func TestEmptyClauseRefusedAtEveryFrontDoor(t *testing.T) {
+	node := buildNode(t, 4)
+	q := core.Query{StartBlock: 0, EndBlock: 3, Bool: core.CNF{core.KeywordClause()}, Width: testWidth}
+	_, cnfErr := q.CNF()
+	if cnfErr == nil {
+		t.Fatal("core accepts an empty OR-clause")
+	}
+	want := cnfErr.Error()
+
+	srv := service.NewServer(node)
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := service.Dial(addr, service.ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	_, base := startGateway(t, node, Config{})
+	ctx := context.Background()
+
+	for _, tc := range []struct {
+		door   string
+		refuse func() error
+	}{
+		{"in-process TimeWindowParts", func() error {
+			_, err := node.TimeWindowParts(ctx, q, false)
+			return err
+		}},
+		{"gob QueryParts", func() error {
+			_, err := cli.QueryParts(ctx, q, false)
+			return err
+		}},
+		{"HTTP /v1/query", func() error {
+			resp, body := do(t, "POST", base+"/v1/query", "", map[string]any{
+				"startBlock": q.StartBlock, "endBlock": q.EndBlock, "keywords": [][]string{{}},
+			})
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("HTTP status %d, want 400", resp.StatusCode)
+			}
+			return fmt.Errorf("%s", body)
+		}},
+		{"gob SubscribeCtx", func() error {
+			sub, err := cli.SubscribeCtx(ctx, q, service.SubscribeConfig{Acc: node.Acc(), Light: chain.NewLightStore(0)})
+			if sub != nil {
+				sub.Close()
+			}
+			return err
+		}},
+	} {
+		if err := tc.refuse(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want core's %q", tc.door, err, want)
+		}
+	}
+}
+
 // faultySharded builds a 4-shard node and quarantines the target
 // shard, mirroring the shard package's acceptance fixture.
 func faultySharded(t *testing.T, blocks, target int) *shard.Node {

@@ -109,9 +109,6 @@ func NewServer(node Chain, cfg ...ServerConfig) *Server {
 	if subOpts.Proofs == nil {
 		subOpts.Proofs = node.ProofEngine()
 	}
-	if subOpts.Width <= 0 {
-		subOpts.Width = node.BitWidth()
-	}
 	return &Server{
 		node:     node,
 		cfg:      c,

@@ -25,7 +25,7 @@ func BenchmarkVerifyBlockPublications(b *testing.B) {
 	q := ds.Dims<<(ds.Width+1) + len(ds.Vocabulary) + 64
 	acc := accumulator.KeyGenCon2Deterministic(pairing.Default(), q, accumulator.NewDictEncoder(q), []byte("bench"))
 	node := core.NewFullNode(0, &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: ds.Width})
-	engine := NewEngine(acc, Options{UseIPTree: true, Dims: ds.Dims, Width: ds.Width, Proofs: newProofs(acc)})
+	engine := NewEngine(acc, Options{UseIPTree: true, Proofs: newProofs(acc)})
 	queries := make(map[int]core.Query)
 	for _, q := range ds.RandomQueries(32, workload.QueryConfig{SharedClausePool: 8, Seed: 35}) {
 		id, err := engine.Register(q)

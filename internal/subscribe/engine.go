@@ -1,8 +1,26 @@
+// Package subscribe implements vChain's verifiable subscription queries
+// (§7): a real-time publisher that emits per-block results with VOs,
+// shared processing of the registered queries (§7.1), and the
+// lazy-authentication optimization that defers and aggregates mismatch
+// proofs until a matching result appears (Alg. 5).
+//
+// Of the IP-tree of §7.1 the engine keeps the Boolean Condition
+// Inverted File (BCIF): each distinct clause with the queries sharing
+// it, so the SP tests and proves each clause once per block (Fig. 12).
+// It builds no grid of cells with Range Condition Inverted Files and
+// no single-object traversal: the engine decides whole blocks, and a
+// block-level decision reads only the clause groups, range-prefix
+// clauses included.
+//
+// Publications are spans of time-window VOs, so the light client
+// verifies them with exactly the same machinery as one-shot queries.
 package subscribe
 
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
@@ -15,8 +33,12 @@ import (
 // Options configure the subscription engine.
 type Options struct {
 	// UseIPTree enables shared clause evaluation and proof reuse across
-	// queries (§7.1). Without it every query is processed independently
-	// (the "nip" baseline of Fig. 12).
+	// queries (§7.1): the engine groups the registered queries by
+	// clause (the IP-tree's BCIF) and proves each group's clause once.
+	// The tree's grid of cells with their RCIFs is not built: a
+	// block-level decision reads only the clause groups. Without it
+	// every query is processed independently (the "nip" baseline of
+	// Fig. 12).
 	UseIPTree bool
 	// Lazy defers mismatch proofs until a result appears (§7.2);
 	// publications then cover multi-block spans. Requires nothing
@@ -27,7 +49,8 @@ type Options struct {
 	// resultless publication is forced ("the time since the last result
 	// has passed a threshold", §7.2). Zero means 64.
 	LazyThreshold int
-	// Dims and Width describe the numeric space for the IP-tree.
+	// Dims and Width are unused: the engine builds no grid over the
+	// numeric space. They remain for callers that still set them.
 	Dims, Width int
 	// Proofs is the proof engine (required). Every block's proofs run
 	// on its worker pool; pass the node's engine so subscriptions reuse
@@ -35,28 +58,15 @@ type Options struct {
 	Proofs *proofs.Engine
 }
 
-// Effective values of the zero-valued Options fields. Exported so
-// callers that compare options (e.g. the facade's conflict check) use
-// the same defaults as the engine itself.
-const (
-	// DefaultLazyThreshold is the pending-block bound of §7.2.
-	DefaultLazyThreshold = 64
-	// DefaultDims is the numeric dimensionality.
-	DefaultDims = 1
-)
-
-// DefaultMaxDepth caps the engine's IP-tree splitting.
-const DefaultMaxDepth = 8
+// DefaultLazyThreshold is the pending-block bound of §7.2, the
+// effective value of a zero LazyThreshold. Exported so callers that
+// compare options (e.g. the facade's conflict check) use the same
+// default as the engine itself.
+const DefaultLazyThreshold = 64
 
 func (o Options) withDefaults() Options {
 	if o.LazyThreshold <= 0 {
 		o.LazyThreshold = DefaultLazyThreshold
-	}
-	if o.Dims <= 0 {
-		o.Dims = DefaultDims
-	}
-	if o.Width <= 0 {
-		o.Width = core.DefaultBitWidth
 	}
 	return o
 }
@@ -85,17 +95,24 @@ type Engine struct {
 	Opts Options
 
 	// proofs computes, parallelizes, and memoizes every disjointness
-	// proof: across the queries sharing a block (on top of the
-	// IP-tree's structural sharing), across blocks of a lazy span, and
+	// proof: across the queries sharing a block (on top of the clause
+	// groups' structural sharing), across blocks of a lazy span, and
 	// — when the deployment shares one engine — across the one-shot SP
 	// paths too.
 	proofs *proofs.Engine
 
-	mu       sync.Mutex
-	subs     map[int]*subState
-	nextID   int
-	ipt      *IPTree
-	iptDirty bool
+	mu     sync.Mutex
+	subs   map[int]*subState
+	nextID int
+	// groups caches clauseGroups; Register and Deregister clear it.
+	groups []ClauseGroup
+}
+
+// ClauseGroup is one shared clause with its member queries: a row of
+// the IP-tree's BCIF (§7.1) over the whole space.
+type ClauseGroup struct {
+	Clause  core.Clause
+	Queries []int
 }
 
 type subState struct {
@@ -126,7 +143,7 @@ func (e *Engine) Register(q core.Query) (int, error) {
 	id := e.nextID
 	e.nextID++
 	e.subs[id] = &subState{id: id, q: q, cnf: cnf, pendingFrom: -1}
-	e.iptDirty = true
+	e.groups = nil
 	return id, nil
 }
 
@@ -140,7 +157,7 @@ func (e *Engine) Deregister(id int) *Publication {
 		return nil
 	}
 	delete(e.subs, id)
-	e.iptDirty = true
+	e.groups = nil
 	return e.flushLocked(s)
 }
 
@@ -151,25 +168,34 @@ func (e *Engine) Subscriptions() []int {
 	return sortedStateIDs(e.subs)
 }
 
-// tree returns the current IP-tree, rebuilding lazily after
-// registration churn.
-func (e *Engine) tree() (*IPTree, error) {
-	if !e.Opts.UseIPTree {
-		return nil, nil
+// clauseGroups returns every distinct clause of the registered
+// queries' full CNFs (range clauses included) with the queries sharing
+// it, members in id order, widest first (sortGroupsByFanout). It is
+// built from the CNFs computed at Register and reused until the next
+// Register or Deregister.
+func (e *Engine) clauseGroups() []ClauseGroup {
+	if e.groups != nil {
+		return e.groups
 	}
-	if e.ipt == nil || e.iptDirty {
-		qs := make(map[int]core.Query, len(e.subs))
-		for id, s := range e.subs {
-			qs[id] = s.q
+	byKey := map[string]int{}
+	for _, id := range sortedStateIDs(e.subs) {
+		for _, cl := range e.subs[id].cnf {
+			k := cl.Key()
+			i, ok := byKey[k]
+			if !ok {
+				i = len(e.groups)
+				byKey[k] = i
+				e.groups = append(e.groups, ClauseGroup{Clause: cl})
+			}
+			e.groups[i].Queries = append(e.groups[i].Queries, id)
 		}
-		t, err := NewIPTree(e.Opts.Dims, e.Opts.Width, DefaultMaxDepth, qs)
-		if err != nil {
-			return nil, err
-		}
-		e.ipt = t
-		e.iptDirty = false
 	}
-	return e.ipt, nil
+	// Widely shared clauses first: each proof should decide as many
+	// queries as possible, so the number of proofs never exceeds the
+	// number of queries (the nip cost) and drops well below it when
+	// queries share conditions — the Fig. 12 effect.
+	sortGroupsByFanout(e.groups)
+	return e.groups
 }
 
 // ProcessBlock evaluates every subscription against the newly confirmed
@@ -192,10 +218,7 @@ func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Public
 	h := ads.Height
 	ids := sortedStateIDs(e.subs)
 	run := e.proofs.NewRun()
-	decided, err := e.decide(ads, ids, run)
-	if err != nil {
-		return nil, err
-	}
+	decided := e.decide(ads, ids, run)
 	sp := &core.SP{Acc: e.Acc, View: view, Engine: e.proofs}
 	planned := make([]core.BlockVO, len(ids))
 	for i, id := range ids {
@@ -265,9 +288,9 @@ type mismatch struct {
 // decide finds, without proving, the clause the whole block misses for
 // each query that has one, and schedules one (BlockW, clause) proof per
 // decision on run when the block's root carries a digest to cite it.
-// With the IP-tree each distinct clause is tested and proved once for
+// With UseIPTree each distinct clause is tested and proved once for
 // all the queries it decides; without it, per query.
-func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) (map[int]*mismatch, error) {
+func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) map[int]*mismatch {
 	decided := make(map[int]*mismatch, len(ids))
 	schedule := func(clause core.Clause) *mismatch {
 		m := &mismatch{clause: clause}
@@ -284,28 +307,15 @@ func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) (map[int
 		})
 		return m
 	}
-	tree, err := e.tree()
-	if err != nil {
-		return nil, err
-	}
-	if tree == nil {
+	if !e.Opts.UseIPTree {
 		for _, id := range ids {
 			if clause, bad := e.subs[id].cnf.FindMismatch(ads.BlockW); bad {
 				decided[id] = schedule(clause)
 			}
 		}
-		return decided, nil
+		return decided
 	}
-	groups, err := tree.ClauseGroups()
-	if err != nil {
-		return nil, err
-	}
-	// Widely shared clauses first: each proof should decide as many
-	// queries as possible, so the number of proofs never exceeds the
-	// number of queries (the nip cost) and drops well below it when
-	// queries share conditions — the Fig. 12 effect.
-	sortGroupsByFanout(groups)
-	for _, g := range groups {
+	for _, g := range e.clauseGroups() {
 		if g.Clause.Matches(ads.BlockW) {
 			continue
 		}
@@ -315,16 +325,13 @@ func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) (map[int
 			if _, done := decided[id]; done {
 				continue
 			}
-			if _, ok := e.subs[id]; !ok {
-				continue
-			}
 			if m == nil {
 				m = schedule(g.Clause)
 			}
 			decided[id] = m
 		}
 	}
-	return decided, nil
+	return decided
 }
 
 // collapse folds the trailing single-block mismatch entries of the
@@ -448,10 +455,5 @@ func groupLess(a, b *ClauseGroup) bool {
 }
 
 func sortedStateIDs(m map[int]*subState) []int {
-	out := make([]int, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sortIDs(out)
-	return out
+	return slices.Sorted(maps.Keys(m))
 }

@@ -1,7 +1,10 @@
 package subscribe
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
@@ -122,7 +125,7 @@ func TestRealtimeSubscription(t *testing.T) {
 	for name, acc := range map[string]accumulator.Accumulator{"acc1": acc1(t), "acc2": acc2(t)} {
 		t.Run(name, func(t *testing.T) {
 			match := func(i int) bool { return i%3 == 0 }
-			f := run(t, acc, Options{Dims: 1, Width: testWidth}, 6, match, carQuery())
+			f := run(t, acc, Options{}, 6, match, carQuery())
 			results, covered := verifyAll(t, f, acc, carQuery(), 0)
 			if results != 2 { // blocks 0 and 3
 				t.Errorf("results = %d, want 2", results)
@@ -143,7 +146,7 @@ func TestRealtimeSubscription(t *testing.T) {
 func TestLazySubscriptionAggregatesSpans(t *testing.T) {
 	acc := acc2(t)
 	match := func(i int) bool { return i == 9 } // one match at the end
-	f := run(t, acc, Options{Lazy: true, Dims: 1, Width: testWidth}, 10, match, carQuery())
+	f := run(t, acc, Options{Lazy: true}, 10, match, carQuery())
 	results, covered := verifyAll(t, f, acc, carQuery(), 0)
 	if results != 1 {
 		t.Errorf("results = %d, want 1", results)
@@ -167,7 +170,7 @@ func TestLazySubscriptionAggregatesSpans(t *testing.T) {
 func TestLazyThresholdForcesPublication(t *testing.T) {
 	acc := acc2(t)
 	never := func(int) bool { return false }
-	f := run(t, acc, Options{Lazy: true, LazyThreshold: 4, Dims: 1, Width: testWidth}, 9, never, carQuery())
+	f := run(t, acc, Options{Lazy: true, LazyThreshold: 4}, 9, never, carQuery())
 	if len(f.pubs[0]) == 0 {
 		t.Fatal("threshold never fired")
 	}
@@ -181,7 +184,7 @@ func TestDeregisterFlushesPending(t *testing.T) {
 	acc := acc2(t)
 	b := &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: testWidth}
 	node := core.NewFullNode(0, b)
-	engine := NewEngine(acc, Options{Lazy: true, Dims: 1, Width: testWidth, Proofs: newProofs(acc)})
+	engine := NewEngine(acc, Options{Lazy: true, Proofs: newProofs(acc)})
 	id, err := engine.Register(carQuery())
 	if err != nil {
 		t.Fatal(err)
@@ -226,8 +229,8 @@ func TestManyQueriesSharedProcessing(t *testing.T) {
 		queries[i] = q
 	}
 	match := func(i int) bool { return i == 2 }
-	fIP := run(t, acc, Options{UseIPTree: true, Dims: 1, Width: testWidth}, 4, match, queries...)
-	fNIP := run(t, acc, Options{Dims: 1, Width: testWidth}, 4, match, queries...)
+	fIP := run(t, acc, Options{UseIPTree: true}, 4, match, queries...)
+	fNIP := run(t, acc, Options{}, 4, match, queries...)
 
 	for qid := range queries {
 		rIP, _ := verifyAll(t, fIP, acc, queries[qid], qid)
@@ -243,7 +246,7 @@ func TestMixedSubscriptions(t *testing.T) {
 	q1 := carQuery()
 	q2 := core.Query{Bool: core.CNF{core.KeywordClause("bmw")}, Width: testWidth}
 	match := func(i int) bool { return i%2 == 0 }
-	f := run(t, acc, Options{UseIPTree: true, Dims: 1, Width: testWidth}, 4, match, q1, q2)
+	f := run(t, acc, Options{UseIPTree: true}, 4, match, q1, q2)
 	r1, _ := verifyAll(t, f, acc, q1, 0)
 	r2, _ := verifyAll(t, f, acc, q2, 1)
 	if r1 != 2 { // blocks 0, 2
@@ -295,7 +298,7 @@ func TestLazyWithAcc1FallsBackToFreshProofs(t *testing.T) {
 	// proofs.
 	acc := acc1(t)
 	match := func(i int) bool { return i == 7 }
-	f := run(t, acc, Options{Lazy: true, Dims: 1, Width: testWidth}, 8, match, carQuery())
+	f := run(t, acc, Options{Lazy: true}, 8, match, carQuery())
 	results, covered := verifyAll(t, f, acc, carQuery(), 0)
 	if results != 1 {
 		t.Errorf("results = %d, want 1", results)
@@ -308,7 +311,7 @@ func TestLazyWithAcc1FallsBackToFreshProofs(t *testing.T) {
 func TestPublicationSpansAreContiguous(t *testing.T) {
 	acc := acc2(t)
 	match := func(i int) bool { return i%4 == 1 }
-	f := run(t, acc, Options{Lazy: true, Dims: 1, Width: testWidth}, 12, match, carQuery())
+	f := run(t, acc, Options{Lazy: true}, 12, match, carQuery())
 	last := -1
 	for _, pub := range f.pubs[0] {
 		if pub.From != last+1 {
@@ -333,64 +336,231 @@ func TestPublicationSpansAreContiguous(t *testing.T) {
 	}
 }
 
-func TestRegistrationChurnRebuildsIPTree(t *testing.T) {
-	acc := acc2(t)
-	b := &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: testWidth}
-	node := core.NewFullNode(0, b)
-	engine := NewEngine(acc, Options{UseIPTree: true, Dims: 1, Width: testWidth, Proofs: newProofs(acc)})
-	q1 := carQuery()
-	id1, err := engine.Register(q1)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestRegistrationChurnRegroupsClauses interleaves Register and
+// Deregister with blocks over subscriptions that share clauses. After
+// every block each live subscription's publication must encode to the
+// same bytes as from a fresh engine holding only the live
+// subscriptions, registered in id order: the cached clause groups never
+// outlive a registration change.
+func TestRegistrationChurnRegroupsClauses(t *testing.T) {
+	// A wider hash domain than acc2(t)'s: no keyword of the corpus
+	// collides with a query keyword.
+	acc := accumulator.KeyGenCon2Deterministic(pairing.Toy(), 4096, accumulator.HashEncoder{Q: 4096}, []byte("churn"))
+	node := core.NewFullNode(0, &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: testWidth})
+	engine := NewEngine(acc, Options{UseIPTree: true, Proofs: newProofs(acc)})
 	light := chain.NewLightStore(0)
+	ver := &core.Verifier{Acc: acc, Light: light}
 
-	collect := func(h int, match bool) []Publication {
+	live := map[int]core.Query{}
+	register := func(q core.Query) int {
+		t.Helper()
+		id, err := engine.Register(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[id] = q
+		return id
+	}
+	deregister := func(id int) {
+		t.Helper()
+		if pub := engine.Deregister(id); pub != nil {
+			t.Fatalf("eager subscription %d left a pending span", id)
+		}
+		delete(live, id)
+	}
+	block := func(h int, match bool) {
 		t.Helper()
 		if _, err := node.MineBlock(rentalObjects(h, match), int64(h)); err != nil {
 			t.Fatal(err)
 		}
-		pubs, err := engine.ProcessBlock(adsAt(t, node, h), node)
+		ads := adsAt(t, node, h)
+		pubs, err := engine.ProcessBlock(ads, node)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pubs
-	}
-	pubs := collect(0, true)
-	if len(pubs) != 1 {
-		t.Fatalf("block 0: %d pubs", len(pubs))
+		ids := slices.Sorted(maps.Keys(live))
+		fresh := NewEngine(acc, Options{UseIPTree: true, Proofs: newProofs(acc)})
+		for _, id := range ids {
+			if _, err := fresh.Register(live[id]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := fresh.ProcessBlock(ads, node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pubs) != len(ids) || len(want) != len(ids) {
+			t.Fatalf("block %d: %d publications, fresh engine %d, want one per live subscription %v",
+				h, len(pubs), len(want), ids)
+		}
+		if err := light.Sync(node.Store.Headers()); err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range ids {
+			p := &pubs[i]
+			if p.QueryID != id || p.From != h || p.To != h {
+				t.Fatalf("block %d: publication %d is q%d [%d,%d], want q%d [%d,%d]", h, i, p.QueryID, p.From, p.To, id, h, h)
+			}
+			if !bytes.Equal(core.EncodeVO(acc, p.VO), core.EncodeVO(acc, want[i].VO)) {
+				t.Errorf("block %d: q%d's publication differs from a fresh engine's", h, id)
+			}
+			if _, err := VerifyPublication(ver, live[id], p); err != nil {
+				t.Fatalf("block %d: q%d rejected: %v", h, id, err)
+			}
+		}
 	}
 
-	// Register a second query mid-stream: the IP-tree must rebuild and
-	// the new query only sees subsequent blocks.
-	q2 := core.Query{Bool: core.CNF{core.KeywordClause("bmw")}, Width: testWidth}
-	id2, err := engine.Register(q2)
+	car := carQuery()
+	sedan := core.Query{Bool: core.CNF{core.KeywordClause("sedan")}, Width: testWidth}
+	coupe := core.Query{Bool: core.CNF{core.KeywordClause("coupe", "benz")}, Width: testWidth}
+	suvCoupe := core.Query{Bool: core.CNF{core.KeywordClause("suv"), core.KeywordClause("coupe", "benz")}, Width: testWidth}
+	pricedBMW := core.Query{Range: car.Range, Bool: core.CNF{core.KeywordClause("bmw")}, Width: testWidth}
+	vanBenz := core.Query{Bool: core.CNF{core.KeywordClause("van"), core.KeywordClause("benz", "bmw")}, Width: testWidth}
+
+	a := register(car)
+	b := register(sedan) // shares {sedan} with a
+	register(coupe)
+	block(0, true)
+	// Block 1 misses both of suvCoupe's clauses. Only as a member of
+	// coupe's group does it cite the wider {benz, coupe}; on its own it
+	// would cite the smaller {suv}.
+	register(suvCoupe)
+	block(1, false)
+	c := register(pricedBMW) // shares a's range clause
+	block(2, false)
+	deregister(a)
+	block(3, true)
+	d := register(vanBenz) // shares {benz, bmw} with the next one
+	register(car)
+	block(4, false)
+	deregister(b)
+	deregister(c)
+	block(5, true)
+	deregister(d)
+	register(sedan)
+	block(6, false)
+}
+
+// TestRegistrationConcurrentWithBlocks registers and deregisters from
+// one goroutine while another processes blocks: the cached clause
+// groups are shared between the two, so run it under -race.
+func TestRegistrationConcurrentWithBlocks(t *testing.T) {
+	acc := acc2(t)
+	node := core.NewFullNode(0, &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: testWidth})
+	engine := NewEngine(acc, Options{UseIPTree: true, Proofs: newProofs(acc)})
+	if _, err := engine.Register(carQuery()); err != nil {
+		t.Fatal(err)
+	}
+	const blocks = 6
+	for h := 0; h < blocks; h++ {
+		if _, err := node.MineBlock(rentalObjects(h, h%2 == 0), int64(h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		for h := 0; h < blocks; h++ {
+			ads, err := node.ADSAt(h)
+			if err == nil {
+				_, err = engine.ProcessBlock(ads, node)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	sedan := core.Query{Bool: core.CNF{core.KeywordClause("sedan")}, Width: testWidth}
+	for i := 0; i < 3*blocks; i++ {
+		id, err := engine.Register(sedan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			engine.Deregister(id)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClauseGroupsGlobal pins the engine's clause groups over the four
+// queries of Fig. 8 (a 2-D 2-bit space): one group per distinct clause
+// of the full CNFs, members in id order, ordered by fanout descending,
+// then clause length ascending, then key; cached until a registration
+// change.
+func TestClauseGroupsGlobal(t *testing.T) {
+	acc := acc2(t)
+	engine := NewEngine(acc, Options{UseIPTree: true, Proofs: newProofs(acc)})
+	mk := func(lo, hi []int64, kws ...core.Clause) core.Query {
+		return core.Query{Range: &core.RangeCond{Lo: lo, Hi: hi}, Bool: kws, Width: 2}
+	}
+	for _, q := range []core.Query{
+		mk([]int64{0, 2}, []int64{1, 3}, core.KeywordClause("van"), core.KeywordClause("benz")),
+		mk([]int64{0, 0}, []int64{1, 3}, core.KeywordClause("van"), core.KeywordClause("bmw")),
+		mk([]int64{0, 2}, []int64{0, 2}, core.KeywordClause("sedan"), core.KeywordClause("audi")),
+		mk([]int64{2, 0}, []int64{3, 3}, core.KeywordClause("sedan"), core.KeywordClause("benz")),
+	} {
+		if _, err := engine.Register(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	groups := engine.clauseGroups()
+	byKey := map[string][]int{}
+	for i, g := range groups {
+		byKey[g.Clause.Key()] = g.Queries
+		if !slices.IsSorted(g.Queries) {
+			t.Errorf("group %v members %v out of id order", g.Clause, g.Queries)
+		}
+		if i > 0 && !groupLess(&groups[i-1], &g) {
+			t.Errorf("group %d (%v) sorts before group %d (%v)", i, g.Clause, i-1, groups[i-1].Clause)
+		}
+	}
+	for kw, want := range map[string][]int{
+		"van": {0, 1}, "benz": {0, 3}, "sedan": {2, 3}, "bmw": {1}, "audi": {2},
+	} {
+		if got := byKey[core.KeywordClause(kw).Key()]; !slices.Equal(got, want) {
+			t.Errorf("{%s} shared by %v, want %v", kw, got, want)
+		}
+	}
+	// x ∈ [0, 1] is one prefix, shared by q0 and q1.
+	x01, err := core.RangeClauses([]int64{0}, []int64{1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pubs = collect(1, false)
-	if len(pubs) != 2 {
-		t.Fatalf("block 1: %d pubs, want 2 (both queries)", len(pubs))
+	if got := byKey[x01[0].Key()]; !slices.Equal(got, []int{0, 1}) {
+		t.Errorf("x ∈ [0, 1] shared by %v, want [0 1]", got)
+	}
+	if groups[0].Clause.Key() != x01[0].Key() {
+		t.Errorf("widest group is %v, want the shortest two-member clause x ∈ [0, 1]", groups[0].Clause)
 	}
 
-	// Deregister the first; only the second keeps publishing.
-	engine.Deregister(id1)
-	pubs = collect(2, true)
-	if len(pubs) != 1 || pubs[0].QueryID != id2 {
-		t.Fatalf("block 2: %+v", pubs)
+	if &engine.clauseGroups()[0] != &groups[0] {
+		t.Error("clause groups rebuilt without a registration change")
 	}
-	if err := light.Sync(node.Store.Headers()); err != nil {
+	engine.Deregister(0)
+	for _, g := range engine.clauseGroups() {
+		if slices.Contains(g.Queries, 0) {
+			t.Fatalf("deregistered q0 still in group %v", g.Clause)
+		}
+	}
+	id, err := engine.Register(core.Query{Bool: core.CNF{core.KeywordClause("van")}, Width: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyPublication(&core.Verifier{Acc: acc, Light: light}, q2, &pubs[0]); err != nil {
-		t.Fatal(err)
+	for _, g := range engine.clauseGroups() {
+		if g.Clause.Equal(core.KeywordClause("van")) && !slices.Equal(g.Queries, []int{1, id}) {
+			t.Fatalf("{van} groups %v after registering q%d, want [1 %d]", g.Queries, id, id)
+		}
 	}
 }
 
 func TestPublicationTamperingCaught(t *testing.T) {
 	acc := acc2(t)
 	match := func(i int) bool { return true }
-	f := run(t, acc, Options{Dims: 1, Width: testWidth}, 2, match, carQuery())
+	f := run(t, acc, Options{}, 2, match, carQuery())
 	ver := &core.Verifier{Acc: acc, Light: f.light}
 	pub := f.pubs[0][0]
 	// Claim a wider span than the VO covers.
@@ -407,7 +577,7 @@ func ExampleEngine() {
 	acc := accumulator.KeyGenCon2Deterministic(pr, 512, accumulator.HashEncoder{Q: 512}, []byte("ex"))
 	builder := &core.Builder{Acc: acc, Mode: core.ModeIntra, Width: 4}
 	node := core.NewFullNode(0, builder)
-	engine := NewEngine(acc, Options{Dims: 1, Width: 4, Proofs: proofs.New(acc, proofs.Options{})})
+	engine := NewEngine(acc, Options{Proofs: proofs.New(acc, proofs.Options{})})
 
 	q := core.Query{Bool: core.CNF{core.KeywordClause("sedan")}, Width: 4}
 	id, _ := engine.Register(q)

@@ -54,10 +54,7 @@ func TestGoldenPublications(t *testing.T) {
 				for _, ip := range []bool{false, true} {
 					name := fmt.Sprintf("%s/%v/lazy=%v/iptree=%v", a.name, mode, lazy, ip)
 					eng := proofs.New(a.acc, proofs.Options{Workers: 2})
-					sub := NewEngine(a.acc, Options{
-						UseIPTree: ip, Lazy: lazy, LazyThreshold: 6,
-						Dims: 1, Width: testWidth, Proofs: eng,
-					})
+					sub := NewEngine(a.acc, Options{UseIPTree: ip, Lazy: lazy, LazyThreshold: 6, Proofs: eng})
 					for _, q := range queries {
 						if _, err := sub.Register(q); err != nil {
 							t.Fatal(err)

@@ -22,7 +22,7 @@ func TestSharedEngineDeduplicatesAcrossQueries(t *testing.T) {
 	never := func(int) bool { return false }
 	// No IP-tree: without the cache every query would prove its own
 	// block-mismatch proof every block.
-	opts := Options{Dims: 1, Width: testWidth, Proofs: eng}
+	opts := Options{Proofs: eng}
 	f := run(t, acc, opts, 4, never, carQuery(), carQuery(), carQuery())
 
 	for id := 0; id < 3; id++ {
@@ -51,10 +51,9 @@ func TestSharedEngineParallelMatchesSerial(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"serial", Options{Dims: 1, Width: testWidth}},
-		{"parallel", Options{Dims: 1, Width: testWidth,
-			Proofs: proofs.New(acc, proofs.Options{Workers: 4})}},
-		{"parallel-iptree", Options{UseIPTree: true, Dims: 1, Width: testWidth,
+		{"serial", Options{}},
+		{"parallel", Options{Proofs: proofs.New(acc, proofs.Options{Workers: 4})}},
+		{"parallel-iptree", Options{UseIPTree: true,
 			Proofs: proofs.New(acc, proofs.Options{Workers: 4})}},
 	}
 	var wantResults, wantPubs int
@@ -80,7 +79,7 @@ func TestSharedEngineParallelMatchesSerial(t *testing.T) {
 func TestEngineStatsExposed(t *testing.T) {
 	acc := acc2(t)
 	never := func(int) bool { return false }
-	f := run(t, acc, Options{Dims: 1, Width: testWidth}, 3, never, carQuery())
+	f := run(t, acc, Options{}, 3, never, carQuery())
 	st := f.proofs.Stats()
 	if st.Proofs == 0 {
 		t.Fatalf("subscription processing computed no proofs: %+v", st)
@@ -115,7 +114,7 @@ func TestLazySkipProofFailureFailsBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		failing := failingAcc{Accumulator: acc, blockCard: adsAt(t, node, 0).BlockW.Cardinality()}
-		engine := NewEngine(acc, Options{Lazy: true, Dims: 1, Width: testWidth,
+		engine := NewEngine(acc, Options{Lazy: true,
 			Proofs: proofs.New(failing, proofs.Options{Workers: workers})})
 		if _, err := engine.Register(carQuery()); err != nil {
 			t.Fatal(err)
@@ -168,7 +167,7 @@ func TestIPTreeGroupProofsRunConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	racc := &rendezvousAcc{Accumulator: acc, second: make(chan struct{})}
-	engine := NewEngine(acc, Options{UseIPTree: true, Dims: 1, Width: testWidth,
+	engine := NewEngine(acc, Options{UseIPTree: true,
 		Proofs: proofs.New(racc, proofs.Options{Workers: 2})})
 	// Two clauses the block misses: two groups, each deciding its query
 	// with a root mismatch, so the block needs exactly their two proofs.

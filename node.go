@@ -214,17 +214,16 @@ func (n *Node) ShardStats() []ShardStat { return n.node.ShardStats() }
 // node's subscriptions, so differing options cannot be honored and are
 // rejected with an error rather than silently ignored).
 type SubscribeOptions struct {
-	// UseIPTree shares clause evaluation and proofs across queries
-	// (§7.1).
+	// UseIPTree shares clause evaluation and proofs across queries by
+	// the IP-tree's clause groups (its BCIF, §7.1); the tree's grid of
+	// cells is not built, since a block-level decision reads only the
+	// groups.
 	UseIPTree bool
 	// Lazy defers mismatch proofs until results appear (§7.2).
 	Lazy bool
 	// LazyThreshold caps pending blocks before a forced publication
 	// (0 means the engine default).
 	LazyThreshold int
-	// Dims is the numeric dimensionality of subscription ranges
-	// (0 means 1).
-	Dims int
 }
 
 // normalize maps the defaulted fields onto the engine's effective
@@ -233,9 +232,6 @@ type SubscribeOptions struct {
 func (o SubscribeOptions) normalize() SubscribeOptions {
 	if o.LazyThreshold <= 0 {
 		o.LazyThreshold = subscribe.DefaultLazyThreshold
-	}
-	if o.Dims <= 0 {
-		o.Dims = subscribe.DefaultDims
 	}
 	return o
 }
@@ -259,16 +255,13 @@ func (n *Node) Subscribe(q Query, opts SubscribeOptions) (int, error) {
 }
 
 // engineOptions maps facade subscription options onto the internal
-// engine's, wiring in the deployment's bit width and the node's proof
-// engine (used by both local Subscribe and Serve so the two paths
-// cannot drift).
+// engine's, wiring in the node's proof engine (used by both local
+// Subscribe and Serve so the two paths cannot drift).
 func (n *Node) engineOptions(opts SubscribeOptions) subscribe.Options {
 	return subscribe.Options{
 		UseIPTree:     opts.UseIPTree,
 		Lazy:          opts.Lazy,
 		LazyThreshold: opts.LazyThreshold,
-		Dims:          opts.Dims,
-		Width:         n.sys.cfg.BitWidth,
 		Proofs:        n.node.ProofEngine(),
 	}
 }

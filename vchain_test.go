@@ -14,6 +14,7 @@ import (
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/storage"
+	"github.com/vchain-go/vchain/internal/subscribe"
 )
 
 func testSystem(t testing.TB, accName string, mode IndexMode) *System {
@@ -159,7 +160,7 @@ func TestFacadeSubscription(t *testing.T) {
 		node := sys.NewNode(shards)
 		defer node.Close()
 		q := Query{Bool: And(Or("sedan")), Width: 4}
-		id, err := node.Subscribe(q, SubscribeOptions{UseIPTree: true, Dims: 1})
+		id, err := node.Subscribe(q, SubscribeOptions{UseIPTree: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +342,7 @@ func TestSubscribeConflictingOptions(t *testing.T) {
 		t.Fatalf("identical options rejected: %v", err)
 	}
 	// Defaulted fields compare by effective value, not raw zero.
-	if _, err := node.Subscribe(q, SubscribeOptions{UseIPTree: true, Dims: 1}); err != nil {
+	if _, err := node.Subscribe(q, SubscribeOptions{UseIPTree: true, LazyThreshold: subscribe.DefaultLazyThreshold}); err != nil {
 		t.Fatalf("equivalent options rejected: %v", err)
 	}
 	// Conflicting Lazy: loud error.
@@ -349,10 +350,6 @@ func TestSubscribeConflictingOptions(t *testing.T) {
 		t.Fatal("conflicting Lazy option silently ignored")
 	} else if !strings.Contains(err.Error(), "conflict") {
 		t.Fatalf("unexpected error: %v", err)
-	}
-	// Conflicting Dims: loud error.
-	if _, err := node.Subscribe(q, SubscribeOptions{UseIPTree: true, Dims: 2}); err == nil {
-		t.Fatal("conflicting Dims option silently ignored")
 	}
 }
 
