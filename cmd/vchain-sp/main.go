@@ -22,7 +22,7 @@
 // subscribers — the paper's §7 scenario end to end.
 //
 // With -store the chain and its ADS bodies persist in crash-safe
-// segmented logs, one subdirectory per shard (shard-000, …): every
+// block logs, one subdirectory per shard (shard-000, …): every
 // mined block is fsynced at commit time, and restarting with the same
 // -store resumes from the last fully committed block instead of
 // re-mining (a torn tail left by a crash is truncated automatically,
@@ -100,7 +100,7 @@ func main() {
 	}
 	var node *vchain.Node
 	if *store != "" {
-		// Durable SP: reopen every shard's segmented log (each
+		// Durable SP: reopen every shard's block log (each
 		// recovering its own torn tail) and resume from the last height
 		// all shards agree on instead of re-mining.
 		if node, err = sys.OpenNode(*store, *shards); err != nil {

@@ -276,7 +276,7 @@ func (n *FullNode) ownedRecords(slot, h int) int {
 func (n *FullNode) RestartSlot(i int, reopen func() (storage.Backend, error)) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	// Close the sick backend first: a segmented log holds a directory
+	// Close the sick backend first: a block log holds a directory
 	// flock that the re-open needs.
 	n.slots[i].Load().backend.Close()
 	be, err := reopen()

@@ -11,7 +11,7 @@ import (
 	"github.com/vchain-go/vchain/internal/storage"
 )
 
-// openLogNode opens (or creates) the segmented log in dir and indexes
+// openLogNode opens (or creates) the block log in dir and indexes
 // it into a one-slot node: what a one-shard durable node is underneath.
 func openLogNode(b *Builder, dir string, nopts ...NodeOption) (*FullNode, error) {
 	log, err := storage.Open(dir, storage.Options{})

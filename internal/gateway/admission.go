@@ -60,6 +60,9 @@ func LoadTenants(path string) ([]Tenant, error) {
 		t := Tenant{Name: parts[0], Key: parts[1]}
 		if len(parts) > 2 && parts[2] != "" {
 			r, err := strconv.ParseFloat(parts[2], 64)
+			if err == nil {
+				err = checkRate(r)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("gateway: tenants file line %d: bad rate %q: %v", line, parts[2], err)
 			}
@@ -78,6 +81,15 @@ func LoadTenants(path string) ([]Tenant, error) {
 		return nil, fmt.Errorf("gateway: tenants file: %w", err)
 	}
 	return out, nil
+}
+
+// checkRate refuses a NaN or infinite rate: a NaN bucket refuses every
+// request, and unlimited is spelled 0 or -1, not Inf.
+func checkRate(r float64) error {
+	if math.IsNaN(r) || math.IsInf(r, 0) {
+		return fmt.Errorf("rate %v is not finite (0 or -1 means unlimited)", r)
+	}
+	return nil
 }
 
 // bucket is a token bucket: capacity `burst` tokens refilled at `rate`
@@ -160,6 +172,12 @@ type admitter struct {
 
 // newAdmitter compiles the configuration into the runtime policy.
 func newAdmitter(cfg Config) (*admitter, error) {
+	if err := checkRate(cfg.TenantRate); err != nil {
+		return nil, fmt.Errorf("gateway: TenantRate: %w", err)
+	}
+	if err := checkRate(cfg.GlobalRate); err != nil {
+		return nil, fmt.Errorf("gateway: GlobalRate: %w", err)
+	}
 	a := &admitter{
 		byKey:  make(map[string]*tenantState, len(cfg.Tenants)),
 		global: newBucket(cfg.GlobalRate, 0),
@@ -170,6 +188,9 @@ func newAdmitter(cfg Config) (*admitter, error) {
 		}
 		if _, dup := a.byKey[t.Key]; dup {
 			return nil, fmt.Errorf("gateway: duplicate tenant key for %q", t.Name)
+		}
+		if err := checkRate(t.Rate); err != nil {
+			return nil, fmt.Errorf("gateway: tenant %q: %w", t.Name, err)
 		}
 		rate := t.Rate
 		if rate == 0 {

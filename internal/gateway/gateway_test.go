@@ -694,16 +694,38 @@ func TestLoadTenants(t *testing.T) {
 	if _, err := LoadTenants(path); err == nil {
 		t.Fatal("malformed tenants file accepted")
 	}
+	// A non-finite rate is refused with its line: NaN would refuse
+	// every request, and unlimited is spelled -1, not Inf.
+	for _, rate := range []string{"NaN", "Inf", "-Inf", "+Inf"} {
+		if err := os.WriteFile(path, []byte("bob:k-bob:10\nalice:k-a:"+rate+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadTenants(path); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Fatalf("rate %s: err = %v, want a line-2 error", rate, err)
+		}
+	}
 }
 
 // TestDuplicateTenantKeyRejected: two tenants sharing a key is a
-// provisioning error, not a silent overwrite.
+// provisioning error, not a silent overwrite. So is a non-finite rate.
 func TestDuplicateTenantKeyRejected(t *testing.T) {
-	_, err := New(buildNode(t, 1), Config{
+	node := buildNode(t, 1)
+	_, err := New(node, Config{
 		Tenants: []Tenant{{Name: "a", Key: "k"}, {Name: "b", Key: "k"}},
 	})
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate key: err = %v, want duplicate-key error", err)
+	}
+	for _, r := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, cfg := range map[string]Config{
+			"TenantRate":  {TenantRate: r},
+			"GlobalRate":  {GlobalRate: r},
+			"Tenant.Rate": {Tenants: []Tenant{{Name: "alice", Key: "k-a", Rate: r}}},
+		} {
+			if _, err := New(node, cfg); err == nil || !strings.Contains(err.Error(), "not finite") {
+				t.Fatalf("%s %v: err = %v, want a non-finite rate error", name, r, err)
+			}
+		}
 	}
 }
 

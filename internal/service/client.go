@@ -53,8 +53,6 @@ func (p RetryPolicy) backoff(a int) time.Duration {
 // ClientConfig tunes the light-client side of the wire protocol. The
 // zero value uses the defaults noted on each field.
 type ClientConfig struct {
-	// DialTimeout bounds the TCP dial (default 10s).
-	DialTimeout time.Duration
 	// RPCTimeout bounds how long a request waits for its response
 	// (default 30s). A stalled or dead SP fails every in-flight call
 	// within this window instead of wedging callers forever. A caller
@@ -81,9 +79,6 @@ type ClientConfig struct {
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 10 * time.Second
-	}
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 30 * time.Second
 	}
@@ -92,6 +87,9 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	return c
 }
+
+// dialTimeout bounds each TCP dial.
+const dialTimeout = 10 * time.Second
 
 // subBuffer is a subscription's delivery channel capacity.
 const subBuffer = 16
@@ -179,10 +177,10 @@ func Dial(addr string, cfg ...ClientConfig) (*Client, error) {
 }
 
 // DialCtx is Dial with a caller-scoped context: a context deadline
-// tightens the initial connection attempt (it never widens the
-// configured DialTimeout), and a context already cancelled fails fast.
-// The context does not outlive DialCtx — the client's read loop runs
-// until Close.
+// tightens the initial connection attempt below its 10 s bound, and a
+// context already cancelled fails fast. The context does not outlive
+// DialCtx: the client's read loop runs until Close, and a reconnect
+// gets the full bound again.
 func DialCtx(ctx context.Context, addr string, cfg ...ClientConfig) (*Client, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -191,19 +189,17 @@ func DialCtx(ctx context.Context, addr string, cfg ...ClientConfig) (*Client, er
 	if len(cfg) > 0 {
 		c = cfg[0]
 	}
-	c = c.withDefaults()
+	timeout := dialTimeout
 	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem < c.DialTimeout {
-			c.DialTimeout = rem
-		}
+		timeout = min(timeout, time.Until(dl))
 	}
 	cli := &Client{
-		cfg:     c,
+		cfg:     c.withDefaults(),
 		addr:    addr,
 		pending: map[uint64]chan *Response{},
 		subs:    map[int]*Subscription{},
 	}
-	gen, err := cli.dial()
+	gen, err := cli.dial(timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -212,15 +208,16 @@ func DialCtx(ctx context.Context, addr string, cfg ...ClientConfig) (*Client, er
 	return cli, nil
 }
 
-// dial establishes one connection generation.
-func (c *Client) dial() (*genState, error) {
+// dial establishes one connection generation, bounding the dial by
+// timeout.
+func (c *Client) dial(timeout time.Duration) (*genState, error) {
 	dialer := c.cfg.Dialer
 	if dialer == nil {
 		dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
 	}
-	conn, err := dialer(c.addr, c.cfg.DialTimeout)
+	conn, err := dialer(c.addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("service: dial: %w", err)
 	}
@@ -248,7 +245,7 @@ func (c *Client) ensureLive() error {
 	}
 	c.mu.Unlock()
 
-	gen, err := c.dial()
+	gen, err := c.dial(dialTimeout)
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -55,6 +57,50 @@ func TestClientRetryReconnect(t *testing.T) {
 	// The reconnected generation serves everything as usual.
 	if _, err := cli.Stats(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDialCtxDeadlineBoundsFirstDialOnly: a DialCtx deadline tightens
+// the first dial, and a later reconnect gets the full 10 s again
+// rather than whatever the dialing context had left.
+func TestDialCtxDeadlineBoundsFirstDialOnly(t *testing.T) {
+	_, addr, _ := startServer(t)
+	sched := fault.NewSchedule()
+	sched.AddRules(fault.Rule{Op: fault.OpConnWrite, From: 1, To: 1, Fail: true})
+	inner := fault.Dialer(sched)
+	var (
+		mu       sync.Mutex
+		timeouts []time.Duration
+	)
+	record := func(addr string, timeout time.Duration) (net.Conn, error) {
+		mu.Lock()
+		timeouts = append(timeouts, timeout)
+		mu.Unlock()
+		return inner(addr, timeout)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	cli, err := DialCtx(ctx, addr, ClientConfig{
+		Dialer: record,
+		Retry:  RetryPolicy{Attempts: 3, BaseBackoff: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.Headers(context.Background(), 0); err != nil {
+		t.Fatalf("retried call failed: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(timeouts) != 2 {
+		t.Fatalf("dialed %d times, want the first dial and one reconnect", len(timeouts))
+	}
+	if timeouts[0] > 2*time.Second {
+		t.Fatalf("first dial timeout %v, want at most the context's 2s", timeouts[0])
+	}
+	if timeouts[1] != 10*time.Second {
+		t.Fatalf("reconnect timeout %v, want the full 10s", timeouts[1])
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // TestServerOverReopenedStore is the SP-restart scenario end to end: a
-// node mines into a segmented-log store and dies; a fresh process
+// node mines into a durable store and dies; a fresh process
 // reopens the directory and serves remote queries AND the ProcessBlock
 // subscription fan-out from the persisted state, without rebuilding
 // any ADS.

@@ -177,7 +177,7 @@ func TestDegradedReadQuarantinedShard(t *testing.T) {
 }
 
 // TestChaosKillRestoreShard kills one shard's disk mid-workload (torn
-// frame writes inside its segmented log), drives it into quarantine
+// frame writes inside its block log), drives it into quarantine
 // under concurrent queries, verifies degraded reads, heals the disk,
 // lets the supervisor restart the shard from its log, and finally
 // checks the recovered node answers full-window queries byte-identical

@@ -8,7 +8,7 @@
 // to N ≥ 1 storage slots in contiguous bands. This package layers over
 // it what is genuinely about shards:
 //
-//   - Topology: one crash-safe segmented-log subdirectory per shard
+//   - Topology: one crash-safe block-log subdirectory per shard
 //     (shard-000, shard-001, …) plus a SHARDS record fixing the
 //     partitioning at creation.
 //   - Supervision: a per-shard Healthy→Degraded→Quarantined circuit
@@ -65,7 +65,7 @@ type Options struct {
 	// Durable nodes only; an ephemeral shard's decoded set is its only
 	// copy and stays fully resident.
 	ADSCacheBlocks int
-	// Storage configures each shard's segmented-log backend (durable
+	// Storage configures each shard's block-log backend (durable
 	// nodes only).
 	Storage storage.Options
 	// FailureThreshold is the number of consecutive backend failures
@@ -174,7 +174,7 @@ type ShardReport struct {
 	// Dir is the shard's subdirectory (relative to the store root).
 	Dir string
 	// Log is the storage layer's recovery report (torn-tail
-	// truncation, dropped segments).
+	// truncation).
 	Log storage.Report
 	// Dropped counts structurally valid records truncated because a
 	// sibling shard lost earlier heights: the chain can only be
@@ -233,7 +233,7 @@ func (o Options) wrap(shard int, b storage.Backend) storage.Backend {
 func shardDir(i int) string { return fmt.Sprintf("shard-%03d", i) }
 
 // Open opens (or creates) a sharded block store rooted at dir: one
-// segmented-log subdirectory per shard plus a topology record. Records
+// block-log subdirectory per shard plus a topology record. Records
 // replay in height order across the shards (core.NewBandedNode); the
 // returned report carries each shard's storage recovery outcome. A
 // shard directory whose tail was torn by a crash bounds the restored
@@ -304,7 +304,7 @@ func Open(difficulty chain.Difficulty, b *core.Builder, dir string, opts Options
 }
 
 // checkUnrecorded vets a directory without a topology record. A flat
-// block log (segments directly in dir, as written before every store
+// block log (its file directly in dir, as written before every store
 // had a topology) is byte-for-byte a valid one-shard store's shard-000,
 // so it is refused with the fix rather than read through a second
 // layout; and once moved, it must be opened as one shard — dealing its

@@ -205,26 +205,6 @@ func TestConcurrentMineAndQuery(t *testing.T) {
 	}
 }
 
-// lastSegment returns the lexically last segment file in a shard's
-// subdirectory.
-func lastSegment(t *testing.T, dir string) string {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".vseg") {
-			last = filepath.Join(dir, e.Name())
-		}
-	}
-	if last == "" {
-		t.Fatalf("no segment files in %s", dir)
-	}
-	return last
-}
-
 // TestReopenTornTail crashes one shard mid-write (a truncated final
 // record) and reopens, at every shard count: that shard's recovery
 // report must surface the torn tail, the other shards must stay intact
@@ -255,7 +235,7 @@ func TestReopenTornTail(t *testing.T) {
 			for lost%shards != torn {
 				lost--
 			}
-			seg := lastSegment(t, filepath.Join(dir, fmt.Sprintf("shard-%03d", torn)))
+			seg := filepath.Join(dir, fmt.Sprintf("shard-%03d", torn), "00000000.vseg")
 			st, err := os.Stat(seg)
 			if err != nil {
 				t.Fatal(err)

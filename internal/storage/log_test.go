@@ -2,10 +2,14 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -19,11 +23,20 @@ func openTestLog(t *testing.T, dir string, opts Options) *Log {
 	return l
 }
 
-func fillLog(t *testing.T, l *Log, n int) [][]byte {
-	t.Helper()
+// testRecords returns the n records fillLog appends, which are also
+// the records of the logs under testdata.
+func testRecords(n int) [][]byte {
 	recs := make([][]byte, n)
 	for i := range recs {
 		recs[i] = bytes.Repeat([]byte{byte(i + 1)}, 20+i*7)
+	}
+	return recs
+}
+
+func fillLog(t *testing.T, l *Log, n int) [][]byte {
+	t.Helper()
+	recs := testRecords(n)
+	for i := range recs {
 		if err := l.Append(recs[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -52,17 +65,14 @@ func checkRecords(t *testing.T, l *Log, want [][]byte) {
 
 func TestLogRoundTripAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	l := openTestLog(t, dir, Options{SegmentBytes: 128})
+	l := openTestLog(t, dir, Options{})
 	recs := fillLog(t, l, 10)
-	if l.Segments() < 2 {
-		t.Fatalf("expected the 128-byte cap to roll segments, got %d", l.Segments())
-	}
 	checkRecords(t, l, recs)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	re := openTestLog(t, dir, Options{SegmentBytes: 128})
+	re := openTestLog(t, dir, Options{})
 	checkRecords(t, re, recs)
 	if rep := re.Report(); rep.Truncated || rep.Records != len(recs) {
 		t.Fatalf("clean reopen reported recovery: %+v", rep)
@@ -75,24 +85,8 @@ func TestLogRoundTripAcrossReopen(t *testing.T) {
 	checkRecords(t, re, append(recs, extra))
 }
 
-// lastSegment returns the path of the highest-numbered segment file.
-func lastSegment(t *testing.T, dir string) string {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last string
-	for _, e := range ents {
-		if filepath.Ext(e.Name()) == ".vseg" {
-			last = filepath.Join(dir, e.Name())
-		}
-	}
-	if last == "" {
-		t.Fatal("no segment files")
-	}
-	return last
-}
+// logPath returns the path of the log file in dir.
+func logPath(dir string) string { return filepath.Join(dir, logName) }
 
 func TestLogRecoversFromTruncatedTailRecord(t *testing.T) {
 	dir := t.TempDir()
@@ -100,9 +94,9 @@ func TestLogRecoversFromTruncatedTailRecord(t *testing.T) {
 	recs := fillLog(t, l, 6)
 	l.Close()
 
-	// A crash mid-write leaves a torn final record: cut the last
-	// segment a few bytes short.
-	path := lastSegment(t, dir)
+	// A crash mid-write leaves a torn final record: cut the file a few
+	// bytes short.
+	path := logPath(dir)
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +131,7 @@ func TestLogRecoversFromFlippedCRCByte(t *testing.T) {
 	// recovery must cut back to records 0..2 (later records are
 	// unreachable without the corrupt one — chain records are
 	// sequential).
-	path := lastSegment(t, dir)
+	path := logPath(dir)
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -159,41 +153,29 @@ func TestLogRecoversFromFlippedCRCByte(t *testing.T) {
 	}
 }
 
-func TestLogRecoversFromPartialFinalSegment(t *testing.T) {
+// TestLogRecoversFromTornCreation: a crash while the log file is being
+// created leaves it shorter than its magic. Nothing in it can be
+// valid, so Open rewrites the magic, reports the torn bytes, and the
+// log takes appends that survive a reopen.
+func TestLogRecoversFromTornCreation(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segments: every record gets its own file.
-	l := openTestLog(t, dir, Options{SegmentBytes: 16})
-	recs := fillLog(t, l, 4)
-	if l.Segments() != 4 {
-		t.Fatalf("got %d segments, want 4", l.Segments())
+	if err := os.WriteFile(logPath(dir), logMagic[:3], 0o644); err != nil {
+		t.Fatal(err)
 	}
+	l := openTestLog(t, dir, Options{})
+	checkRecords(t, l, nil)
+	if rep := l.Report(); !rep.Truncated || rep.DroppedBytes != 3 {
+		t.Fatalf("report %+v, want 3 truncated bytes", rep)
+	}
+	if got, err := os.ReadFile(logPath(dir)); err != nil || !bytes.Equal(got, logMagic[:]) {
+		t.Fatalf("recovered file = %q, %v; want the magic alone", got, err)
+	}
+	recs := fillLog(t, l, 3)
 	l.Close()
-
-	// A crash during segment creation leaves a final segment with only
-	// part of the magic written.
-	torn := filepath.Join(dir, segName(4))
-	if err := os.WriteFile(torn, logMagic[:3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re := openTestLog(t, dir, Options{SegmentBytes: 16})
+	re := openTestLog(t, dir, Options{})
 	checkRecords(t, re, recs)
-	rep := re.Report()
-	if !rep.Truncated || rep.DroppedSegments != 1 {
-		t.Fatalf("report %+v, want 1 dropped segment", rep)
-	}
-	if _, err := os.Stat(torn); !os.IsNotExist(err) {
-		t.Fatalf("torn segment still present: %v", err)
-	}
-	// A corrupt middle segment additionally drops every later one.
-	if err := os.Truncate(filepath.Join(dir, segName(1)), 10); err != nil {
-		t.Fatal(err)
-	}
-	re.Close()
-	re2 := openTestLog(t, dir, Options{SegmentBytes: 16})
-	checkRecords(t, re2, recs[:1])
-	if rep := re2.Report(); rep.DroppedSegments != 3 {
-		t.Fatalf("report %+v, want 3 dropped segments", rep)
+	if rep := re.Report(); rep.Truncated {
+		t.Fatalf("clean reopen reported recovery: %+v", rep)
 	}
 }
 
@@ -209,7 +191,7 @@ func TestReadVerifiesCRC(t *testing.T) {
 	// Flip one payload byte of the middle record directly in the file.
 	l.mu.RLock()
 	ref := l.recs[1]
-	path := l.segs[ref.seg].path
+	path := logPath(dir)
 	off := ref.off
 	l.mu.RUnlock()
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
@@ -240,28 +222,28 @@ func TestReadVerifiesCRC(t *testing.T) {
 
 func TestLogRejectsForeignSegment(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, segName(0)), []byte("definitely not a log segment"), 0o644); err != nil {
+	if err := os.WriteFile(logPath(dir), []byte("definitely not a log segment"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("foreign segment accepted")
 	}
-	// Gapped segment numbering is foreign content too.
+	// A second segment file is refused: a log is one file.
 	dir2 := t.TempDir()
 	l := openTestLog(t, dir2, Options{})
 	fillLog(t, l, 1)
 	l.Close()
-	if err := os.Rename(filepath.Join(dir2, segName(0)), filepath.Join(dir2, segName(3))); err != nil {
+	if err := os.WriteFile(filepath.Join(dir2, "00000001.vseg"), logMagic[:], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir2, Options{}); err == nil {
-		t.Fatal("gapped segment numbering accepted")
+		t.Fatal("second segment file accepted")
 	}
 }
 
 func TestLogTruncate(t *testing.T) {
 	dir := t.TempDir()
-	l := openTestLog(t, dir, Options{SegmentBytes: 96})
+	l := openTestLog(t, dir, Options{})
 	recs := fillLog(t, l, 8)
 	if err := l.Truncate(9); err == nil {
 		t.Fatal("truncate beyond Len accepted")
@@ -276,14 +258,19 @@ func TestLogTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	re := openTestLog(t, dir, Options{SegmentBytes: 96})
+	re := openTestLog(t, dir, Options{})
 	checkRecords(t, re, append(recs[:3:3], []byte("after")))
 
 	if err := re.Truncate(0); err != nil {
 		t.Fatal(err)
 	}
-	if re.Len() != 0 || re.Segments() != 0 {
-		t.Fatalf("truncate to zero left %d records, %d segments", re.Len(), re.Segments())
+	// Rollback to zero leaves the magic alone in the file.
+	st, err := os.Stat(logPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Len() != 0 || st.Size() != int64(len(logMagic)) {
+		t.Fatalf("truncate to zero left %d records in a %d-byte file", re.Len(), st.Size())
 	}
 	if err := re.Append([]byte("fresh")); err != nil {
 		t.Fatal(err)
@@ -375,4 +362,172 @@ func TestNullBackend(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// copyFixture copies the log directory testdata/name into a temp dir.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
+	dir := t.TempDir()
+	ents, err := os.ReadDir(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join("testdata", name, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestOpenParentLog opens logs written by the build that split a log
+// into segment files: testdata/parent-one never rolled over, and
+// testdata/parent-rolled rolled into nine segments at a 128-byte cap.
+// Both hold testRecords.
+func TestOpenParentLog(t *testing.T) {
+	t.Run("one segment", func(t *testing.T) {
+		dir := copyFixture(t, "parent-one")
+		before, err := os.ReadFile(logPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := openTestLog(t, dir, Options{})
+		checkRecords(t, l, testRecords(5))
+		if rep := l.Report(); rep != (Report{Records: 5}) {
+			t.Fatalf("report %+v, want a clean open of 5 records", rep)
+		}
+		l.Close()
+		if after, err := os.ReadFile(logPath(dir)); err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("opening changed the file: %v", err)
+		}
+	})
+	t.Run("rolled over", func(t *testing.T) {
+		dir := copyFixture(t, "parent-rolled")
+		_, err := Open(dir, Options{})
+		if err == nil || !strings.Contains(err.Error(), "tail -c +9") {
+			t.Fatalf("rolled-over log: Open error %v, want the tail -c +9 fix", err)
+		}
+		for _, tool := range []string{"sh", "tail"} {
+			if _, err := exec.LookPath(tool); err != nil {
+				t.Skipf("no %s to apply the fix: %v", tool, err)
+			}
+		}
+		// Apply the fix exactly as the error spells it.
+		msg := err.Error()
+		fix := msg[strings.LastIndex(msg, ": ")+2:]
+		if out, err := exec.Command("sh", "-c", fix).CombinedOutput(); err != nil {
+			t.Fatalf("%s: %v\n%s", fix, err, out)
+		}
+		l := openTestLog(t, dir, Options{})
+		checkRecords(t, l, testRecords(12))
+		if rep := l.Report(); rep != (Report{Records: 12}) {
+			t.Fatalf("report %+v, want a clean open of 12 records", rep)
+		}
+	})
+}
+
+// validPrefix parses file as a log independently of Open: the records
+// of its longest valid framed prefix, and where that prefix ends.
+func validPrefix(file []byte, maxRecord int) ([][]byte, int) {
+	var recs [][]byte
+	off := len(logMagic)
+	for len(file)-off >= recHeaderLen {
+		n := int(binary.BigEndian.Uint32(file[off:]))
+		sum := binary.BigEndian.Uint32(file[off+4:])
+		if n > maxRecord || n > len(file)-off-recHeaderLen {
+			break
+		}
+		payload := file[off+recHeaderLen : off+recHeaderLen+n]
+		if crc32.Checksum(payload, crcTable) != sum {
+			break
+		}
+		recs = append(recs, payload)
+		off += recHeaderLen + n
+	}
+	return recs, off
+}
+
+// FuzzLogOpen opens arbitrary bytes as the log file, whole or behind a
+// valid magic. Open must not panic; a file with a foreign magic is
+// refused; any other opens with exactly its longest valid framed
+// prefix, reports every byte it cut, and takes an append that a reopen
+// returns with every record.
+func FuzzLogOpen(f *testing.F) {
+	opts := Options{MaxRecordBytes: 64}
+	dir := f.TempDir()
+	l, err := Open(dir, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, rec := range testRecords(3) {
+		if err := l.Append(rec); err != nil {
+			f.Fatal(err)
+		}
+	}
+	l.Close()
+	whole, err := os.ReadFile(logPath(dir))
+	if err != nil {
+		f.Fatal(err)
+	}
+	body := whole[len(logMagic):]
+	oversized := make([]byte, recHeaderLen+65)
+	binary.BigEndian.PutUint32(oversized, 65)
+	binary.BigEndian.PutUint32(oversized[4:], crc32.Checksum(oversized[recHeaderLen:], crcTable))
+	flipped := bytes.Clone(body)
+	flipped[5] ^= 0x01 // a byte of the first record's CRC
+	f.Add(whole, false)
+	f.Add(body, true)
+	f.Add(append(bytes.Clone(body), body[:5]...), true) // torn header
+	f.Add(oversized, true)
+	f.Add(flipped, true)
+	f.Add(logMagic[:5], false)
+
+	f.Fuzz(func(t *testing.T, data []byte, withMagic bool) {
+		file := data
+		if withMagic {
+			file = append(logMagic[:len(logMagic):len(logMagic)], data...)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(logPath(dir), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, end := [][]byte(nil), len(logMagic)
+		if len(file) >= len(logMagic) {
+			if !bytes.Equal(file[:len(logMagic)], logMagic[:]) {
+				if l, err := Open(dir, opts); err == nil {
+					l.Close()
+					t.Fatal("a file with a foreign magic opened")
+				}
+				return
+			}
+			want, end = validPrefix(file, opts.MaxRecordBytes)
+		}
+		l, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		checkRecords(t, l, want)
+		cut := int64(len(file) - end)
+		if len(file) < len(logMagic) {
+			cut = int64(len(file))
+		}
+		if rep := l.Report(); rep != (Report{Records: len(want), Truncated: cut > 0, DroppedBytes: cut}) {
+			t.Fatalf("report %+v, want %d records and %d bytes cut", rep, len(want), cut)
+		}
+		if err := l.Append([]byte("appended")); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		re, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		checkRecords(t, re, append(want, []byte("appended")))
+	})
 }

@@ -9,8 +9,8 @@
 //
 //   - Memory keeps records in RAM (the historical behavior: nothing
 //     survives a restart);
-//   - Log is an append-only segmented log on disk with per-record
-//     CRC framing, fsync-on-commit durability, and crash recovery that
+//   - Log is one append-only file on disk with per-record CRC
+//     framing, fsync-on-commit durability, and crash recovery that
 //     truncates to the last valid record.
 //
 // Backends store bytes, not blocks: they know nothing about chain

@@ -64,7 +64,7 @@ func (s *System) NewNode(shards int) *Node {
 }
 
 // OpenNode opens (or creates) a durable node rooted at dir: one
-// crash-safe segmented-log subdirectory per shard (shard-000, …, each
+// crash-safe block-log subdirectory per shard (shard-000, …, each
 // with its own flock and torn-tail recovery) plus a topology record
 // fixing the partitioning. Every mined block is persisted atomically at
 // commit time. Reopening is index-only: heights replay in order across

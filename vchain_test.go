@@ -562,7 +562,7 @@ func TestFacadeOpenNode(t *testing.T) {
 
 // TestFacadeFlatStoreMigration: a block log kept directly in the store
 // directory (the layout before every store had a shard topology) is
-// refused with an error naming the fix; after moving the segments into
+// refused with an error naming the fix; after moving the log file into
 // shard-000/ the same directory opens as a one-shard node and serves
 // VOs byte-identical to the ones the flat log's node served.
 func TestFacadeFlatStoreMigration(t *testing.T) {
