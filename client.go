@@ -61,16 +61,6 @@ func (c *LightClient) Verify(q Query, parts []WindowPart) ([]Object, error) {
 	return c.verifier().VerifyWindowParts(q, parts)
 }
 
-// VerifySequential checks an answer with the paper's baseline verifier:
-// two pairings per disjointness proof, resolved in walk order. It
-// accepts and rejects exactly the same answers as Verify; it exists for
-// differential testing and as the batched engine's benchmark baseline.
-func (c *LightClient) VerifySequential(q Query, parts []WindowPart) ([]Object, error) {
-	v := c.verifier()
-	v.Sequential = true
-	return v.VerifyWindowParts(q, parts)
-}
-
 // VerifyDegraded checks a degraded time-window answer: the parts must
 // verify cryptographically AND, together with the declared gaps, tile
 // the query window exactly — a gap can neither hide a covered height
@@ -177,9 +167,6 @@ func (s *SPClient) Subscribe(q Query) (*RemoteStream, error) {
 		Light: s.c.light,
 	})
 }
-
-// Stats fetches the SP's proof-engine counters.
-func (s *SPClient) Stats() (ProofStats, error) { return s.cli.Stats(context.Background()) }
 
 // Close disconnects (ending every subscription stream).
 func (s *SPClient) Close() error { return s.cli.Close() }

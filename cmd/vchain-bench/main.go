@@ -79,8 +79,8 @@ func main() {
 	for _, name := range names {
 		driver, ok := bench.Experiments[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "vchain-bench: unknown experiment %q (want one of %s)\n",
-				name, strings.Join(bench.ExperimentNames(), ", "))
+			fmt.Fprintf(os.Stderr, "vchain-bench: unknown experiment %q\n", name)
+			flag.Usage()
 			os.Exit(2)
 		}
 		start := time.Now()

@@ -27,10 +27,10 @@ func TestFacadeDegradedReads(t *testing.T) {
 
 		// Fence the shard owning the newest height (default band 8: at
 		// N > 1 that is shard 1, owning 8-11).
-		target := node.Core().Owner(blocks - 1)
+		target := node.node.Owner(blocks - 1)
 		healthy := 0
 		for h := 0; h < blocks; h++ {
-			if node.Core().Owner(h) != target {
+			if node.node.Owner(h) != target {
 				healthy++
 			}
 		}
@@ -55,8 +55,8 @@ func TestFacadeDegradedReads(t *testing.T) {
 		}
 		for _, g := range gaps {
 			for h := g.Start; h <= g.End; h++ {
-				if node.Core().Owner(h) != target {
-					t.Fatalf("gap %v covers height %d of healthy shard %d", g, h, node.Core().Owner(h))
+				if node.node.Owner(h) != target {
+					t.Fatalf("gap %v covers height %d of healthy shard %d", g, h, node.node.Owner(h))
 				}
 			}
 		}

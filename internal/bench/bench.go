@@ -246,10 +246,10 @@ func statsDelta(before, after proofs.Stats) (computed uint64, hitRate float64) {
 // so sweep rows stay independent: the reported hit rate reflects reuse
 // among this point's queries only, and a row's SP CPU is never served
 // from proofs cached while measuring an earlier row.
-func runWindowQueries(s *setup, queries []core.Query, start, end int, batched bool) (windowMetrics, error) {
+func runWindowQueries(s *setup, queries []core.Query, start, end int) (windowMetrics, error) {
 	var total windowMetrics
 	eng := proofs.New(s.acc, proofs.Options{})
-	sp := &core.SP{Acc: s.acc, View: s.node, Batch: batched, Engine: eng}
+	sp := &core.SP{Acc: s.acc, View: s.node, Engine: eng}
 	ver := &core.Verifier{Acc: s.acc, Light: s.light}
 	st0 := eng.Stats()
 	for _, q := range queries {
@@ -312,10 +312,6 @@ var Experiments = map[string]func(Options) (*Table, error){
 	"fig20":  func(o Options) (*Table, error) { return SkipListFig(workload.FSQ, "Fig. 20", o) },
 	"fig21":  func(o Options) (*Table, error) { return SkipListFig(workload.WX, "Fig. 21", o) },
 	"fig22":  func(o Options) (*Table, error) { return SkipListFig(workload.ETH, "Fig. 22", o) },
-	"verify": func(o Options) (*Table, error) { return VerifyBatchFig(workload.FSQ, o) },
-	"subscribe": func(o Options) (*Table, error) {
-		return SubscriptionStreamFig(workload.FSQ, o)
-	},
 }
 
 // ExperimentNames returns the sorted driver names.

@@ -52,7 +52,7 @@ func TestExperimentNamesComplete(t *testing.T) {
 	names := ExperimentNames()
 	want := []string{"fig10", "fig11", "fig12", "fig13", "fig14",
 		"fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22",
-		"fig9", "subscribe", "table1", "verify"}
+		"fig9", "table1"}
 	if len(names) != len(want) {
 		t.Fatalf("got %v", names)
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -85,7 +84,7 @@ func TimeWindowFig(kind workload.Kind, title string, o Options) (*Table, error) 
 				return nil, err
 			}
 			for _, w := range windows {
-				m, err := runWindowQueries(s, queries, o.Blocks-w, o.Blocks-1, false)
+				m, err := runWindowQueries(s, queries, o.Blocks-w, o.Blocks-1)
 				if err != nil {
 					return nil, err
 				}
@@ -126,7 +125,7 @@ func SelectivityFig(kind workload.Kind, title string, o Options) (*Table, error)
 			queries := ds.RandomQueries(o.Queries, workload.QueryConfig{
 				Selectivity: sel, Seed: o.Seed + int64(sel*100), RangeDims: rangeDims(kind),
 			})
-			m, err := runWindowQueries(s, queries, 0, o.Blocks-1, false)
+			m, err := runWindowQueries(s, queries, 0, o.Blocks-1)
 			if err != nil {
 				return nil, err
 			}
@@ -170,7 +169,7 @@ func SkipListFig(kind workload.Kind, title string, o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			m, err := runWindowQueries(s, queries, 0, o.Blocks-1, false)
+			m, err := runWindowQueries(s, queries, 0, o.Blocks-1)
 			if err != nil {
 				return nil, err
 			}
@@ -282,72 +281,6 @@ func rangeDims(kind workload.Kind) int {
 		return 2 // the paper applies two of WX's seven attributes
 	}
 	return 0
-}
-
-// VerifyBatchFig measures the light client's verification cost — the
-// side of the protocol the paper's evaluation leaves to the reader.
-// For each window size it verifies the same VOs three ways: the
-// sequential baseline (two pairings per disjointness proof, checked
-// during the walk), the batched two-phase engine on one goroutine, and
-// the batched engine with the parallel flush. The speedup column is
-// sequential/batched single-thread.
-func VerifyBatchFig(kind workload.Kind, o Options) (*Table, error) {
-	o = o.withDefaults()
-	pr := pairing.ByName(o.Preset)
-	ds, err := workload.Generate(workload.Config{Kind: kind, Blocks: o.Blocks, ObjectsPerBlock: o.ObjectsPerBlock, Seed: o.Seed})
-	if err != nil {
-		return nil, err
-	}
-	queries := ds.RandomQueries(o.Queries, workload.QueryConfig{Seed: o.Seed + 1, RangeDims: rangeDims(kind)})
-
-	t := &Table{
-		Title: fmt.Sprintf("Batched Verification: Light-Client Cost (%s)", kind),
-		Note: fmt.Sprintf("%d blocks, %d objects/block, %d queries/point, preset=%s; times in ms/query",
-			o.Blocks, o.ObjectsPerBlock, o.Queries, o.Preset),
-		Columns: []string{"Acc", "Window(blocks)", "Sequential", "Batched", "Parallel", "Speedup"},
-	}
-	for _, accName := range []string{"acc1", "acc2"} {
-		s, err := buildSetup(pr, ds, o, accName, core.ModeIntra, 0)
-		if err != nil {
-			return nil, err
-		}
-		verifiers := []*core.Verifier{
-			{Acc: s.acc, Light: s.light, Sequential: true},
-			{Acc: s.acc, Light: s.light, Workers: 1},
-			{Acc: s.acc, Light: s.light},
-		}
-		for _, w := range windowSweep(o.Blocks) {
-			start, end := o.Blocks-w, o.Blocks-1
-			vos := make([]*core.VO, len(queries))
-			qs := make([]core.Query, len(queries))
-			for i, q := range queries {
-				q.StartBlock, q.EndBlock = start, end
-				qs[i] = q
-				if vos[i], err = s.node.SP(false).TimeWindowQuery(context.Background(), q); err != nil {
-					return nil, err
-				}
-			}
-			times := make([]time.Duration, len(verifiers))
-			for vi, ver := range verifiers {
-				t0 := time.Now()
-				for i := range vos {
-					if _, err := ver.VerifyTimeWindow(qs[i], vos[i]); err != nil {
-						return nil, fmt.Errorf("bench: verifier %d rejected honest VO: %w", vi, err)
-					}
-				}
-				times[vi] = time.Since(t0) / time.Duration(len(vos))
-			}
-			speedup := "-"
-			if times[1] > 0 {
-				speedup = fmt.Sprintf("%.1fx", float64(times[0])/float64(times[1]))
-			}
-			t.Rows = append(t.Rows, []string{
-				accName, fmt.Sprintf("%d", w),
-				ms(times[0]), ms(times[1]), ms(times[2]), speedup,
-			})
-		}
-	}
-	return t, nil
 }
 
 // windowSweep returns five window sizes up to the chain length.

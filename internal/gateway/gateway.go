@@ -82,19 +82,13 @@ type Config struct {
 	// (DefaultMaxInflight when 0, negative means uncapped). Excess
 	// load sheds fail-fast with 429 + Retry-After.
 	MaxInflight int
-	// WriteTimeout is the slow-client write deadline: a client that
-	// cannot drain its response within it is disconnected, the same
-	// discipline the gob service applies to started frames
-	// (service.DefaultFrameTimeout when 0). It also bounds reading one
-	// request.
-	WriteTimeout time.Duration
 	// Logger receives structured request logs (tenant, endpoint,
 	// window, outcome, latency). Nil disables request logging.
 	Logger *slog.Logger
 	// ServiceCounters are extra scrape-time counter sources exported as
 	// vchain_service_<name>_total — the facade wires the gob server's
-	// eviction counter (and a remote client's reconnect/retry counters)
-	// through here so wire-layer health lands on the same dashboard.
+	// eviction counter through here so wire-layer health lands on the
+	// same dashboard.
 	ServiceCounters map[string]func() int64
 }
 
@@ -279,15 +273,12 @@ func (g *Gateway) mountScrape(mux *http.ServeMux) {
 }
 
 // Serve starts listening on addr ("127.0.0.1:0" picks a port) and
-// returns the bound address. The HTTP server applies the slow-client
-// write deadline and a read deadline, mirroring the gob layer's
-// partial-frame discipline: a peer that stops draining is
-// disconnected, never awaited.
+// returns the bound address. The HTTP server bounds reading a request
+// and writing its response by service.DefaultFrameTimeout, mirroring
+// the gob layer's partial-frame discipline: a peer that stops draining
+// is disconnected, never awaited.
 func (g *Gateway) Serve(addr string) (string, error) {
-	wt := g.cfg.WriteTimeout
-	if wt <= 0 {
-		wt = service.DefaultFrameTimeout
-	}
+	const wt = service.DefaultFrameTimeout
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("gateway: listen: %w", err)
@@ -488,6 +479,20 @@ type queryRequest struct {
 	AllowDegraded bool `json:"allowDegraded,omitempty"`
 }
 
+// query maps the body onto the core query it asks for, at the served
+// chain's numeric width. Core validates the window and the condition,
+// as it does for every front door.
+func (req *queryRequest) query(width int) core.Query {
+	q := core.Query{StartBlock: req.StartBlock, EndBlock: req.EndBlock, Width: width}
+	for _, clause := range req.Keywords {
+		q.Bool = append(q.Bool, core.KeywordClause(clause...))
+	}
+	if req.Range != nil {
+		q.Range = &core.RangeCond{Lo: req.Range.Lo, Hi: req.Range.Hi}
+	}
+	return q
+}
+
 // objectJSON is one result object.
 type objectJSON struct {
 	ID uint64   `json:"id"`
@@ -496,12 +501,13 @@ type objectJSON struct {
 	W  []string `json:"w"`
 }
 
-// partJSON is one verified tile of the answer: its span, its result
-// objects, and the canonical VO bytes an external verifier checks.
+// partJSON is one verified tile of the answer: its span and the
+// canonical VO bytes an external verifier checks. The VO carries the
+// part's result objects; the response's top-level results list them
+// once, in part order.
 type partJSON struct {
-	Start   int          `json:"start"`
-	End     int          `json:"end"`
-	Results []objectJSON `json:"results"`
+	Start int `json:"start"`
+	End   int `json:"end"`
 	// VO is the base64 canonical encoding (core.EncodeVO) of this
 	// part's verification object.
 	VO string `json:"vo"`
@@ -533,19 +539,8 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request, tenant str
 		errorJSON(w, http.StatusBadRequest, "bad query body: "+err.Error())
 		return
 	}
-	// Core validates the window and the condition, as it does for every
-	// front door; its refusals carry CodeNone and answer 400.
-	q := core.Query{
-		StartBlock: req.StartBlock,
-		EndBlock:   req.EndBlock,
-		Width:      g.node.BitWidth(),
-	}
-	for _, clause := range req.Keywords {
-		q.Bool = append(q.Bool, core.KeywordClause(clause...))
-	}
-	if req.Range != nil {
-		q.Range = &core.RangeCond{Lo: req.Range.Lo, Hi: req.Range.Hi}
-	}
+	// Core's refusals carry CodeNone and answer 400.
+	q := req.query(g.node.BitWidth())
 
 	ctx, cancel := context.WithTimeout(r.Context(), DefaultQueryTimeout)
 	defer cancel()
@@ -580,17 +575,14 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request, tenant str
 	for _, p := range parts {
 		enc := core.EncodeVO(acc, p.VO)
 		voBytes += len(enc)
-		pj := partJSON{
+		resp.Parts = append(resp.Parts, partJSON{
 			Start: p.Start,
 			End:   p.End,
 			VO:    base64.StdEncoding.EncodeToString(enc),
-		}
+		})
 		for _, o := range p.VO.Results() {
-			oj := objectJSON{ID: uint64(o.ID), TS: o.TS, V: o.V, W: o.W}
-			pj.Results = append(pj.Results, oj)
-			resp.Results = append(resp.Results, oj)
+			resp.Results = append(resp.Results, objectJSON{ID: uint64(o.ID), TS: o.TS, V: o.V, W: o.W})
 		}
-		resp.Parts = append(resp.Parts, pj)
 	}
 	gapBlocks := 0
 	for _, gp := range gaps {

@@ -791,7 +791,7 @@ func TestConcurrentMultiTenantHammer(t *testing.T) {
 // TestServeAndClose exercises the real listener path with timeouts.
 func TestServeAndClose(t *testing.T) {
 	node := buildNode(t, 2)
-	g, err := New(node, Config{WriteTimeout: 2 * time.Second})
+	g, err := New(node, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,10 @@
-// Package mhtree implements Merkle hash trees.
-//
-// Two users inside this repository:
-//
-//   - The base blockchain substrate hashes each block's objects into an
-//     ObjectHash / MerkleRoot (Fig. 2 of the vChain paper).
-//   - The evaluation's Fig. 16 compares vChain's accumulator ADS with
-//     the traditional MHT approach, which needs one tree per attribute
-//     combination to answer arbitrary-attribute queries; MultiAttrMHT
-//     reproduces that exponential baseline.
+// Package mhtree implements Merkle hash trees for one user: the
+// evaluation's Fig. 16, which compares vChain's accumulator ADS with the
+// traditional MHT approach. That approach needs one tree per attribute
+// combination to answer arbitrary-attribute queries; MultiAttrMHT
+// reproduces that exponential baseline. The chain substrate does not
+// use this package: a block's MerkleRoot commits its intra-block index
+// (internal/core).
 package mhtree
 
 import (

@@ -11,7 +11,6 @@ import (
 
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
-	"github.com/vchain-go/vchain/internal/proofs"
 	"github.com/vchain-go/vchain/internal/subscribe"
 )
 
@@ -594,19 +593,6 @@ func (c *Client) QueryVerifiedDegraded(ctx context.Context, q core.Query, batche
 		return nil, err
 	}
 	return ver.VerifyDegraded(q, parts, gaps)
-}
-
-// Stats fetches the SP's proof-engine counters (proofs computed,
-// cache hits/misses, aggregation groups).
-func (c *Client) Stats(ctx context.Context) (proofs.Stats, error) {
-	resp, err := c.callIdem(ctx, &Request{Kind: "stats"})
-	if err != nil {
-		return proofs.Stats{}, err
-	}
-	if resp.Stats == nil {
-		return proofs.Stats{}, errors.New("service: SP returned no stats")
-	}
-	return *resp.Stats, nil
 }
 
 // Close disconnects. In-flight calls fail with ErrClosed, every

@@ -55,7 +55,7 @@ func TestClientRetryReconnect(t *testing.T) {
 		t.Fatal("fault schedule never fired")
 	}
 	// The reconnected generation serves everything as usual.
-	if _, err := cli.Stats(context.Background()); err != nil {
+	if _, err := cli.Headers(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 }

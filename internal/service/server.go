@@ -384,9 +384,6 @@ func (sc *serverConn) process(req *Request) *Response {
 			return errResponse(err)
 		}
 		return &Response{Parts: parts}
-	case "stats":
-		st := s.node.ProofStats()
-		return &Response{Stats: &st}
 	case "subscribe":
 		// Register and record ownership under one lock so a block
 		// mined in between cannot emit a publication that pushPub

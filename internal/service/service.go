@@ -137,8 +137,7 @@ type Request struct {
 	// Seq matches the request to its response. Clients use strictly
 	// positive values; 0 is reserved for server-push frames.
 	Seq uint64
-	// Kind is "headers", "query", "stats", "subscribe", or
-	// "unsubscribe".
+	// Kind is "headers", "query", "subscribe", or "unsubscribe".
 	Kind string
 	// FromHeight is the first header wanted (Kind == "headers").
 	FromHeight int
@@ -184,9 +183,6 @@ type Response struct {
 	// (AllowDegraded requests only). Parts and Gaps together tile the
 	// window; the client's VerifyDegraded enforces exactly that.
 	Gaps []core.Gap
-	// Stats answers a stats request with the SP's proof-engine
-	// counters.
-	Stats *proofs.Stats
 	// SubID answers a subscribe request with the registered id.
 	SubID int
 	// Pub is a pushed publication (Seq == 0), or the final pending

@@ -265,32 +265,3 @@ func TestServerCloseStopsAccepting(t *testing.T) {
 		}
 	}
 }
-
-// TestRemoteStats checks the stats request: after a few queries the
-// SP's proof-engine counters are visible over the wire, and repeated
-// identical queries register cache hits.
-func TestRemoteStats(t *testing.T) {
-	_, addr, _ := startServer(t)
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	q := core.Query{StartBlock: 0, EndBlock: 2, Bool: core.CNF{core.KeywordClause("sedan")}, Width: 4}
-	for i := 0; i < 3; i++ {
-		if _, err := cli.QueryParts(context.Background(), q, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := cli.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Proofs == 0 {
-		t.Fatalf("no proofs counted: %+v", st)
-	}
-	if st.CacheHits == 0 {
-		t.Fatalf("repeated identical query produced no cache hits: %+v", st)
-	}
-}

@@ -333,6 +333,3 @@ func (n *Node) Serve(addr string, opts SubscribeOptions) (*RemoteSP, error) {
 	}
 	return &RemoteSP{srv: srv, addr: bound, detach: detach}, nil
 }
-
-// Core exposes the internal node (service layer, benchmarks).
-func (n *Node) Core() *shard.Node { return n.node }

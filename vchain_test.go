@@ -113,7 +113,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 						t.Fatalf("results %d, want %d", len(results), blocks)
 					}
 					// The reference verifier agrees with the batched one.
-					seq, err := client.VerifySequential(q, parts)
+					ref := client.verifier()
+					ref.Sequential = true
+					seq, err := ref.VerifyWindowParts(q, parts)
 					if err != nil || len(seq) != len(results) {
 						t.Fatalf("sequential verifier: %d results, %v", len(seq), err)
 					}
@@ -488,7 +490,7 @@ func TestFacadeProofStats(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := node.ProofStats()
-			if eng := node.Core().ProofEngine().Stats(); st != eng {
+			if eng := node.node.ProofEngine().Stats(); st != eng {
 				t.Errorf("ProofStats %+v is not the node engine's %+v", st, eng)
 			}
 			if st.CacheMisses != first.CacheMisses || st.CacheHits <= first.CacheHits {
