@@ -70,10 +70,12 @@ func BenchmarkSetupCon1(b *testing.B) {
 }
 
 // benchChecks builds k valid disjointness checks in the verifier's
-// workload shape: every check carries a distinct node digest, verified
-// against one of the query's few clause accumulators (a
-// sedan∧(benz∨bmw)-style query has 2–4 clauses).
-func benchChecks(b *testing.B, acc Accumulator, k, clauses int) []DisjointCheck {
+// workload shapes: check i carries node digest i%digests, verified
+// against clause accumulator i%clauses. A query answer has a distinct
+// digest per check against the query's few clauses (a
+// sedan∧(benz∨bmw)-style query has 2–4); a subscription block checks
+// one digest against a clause per subscription.
+func benchChecks(b *testing.B, acc Accumulator, k, clauses, digests int) []DisjointCheck {
 	clAccs := make([]Acc, clauses)
 	clSets := make([]multiset.Multiset, clauses)
 	for j := range clAccs {
@@ -85,26 +87,33 @@ func benchChecks(b *testing.B, acc Accumulator, k, clauses int) []DisjointCheck 
 		}
 	}
 	checks := make([]DisjointCheck, k)
-	for i := range checks {
+	for d := range digests {
 		// Retry on toy-domain hash collisions between the window and
-		// clause multisets (see checkPool in batch_test.go).
+		// any clause it meets (see checkPool in batch_test.go).
 		for try := 0; ; try++ {
 			if try == 32 {
 				b.Fatal("could not find disjoint multisets")
 			}
-			w := benchMultiset(fmt.Sprintf("w%d.%d.%d", k, i, try), 3)
-			pf, err := acc.ProveDisjoint(w, clSets[i%clauses])
-			if errors.Is(err, ErrNotDisjoint) {
-				continue
+			w := benchMultiset(fmt.Sprintf("w%d.%d.%d", k, d, try), 3)
+			ok := true
+			for i := d; i < k && ok; i += digests {
+				pf, err := acc.ProveDisjoint(w, clSets[i%clauses])
+				if err != nil && !errors.Is(err, ErrNotDisjoint) {
+					b.Fatal(err)
+				}
+				ok = err == nil
+				checks[i] = DisjointCheck{Acc2: clAccs[i%clauses], Proof: pf}
 			}
-			if err != nil {
-				b.Fatal(err)
+			if !ok {
+				continue
 			}
 			aw, err := acc.Setup(w)
 			if err != nil {
 				b.Fatal(err)
 			}
-			checks[i] = DisjointCheck{Acc1: aw, Acc2: clAccs[i%clauses], Proof: pf}
+			for i := d; i < k; i += digests {
+				checks[i].Acc1 = aw
+			}
 			break
 		}
 	}
@@ -125,7 +134,7 @@ func BenchmarkVerifyDisjointBatch(b *testing.B) {
 	for _, name := range []string{"acc1", "acc2"} {
 		acc := accs[name]
 		for _, k := range []int{16, 256} {
-			checks := benchChecks(b, acc, k, 4)
+			checks := benchChecks(b, acc, k, 4, k)
 			b.Run(fmt.Sprintf("%s/%d/sequential", name, k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for _, ch := range checks {
@@ -149,12 +158,17 @@ func BenchmarkVerifyDisjointBatch(b *testing.B) {
 // BenchmarkVerifyDisjointBatchDefault runs acc2's batch check at the
 // default preset in the shapes clients meet: one check (a subscription
 // publication), two, a gob_prove-sized answer of 12 checks over 3
-// clauses, and 40 checks over 8 clauses.
+// clauses, 40 checks over 8 clauses, and a subscription block's one
+// digest against 10 clauses.
 func BenchmarkVerifyDisjointBatchDefault(b *testing.B) {
 	acc := KeyGenCon2Deterministic(pairing.Default(), 256, HashEncoder{Q: 256}, []byte("bench"))
-	for _, shape := range []struct{ k, clauses int }{{1, 1}, {2, 1}, {12, 3}, {40, 8}} {
-		checks := benchChecks(b, acc, shape.k, shape.clauses)
-		b.Run(fmt.Sprintf("k=%d/clauses=%d", shape.k, shape.clauses), func(b *testing.B) {
+	for _, shape := range []struct{ k, clauses, digests int }{{1, 1, 1}, {2, 1, 2}, {12, 3, 12}, {40, 8, 40}, {10, 10, 1}} {
+		checks := benchChecks(b, acc, shape.k, shape.clauses, shape.digests)
+		name := fmt.Sprintf("k=%d/clauses=%d", shape.k, shape.clauses)
+		if shape.digests < shape.k {
+			name += fmt.Sprintf("/digests=%d", shape.digests)
+		}
+		b.Run(name, func(b *testing.B) {
 			for b.Loop() {
 				if !acc.VerifyDisjointBatch(checks) {
 					b.Fatal("valid batch rejected")

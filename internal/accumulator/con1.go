@@ -248,11 +248,9 @@ func (c *Con1) VerifyDisjoint(acc1, acc2 Acc, proof Proof) bool {
 // equations ê(acc1_i, F1_i)·ê(acc2_i, F2_i) == ê(g, g) collapse into
 // one randomized pairing-product check with a single final
 // exponentiation, shared Miller loops, and one multi-scalar
-// right-hand side (pairing.PairingCheckBatch). The second pair is
-// emitted as ê(F2_i, acc2_i) — the Type-1 pairing is symmetric — so
-// that the clause accumulator, which repeats across the checks of one
-// query, sits in the position PairingCheckBatch buckets on and the
-// repeated Miller loops merge.
+// right-hand side (pairing.PairingCheckBatch). Every looped point is
+// an accumulator, never a proof: the checks of one clause share its
+// accumulator as their first argument, and their pairs merge on it.
 func (c *Con1) VerifyDisjointBatch(checks []DisjointCheck) bool {
 	if len(checks) == 1 {
 		return c.VerifyDisjoint(checks[0].Acc1, checks[0].Acc2, checks[0].Proof)
@@ -262,7 +260,7 @@ func (c *Con1) VerifyDisjointBatch(checks []DisjointCheck) bool {
 		eqs[i] = pairing.BatchEquation{
 			Pairs: []pairing.PairPair{
 				{P: ch.Acc1.A, Q: ch.Proof.F1},
-				{P: ch.Proof.F2, Q: ch.Acc2.A},
+				{P: ch.Acc2.A, Q: ch.Proof.F2},
 			},
 			R: c.pr.G,
 		}

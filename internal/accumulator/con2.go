@@ -212,11 +212,15 @@ func (c *Con2) VerifyDisjoint(acc1, acc2 Acc, proof Proof) bool {
 
 // VerifyDisjointBatch implements Accumulator: the k verification
 // equations ê(dA_i, dB_i) == ê(π_i, g) collapse into one randomized
-// check — left-hand sides sharing a clause and every right-hand side
-// (all against g) fold into one multi-scalar multiplication and one
-// Miller loop per distinct second argument, and the final
-// exponentiation happens once (pairing.PairingCheckBatch). One check
-// is VerifyDisjoint.
+// check (pairing.PairingCheckBatch). Every right-hand side (all
+// against g) and the left-hand sides sharing a clause fold into one
+// multi-scalar multiplication and one Miller loop per distinct second
+// argument. Of the rest, those sharing a digest dA fold into one loop
+// per digest: a subscription block pairs one digest with many
+// clauses. The digests, and the client's sums of them, are pinned by
+// the headers, and the clause accumulators are the client's own, so
+// both may be looped shared. The final exponentiation happens once.
+// One check is VerifyDisjoint.
 func (c *Con2) VerifyDisjointBatch(checks []DisjointCheck) bool {
 	if len(checks) == 1 {
 		return c.VerifyDisjoint(checks[0].Acc1, checks[0].Acc2, checks[0].Proof)

@@ -169,3 +169,54 @@ func TestVerifySpansMatchesVerifySpan(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifySpansOneDigestManyClauses: spans that check one block's
+// digest against a different clause each, as a subscription block's
+// publications do, settle in one flush, and the pairing batch merges
+// their checks on that digest. A tampered proof among them fails only
+// its own span, with ErrSoundness.
+func TestVerifySpansOneDigestManyClauses(t *testing.T) {
+	for name, acc := range testAccs(t) {
+		node, light := buildTestChain(t, acc, ModeBoth, 3)
+		for _, tampered := range []int{-1, 3} {
+			t.Run(fmt.Sprintf("%s/tampered=%d", name, tampered), func(t *testing.T) {
+				var spans []Span
+				var digest accumulator.Acc
+				for i := range 6 {
+					q := Query{StartBlock: 2, EndBlock: 2, Bool: CNF{KeywordClause(fmt.Sprintf("zeppelin%d", i))}, Width: testWidth}
+					vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ms := collectNodes(vo, KindMismatch)
+					if len(ms) != 1 || ms[0].Proof == nil {
+						t.Fatalf("span %d: %d mismatch nodes, want the block root alone", i, len(ms))
+					}
+					if i == 0 {
+						digest = ms[0].Digest
+					} else if !acc.AccEqual(ms[0].Digest, digest) {
+						t.Fatalf("span %d proves another digest than span 0", i)
+					}
+					if i == tampered {
+						ms[0].Proof.F1 = ms[0].Digest.A
+					}
+					spans = append(spans, Span{Query: q, From: 2, To: 2, VO: vo})
+				}
+				counter := &countingAcc{Accumulator: acc}
+				got := (&Verifier{Acc: counter, Light: light}).VerifySpans(spans)
+				if counter.batches[0] != len(spans) {
+					t.Fatalf("first flush checked %d, want all %d spans' checks", counter.batches[0], len(spans))
+				}
+				for i, r := range got {
+					want := "nil"
+					if i == tampered {
+						want = "soundness"
+					}
+					if g := errClass(r.Err); g != want {
+						t.Errorf("span %d: %s, want %s", i, g, want)
+					}
+				}
+			})
+		}
+	}
+}

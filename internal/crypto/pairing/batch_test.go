@@ -126,3 +126,54 @@ func TestPairingCheckBatchInfinityEdges(t *testing.T) {
 		t.Error("non-trivial RHS against empty LHS accepted")
 	}
 }
+
+// millerPairs counts the Miller pairs a plan runs.
+func millerPairs(pl batchPlan) int {
+	n := len(pl.shared)
+	for _, own := range pl.own {
+		n += len(own)
+	}
+	return n
+}
+
+// TestPlanBatchMillerPairs pins the Miller pairs planBatch gives the
+// verifier's batch shapes. A subscription block checks one digest
+// against a clause per subscription: bucketing by second argument
+// alone leaves one loop per clause, and the digest's group merges
+// them. A query answer checks many digests against few clauses, with
+// the odd check alone on both arguments, and plans as bucketing by
+// second argument alone does.
+func TestPlanBatchMillerPairs(t *testing.T) {
+	pr := Toy()
+	rng := rand.New(rand.NewSource(61))
+	randomizers := func(k int) []*big.Int {
+		exps := []*big.Int{big.NewInt(1)}
+		for len(exps) < k {
+			exps = append(exps, new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 64)))
+		}
+		return exps
+	}
+	digest := randPoint(pr, rng)
+	var block []BatchEquation
+	for range 10 {
+		block = append(block, BatchEquation{Pairs: []PairPair{{P: digest, Q: randPoint(pr, rng)}}, R: randPoint(pr, rng)})
+	}
+	clauses := []ec.Point{randPoint(pr, rng), randPoint(pr, rng), randPoint(pr, rng)}
+	var answer []BatchEquation
+	for i := range 12 {
+		answer = append(answer, BatchEquation{Pairs: []PairPair{{P: randPoint(pr, rng), Q: clauses[i%3]}}, R: randPoint(pr, rng)})
+	}
+	answer = append(answer, BatchEquation{Pairs: []PairPair{{P: randPoint(pr, rng), Q: randPoint(pr, rng)}}, R: randPoint(pr, rng)})
+	for _, tc := range []struct {
+		name string
+		eqs  []BatchEquation
+		want int
+	}{
+		{"1 digest x 10 clauses", block, 2},                  // the digest and G; 11 by second argument alone
+		{"12 digests x 3 clauses + 1 lone check", answer, 5}, // 3 clauses, G, the lone pair
+	} {
+		if got := millerPairs(pr.planBatch(tc.eqs, randomizers(len(tc.eqs)))); got != tc.want {
+			t.Errorf("%s: %d Miller pairs, want %d", tc.name, got, tc.want)
+		}
+	}
+}

@@ -184,11 +184,33 @@ func TestPairingEqualMatchesReference(t *testing.T) {
 	}
 }
 
+// refBatch returns random 64-bit randomizers for eqs, the first 1, and
+// ∏_i (∏_j ê(P_ij, Q_ij)·ê(−R_i, G))^{e_i} from reference pairings.
+func refBatch(pr *Params, rng *rand.Rand, eqs []BatchEquation) ([]*big.Int, GT) {
+	exps := make([]*big.Int, len(eqs))
+	want := pr.GTOne()
+	for i := range eqs {
+		exps[i] = new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 64))
+		if i == 0 {
+			exps[i].SetInt64(1)
+		}
+		v := refPair(pr, pr.C.Neg(eqs[i].R), pr.G)
+		for _, pp := range eqs[i].Pairs {
+			v = pr.GTMul(v, refPair(pr, pp.P, pp.Q))
+		}
+		want = pr.GTMul(want, pr.GTExp(v, exps[i]))
+	}
+	return exps, want
+}
+
 // TestBatchProductMatchesReference pins PairingCheckBatch's product,
 // with fixed randomizers, to ∏_i (∏_j ê(P_ij, Q_ij)·ê(−R_i, G))^{e_i}
 // from reference pairings. Pairs whose Q is shared collapse through an
 // MSM, which is exact by bilinearity for points of G only; pairs with
-// a Q of their own keep their point, so those carry the torsion.
+// a Q of their own keep their point, so those carry the torsion. Pairs
+// alone on their Q that share a P ∈ G collapse through an MSM over
+// their Qs, which is exact for any on-curve Qs: they carry the torsion
+// and the F_p-rational evaluation points (0, ±1).
 func TestBatchProductMatchesReference(t *testing.T) {
 	for _, pr := range presetsUnderTest(t) {
 		rng := rand.New(rand.NewSource(79))
@@ -205,21 +227,31 @@ func TestBatchProductMatchesReference(t *testing.T) {
 				R: randPoint(pr, rng),
 			})
 		}
-		exps := make([]*big.Int, len(eqs))
-		want := pr.GTOne()
-		for i := range eqs {
-			exps[i] = new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 64))
-			if i == 0 {
-				exps[i].SetInt64(1)
-			}
-			v := refPair(pr, pr.C.Neg(eqs[i].R), pr.G)
-			for _, pp := range eqs[i].Pairs {
-				v = pr.GTMul(v, refPair(pr, pp.P, pp.Q))
-			}
-			want = pr.GTMul(want, pr.GTExp(v, exps[i]))
-		}
+		exps, want := refBatch(pr, rng, eqs)
 		if got := pr.batchProduct(eqs, exps); !got.Equal(want) {
 			t.Fatalf("%s: batch product differs from the reference", pr.Name)
+		}
+		// One digest against many clauses, each alone on its Q: points
+		// of G, G plus 2- and 3-torsion, the bare (−1, 0) and (0, ±1).
+		// A second digest shares two equations with the first, and one
+		// pair shares neither argument.
+		digest, other := randPoint(pr, rng), randPoint(pr, rng)
+		qs := []ec.Point{randPoint(pr, rng), randPoint(pr, rng), ps[3], ps[4], ps[5], ps[6], ps[7], ps[8]}
+		eqs = eqs[:0]
+		for i, q := range qs {
+			pairs := []PairPair{{P: digest, Q: q}}
+			if i%4 == 1 {
+				pairs = append(pairs, PairPair{P: other, Q: randPoint(pr, rng)})
+			}
+			eqs = append(eqs, BatchEquation{Pairs: pairs, R: randPoint(pr, rng)})
+		}
+		eqs[2].Pairs = append(eqs[2].Pairs, PairPair{P: randPoint(pr, rng), Q: randPoint(pr, rng)})
+		exps, want = refBatch(pr, rng, eqs)
+		if n := millerPairs(pr.planBatch(eqs, exps)); n != 4 {
+			t.Fatalf("%s: shared-digest batch plans %d Miller pairs, want 4 (G, two digests, one lone pair)", pr.Name, n)
+		}
+		if got := pr.batchProduct(eqs, exps); !got.Equal(want) {
+			t.Fatalf("%s: shared-digest batch product differs from the reference", pr.Name)
 		}
 		// One equation: nothing collapses, so any looped point is exact.
 		for i, p := range ps {

@@ -36,21 +36,19 @@ func hashNode(l, r Digest) Digest {
 type Tree struct {
 	// levels[0] is the leaf level; levels[len-1] is the single root.
 	levels [][]Digest
-	n      int
 }
 
 // Build constructs a tree over the given leaf payloads. An empty input
-// yields a deterministic sentinel root (hash of the empty leaf), so
-// empty blocks still chain correctly.
+// yields a deterministic sentinel root (hash of the empty leaf).
 func Build(leaves [][]byte) *Tree {
 	if len(leaves) == 0 {
-		return &Tree{levels: [][]Digest{{hashLeaf(nil)}}, n: 0}
+		return &Tree{levels: [][]Digest{{hashLeaf(nil)}}}
 	}
 	level := make([]Digest, len(leaves))
 	for i, l := range leaves {
 		level[i] = hashLeaf(l)
 	}
-	t := &Tree{n: len(leaves)}
+	t := &Tree{}
 	t.levels = append(t.levels, level)
 	for len(level) > 1 {
 		next := make([]Digest, 0, (len(level)+1)/2)
@@ -67,52 +65,6 @@ func Build(leaves [][]byte) *Tree {
 		level = next
 	}
 	return t
-}
-
-// Root returns the Merkle root.
-func (t *Tree) Root() Digest { return t.levels[len(t.levels)-1][0] }
-
-// Len returns the number of leaves.
-func (t *Tree) Len() int { return t.n }
-
-// ProofStep is one sibling on an authentication path.
-type ProofStep struct {
-	// Hash is the sibling digest.
-	Hash Digest
-	// Left is true when the sibling sits to the left of the running hash.
-	Left bool
-}
-
-// Prove returns the authentication path for leaf i.
-func (t *Tree) Prove(i int) []ProofStep {
-	if i < 0 || i >= t.n {
-		return nil
-	}
-	var path []ProofStep
-	idx := i
-	for lvl := 0; lvl < len(t.levels)-1; lvl++ {
-		level := t.levels[lvl]
-		sib := idx ^ 1
-		if sib < len(level) {
-			path = append(path, ProofStep{Hash: level[sib], Left: sib < idx})
-		}
-		idx /= 2
-	}
-	return path
-}
-
-// Verify checks an authentication path for a leaf payload against a
-// root.
-func Verify(leaf []byte, path []ProofStep, root Digest) bool {
-	h := hashLeaf(leaf)
-	for _, s := range path {
-		if s.Left {
-			h = hashNode(s.Hash, h)
-		} else {
-			h = hashNode(h, s.Hash)
-		}
-	}
-	return h == root
 }
 
 // MultiAttrMHT models the traditional-MHT baseline of Fig. 16: to

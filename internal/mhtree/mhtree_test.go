@@ -13,51 +13,49 @@ func leaves(n int) [][]byte {
 	return out
 }
 
-func TestBuildAndVerifyAllLeaves(t *testing.T) {
+// root returns a tree's root digest.
+func root(t *Tree) Digest { return t.levels[len(t.levels)-1][0] }
+
+// TestBuildLevels checks the tree SizeBytes counts: one digest per
+// leaf, then each level's nodes hashing pairs of the level below, an
+// odd last node promoted unchanged, up to a single root.
+func TestBuildLevels(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 8, 15, 16, 17} {
-		ls := leaves(n)
-		tr := Build(ls)
-		if tr.Len() != n {
-			t.Fatalf("n=%d: Len = %d", n, tr.Len())
+		tr := Build(leaves(n))
+		if len(tr.levels[0]) != n {
+			t.Fatalf("n=%d: %d leaf digests", n, len(tr.levels[0]))
 		}
-		root := tr.Root()
-		for i := 0; i < n; i++ {
-			path := tr.Prove(i)
-			if !Verify(ls[i], path, root) {
-				t.Fatalf("n=%d: proof for leaf %d rejected", n, i)
+		for i, l := range leaves(n) {
+			if tr.levels[0][i] != hashLeaf(l) {
+				t.Fatalf("n=%d: leaf %d's digest is not its hash", n, i)
 			}
 		}
-	}
-}
-
-func TestVerifyRejectsTamperedLeaf(t *testing.T) {
-	ls := leaves(8)
-	tr := Build(ls)
-	path := tr.Prove(3)
-	if Verify([]byte("tampered"), path, tr.Root()) {
-		t.Fatal("tampered leaf accepted")
-	}
-	// Wrong position's path.
-	if Verify(ls[3], tr.Prove(4), tr.Root()) {
-		t.Fatal("leaf accepted with another leaf's path")
-	}
-}
-
-func TestVerifyRejectsTamperedPath(t *testing.T) {
-	ls := leaves(8)
-	tr := Build(ls)
-	path := tr.Prove(2)
-	path[0].Hash[0] ^= 0xFF
-	if Verify(ls[2], path, tr.Root()) {
-		t.Fatal("tampered path accepted")
+		for i := 1; i < len(tr.levels); i++ {
+			below, lvl := tr.levels[i-1], tr.levels[i]
+			if len(lvl) != (len(below)+1)/2 {
+				t.Fatalf("n=%d: level %d has %d digests over %d", n, i, len(lvl), len(below))
+			}
+			for j, d := range lvl {
+				want := below[2*j]
+				if 2*j+1 < len(below) {
+					want = hashNode(below[2*j], below[2*j+1])
+				}
+				if d != want {
+					t.Fatalf("n=%d: level %d node %d is not its children's node", n, i, j)
+				}
+			}
+		}
+		if top := tr.levels[len(tr.levels)-1]; len(top) != 1 {
+			t.Fatalf("n=%d: %d roots", n, len(top))
+		}
 	}
 }
 
 func TestRootChangesWithContent(t *testing.T) {
-	a := Build(leaves(4)).Root()
+	a := root(Build(leaves(4)))
 	ls := leaves(4)
 	ls[2] = []byte("different")
-	b := Build(ls).Root()
+	b := root(Build(ls))
 	if a == b {
 		t.Fatal("root unchanged after leaf modification")
 	}
@@ -65,22 +63,12 @@ func TestRootChangesWithContent(t *testing.T) {
 
 func TestEmptyTree(t *testing.T) {
 	tr := Build(nil)
-	if tr.Len() != 0 {
-		t.Fatal("empty tree Len != 0")
+	if len(tr.levels) != 1 || len(tr.levels[0]) != 1 {
+		t.Fatal("empty tree is not one sentinel digest")
 	}
 	// Deterministic sentinel.
-	if tr.Root() != Build([][]byte{}).Root() {
+	if root(tr) != root(Build([][]byte{})) {
 		t.Fatal("empty roots differ")
-	}
-	if tr.Prove(0) != nil {
-		t.Fatal("Prove on empty tree should return nil")
-	}
-}
-
-func TestProveOutOfRange(t *testing.T) {
-	tr := Build(leaves(4))
-	if tr.Prove(-1) != nil || tr.Prove(4) != nil {
-		t.Fatal("out-of-range Prove should return nil")
 	}
 }
 
@@ -91,7 +79,7 @@ func TestLeafNodeDomainSeparation(t *testing.T) {
 	l0, l1 := hashLeaf([]byte("leaf-0")), hashLeaf([]byte("leaf-1"))
 	preimage := append(append([]byte{}, l0[:]...), l1[:]...)
 	one := Build([][]byte{preimage})
-	if one.Root() == two.Root() {
+	if root(one) == root(two) {
 		t.Fatal("second-preimage across levels: domain separation broken")
 	}
 }
