@@ -107,21 +107,64 @@ type Accumulator interface {
 	ProofFromBytes(b []byte) (Proof, error)
 }
 
-// Union returns acc(x1 ∪ x2), for the per-element-max union of Def.
-// 6.1, given acc1 = acc(x1) and acc2 = acc(x2). Construction 2's
-// digest is linear in the multiplicities, so Con2.Union pays for the
-// intersection only. Construction 1's digest is g^{∏(x_i+s)}: a union
-// multiplies in the exponent, which no group operation on acc1 and
-// acc2 does, so it runs Setup over the union, as does any Accumulator
-// without a Union method (a wrapper that forwards only this package's
-// interface).
-func Union(a Accumulator, x1, x2 multiset.Multiset, acc1, acc2 Acc) (Acc, error) {
-	if u, ok := a.(interface {
-		Union(x1, x2 multiset.Multiset, acc1, acc2 Acc) (Acc, error)
+// Pair is one union for UnionEach: multisets X1 and X2 with their
+// digests Acc1 = acc(X1) and Acc2 = acc(X2).
+type Pair struct {
+	X1, X2     multiset.Multiset
+	Acc1, Acc2 Acc
+}
+
+// SetupEach returns acc(x) for every x in xs. Construction 2 computes
+// them together, in one point summation (Con2.SetupEach). Construction
+// 1, and any Accumulator without a SetupEach method (a wrapper that
+// forwards only this package's interface), runs Setup per item.
+func SetupEach(a Accumulator, xs []multiset.Multiset) ([]Acc, error) {
+	if e, ok := a.(interface {
+		SetupEach(xs []multiset.Multiset) ([]Acc, error)
 	}); ok {
-		return u.Union(x1, x2, acc1, acc2)
+		return e.SetupEach(xs)
 	}
-	return a.Setup(multiset.Union(x1, x2))
+	return each(xs, a.Setup)
+}
+
+// UnionEach returns acc(X1 ∪ X2) for every pair, for the
+// per-element-max union of Def. 6.1. Construction 2's digest is linear
+// in the multiplicities, so Con2.UnionEach pays for each intersection
+// only, and computes all pairs together. Construction 1's digest is
+// g^{∏(x_i+s)}: a union multiplies in the exponent, which no group
+// operation on the two digests does, so it runs Setup over each union,
+// as does any Accumulator without a UnionEach method.
+func UnionEach(a Accumulator, ps []Pair) ([]Acc, error) {
+	if e, ok := a.(interface {
+		UnionEach(ps []Pair) ([]Acc, error)
+	}); ok {
+		return e.UnionEach(ps)
+	}
+	return each(ps, func(p Pair) (Acc, error) { return a.Setup(multiset.Union(p.X1, p.X2)) })
+}
+
+// SumEach returns Sum(groups[i]...) for every group: Construction 2
+// computes them together (Con2.SumEach), and any Accumulator without a
+// SumEach method calls Sum per group.
+func SumEach(a Accumulator, groups [][]Acc) ([]Acc, error) {
+	if e, ok := a.(interface {
+		SumEach(groups [][]Acc) ([]Acc, error)
+	}); ok {
+		return e.SumEach(groups)
+	}
+	return each(groups, func(g []Acc) (Acc, error) { return a.Sum(g...) })
+}
+
+// each is the per-item fallback of the batch functions.
+func each[T any](items []T, f func(T) (Acc, error)) ([]Acc, error) {
+	out := make([]Acc, len(items))
+	for i, it := range items {
+		var err error
+		if out[i], err = f(it); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // ErrNotDisjoint is returned by ProveDisjoint when the multisets share

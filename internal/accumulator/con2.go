@@ -123,42 +123,105 @@ func (c *Con2) encode(x multiset.Multiset) (map[int]int, error) {
 
 // Setup implements Accumulator:
 // acc(X) = (g^{Σ m_i s^{x_i}}, g^{Σ m_i s^{q−x_i}}).
-func (c *Con2) Setup(x multiset.Multiset) (Acc, error) { return c.combine(x, 1) }
+func (c *Con2) Setup(x multiset.Multiset) (Acc, error) { return c.combine1(term{x: x}) }
 
-// Union is the package's Union for Construction 2: max(m1, m2) =
-// m1 + m2 − min(m1, m2) per element, so acc(x1 ∪ x2) = acc1 + acc2 −
-// acc(x1 ∩ x2). The intersection is taken before encoding, so encoder
-// collisions sum exactly as they do in Setup.
-func (c *Con2) Union(x1, x2 multiset.Multiset, acc1, acc2 Acc) (Acc, error) {
-	return c.combine(multiset.Intersect(x1, x2), -1, acc1, acc2)
+// SetupEach is the package's SetupEach for Construction 2: every
+// digest in one combineEach.
+func (c *Con2) SetupEach(xs []multiset.Multiset) ([]Acc, error) {
+	ts := make([]term, len(xs))
+	for i, x := range xs {
+		ts[i] = term{x: x}
+	}
+	return c.combineEach(ts)
 }
 
-// one is the shared unit scalar; MultiScalarMul never writes scalars.
-var one = big.NewInt(1)
+// UnionEach is the package's UnionEach for Construction 2: max(m1, m2)
+// = m1 + m2 − min(m1, m2) per element, so acc(x1 ∪ x2) = acc1 + acc2 −
+// acc(x1 ∩ x2). The intersection is taken before encoding, so encoder
+// collisions sum exactly as they do in Setup.
+func (c *Con2) UnionEach(ps []Pair) ([]Acc, error) {
+	ts := make([]term, len(ps))
+	for i, p := range ps {
+		ts[i] = term{x: multiset.Intersect(p.X1, p.X2), neg: true, accs: []Acc{p.Acc1, p.Acc2}}
+	}
+	return c.combineEach(ts)
+}
 
-// combine returns Σ accs + sign·acc(x) as one MultiScalarMul per
-// component: scalar 1 on each acc and sign·m_i on each element's power.
-// When every scalar is ±1 the call takes MultiScalarMul's addition
-// chain, mixed Jacobian additions with one inversion, which is how
-// Setup, Union and Sum all add points.
-func (c *Con2) combine(x multiset.Multiset, sign int64, accs ...Acc) (Acc, error) {
-	enc, err := c.encode(x)
+// SumEach is the package's SumEach for Construction 2.
+func (c *Con2) SumEach(groups [][]Acc) ([]Acc, error) {
+	ts := make([]term, len(groups))
+	for i, g := range groups {
+		ts[i] = term{accs: g}
+	}
+	return c.combineEach(ts)
+}
+
+// term is one digest combineEach computes: Σ accs + acc(x), or Σ accs
+// − acc(x) when neg.
+type term struct {
+	x    multiset.Multiset
+	neg  bool
+	accs []Acc
+}
+
+// combine1 is combineEach for a single term.
+func (c *Con2) combine1(t term) (Acc, error) {
+	out, err := c.combineEach([]term{t})
 	if err != nil {
 		return Acc{}, err
 	}
-	n := len(accs) + len(enc)
+	return out[0], nil
+}
+
+// combineEach returns every term's digest with one ec SumEach over
+// both components of all terms, which is how Setup, Union and Sum all
+// add points. A term contributes its accs and, for each element v of x
+// with multiplicity m, ±m times the public-key points g^{s^v} and
+// g^{s^{q−v}}. A unit multiplicity, almost every element's, adds the
+// point itself; a larger one (encoder collisions, an intersection's
+// min > 1) adds its scalar multiple, so every digest stays exact.
+func (c *Con2) combineEach(ts []term) ([]Acc, error) {
+	encs := make([]map[int]int, len(ts))
+	n := 0
+	for i, t := range ts {
+		enc, err := c.encode(t.x)
+		if err != nil {
+			return nil, err
+		}
+		encs[i] = enc
+		n += len(t.accs) + len(enc)
+	}
+	curve := c.pr.C
+	// Group i sums term i's A points, group len(ts)+i its B points, each
+	// a window of ptsA or ptsB; both are allocated once, at full size.
 	ptsA := make([]ec.Point, 0, n)
 	ptsB := make([]ec.Point, 0, n)
-	ks := make([]*big.Int, 0, n)
-	for _, a := range accs {
-		ptsA, ptsB, ks = append(ptsA, a.A), append(ptsB, a.B), append(ks, one)
+	groups := make([][]ec.Point, 2*len(ts))
+	for i, t := range ts {
+		startA, startB := len(ptsA), len(ptsB)
+		for _, a := range t.accs {
+			ptsA, ptsB = append(ptsA, a.A), append(ptsB, a.B)
+		}
+		for v, m := range encs[i] {
+			pa, pb := c.pk[v], c.pk[c.q-v]
+			if m != 1 {
+				k := big.NewInt(int64(m))
+				pa, pb = curve.ScalarMul(pa, k), curve.ScalarMul(pb, k)
+			}
+			if t.neg {
+				pa, pb = curve.Neg(pa), curve.Neg(pb)
+			}
+			ptsA, ptsB = append(ptsA, pa), append(ptsB, pb)
+		}
+		groups[i] = ptsA[startA:len(ptsA):len(ptsA)]
+		groups[len(ts)+i] = ptsB[startB:len(ptsB):len(ptsB)]
 	}
-	for v, m := range enc {
-		ptsA = append(ptsA, c.pk[v])
-		ptsB = append(ptsB, c.pk[c.q-v])
-		ks = append(ks, big.NewInt(sign*int64(m)))
+	sums := curve.SumEach(groups)
+	out := make([]Acc, len(ts))
+	for i := range out {
+		out[i] = Acc{A: sums[i], B: sums[len(ts)+i]}
 	}
-	return Acc{A: c.pr.C.MultiScalarMul(ptsA, ks), B: c.pr.C.MultiScalarMul(ptsB, ks)}, nil
+	return out, nil
 }
 
 // ProveDisjoint implements Accumulator:
@@ -243,21 +306,20 @@ func (c *Con2) SupportsAgg() bool { return true }
 func (c *Con2) MaxCardinality() int { return -1 }
 
 // Sum implements Accumulator: acc(ΣX_i) = (∏ dA_i, ∏ dB_i), one
-// addition chain per component.
-func (c *Con2) Sum(accs ...Acc) (Acc, error) { return c.combine(nil, 1, accs...) }
+// summation per component.
+func (c *Con2) Sum(accs ...Acc) (Acc, error) { return c.combine1(term{accs: accs}) }
 
 // ProofSum implements Accumulator: aggregates proofs π_i =
 // ProveDisjoint(X_i, Y) sharing the same second multiset Y into the
-// proof for (ΣX_i, Y), on the same addition chain as Sum. The caller is
-// responsible for the shared-Y precondition (the paper states it as a
-// requirement on inputs).
+// proof for (ΣX_i, Y), with the same point summation as Sum. The
+// caller is responsible for the shared-Y precondition (the paper states
+// it as a requirement on inputs).
 func (c *Con2) ProofSum(proofs ...Proof) (Proof, error) {
 	pts := make([]ec.Point, len(proofs))
-	ks := make([]*big.Int, len(proofs))
 	for i, p := range proofs {
-		pts[i], ks[i] = p.F1, one
+		pts[i] = p.F1
 	}
-	return Proof{F1: c.pr.C.MultiScalarMul(pts, ks), F2: c.pr.C.Infinity()}, nil
+	return Proof{F1: c.pr.C.SumEach([][]ec.Point{pts})[0], F2: c.pr.C.Infinity()}, nil
 }
 
 // AccEqual implements Accumulator.

@@ -59,29 +59,29 @@ func FuzzAccDecode(f *testing.F) {
 	})
 }
 
-// FuzzAccUnion checks Construction 2's Union against Setup of the
-// union on arbitrary multiset pairs: each input byte adds one
-// occurrence of one of eight elements to x1 (high bit clear) or x2
-// (high bit set), and the encoder's domain of four values makes
-// distinct elements collide.
+// FuzzAccUnion checks Construction 2's UnionEach against Setup of each
+// union on arbitrary batches of multiset pairs: each input byte adds
+// one occurrence of one of eight elements to the current pair's x1
+// (high bit clear) or x2 (high bit set), except that a byte with bits
+// 3–6 all set closes the pair and starts the next. The encoder's
+// domain of four values makes distinct elements collide.
 func FuzzAccUnion(f *testing.F) {
 	acc := KeyGenCon2Deterministic(pairing.Toy(), 5, HashEncoder{Q: 5}, []byte("fuzz"))
 	f.Add([]byte{0, 1, 0x80, 0x81})
 	f.Add([]byte{0, 0, 1, 0x80})
 	f.Add([]byte{2, 3, 0x84, 0x85})
+	f.Add([]byte{0, 1, 0x80, 0x78, 0, 0, 0x80, 0x80, 0x78, 0x78, 2, 0x85})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		x1, x2 := multiset.Multiset{}, multiset.Multiset{}
+		pairs := [][2]multiset.Multiset{{{}, {}}}
 		for _, b := range data {
-			e := "e" + string(rune('0'+b&7))
-			if b&0x80 == 0 {
-				x1.Add(e, 1)
-			} else {
-				x2.Add(e, 1)
+			if b&0x78 == 0x78 {
+				pairs = append(pairs, [2]multiset.Multiset{{}, {}})
+				continue
 			}
+			e := "e" + string(rune('0'+b&7))
+			pairs[len(pairs)-1][b>>7].Add(e, 1)
 		}
-		if got, want := unionAcc(t, acc, x1, x2), setupAcc(t, acc, multiset.Union(x1, x2)); !acc.AccEqual(got, want) {
-			t.Fatalf("Union != Setup(Union) for %v, %v", x1, x2)
-		}
+		checkUnionEach(t, acc, pairs)
 	})
 }

@@ -240,10 +240,12 @@ func unionCases(rng *rand.Rand) [][2]multiset.Multiset {
 	return cases
 }
 
-// TestAccUnionMatchesSetupOfUnion: Union(x1, x2, acc(x1), acc(x2)) ==
-// Setup(x1 ∪ x2) for both constructions at toy and (full runs only)
-// default, and for acc2 under a HashEncoder whose tiny domain makes
-// distinct elements collide.
+// TestAccUnionMatchesSetupOfUnion: UnionEach(pairs of x1, x2 with
+// acc(x1), acc(x2)) == Setup(x1 ∪ x2) for every pair, in batches of 1
+// to 4 pairs and in one batch of all cases, for both constructions at
+// toy and (full runs only) default, and for acc2 under a HashEncoder
+// whose tiny domain makes distinct elements collide. SetupEach over
+// every case's multisets must match Setup per item as well.
 func TestAccUnionMatchesSetupOfUnion(t *testing.T) {
 	presets := []string{"toy"}
 	if !testing.Short() {
@@ -258,9 +260,24 @@ func TestAccUnionMatchesSetupOfUnion(t *testing.T) {
 		}
 		for name, acc := range accs {
 			t.Run(preset+"/"+name, func(t *testing.T) {
-				for i, c := range unionCases(rand.New(rand.NewSource(558))) {
-					if got, want := unionAcc(t, acc, c[0], c[1]), setupAcc(t, acc, multiset.Union(c[0], c[1])); !acc.AccEqual(got, want) {
-						t.Fatalf("case %d: Union != Setup(Union) for %v, %v", i, c[0], c[1])
+				cases := unionCases(rand.New(rand.NewSource(558)))
+				for k := 1; k <= 4; k++ {
+					for i := 0; i < len(cases); i += k {
+						checkUnionEach(t, acc, cases[i:min(i+k, len(cases))])
+					}
+				}
+				checkUnionEach(t, acc, cases)
+				var xs []multiset.Multiset
+				for _, c := range cases {
+					xs = append(xs, c[0], c[1])
+				}
+				got, err := SetupEach(acc, xs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, x := range xs {
+					if !acc.AccEqual(got[i], setupAcc(t, acc, x)) {
+						t.Fatalf("SetupEach item %d != Setup for %v", i, x)
 					}
 				}
 			})
@@ -277,12 +294,24 @@ func setupAcc(t testing.TB, acc Accumulator, x multiset.Multiset) Acc {
 	return a
 }
 
-// unionAcc runs Union from freshly set-up digests of x1 and x2.
-func unionAcc(t testing.TB, acc Accumulator, x1, x2 multiset.Multiset) Acc {
+// checkUnionEach runs one UnionEach over the pairs, from freshly set-up
+// digests, and checks every result against Setup of the union.
+func checkUnionEach(t testing.TB, acc Accumulator, pairs [][2]multiset.Multiset) {
 	t.Helper()
-	a, err := Union(acc, x1, x2, setupAcc(t, acc, x1), setupAcc(t, acc, x2))
+	ps := make([]Pair, len(pairs))
+	for i, c := range pairs {
+		ps[i] = Pair{X1: c[0], X2: c[1], Acc1: setupAcc(t, acc, c[0]), Acc2: setupAcc(t, acc, c[1])}
+	}
+	got, err := UnionEach(acc, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a
+	if len(got) != len(pairs) {
+		t.Fatalf("UnionEach returned %d digests for %d pairs", len(got), len(pairs))
+	}
+	for i, c := range pairs {
+		if want := setupAcc(t, acc, multiset.Union(c[0], c[1])); !acc.AccEqual(got[i], want) {
+			t.Fatalf("pair %d of %d: UnionEach != Setup(Union) for %v, %v", i, len(pairs), c[0], c[1])
+		}
+	}
 }

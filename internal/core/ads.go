@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
@@ -109,9 +110,9 @@ func nodeHash(pre chain.Digest, accBytes []byte) chain.Digest {
 // [h−Distance+1, h] and records the header hash of the landing block
 // h−Distance. The aggregated multiset, the sum of the covered blocks'
 // BlockW, is not stored: BlockADS.SkipSpans derives it. Under acc2 a
-// distance-d digest (d ≥ 8) is the sum of two distance-d/2 digests
-// (Builder.skipDigest); acc1, which cannot add digests, runs Setup over
-// the span.
+// digest is a sum of digests that exist: the four covered roots and
+// earlier blocks' entries (Builder.skipDigests); acc1, which cannot add
+// digests, runs Setup over the span.
 type SkipEntry struct {
 	// Distance is the jump length (4, 8, 16, … — powers of two).
 	Distance int
@@ -173,6 +174,9 @@ type BlockADS struct {
 	BlockW multiset.Multiset
 	// Skips holds the inter-block entries (empty unless ModeBoth).
 	Skips []SkipEntry
+	// size is SizeBytes as the builder counted it while hashing the
+	// digests; 0 on a decoded ADS, whose SizeBytes walks it.
+	size int
 }
 
 // MerkleRoot returns the header commitment of the intra index.
@@ -189,8 +193,17 @@ func (a *BlockADS) SkipListRoot(acc accumulator.Accumulator) chain.Digest {
 
 // SizeBytes reports the ADS storage overhead of the block (Table 1's
 // "ADS size" column): all index node hashes and digests plus skip
-// entries, excluding the raw objects.
+// entries, excluding the raw objects. A built ADS returns the count
+// its builder made; a decoded one encodes its digests again.
 func (a *BlockADS) SizeBytes(acc accumulator.Accumulator) int {
+	if a.size > 0 {
+		return a.size
+	}
+	return a.walkSize(acc)
+}
+
+// walkSize is SizeBytes computed from the ADS itself.
+func (a *BlockADS) walkSize(acc accumulator.Accumulator) int {
 	total := 0
 	var walk func(n *IntraNode)
 	walk = func(n *IntraNode) {
@@ -254,27 +267,29 @@ func (b *Builder) BuildBlock(height int, objs []chain.Object, view ChainView) (*
 		width = DefaultBitWidth
 	}
 
-	// Leaves: one per object, with acc(W') for W' = trans(V) + W.
+	// Leaves: one per object, with acc(W') for W' = trans(V) + W, all
+	// digests in one SetupEach.
 	leaves := make([]*IntraNode, len(objs))
 	ws := make([]multiset.Multiset, len(objs))
 	for i := range objs {
 		o := objs[i].Clone()
 		ws[i] = ObjectMultiset(o, width)
-		dig, err := b.Acc.Setup(ws[i])
-		if err != nil {
-			return nil, fmt.Errorf("core: leaf digest for object %d: %w", o.ID, err)
-		}
-		pre := leafPreHash(o.Hash())
-		leaves[i] = &IntraNode{
-			Hash:      nodeHash(pre, b.Acc.AccBytes(dig)),
-			Digest:    dig,
-			HasDigest: true,
-			Obj:       &o,
-		}
+		leaves[i] = &IntraNode{HasDigest: true, Obj: &o}
+	}
+	digs, err := accumulator.SetupEach(b.Acc, ws)
+	if err != nil {
+		return nil, fmt.Errorf("core: leaf digests: %w", err)
+	}
+	size := 0
+	for i, l := range leaves {
+		ab := b.Acc.AccBytes(digs[i])
+		l.Digest = digs[i]
+		l.Hash = nodeHash(leafPreHash(l.Obj.Hash()), ab)
+		size += len(l.Hash) + len(ab)
 	}
 
 	indexed := b.Mode != ModeNil
-	root, blockW, err := b.buildTree(leaves, ws, indexed, indexed && !b.NoCluster)
+	root, blockW, err := b.buildTree(leaves, ws, indexed, indexed && !b.NoCluster, &size)
 	if err != nil {
 		return nil, err
 	}
@@ -290,6 +305,10 @@ func (b *Builder) BuildBlock(height int, objs []chain.Object, view ChainView) (*
 			return nil, err
 		}
 	}
+	for i := range ads.Skips {
+		size += 8 + len(ads.Skips[i].PrevHash) + len(b.Acc.AccBytes(ads.Skips[i].Digest))
+	}
+	ads.size = size
 	return ads, nil
 }
 
@@ -299,13 +318,16 @@ func (b *Builder) BuildBlock(height int, objs []chain.Object, view ChainView) (*
 // next level. In non-indexed mode the pairing is positional and
 // internal nodes carry no attribute data. ws are the leaves'
 // multisets. Every build forms each parent's union for the clustering,
-// then drops it: no node keeps its multiset. When indexed, a parent's
-// digest comes from accumulator.Union over its children's digests and
-// multisets: for acc2 that costs the children's intersection (mean 5.3
-// elements against 50 in the union on the benchmark's chains), while
-// acc1, whose digest has no union identity, runs Setup over the union.
-// It returns the root and the root's union, the block's multiset.
-func (b *Builder) buildTree(leaves []*IntraNode, ws []multiset.Multiset, indexed, cluster bool) (*IntraNode, multiset.Multiset, error) {
+// then drops it: no node keeps its multiset. The clustering reads only
+// multisets, so a level's pairs are picked first; when indexed, one
+// accumulator.UnionEach then computes all of that level's parent
+// digests from their children's digests and multisets: for acc2 that
+// costs the children's intersections (mean 5.3 elements against 50 in
+// the union on the benchmark's chains), while acc1, whose digest has no
+// union identity, runs Setup over each union. It adds the bytes of
+// every parent's hash and digest to *size, and returns the root and
+// the root's union, the block's multiset.
+func (b *Builder) buildTree(leaves []*IntraNode, ws []multiset.Multiset, indexed, cluster bool, size *int) (*IntraNode, multiset.Multiset, error) {
 	type item struct {
 		n *IntraNode
 		w multiset.Multiset
@@ -315,7 +337,7 @@ func (b *Builder) buildTree(leaves []*IntraNode, ws []multiset.Multiset, indexed
 		nodes[i] = item{n: l, w: ws[i]}
 	}
 	for len(nodes) > 1 {
-		var next []item
+		var pairs [][2]item
 		remaining := make([]item, len(nodes))
 		copy(remaining, nodes)
 		for len(remaining) > 1 {
@@ -342,21 +364,33 @@ func (b *Builder) buildTree(leaves []*IntraNode, ws []multiset.Multiset, indexed
 			}
 			nr := remaining[ri]
 			remaining = append(remaining[:ri], remaining[ri+1:]...)
+			pairs = append(pairs, [2]item{nl, nr})
+		}
 
-			parent := item{n: &IntraNode{Left: nl.n, Right: nr.n}, w: multiset.Union(nl.w, nr.w)}
-			pre := internalPreHash(nl.n.Hash, nr.n.Hash)
-			if indexed {
-				dig, err := accumulator.Union(b.Acc, nl.w, nr.w, nl.n.Digest, nr.n.Digest)
-				if err != nil {
-					return nil, nil, fmt.Errorf("core: internal digest: %w", err)
-				}
-				parent.n.Digest = dig
-				parent.n.HasDigest = true
-				parent.n.Hash = nodeHash(pre, b.Acc.AccBytes(dig))
-			} else {
-				parent.n.Hash = pre
+		var digs []accumulator.Acc
+		if indexed {
+			ps := make([]accumulator.Pair, len(pairs))
+			for i, p := range pairs {
+				ps[i] = accumulator.Pair{X1: p[0].w, X2: p[1].w, Acc1: p[0].n.Digest, Acc2: p[1].n.Digest}
 			}
-			next = append(next, parent)
+			var err error
+			if digs, err = accumulator.UnionEach(b.Acc, ps); err != nil {
+				return nil, nil, fmt.Errorf("core: internal digests: %w", err)
+			}
+		}
+		next := make([]item, len(pairs), len(pairs)+len(remaining))
+		for i, p := range pairs {
+			n := &IntraNode{Left: p[0].n, Right: p[1].n}
+			pre := internalPreHash(p[0].n.Hash, p[1].n.Hash)
+			if indexed {
+				ab := b.Acc.AccBytes(digs[i])
+				n.Digest, n.HasDigest, n.Hash = digs[i], true, nodeHash(pre, ab)
+				*size += len(ab)
+			} else {
+				n.Hash = pre
+			}
+			*size += len(n.Hash)
+			next[i] = item{n: n, w: multiset.Union(p[0].w, p[1].w)}
 		}
 		// A leftover odd node is carried to the next level unchanged.
 		nodes = append(next, remaining...)
@@ -408,34 +442,44 @@ func (b *Builder) buildSkips(ads *BlockADS, view ChainView) error {
 		if land < 0 {
 			break
 		}
-		dig, err := b.skipDigest(ads, d, view)
-		if err != nil {
-			return fmt.Errorf("core: skip digest at distance %d: %w", d, err)
-		}
 		hdr, err := view.HeaderAt(land)
 		if err != nil {
 			return fmt.Errorf("core: skip landing header %d: %w", land, err)
 		}
-		ads.Skips = append(ads.Skips, SkipEntry{
-			Distance: d,
-			PrevHash: hdr.Hash(),
-			Digest:   dig,
-		})
+		ads.Skips = append(ads.Skips, SkipEntry{Distance: d, PrevHash: hdr.Hash()})
+	}
+	if len(ads.Skips) == 0 {
+		return nil
+	}
+	digs, err := b.skipDigests(ads, view)
+	if err != nil {
+		return fmt.Errorf("core: skip digests: %w", err)
+	}
+	for i := range ads.Skips {
+		ads.Skips[i].Digest = digs[i]
 	}
 	return nil
 }
 
-// skipDigest returns the digest of the distance-d entry at h =
-// ads.Height, whose smaller entries are already built. acc2 reuses
-// digests that exist, the reuse the paper credits for acc2's faster
-// "both" construction (§9.1): for d ≥ 8 it Sums this block's d/2 entry
-// and block h−d/2's, which cover [h−d+1, h] together, reading one prior
-// ADS instead of d−1; for d = 4 it Sums the four covered root digests.
-// acc1 has no Sum, so it runs Setup over the span's multiset, the sum
-// of the covered blocks' BlockW. A missing covered block or d/2 entry
-// is an error: a chain this builder built has both.
-func (b *Builder) skipDigest(ads *BlockADS, d int, view ChainView) (accumulator.Acc, error) {
-	h, agg := ads.Height, b.Acc.SupportsAgg()
+// skipDigests returns the digests of ads's skip entries, whose
+// distances are set. acc2 sums digests that exist, the reuse the paper
+// credits for acc2's faster "both" construction (§9.1): the distance-d
+// entry at h = ads.Height covers [h−d+1, h], which is the four blocks
+// h−3..h and, for each k = 4, 8, …, d/2, the distance-k entry of block
+// h−k. Every entry is thus a sum of digests that exist before this
+// block's entries do, and one accumulator.SumEach computes them all.
+// acc1 has no Sum, so it runs Setup over each entry's span, the sum of
+// the covered blocks' BlockW (SkipSpans). A missing covered block or
+// entry is an error: a chain this builder built has all of them.
+func (b *Builder) skipDigests(ads *BlockADS, view ChainView) ([]accumulator.Acc, error) {
+	if !b.Acc.SupportsAgg() {
+		spans, err := ads.SkipSpans(view, len(ads.Skips)-1, nil)
+		if err != nil {
+			return nil, err
+		}
+		return accumulator.SetupEach(b.Acc, spans)
+	}
+	h := ads.Height
 	prior := func(j int) (*BlockADS, error) {
 		prev, err := view.ADSAt(j)
 		if err == nil && prev == nil {
@@ -443,38 +487,29 @@ func (b *Builder) skipDigest(ads *BlockADS, d int, view ChainView) (accumulator.
 		}
 		return prev, err
 	}
-	if agg && d > 4 {
-		prev, err := prior(h - d/2)
-		if err != nil {
-			return accumulator.Acc{}, err
-		}
-		for _, s := range prev.Skips {
-			if s.Distance == d/2 {
-				return b.Acc.Sum(ads.Skips[len(ads.Skips)-1].Digest, s.Digest)
-			}
-		}
-		return accumulator.Acc{}, fmt.Errorf("no distance-%d entry at height %d", d/2, h-d/2)
-	}
-	var span multiset.Multiset
-	accs := []accumulator.Acc{ads.Root.Digest}
-	if !agg {
-		span = ads.BlockW.Clone()
-	}
-	for j := h - d + 1; j < h; j++ {
+	parts := []accumulator.Acc{ads.Root.Digest}
+	for j := h - 1; j > h-4; j-- {
 		prev, err := prior(j)
 		if err != nil {
-			return accumulator.Acc{}, err
+			return nil, err
 		}
-		if agg {
-			accs = append(accs, prev.Root.Digest)
-			continue
-		}
-		for e, n := range prev.BlockW {
-			span[e] += n
-		}
+		parts = append(parts, prev.Root.Digest)
 	}
-	if agg {
-		return b.Acc.Sum(accs...)
+	groups := make([][]accumulator.Acc, len(ads.Skips))
+	for i := range ads.Skips {
+		if i > 0 {
+			k := ads.Skips[i-1].Distance
+			prev, err := prior(h - k)
+			if err != nil {
+				return nil, err
+			}
+			at := slices.IndexFunc(prev.Skips, func(s SkipEntry) bool { return s.Distance == k })
+			if at < 0 {
+				return nil, fmt.Errorf("no distance-%d entry at height %d", k, h-k)
+			}
+			parts = append(parts, prev.Skips[at].Digest)
+		}
+		groups[i] = parts[:len(parts):len(parts)]
 	}
-	return b.Acc.Setup(span)
+	return accumulator.SumEach(b.Acc, groups)
 }

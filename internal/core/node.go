@@ -414,6 +414,7 @@ func (n *FullNode) MineBlock(objs []chain.Object, ts int64) (*chain.Block, error
 		return nil, err
 	}
 	blk := &chain.Block{Header: solved, Objects: objs}
+	adsBytes := ads.SizeBytes(n.Builder.Acc) // counted by the build, not re-encoded
 
 	// One atomic commit: validate, persist, publish block and ADS under
 	// a single lock. A concurrent reader can never see the store at
@@ -426,7 +427,7 @@ func (n *FullNode) MineBlock(objs []chain.Object, ts int64) (*chain.Block, error
 	}
 	n.SetupStats.Blocks++
 	n.SetupStats.BuildTime += buildTime
-	n.SetupStats.ADSBytes += ads.SizeBytes(n.Builder.Acc)
+	n.SetupStats.ADSBytes += adsBytes
 	return blk, nil
 }
 

@@ -12,9 +12,13 @@
 //
 // Points use affine coordinates with an explicit infinity flag; the hot
 // paths (ScalarMul, MultiScalarMul, fixed-base tables) run in Jacobian
-// coordinates and convert back once. Coordinates are ff.Elt values, so
-// the group arithmetic allocates nothing per field operation; math/big
-// appears here only for scalars.
+// coordinates and convert back once. Sums of many points (SumEach, and
+// through it the accumulators' digests and MultiScalarMul's unit
+// scalars and large buckets) instead add affinely in rounds of
+// independent additions that share one inversion, and finish on the
+// Jacobian chain once a round gets small. Coordinates are ff.Elt
+// values, so the group arithmetic allocates nothing per field
+// operation; math/big appears here only for scalars.
 package ec
 
 import (

@@ -7,12 +7,15 @@ import "github.com/vchain-go/vchain/internal/crypto/ff"
 // point at infinity. The zero value is infinity, so slices of JacPoint
 // (Pippenger buckets, window tables) start out correctly initialized.
 //
-// Jacobian arithmetic is what makes the accumulator hot path fast:
-// affine chord-and-tangent pays one modular inversion — about 35 field
+// Affine chord-and-tangent pays one modular inversion — about 35 field
 // multiplications at the default preset and 60–80 at toy — per group
-// operation, while the formulas below use none. Consumers accumulate
-// in Jacobian form and convert back to affine once (FromJac), or once
-// per batch (NormalizeJac, a Montgomery batch inversion).
+// operation, while the formulas below use none. A chain of dependent
+// operations (scalar multiplication, the small MSM buckets, fixed-base
+// tables) therefore accumulates in Jacobian form and converts back to
+// affine once (FromJac), or once per batch (NormalizeJac). Independent
+// additions need neither: SumEach adds them affinely, a round at a
+// time, with one inversion shared by the whole round, and is how the
+// accumulators' digests are summed.
 type JacPoint struct {
 	X, Y, Z ff.Elt
 }
@@ -135,34 +138,51 @@ func (c *Curve) JacAddMixed(p JacPoint, q Point) JacPoint {
 }
 
 // NormalizeJac converts a batch of Jacobian points to affine with a
-// single field inversion (Montgomery's trick): multiply all Z's into a
-// running product, invert once, then peel the individual inverses off
-// backwards. Infinity entries pass through untouched.
+// single field inversion shared by the whole batch (batchInvert).
+// Infinity entries pass through untouched.
 func (c *Curve) NormalizeJac(ps []JacPoint) []Point {
 	f := c.F
 	out := make([]Point, len(ps))
-	idx := make([]int, 0, len(ps))
-	prefix := make([]ff.Elt, 0, len(ps)) // product of Z's before each entry
-	acc := f.One()
+	zs := make([]ff.Elt, 0, 2*len(ps)) // the Z's, then batchInvert's scratch
+	for _, p := range ps {
+		if !p.IsInf() {
+			zs = append(zs, p.Z)
+		}
+	}
+	batchInvert(f, zs, zs[len(zs):2*len(zs)])
+	j := 0
 	for i, p := range ps {
 		if p.IsInf() {
 			out[i] = c.Infinity()
 			continue
 		}
-		prefix = append(prefix, acc)
-		idx = append(idx, i)
-		acc = f.Mul(acc, p.Z)
-	}
-	if len(idx) == 0 {
-		return out
-	}
-	inv := f.Inv(acc)
-	for j := len(idx) - 1; j >= 0; j-- {
-		i := idx[j]
-		zi := f.Mul(inv, prefix[j]) // 1/Z_i
-		inv = f.Mul(inv, ps[i].Z)   // strip Z_i from the running inverse
+		zi := zs[j] // 1/Z_i
+		j++
 		zi2 := f.Square(zi)
-		out[i] = Point{X: f.Mul(ps[i].X, zi2), Y: f.Mul(ps[i].Y, f.Mul(zi2, zi))}
+		out[i] = Point{X: f.Mul(p.X, zi2), Y: f.Mul(p.Y, f.Mul(zi2, zi))}
 	}
 	return out
+}
+
+// batchInvert replaces every element of xs by its inverse with one
+// field inversion (Montgomery's trick): multiply the elements into a
+// running product, keeping the product before each in scratch, invert
+// the total once, then peel the individual inverses off backwards at
+// three multiplications each. Every element must be non-zero, and
+// scratch at least as long as xs.
+func batchInvert(f *ff.Field, xs, scratch []ff.Elt) {
+	if len(xs) == 0 {
+		return
+	}
+	acc := f.One()
+	for i, x := range xs {
+		scratch[i] = acc
+		acc = f.Mul(acc, x)
+	}
+	inv := f.Inv(acc)
+	for i := len(xs) - 1; i >= 0; i-- {
+		x := xs[i]
+		xs[i] = f.Mul(inv, scratch[i])
+		inv = f.Mul(inv, x) // strip x from the running inverse
+	}
 }

@@ -3,7 +3,10 @@ package ec
 import (
 	"math/big"
 	"runtime"
+	"slices"
 	"sync"
+
+	"github.com/vchain-go/vchain/internal/crypto/ff"
 )
 
 // msmWindowBits picks the Pippenger bucket width for n points. The
@@ -44,13 +47,13 @@ var msmSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // MultiScalarMul returns Σ scalars[i]·points[i] by the Pippenger bucket
 // method: for each w-bit window of the scalars, points sharing a digit
-// value are collected into a bucket with one mixed addition each, and
-// the buckets are combined with a running sum — O(n + 2^w) group
-// operations per window instead of n scalar multiplications total. All
-// accumulation happens in Jacobian coordinates (no inversions); the
-// single conversion back to affine pays the only inversion. Windows are
-// computed in parallel when the input is large enough and more than one
-// CPU is available.
+// value are summed into a bucket (bucketSums), and the buckets are
+// combined with a running sum — O(n + 2^w) group operations per window
+// instead of n scalar multiplications total. The combination runs in
+// Jacobian coordinates, and one conversion back to affine ends the
+// MSM; all-unit scalars are one SumEach. Windows are computed in
+// parallel when the input is large enough and more than one CPU is
+// available.
 //
 // Infinity points and zero (or nil) scalars contribute nothing;
 // negative scalars negate their point. Slices must have equal length.
@@ -64,7 +67,7 @@ func (c *Curve) MultiScalarMul(points []Point, scalars []*big.Int) Point {
 // of the bucket method whenever its operation count is the smaller
 // one. The accumulators' commitments and proofs use MultiScalarMul,
 // which never does: at Construction 2's small multiplicities the count
-// favours Straus too, but it measured slower than Pippenger and sumAll,
+// favours Straus too, but it measured slower than Pippenger and SumEach,
 // because its per-scalar digit recoding and table normalization are
 // overheads the count leaves out.
 func (c *Curve) MultiScalarMulShort(points []Point, scalars []*big.Int) Point {
@@ -100,7 +103,7 @@ func (c *Curve) multiScalarMul(points []Point, scalars []*big.Int, short bool) P
 		return c.ScalarMul(pts[0], ks[0])
 	}
 	if maxBits == 1 {
-		return c.sumAll(pts)
+		return c.SumEach([][]Point{pts})[0]
 	}
 	if short && strausCost(len(pts), maxBits) < pippengerCost(len(pts), maxBits) {
 		return c.msmStraus(pts, ks, maxBits)
@@ -115,12 +118,7 @@ func (c *Curve) msmPippenger(pts []Point, ks []*big.Int, maxBits int) Point {
 	nWindows := (maxBits + w - 1) / w
 	sums := make([]JacPoint, nWindows)
 	windowSum := func(wi int) JacPoint {
-		buckets := make([]JacPoint, (1<<w)-1) // zero value = infinity
-		for i, k := range ks {
-			if d := scalarDigit(k, wi*w, w); d != 0 {
-				buckets[d-1] = c.JacAddMixed(buckets[d-1], pts[i])
-			}
-		}
+		buckets := c.bucketSums(pts, ks, wi, w)
 		// Σ (d+1)·buckets[d] via the running-sum trick: walking the
 		// buckets top-down, `running` has been added to `sum` once per
 		// bucket at or above it, weighting each bucket by its digit.
@@ -165,6 +163,48 @@ func (c *Curve) msmPippenger(pts []Point, ks []*big.Int, maxBits int) Point {
 		acc = c.JacAdd(acc, sums[wi])
 	}
 	return c.FromJac(acc)
+}
+
+// bucketSums returns window wi's buckets: bucket d−1 is the sum of the
+// points whose w-bit digit there is d. When SumEach's first round is
+// sure to be affine, at least sumEachMinPairs additions even if every
+// bucket holds an odd point, the points are listed per bucket, back to
+// back in one slice, and one SumEach adds up every bucket; otherwise
+// (a few points per bucket) each is a mixed Jacobian chain, which
+// spares SumEach's normalization.
+func (c *Curve) bucketSums(pts []Point, ks []*big.Int, wi, w int) []JacPoint {
+	buckets := make([]JacPoint, (1<<w)-1) // zero value = infinity
+	if len(pts) < 2*sumEachMinPairs+len(buckets) {
+		for i, k := range ks {
+			if d := scalarDigit(k, wi*w, w); d != 0 {
+				buckets[d-1] = c.JacAddMixed(buckets[d-1], pts[i])
+			}
+		}
+		return buckets
+	}
+	digits := make([]int, len(ks))
+	starts := make([]int, 1<<w+1)
+	for i, k := range ks {
+		digits[i] = scalarDigit(k, wi*w, w)
+		starts[digits[i]+1]++
+	}
+	for d := 1; d <= 1<<w; d++ {
+		starts[d] += starts[d-1]
+	}
+	flat := make([]Point, len(ks))
+	lists := make([][]Point, len(buckets))
+	for d := range lists {
+		lists[d] = flat[starts[d+1]:starts[d+1]:starts[d+2]]
+	}
+	for i, d := range digits {
+		if d != 0 {
+			lists[d-1] = append(lists[d-1], pts[i])
+		}
+	}
+	for d, p := range c.SumEach(lists) {
+		buckets[d] = c.ToJac(p)
+	}
+	return buckets
 }
 
 // Operation costs in field multiplications (squarings counted as
@@ -242,23 +282,137 @@ func (c *Curve) msmStraus(pts []Point, ks []*big.Int, bits int) Point {
 	return c.FromJac(acc)
 }
 
-// sumAll returns Σ points[i]: the multiplicity-1 fast path of
-// Construction 2's Setup/ProveDisjoint, whose exponent multiplicities
-// are almost always exactly 1. Mixed Jacobian additions (~11
-// multiplications each) share one final inversion. An inversion costs
-// about 35 multiplications at the default preset and 60–80 at toy
-// (BenchmarkFieldInv against BenchmarkFieldMul), so an affine chain,
-// which pays one per addition, wins only for a single addition: there
-// it saves the mixed addition next to the one inversion both pay.
-func (c *Curve) sumAll(points []Point) Point {
-	if len(points) == 2 {
-		return c.Add(points[0], points[1])
+// sumEachMinPairs is the round size, in independent additions across
+// all groups, from which SumEach adds affinely. An affine round pays
+// one shared inversion, about 35 multiplications at the default preset,
+// plus 6 per addition (3 in batchInvert, 3 for the chord), where a
+// mixed Jacobian addition pays 11, so a round wins from about 7
+// additions. BenchmarkSumEach at the default preset (2 vCPUs, best of
+// four runs): on one group of 16 or 32 points, affine rounds of 8 and
+// 16 additions and then the chain took 58 and 99 µs, against 85 and
+// 131 all affine and 67 and 106 all Jacobian; on k groups of three
+// points, whose second round is the last, the affine first round tied
+// at k = 2 and won from k = 3 or 4, which a lower constant would take
+// at the price of the single groups' small rounds.
+const sumEachMinPairs = 8
+
+// SumEach returns the sum of every group: out[i] = Σ groups[i]. Each
+// round pairs up the points inside every group and performs all of the
+// round's additions in affine coordinates with one shared inversion
+// (batchInvert); a group's odd point waits for the next round. Once a
+// round would have fewer than sumEachMinPairs additions, the remaining
+// points of each group are summed on a mixed Jacobian chain, and all
+// groups convert back with one NormalizeJac. A round that finishes
+// every group (none has more than two points left) is always affine:
+// it saves the normalization as well. P = Q takes the tangent, P = −Q
+// and the 2-torsion point doubled give infinity, and infinity inputs
+// add nothing. The groups are not modified.
+func (c *Curve) SumEach(groups [][]Point) []Point { return c.sumEach(groups, sumEachMinPairs) }
+
+// sumEach is SumEach with the crossover as a parameter, so that tests
+// and BenchmarkSumEach can force either path: minPairs 1 adds every
+// round affinely, and a minPairs above every round's size leaves only
+// a last round affine.
+func (c *Curve) sumEach(groups [][]Point, minPairs int) []Point {
+	f := c.F
+	// cur[i] is group i's live points: the input until the first affine
+	// round, then a window of buf. Each round repacks the windows from
+	// the front of buf in group order, and a sum is written at or before
+	// the position of the pair it comes from, so no write reaches a
+	// point that a later pair of the round still reads.
+	cur := slices.Clone(groups)
+	var buf []Point
+	var den []ff.Elt // a round's denominators, then batchInvert's scratch
+	for {
+		pairs, last := 0, true
+		for _, g := range cur {
+			pairs += len(g) / 2
+			last = last && len(g) <= 2
+		}
+		if pairs == 0 || (pairs < minPairs && !last) {
+			break
+		}
+		if buf == nil {
+			half := 0
+			for _, g := range cur {
+				half += (len(g) + 1) / 2
+			}
+			buf = make([]Point, half)
+			den = make([]ff.Elt, 2*pairs)
+		}
+		inv := den[:0]
+		for _, g := range cur {
+			for k := 0; k+1 < len(g); k += 2 {
+				p, q := &g[k], &g[k+1]
+				switch {
+				case p.Inf || q.Inf:
+					inv = append(inv, f.One()) // no slope: the sum is the other point
+				case !p.X.Equal(q.X):
+					inv = append(inv, f.Sub(q.X, p.X))
+				case p.Y.Equal(q.Y) && !p.Y.IsZero():
+					inv = append(inv, f.Add(p.Y, p.Y)) // P = Q: the tangent's 2y
+				default:
+					inv = append(inv, f.One()) // P = −Q: no slope, the sum is infinity
+				}
+			}
+		}
+		batchInvert(f, inv, den[pairs:2*pairs])
+		j, off := 0, 0
+		for i, g := range cur {
+			dst := buf[off : off+(len(g)+1)/2]
+			off += len(dst)
+			w, k := 0, 0
+			for ; k+1 < len(g); k, j = k+2, j+1 {
+				p, q := g[k], g[k+1]
+				var lambda ff.Elt
+				switch {
+				case p.Inf:
+					if !q.Inf {
+						dst[w], w = q, w+1
+					}
+					continue
+				case q.Inf:
+					dst[w], w = p, w+1
+					continue
+				case !p.X.Equal(q.X):
+					lambda = f.Mul(f.Sub(q.Y, p.Y), inv[j])
+				case p.Y.Equal(q.Y) && !p.Y.IsZero():
+					x2 := f.Square(p.X)
+					lambda = f.Mul(f.Add(f.Add(x2, x2), x2), inv[j])
+				default:
+					continue // P = −Q: infinity drops out of the group
+				}
+				x3 := f.Sub(f.Sub(f.Square(lambda), p.X), q.X)
+				dst[w] = Point{X: x3, Y: f.Sub(f.Mul(lambda, f.Sub(p.X, x3)), p.Y)}
+				w++
+			}
+			if k < len(g) {
+				dst[w], w = g[k], w+1
+			}
+			cur[i] = dst[:w]
+		}
 	}
-	var acc JacPoint
-	for _, p := range points {
-		acc = c.JacAddMixed(acc, p)
+	out := make([]Point, len(groups))
+	var jac []JacPoint
+	var at []int
+	for i, g := range cur {
+		switch len(g) {
+		case 0:
+			out[i] = c.Infinity()
+		case 1:
+			out[i] = g[0]
+		default:
+			var acc JacPoint
+			for _, p := range g {
+				acc = c.JacAddMixed(acc, p)
+			}
+			jac, at = append(jac, acc), append(at, i)
+		}
 	}
-	return c.FromJac(acc)
+	for j, p := range c.NormalizeJac(jac) {
+		out[at[j]] = p
+	}
+	return out
 }
 
 // scalarDigit extracts the w-bit digit of k starting at bit off.
