@@ -7,7 +7,7 @@ import "github.com/vchain-go/vchain/internal/crypto/ff"
 // point at infinity. The zero value is infinity, so slices of JacPoint
 // (Pippenger buckets, window tables) start out correctly initialized.
 //
-// Affine chord-and-tangent pays one modular inversion — about 35 field
+// Affine chord-and-tangent pays one modular inversion — about 80 field
 // multiplications at the default preset and 60–80 at toy — per group
 // operation, while the formulas below use none. A chain of dependent
 // operations (scalar multiplication, the small MSM buckets, fixed-base

@@ -210,14 +210,14 @@ func (c *Curve) bucketSums(pts []Point, ks []*big.Int, wi, w int) []JacPoint {
 // Operation costs in field multiplications (squarings counted as
 // multiplications) for the curve coefficient a = 0: a mixed addition,
 // a general Jacobian addition, a doubling, one NormalizeJac entry, and
-// an inversion, which is about 35 multiplications at the default preset
+// an inversion, which is about 80 multiplications at the default preset
 // (BenchmarkFieldInv against BenchmarkFieldMul).
 const (
 	mixedAddMuls  = 11
 	jacAddMuls    = 16
 	jacDoubleMuls = 7
 	normalizeMuls = 7
-	invMuls       = 35
+	invMuls       = 80
 )
 
 // pippengerCost estimates MultiScalarMul's bucket method: per window,
@@ -284,16 +284,16 @@ func (c *Curve) msmStraus(pts []Point, ks []*big.Int, bits int) Point {
 
 // sumEachMinPairs is the round size, in independent additions across
 // all groups, from which SumEach adds affinely. An affine round pays
-// one shared inversion, about 35 multiplications at the default preset,
+// one shared inversion, about 80 multiplications at the default preset,
 // plus 6 per addition (3 in batchInvert, 3 for the chord), where a
-// mixed Jacobian addition pays 11, so a round wins from about 7
-// additions. BenchmarkSumEach at the default preset (2 vCPUs, best of
-// four runs): on one group of 16 or 32 points, affine rounds of 8 and
-// 16 additions and then the chain took 58 and 99 µs, against 85 and
-// 131 all affine and 67 and 106 all Jacobian; on k groups of three
-// points, whose second round is the last, the affine first round tied
-// at k = 2 and won from k = 3 or 4, which a lower constant would take
-// at the price of the single groups' small rounds.
+// mixed Jacobian addition pays 11, so by that count a round wins from
+// about 16 additions. Measured at the default preset (2 vCPUs, six
+// alternating runs, 8 against 16): a limit of 16 took one group of 16
+// or 32 points from 41–53 and 71–85 µs to 30–43 and 58–78 µs, but
+// MultiScalarMul over 64 and 256 points with 160-bit scalars, whose
+// buckets SumEach adds, from 5.9–7.9 and 13.3–17.6 ms to 7.2–9.5 and
+// 15.4–18.3 ms, and k groups of three points stayed within noise.
+// Proofs run those multi-scalar multiplications, so the limit stays 8.
 const sumEachMinPairs = 8
 
 // SumEach returns the sum of every group: out[i] = Σ groups[i]. Each

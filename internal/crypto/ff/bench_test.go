@@ -20,7 +20,9 @@ func fullWidth(f *ff.Field, label string) ff.Elt {
 	return f.NewElt(new(big.Int).SetBytes(h[:]))
 }
 
-// BenchmarkFieldMul measures one Montgomery multiplication per preset.
+// BenchmarkFieldMul measures one Montgomery multiplication per preset,
+// and at default also the generic product that Mul runs where the
+// assembly kernel is not selected.
 func BenchmarkFieldMul(b *testing.B) {
 	for _, name := range presetFields {
 		f := pairing.ByName(name).F
@@ -30,6 +32,14 @@ func BenchmarkFieldMul(b *testing.B) {
 				x = f.Mul(x, y)
 			}
 		})
+		if name == "default" {
+			g := f.Generic()
+			b.Run(name+"/generic", func(b *testing.B) {
+				for b.Loop() {
+					x = g.Mul(x, y)
+				}
+			})
+		}
 	}
 }
 

@@ -5,8 +5,10 @@
 // Montgomery form of a, with R = 2^(64n) for the field's live limb
 // count n (1 to 8, so p has at most 512 bits). Elements hold no pointer
 // and arithmetic allocates nothing: additions are math/bits carry
-// chains and multiplications a Montgomery product. math/big
-// appears only at the edges: building elements from integers,
+// chains and multiplications a Montgomery product. At 8 limbs on an
+// amd64 CPU with BMI2 and ADX the product is an assembly kernel
+// (fp_amd64.s); every other field and CPU runs the same product in Go.
+// math/big appears only at the edges: building elements from integers,
 // inversion, the exponents of Exp/Sqrt, and parameter
 // generation. The quadratic extension F_p² is realized as
 // F_p[i]/(i²+1), which is a field whenever p ≡ 3 (mod 4).
@@ -15,6 +17,7 @@ package ff
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/big"
 	"math/bits"
 )
@@ -32,6 +35,10 @@ type Field struct {
 	p [maxLimbs]uint64
 	// pInv is −p⁻¹ mod 2⁶⁴, the Montgomery reduction constant.
 	pInv uint64
+	// adx selects the assembly product mulADX for Mul: 8 live limbs, a
+	// top limb below 2⁶⁴−1 (mulADX's overflow bound), and a CPU with
+	// BMI2 and ADX.
+	adx bool
 	// one, r2 and r3 are R, R² and R³ mod p: the Montgomery form of 1,
 	// the factor that converts into Montgomery form, and the factor that
 	// turns the inverse of a Montgomery representative into the
@@ -63,6 +70,7 @@ func NewField(p *big.Int) *Field {
 		size: (p.BitLen() + 7) / 8,
 	}
 	f.p = limbsOf(p)
+	f.adx = hasADX && f.n == maxLimbs && f.p[maxLimbs-1] < math.MaxUint64
 	// Newton's iteration doubles the correct low bits of p⁻¹ mod 2⁶⁴
 	// each round, starting from 3 (an odd p is its own inverse mod 8).
 	inv := f.p[0]
@@ -193,14 +201,27 @@ func (f *Field) Neg(a Elt) Elt {
 }
 
 // Mul returns a·b: the Montgomery product a·b·R⁻¹ of the two
-// representatives, which is the representative of the product. It is
-// the product-scanning (FIPS) form: output limb k accumulates every
-// a_i·b_j and m_i·p_j with i+j = k in a three-word column sum, where m_k
-// is chosen to clear limb k of a·b + m·p for k < n. The upper n limbs
-// of that sum are below 2p, so one conditional subtraction reduces
-// them. Summing a column before propagating its carries measured
-// 15–25% faster than the operand-scanning (CIOS) loop at 2 and 8 limbs.
+// representatives, which is the representative of the product. The
+// fields that NewField marks for it (8 limbs, a top limb below 2⁶⁴−1,
+// a CPU with BMI2 and ADX) run the assembly kernel mulADX. Every other
+// field, CPU and architecture runs the generic product below, which is
+// also the kernel's test reference; the two return the same reduced
+// limbs whenever b < p, which every element satisfies.
+//
+// The generic product is the product-scanning (FIPS) form: output limb
+// k accumulates every a_i·b_j and m_i·p_j with i+j = k in a three-word
+// column sum, where m_k is chosen to clear limb k of a·b + m·p for
+// k < n. The upper n limbs of that sum are below 2p, so one conditional
+// subtraction reduces them. Summing a column before propagating its
+// carries measured 15–25% faster than the operand-scanning (CIOS) loop
+// at 2 and 8 limbs. It stays in Mul's body: a call to it cost 25% at 2
+// limbs.
 func (f *Field) Mul(a, b Elt) Elt {
+	if f.adx {
+		var z Elt
+		mulADX(&z.l, &a.l, &b.l, &f.p, f.pInv)
+		return z
+	}
 	n := f.n
 	var m, t [maxLimbs]uint64
 	var c0, c1, c2 uint64
@@ -251,9 +272,10 @@ func (f *Field) fromMont(e Elt) Elt { return f.Mul(e, Elt{l: [maxLimbs]uint64{1}
 // Inv returns a⁻¹. It panics on zero, which callers must exclude.
 //
 // The inversion runs in math/big: the extended GCD of ModInverse costs
-// tens of multiplications, a limb Fermat inversion (one exponentiation
-// by p−2) hundreds. It inverts the representative a·R directly and
-// multiplies by R³, which lands on a⁻¹·R with one Montgomery product.
+// about 80 multiplications at the default preset, a limb Fermat
+// inversion (one exponentiation by p−2) hundreds. It inverts the
+// representative a·R directly and multiplies by R³, which lands on
+// a⁻¹·R with one Montgomery product.
 func (f *Field) Inv(a Elt) Elt {
 	if a.IsZero() {
 		panic("ff: inverse of zero")

@@ -12,8 +12,9 @@ import (
 
 // fuzzModuli are the moduli FuzzFieldOps checks every input against: one
 // limb (1019), two limbs (2¹²⁷−1), eight limbs (the default preset's p),
-// and 2¹²⁸−173, whose top bit is set: only there can a sum or a
-// Montgomery product carry out of the limbs.
+// and three whose top bit is set, where a sum or a Montgomery product
+// can carry out of the limbs: 2¹²⁸−173 at two limbs, and at eight the
+// two topBitPrimes, one either side of the assembly kernel's bound.
 func fuzzModuli() []*big.Int {
 	pow2 := func(k uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), k) }
 	return []*big.Int{
@@ -21,13 +22,16 @@ func fuzzModuli() []*big.Int {
 		new(big.Int).Sub(pow2(127), big.NewInt(1)),
 		pairing.Default().F.P,
 		new(big.Int).Sub(pow2(128), big.NewInt(173)),
+		topBitPrimes()[0],
+		topBitPrimes()[1],
 	}
 }
 
 // FuzzFieldOps is a differential test of the limb field against a
 // math/big reference: every operation on elements built from the fuzzed
 // integers must agree with the same operation on the integers mod p,
-// at 1, 2 and 8 limbs.
+// at 1, 2 and 8 limbs, and Mul must agree limb for limb with the
+// generic product wherever it runs the assembly kernel.
 func FuzzFieldOps(f *testing.F) {
 	ones := bytes.Repeat([]byte{0xff}, 64) // sets the top limb at every width
 	for _, p := range fuzzModuli() {
@@ -69,6 +73,9 @@ func checkFieldOps(t *testing.T, f *ff.Field, a, b, k []byte) {
 	want("Neg", f.Neg(x), mod(new(big.Int).Neg(ai)))
 	want("Mul", f.Mul(x, y), mod(new(big.Int).Mul(ai, bi)))
 	want("Square", f.Square(x), mod(new(big.Int).Mul(ai, ai)))
+	if g := f.Generic().Mul(x, y); !f.Mul(x, y).Equal(g) {
+		t.Fatalf("p=%v: Mul(%v, %v) differs from the generic product", p, ai, bi)
+	}
 	ki := new(big.Int).SetBytes(k)
 	want("Exp", f.Exp(x, ki), new(big.Int).Exp(ai, ki, p))
 	var k8 [8]byte
