@@ -152,7 +152,7 @@ func main() {
 	// HTTP front door: the JSON query API with per-tenant admission
 	// control, and/or a standalone scrape-only metrics listener. Both
 	// draw from one gateway (one metric registry) layered over the same
-	// node the gob endpoint serves.
+	// node the TCP endpoint serves.
 	if *httpAddr != "" || *metricsAddr != "" {
 		var tenants []vchain.GatewayTenant
 		if *tenantsFile != "" {

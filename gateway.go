@@ -51,7 +51,7 @@ func (h *GatewayHandle) Addr() string { return h.addr }
 func (h *GatewayHandle) MetricsHandler() http.Handler { return h.gw.MetricsHandler() }
 
 // Close stops the gateway and its open connections (the node keeps
-// running; any gob endpoint is unaffected).
+// running; any TCP endpoint is unaffected).
 func (h *GatewayHandle) Close() error { return h.gw.Close() }
 
 // ServeGateway exposes this node over HTTP/JSON at addr
@@ -60,9 +60,9 @@ func (h *GatewayHandle) Close() error { return h.gw.Close() }
 // bytes for external verification), and scrapers read Prometheus-style
 // metrics on /metrics, including per-shard health, failure, and restart
 // counters as vchain_shard_* families; an empty addr builds it without
-// a listener, for MetricsHandler alone. A gateway runs alongside any gob
+// a listener, for MetricsHandler alone. A gateway runs alongside any TCP
 // endpoint (Serve); the two share the node and its proof engines. The
-// exported vchain_service_evictions_total counter tracks the gob
+// exported vchain_service_evictions_total counter tracks the TCP
 // endpoint's slow-consumer evictions when one is attached.
 func (n *Node) ServeGateway(addr string, cfg GatewayConfig) (*GatewayHandle, error) {
 	gw, err := gateway.New(n.node, gateway.Config{

@@ -23,8 +23,10 @@ package accumulator
 import (
 	"errors"
 	"fmt"
+	"reflect"
 
 	"github.com/vchain-go/vchain/internal/crypto/ec"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 	"github.com/vchain-go/vchain/internal/multiset"
 )
 
@@ -94,6 +96,13 @@ type Accumulator interface {
 	// ValidateProof checks that an untrusted proof consists of points
 	// on the curve.
 	ValidateProof(p Proof) bool
+	Codec
+}
+
+// Codec is the byte encoding of one construction's values over one
+// pairing preset: everything a decoder of untrusted bytes needs, and
+// no key. Every Accumulator is one; NewCodec builds one from names.
+type Codec interface {
 	// AccBytes serializes an accumulation value (for hashing into
 	// block headers and for VO size accounting).
 	AccBytes(a Acc) []byte
@@ -106,6 +115,53 @@ type Accumulator interface {
 	// membership.
 	ProofFromBytes(b []byte) (Proof, error)
 }
+
+// NewCodec returns the codec of the named construction ("acc1" or
+// "acc2", as Accumulator.Name reports them) over pr. It holds no key:
+// a light client that knows only a deployment's names decodes its VOs
+// with it, and the verifier still checks every point against its own
+// accumulator.
+func NewCodec(name string, pr *pairing.Params) (Codec, error) {
+	switch name {
+	case "acc1":
+		return &Con1{pr: pr}, nil
+	case "acc2":
+		return &Con2{pr: pr}, nil
+	}
+	return nil, fmt.Errorf("accumulator: unknown construction %q (known: acc1, acc2)", name)
+}
+
+// ParamsOf returns the pairing parameters a computes over. The
+// constructions of this package report their own; a decorator that
+// embeds the Accumulator interface (the tracing and counting wrappers
+// of tests and harnesses) is looked through to the accumulator it
+// forwards to. Any other implementation is an error.
+func ParamsOf(a Accumulator) (*pairing.Params, error) {
+	for a != nil {
+		if p, ok := a.(interface{ Params() *pairing.Params }); ok {
+			return p.Params(), nil
+		}
+		v := reflect.ValueOf(a)
+		if v.Kind() == reflect.Pointer && !v.IsNil() {
+			v = v.Elem()
+		}
+		if v.Kind() != reflect.Struct {
+			break
+		}
+		var inner Accumulator
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if f.Anonymous && f.Type == accumulatorType {
+				inner, _ = v.Field(i).Interface().(Accumulator)
+				break
+			}
+		}
+		a = inner
+	}
+	return nil, errors.New("accumulator: cannot tell the pairing parameters of this accumulator")
+}
+
+var accumulatorType = reflect.TypeFor[Accumulator]()
 
 // Pair is one union for UnionEach: multisets X1 and X2 with their
 // digests Acc1 = acc(X1) and Acc2 = acc(X2).

@@ -315,3 +315,50 @@ func TestKeyGenRandomized(t *testing.T) {
 		t.Error("domain bound lost")
 	}
 }
+
+// wrappedAcc is a decorator that embeds the interface, as tracing
+// wrappers do.
+type wrappedAcc struct{ Accumulator }
+
+// TestCodecFromNames: a codec built from a construction's name and
+// the preset ParamsOf reports, through decorators, decodes what the
+// keyed accumulator encodes; unknown names are refused.
+func TestCodecFromNames(t *testing.T) {
+	pr := pairing.Toy()
+	for _, acc := range []Accumulator{
+		KeyGenCon1Deterministic(pr, 8, []byte("codec")),
+		KeyGenCon2Deterministic(pr, 64, HashEncoder{Q: 64}, []byte("codec")),
+	} {
+		got, err := ParamsOf(&wrappedAcc{wrappedAcc{acc}})
+		if err != nil || got != pr {
+			t.Fatalf("%s: ParamsOf through two decorators = %v, %v", acc.Name(), got, err)
+		}
+		codec, err := NewCodec(acc.Name(), got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := multiset.New("a", "b")
+		a, err := acc.Setup(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := acc.ProveDisjoint(x, multiset.New("c"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		da, err := codec.AccFromBytes(acc.AccBytes(a))
+		if err != nil || !acc.AccEqual(da, a) {
+			t.Fatalf("%s: digest does not decode with the named codec: %v", acc.Name(), err)
+		}
+		dp, err := codec.ProofFromBytes(acc.ProofBytes(pf))
+		if err != nil || string(codec.ProofBytes(dp)) != string(acc.ProofBytes(pf)) {
+			t.Fatalf("%s: proof does not decode with the named codec: %v", acc.Name(), err)
+		}
+	}
+	if _, err := NewCodec("acc3", pr); err == nil {
+		t.Fatal("unknown construction accepted")
+	}
+	if _, err := ParamsOf(wrappedAcc{}); err == nil {
+		t.Fatal("ParamsOf of an empty decorator succeeded")
+	}
+}

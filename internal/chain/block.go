@@ -29,9 +29,12 @@ type Header struct {
 	SkipListRoot Digest
 }
 
+// HeaderSize is the length of every canonical header encoding (Bytes).
+const HeaderSize = 8 + sha256.Size + 8 + 8 + 2*sha256.Size
+
 // Bytes returns the canonical header encoding (the PoW preimage).
 func (h Header) Bytes() []byte {
-	buf := make([]byte, 0, 8*4+3*sha256.Size)
+	buf := make([]byte, 0, HeaderSize)
 	var tmp [8]byte
 	put := func(v uint64) {
 		binary.BigEndian.PutUint64(tmp[:], v)
@@ -44,6 +47,24 @@ func (h Header) Bytes() []byte {
 	buf = append(buf, h.MerkleRoot[:]...)
 	buf = append(buf, h.SkipListRoot[:]...)
 	return buf
+}
+
+// HeaderFromBytes decodes a canonical header encoding: exactly
+// HeaderSize bytes, as Bytes writes them.
+func HeaderFromBytes(b []byte) (Header, error) {
+	var h Header
+	if len(b) != HeaderSize {
+		return h, fmt.Errorf("chain: header encoding is %d bytes, want %d", len(b), HeaderSize)
+	}
+	h.Height = binary.BigEndian.Uint64(b)
+	b = b[8:]
+	b = b[copy(h.PrevHash[:], b):]
+	h.TS = int64(binary.BigEndian.Uint64(b))
+	h.Nonce = binary.BigEndian.Uint64(b[8:])
+	b = b[16:]
+	b = b[copy(h.MerkleRoot[:], b):]
+	copy(h.SkipListRoot[:], b)
+	return h, nil
 }
 
 // Hash returns the header digest (the next block's PreBkHash).

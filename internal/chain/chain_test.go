@@ -186,6 +186,24 @@ func TestHeaderSizeBits(t *testing.T) {
 	}
 }
 
+func TestHeaderBytesRoundTrip(t *testing.T) {
+	h := Header{Height: 7, PrevHash: Digest{1, 2}, TS: -3, Nonce: 1 << 40,
+		MerkleRoot: Digest{31: 9}, SkipListRoot: Digest{5}}
+	b := h.Bytes()
+	if len(b) != HeaderSize {
+		t.Fatalf("encoding is %d bytes, want HeaderSize %d", len(b), HeaderSize)
+	}
+	back, err := HeaderFromBytes(b)
+	if err != nil || back != h {
+		t.Fatalf("round trip = %+v, %v; want %+v", back, err, h)
+	}
+	for _, n := range []int{0, HeaderSize - 1, HeaderSize + 1} {
+		if _, err := HeaderFromBytes(make([]byte, n)); err == nil {
+			t.Errorf("%d-byte header accepted", n)
+		}
+	}
+}
+
 func TestLightStoreSizeBits(t *testing.T) {
 	l := NewLightStore(0)
 	if err := l.Sync([]Header{{Height: 0}}); err != nil {

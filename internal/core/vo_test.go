@@ -1,47 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"testing"
 )
-
-// TestVOGobRoundTrip ensures verification objects survive the wire
-// (the service layer ships them with gob) and still verify afterwards.
-func TestVOGobRoundTrip(t *testing.T) {
-	for accName, acc := range testAccs(t) {
-		for _, mode := range []IndexMode{ModeIntra, ModeBoth} {
-			t.Run(accName+"/"+mode.String(), func(t *testing.T) {
-				node, light := buildTestChain(t, acc, mode, 5)
-				q := sedanBenzQuery(0, 4)
-				vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				if err := gob.NewEncoder(&buf).Encode(vo); err != nil {
-					t.Fatal(err)
-				}
-				var back VO
-				if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-					t.Fatal(err)
-				}
-				results, err := (&Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, &back)
-				if err != nil {
-					t.Fatalf("decoded VO rejected: %v", err)
-				}
-				if len(results) != 5 {
-					t.Fatalf("results %d, want 5", len(results))
-				}
-				// Size metric stable across the round trip.
-				if vo.SizeBytes(acc) != back.SizeBytes(acc) {
-					t.Error("VO size changed across serialization")
-				}
-			})
-		}
-	}
-}
 
 func TestVOSizeComponents(t *testing.T) {
 	acc := testAccs(t)["acc2"]

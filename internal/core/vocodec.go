@@ -11,10 +11,10 @@ import (
 )
 
 // VO wire codec: a deterministic, versioned binary encoding of
-// verification objects. Unlike the gob transport encoding (which is
-// Go-specific and not canonical), this format is byte-stable across
-// runs and releases, which is what the golden-vector regression tests
-// pin and what the fuzz targets drive. All integers are big-endian;
+// verification objects. It is byte-stable across runs and releases,
+// which is what the golden-vector regression tests pin, what the fuzz
+// targets drive, and what the service protocol ships: every VO in a
+// service frame is exactly these bytes. All integers are big-endian;
 // group elements use the accumulator's AccBytes/ProofBytes encodings
 // behind 16-bit length frames; every accepted input round-trips to the
 // identical byte string.
@@ -51,7 +51,7 @@ var (
 const voMaxTreeDepth = 64
 
 // EncodeVO serializes a VO in the canonical wire format.
-func EncodeVO(acc accumulator.Accumulator, vo *VO) []byte {
+func EncodeVO(acc accumulator.Codec, vo *VO) []byte {
 	e := &voEncoder{acc: acc}
 	e.bytes(voMagic[:])
 	e.u32(uint32(len(vo.Blocks)))
@@ -83,7 +83,7 @@ func EncodeVO(acc accumulator.Accumulator, vo *VO) []byte {
 // DecodeVO parses a canonical VO encoding, validating structural
 // bounds and curve membership of every group element. The returned VO
 // re-encodes to the identical byte string.
-func DecodeVO(acc accumulator.Accumulator, b []byte) (*VO, error) {
+func DecodeVO(acc accumulator.Codec, b []byte) (*VO, error) {
 	d := &voDecoder{acc: acc, buf: b}
 	magic, err := d.take(4)
 	if err != nil {
@@ -160,7 +160,7 @@ func DecodeVO(acc accumulator.Accumulator, b []byte) (*VO, error) {
 // --- encoder ---
 
 type voEncoder struct {
-	acc accumulator.Accumulator
+	acc accumulator.Codec
 	buf []byte
 }
 
@@ -223,9 +223,9 @@ func (e *voEncoder) skip(s *SkipVO) {
 
 func (e *voEncoder) node(n *NodeVO) {
 	// The codec is not the validator: malformed in-memory shapes (nil
-	// objects or children, as a hostile gob VO can carry) must encode
-	// without crashing — SizeBytes runs on untrusted VOs before
-	// verification. They serialize to encodings the decoder rejects.
+	// objects or children, as a hand-built or tampered VO can carry)
+	// must encode without crashing — SizeBytes runs on untrusted VOs
+	// before verification. They serialize to encodings the decoder rejects.
 	if n == nil {
 		e.u8(0xFF)
 		return
@@ -270,14 +270,23 @@ func (e *voEncoder) node(n *NodeVO) {
 // --- decoder ---
 
 type voDecoder struct {
-	acc accumulator.Accumulator
+	acc accumulator.Codec
 	buf []byte
 	off int
+	// bad is the sentinel failures wrap: ErrVODecode when nil.
+	bad error
+}
+
+func (d *voDecoder) malformed() error {
+	if d.bad != nil {
+		return d.bad
+	}
+	return ErrVODecode
 }
 
 func (d *voDecoder) take(n int) ([]byte, error) {
 	if n < 0 || len(d.buf)-d.off < n {
-		return nil, fmt.Errorf("%w: truncated", ErrVODecode)
+		return nil, fmt.Errorf("%w: truncated", d.malformed())
 	}
 	b := d.buf[d.off : d.off+n]
 	d.off += n
@@ -339,7 +348,7 @@ func (d *voDecoder) digest() (accumulator.Acc, error) {
 	}
 	a, err := d.acc.AccFromBytes(b)
 	if err != nil {
-		return accumulator.Acc{}, fmt.Errorf("%w: %v", ErrVODecode, err)
+		return accumulator.Acc{}, fmt.Errorf("%w: %v", d.malformed(), err)
 	}
 	return a, nil
 }
@@ -351,7 +360,7 @@ func (d *voDecoder) proof() (accumulator.Proof, error) {
 	}
 	p, err := d.acc.ProofFromBytes(b)
 	if err != nil {
-		return accumulator.Proof{}, fmt.Errorf("%w: %v", ErrVODecode, err)
+		return accumulator.Proof{}, fmt.Errorf("%w: %v", d.malformed(), err)
 	}
 	return p, nil
 }
@@ -373,7 +382,7 @@ func (d *voDecoder) clause() (Clause, error) {
 	}
 	// Each element costs ≥ 2 bytes (its length frame).
 	if int(n) > (len(d.buf)-d.off)/2+1 {
-		return nil, fmt.Errorf("%w: clause size %d exceeds input", ErrVODecode, n)
+		return nil, fmt.Errorf("%w: clause size %d exceeds input", d.malformed(), n)
 	}
 	out := make(Clause, 0, n)
 	for i := 0; i < int(n); i++ {
@@ -400,7 +409,7 @@ func (d *voDecoder) object() (*chain.Object, error) {
 		return nil, err
 	}
 	if int(nv) > (len(d.buf)-d.off)/8+1 {
-		return nil, fmt.Errorf("%w: numeric vector %d exceeds input", ErrVODecode, nv)
+		return nil, fmt.Errorf("%w: numeric vector %d exceeds input", d.malformed(), nv)
 	}
 	o := &chain.Object{ID: chain.ObjectID(id), TS: int64(ts)}
 	if nv > 0 {
@@ -418,7 +427,7 @@ func (d *voDecoder) object() (*chain.Object, error) {
 		return nil, err
 	}
 	if int(nw) > (len(d.buf)-d.off)/2+1 {
-		return nil, fmt.Errorf("%w: keyword set %d exceeds input", ErrVODecode, nw)
+		return nil, fmt.Errorf("%w: keyword set %d exceeds input", d.malformed(), nw)
 	}
 	if nw > 0 {
 		o.W = make([]string, 0, nw)
@@ -456,7 +465,7 @@ func (d *voDecoder) skip() (*SkipVO, error) {
 		return nil, err
 	}
 	if int(n) > (len(d.buf)-d.off)/36+1 {
-		return nil, fmt.Errorf("%w: sibling count %d exceeds input", ErrVODecode, n)
+		return nil, fmt.Errorf("%w: sibling count %d exceeds input", d.malformed(), n)
 	}
 	s.Siblings = make(map[int]chain.Digest, n)
 	prev := -1
@@ -466,7 +475,7 @@ func (d *voDecoder) skip() (*SkipVO, error) {
 			return nil, err
 		}
 		if int(sd) <= prev {
-			return nil, fmt.Errorf("%w: sibling distances not ascending", ErrVODecode)
+			return nil, fmt.Errorf("%w: sibling distances not ascending", d.malformed())
 		}
 		prev = int(sd)
 		h, err := d.hash()
@@ -480,7 +489,7 @@ func (d *voDecoder) skip() (*SkipVO, error) {
 
 func (d *voDecoder) node(depth int) (*NodeVO, error) {
 	if depth > voMaxTreeDepth {
-		return nil, fmt.Errorf("%w: tree deeper than %d", ErrVODecode, voMaxTreeDepth)
+		return nil, fmt.Errorf("%w: tree deeper than %d", d.malformed(), voMaxTreeDepth)
 	}
 	kind, err := d.u8()
 	if err != nil {
@@ -502,7 +511,7 @@ func (d *voDecoder) node(depth int) (*NodeVO, error) {
 				return nil, err
 			}
 		} else if has != 0 {
-			return nil, fmt.Errorf("%w: bad digest flag %d", ErrVODecode, has)
+			return nil, fmt.Errorf("%w: bad digest flag %d", d.malformed(), has)
 		}
 	case KindMismatch:
 		n.HasDigest = true
@@ -533,7 +542,7 @@ func (d *voDecoder) node(depth int) (*NodeVO, error) {
 			}
 			n.Group = int(int32(g))
 		default:
-			return nil, fmt.Errorf("%w: bad proof flag %d", ErrVODecode, has)
+			return nil, fmt.Errorf("%w: bad proof flag %d", d.malformed(), has)
 		}
 	case KindExpand:
 		has, err := d.u8()
@@ -546,7 +555,7 @@ func (d *voDecoder) node(depth int) (*NodeVO, error) {
 				return nil, err
 			}
 		} else if has != 0 {
-			return nil, fmt.Errorf("%w: bad digest flag %d", ErrVODecode, has)
+			return nil, fmt.Errorf("%w: bad digest flag %d", d.malformed(), has)
 		}
 		if n.Left, err = d.node(depth + 1); err != nil {
 			return nil, err
@@ -555,7 +564,7 @@ func (d *voDecoder) node(depth int) (*NodeVO, error) {
 			return nil, err
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown node kind %d", ErrVODecode, kind)
+		return nil, fmt.Errorf("%w: unknown node kind %d", d.malformed(), kind)
 	}
 	return n, nil
 }

@@ -12,15 +12,25 @@ import (
 // finds its parameters: p = 12k − 1 for the first prime of that form at
 // or above a fixed seed, giving p ≡ 2 (mod 3) and p ≡ 3 (mod 4). The
 // tiny test prime would make modular arithmetic unrealistically cheap.
-var benchCurveOnce *Curve
+func benchCurve() *Curve { return benchCurveBits(256) }
 
-func benchCurve() *Curve {
-	if benchCurveOnce != nil {
-		return benchCurveOnce
+// benchCurves memoizes benchCurveBits.
+var benchCurves = map[int]*Curve{}
+
+// benchCurveBits is benchCurve at a bits-bit prime. At 512 bits the
+// field has the default preset's 8 limbs, with a top limb below
+// 2⁶⁴−1, so its products run the same path as every default-preset
+// proof (on amd64 with BMI2 and ADX, the assembly kernel).
+func benchCurveBits(bits int) *Curve {
+	if c := benchCurves[bits]; c != nil {
+		return c
 	}
-	seed := sha256.Sum256([]byte("ec/bench/prime"))
-	k := new(big.Int).SetBytes(seed[:])
-	k.Rsh(k, 256-252) // 252-bit k so 12k has 256 bits
+	var seed []byte
+	for h := sha256.Sum256([]byte("ec/bench/prime")); len(seed) < bits/8; h = sha256.Sum256(h[:]) {
+		seed = append(seed, h[:]...)
+	}
+	k := new(big.Int).SetBytes(seed[:bits/8])
+	k.Rsh(k, 4) // a (bits−4)-bit k, so 12k has about bits bits
 	p := new(big.Int)
 	one := big.NewInt(1)
 	twelve := big.NewInt(12)
@@ -32,8 +42,8 @@ func benchCurve() *Curve {
 		}
 		k.Add(k, one)
 	}
-	benchCurveOnce = NewCurve(ff.NewField(p))
-	return benchCurveOnce
+	benchCurves[bits] = NewCurve(ff.NewField(p))
+	return benchCurves[bits]
 }
 
 // benchScalars derives n deterministic 160-bit scalars (the width of
@@ -61,14 +71,18 @@ func benchPoints(c *Curve, n int) []Point {
 }
 
 // BenchmarkScalarMul measures single-point scalar multiplication with a
-// 160-bit scalar on the 256-bit bench curve.
+// 160-bit scalar on the 256-bit bench curve and on the 512-bit one,
+// whose field is the default preset's size.
 func BenchmarkScalarMul(b *testing.B) {
-	c := benchCurve()
-	p := c.HashToPoint([]byte("ec/bench/base"), sha)
-	k := benchScalars(1)[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.ScalarMul(p, k)
+	for _, bits := range []int{256, 512} {
+		c := benchCurveBits(bits)
+		p := c.HashToPoint([]byte("ec/bench/base"), sha)
+		k := benchScalars(1)[0]
+		b.Run(sizeLabel("p", bits), func(b *testing.B) {
+			for b.Loop() {
+				c.ScalarMul(p, k)
+			}
+		})
 	}
 }
 
@@ -156,8 +170,46 @@ func BenchmarkMSM(b *testing.B) {
 			}
 		})
 	}
+	// The same Pippenger sizes and short-scalar collapse on the 512-bit
+	// curve, the default preset's field size and multiplication path.
+	c = benchCurveBits(512)
+	for _, n := range []int{16, 256, 4096} {
+		pts := benchPoints(c, n)
+		ks := benchScalars(n)
+		b.Run("p=512/"+sizeLabel("n", n)+"/pippenger", func(b *testing.B) {
+			for b.Loop() {
+				c.MultiScalarMul(pts, ks)
+			}
+		})
+	}
+	for _, n := range []int{2, 12, 40} {
+		pts := benchPoints(c, n)
+		ks := benchScalars(n)
+		for i := range ks {
+			ks[i] = new(big.Int).Rsh(ks[i], 160-64)
+		}
+		b.Run("p=512/bits=64/"+sizeLabel("n", n), func(b *testing.B) {
+			for b.Loop() {
+				c.MultiScalarMulShort(pts, ks)
+			}
+		})
+	}
 }
 
 func sizeLabel(k string, n int) string {
 	return k + "=" + big.NewInt(int64(n)).String()
+}
+
+// TestBenchCurve512HasDefaultShape: the 512-bit bench curve's prime
+// fills 8 limbs with a top limb below 2⁶⁴−1, the field shape of the
+// default preset and of its multiplication kernel.
+func TestBenchCurve512HasDefaultShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("prime search")
+	}
+	p := benchCurveBits(512).F.P
+	top := new(big.Int).Rsh(p, 448)
+	if p.BitLen() <= 448 || top.BitLen() > 64 || top.Cmp(new(big.Int).SetUint64(^uint64(0))) == 0 {
+		t.Fatalf("p has %d bits, top limb %x: not an 8-limb field the kernel takes", p.BitLen(), top)
+	}
 }

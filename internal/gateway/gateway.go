@@ -1,19 +1,20 @@
 // Package gateway is the production HTTP front door of a vChain SP:
 // multi-tenant admission control, Prometheus-style metrics, and a
-// JSON query surface layered over the same node interface the gob
+// JSON query surface layered over the same node interface the TCP
 // service layer serves.
 //
-// The gob protocol (internal/service) is the high-throughput path for
-// light clients that verify VOs locally; the gateway exists so that
-// one SP process can also (1) serve many untrusted tenants behind API
-// keys, token-bucket rate limits, and fail-fast inflight caps, (2)
-// expose every performance and health counter of the deployment —
-// proof engine, shards, service layer, per-tenant traffic — on one
-// scrapable /metrics endpoint, and (3) answer curl/browser queries in
-// JSON. Verifiability is preserved across the JSON hop: every part of
-// a query answer carries its canonical VO encoding (base64 of
-// core.EncodeVO), so an external verifier holding the headers can
-// re-check soundness and completeness without trusting the gateway.
+// The binary TCP protocol (internal/service) is the high-throughput
+// path for light clients that verify VOs locally; the gateway exists
+// so that one SP process can also (1) serve many untrusted tenants
+// behind API keys, token-bucket rate limits, and fail-fast inflight
+// caps, (2) expose every performance and health counter of the
+// deployment — proof engine, shards, service layer, per-tenant
+// traffic — on one scrapable /metrics endpoint, and (3) answer
+// curl/browser queries in JSON. Verifiability is preserved across the
+// JSON hop: every part of a query answer carries its canonical VO
+// encoding (base64 of core.EncodeVO), so an external verifier holding
+// the headers can re-check soundness and completeness without
+// trusting the gateway.
 //
 // Endpoints:
 //
@@ -50,7 +51,7 @@ const (
 	// queueing behind slow proof walks.
 	DefaultMaxInflight = 64
 	// DefaultQueryTimeout bounds one query's server-side proof walk
-	// (matching the gob client's default RPC budget).
+	// (matching the TCP client's default RPC budget).
 	DefaultQueryTimeout = 30 * time.Second
 	// DefaultHeaderPage bounds one /v1/headers response.
 	DefaultHeaderPage = 512
@@ -86,7 +87,7 @@ type Config struct {
 	// window, outcome, latency). Nil disables request logging.
 	Logger *slog.Logger
 	// ServiceCounters are extra scrape-time counter sources exported as
-	// vchain_service_<name>_total — the facade wires the gob server's
+	// vchain_service_<name>_total — the facade wires the TCP server's
 	// eviction counter through here so wire-layer health lands on the
 	// same dashboard.
 	ServiceCounters map[string]func() int64
@@ -125,7 +126,7 @@ type Gateway struct {
 }
 
 // New builds a gateway over a node (monolithic core.FullNode or
-// sharded shard.Node — anything the gob service layer can serve).
+// sharded shard.Node — anything the TCP service layer can serve).
 func New(node service.Chain, cfg Config) (*Gateway, error) {
 	adm, err := newAdmitter(cfg)
 	if err != nil {
@@ -275,7 +276,7 @@ func (g *Gateway) mountScrape(mux *http.ServeMux) {
 // Serve starts listening on addr ("127.0.0.1:0" picks a port) and
 // returns the bound address. The HTTP server bounds reading a request
 // and writing its response by service.DefaultFrameTimeout, mirroring
-// the gob layer's partial-frame discipline: a peer that stops draining
+// the TCP layer's partial-frame discipline: a peer that stops draining
 // is disconnected, never awaited.
 func (g *Gateway) Serve(addr string) (string, error) {
 	const wt = service.DefaultFrameTimeout
@@ -612,7 +613,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request, tenant str
 }
 
 // queryError maps a planner/proof failure onto an HTTP status by the
-// sentinel it wraps, classified by the gob wire's one table
+// sentinel it wraps, classified by the TCP wire's one table
 // (service.CodeOf): an expired budget is 504, and a server-side fault
 // on the strict path — a quarantined shard, or a shard's storage
 // failing to page an ADS in — is 503 with the degraded path

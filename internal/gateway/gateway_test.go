@@ -361,7 +361,7 @@ func TestQueryValidation(t *testing.T) {
 
 // TestEmptyClauseRefusedAtEveryFrontDoor: core.Query.CNF is the one
 // validation of a query's condition, so a query with an empty OR-clause
-// is refused with core's error in process, over gob, over HTTP, and at
+// is refused with core's error in process, over TCP, over HTTP, and at
 // subscribe.
 func TestEmptyClauseRefusedAtEveryFrontDoor(t *testing.T) {
 	node := buildNode(t, 4)
@@ -394,7 +394,7 @@ func TestEmptyClauseRefusedAtEveryFrontDoor(t *testing.T) {
 			_, err := node.TimeWindowParts(ctx, q, false)
 			return err
 		}},
-		{"gob QueryParts", func() error {
+		{"tcp QueryParts", func() error {
 			_, err := cli.QueryParts(ctx, q, false)
 			return err
 		}},
@@ -407,7 +407,7 @@ func TestEmptyClauseRefusedAtEveryFrontDoor(t *testing.T) {
 			}
 			return fmt.Errorf("%s", body)
 		}},
-		{"gob SubscribeCtx", func() error {
+		{"tcp SubscribeCtx", func() error {
 			sub, err := cli.SubscribeCtx(ctx, q, service.SubscribeConfig{Acc: node.Acc(), Light: chain.NewLightStore(0)})
 			if sub != nil {
 				sub.Close()
@@ -831,7 +831,7 @@ func (c pagedOnly) Headers() []chain.Header {
 }
 
 // TestHeaderSyncPagesWithoutFullCopy syncs a light store page by page
-// over gob and over HTTP from a chain whose Headers fails the test, and
+// over TCP and over HTTP from a chain whose Headers fails the test, and
 // checks that both synced stores match the node.
 func TestHeaderSyncPagesWithoutFullCopy(t *testing.T) {
 	const blocks, page = 40, 16
@@ -851,7 +851,7 @@ func TestHeaderSyncPagesWithoutFullCopy(t *testing.T) {
 		}
 	}
 
-	// gob: a 4 KB frame cap holds 16 headers a batch.
+	// TCP: a 4 KB frame cap holds 33 headers a batch.
 	srv := service.NewServer(served, service.ServerConfig{MaxFrame: 4096})
 	addr, err := srv.Serve("127.0.0.1:0")
 	if err != nil {
@@ -867,7 +867,7 @@ func TestHeaderSyncPagesWithoutFullCopy(t *testing.T) {
 	if err := cli.SyncHeaders(context.Background(), light); err != nil {
 		t.Fatal(err)
 	}
-	matches("gob", light)
+	matches("tcp", light)
 
 	// HTTP: GET /v1/headers pages of 16 until one comes back empty.
 	_, base := startGateway(t, served, Config{})

@@ -11,9 +11,10 @@
 //     with assign callbacks (Run), so VO construction can stay
 //     single-threaded while proof computation fans out. A Run is the
 //     only entry point: callers plan (Add), then prove (WaitCtx);
-//   - an LRU memoization cache keyed by (multiset digest, clause key)
-//     with single-flight deduplication, so concurrent and repeated
-//     requests for the same proof compute it once;
+//   - an LRU memoization cache keyed by a hash of (multiset digest,
+//     clause key) and holding each proof's canonical bytes, with
+//     single-flight deduplication, so concurrent and repeated requests
+//     for the same proof compute it once;
 //   - same-clause aggregation (Aggregator) for aggregating
 //     accumulators, powering online batch verification (§6.3);
 //   - a Stats snapshot (proofs computed, cache hits/misses,
@@ -27,6 +28,9 @@ package proofs
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -36,8 +40,9 @@ import (
 )
 
 // DefaultCacheSize is the proof-cache capacity when Options.CacheSize
-// is zero. A cached proof is two curve points (~a hundred bytes), so
-// the default costs well under a megabyte.
+// is zero. An entry is a 32-byte key and the proof's ProofBytes (one
+// point under acc2, two under acc1: at most a few hundred bytes at the
+// default preset), so the default costs about a megabyte at most.
 const DefaultCacheSize = 4096
 
 // Options configure an Engine.
@@ -99,17 +104,29 @@ type Engine struct {
 	stats    Stats
 }
 
-// cacheKey identifies one memoized proof: the digest of the first
-// multiset plus the caller's clause key. The clause key must uniquely
-// determine the clause's multiset (core.Clause.Key does).
-type cacheKey struct {
-	w      [32]byte
-	clause string
+// cacheKey identifies one memoized proof: SHA-256 over the digest of
+// the first multiset and the caller's length-prefixed clause key. The
+// clause key must uniquely determine the clause's multiset
+// (core.Clause.Key does).
+type cacheKey [sha256.Size]byte
+
+func newCacheKey(w multiset.Multiset, clauseKey string) cacheKey {
+	d := w.Digest()
+	h := sha256.New()
+	h.Write(d[:])
+	h.Write(binary.BigEndian.AppendUint64(nil, uint64(len(clauseKey))))
+	io.WriteString(h, clauseKey)
+	var k cacheKey
+	h.Sum(k[:0])
+	return k
 }
 
+// cacheEntry is one memoized proof in its canonical bytes (ProofBytes),
+// which are a fraction of the in-memory accumulator.Proof: under acc2
+// the second point is always the identity.
 type cacheEntry struct {
 	key cacheKey
-	pf  accumulator.Proof
+	pf  []byte
 }
 
 // flight is an in-progress computation other requesters can join.
@@ -170,7 +187,7 @@ func (e *Engine) prove(ctx context.Context, w multiset.Multiset, clauseKey strin
 		e.mu.Unlock()
 		return e.compute(ctx, w, clauseW)
 	}
-	key := cacheKey{w: w.Digest(), clause: clauseKey}
+	key := newCacheKey(w, clauseKey)
 
 	e.mu.Lock()
 	if el, ok := e.items[key]; ok {
@@ -178,7 +195,7 @@ func (e *Engine) prove(ctx context.Context, w multiset.Multiset, clauseKey strin
 		e.stats.CacheHits++
 		pf := el.Value.(*cacheEntry).pf
 		e.mu.Unlock()
-		return pf, nil
+		return e.acc.ProofFromBytes(pf)
 	}
 	if f, ok := e.inflight[key]; ok {
 		e.stats.CacheHits++
@@ -196,11 +213,15 @@ func (e *Engine) prove(ctx context.Context, w multiset.Multiset, clauseKey strin
 	e.mu.Unlock()
 
 	f.pf, f.err = e.compute(ctx, w, clauseW)
+	var pf []byte
+	if f.err == nil {
+		pf = e.acc.ProofBytes(f.pf)
+	}
 
 	e.mu.Lock()
 	delete(e.inflight, key)
 	if f.err == nil {
-		e.items[key] = e.lru.PushFront(&cacheEntry{key: key, pf: f.pf})
+		e.items[key] = e.lru.PushFront(&cacheEntry{key: key, pf: pf})
 		for e.lru.Len() > e.cacheSize {
 			oldest := e.lru.Back()
 			delete(e.items, oldest.Value.(*cacheEntry).key)

@@ -333,3 +333,31 @@ func BenchmarkProve(b *testing.B) {
 		b.ReportMetric(e.Stats().HitRate()*100, "hit%")
 	})
 }
+
+// TestCacheHoldsProofBytes: an entry is the proof's canonical bytes
+// under a 32-byte key, and a hit decodes them back to the proof the
+// miss computed.
+func TestCacheHoldsProofBytes(t *testing.T) {
+	acc := testAcc(t)
+	e := New(acc, Options{})
+	w, cw := multiset.New("sedan"), multiset.New("van")
+	pf, err := proveOne(e, w, key("van"), cw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent := e.lru.Front().Value.(*cacheEntry)
+	if ent.key != newCacheKey(w, key("van")) || string(ent.pf) != string(acc.ProofBytes(pf)) {
+		t.Fatalf("entry %x → %x, want the proof's ProofBytes", ent.key, ent.pf)
+	}
+	hit, err := proveOne(e, w, key("van"), cw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(acc.ProofBytes(hit)) != string(ent.pf) || e.Stats().CacheHits != 1 {
+		t.Fatal("cache hit did not return the computed proof")
+	}
+	verify(t, acc, w, cw, hit)
+	if newCacheKey(w, key("van")) == newCacheKey(w, key("van", "x")) {
+		t.Fatal("distinct clause keys share a cache key")
+	}
+}

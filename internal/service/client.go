@@ -9,9 +9,9 @@ import (
 	"sync"
 	"time"
 
+	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
-	"github.com/vchain-go/vchain/internal/subscribe"
 )
 
 // RetryPolicy tunes client-side retries for idempotent requests
@@ -130,6 +130,11 @@ type genState struct {
 	done   chan struct{}
 	err    error
 	failed bool // guarded by Client.mu
+	// codec decodes VOs for calls that carry no accumulator of their
+	// own. The read loop builds it from the SP's hello before it
+	// dispatches any other frame, so a caller holding a response sees
+	// it set.
+	codec accumulator.Codec
 }
 
 // Client is a light node's connection to a remote SP. A background
@@ -162,7 +167,7 @@ type Client struct {
 	// (they may belong to a subscription whose ack hasn't registered
 	// yet) instead of being dropped.
 	subscribing int
-	orphans     []*subscribe.Publication
+	orphans     []*Push
 
 	// verifies batches the verification of the publications this
 	// client's streams have waiting.
@@ -283,43 +288,65 @@ func (c *Client) Retries() int {
 	return c.retries
 }
 
-// readLoop is one generation's only reader: it matches responses to
-// waiting calls and hands pushed publications to their subscriptions.
+// readLoop is one generation's only reader: it takes the SP's hello,
+// then matches responses to waiting calls and hands pushed
+// publications to their subscriptions.
 func (c *Client) readLoop(gen *genState) {
 	for {
-		resp := new(Response)
-		if err := gen.fc.readFrame(resp); err != nil {
+		m, err := c.receive(gen)
+		if err != nil {
 			c.fail(gen, fmt.Errorf("service: receive: %w", err))
 			return
 		}
-		if resp.Seq != 0 {
+		switch m := m.(type) {
+		case *Response:
 			c.mu.Lock()
-			ch := c.pending[resp.Seq]
-			delete(c.pending, resp.Seq)
+			ch := c.pending[m.Seq]
+			delete(c.pending, m.Seq)
 			c.mu.Unlock()
 			if ch != nil {
-				ch <- resp // buffered; never blocks
+				ch <- m // buffered; never blocks
 			}
-			continue
-		}
-		if resp.Pub == nil {
-			continue // unknown push frame; ignore
-		}
-		c.mu.Lock()
-		sub := c.subs[resp.Pub.QueryID]
-		if sub == nil {
-			if c.subscribing > 0 && len(c.orphans) < maxOrphans {
-				c.orphans = append(c.orphans, resp.Pub)
+		case *Push:
+			c.mu.Lock()
+			sub := c.subs[m.QueryID]
+			if sub == nil {
+				if c.subscribing > 0 && len(c.orphans) < maxOrphans {
+					c.orphans = append(c.orphans, m)
+				}
 			}
-		}
-		c.mu.Unlock()
-		if sub != nil {
-			// enqueue never blocks (bounded queue, overrun ends the
-			// stream), so a slow subscription consumer cannot
-			// deadlock its own header-sync requests on this loop.
-			sub.enqueue(resp.Pub)
+			c.mu.Unlock()
+			if sub != nil {
+				// enqueue never blocks (bounded queue, overrun ends
+				// the stream), so a slow subscription consumer cannot
+				// deadlock its own header-sync requests on this loop.
+				sub.enqueue(m)
+			}
 		}
 	}
+}
+
+// receive reads and decodes one frame of gen. The first must be the
+// SP's hello, which sets gen's codec; no other frame may be one.
+func (c *Client) receive(gen *genState) (message, error) {
+	body, err := gen.fc.readBody()
+	if err != nil {
+		return nil, err
+	}
+	m, err := decodeServerFrame(body)
+	if err != nil {
+		return nil, err
+	}
+	h, isHello := m.(*hello)
+	switch {
+	case gen.codec == nil && !isHello:
+		return nil, fmt.Errorf("%w: the SP's first frame is a %s, not its hello", ErrIncompatible, kindName(body[0]))
+	case gen.codec != nil && isHello:
+		return nil, fmt.Errorf("service: decode: %w: a second hello", errMalformed)
+	case isHello:
+		gen.codec, err = h.codec()
+	}
+	return m, err
 }
 
 // fail marks one generation dead, closes its socket (so the server
@@ -439,7 +466,8 @@ func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, *genSt
 }
 
 // retryable classifies an error for the idempotent-retry path: SP
-// processing errors, context expiry, and a deliberate Close are final;
+// processing errors, context expiry, an incompatible SP and a
+// deliberate Close are final;
 // everything else is a transport fault worth another connection.
 func retryable(err error) bool {
 	var spe *SPError
@@ -448,7 +476,8 @@ func retryable(err error) bool {
 	}
 	return !errors.Is(err, context.Canceled) &&
 		!errors.Is(err, context.DeadlineExceeded) &&
-		!errors.Is(err, ErrClosed)
+		!errors.Is(err, ErrClosed) &&
+		!errors.Is(err, ErrIncompatible)
 }
 
 // sleepCtx pauses for d or until the context ends.
@@ -466,8 +495,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // callIdem runs one idempotent request under the retry policy:
 // re-dialing a failed connection, backing off exponentially with
 // jitter between attempts, and never retrying an answer the SP
-// actually gave.
-func (c *Client) callIdem(ctx context.Context, req *Request) (*Response, error) {
+// actually gave. It returns the generation that answered, whose codec
+// decodes the answer's VOs.
+func (c *Client) callIdem(ctx context.Context, req *Request) (*Response, *genState, error) {
 	attempts := c.cfg.Retry.Attempts
 	if attempts < 1 {
 		attempts = 1
@@ -479,34 +509,34 @@ func (c *Client) callIdem(ctx context.Context, req *Request) (*Response, error) 
 			c.retries++
 			c.mu.Unlock()
 			if err := sleepCtx(ctx, c.cfg.Retry.backoff(a-1)); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		if err := c.ensureLive(); err != nil {
 			lastErr = err
 			if !retryable(err) {
-				return nil, err
+				return nil, nil, err
 			}
 			continue
 		}
 		r := *req // fresh copy: Seq and DeadlineMs are per-attempt
-		resp, _, err := c.roundTrip(ctx, &r)
+		resp, gen, err := c.roundTrip(ctx, &r)
 		if err == nil {
-			return resp, nil
+			return resp, gen, nil
 		}
 		lastErr = err
 		if !retryable(err) {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return nil, lastErr
+	return nil, nil, lastErr
 }
 
 // Headers fetches one batch of headers from a height onward. The
 // server bounds the batch size; use SyncHeaders to catch a light
 // store fully up.
 func (c *Client) Headers(ctx context.Context, from int) ([]chain.Header, error) {
-	resp, err := c.callIdem(ctx, &Request{Kind: "headers", FromHeight: from})
+	resp, _, err := c.callIdem(ctx, &Request{Kind: "headers", FromHeight: from})
 	if err != nil {
 		return nil, err
 	}
@@ -543,39 +573,35 @@ func (c *Client) SyncHeaders(ctx context.Context, light *chain.LightStore) error
 
 // QueryParts runs a remote time-window query and returns the
 // (unverified) answer as window parts: one part spanning the whole
-// window, at every shard count of the SP. Verify with
-// core.Verifier.VerifyWindowParts, which settles the parts in a single
-// pairing-product batch.
+// window, at every shard count of the SP. Their VOs are decoded with
+// the codec the SP's hello names, built from this client's own copy of
+// the parameters. Verify with core.Verifier.VerifyWindowParts, which
+// settles the parts in a single pairing-product batch.
 func (c *Client) QueryParts(ctx context.Context, q core.Query, batched bool) ([]core.WindowPart, error) {
-	resp, err := c.callIdem(ctx, &Request{Kind: "query", Query: q, Batched: batched})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Parts, nil
+	parts, _, err := c.query(ctx, q, batched, false, nil)
+	return parts, err
 }
 
 // QueryDegraded runs a remote time-window query in degraded-read mode:
 // if parts of the window are unprovable (a sharded SP with a
 // quarantined shard), the SP answers with the provable parts plus
-// machine-readable gaps instead of an error. Verify the pair with
-// core.Verifier.VerifyDegraded — the gaps are claims until then.
+// machine-readable gaps instead of an error. VOs decode as in
+// QueryParts. Verify the pair with core.Verifier.VerifyDegraded — the
+// gaps are claims until then.
 func (c *Client) QueryDegraded(ctx context.Context, q core.Query, batched bool) ([]core.WindowPart, []core.Gap, error) {
-	resp, err := c.callIdem(ctx, &Request{Kind: "query", Query: q, Batched: batched, AllowDegraded: true})
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp.Parts, resp.Gaps, nil
+	return c.query(ctx, q, batched, true, nil)
 }
 
 // QueryVerified runs a remote time-window query and verifies the
 // answer locally with the supplied verifier before returning the
-// results — the one-call path a light client actually wants. Every
+// results — the one-call path a light client actually wants. The
+// answer's VOs decode with the verifier's accumulator, and every
 // part's pending pairing checks resolve in one batched flush. The
 // returned objects carry the full soundness/completeness guarantee;
 // any SP misbehavior surfaces as the verifier's error. The verifier
 // defaults to the batched engine; set ver.Sequential for the baseline.
 func (c *Client) QueryVerified(ctx context.Context, q core.Query, batched bool, ver *core.Verifier) ([]chain.Object, error) {
-	parts, err := c.QueryParts(ctx, q, batched)
+	parts, _, err := c.query(ctx, q, batched, false, ver.Acc)
 	if err != nil {
 		return nil, err
 	}
@@ -588,11 +614,33 @@ func (c *Client) QueryVerified(ctx context.Context, q core.Query, batched bool, 
 // parts. When gaps are present the result is accompanied by
 // core.ErrDegraded — a degraded answer is never silently incomplete.
 func (c *Client) QueryVerifiedDegraded(ctx context.Context, q core.Query, batched bool, ver *core.Verifier) (*core.DegradedResult, error) {
-	parts, gaps, err := c.QueryDegraded(ctx, q, batched)
+	parts, gaps, err := c.query(ctx, q, batched, true, ver.Acc)
 	if err != nil {
 		return nil, err
 	}
 	return ver.VerifyDegraded(q, parts, gaps)
+}
+
+// query runs one remote time-window query and decodes its parts with
+// codec, or with the answering connection's hello codec when codec is
+// nil.
+func (c *Client) query(ctx context.Context, q core.Query, batched, degraded bool, codec accumulator.Codec) ([]core.WindowPart, []core.Gap, error) {
+	resp, gen, err := c.callIdem(ctx, &Request{Kind: "query", Query: q, Batched: batched, AllowDegraded: degraded})
+	if err != nil {
+		return nil, nil, err
+	}
+	if codec == nil {
+		codec = gen.codec
+	}
+	parts := make([]core.WindowPart, len(resp.Parts))
+	for i, p := range resp.Parts {
+		vo, err := core.DecodeVO(codec, p.VO)
+		if err != nil {
+			return nil, nil, fmt.Errorf("service: VO of part [%d,%d]: %w", p.Start, p.End, err)
+		}
+		parts[i] = core.WindowPart{Start: p.Start, End: p.End, VO: vo}
+	}
+	return parts, resp.Gaps, nil
 }
 
 // Close disconnects. In-flight calls fail with ErrClosed, every

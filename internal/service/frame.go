@@ -1,24 +1,46 @@
 package service
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
+
+	"github.com/vchain-go/vchain/internal/accumulator"
+	"github.com/vchain-go/vchain/internal/chain"
+	"github.com/vchain-go/vchain/internal/core"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 )
 
-// The wire protocol is length-prefixed gob: every message travels as a
-// 4-byte big-endian payload length followed by a self-contained gob
-// stream of exactly that many bytes. The prefix lets both sides cap the
-// size of a frame *before* decoding it — a raw gob stream from an
-// untrusted peer could otherwise announce multi-gigabyte values and OOM
-// the decoder — and makes the decode surface a pure function of a
-// bounded byte slice (fuzzable, see FuzzFrameDecode).
+// The wire protocol is a sequence of length-prefixed binary frames:
+// every message travels as a 4-byte big-endian payload length followed
+// by exactly that many bytes. The prefix lets both sides cap the size
+// of a frame *before* decoding it, and makes the decode surface a pure
+// function of a bounded byte slice (fuzzable, see FuzzFrameDecode).
+//
+// A payload opens with one kind byte and is decoded by that kind's
+// fixed layout alone, so frames decode independently of connection
+// history: the only state a connection carries is the names of the
+// SP's hello, which the client reads before any other frame. Integers
+// are big-endian; "int" is an i64; "str" is a u32 length and the bytes.
+//
+//	hello    = u16 version, str construction, str preset
+//	request  = u64 Seq, str Kind, int FromHeight, core.AppendQuery,
+//	           u8 flags (1 = Batched, 2 = AllowDegraded),
+//	           int DeadlineMs, int SubID
+//	response = u64 Seq, str Err, u8 Code,
+//	           u32 n, n × chain.Header.Bytes(),
+//	           u32 n, n × (int Start, int End, u32 len, core.EncodeVO),
+//	           core.AppendGaps, int SubID, u8 hasPub, [push]
+//	push     = int QueryID, int From, int To, core.EncodeVO to the end
+//
+// Every VO on the wire is exactly its canonical core.EncodeVO bytes,
+// and every header exactly its PoW preimage: a decoded frame re-encodes
+// to the identical bytes.
 
 const (
 	// DefaultMaxFrame bounds a peer's frame payload. Time-window VOs
@@ -36,6 +58,22 @@ const (
 	DefaultFrameTimeout = 15 * time.Second
 
 	framePrefixLen = 4
+
+	// protocolVersion is the hello's version. Builds that framed gob
+	// sent no hello; they count as version 1.
+	protocolVersion = 2
+)
+
+// The frame kinds: the first payload byte. They are drawn from
+// 0x80–0xF7, bytes no gob stream opens with (gob's leading uvarint is
+// one byte below 0x80 or a negated byte count of 0xF8–0xFF), so a
+// frame from a build that framed gob is told apart from a malformed
+// one.
+const (
+	kindHello byte = 0xB0 + iota
+	kindRequest
+	kindResponse
+	kindPush
 )
 
 // ErrFrameTooLarge reports a frame whose payload exceeds the local
@@ -45,11 +83,493 @@ const (
 // and only the one message fails).
 var ErrFrameTooLarge = errors.New("service: frame exceeds size cap")
 
+// ErrIncompatible reports a peer that does not speak this build's
+// protocol: a frame of an unknown kind (an older build's gob frame),
+// or a hello naming another protocol version, an unknown accumulator
+// construction or an unknown pairing preset. The connection is
+// refused; retrying cannot help, so SP and clients upgrade together.
+var ErrIncompatible = errors.New("service: peer speaks an incompatible wire protocol")
+
+// errMalformed wraps every frame of a known kind that does not decode.
+var errMalformed = errors.New("service: malformed frame")
+
 // errBrokenWrite marks a frame write that failed partway: the stream
 // position is lost and the connection must be abandoned. Pre-write
 // failures (encoding, the outbound size check) deliberately do not
 // wrap it.
 var errBrokenWrite = errors.New("service: connection write failed")
+
+// message is one frame's content.
+type message interface {
+	// kind is the frame's first payload byte.
+	kind() byte
+	// appendTo appends the content after the kind byte.
+	appendTo(b []byte) []byte
+	// readFrom decodes the content after the kind byte.
+	readFrom(r *reader) error
+}
+
+// hello is the SP's first frame on every connection: the protocol
+// version and the names of the deployment's accumulator construction
+// and pairing preset, from which a client without an accumulator of
+// its own builds the codec it decodes VOs with.
+type hello struct {
+	Version      uint16
+	Construction string
+	Preset       string
+}
+
+// newHello names acc's construction and pairing preset.
+func newHello(acc accumulator.Accumulator) (*hello, error) {
+	pr, err := accumulator.ParamsOf(acc)
+	if err != nil {
+		return nil, fmt.Errorf("service: hello: %w", err)
+	}
+	return &hello{Version: protocolVersion, Construction: acc.Name(), Preset: pr.Name}, nil
+}
+
+// codec checks the hello against this build and returns the codec of
+// the names it carries, built from the client's own copy of the
+// parameters: nothing numeric the SP sent is used.
+func (h *hello) codec() (accumulator.Codec, error) {
+	if h.Version != protocolVersion {
+		return nil, fmt.Errorf("%w: SP speaks protocol version %d, this build %d", ErrIncompatible, h.Version, protocolVersion)
+	}
+	pr, err := pairing.Lookup(h.Preset)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrIncompatible, err)
+	}
+	codec, err := accumulator.NewCodec(h.Construction, pr)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrIncompatible, err)
+	}
+	return codec, nil
+}
+
+func (*hello) kind() byte { return kindHello }
+
+func (h *hello) appendTo(b []byte) []byte {
+	b = binary.BigEndian.AppendUint16(b, h.Version)
+	b = appendStr(b, h.Construction)
+	return appendStr(b, h.Preset)
+}
+
+func (h *hello) readFrom(r *reader) (err error) {
+	if h.Version, err = r.u16(); err != nil {
+		return err
+	}
+	if h.Construction, err = r.str(); err != nil {
+		return err
+	}
+	h.Preset, err = r.str()
+	return err
+}
+
+// Request is a client → SP message.
+type Request struct {
+	// Seq matches the request to its response. Clients use strictly
+	// positive values.
+	Seq uint64
+	// Kind is "headers", "query", "subscribe", or "unsubscribe".
+	Kind string
+	// FromHeight is the first header wanted (Kind == "headers").
+	FromHeight int
+	// Query is the time-window query (Kind == "query") or the
+	// continuous query to register (Kind == "subscribe"; its window
+	// fields are ignored).
+	Query core.Query
+	// Batched requests online batch verification (§6.3).
+	Batched bool
+	// AllowDegraded lets a query answer omit unprovable sub-windows as
+	// machine-readable Gaps (verified client-side by VerifyDegraded)
+	// instead of failing outright when a shard is down.
+	AllowDegraded bool
+	// DeadlineMs propagates the client's remaining call budget in
+	// milliseconds. The server derives a context from it so an
+	// abandoned query stops consuming proof workers. Queries must carry
+	// a positive value (the client clamps a sub-millisecond remainder
+	// up to 1); the server rejects non-positive budgets instead of
+	// reading them as "no deadline".
+	DeadlineMs int64
+	// SubID names the subscription to drop (Kind == "unsubscribe").
+	SubID int
+}
+
+// The request flag bits.
+const (
+	flagBatched byte = 1 << iota
+	flagDegraded
+)
+
+func (*Request) kind() byte { return kindRequest }
+
+func (q *Request) appendTo(b []byte) []byte {
+	b = binary.BigEndian.AppendUint64(b, q.Seq)
+	b = appendStr(b, q.Kind)
+	b = appendInt(b, q.FromHeight)
+	b = core.AppendQuery(b, q.Query)
+	var flags byte
+	if q.Batched {
+		flags |= flagBatched
+	}
+	if q.AllowDegraded {
+		flags |= flagDegraded
+	}
+	b = append(b, flags)
+	b = binary.BigEndian.AppendUint64(b, uint64(q.DeadlineMs))
+	return appendInt(b, q.SubID)
+}
+
+func (q *Request) readFrom(r *reader) (err error) {
+	if q.Seq, err = r.u64(); err != nil {
+		return err
+	}
+	if q.Kind, err = r.str(); err != nil {
+		return err
+	}
+	if q.FromHeight, err = r.int(); err != nil {
+		return err
+	}
+	if q.Query, r.b, err = core.ReadQuery(r.b); err != nil {
+		return err
+	}
+	flags, err := r.u8()
+	if err != nil {
+		return err
+	}
+	if flags&^(flagBatched|flagDegraded) != 0 {
+		return fmt.Errorf("%w: unknown request flags %#x", errMalformed, flags)
+	}
+	q.Batched, q.AllowDegraded = flags&flagBatched != 0, flags&flagDegraded != 0
+	dl, err := r.u64()
+	if err != nil {
+		return err
+	}
+	q.DeadlineMs = int64(dl)
+	q.SubID, err = r.int()
+	return err
+}
+
+// Response is an SP → client answer to the request with the same Seq.
+// Its VOs stay canonical bytes until the caller decodes them with the
+// codec it trusts (see Client.QueryParts and Client.QueryVerified).
+type Response struct {
+	// Seq echoes the request.
+	Seq uint64
+	// Err carries a processing error, empty on success.
+	Err string
+	// Code names the sentinel Err wraps (CodeNone if none), so a
+	// remote caller's errors.Is sees what an in-process caller sees.
+	Code Code
+	// Headers answers a headers request.
+	Headers []chain.Header
+	// Parts answers a query request: the window's VOs, descending,
+	// tiling the window. A strict answer is one part at every shard
+	// count; a degraded one has one part per run between gaps.
+	Parts []Part
+	// Gaps lists the unproven sub-windows of a degraded answer
+	// (AllowDegraded requests only). Parts and Gaps together tile the
+	// window; the client's VerifyDegraded enforces exactly that.
+	Gaps []core.Gap
+	// SubID answers a subscribe request with the registered id.
+	SubID int
+	// Pub is the final pending span an unsubscribe flushes, if any.
+	Pub *Push
+}
+
+// Part is one window part on the wire: core.WindowPart with its VO in
+// canonical bytes.
+type Part struct {
+	Start, End int
+	VO         []byte
+}
+
+// Push is a subscription publication on the wire: an unsolicited
+// frame between responses, or the flush riding an unsubscribe's ack.
+// It is subscribe.Publication with its VO in canonical bytes.
+type Push struct {
+	QueryID  int
+	From, To int
+	VO       []byte
+}
+
+func (*Response) kind() byte { return kindResponse }
+
+func (p *Response) appendTo(b []byte) []byte {
+	b = binary.BigEndian.AppendUint64(b, p.Seq)
+	b = appendStr(b, p.Err)
+	b = append(b, byte(p.Code))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(p.Headers)))
+	for i := range p.Headers {
+		b = append(b, p.Headers[i].Bytes()...)
+	}
+	b = binary.BigEndian.AppendUint32(b, uint32(len(p.Parts)))
+	for _, pt := range p.Parts {
+		b = appendInt(b, pt.Start)
+		b = appendInt(b, pt.End)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(pt.VO)))
+		b = append(b, pt.VO...)
+	}
+	b = core.AppendGaps(b, p.Gaps)
+	b = appendInt(b, p.SubID)
+	if p.Pub == nil {
+		return append(b, 0)
+	}
+	return p.Pub.appendTo(append(b, 1))
+}
+
+func (p *Response) readFrom(r *reader) (err error) {
+	if p.Seq, err = r.u64(); err != nil {
+		return err
+	}
+	if p.Err, err = r.str(); err != nil {
+		return err
+	}
+	code, err := r.u8()
+	if err != nil {
+		return err
+	}
+	p.Code = Code(code)
+	n, err := r.count(chain.HeaderSize)
+	if err != nil {
+		return err
+	}
+	if n > 0 {
+		p.Headers = make([]chain.Header, n)
+	}
+	for i := range p.Headers {
+		// count has checked that every header's bytes are there.
+		b, _ := r.take(chain.HeaderSize)
+		p.Headers[i], _ = chain.HeaderFromBytes(b)
+	}
+	// A part costs ≥ 20 bytes: its bounds and VO length.
+	if n, err = r.count(20); err != nil {
+		return err
+	}
+	if n > 0 {
+		p.Parts = make([]Part, n)
+	}
+	for i := range p.Parts {
+		pt := &p.Parts[i]
+		if pt.Start, err = r.int(); err != nil {
+			return err
+		}
+		if pt.End, err = r.int(); err != nil {
+			return err
+		}
+		if pt.VO, err = r.bytes(); err != nil {
+			return err
+		}
+	}
+	if p.Gaps, r.b, err = core.ReadGaps(r.b); err != nil {
+		return err
+	}
+	if p.SubID, err = r.int(); err != nil {
+		return err
+	}
+	switch has, err := r.u8(); {
+	case err != nil:
+		return err
+	case has == 1:
+		p.Pub = new(Push)
+		return p.Pub.readFrom(r)
+	case has != 0:
+		return fmt.Errorf("%w: bad publication flag %d", errMalformed, has)
+	}
+	return nil
+}
+
+func (*Push) kind() byte { return kindPush }
+
+func (p *Push) appendTo(b []byte) []byte {
+	b = appendInt(b, p.QueryID)
+	b = appendInt(b, p.From)
+	b = appendInt(b, p.To)
+	return append(b, p.VO...)
+}
+
+func (p *Push) readFrom(r *reader) (err error) {
+	if p.QueryID, err = r.int(); err != nil {
+		return err
+	}
+	if p.From, err = r.int(); err != nil {
+		return err
+	}
+	if p.To, err = r.int(); err != nil {
+		return err
+	}
+	p.VO, r.b = r.b, nil
+	return nil
+}
+
+func appendInt(b []byte, v int) []byte { return binary.BigEndian.AppendUint64(b, uint64(int64(v))) }
+
+func appendStr(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
+}
+
+// reader decodes a frame payload front to back.
+type reader struct{ b []byte }
+
+func (r *reader) take(n int) ([]byte, error) {
+	if n < 0 || len(r.b) < n {
+		return nil, fmt.Errorf("%w: truncated", errMalformed)
+	}
+	out := r.b[:n:n]
+	r.b = r.b[n:]
+	return out, nil
+}
+
+func (r *reader) u8() (byte, error) {
+	b, err := r.take(1)
+	if err != nil {
+		return 0, err
+	}
+	return b[0], nil
+}
+
+func (r *reader) u16() (uint16, error) {
+	b, err := r.take(2)
+	if err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint16(b), nil
+}
+
+func (r *reader) u32() (uint32, error) {
+	b, err := r.take(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint32(b), nil
+}
+
+func (r *reader) u64() (uint64, error) {
+	b, err := r.take(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint64(b), nil
+}
+
+// int reads an i64 that must fit this platform's int.
+func (r *reader) int() (int, error) {
+	v, err := r.u64()
+	if err != nil {
+		return 0, err
+	}
+	if s := int64(v); s < math.MinInt || s > math.MaxInt {
+		return 0, fmt.Errorf("%w: integer %d overflows int", errMalformed, s)
+	}
+	return int(int64(v)), nil
+}
+
+// count reads a u32 element count whose elements cost at least size
+// bytes each, so a forged count cannot force an allocation larger than
+// the frame affords.
+func (r *reader) count(size int) (int, error) {
+	n, err := r.u32()
+	if err != nil {
+		return 0, err
+	}
+	if int64(n)*int64(size) > int64(len(r.b)) {
+		return 0, fmt.Errorf("%w: count %d exceeds the frame", errMalformed, n)
+	}
+	return int(n), nil
+}
+
+// bytes reads a u32-length byte string.
+func (r *reader) bytes() ([]byte, error) {
+	n, err := r.count(1)
+	if err != nil {
+		return nil, err
+	}
+	return r.take(n)
+}
+
+func (r *reader) str() (string, error) {
+	b, err := r.bytes()
+	return string(b), err
+}
+
+// encodeFrame renders m as prefix‖kind‖content.
+func encodeFrame(m message) ([]byte, error) {
+	out := make([]byte, framePrefixLen, 64)
+	out = m.appendTo(append(out, m.kind()))
+	n := len(out) - framePrefixLen
+	if int64(n) > math.MaxUint32 {
+		// The prefix would wrap and desynchronize the peer.
+		return nil, fmt.Errorf("%w: %d bytes exceeds the 4-byte length prefix", ErrFrameTooLarge, n)
+	}
+	binary.BigEndian.PutUint32(out, uint32(n))
+	return out, nil
+}
+
+// decodeFrame decodes one frame payload into m, rejecting a payload
+// of another kind and trailing bytes (one frame is exactly one
+// message).
+func decodeFrame(body []byte, m message) error {
+	if err := checkKind(body, m.kind()); err != nil {
+		return err
+	}
+	r := &reader{body[1:]}
+	if err := m.readFrom(r); err != nil {
+		return fmt.Errorf("service: decode %s: %w", kindName(m.kind()), err)
+	}
+	if len(r.b) != 0 {
+		return fmt.Errorf("service: decode %s: %w: %d trailing bytes", kindName(m.kind()), errMalformed, len(r.b))
+	}
+	return nil
+}
+
+// decodeServerFrame decodes one SP → client payload: a hello, a
+// response or a push.
+func decodeServerFrame(body []byte) (message, error) {
+	var m message
+	if len(body) > 0 {
+		switch body[0] {
+		case kindHello:
+			m = new(hello)
+		case kindResponse:
+			m = new(Response)
+		case kindPush:
+			m = new(Push)
+		}
+	}
+	if m == nil {
+		return nil, checkKind(body, kindResponse)
+	}
+	return m, decodeFrame(body, m)
+}
+
+// checkKind accepts a payload of kind want. A payload opening with a
+// byte that is no kind of this protocol is a peer that speaks another
+// one: ErrIncompatible.
+func checkKind(body []byte, want byte) error {
+	switch {
+	case len(body) == 0:
+		return fmt.Errorf("service: decode: %w: empty frame", errMalformed)
+	case body[0] == want:
+		return nil
+	case body[0] < kindHello || body[0] > kindPush:
+		return fmt.Errorf("%w: frame opens with byte %#02x, no frame kind of protocol version %d (a gob frame from an older build?)",
+			ErrIncompatible, body[0], protocolVersion)
+	}
+	return fmt.Errorf("service: decode: %w: %s frame where a %s was expected", errMalformed, kindName(body[0]), kindName(want))
+}
+
+func kindName(k byte) string {
+	switch k {
+	case kindHello:
+		return "hello"
+	case kindRequest:
+		return "request"
+	case kindResponse:
+		return "response"
+	}
+	return "push"
+}
 
 // frameConn wraps a connection with the length-prefixed framing, the
 // size cap, and the partial-frame deadlines. Reads and writes are
@@ -73,33 +593,47 @@ func newFrameConn(conn net.Conn, maxFrame int, timeout time.Duration) *frameConn
 	return &frameConn{conn: conn, maxFrame: maxFrame, timeout: timeout}
 }
 
-// writeFrame gob-encodes v and writes it as one frame under the write
-// deadline. A payload over the local cap fails before any byte hits
-// the wire (the peer would only drop the connection on it anyway), so
-// the stream stays usable.
-func (f *frameConn) writeFrame(v any) error {
-	payload, err := encodeFrame(v)
+// writeFrame encodes m and writes it as one frame (write).
+func (f *frameConn) writeFrame(m message) error {
+	frame, err := encodeFrame(m)
 	if err != nil {
 		return err
 	}
-	if n := len(payload) - framePrefixLen; n > f.maxFrame {
+	return f.write(frame)
+}
+
+// write sends one encoded frame under the write deadline. A payload
+// over the local cap fails before any byte hits the wire (the peer
+// would only drop the connection on it anyway), so the stream stays
+// usable.
+func (f *frameConn) write(frame []byte) error {
+	if n := len(frame) - framePrefixLen; n > f.maxFrame {
 		return fmt.Errorf("%w: outbound %d bytes (cap %d)", ErrFrameTooLarge, n, f.maxFrame)
 	}
 	f.wmu.Lock()
 	defer f.wmu.Unlock()
 	f.conn.SetWriteDeadline(time.Now().Add(f.timeout))
 	defer f.conn.SetWriteDeadline(time.Time{})
-	if _, err := f.conn.Write(payload); err != nil {
+	if _, err := f.conn.Write(frame); err != nil {
 		return fmt.Errorf("%w: %v", errBrokenWrite, err)
 	}
 	return nil
 }
 
-// readFrame reads one frame and decodes it into v. The read blocks
-// indefinitely while the connection is idle; as soon as the first
-// prefix byte arrives, the remainder of the frame must complete within
-// the frame timeout.
-func (f *frameConn) readFrame(v any) error {
+// readFrame reads one frame and decodes it into m.
+func (f *frameConn) readFrame(m message) error {
+	body, err := f.readBody()
+	if err != nil {
+		return err
+	}
+	return decodeFrame(body, m)
+}
+
+// readBody reads one frame's payload. The read blocks indefinitely
+// while the connection is idle; as soon as the first prefix byte
+// arrives, the remainder of the frame must complete within the frame
+// timeout.
+func (f *frameConn) readBody() ([]byte, error) {
 	f.rmu.Lock()
 	defer f.rmu.Unlock()
 
@@ -107,55 +641,23 @@ func (f *frameConn) readFrame(v any) error {
 	// First byte: no deadline — idle is legitimate (a subscriber can
 	// sit quietly between publications).
 	if _, err := io.ReadFull(f.conn, prefix[:1]); err != nil {
-		return err
+		return nil, err
 	}
 	// A frame has started: the peer must finish it promptly.
 	f.conn.SetReadDeadline(time.Now().Add(f.timeout))
 	defer f.conn.SetReadDeadline(time.Time{})
 	if _, err := io.ReadFull(f.conn, prefix[1:]); err != nil {
-		return fmt.Errorf("service: frame prefix: %w", err)
+		return nil, fmt.Errorf("service: frame prefix: %w", err)
 	}
 	// Compare in 64 bits: on 32-bit platforms a uint32 length ≥ 2³¹
 	// would truncate to a negative int and slip past the cap.
 	n32 := binary.BigEndian.Uint32(prefix[:])
 	if int64(n32) > int64(f.maxFrame) {
-		return fmt.Errorf("%w: %d bytes (cap %d)", ErrFrameTooLarge, n32, f.maxFrame)
+		return nil, fmt.Errorf("%w: %d bytes (cap %d)", ErrFrameTooLarge, n32, f.maxFrame)
 	}
 	body := make([]byte, int(n32))
 	if _, err := io.ReadFull(f.conn, body); err != nil {
-		return fmt.Errorf("service: frame body: %w", err)
+		return nil, fmt.Errorf("service: frame body: %w", err)
 	}
-	return decodeFrame(body, v)
-}
-
-// encodeFrame renders v as prefix‖gob. Each frame is its own gob
-// stream, so frames decode independently of connection history (and a
-// dropped frame cannot desynchronize the peer's decoder state).
-func encodeFrame(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, framePrefixLen))
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("service: encode: %w", err)
-	}
-	out := buf.Bytes()
-	n := len(out) - framePrefixLen
-	if int64(n) > int64(^uint32(0)) {
-		// The prefix would wrap and desynchronize the peer's decoder.
-		return nil, fmt.Errorf("%w: %d bytes exceeds the 4-byte length prefix", ErrFrameTooLarge, n)
-	}
-	binary.BigEndian.PutUint32(out[:framePrefixLen], uint32(n))
-	return out, nil
-}
-
-// decodeFrame decodes one frame body into v, rejecting trailing bytes
-// (one frame is exactly one value).
-func decodeFrame(body []byte, v any) error {
-	r := bytes.NewReader(body)
-	if err := gob.NewDecoder(r).Decode(v); err != nil {
-		return fmt.Errorf("service: decode: %w", err)
-	}
-	if r.Len() != 0 {
-		return fmt.Errorf("service: decode: %d trailing bytes in frame", r.Len())
-	}
-	return nil
+	return body, nil
 }

@@ -36,6 +36,26 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// dialRaw connects to an SP without a Client and reads its hello, as
+// a hand-driven peer must before the SP's answers arrive.
+func dialRaw(t *testing.T, addr string) (net.Conn, *frameConn) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	fc := newFrameConn(conn, 0, 0)
+	var h hello
+	if err := fc.readFrame(&h); err != nil {
+		t.Fatalf("SP hello: %v", err)
+	}
+	if _, err := h.codec(); err != nil {
+		t.Fatalf("SP hello %+v: %v", h, err)
+	}
+	return conn, fc
+}
+
 // TestClientFrameCap: a response larger than the client's cap fails
 // the connection with ErrFrameTooLarge instead of decoding it.
 func TestClientFrameCap(t *testing.T) {
@@ -57,13 +77,8 @@ func TestClientFrameCap(t *testing.T) {
 // TestServerFrameCap: a client announcing an oversized frame is
 // dropped before any payload is decoded.
 func TestServerFrameCap(t *testing.T) {
-	srv, addr, _ := startServer(t)
-	_ = srv
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	_, addr, _ := startServer(t)
+	conn, _ := dialRaw(t, addr)
 	var prefix [4]byte
 	binary.BigEndian.PutUint32(prefix[:], 1<<31) // 2 GB announcement
 	if _, err := conn.Write(prefix[:]); err != nil {
@@ -88,11 +103,7 @@ func TestServerStalledFrameDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn, _ := dialRaw(t, addr)
 	if _, err := conn.Write([]byte{0x00, 0x00}); err != nil { // half a prefix, then silence
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"time"
 
+	"github.com/vchain-go/vchain/internal/chain"
+	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/subscribe"
 )
 
@@ -39,13 +41,21 @@ type ServerConfig struct {
 // on short chains.
 var maxHeaderBatch = 2048
 
-// headerWireBytes is a conservative per-header wire-cost estimate (a
-// gob Header is ~150 bytes; the margin absorbs the per-frame gob type
-// descriptors). The header batch size is derived from the configured
-// frame cap with it, so a server run with a small MaxFrame shrinks its
-// batches instead of building a reply the writer must degrade to an
-// error — which would wedge SyncHeaders forever.
-const headerWireBytes = 256
+// headerWireBytes is the wire cost of one header in a headers
+// response: its canonical encoding, nothing more. The header batch
+// size is derived from the configured frame cap with it (after the
+// response's fixed envelope), so a server run with a small MaxFrame
+// shrinks its batches instead of building a reply the writer must
+// degrade to an error — which would wedge SyncHeaders forever.
+const headerWireBytes = chain.HeaderSize
+
+// headerEnvelopeBytes is the payload of a headers response around its
+// headers: the kind byte, Seq, an empty Err, Code, the header count,
+// and the empty part, gap, SubID and publication fields.
+var headerEnvelopeBytes = func() int {
+	frame, _ := encodeFrame(&Response{})
+	return len(frame) - framePrefixLen
+}()
 
 // headerBatch returns how many headers fit one response frame under
 // this configuration's cap.
@@ -54,7 +64,7 @@ func (c ServerConfig) headerBatch() int {
 	if frameCap <= 0 {
 		frameCap = DefaultMaxFrame
 	}
-	n := frameCap / headerWireBytes
+	n := (frameCap - headerEnvelopeBytes) / headerWireBytes
 	if n < 1 {
 		n = 1
 	}
@@ -78,6 +88,10 @@ type Server struct {
 	node   Chain
 	cfg    ServerConfig
 	engine *subscribe.Engine
+	// hello is the encoded first frame of every connection; helloErr
+	// is why none could be built, which fails Serve.
+	hello    []byte
+	helloErr error
 
 	// done closes when the server shuts down; ServeCtx's context
 	// watcher exits through it when the server dies before the context.
@@ -109,7 +123,7 @@ func NewServer(node Chain, cfg ...ServerConfig) *Server {
 	if subOpts.Proofs == nil {
 		subOpts.Proofs = node.ProofEngine()
 	}
-	return &Server{
+	s := &Server{
 		node:     node,
 		cfg:      c,
 		engine:   subscribe.NewEngine(node.Acc(), subOpts),
@@ -117,6 +131,12 @@ func NewServer(node Chain, cfg ...ServerConfig) *Server {
 		conns:    map[*serverConn]struct{}{},
 		subOwner: map[int]*serverConn{},
 	}
+	h, err := newHello(node.Acc())
+	if err == nil {
+		s.hello, err = encodeFrame(h)
+	}
+	s.helloErr = err
+	return s
 }
 
 // Serve starts listening on addr (e.g. "127.0.0.1:0") and returns the
@@ -132,6 +152,9 @@ func (s *Server) Serve(addr string) (string, error) {
 func (s *Server) ServeCtx(ctx context.Context, addr string) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
+	}
+	if s.helloErr != nil {
+		return "", s.helloErr
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -167,10 +190,12 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		sc := &serverConn{
 			srv:  s,
 			fc:   newFrameConn(conn, s.cfg.MaxFrame, s.cfg.FrameTimeout),
-			out:  make(chan *Response, s.cfg.SendQueue),
+			out:  make(chan outFrame, s.cfg.SendQueue),
 			done: make(chan struct{}),
 			subs: map[int]struct{}{},
 		}
+		// The hello goes first on every connection.
+		sc.out <- outFrame{frame: s.hello}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -220,8 +245,12 @@ func (s *Server) pushPub(pub *subscribe.Publication) {
 	if sc == nil {
 		return // subscriber disconnected between engine and fan-out
 	}
+	frame, err := encodeFrame(s.push(pub))
+	if err != nil {
+		return // too large for any frame: the client's continuity check flags the hole
+	}
 	select {
-	case sc.out <- &Response{Pub: pub}:
+	case sc.out <- outFrame{frame: frame}:
 	default:
 		// Slow consumer: the outbound queue is full. Drop the
 		// connection (its subscriptions deregister with it) instead of
@@ -267,13 +296,25 @@ func (s *Server) Close() error {
 	return err
 }
 
+// push renders a publication for the wire, its VO in canonical bytes.
+func (s *Server) push(pub *subscribe.Publication) *Push {
+	return &Push{QueryID: pub.QueryID, From: pub.From, To: pub.To, VO: core.EncodeVO(s.node.Acc(), pub.VO)}
+}
+
+// outFrame is one encoded frame in a connection's outbound queue: the
+// answer to request seq, or (seq 0) the hello or a push.
+type outFrame struct {
+	seq   uint64
+	frame []byte
+}
+
 // serverConn is one client connection: a reader goroutine decoding
 // requests, a writer goroutine draining the outbound queue, and the
 // subscription ids owned by this connection.
 type serverConn struct {
 	srv  *Server
 	fc   *frameConn
-	out  chan *Response
+	out  chan outFrame
 	done chan struct{}
 	once sync.Once
 
@@ -290,8 +331,12 @@ func (sc *serverConn) readLoop() {
 		}
 		resp := sc.process(&req)
 		resp.Seq = req.Seq
+		frame, err := encodeFrame(resp)
+		if err != nil {
+			frame, _ = encodeFrame(&Response{Seq: req.Seq, Err: err.Error()})
+		}
 		select {
-		case sc.out <- resp:
+		case sc.out <- outFrame{seq: req.Seq, frame: frame}:
 		case <-sc.done:
 			return
 		}
@@ -301,15 +346,15 @@ func (sc *serverConn) readLoop() {
 func (sc *serverConn) writeLoop() {
 	for {
 		select {
-		case resp := <-sc.out:
-			err := sc.fc.writeFrame(resp)
+		case out := <-sc.out:
+			err := sc.fc.write(out.frame)
 			if err != nil && errors.Is(err, ErrFrameTooLarge) {
 				// Nothing hit the wire: the connection is fine, only
 				// this message is too big. Tell the caller when it was
 				// an RPC reply; an oversized publication is dropped
 				// (the client's continuity check will flag the hole).
-				if resp.Seq != 0 {
-					err = sc.fc.writeFrame(&Response{Seq: resp.Seq,
+				if out.seq != 0 {
+					err = sc.fc.writeFrame(&Response{Seq: out.seq,
 						Err: "response exceeds the frame size cap"})
 				} else {
 					err = nil
@@ -377,13 +422,13 @@ func (sc *serverConn) process(req *Request) *Response {
 			if err != nil {
 				return errResponse(err)
 			}
-			return &Response{Parts: parts, Gaps: gaps}
+			return &Response{Parts: s.wireParts(parts), Gaps: gaps}
 		}
 		parts, err := s.node.TimeWindowParts(ctx, req.Query, req.Batched)
 		if err != nil {
 			return errResponse(err)
 		}
-		return &Response{Parts: parts}
+		return &Response{Parts: s.wireParts(parts)}
 	case "subscribe":
 		// Register and record ownership under one lock so a block
 		// mined in between cannot emit a publication that pushPub
@@ -417,8 +462,22 @@ func (sc *serverConn) process(req *Request) *Response {
 		}
 		// The final pending lazy span (if any) rides the ack, so the
 		// client sees every block the subscription covered.
-		return &Response{SubID: req.SubID, Pub: s.engine.Deregister(req.SubID)}
+		resp := &Response{SubID: req.SubID}
+		if pub := s.engine.Deregister(req.SubID); pub != nil {
+			resp.Pub = s.push(pub)
+		}
+		return resp
 	default:
 		return &Response{Err: fmt.Sprintf("unknown request kind %q", req.Kind)}
 	}
+}
+
+// wireParts renders an answer's parts for the wire, their VOs in
+// canonical bytes.
+func (s *Server) wireParts(parts []core.WindowPart) []Part {
+	out := make([]Part, len(parts))
+	for i, p := range parts {
+		out[i] = Part{Start: p.Start, End: p.End, VO: core.EncodeVO(s.node.Acc(), p.VO)}
+	}
+	return out
 }

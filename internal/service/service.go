@@ -1,22 +1,26 @@
 // Package service exposes a vChain SP over TCP and gives light clients
 // a remote query and subscription interface.
 //
-// The wire protocol is length-prefixed gob (see frame.go): each frame
-// is a 4-byte big-endian length followed by one self-contained gob
-// value. Clients send Request frames; the server answers with Response
-// frames echoing the request's Seq, and additionally pushes
-// unsolicited Response frames with Seq == 0 carrying subscription
-// Publications. The Seq multiplexing means a connection can have any
-// number of requests in flight while publications stream in between
-// them.
+// The wire protocol is length-prefixed binary frames (see frame.go):
+// each frame is a 4-byte big-endian length followed by one message of
+// a fixed layout. The SP opens every connection with a hello naming
+// the protocol version, the accumulator construction and the pairing
+// preset. Clients then send Request frames; the server answers with
+// Response frames echoing the request's Seq, and additionally pushes
+// unsolicited Push frames carrying subscription publications. The Seq
+// multiplexing means a connection can have any number of requests in
+// flight while publications stream in between them. Every VO in a
+// frame is exactly its canonical core.EncodeVO bytes.
 //
 // The client never trusts the SP: headers are re-validated on sync and
 // every VO — one-shot or pushed — is verified locally, so the
 // transport needs no integrity of its own (matching the paper's threat
-// model, §3). What the transport does need is resource hygiene against
-// a malicious peer: frames are size-capped before decoding and a
-// started frame must complete within a deadline, on both sides of the
-// connection.
+// model, §3). The hello only names parameters the client already has:
+// the client decodes with its own copy of them and refuses a name it
+// does not know. What the transport does need is resource hygiene
+// against a malicious peer: frames are size-capped before decoding and
+// a started frame must complete within a deadline, on both sides of
+// the connection.
 package service
 
 import (
@@ -29,7 +33,6 @@ import (
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/proofs"
 	"github.com/vchain-go/vchain/internal/shard"
-	"github.com/vchain-go/vchain/internal/subscribe"
 )
 
 // Chain is what the server serves: a monolithic core.FullNode or a
@@ -99,7 +102,7 @@ const (
 )
 
 // sentinels maps each code to its sentinel, in the order CodeOf tests
-// them. The gob server, the client's SPError and the HTTP gateway's
+// them. The TCP server, the client's SPError and the HTTP gateway's
 // status all read this one table.
 var sentinels = [...]error{
 	CodeDeadline:         context.DeadlineExceeded,
@@ -130,62 +133,4 @@ func (c Code) Err() error {
 // errResponse answers a request with err's text and code.
 func errResponse(err error) *Response {
 	return &Response{Err: err.Error(), Code: CodeOf(err)}
-}
-
-// Request is a client → SP message.
-type Request struct {
-	// Seq matches the request to its response. Clients use strictly
-	// positive values; 0 is reserved for server-push frames.
-	Seq uint64
-	// Kind is "headers", "query", "subscribe", or "unsubscribe".
-	Kind string
-	// FromHeight is the first header wanted (Kind == "headers").
-	FromHeight int
-	// Query is the time-window query (Kind == "query") or the
-	// continuous query to register (Kind == "subscribe"; its window
-	// fields are ignored).
-	Query core.Query
-	// Batched requests online batch verification (§6.3).
-	Batched bool
-	// AllowDegraded lets a query answer omit unprovable sub-windows as
-	// machine-readable Gaps (verified client-side by VerifyDegraded)
-	// instead of failing outright when a shard is down.
-	AllowDegraded bool
-	// DeadlineMs propagates the client's remaining call budget in
-	// milliseconds. The server derives a context from it so an
-	// abandoned query stops consuming proof workers. Queries must carry
-	// a positive value (the client clamps a sub-millisecond remainder
-	// up to 1); the server rejects non-positive budgets instead of
-	// reading them as "no deadline".
-	DeadlineMs int64
-	// SubID names the subscription to drop (Kind == "unsubscribe").
-	SubID int
-}
-
-// Response is an SP → client message: either the answer to the request
-// with the same Seq, or — with Seq == 0 — an asynchronous subscription
-// publication.
-type Response struct {
-	// Seq echoes the request; 0 marks a server-push frame.
-	Seq uint64
-	// Err carries a processing error, empty on success.
-	Err string
-	// Code names the sentinel Err wraps (CodeNone if none), so a
-	// remote caller's errors.Is sees what an in-process caller sees.
-	Code Code
-	// Headers answers a headers request.
-	Headers []chain.Header
-	// Parts answers a query request: the window's VOs, descending,
-	// tiling the window. A strict answer is one part at every shard
-	// count; a degraded one has one part per run between gaps.
-	Parts []core.WindowPart
-	// Gaps lists the unproven sub-windows of a degraded answer
-	// (AllowDegraded requests only). Parts and Gaps together tile the
-	// window; the client's VerifyDegraded enforces exactly that.
-	Gaps []core.Gap
-	// SubID answers a subscribe request with the registered id.
-	SubID int
-	// Pub is a pushed publication (Seq == 0), or the final pending
-	// span flushed by an unsubscribe.
-	Pub *subscribe.Publication
 }

@@ -200,7 +200,7 @@ func TestMultipleClients(t *testing.T) {
 
 func TestRemoteSkipVOOverWire(t *testing.T) {
 	// ModeBoth VOs contain skip entries (maps, digests, proofs): they
-	// must survive gob and verify at the remote client.
+	// must survive the wire codec and verify at the remote client.
 	acc := accumulator.KeyGenCon2Deterministic(pairing.Toy(), 512, accumulator.HashEncoder{Q: 512}, []byte("svc2"))
 	b := &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: 4}
 	node := core.NewFullNode(0, b)

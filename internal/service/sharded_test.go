@@ -82,7 +82,7 @@ func TestRemoteShardedQueryParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(core.EncodeVO(acc, vo), core.EncodeVO(acc, want)) {
-		t.Fatal("cross-shard answer over gob differs from the unsharded node's VO")
+		t.Fatal("cross-shard answer over the wire differs from the unsharded node's VO")
 	}
 	results, err := (&core.Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, vo)
 	if err != nil {

@@ -15,11 +15,12 @@ import (
 // Delivery is one item of a subscription stream: a pushed publication
 // together with the outcome of its local verification. Err == nil
 // certifies Objects is exactly the span's correct result set; a
-// non-nil Err wraps core.ErrSoundness / core.ErrCompleteness (or a
-// transport failure) and Objects is nil — a tampered publication is
-// never delivered as results.
+// non-nil Err wraps core.ErrSoundness / core.ErrCompleteness (or
+// core.ErrVODecode, or a transport failure) and Objects is nil — a
+// tampered publication is never delivered as results.
 type Delivery struct {
-	// Pub is the publication as pushed by the SP (untrusted).
+	// Pub is the publication as pushed by the SP (untrusted). Its VO
+	// is nil when the pushed bytes did not decode.
 	Pub *subscribe.Publication
 	// Objects is the locally verified result set (nil when Err != nil).
 	Objects []chain.Object
@@ -59,7 +60,7 @@ type Subscription struct {
 	out chan Delivery
 
 	mu      sync.Mutex
-	queue   []*subscribe.Publication
+	queue   []*Push
 	closed  bool  // no further enqueues; drain then close C
 	failErr error // terminal transport error
 	signal  chan struct{}
@@ -166,7 +167,7 @@ func (s *Subscription) Close() error {
 // pushing faster than the client verifies for that long is flooding,
 // and the stream ends with an overrun error rather than buffering
 // unboundedly.
-func (s *Subscription) enqueue(pub *subscribe.Publication) {
+func (s *Subscription) enqueue(pub *Push) {
 	s.mu.Lock()
 	switch {
 	case s.closed || s.failErr != nil:
@@ -225,7 +226,7 @@ func (s *Subscription) wake() {
 func (s *Subscription) run() {
 	for {
 		s.mu.Lock()
-		var pub *subscribe.Publication
+		var pub *Push
 		if s.failErr == nil && len(s.queue) > 0 {
 			pub = s.queue[0]
 			s.queue = s.queue[1:]
@@ -297,10 +298,12 @@ func (s *Subscription) Err() error {
 	return nil
 }
 
-// verify checks one pushed publication: header auto-sync for the
-// covered span, stream continuity, then the span VO itself. It runs in
-// the connection's group commit (verifyGroup), so the publications the
-// connection's streams have waiting are settled together.
+// verify checks one pushed publication: its VO decodes with the
+// stream's accumulator, then header auto-sync for the covered span,
+// stream continuity, and the span VO itself. The checks after the
+// decode run in the connection's group commit (verifyGroup), so the
+// publications the connection's streams have waiting are settled
+// together.
 //
 // The continuity anchor advances only on a successfully verified
 // span, and re-arms (accept any From, like the stream's first
@@ -311,9 +314,15 @@ func (s *Subscription) Err() error {
 // accusations. Either way the failed delivery itself has already told
 // the consumer the stream's completeness guarantee was interrupted at
 // that point.
-func (s *Subscription) verify(pub *subscribe.Publication) Delivery {
+func (s *Subscription) verify(p *Push) Delivery {
+	pub := &subscribe.Publication{QueryID: p.QueryID, From: p.From, To: p.To}
 	j := &verifyJob{s: s, pub: pub, d: Delivery{Pub: pub}}
-	s.c.verifies.do(j, s.c.verifyBatch)
+	var err error
+	if pub.VO, err = core.DecodeVO(s.cfg.Acc, p.VO); err != nil {
+		j.d.Err = fmt.Errorf("service: publication [%d,%d]: %w", p.From, p.To, err)
+	} else {
+		s.c.verifies.do(j, s.c.verifyBatch)
+	}
 	if j.d.Err != nil {
 		s.lastTo = -1
 	} else {

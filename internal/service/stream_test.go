@@ -500,7 +500,7 @@ func TestSlowConsumerEviction(t *testing.T) {
 	// the stall for a long time).
 	sc := &serverConn{
 		srv:  env.srv,
-		out:  make(chan *Response, 1),
+		out:  make(chan outFrame, 1),
 		done: make(chan struct{}),
 		subs: map[int]struct{}{},
 		fc:   newFrameConn(nopConn{}, 0, 0),
@@ -565,7 +565,7 @@ func TestSubscriptionQueueOverrun(t *testing.T) {
 		lastTo: -1,
 	}
 	for i := 0; i < 3; i++ {
-		s.enqueue(&subscribe.Publication{QueryID: 1, From: i, To: i})
+		s.enqueue(&Push{QueryID: 1, From: i, To: i})
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -595,7 +595,7 @@ func TestStreamOverrunUnsubscribes(t *testing.T) {
 	// Flood the queue directly (the real path needs a stalled verifier;
 	// the overrun logic is the same).
 	for i := 0; i < 3; i++ {
-		sub.enqueue(&subscribe.Publication{QueryID: sub.ID, From: i, To: i})
+		sub.enqueue(&Push{QueryID: sub.ID, From: i, To: i})
 	}
 	// The stream must end with the overrun error and the server must
 	// lose the subscription.
@@ -628,8 +628,6 @@ func TestStreamOverrunUnsubscribes(t *testing.T) {
 // byte is written — the connection stays usable and the server turns
 // an oversized RPC reply into an error response.
 func TestOutboundFrameCap(t *testing.T) {
-	// Gob ships ~1.1KB of type descriptors with every Response frame
-	// (each frame is a fresh stream), so the cap must clear that.
 	fc := newFrameConn(nopConn{}, 2048, time.Second)
 	big := &Response{Err: string(make([]byte, 4096))}
 	err := fc.writeFrame(big)

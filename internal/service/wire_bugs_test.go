@@ -55,7 +55,15 @@ func TestHeaderBatchDerivedFromFrameCap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("headers request against a small-MaxFrame server: %v", err)
 	}
-	want := frameCap / headerWireBytes
+	// A header is exactly its 120-byte PoW preimage; a headers
+	// response spends 35 more bytes on its envelope: (4096-35)/120.
+	const want = 33
+	if got := (ServerConfig{MaxFrame: frameCap}).headerBatch(); got != want {
+		t.Fatalf("headerBatch() = %d, want %d", got, want)
+	}
+	if frame, _ := encodeFrame(&Response{Seq: 1 << 60, Headers: batch}); len(frame)-framePrefixLen > frameCap {
+		t.Fatalf("a full batch is a %d-byte frame, over the %d-byte cap", len(frame)-framePrefixLen, frameCap)
+	}
 	if len(batch) != want {
 		t.Fatalf("batch size %d, want %d (derived from the %d-byte frame cap)", len(batch), want, frameCap)
 	}
@@ -104,6 +112,7 @@ func TestDeadlineClampedClientSide(t *testing.T) {
 		}
 		defer conn.Close()
 		fc := newFrameConn(conn, 0, 0)
+		fc.writeFrame(&hello{Version: protocolVersion, Construction: "acc2", Preset: "toy"})
 		var req Request
 		if err := fc.readFrame(&req); err != nil {
 			return
@@ -137,12 +146,7 @@ func TestDeadlineClampedClientSide(t *testing.T) {
 // being granted an unbounded proof walk.
 func TestServerRejectsNonPositiveDeadline(t *testing.T) {
 	_, addr, _ := startServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fc := newFrameConn(conn, 0, 0)
+	_, fc := dialRaw(t, addr)
 
 	q := core.Query{StartBlock: 0, EndBlock: 2, Bool: core.CNF{core.KeywordClause("sedan")}, Width: 4}
 	for i, ms := range []int64{0, -5} {
