@@ -46,6 +46,8 @@ func (m IndexMode) String() string {
 type IntraNode struct {
 	// Hash is the node hash: H(preHash ‖ accBytes) when the node
 	// carries a digest, preHash alone otherwise. See preHash below.
+	// BuildBlock and VerifyADSCommitments derive it; a decoded ADS has
+	// none until verified.
 	Hash chain.Digest
 	// Digest is acc(W) for the node's attribute multiset W, which is
 	// not stored: Multiset derives it. Zero-valued for internal nodes
@@ -174,8 +176,7 @@ type BlockADS struct {
 	BlockW multiset.Multiset
 	// Skips holds the inter-block entries (empty unless ModeBoth).
 	Skips []SkipEntry
-	// size is SizeBytes as the builder counted it while hashing the
-	// digests; 0 on a decoded ADS, whose SizeBytes walks it.
+	// size is SizeBytes, counted while the node hashes are derived.
 	size int
 }
 
@@ -193,35 +194,53 @@ func (a *BlockADS) SkipListRoot(acc accumulator.Accumulator) chain.Digest {
 
 // SizeBytes reports the ADS storage overhead of the block (Table 1's
 // "ADS size" column): all index node hashes and digests plus skip
-// entries, excluding the raw objects. A built ADS returns the count
-// its builder made; a decoded one encodes its digests again.
-func (a *BlockADS) SizeBytes(acc accumulator.Accumulator) int {
-	if a.size > 0 {
-		return a.size
+// entries, excluding the raw objects. It is counted when the node
+// hashes are derived, so a decoded ADS reports 0 until
+// VerifyADSCommitments has run on it.
+func (a *BlockADS) SizeBytes(accumulator.Accumulator) int { return a.size }
+
+// hash derives the hash of every node of a's tree bottom-up and sets
+// a's size.
+func (a *BlockADS) hash(acc accumulator.Accumulator) error {
+	size, err := hashTree(acc, a.Root)
+	if err != nil {
+		return err
 	}
-	return a.walkSize(acc)
+	for i := range a.Skips {
+		size += 8 + len(a.Skips[i].PrevHash) + len(acc.AccBytes(a.Skips[i].Digest))
+	}
+	a.size = size
+	return nil
 }
 
-// walkSize is SizeBytes computed from the ADS itself.
-func (a *BlockADS) walkSize(acc accumulator.Accumulator) int {
-	total := 0
-	var walk func(n *IntraNode)
-	walk = func(n *IntraNode) {
-		if n == nil {
-			return
+// hashTree sets the hash of n and of every node below it — a leaf's
+// from its object, an internal node's from its children's, each with
+// its digest — and returns the bytes SizeBytes counts for them.
+func hashTree(acc accumulator.Accumulator, n *IntraNode) (int, error) {
+	size := 0
+	switch {
+	case n.IsLeaf():
+		n.Hash = leafPreHash(n.Obj.Hash())
+	case n.Left == nil || n.Right == nil:
+		return 0, fmt.Errorf("internal index node without two children")
+	default:
+		l, err := hashTree(acc, n.Left)
+		if err != nil {
+			return 0, err
 		}
-		total += len(n.Hash)
-		if n.HasDigest {
-			total += len(acc.AccBytes(n.Digest))
+		r, err := hashTree(acc, n.Right)
+		if err != nil {
+			return 0, err
 		}
-		walk(n.Left)
-		walk(n.Right)
+		size = l + r
+		n.Hash = internalPreHash(n.Left.Hash, n.Right.Hash)
 	}
-	walk(a.Root)
-	for i := range a.Skips {
-		total += 8 + len(a.Skips[i].PrevHash) + len(acc.AccBytes(a.Skips[i].Digest))
+	if n.HasDigest {
+		ab := acc.AccBytes(n.Digest)
+		n.Hash = nodeHash(n.Hash, ab)
+		size += len(ab)
 	}
-	return total
+	return size + len(n.Hash), nil
 }
 
 // Builder constructs block ADSs for the miner.
@@ -280,16 +299,12 @@ func (b *Builder) BuildBlock(height int, objs []chain.Object, view ChainView) (*
 	if err != nil {
 		return nil, fmt.Errorf("core: leaf digests: %w", err)
 	}
-	size := 0
 	for i, l := range leaves {
-		ab := b.Acc.AccBytes(digs[i])
 		l.Digest = digs[i]
-		l.Hash = nodeHash(leafPreHash(l.Obj.Hash()), ab)
-		size += len(l.Hash) + len(ab)
 	}
 
 	indexed := b.Mode != ModeNil
-	root, blockW, err := b.buildTree(leaves, ws, indexed, indexed && !b.NoCluster, &size)
+	root, blockW, err := b.buildTree(leaves, ws, indexed, indexed && !b.NoCluster)
 	if err != nil {
 		return nil, err
 	}
@@ -305,10 +320,9 @@ func (b *Builder) BuildBlock(height int, objs []chain.Object, view ChainView) (*
 			return nil, err
 		}
 	}
-	for i := range ads.Skips {
-		size += 8 + len(ads.Skips[i].PrevHash) + len(b.Acc.AccBytes(ads.Skips[i].Digest))
+	if err := ads.hash(b.Acc); err != nil {
+		return nil, err
 	}
-	ads.size = size
 	return ads, nil
 }
 
@@ -324,10 +338,10 @@ func (b *Builder) BuildBlock(height int, objs []chain.Object, view ChainView) (*
 // digests from their children's digests and multisets: for acc2 that
 // costs the children's intersections (mean 5.3 elements against 50 in
 // the union on the benchmark's chains), while acc1, whose digest has no
-// union identity, runs Setup over each union. It adds the bytes of
-// every parent's hash and digest to *size, and returns the root and
-// the root's union, the block's multiset.
-func (b *Builder) buildTree(leaves []*IntraNode, ws []multiset.Multiset, indexed, cluster bool, size *int) (*IntraNode, multiset.Multiset, error) {
+// union identity, runs Setup over each union. It returns the root and
+// the root's union, the block's multiset; BuildBlock derives the node
+// hashes afterwards.
+func (b *Builder) buildTree(leaves []*IntraNode, ws []multiset.Multiset, indexed, cluster bool) (*IntraNode, multiset.Multiset, error) {
 	type item struct {
 		n *IntraNode
 		w multiset.Multiset
@@ -381,15 +395,9 @@ func (b *Builder) buildTree(leaves []*IntraNode, ws []multiset.Multiset, indexed
 		next := make([]item, len(pairs), len(pairs)+len(remaining))
 		for i, p := range pairs {
 			n := &IntraNode{Left: p[0].n, Right: p[1].n}
-			pre := internalPreHash(p[0].n.Hash, p[1].n.Hash)
 			if indexed {
-				ab := b.Acc.AccBytes(digs[i])
-				n.Digest, n.HasDigest, n.Hash = digs[i], true, nodeHash(pre, ab)
-				*size += len(ab)
-			} else {
-				n.Hash = pre
+				n.Digest, n.HasDigest = digs[i], true
 			}
-			*size += len(n.Hash)
 			next[i] = item{n: n, w: multiset.Union(p[0].w, p[1].w)}
 		}
 		// A leftover odd node is carried to the next level unchanged.

@@ -49,10 +49,10 @@ func TestBuiltDigestsMatchSetup(t *testing.T) {
 }
 
 // TestADSBytesCounted pins SetupStats.ADSBytes, which Table 1 and the
-// ADS-size figure read: the size the builder counts while it hashes
-// equals the size walked from the ADS, block by block, in every mode,
-// and every total is the one this chain had when the size was walked
-// after each commit.
+// ADS-size figure read: the size the builder counts equals the size
+// VerifyADSCommitments counts on the block's decoded record, block by
+// block, in every mode, and every total is the one this chain had when
+// the size was walked after each commit.
 func TestADSBytesCounted(t *testing.T) {
 	for accName, acc := range testAccs(t) {
 		for _, mode := range []IndexMode{ModeNil, ModeIntra, ModeBoth} {
@@ -66,10 +66,25 @@ func TestADSBytesCounted(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got, want := ads.SizeBytes(acc), ads.walkSize(acc); got != want {
-						t.Fatalf("block %d: counted %d bytes, walked %d", h, got, want)
+					blk, err := node.Store.BlockAt(h)
+					if err != nil {
+						t.Fatal(err)
 					}
-					total += ads.walkSize(acc)
+					rec, err := EncodeChainRecord(blk, ads)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dec, err := DecodeChainRecordADS(rec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := VerifyADSCommitments(b, blk.Header, h, dec); err != nil {
+						t.Fatal(err)
+					}
+					if got, want := ads.SizeBytes(acc), dec.SizeBytes(acc); got != want {
+						t.Fatalf("block %d: built %d bytes, verified decode %d", h, got, want)
+					}
+					total += dec.SizeBytes(acc)
 				}
 				if node.SetupStats.ADSBytes != total {
 					t.Fatalf("SetupStats.ADSBytes = %d, blocks walk to %d", node.SetupStats.ADSBytes, total)

@@ -1,113 +1,22 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/storage"
 )
 
-// recMagic prefixes a chain record. Version 5 stores field elements as
-// their Montgomery limbs (ff.Elt's gob form), skip entries without
-// their multisets, no intra-index node's multiset (a leaf derives its
-// W' from its object at the ADS's Width), and the block's BlockW.
-var recMagic = []byte{0x00, 'V', 'C', 'R', '5'}
-
-// oldRecMagics prefix records of the formats before VCR5: VCR2, whose
-// field elements gob-encode canonical integers, VCR3, which also
-// stored every internal intra-index node's multiset, and VCR4, which
-// stored every leaf's. All are refused outright; builds that predate
-// VCR5 refuse its records as malformed.
-var oldRecMagics = [][]byte{{0x00, 'V', 'C', 'R', '2'}, {0x00, 'V', 'C', 'R', '3'}, {0x00, 'V', 'C', 'R', '4'}}
-
-// ErrOldRecordFormat marks a store written in record format VCR2, VCR3
-// or VCR4 by an older build. It cannot be read; re-mine the chain into
-// a new store.
-var ErrOldRecordFormat = errors.New("core: chain record in format VCR2, VCR3 or VCR4, which this build cannot read; re-mine the chain into a new store")
-
-// EncodeChainRecord renders a (block, ADS) pair as one self-contained
-// record: magic, a length-prefixed block gob, then the ADS gob. The two
-// halves are independently decodable, which is what makes reopen lazy —
-// an index-only open decodes just the block sections, and the paged ADS
-// source decodes just the ADS section on a cache miss. Every slot of
-// every node persists this one format.
-func EncodeChainRecord(blk *chain.Block, ads *BlockADS) ([]byte, error) {
-	var blkBuf bytes.Buffer
-	if err := gob.NewEncoder(&blkBuf).Encode(blk); err != nil {
-		return nil, fmt.Errorf("core: encoding chain record block: %w", err)
-	}
-	var buf bytes.Buffer
-	buf.Write(recMagic)
-	var lenb [4]byte
-	binary.BigEndian.PutUint32(lenb[:], uint32(blkBuf.Len()))
-	buf.Write(lenb[:])
-	buf.Write(blkBuf.Bytes())
-	if err := gob.NewEncoder(&buf).Encode(ads); err != nil {
-		return nil, fmt.Errorf("core: encoding chain record ADS: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// splitRecord returns the block and ADS sections of a record.
-func splitRecord(data []byte) (blkGob, adsGob []byte, err error) {
-	for _, old := range oldRecMagics {
-		if bytes.HasPrefix(data, old) {
-			return nil, nil, ErrOldRecordFormat
-		}
-	}
-	if len(data) < len(recMagic)+4 || !bytes.HasPrefix(data, recMagic) {
-		return nil, nil, fmt.Errorf("core: malformed chain record")
-	}
-	n := int(binary.BigEndian.Uint32(data[len(recMagic):]))
-	body := data[len(recMagic)+4:]
-	if n <= 0 || n >= len(body) {
-		return nil, nil, fmt.Errorf("core: malformed chain record")
-	}
-	return body[:n], body[n:], nil
-}
-
-// decodeRecordBlock decodes only the block half of a record: the
-// index-only reopen path, which skips the (much larger) ADS body.
-func decodeRecordBlock(data []byte) (*chain.Block, error) {
-	blkGob, _, err := splitRecord(data)
-	if err != nil {
-		return nil, err
-	}
-	var blk chain.Block
-	if err := gob.NewDecoder(bytes.NewReader(blkGob)).Decode(&blk); err != nil {
-		return nil, fmt.Errorf("core: decoding chain record block: %w", err)
-	}
-	return &blk, nil
-}
-
-// DecodeChainRecordADS decodes only the ADS half of a record: the
-// page-in path, which already has the block in the chain store.
-func DecodeChainRecordADS(data []byte) (*BlockADS, error) {
-	_, adsGob, err := splitRecord(data)
-	if err != nil {
-		return nil, err
-	}
-	var ads BlockADS
-	if err := gob.NewDecoder(bytes.NewReader(adsGob)).Decode(&ads); err != nil {
-		return nil, fmt.Errorf("core: decoding chain record ADS: %w", err)
-	}
-	return &ads, nil
-}
-
-// VerifyADSCommitments checks a decoded ADS against an
-// already-validated header: presence, height alignment, and the two
-// root commitments. The intra-index root is rebuilt bottom-up from the
-// leaves' objects and the stored digests, and every stored node hash
-// must equal its rebuilt one. It is the half of commit validation a
-// lazy reopen defers — the paged sources run it at page-in, so a
-// tampered stored ADS surfaces exactly as it would have at an eager
-// open. BlockW and Width are not re-checked: the header does not commit
-// them, and a wrong one only makes the SP send proofs that clients
-// reject.
+// VerifyADSCommitments checks an ADS against an already-validated
+// header: presence, height alignment, and the two root commitments. It
+// derives every intra-index node's hash bottom-up from the leaves'
+// objects and the digests, and sets the ADS's size, so a decoded ADS,
+// which stores no hash, is usable only after it has passed. It is the
+// half of commit validation a lazy reopen defers — the paged sources
+// run it at page-in, so a tampered stored ADS surfaces exactly as it
+// would have at an eager open. BlockW and Width are not re-checked:
+// the header does not commit them, and a wrong one only makes the SP
+// send proofs that clients reject.
 func VerifyADSCommitments(b *Builder, hdr chain.Header, height int, ads *BlockADS) error {
 	if ads == nil || ads.Root == nil {
 		return fmt.Errorf("core: block %d missing ADS", height)
@@ -115,7 +24,7 @@ func VerifyADSCommitments(b *Builder, hdr chain.Header, height int, ads *BlockAD
 	if ads.Height != height {
 		return fmt.Errorf("core: ADS height %d does not match block %d", ads.Height, height)
 	}
-	if err := b.rehash(ads.Root); err != nil {
+	if err := ads.hash(b.Acc); err != nil {
 		return fmt.Errorf("core: block %d ADS: %w", height, err)
 	}
 	if ads.MerkleRoot() != hdr.MerkleRoot {
@@ -123,35 +32,6 @@ func VerifyADSCommitments(b *Builder, hdr chain.Header, height int, ads *BlockAD
 	}
 	if got := ads.SkipListRoot(b.Acc); got != hdr.SkipListRoot {
 		return fmt.Errorf("core: block %d skip root does not match header", height)
-	}
-	return nil
-}
-
-// rehash recomputes n's hash from its subtree — a leaf's object, the
-// children's recomputed hashes, and the stored digests — and fails if
-// the stored Hash of n or of any node below differs from it.
-func (b *Builder) rehash(n *IntraNode) error {
-	var pre chain.Digest
-	switch {
-	case n.IsLeaf():
-		pre = leafPreHash(n.Obj.Hash())
-	case n.Left == nil || n.Right == nil:
-		return fmt.Errorf("internal index node without two children")
-	default:
-		if err := b.rehash(n.Left); err != nil {
-			return err
-		}
-		if err := b.rehash(n.Right); err != nil {
-			return err
-		}
-		pre = internalPreHash(n.Left.Hash, n.Right.Hash)
-	}
-	h := pre
-	if n.HasDigest {
-		h = nodeHash(pre, b.Acc.AccBytes(n.Digest))
-	}
-	if h != n.Hash {
-		return fmt.Errorf("index node hash does not match its contents")
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/crypto/pairing"
+	"github.com/vchain-go/vchain/internal/storage"
 )
 
 // FuzzVODecode hammers the VO wire decoder with arbitrary bytes (and
@@ -102,4 +105,95 @@ func seqVerifyErr(acc accumulator.Accumulator, light *chain.LightStore, q Query,
 func (v *Verifier) verifyErr(q Query, vo *VO) error {
 	_, err := v.VerifyTimeWindow(q, vo)
 	return err
+}
+
+// FuzzRecordDecode hammers the chain record decoder with arbitrary
+// bytes, seeded with real toy records of acc1 and acc2 in every index
+// mode: it must never panic, every failure must wrap the record
+// sentinel (or name an old format), and every record it accepts must
+// re-encode to the identical bytes and be refused, with the sentinel,
+// when truncated, when followed by a trailing byte, or when its first
+// leaf names an object past the block's end.
+func FuzzRecordDecode(f *testing.F) {
+	pr := pairing.Toy()
+	for _, acc := range []accumulator.Accumulator{
+		accumulator.KeyGenCon1Deterministic(pr, 64, []byte("fuzz")),
+		accumulator.KeyGenCon2Deterministic(pr, 128, accumulator.HashEncoder{Q: 128}, []byte("fuzz")),
+	} {
+		for _, mode := range []IndexMode{ModeNil, ModeIntra, ModeBoth} {
+			b := &Builder{Acc: acc, Mode: mode, SkipSize: 1, Width: testWidth}
+			mem := storage.NewMemory()
+			node, err := NewFullNodeOn(0, b, mem)
+			if err != nil {
+				f.Fatal(err)
+			}
+			// At skip size 1 the fifth block holds the one skip entry.
+			for i := 0; i < 5; i++ {
+				if _, err := node.MineBlock(carObjects(uint64(i * 10))[:2+i%3], int64(1000+i)); err != nil {
+					f.Fatal(err)
+				}
+			}
+			rec, err := mem.Read(mem.Len() - 1)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(rec)
+		}
+	}
+	f.Add([]byte{})
+	f.Add(recMagic)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ads, err := DecodeChainRecordADS(data)
+		if err != nil {
+			if !errors.Is(err, errMalformedRecord) && !errors.Is(err, ErrOldRecordFormat) {
+				t.Fatalf("decode failure wraps no record sentinel: %v", err)
+			}
+			return
+		}
+		blk, err := decodeRecordBlock(data)
+		if err != nil {
+			t.Fatalf("record decodes, its block does not: %v", err)
+		}
+		re, err := EncodeChainRecord(blk, ads)
+		if err != nil {
+			t.Fatalf("decoded record does not re-encode: %v", err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("decode/encode not canonical (%d vs %d bytes)", len(re), len(data))
+		}
+		reject := func(what string, data []byte) {
+			if _, err := DecodeChainRecordADS(data); !errors.Is(err, errMalformedRecord) {
+				t.Fatalf("%s: %v, want errMalformedRecord", what, err)
+			}
+		}
+		reject("record less its last byte", data[:len(data)-1])
+		reject("record cut in half", data[:len(data)/2])
+		reject("record with a trailing byte", append(bytes.Clone(data), 0))
+		bad := bytes.Clone(data)
+		binary.BigEndian.PutUint32(bad[firstLeafIndexAt(blk, ads):], uint32(len(blk.Objects)))
+		reject("leaf index out of range", bad)
+	})
+}
+
+// firstLeafIndexAt returns the offset of the first leaf's object index
+// in the record of (blk, ads): past the block, the width, and the tags
+// and digests of the internal nodes on the leftmost path, and the
+// leaf's own tag.
+func firstLeafIndexAt(blk *chain.Block, ads *BlockADS) int {
+	at := len(recMagic) + chain.HeaderSize + 4 + 8
+	for i := range blk.Objects {
+		at += encodedObjectSize(&blk.Objects[i])
+	}
+	for n := ads.Root; ; n = n.Left {
+		at++
+		if n.IsLeaf() {
+			return at
+		}
+		if n.HasDigest {
+			var e recEncoder
+			e.digest(n.Digest)
+			at += len(e.Buf)
+		}
+	}
 }

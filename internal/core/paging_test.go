@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -331,10 +332,10 @@ func TestSkipSpansFromEvictedBlocks(t *testing.T) {
 }
 
 // TestPagedRejectsTamperedRecord rewrites one record of a backend that
-// keeps no checksums, re-encoded so that it decodes cleanly: a leaf's
-// object or a leaf's digest changes while every stored hash stays as
-// mined. The reopened node must refuse that ADS at page-in and still
-// serve the untouched heights.
+// keeps no checksums, re-encoded so that it decodes cleanly: the one
+// stored copy of a leaf's object, which BlockAt serves too, or a
+// leaf's digest changes under the mined header. The reopened node must
+// refuse that ADS at page-in and still serve the untouched heights.
 func TestPagedRejectsTamperedRecord(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	b := &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 2, Width: testWidth}
@@ -359,12 +360,14 @@ func TestPagedRejectsTamperedRecord(t *testing.T) {
 		}
 		return first, last
 	}
-	cases := map[string]func(ads *BlockADS){
-		"leaf object": func(ads *BlockADS) {
+	cases := map[string]func(blk *chain.Block, ads *BlockADS){
+		"leaf object": func(blk *chain.Block, ads *BlockADS) {
 			l, _ := leaves(ads)
+			k := slices.IndexFunc(blk.Objects, func(o chain.Object) bool { return sameObject(&o, l.Obj) })
+			blk.Objects[k].W = []string{"tampered"}
 			l.Obj.W = []string{"tampered"}
 		},
-		"leaf digest": func(ads *BlockADS) {
+		"leaf digest": func(_ *chain.Block, ads *BlockADS) {
 			l, r := leaves(ads)
 			if bytes.Equal(acc.AccBytes(l.Digest), acc.AccBytes(r.Digest)) {
 				t.Fatal("fixture leaves share a digest")
@@ -389,7 +392,7 @@ func TestPagedRejectsTamperedRecord(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					tamper(ads)
+					tamper(blk, ads)
 					if rec, err = EncodeChainRecord(blk, ads); err != nil {
 						t.Fatal(err)
 					}

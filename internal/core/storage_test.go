@@ -162,6 +162,11 @@ func TestOpenRefusesRecordFormatV3(t *testing.T) { testOpenRefusesOldFormat(t, "
 // whose records stored every leaf's multiset.
 func TestOpenRefusesRecordFormatV4(t *testing.T) { testOpenRefusesOldFormat(t, "VCR4") }
 
+// TestOpenRefusesRecordFormatV5 does the same for the VCR5 magic, the
+// last gob format, whose records stored the objects twice and every
+// node hash.
+func TestOpenRefusesRecordFormatV5(t *testing.T) { testOpenRefusesOldFormat(t, "VCR5") }
+
 // testOpenRefusesOldFormat mines one block, re-stamps its record with
 // an old format's magic in a fresh log, and requires the open to fail
 // with ErrOldRecordFormat naming that format and the fix.
@@ -201,11 +206,11 @@ func testOpenRefusesOldFormat(t *testing.T, format string) {
 	}
 }
 
-// TestRecordFormatV5 checks what a fresh store writes: records under
-// the VCR5 magic whose ADS section carries the block's width and
+// TestRecordFormatV6 checks what a fresh store writes: records under
+// the VCR6 magic whose ADS section carries the block's width and
 // BlockW, and leaves whose multisets the decoded ADS derives from their
 // objects: every node's digest accumulates its derived multiset.
-func TestRecordFormatV5(t *testing.T) {
+func TestRecordFormatV6(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	b := &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 2, Width: testWidth}
 	mem := storage.NewMemory()
@@ -223,8 +228,8 @@ func TestRecordFormatV5(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasPrefix(rec, []byte("\x00VCR5")) {
-			t.Fatalf("record %d starts %q, want the VCR5 magic", i, rec[:5])
+		if !bytes.HasPrefix(rec, []byte("\x00VCR6")) {
+			t.Fatalf("record %d starts %q, want the VCR6 magic", i, rec[:5])
 		}
 		ads, err := DecodeChainRecordADS(rec)
 		if err != nil {

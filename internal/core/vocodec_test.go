@@ -13,9 +13,10 @@ import (
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/crypto/pairing"
+	"github.com/vchain-go/vchain/internal/storage"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden VO/header fixtures under testdata/")
+var updateGolden = flag.Bool("update", false, "rewrite the golden VO, header and record fixtures under testdata/")
 
 func TestVOCodecRoundTrip(t *testing.T) {
 	for accName, acc := range testAccs(t) {
@@ -207,6 +208,17 @@ func (g goldenCase) name() string { return g.preset + "_" + g.acc }
 // build deterministically reconstructs the golden chain and VO.
 func (g goldenCase) build(t testing.TB) (accumulator.Accumulator, *FullNode, []chain.Header, *VO) {
 	t.Helper()
+	node := g.mine(t, storage.NewNull())
+	vo, err := node.SP(g.acc == "acc2").TimeWindowQuery(context.Background(), sedanBenzQuery(0, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return node.Acc(), node, node.Store.Headers(), vo
+}
+
+// mine deterministically mines the golden chain onto be.
+func (g goldenCase) mine(t testing.TB, be storage.Backend) *FullNode {
+	t.Helper()
 	pr := pairing.ByName(g.preset)
 	var acc accumulator.Accumulator
 	switch g.acc {
@@ -217,18 +229,16 @@ func (g goldenCase) build(t testing.TB) (accumulator.Accumulator, *FullNode, []c
 	default:
 		t.Fatalf("unknown golden accumulator %q", g.acc)
 	}
-	b := &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 2, Width: testWidth}
-	node := NewFullNode(0, b)
+	node, err := NewFullNodeOn(0, &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 2, Width: testWidth}, be)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 5; i++ {
 		if _, err := node.MineBlock(carObjects(uint64(i*10)), int64(1000+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	vo, err := node.SP(g.acc == "acc2").TimeWindowQuery(context.Background(), sedanBenzQuery(0, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return acc, node, node.Store.Headers(), vo
+	return node
 }
 
 func goldenPath(t testing.TB, name string) string {

@@ -328,35 +328,14 @@ func (f *Field) Bytes(e Elt) []byte {
 	return append([]byte(nil), buf[len(buf)-f.size:]...)
 }
 
-// GobEncode implements gob.GobEncoder so elements can cross the wire
-// inside verification objects. It writes the Montgomery limbs, little
-// endian, without trailing zero limbs; both ends must use the same
-// field.
-func (e Elt) GobEncode() ([]byte, error) {
-	n := maxLimbs
-	for n > 0 && e.l[n-1] == 0 {
-		n--
-	}
-	out := make([]byte, 8*n)
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint64(out[8*i:], e.l[i])
-	}
-	return out, nil
-}
+// Limbs returns e's Montgomery limbs, least significant first: the raw
+// form chain records store, meaningful only to e's field.
+func (e Elt) Limbs() [maxLimbs]uint64 { return e.l }
 
-// GobDecode implements gob.GobDecoder. Decoded values are not reduced:
-// receivers of untrusted data must validate them against their field
-// with InField (curve membership checks do this transitively).
-func (e *Elt) GobDecode(b []byte) error {
-	if len(b)%8 != 0 || len(b) > 8*maxLimbs {
-		return fmt.Errorf("ff: gob element of %d bytes", len(b))
-	}
-	*e = Elt{}
-	for i := 0; i < len(b)/8; i++ {
-		e.l[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return nil
-}
+// EltFromLimbs is the inverse of Limbs. The value is not reduced:
+// receivers of untrusted limbs must check it with InField (curve
+// membership checks do this transitively).
+func EltFromLimbs(l [maxLimbs]uint64) Elt { return Elt{l: l} }
 
 // InField reports whether e is a canonical representative: its limbs
 // above the field's width are zero and its value is below p.

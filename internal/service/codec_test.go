@@ -85,31 +85,54 @@ func TestVOFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNoGobInService: the wire protocol is the binary codec of
-// frame.go; no program file of the package may fall back to gob.
+// TestNoGobInService: every binary format of the module — service
+// frames, VOs, queries and chain records — is built on internal/wire;
+// no program file of the module may fall back to gob. It walks the
+// whole module from its root, skipping test files, testdata and the
+// nested benchmark module.
 func TestNoGobInService(t *testing.T) {
-	files, err := filepath.Glob("*.go")
+	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("module root %s: %v", root, err)
+	}
 	fset := token.NewFileSet()
-	for _, name := range files {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+	files := 0
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
-			t.Fatal(err)
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != root {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		files++
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
 		}
 		for _, imp := range f.Imports {
-			if path, _ := strconv.Unquote(imp.Path.Value); path == "encoding/gob" {
-				t.Errorf("%s imports encoding/gob", name)
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/gob" {
+				t.Errorf("%s imports encoding/gob", path)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(files) == 0 {
-		wd, _ := os.Getwd()
-		t.Fatalf("no Go files found in %s", wd)
+	if files == 0 {
+		t.Fatalf("no program files under %s", root)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/crypto/pairing"
+	"github.com/vchain-go/vchain/internal/wire"
 )
 
 // The wire protocol is a sequence of length-prefixed binary frames:
@@ -29,13 +30,13 @@ import (
 // are big-endian; "int" is an i64; "str" is a u32 length and the bytes.
 //
 //	hello    = u16 version, str construction, str preset
-//	request  = u64 Seq, str Kind, int FromHeight, core.AppendQuery,
+//	request  = u64 Seq, str Kind, int FromHeight, core.WriteQuery,
 //	           u8 flags (1 = Batched, 2 = AllowDegraded),
 //	           int DeadlineMs, int SubID
 //	response = u64 Seq, str Err, u8 Code,
 //	           u32 n, n × chain.Header.Bytes(),
 //	           u32 n, n × (int Start, int End, u32 len, core.EncodeVO),
-//	           core.AppendGaps, int SubID, u8 hasPub, [push]
+//	           core.WriteGaps, int SubID, u8 hasPub, [push]
 //	push     = int QueryID, int From, int To, core.EncodeVO to the end
 //
 // Every VO on the wire is exactly its canonical core.EncodeVO bytes,
@@ -104,9 +105,10 @@ type message interface {
 	// kind is the frame's first payload byte.
 	kind() byte
 	// appendTo appends the content after the kind byte.
-	appendTo(b []byte) []byte
-	// readFrom decodes the content after the kind byte.
-	readFrom(r *reader) error
+	appendTo(w *wire.Writer)
+	// readFrom decodes the content after the kind byte; failures stay
+	// on r.
+	readFrom(r *wire.Reader)
 }
 
 // hello is the SP's first frame on every connection: the protocol
@@ -148,21 +150,16 @@ func (h *hello) codec() (accumulator.Codec, error) {
 
 func (*hello) kind() byte { return kindHello }
 
-func (h *hello) appendTo(b []byte) []byte {
-	b = binary.BigEndian.AppendUint16(b, h.Version)
-	b = appendStr(b, h.Construction)
-	return appendStr(b, h.Preset)
+func (h *hello) appendTo(w *wire.Writer) {
+	w.U16(h.Version)
+	w.String32(h.Construction)
+	w.String32(h.Preset)
 }
 
-func (h *hello) readFrom(r *reader) (err error) {
-	if h.Version, err = r.u16(); err != nil {
-		return err
-	}
-	if h.Construction, err = r.str(); err != nil {
-		return err
-	}
-	h.Preset, err = r.str()
-	return err
+func (h *hello) readFrom(r *wire.Reader) {
+	h.Version = r.U16()
+	h.Construction = r.String32()
+	h.Preset = r.String32()
 }
 
 // Request is a client → SP message.
@@ -203,11 +200,11 @@ const (
 
 func (*Request) kind() byte { return kindRequest }
 
-func (q *Request) appendTo(b []byte) []byte {
-	b = binary.BigEndian.AppendUint64(b, q.Seq)
-	b = appendStr(b, q.Kind)
-	b = appendInt(b, q.FromHeight)
-	b = core.AppendQuery(b, q.Query)
+func (q *Request) appendTo(w *wire.Writer) {
+	w.U64(q.Seq)
+	w.String32(q.Kind)
+	w.Int(q.FromHeight)
+	core.WriteQuery(w, q.Query)
 	var flags byte
 	if q.Batched {
 		flags |= flagBatched
@@ -215,39 +212,23 @@ func (q *Request) appendTo(b []byte) []byte {
 	if q.AllowDegraded {
 		flags |= flagDegraded
 	}
-	b = append(b, flags)
-	b = binary.BigEndian.AppendUint64(b, uint64(q.DeadlineMs))
-	return appendInt(b, q.SubID)
+	w.U8(flags)
+	w.U64(uint64(q.DeadlineMs))
+	w.Int(q.SubID)
 }
 
-func (q *Request) readFrom(r *reader) (err error) {
-	if q.Seq, err = r.u64(); err != nil {
-		return err
-	}
-	if q.Kind, err = r.str(); err != nil {
-		return err
-	}
-	if q.FromHeight, err = r.int(); err != nil {
-		return err
-	}
-	if q.Query, r.b, err = core.ReadQuery(r.b); err != nil {
-		return err
-	}
-	flags, err := r.u8()
-	if err != nil {
-		return err
-	}
+func (q *Request) readFrom(r *wire.Reader) {
+	q.Seq = r.U64()
+	q.Kind = r.String32()
+	q.FromHeight = r.Int()
+	q.Query = core.ReadQuery(r)
+	flags := r.U8()
 	if flags&^(flagBatched|flagDegraded) != 0 {
-		return fmt.Errorf("%w: unknown request flags %#x", errMalformed, flags)
+		r.Failf("unknown request flags %#x", flags)
 	}
 	q.Batched, q.AllowDegraded = flags&flagBatched != 0, flags&flagDegraded != 0
-	dl, err := r.u64()
-	if err != nil {
-		return err
-	}
-	q.DeadlineMs = int64(dl)
-	q.SubID, err = r.int()
-	return err
+	q.DeadlineMs = int64(r.U64())
+	q.SubID = r.Int()
 }
 
 // Response is an SP → client answer to the request with the same Seq.
@@ -295,208 +276,82 @@ type Push struct {
 
 func (*Response) kind() byte { return kindResponse }
 
-func (p *Response) appendTo(b []byte) []byte {
-	b = binary.BigEndian.AppendUint64(b, p.Seq)
-	b = appendStr(b, p.Err)
-	b = append(b, byte(p.Code))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(p.Headers)))
+func (p *Response) appendTo(w *wire.Writer) {
+	w.U64(p.Seq)
+	w.String32(p.Err)
+	w.U8(byte(p.Code))
+	w.U32(uint32(len(p.Headers)))
 	for i := range p.Headers {
-		b = append(b, p.Headers[i].Bytes()...)
+		w.Raw(p.Headers[i].Bytes())
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(p.Parts)))
+	w.U32(uint32(len(p.Parts)))
 	for _, pt := range p.Parts {
-		b = appendInt(b, pt.Start)
-		b = appendInt(b, pt.End)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(pt.VO)))
-		b = append(b, pt.VO...)
+		w.Int(pt.Start)
+		w.Int(pt.End)
+		w.Bytes32(pt.VO)
 	}
-	b = core.AppendGaps(b, p.Gaps)
-	b = appendInt(b, p.SubID)
+	core.WriteGaps(w, p.Gaps)
+	w.Int(p.SubID)
 	if p.Pub == nil {
-		return append(b, 0)
+		w.U8(0)
+		return
 	}
-	return p.Pub.appendTo(append(b, 1))
+	w.U8(1)
+	p.Pub.appendTo(w)
 }
 
-func (p *Response) readFrom(r *reader) (err error) {
-	if p.Seq, err = r.u64(); err != nil {
-		return err
-	}
-	if p.Err, err = r.str(); err != nil {
-		return err
-	}
-	code, err := r.u8()
-	if err != nil {
-		return err
-	}
-	p.Code = Code(code)
-	n, err := r.count(chain.HeaderSize)
-	if err != nil {
-		return err
-	}
-	if n > 0 {
+func (p *Response) readFrom(r *wire.Reader) {
+	p.Seq = r.U64()
+	p.Err = r.String32()
+	p.Code = Code(r.U8())
+	if n := r.Count32(chain.HeaderSize); n > 0 {
 		p.Headers = make([]chain.Header, n)
 	}
 	for i := range p.Headers {
-		// count has checked that every header's bytes are there.
-		b, _ := r.take(chain.HeaderSize)
-		p.Headers[i], _ = chain.HeaderFromBytes(b)
+		// Count32 has checked that every header's bytes are there.
+		p.Headers[i], _ = chain.HeaderFromBytes(r.Take(chain.HeaderSize))
 	}
 	// A part costs ≥ 20 bytes: its bounds and VO length.
-	if n, err = r.count(20); err != nil {
-		return err
-	}
-	if n > 0 {
+	if n := r.Count32(20); n > 0 {
 		p.Parts = make([]Part, n)
 	}
 	for i := range p.Parts {
-		pt := &p.Parts[i]
-		if pt.Start, err = r.int(); err != nil {
-			return err
-		}
-		if pt.End, err = r.int(); err != nil {
-			return err
-		}
-		if pt.VO, err = r.bytes(); err != nil {
-			return err
-		}
+		p.Parts[i] = Part{Start: r.Int(), End: r.Int(), VO: r.Bytes32()}
 	}
-	if p.Gaps, r.b, err = core.ReadGaps(r.b); err != nil {
-		return err
-	}
-	if p.SubID, err = r.int(); err != nil {
-		return err
-	}
-	switch has, err := r.u8(); {
-	case err != nil:
-		return err
-	case has == 1:
+	p.Gaps = core.ReadGaps(r)
+	p.SubID = r.Int()
+	switch has := r.U8(); has {
+	case 1:
 		p.Pub = new(Push)
-		return p.Pub.readFrom(r)
-	case has != 0:
-		return fmt.Errorf("%w: bad publication flag %d", errMalformed, has)
+		p.Pub.readFrom(r)
+	case 0:
+	default:
+		r.Failf("bad publication flag %d", has)
 	}
-	return nil
 }
 
 func (*Push) kind() byte { return kindPush }
 
-func (p *Push) appendTo(b []byte) []byte {
-	b = appendInt(b, p.QueryID)
-	b = appendInt(b, p.From)
-	b = appendInt(b, p.To)
-	return append(b, p.VO...)
+func (p *Push) appendTo(w *wire.Writer) {
+	w.Int(p.QueryID)
+	w.Int(p.From)
+	w.Int(p.To)
+	w.Raw(p.VO)
 }
 
-func (p *Push) readFrom(r *reader) (err error) {
-	if p.QueryID, err = r.int(); err != nil {
-		return err
-	}
-	if p.From, err = r.int(); err != nil {
-		return err
-	}
-	if p.To, err = r.int(); err != nil {
-		return err
-	}
-	p.VO, r.b = r.b, nil
-	return nil
-}
-
-func appendInt(b []byte, v int) []byte { return binary.BigEndian.AppendUint64(b, uint64(int64(v))) }
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-// reader decodes a frame payload front to back.
-type reader struct{ b []byte }
-
-func (r *reader) take(n int) ([]byte, error) {
-	if n < 0 || len(r.b) < n {
-		return nil, fmt.Errorf("%w: truncated", errMalformed)
-	}
-	out := r.b[:n:n]
-	r.b = r.b[n:]
-	return out, nil
-}
-
-func (r *reader) u8() (byte, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *reader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint16(b), nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b), nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b), nil
-}
-
-// int reads an i64 that must fit this platform's int.
-func (r *reader) int() (int, error) {
-	v, err := r.u64()
-	if err != nil {
-		return 0, err
-	}
-	if s := int64(v); s < math.MinInt || s > math.MaxInt {
-		return 0, fmt.Errorf("%w: integer %d overflows int", errMalformed, s)
-	}
-	return int(int64(v)), nil
-}
-
-// count reads a u32 element count whose elements cost at least size
-// bytes each, so a forged count cannot force an allocation larger than
-// the frame affords.
-func (r *reader) count(size int) (int, error) {
-	n, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	if int64(n)*int64(size) > int64(len(r.b)) {
-		return 0, fmt.Errorf("%w: count %d exceeds the frame", errMalformed, n)
-	}
-	return int(n), nil
-}
-
-// bytes reads a u32-length byte string.
-func (r *reader) bytes() ([]byte, error) {
-	n, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	return r.take(n)
-}
-
-func (r *reader) str() (string, error) {
-	b, err := r.bytes()
-	return string(b), err
+func (p *Push) readFrom(r *wire.Reader) {
+	p.QueryID = r.Int()
+	p.From = r.Int()
+	p.To = r.Int()
+	p.VO = r.Rest()
 }
 
 // encodeFrame renders m as prefix‖kind‖content.
 func encodeFrame(m message) ([]byte, error) {
-	out := make([]byte, framePrefixLen, 64)
-	out = m.appendTo(append(out, m.kind()))
+	w := wire.Writer{Buf: make([]byte, framePrefixLen, 64)}
+	w.U8(m.kind())
+	m.appendTo(&w)
+	out := w.Buf
 	n := len(out) - framePrefixLen
 	if int64(n) > math.MaxUint32 {
 		// The prefix would wrap and desynchronize the peer.
@@ -513,12 +368,10 @@ func decodeFrame(body []byte, m message) error {
 	if err := checkKind(body, m.kind()); err != nil {
 		return err
 	}
-	r := &reader{body[1:]}
-	if err := m.readFrom(r); err != nil {
+	r := wire.NewReader(body[1:], errMalformed)
+	m.readFrom(r)
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("service: decode %s: %w", kindName(m.kind()), err)
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("service: decode %s: %w: %d trailing bytes", kindName(m.kind()), errMalformed, len(r.b))
 	}
 	return nil
 }
