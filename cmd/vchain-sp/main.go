@@ -60,7 +60,7 @@ func main() {
 		objs     = flag.Int("objects", 4, "objects per block")
 		preset   = flag.String("preset", "toy", "pairing preset")
 		seed     = flag.Int64("seed", 42, "workload seed")
-		workers  = flag.Int("workers", 4, "proof-computation workers: the one pool every query and subscription proves on, at any shard count")
+		workers  = flag.Int("workers", 4, "proof-computation workers: goroutines proving each query's or block's proofs, at most GOMAXPROCS, at any shard count")
 		interval = flag.Duration("mine-interval", 0, "keep mining one block per interval after startup (0 = off)")
 		subLazy  = flag.Bool("sub-lazy", false, "lazy subscription authentication (§7.2): defer mismatch proofs into spans")
 		subIP    = flag.Bool("sub-iptree", true, "share clause evaluation across subscriptions by the IP-tree's clause groups (§7.1)")

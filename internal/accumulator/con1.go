@@ -4,13 +4,13 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
-	"runtime"
 	"sync"
 
 	"github.com/vchain-go/vchain/internal/crypto/ec"
 	"github.com/vchain-go/vchain/internal/crypto/pairing"
 	"github.com/vchain-go/vchain/internal/crypto/poly"
 	"github.com/vchain-go/vchain/internal/multiset"
+	"github.com/vchain-go/vchain/internal/par"
 )
 
 // scalarCacheMax bounds the element→scalar caches; past it the cache is
@@ -80,8 +80,7 @@ func keyGenCon1WithTrapdoor(pr *pairing.Params, q int, s *big.Int) *Con1 {
 // powerBaseMuls fills dst[i] = g^{s^{i+1}} for the shared trusted-setup
 // shape of both constructions: the powers of the trapdoor are chained
 // serially (cheap big.Int work), then the expensive fixed-base scalar
-// multiplications fan out across runtime.GOMAXPROCS(0) workers over one
-// immutable window table.
+// multiplications fan out (par.For) over one immutable window table.
 func powerBaseMuls(pr *pairing.Params, s *big.Int, dst []ec.Point) {
 	n := len(dst)
 	if n == 0 {
@@ -100,27 +99,7 @@ func powerBaseMuls(pr *pairing.Params, s *big.Int, dst []ec.Point) {
 		cur = next
 	}
 	js := make([]ec.JacPoint, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, k := range scalars {
-			js[i] = fb.MulJac(k)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(start int) {
-				defer wg.Done()
-				for i := start; i < n; i += workers {
-					js[i] = fb.MulJac(scalars[i])
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+	par.For(n, n, func(i int) { js[i] = fb.MulJac(scalars[i]) })
 	// One batch inversion for the whole public key instead of one per
 	// element.
 	copy(dst, pr.C.NormalizeJac(js))

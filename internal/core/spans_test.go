@@ -23,8 +23,8 @@ func (c *countingAcc) VerifyDisjointBatch(checks []accumulator.DisjointCheck) bo
 }
 
 // spanFixture is one block's subscription publications in miniature:
-// queries sharing clauses, each proven over single blocks and over a
-// longer span, on a chain of six blocks.
+// queries sharing clauses, each proven over single blocks (the genesis
+// block's among them) and over a longer span, on a chain of six blocks.
 func spanFixture(t *testing.T, acc accumulator.Accumulator) (*chain.LightStore, func(*testing.T) []Span) {
 	t.Helper()
 	node, light := buildTestChain(t, acc, ModeBoth, 6)
@@ -35,7 +35,7 @@ func spanFixture(t *testing.T, acc accumulator.Accumulator) (*chain.LightStore, 
 		{Bool: CNF{KeywordClause("tesla")}, Width: testWidth},
 		{Bool: CNF{KeywordClause("tesla"), KeywordClause("sedan")}, Width: testWidth},
 	}
-	windows := [][2]int{{5, 5}, {4, 4}, {1, 5}}
+	windows := [][2]int{{5, 5}, {4, 4}, {0, 0}, {1, 5}}
 	return light, func(t *testing.T) []Span {
 		var spans []Span
 		for _, q := range queries {

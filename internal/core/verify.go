@@ -4,12 +4,12 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
+	"github.com/vchain-go/vchain/internal/par"
 )
 
 // Verification failures. Every rejected VO maps onto one of these so
@@ -32,7 +32,7 @@ var (
 // collecting every pending disjointness check, followed by a flush
 // that resolves the collected pairing checks. The default flush is
 // batched — checks are grouped into pairing-product batches
-// (accumulator.VerifyDisjointBatch) spread across Workers goroutines —
+// (accumulator.VerifyDisjointBatch) spread over goroutines by par.For —
 // which turns the pairing count from two per proof into a handful per
 // batch. Accept/reject results are identical to the sequential path:
 // batched verification never rejects a VO the sequential verifier
@@ -48,9 +48,9 @@ type Verifier struct {
 	// the paper's baseline client and the differential-testing anchor.
 	Sequential bool
 	// Workers bounds how many flushBatchSize chunks of a batched flush
-	// are verified at once, the caller's goroutine included. 0 means
-	// GOMAXPROCS. It does not bound the pairing layer, which splits
-	// each chunk's Miller loop across up to GOMAXPROCS goroutines.
+	// are verified at once, the caller's goroutine included. 0 leaves
+	// only the process's one par budget, which the Miller-loop splits
+	// inside each chunk share.
 	Workers int
 }
 
@@ -122,16 +122,8 @@ func (v *Verifier) flush(checks []pendingCheck) error {
 		return nil
 	}
 
-	chunks := (len(checks) + flushBatchSize - 1) / flushBatchSize
-	workers := v.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, chunks)
-
-	// firstBad is the lowest collection index of a failing check, or
-	// len(checks) when all chunks verified.
-	firstBad := len(checks)
+	// locate returns the collection index of the first failing check
+	// in checks[lo:hi], or -1 when the chunk verifies.
 	locate := func(lo, hi int) int {
 		batch := make([]accumulator.DisjointCheck, hi-lo)
 		for i := lo; i < hi; i++ {
@@ -153,48 +145,29 @@ func (v *Verifier) flush(checks []pendingCheck) error {
 		return hi - 1
 	}
 
-	var (
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-		next int
-	)
-	work := func() {
-		for {
-			mu.Lock()
-			c := next
-			next++
-			stop := firstBad < len(checks) // a failure already found
-			mu.Unlock()
-			if c >= chunks || stop {
-				return
-			}
-			lo := c * flushBatchSize
-			hi := lo + flushBatchSize
-			if hi > len(checks) {
-				hi = len(checks)
-			}
-			if bad := locate(lo, hi); bad >= 0 {
-				mu.Lock()
-				if bad < firstBad {
-					firstBad = bad
-				}
-				mu.Unlock()
+	// firstBad is the lowest collection index of a failing check found
+	// so far, or len(checks). A chunk starting past it cannot hold an
+	// earlier failure, so it is skipped; every chunk before the first
+	// failing one still runs, so the minimum is exact.
+	var firstBad atomic.Int64
+	firstBad.Store(int64(len(checks)))
+	chunks := (len(checks) + flushBatchSize - 1) / flushBatchSize
+	limit := v.Workers
+	if limit <= 0 {
+		limit = chunks
+	}
+	par.For(chunks, limit, func(c int) {
+		lo := c * flushBatchSize
+		if int64(lo) > firstBad.Load() {
+			return
+		}
+		if bad := int64(locate(lo, min(lo+flushBatchSize, len(checks)))); bad >= 0 {
+			for cur := firstBad.Load(); bad < cur && !firstBad.CompareAndSwap(cur, bad); cur = firstBad.Load() {
 			}
 		}
-	}
-	// The calling goroutine is one of the workers, so a one-chunk flush
-	// starts no goroutine.
-	for range workers - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	if firstBad < len(checks) {
-		return checks[firstBad].err
+	})
+	if bad := firstBad.Load(); bad < int64(len(checks)) {
+		return checks[bad].err
 	}
 	return nil
 }

@@ -2,18 +2,16 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"testing"
 )
 
 // BenchmarkVerifyTimeWindow measures the light client's end-to-end VO
 // verification: `sequential` is the paper's baseline (two pairings per
-// disjointness proof, checked during the walk), `batched` the
-// two-phase engine (structural walk, then one randomized
-// pairing-product batch), and `parallel` the batched flush across all
-// cores. The chain/query shape keeps dozens of mismatch proofs per VO
-// — the regime a window query over keyword-sparse data produces.
+// disjointness proof, checked during the walk) and `batched` the
+// two-phase engine (structural walk, then randomized pairing-product
+// batches spread by par.For). The chain/query shape keeps dozens of
+// mismatch proofs per VO — the regime a window query over
+// keyword-sparse data produces.
 func BenchmarkVerifyTimeWindow(b *testing.B) {
 	for _, accName := range []string{"acc1", "acc2"} {
 		acc := testAccs(b)[accName]
@@ -28,8 +26,7 @@ func BenchmarkVerifyTimeWindow(b *testing.B) {
 			v    *Verifier
 		}{
 			{"sequential", &Verifier{Acc: acc, Light: light, Sequential: true}},
-			{"batched", &Verifier{Acc: acc, Light: light, Workers: 1}},
-			{fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), &Verifier{Acc: acc, Light: light}},
+			{"batched", &Verifier{Acc: acc, Light: light}},
 		}
 		for _, tc := range cases {
 			b.Run(accName+"/"+tc.name, func(b *testing.B) {

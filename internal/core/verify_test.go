@@ -3,10 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
+	"github.com/vchain-go/vchain/internal/crypto/ec"
 )
 
 // surgicalVO builds a fresh honest VO for mutation.
@@ -169,6 +175,128 @@ func TestVerifyRejectsOffCurveElements(t *testing.T) {
 	forged.B = n.Digest.B
 	n.Digest = forged
 	mustFail(t, acc, light, q, vo, "off-curve digest")
+}
+
+// TestVerifySkipRejectsOneMalformedElement: a skip whose digest alone,
+// or whose proof alone, is off the curve fails the walk with the
+// malformed-elements soundness error, before any pairing runs. An
+// off-curve digest beside an honest proof must not get as far as the
+// skip-list root, whose mismatch would report ErrCompleteness.
+func TestVerifySkipRejectsOneMalformedElement(t *testing.T) {
+	offCurve := ec.Point{} // (0, 0) fails y² = x³ + 1
+	tampers := []struct {
+		name  string
+		apply func(s *SkipVO)
+	}{
+		{"digest", func(s *SkipVO) { s.Digest.A = offCurve }},
+		{"proof", func(s *SkipVO) { s.Proof.F1 = offCurve }},
+	}
+	for name, acc := range testAccs(t) {
+		node, light := buildTestChain(t, acc, ModeBoth, 8)
+		q := Query{StartBlock: 0, EndBlock: 7, Bool: CNF{KeywordClause("tesla")}, Width: testWidth}
+		for _, tc := range tampers {
+			for _, seq := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/sequential=%v", name, tc.name, seq), func(t *testing.T) {
+					vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s := firstSkip(vo)
+					if s == nil {
+						t.Fatal("fixture produced no skip entries")
+					}
+					tc.apply(s)
+					counter := &countingAcc{Accumulator: acc}
+					_, err = (&Verifier{Acc: counter, Light: light, Sequential: seq}).VerifyTimeWindow(q, vo)
+					if !errors.Is(err, ErrSoundness) || !strings.Contains(err.Error(), "malformed group elements") {
+						t.Fatalf("got %v, want the malformed-group-elements soundness error", err)
+					}
+					if len(counter.batches) != 0 {
+						t.Fatalf("pairing batches %v ran before the rejection", counter.batches)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestVerifyRejectsGroupIndexPastGroups: a proofless mismatch node
+// naming the group one past the VO's last is unsound, in a VO with
+// batch groups and in one without; the verifier must not index it.
+func TestVerifyRejectsGroupIndexPastGroups(t *testing.T) {
+	acc := testAccs(t)["acc2"]
+	node, light := buildTestChain(t, acc, ModeIntra, 2)
+	q := sedanBenzQuery(0, 1)
+	for _, batch := range []bool{false, true} {
+		vo, err := node.SP(batch).TimeWindowQuery(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := firstMismatch(vo)
+		if n == nil {
+			t.Fatal("no mismatch node")
+		}
+		n.Proof, n.Group = nil, len(vo.Groups)
+		if _, err := (&Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, vo); !errors.Is(err, ErrSoundness) {
+			t.Errorf("batch=%v, %d groups: got %v, want ErrSoundness", batch, len(vo.Groups), err)
+		}
+	}
+}
+
+// markedAcc fails exactly the checks whose proof's F1 is the point at
+// infinity, and counts the batches it verifies.
+type markedAcc struct {
+	accumulator.Accumulator
+	batches atomic.Int64
+}
+
+func (*markedAcc) VerifyDisjoint(_, _ accumulator.Acc, p accumulator.Proof) bool { return !p.F1.Inf }
+
+func (m *markedAcc) VerifyDisjointBatch(checks []accumulator.DisjointCheck) bool {
+	m.batches.Add(1)
+	for _, c := range checks {
+		if c.Proof.F1.Inf {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFlushSurfacesFirstFailingCheck: a batched flush of several
+// chunks returns the error of the first failing check in collection
+// order, wherever the failures sit and however the chunks are spread
+// over goroutines, and a flush on one goroutine verifies no chunk
+// after the first that fails.
+func TestFlushSurfacesFirstFailingCheck(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	const n = 4*flushBatchSize - 10
+	for _, bad := range [][]int{nil, {5}, {n - 1}, {3*flushBatchSize + 1, flushBatchSize, 2 * flushBatchSize}} {
+		checks := make([]pendingCheck, n)
+		for i := range checks {
+			checks[i].err = fmt.Errorf("check %d", i)
+		}
+		for _, i := range bad {
+			checks[i].check.Proof.F1.Inf = true
+		}
+		var want error
+		chunks := int64(n+flushBatchSize-1) / flushBatchSize
+		if len(bad) > 0 {
+			first := slices.Min(bad)
+			want, chunks = checks[first].err, int64(first/flushBatchSize+1)
+		}
+		for _, workers := range []int{0, 1} {
+			for range 20 {
+				acc := &markedAcc{}
+				if got := (&Verifier{Acc: acc, Workers: workers}).flush(checks); !errors.Is(got, want) {
+					t.Fatalf("failing %v, Workers %d: got %v, want %v", bad, workers, got, want)
+				}
+				if got := acc.batches.Load(); workers == 1 && got != chunks {
+					t.Fatalf("failing %v on one goroutine: %d chunks verified, want %d", bad, got, chunks)
+				}
+			}
+		}
+	}
 }
 
 func TestVerifyBatchGroupMismatchClause(t *testing.T) {

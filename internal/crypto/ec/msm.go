@@ -2,11 +2,10 @@ package ec
 
 import (
 	"math/big"
-	"runtime"
 	"slices"
-	"sync"
 
 	"github.com/vchain-go/vchain/internal/crypto/ff"
+	"github.com/vchain-go/vchain/internal/par"
 )
 
 // msmWindowBits picks the Pippenger bucket width for n points. The
@@ -36,14 +35,9 @@ func msmWindowBits(n int) int {
 	}
 }
 
-// msmParallelMin is the input size below which spawning per-window
-// goroutines costs more than it saves.
+// msmParallelMin is the input size below which spreading the windows
+// over goroutines costs more than it saves.
 const msmParallelMin = 64
-
-// msmSlots globally bounds the extra goroutines all concurrent
-// MultiScalarMul calls may spawn, sized to the scheduler's processor
-// count (which, unlike NumCPU, honors an operator's GOMAXPROCS cap).
-var msmSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // MultiScalarMul returns Σ scalars[i]·points[i] by the Pippenger bucket
 // method: for each w-bit window of the scalars, points sharing a digit
@@ -52,8 +46,7 @@ var msmSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 // instead of n scalar multiplications total. The combination runs in
 // Jacobian coordinates, and one conversion back to affine ends the
 // MSM; all-unit scalars are one SumEach. Windows are computed in
-// parallel when the input is large enough and more than one CPU is
-// available.
+// parallel (par.For) when the input is large enough.
 //
 // Infinity points and zero (or nil) scalars contribute nothing;
 // negative scalars negate their point. Slices must have equal length.
@@ -130,30 +123,11 @@ func (c *Curve) msmPippenger(pts []Point, ks []*big.Int, maxBits int) Point {
 		return sum
 	}
 
-	if runtime.GOMAXPROCS(0) > 1 && nWindows > 1 && len(pts) >= msmParallelMin {
-		// Windows whose slot acquisition fails are computed inline, so
-		// concurrent MSMs (e.g. from the proof engine's worker pool)
-		// degrade to sequential instead of oversubscribing the host.
-		var wg sync.WaitGroup
-		for wi := range sums {
-			select {
-			case msmSlots <- struct{}{}:
-				wg.Add(1)
-				go func(wi int) {
-					defer wg.Done()
-					sums[wi] = windowSum(wi)
-					<-msmSlots
-				}(wi)
-			default:
-				sums[wi] = windowSum(wi)
-			}
-		}
-		wg.Wait()
-	} else {
-		for wi := range sums {
-			sums[wi] = windowSum(wi)
-		}
+	limit := nWindows
+	if len(pts) < msmParallelMin {
+		limit = 1
 	}
+	par.For(nWindows, limit, func(wi int) { sums[wi] = windowSum(wi) })
 
 	var acc JacPoint
 	for wi := nWindows - 1; wi >= 0; wi-- {

@@ -232,7 +232,7 @@ func (pr *Params) planBatch(eqs []BatchEquation, exps []*big.Int) batchPlan {
 	return pl
 }
 
-// runPlan computes a plan's MSMs, its Miller loops split across
+// runPlan computes a plan's MSMs, its Miller loops split across up to
 // GOMAXPROCS goroutines, and the one final exponentiation.
 func (pr *Params) runPlan(pl batchPlan, exps []*big.Int) GT {
 	point := func(s sum) ec.Point {

@@ -3,11 +3,10 @@ package pairing
 import (
 	"math/big"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/vchain-go/vchain/internal/crypto/ec"
 	"github.com/vchain-go/vchain/internal/crypto/ff"
+	"github.com/vchain-go/vchain/internal/par"
 )
 
 // GT is an element of the target group, the order-r subgroup of F_p²*.
@@ -90,8 +89,8 @@ func (pr *Params) millerArgs(args []millerArg, pairs []PairPair, inv bool) []mil
 }
 
 // millerLoop returns ∏ f_{r,P_i}(φ(Q_i)), up to a factor in F_p*, for
-// the non-empty args, cut into contiguous ranges run on up to
-// GOMAXPROCS goroutines.
+// the non-empty args, cut into GOMAXPROCS contiguous ranges run on up
+// to as many goroutines.
 func (pr *Params) millerLoop(args []millerArg) ff.Elt2 {
 	n := runtime.GOMAXPROCS(0)
 	return pr.millerTerms(splitArgs(nil, args, n), n)
@@ -114,32 +113,20 @@ func splitArgs(terms []millerTerm, args []millerArg, n int) []millerTerm {
 }
 
 // millerTerms returns the product of the terms' values, computing them
-// on up to n goroutines, the caller's included. A range's value is the
-// product of its pairs' values, so cutting a loop into ranges changes
-// nothing, element for element: F_p² multiplication commutes, and a
-// zero value (a vanishing line) still zeroes the product.
+// on up to n goroutines, the caller's included (par.For). A range's
+// value is the product of its pairs' values, so cutting a loop into
+// ranges changes nothing, element for element: F_p² multiplication
+// commutes, and a zero value (a vanishing line) still zeroes the
+// product.
 func (pr *Params) millerTerms(terms []millerTerm, n int) ff.Elt2 {
 	vals := make([]ff.Elt2, len(terms))
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1) - 1); i < len(terms); i = int(next.Add(1) - 1) {
-			v := pr.millerRange(terms[i].args)
-			if terms[i].exp != nil {
-				v = pr.X.Exp(v, terms[i].exp)
-			}
-			vals[i] = v
+	par.For(len(terms), n, func(i int) {
+		v := pr.millerRange(terms[i].args)
+		if terms[i].exp != nil {
+			v = pr.X.Exp(v, terms[i].exp)
 		}
-	}
-	var wg sync.WaitGroup
-	for range min(n, len(terms)) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+		vals[i] = v
+	})
 	f := pr.X.One()
 	for _, v := range vals {
 		f = pr.X.Mul(f, v)

@@ -5,8 +5,8 @@
 //
 //   - commitpath: (block, ADS) commits flow through the core/shard
 //     choke points — no direct storage backend mutation elsewhere.
-//   - lockio: no file/network I/O, gob coding, or proving while a
-//     node/shard publish mutex is held (the PR 5 torn-state race).
+//   - lockio: no file/network I/O or proving while a node/shard
+//     publish mutex is held (the crash-recovery torn-state race).
 //   - typederr: sentinel errors are matched with errors.Is, never ==,
 //     and are wrapped with %w, never flattened through %v.
 //   - ctxflow: exported concurrency entry points in the service and

@@ -1,7 +1,11 @@
 package lint
 
 import (
+	"fmt"
+	"go/importer"
 	"go/token"
+	"go/types"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -139,4 +143,60 @@ func splitWantPatterns(t *testing.T, pos token.Position, s string) []string {
 		out = append(out, unquoted)
 		s = s[end+1:]
 	}
+}
+
+// fixtureImporter resolves imports for analyzer test fixtures: paths
+// that exist under the fixture root (testdata/src) load from there,
+// everything else (the standard library) falls back to the compiler
+// source importer. This is what lets a fixture package fake the shape
+// of internal/storage or internal/core under a synthetic import path.
+type fixtureImporter struct {
+	root     string
+	fset     *token.FileSet
+	fallback types.Importer
+	cache    map[string]*types.Package
+}
+
+func newFixtureImporter(root string, fset *token.FileSet) *fixtureImporter {
+	return &fixtureImporter{
+		root:     root,
+		fset:     fset,
+		fallback: importer.ForCompiler(fset, "source", nil),
+		cache:    map[string]*types.Package{},
+	}
+}
+
+func (im *fixtureImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := im.cache[path]; ok {
+		return pkg, nil
+	}
+	dir := filepath.Join(im.root, filepath.FromSlash(path))
+	if st, err := os.Stat(dir); err == nil && st.IsDir() {
+		pkg, err := loadFixturePackage(im.fset, im, path, dir)
+		if err != nil {
+			return nil, err
+		}
+		im.cache[path] = pkg.Types
+		return pkg.Types, nil
+	}
+	return im.fallback.Import(path)
+}
+
+// loadFixturePackage parses and type-checks every .go file in dir as
+// the fixture package path.
+func loadFixturePackage(fset *token.FileSet, imp types.Importer, path, dir string) (*Package, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("lint: fixture %s: %v", path, err)
+	}
+	var names []string
+	for _, e := range ents {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
+			names = append(names, e.Name())
+		}
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("lint: fixture %s: no Go files in %s", path, dir)
+	}
+	return checkFiles(fset, imp, path, dir, names)
 }

@@ -8,11 +8,11 @@ import (
 	"strings"
 )
 
-// LockIO enforces the publish-lock discipline that fixed the PR 5
-// torn-state race: while a node/shard mutex is held, no file or
-// network I/O, no gob encoding/decoding, and no disjointness proving
-// may run — those belong either before the critical section or in a
-// designated choke-point callee. The one sanctioned shape is the
+// LockIO enforces the publish-lock discipline that fixed the
+// crash-recovery torn-state race: while a node/shard mutex is held, no
+// file or network I/O and no disjointness proving may run — those
+// belong either before the critical section or in a designated
+// choke-point callee. The one sanctioned shape is the
 // *Locked-suffix convention: commitLocked-style functions take no lock
 // themselves (their callers do) and are the reviewed, atomic
 // validate-persist-publish path, so calls to same-package *Locked
@@ -26,8 +26,8 @@ import (
 // *Locked convention.
 var LockIO = &Analyzer{
 	Name: "lockio",
-	Doc: "no I/O, gob coding, or proving under node/shard publish locks\n\n" +
-		"Flags file/network I/O, gob encode/decode, storage backend access, and " +
+	Doc: "no I/O or proving under node/shard publish locks\n\n" +
+		"Flags file/network I/O, storage backend access, and " +
 		"ProveDisjoint while a sync mutex is held, in internal/core, internal/shard, " +
 		"and internal/subscribe.",
 	Run: runLockIO,
@@ -58,12 +58,6 @@ var ioPkgFuncs = map[string]bool{
 	"ReadFull": true, "WriteString": true,
 }
 
-// gobOps are the expensive coder methods; constructing an
-// encoder/decoder is cheap and stays legal.
-var gobOps = map[string]bool{
-	"Encode": true, "EncodeValue": true, "Decode": true, "DecodeValue": true,
-}
-
 // storageOps are the backend operations that move bytes.
 var storageOps = map[string]bool{
 	"Append": true, "Truncate": true, "Read": true, "Open": true,
@@ -90,10 +84,6 @@ func forbiddenOp(fn *types.Func) (string, bool) {
 		}
 	case "net":
 		return fmt.Sprintf("network I/O (net.%s)", fn.Name()), true
-	case "encoding/gob":
-		if recv != nil && gobOps[fn.Name()] {
-			return fmt.Sprintf("gob %s", strings.ToLower(fn.Name())), true
-		}
 	case "io":
 		if recv == nil && ioPkgFuncs[fn.Name()] {
 			return fmt.Sprintf("blocking I/O (io.%s)", fn.Name()), true

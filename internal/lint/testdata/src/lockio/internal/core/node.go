@@ -1,13 +1,13 @@
 // Package core exercises the lockio analyzer. mineTorn deliberately
-// reintroduces the PR 5 torn-state shape — gob encoding and backend
-// persistence inline inside the publish critical section — which is
-// the historical bug this analyzer exists to keep out.
+// reintroduces the torn-state shape of the crash-recovery race — a
+// journal write and backend persistence inline inside the publish
+// critical section — which is the historical bug this analyzer exists
+// to keep out.
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"os"
+	"strconv"
 	"sync"
 
 	"lockio/internal/storage"
@@ -22,33 +22,34 @@ type prover struct{}
 func (prover) ProveDisjoint(a, b int) error { return nil }
 
 type Node struct {
-	mu  sync.RWMutex
-	be  storage.Backend
-	prv prover
+	mu      sync.RWMutex
+	be      storage.Backend
+	journal *os.File
+	prv     prover
 }
 
-// mineTorn is the PR 5 bug pattern: encode and persist while holding
-// the publish lock, so a slow disk stalls every reader and a crash
-// mid-append publishes torn state.
+// mineTorn is the torn-state bug pattern: journal and persist while
+// holding the publish lock, so a slow disk stalls every reader and a
+// crash mid-append publishes torn state.
 func (n *Node) mineTorn(rec record) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil { // want `gob encode while n.mu is held`
+	data := []byte(strconv.Itoa(rec.Height))
+	if _, err := n.journal.Write(data); err != nil { // want `file I/O \(os.Write\) while n.mu is held`
 		return err
 	}
-	return n.be.Append(buf.Bytes()) // want `storage backend Append while n.mu is held`
+	return n.be.Append(data) // want `storage backend Append while n.mu is held`
 }
 
 // commitLocked is the sanctioned choke point: it takes no lock itself
 // (callers do) and is the reviewed atomic validate-persist-publish
 // path, so nothing inside it is flagged.
 func (n *Node) commitLocked(rec record) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+	data := []byte(strconv.Itoa(rec.Height))
+	if _, err := n.journal.Write(data); err != nil {
 		return err
 	}
-	return n.be.Append(buf.Bytes())
+	return n.be.Append(data)
 }
 
 func (n *Node) mineGood(rec record) error {
@@ -130,7 +131,8 @@ func (n *Node) pagedRead(h int) ([]byte, error) {
 func (n *Node) frozenExport() error {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return gob.NewEncoder(os.Stdout).Encode(record{})
+	_, err := n.journal.Write(nil)
+	return err
 }
 
 // lineScoped: a line directive just above the statement suppresses

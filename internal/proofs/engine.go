@@ -7,10 +7,11 @@
 // block, and across the blocks of a lazy span. The Engine centralizes
 // that cost behind one reusable component:
 //
-//   - a bounded worker pool executing deferred proof tasks scheduled
-//     with assign callbacks (Run), so VO construction can stay
-//     single-threaded while proof computation fans out. A Run is the
-//     only entry point: callers plan (Add), then prove (WaitCtx);
+//   - deferred proof tasks scheduled with assign callbacks (Run) and
+//     fanned out with par.For, so VO construction can stay
+//     single-threaded while proof computation runs in parallel. A Run
+//     is the only entry point: callers plan (Add), then prove
+//     (WaitCtx);
 //   - an LRU memoization cache keyed by a hash of (multiset digest,
 //     clause key) and holding each proof's canonical bytes, with
 //     single-flight deduplication, so concurrent and repeated requests
@@ -33,10 +34,10 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/multiset"
+	"github.com/vchain-go/vchain/internal/par"
 )
 
 // DefaultCacheSize is the proof-cache capacity when Options.CacheSize
@@ -47,9 +48,12 @@ const DefaultCacheSize = 4096
 
 // Options configure an Engine.
 type Options struct {
-	// Workers is the worker-pool size of every deferred run (Run.WaitCtx),
-	// the waiting goroutine included — the paper's SP uses 24. Values
-	// <= 1 mean a pool of one.
+	// Workers bounds the goroutines proving one deferred run
+	// (Run.WaitCtx), the waiting goroutine included — the paper's SP
+	// uses 24. The helpers come from the process's one par budget, so
+	// a run proves on at most min(Workers, GOMAXPROCS) goroutines, and
+	// fan-outs nested in a proof run inline while that budget is spent.
+	// Values <= 1 prove on the waiting goroutine alone.
 	Workers int
 	// CacheSize bounds the LRU proof cache: 0 means DefaultCacheSize,
 	// negative disables caching entirely.
@@ -138,19 +142,15 @@ type flight struct {
 
 // New creates an engine over the given accumulator.
 func New(acc accumulator.Accumulator, opts Options) *Engine {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	size := opts.CacheSize
 	if size == 0 {
 		size = DefaultCacheSize
 	}
 	return &Engine{
 		acc:       acc,
-		workers:   workers,
+		workers:   opts.Workers,
 		cacheSize: size,
-		sem:       make(chan struct{}, max(workers, runtime.GOMAXPROCS(0))),
+		sem:       make(chan struct{}, max(opts.Workers, runtime.GOMAXPROCS(0))),
 		lru:       list.New(),
 		items:     map[cacheKey]*list.Element{},
 		inflight:  map[cacheKey]*flight{},
@@ -263,7 +263,7 @@ type task struct {
 }
 
 // Run collects deferred proof tasks scheduled during VO construction
-// and executes them on the worker pool at WaitCtx. It is the only way
+// and executes them in parallel at WaitCtx. It is the only way
 // to compute a proof. Runs are not safe for concurrent Add; build the
 // run single-threaded, then WaitCtx.
 type Run struct {
@@ -292,8 +292,8 @@ func (r *Run) Truncate(n int) {
 	r.tasks = r.tasks[:n]
 }
 
-// WaitCtx executes all scheduled tasks on a pool of the engine's
-// worker count (never more workers than tasks) and invokes each task's
+// WaitCtx executes all scheduled tasks on up to the engine's Workers
+// goroutines (par.For, never more than tasks) and invokes each task's
 // assign callback with its proof. The first error in scheduling order
 // wins; remaining successful assignments still happen. The run is
 // empty afterwards and may be reused. Once the context ends, remaining
@@ -308,25 +308,10 @@ func (r *Run) WaitCtx(ctx context.Context) error {
 	pfs := make([]accumulator.Proof, len(tasks))
 	errs := make([]error, len(tasks))
 
-	// Workers claim task indexes from a shared counter. The waiting
-	// goroutine is one of them, so a pool of one starts no goroutine.
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1) - 1); i < len(tasks); i = int(next.Add(1) - 1) {
-			t := &tasks[i]
-			pfs[i], errs[i] = r.e.prove(ctx, t.w, t.clauseKey, t.clauseW)
-		}
-	}
-	var wg sync.WaitGroup
-	for range min(r.e.workers, len(tasks)) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	par.For(len(tasks), r.e.workers, func(i int) {
+		t := &tasks[i]
+		pfs[i], errs[i] = r.e.prove(ctx, t.w, t.clauseKey, t.clauseW)
+	})
 
 	var firstErr error
 	for i := range tasks {

@@ -54,9 +54,9 @@ type Options struct {
 	// is fixed at store creation; reopening validates it against the
 	// directory's topology record.
 	Band int
-	// Workers sizes the node's one proof engine: the worker pool every
-	// query's and subscription's proofs run on. 0 means one worker per
-	// shard.
+	// Workers sizes the node's one proof engine: the goroutines, at most
+	// GOMAXPROCS, each run of a query's or subscription's proofs is
+	// proved on (proofs.Options.Workers). 0 means one worker per shard.
 	Workers int
 	// ADSCacheBlocks bounds the node's decoded-ADS cache, in blocks,
 	// split evenly across the shards (each worker keeps at least one

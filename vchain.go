@@ -173,9 +173,13 @@ type Config struct {
 	// Difficulty is the proof-of-work difficulty in leading zero bits.
 	// Default 8.
 	Difficulty uint8
-	// SPWorkers is the size of the node's one proof worker pool, which
-	// every query and subscription proves on at any shard count (the
-	// paper's SP runs 24 hyper-threads). 0 means one worker per shard.
+	// SPWorkers bounds the goroutines proving one run of the node's one
+	// proof engine, which every query and subscription proves on at any
+	// shard count (the paper's SP runs 24 hyper-threads). A run proves
+	// on at most min(SPWorkers, GOMAXPROCS) goroutines, and the
+	// fan-outs nested in its proofs run inline while the process's one
+	// parallelism budget (internal/par) is spent. 0 means one worker per
+	// shard.
 	SPWorkers int
 	// ADSCacheBlocks bounds a durable node's decoded-ADS cache to that
 	// many blocks (split across its shards), so RAM
