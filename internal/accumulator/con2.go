@@ -1,10 +1,15 @@
 package accumulator
 
 import (
+	"cmp"
 	"crypto/rand"
 	"fmt"
 	"math/big"
+	"math/bits"
+	"runtime"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"github.com/vchain-go/vchain/internal/crypto/ec"
 	"github.com/vchain-go/vchain/internal/crypto/pairing"
@@ -31,6 +36,10 @@ type Con2 struct {
 	// DictEncoder already answers from its own map.
 	encMu    sync.RWMutex
 	encCache map[string]int
+	// freeMu guards free, the proving scratch sets ProveDisjoint reuses
+	// (getScratch, putScratch).
+	freeMu sync.Mutex
+	free   []*proveScratch
 }
 
 // KeyGenCon2 runs the trusted setup for Construction 2 with a fresh
@@ -104,21 +113,60 @@ func (c *Con2) encodeElem(e string) (int, error) {
 	return v, nil
 }
 
-// encode maps every occurrence of x into the integer domain, with
-// multiplicities preserved.
-func (c *Con2) encode(x multiset.Multiset) (map[int]int, error) {
-	out := make(map[int]int, x.Len())
-	for _, e := range x.Elements() {
-		v, err := c.encodeElem(e)
+// power is an exponent with its multiplicity: an element's code (or a
+// public-key index) i, counted m times.
+type power struct{ i, m int64 }
+
+// encode appends to dst every element of x as its code, with
+// multiplicities preserved, and returns the codes sorted and merged:
+// distinct elements that the encoder maps to one code add up. The
+// elements go to the encoder in map order, which allocates nothing;
+// but a DictEncoder numbers elements on first sight, in the order every
+// party uses, x's elements sorted, so one that does not know them all
+// sees them sorted first.
+func (c *Con2) encode(dst []power, x multiset.Multiset) ([]power, error) {
+	if d, ok := c.enc.(*DictEncoder); ok && !d.knows(x) {
+		for _, e := range x.Elements() {
+			if _, err := c.code(e); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for e, m := range x {
+		v, err := c.code(e)
 		if err != nil {
 			return nil, err
 		}
-		if v < 1 || v >= c.q {
-			return nil, fmt.Errorf("accumulator: encoder produced %d outside [1, %d)", v, c.q)
-		}
-		out[v] += x.Count(e)
+		dst = append(dst, power{v, int64(m)})
 	}
-	return out, nil
+	return merge(dst), nil
+}
+
+// code is encodeElem checked against the domain [1, q−1].
+func (c *Con2) code(e string) (int64, error) {
+	v, err := c.encodeElem(e)
+	if err != nil {
+		return 0, err
+	}
+	if v < 1 || v >= c.q {
+		return 0, fmt.Errorf("accumulator: encoder produced %d outside [1, %d)", v, c.q)
+	}
+	return int64(v), nil
+}
+
+// merge sorts ps by exponent and adds up the multiplicities of equal
+// exponents, in place.
+func merge(ps []power) []power {
+	slices.SortFunc(ps, func(a, b power) int { return cmp.Compare(a.i, b.i) })
+	out := ps[:0]
+	for _, p := range ps {
+		if n := len(out); n > 0 && out[n-1].i == p.i {
+			out[n-1].m += p.m
+		} else {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // Setup implements Accumulator:
@@ -181,10 +229,10 @@ func (c *Con2) combine1(t term) (Acc, error) {
 // point itself; a larger one (encoder collisions, an intersection's
 // min > 1) adds its scalar multiple, so every digest stays exact.
 func (c *Con2) combineEach(ts []term) ([]Acc, error) {
-	encs := make([]map[int]int, len(ts))
+	encs := make([][]power, len(ts))
 	n := 0
 	for i, t := range ts {
-		enc, err := c.encode(t.x)
+		enc, err := c.encode(nil, t.x)
 		if err != nil {
 			return nil, err
 		}
@@ -202,10 +250,10 @@ func (c *Con2) combineEach(ts []term) ([]Acc, error) {
 		for _, a := range t.accs {
 			ptsA, ptsB = append(ptsA, a.A), append(ptsB, a.B)
 		}
-		for v, m := range encs[i] {
-			pa, pb := c.pk[v], c.pk[c.q-v]
-			if m != 1 {
-				k := big.NewInt(int64(m))
+		for _, e := range encs[i] {
+			pa, pb := c.pk[e.i], c.pk[int64(c.q)-e.i]
+			if e.m != 1 {
+				k := big.NewInt(e.m)
 				pa, pb = curve.ScalarMul(pa, k), curve.ScalarMul(pb, k)
 			}
 			if t.neg {
@@ -229,38 +277,147 @@ func (c *Con2) combineEach(ts []term) ([]Acc, error) {
 // Every exponent index q + x_i − x_j lies in [2, 2q−2] and differs from
 // q exactly when x_i ≠ x_j — so the proof is computable from the
 // public key precisely for disjoint multisets.
+//
+// π = Σ_i m_i·pk[i] over the distinct indices i, with m_i the summed
+// products of multiplicities. Writing each m_i in binary, π = Σ_b 2^b·S_b
+// where S_b sums the key points whose multiplicity has bit b set: one
+// SumEachIndex adds every S_b straight from the public key, and a
+// Horner chain of a few doublings combines them. The indices, the bit
+// groups and every round buffer live in a scratch set taken from c's
+// free list, so a proof allocates only when a set must grow (or when a
+// DictEncoder must see new elements sorted).
 func (c *Con2) ProveDisjoint(x1, x2 multiset.Multiset) (Proof, error) {
-	e1, err := c.encode(x1)
-	if err != nil {
+	s := c.getScratch()
+	defer c.putScratch(s)
+	var err error
+	if s.e1, err = c.encode(grow(s.e1, len(x1))[:0], x1); err != nil {
 		return Proof{}, err
 	}
-	e2, err := c.encode(x2)
-	if err != nil {
+	if s.e2, err = c.encode(grow(s.e2, len(x2))[:0], x2); err != nil {
 		return Proof{}, err
 	}
-	for v := range e1 {
-		if e2[v] > 0 {
+	for i, j := 0, 0; i < len(s.e1) && j < len(s.e2); {
+		switch v1, v2 := s.e1[i].i, s.e2[j].i; {
+		case v1 == v2:
 			return Proof{}, ErrNotDisjoint
+		case v1 < v2:
+			i++
+		default:
+			j++
 		}
 	}
-	// Collect exponent-index multiplicities first so each distinct
-	// power costs a single scalar multiplication.
-	idx := make(map[int]int64, len(e1)*len(e2))
-	for v1, m1 := range e1 {
-		for v2, m2 := range e2 {
-			idx[c.q+v1-v2] += int64(m1) * int64(m2)
+	q := int64(c.q)
+	ps := grow(s.pows, len(s.e1)*len(s.e2))[:0]
+	for _, b := range s.e2 {
+		for _, a := range s.e1 {
+			ps = append(ps, power{q + a.i - b.i, a.m * b.m})
 		}
 	}
-	pts := make([]ec.Point, 0, len(idx))
-	ks := make([]*big.Int, 0, len(idx))
-	for i, m := range idx {
-		if i == c.q {
+	ps = merge(ps)
+	s.pows = ps
+	var top uint64
+	for _, p := range ps {
+		if p.i == q {
 			return Proof{}, ErrNotDisjoint // defensive: cannot happen after the check above
 		}
-		pts = append(pts, c.pk[i])
-		ks = append(ks, big.NewInt(m))
+		top |= uint64(p.m)
 	}
-	return Proof{F1: c.pr.C.MultiScalarMul(pts, ks), F2: c.pr.C.Infinity()}, nil
+	if len(ps) == 0 {
+		return Proof{F1: c.pr.C.Infinity(), F2: c.pr.C.Infinity()}, nil
+	}
+	// Group b lists the indices whose multiplicity has bit b set, back
+	// to back in s.idx.
+	n := 0
+	for _, p := range ps {
+		n += bits.OnesCount64(uint64(p.m))
+	}
+	nb := bits.Len64(top)
+	s.idx, s.groups = grow(s.idx, n), grow(s.groups, nb)
+	n = 0
+	for b := range nb {
+		start := n
+		for _, p := range ps {
+			if p.m>>b&1 == 1 {
+				s.idx[n] = int32(p.i)
+				n++
+			}
+		}
+		s.groups[b] = s.idx[start:n]
+	}
+	curve := c.pr.C
+	sums := curve.SumEachIndex(&s.sum, c.pk, s.groups)
+	if nb == 1 {
+		return Proof{F1: sums[0], F2: curve.Infinity()}, nil
+	}
+	var acc ec.JacPoint
+	for b := nb - 1; b >= 0; b-- {
+		acc = curve.JacAddMixed(curve.JacDouble(acc), sums[b])
+	}
+	return Proof{F1: curve.FromJac(acc), F2: curve.Infinity()}, nil
+}
+
+// proveScratch is the working memory of one ProveDisjoint: the two
+// encoded multisets, the (index, multiplicity) pairs, the indices
+// grouped by multiplicity bit, and SumEachIndex's round buffers.
+type proveScratch struct {
+	e1, e2, pows []power
+	idx          []int32
+	groups       [][]int32
+	sum          ec.SumScratch
+}
+
+// maxScratchBuf bounds, in bytes, each buffer of a scratch set that a
+// Con2 keeps for reuse; a buffer that grew past it, for an unusually
+// large proof, is dropped. A proof of the benchmark's shape (~300 key
+// indices) fits, with about 45 KB in all.
+const maxScratchBuf = 32 << 10
+
+// getScratch takes a scratch set from c's free list, or a new one.
+func (c *Con2) getScratch() *proveScratch {
+	c.freeMu.Lock()
+	defer c.freeMu.Unlock()
+	if n := len(c.free); n > 0 {
+		s := c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		return s
+	}
+	return new(proveScratch)
+}
+
+// putScratch returns s to c's free list, which keeps at most
+// GOMAXPROCS sets (as many as can prove at once), each buffer at most
+// maxScratchBuf bytes. The list is not a sync.Pool: a pool's victim
+// cache would keep its sets alive across a garbage collection, so the
+// live heap right after one would still hold them.
+func (c *Con2) putScratch(s *proveScratch) {
+	s.e1, s.e2, s.pows = trim(s.e1), trim(s.e2), trim(s.pows)
+	s.idx, s.groups = trim(s.idx), trim(s.groups)
+	s.sum.Trim(maxScratchBuf)
+	c.freeMu.Lock()
+	defer c.freeMu.Unlock()
+	if len(c.free) < runtime.GOMAXPROCS(0) {
+		c.free = append(c.free, s)
+	}
+}
+
+// trim returns xs, or nil if its capacity holds more than maxScratchBuf
+// bytes.
+func trim[T any](xs []T) []T {
+	var t T
+	if cap(xs)*int(unsafe.Sizeof(t)) > maxScratchBuf {
+		return nil
+	}
+	return xs
+}
+
+// grow returns xs resized to n, reallocated only when its capacity is
+// short.
+func grow[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	return xs[:n]
 }
 
 // VerifyDisjoint implements Accumulator: ê(dA(X1), dB(X2)) =? ê(π, g),

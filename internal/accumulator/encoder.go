@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+
+	"github.com/vchain-go/vchain/internal/multiset"
 )
 
 // ElementEncoder maps attribute strings into the bounded integer domain
@@ -69,6 +71,19 @@ func (d *DictEncoder) Encode(elem string) (int, error) {
 	d.next++
 	d.ids[elem] = id
 	return id, nil
+}
+
+// knows reports whether every element of x has its identifier already,
+// so that encoding x in any order registers nothing.
+func (d *DictEncoder) knows(x multiset.Multiset) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for e := range x {
+		if _, ok := d.ids[e]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // Len returns the number of registered elements.

@@ -14,10 +14,13 @@
 // paths (ScalarMul, MultiScalarMul, fixed-base tables) run in Jacobian
 // coordinates and convert back once. Sums of many points (SumEach, and
 // through it the accumulators' digests and MultiScalarMul's unit
-// scalars and large buckets) instead add affinely in rounds of
-// independent additions that share one inversion, and finish on the
-// Jacobian chain once a round gets small. Coordinates are ff.Elt
-// values, so the group arithmetic allocates nothing per field
+// scalars and buckets; SumEachIndex, over index lists into one slice
+// such as a public key, for Construction 2's proofs) instead add
+// affinely in rounds of independent additions that share one
+// inversion, and finish on the Jacobian chain once the round's shape
+// makes that cheaper. SumEachIndex can reuse a caller's SumScratch, so
+// a caller that sums repeatedly allocates nothing. Coordinates are
+// ff.Elt values, so the group arithmetic allocates nothing per field
 // operation; math/big appears here only for scalars.
 package ec
 

@@ -7,8 +7,8 @@ import "github.com/vchain-go/vchain/internal/crypto/ff"
 // point at infinity. The zero value is infinity, so slices of JacPoint
 // (Pippenger buckets, window tables) start out correctly initialized.
 //
-// Affine chord-and-tangent pays one modular inversion — about 80 field
-// multiplications at the default preset and 60–80 at toy — per group
+// Affine chord-and-tangent pays one modular inversion — about 60 field
+// multiplications at the default preset and 40 at toy — per group
 // operation, while the formulas below use none. A chain of dependent
 // operations (scalar multiplication, the small MSM buckets, fixed-base
 // tables) therefore accumulates in Jacobian form and converts back to
@@ -141,9 +141,16 @@ func (c *Curve) JacAddMixed(p JacPoint, q Point) JacPoint {
 // single field inversion shared by the whole batch (batchInvert).
 // Infinity entries pass through untouched.
 func (c *Curve) NormalizeJac(ps []JacPoint) []Point {
-	f := c.F
 	out := make([]Point, len(ps))
-	zs := make([]ff.Elt, 0, 2*len(ps)) // the Z's, then batchInvert's scratch
+	c.normalizeInto(out, ps, make([]ff.Elt, 2*len(ps)))
+	return out
+}
+
+// normalizeInto is NormalizeJac writing into out, with zs (at least
+// twice as long as ps) for the Z's and batchInvert's scratch.
+func (c *Curve) normalizeInto(out []Point, ps []JacPoint, zs []ff.Elt) {
+	f := c.F
+	zs = zs[:0]
 	for _, p := range ps {
 		if !p.IsInf() {
 			zs = append(zs, p.Z)
@@ -161,7 +168,6 @@ func (c *Curve) NormalizeJac(ps []JacPoint) []Point {
 		zi2 := f.Square(zi)
 		out[i] = Point{X: f.Mul(p.X, zi2), Y: f.Mul(p.Y, f.Mul(zi2, zi))}
 	}
-	return out
 }
 
 // batchInvert replaces every element of xs by its inverse with one

@@ -2,9 +2,7 @@ package ec
 
 import (
 	"math/big"
-	"slices"
 
-	"github.com/vchain-go/vchain/internal/crypto/ff"
 	"github.com/vchain-go/vchain/internal/par"
 )
 
@@ -140,59 +138,53 @@ func (c *Curve) msmPippenger(pts []Point, ks []*big.Int, maxBits int) Point {
 }
 
 // bucketSums returns window wi's buckets: bucket d−1 is the sum of the
-// points whose w-bit digit there is d. When SumEach's first round is
-// sure to be affine, at least sumEachMinPairs additions even if every
-// bucket holds an odd point, the points are listed per bucket, back to
-// back in one slice, and one SumEach adds up every bucket; otherwise
-// (a few points per bucket) each is a mixed Jacobian chain, which
-// spares SumEach's normalization.
+// points whose w-bit digit there is d. Each bucket is a list of indices
+// into pts, and SumEachIndex's rounds add them up where affineRound
+// finds an affine round cheaper for the buckets' sizes; where it does
+// not (a few points per bucket), each bucket is a mixed Jacobian chain,
+// which needs no normalization because the buckets are combined in
+// Jacobian form.
 func (c *Curve) bucketSums(pts []Point, ks []*big.Int, wi, w int) []JacPoint {
 	buckets := make([]JacPoint, (1<<w)-1) // zero value = infinity
-	if len(pts) < 2*sumEachMinPairs+len(buckets) {
-		for i, k := range ks {
-			if d := scalarDigit(k, wi*w, w); d != 0 {
+	digits := make([]int, len(ks))
+	sizes := make([]int, len(buckets))
+	for i, k := range ks {
+		if d := scalarDigit(k, wi*w, w); d != 0 {
+			digits[i] = d
+			sizes[d-1]++
+		}
+	}
+	if !affineRound(len(sizes), func(d int) int { return sizes[d] }, true, 0) {
+		for i, d := range digits {
+			if d != 0 {
 				buckets[d-1] = c.JacAddMixed(buckets[d-1], pts[i])
 			}
 		}
 		return buckets
 	}
-	digits := make([]int, len(ks))
-	starts := make([]int, 1<<w+1)
-	for i, k := range ks {
-		digits[i] = scalarDigit(k, wi*w, w)
-		starts[digits[i]+1]++
-	}
-	for d := 1; d <= 1<<w; d++ {
-		starts[d] += starts[d-1]
-	}
-	flat := make([]Point, len(ks))
-	lists := make([][]Point, len(buckets))
-	for d := range lists {
-		lists[d] = flat[starts[d+1]:starts[d+1]:starts[d+2]]
+	idx := make([]int32, len(ks))
+	lists := make([][]int32, len(buckets))
+	off := 0
+	for d, n := range sizes {
+		lists[d] = idx[off : off : off+n]
+		off += n
 	}
 	for i, d := range digits {
 		if d != 0 {
-			lists[d-1] = append(lists[d-1], pts[i])
+			lists[d-1] = append(lists[d-1], int32(i))
 		}
 	}
-	for d, p := range c.SumEach(lists) {
-		buckets[d] = c.ToJac(p)
+	var s SumScratch
+	s.loadIndex(pts, lists)
+	c.sumRounds(&s, true, 0)
+	for d := range buckets {
+		buckets[d] = c.ToJac(s.out[d])
+	}
+	for j, d := range s.at {
+		buckets[d] = s.jac[j]
 	}
 	return buckets
 }
-
-// Operation costs in field multiplications (squarings counted as
-// multiplications) for the curve coefficient a = 0: a mixed addition,
-// a general Jacobian addition, a doubling, one NormalizeJac entry, and
-// an inversion, which is about 80 multiplications at the default preset
-// (BenchmarkFieldInv against BenchmarkFieldMul).
-const (
-	mixedAddMuls  = 11
-	jacAddMuls    = 16
-	jacDoubleMuls = 7
-	normalizeMuls = 7
-	invMuls       = 80
-)
 
 // pippengerCost estimates MultiScalarMul's bucket method: per window,
 // one mixed addition per non-zero digit and two general additions per
@@ -254,139 +246,6 @@ func (c *Curve) msmStraus(pts []Point, ks []*big.Int, bits int) Point {
 		}
 	}
 	return c.FromJac(acc)
-}
-
-// sumEachMinPairs is the round size, in independent additions across
-// all groups, from which SumEach adds affinely. An affine round pays
-// one shared inversion, about 80 multiplications at the default preset,
-// plus 6 per addition (3 in batchInvert, 3 for the chord), where a
-// mixed Jacobian addition pays 11, so by that count a round wins from
-// about 16 additions. Measured at the default preset (2 vCPUs, six
-// alternating runs, 8 against 16): a limit of 16 took one group of 16
-// or 32 points from 41–53 and 71–85 µs to 30–43 and 58–78 µs, but
-// MultiScalarMul over 64 and 256 points with 160-bit scalars, whose
-// buckets SumEach adds, from 5.9–7.9 and 13.3–17.6 ms to 7.2–9.5 and
-// 15.4–18.3 ms, and k groups of three points stayed within noise.
-// Proofs run those multi-scalar multiplications, so the limit stays 8.
-const sumEachMinPairs = 8
-
-// SumEach returns the sum of every group: out[i] = Σ groups[i]. Each
-// round pairs up the points inside every group and performs all of the
-// round's additions in affine coordinates with one shared inversion
-// (batchInvert); a group's odd point waits for the next round. Once a
-// round would have fewer than sumEachMinPairs additions, the remaining
-// points of each group are summed on a mixed Jacobian chain, and all
-// groups convert back with one NormalizeJac. A round that finishes
-// every group (none has more than two points left) is always affine:
-// it saves the normalization as well. P = Q takes the tangent, P = −Q
-// and the 2-torsion point doubled give infinity, and infinity inputs
-// add nothing. The groups are not modified.
-func (c *Curve) SumEach(groups [][]Point) []Point { return c.sumEach(groups, sumEachMinPairs) }
-
-// sumEach is SumEach with the crossover as a parameter, so that tests
-// and BenchmarkSumEach can force either path: minPairs 1 adds every
-// round affinely, and a minPairs above every round's size leaves only
-// a last round affine.
-func (c *Curve) sumEach(groups [][]Point, minPairs int) []Point {
-	f := c.F
-	// cur[i] is group i's live points: the input until the first affine
-	// round, then a window of buf. Each round repacks the windows from
-	// the front of buf in group order, and a sum is written at or before
-	// the position of the pair it comes from, so no write reaches a
-	// point that a later pair of the round still reads.
-	cur := slices.Clone(groups)
-	var buf []Point
-	var den []ff.Elt // a round's denominators, then batchInvert's scratch
-	for {
-		pairs, last := 0, true
-		for _, g := range cur {
-			pairs += len(g) / 2
-			last = last && len(g) <= 2
-		}
-		if pairs == 0 || (pairs < minPairs && !last) {
-			break
-		}
-		if buf == nil {
-			half := 0
-			for _, g := range cur {
-				half += (len(g) + 1) / 2
-			}
-			buf = make([]Point, half)
-			den = make([]ff.Elt, 2*pairs)
-		}
-		inv := den[:0]
-		for _, g := range cur {
-			for k := 0; k+1 < len(g); k += 2 {
-				p, q := &g[k], &g[k+1]
-				switch {
-				case p.Inf || q.Inf:
-					inv = append(inv, f.One()) // no slope: the sum is the other point
-				case !p.X.Equal(q.X):
-					inv = append(inv, f.Sub(q.X, p.X))
-				case p.Y.Equal(q.Y) && !p.Y.IsZero():
-					inv = append(inv, f.Add(p.Y, p.Y)) // P = Q: the tangent's 2y
-				default:
-					inv = append(inv, f.One()) // P = −Q: no slope, the sum is infinity
-				}
-			}
-		}
-		batchInvert(f, inv, den[pairs:2*pairs])
-		j, off := 0, 0
-		for i, g := range cur {
-			dst := buf[off : off+(len(g)+1)/2]
-			off += len(dst)
-			w, k := 0, 0
-			for ; k+1 < len(g); k, j = k+2, j+1 {
-				p, q := g[k], g[k+1]
-				var lambda ff.Elt
-				switch {
-				case p.Inf:
-					if !q.Inf {
-						dst[w], w = q, w+1
-					}
-					continue
-				case q.Inf:
-					dst[w], w = p, w+1
-					continue
-				case !p.X.Equal(q.X):
-					lambda = f.Mul(f.Sub(q.Y, p.Y), inv[j])
-				case p.Y.Equal(q.Y) && !p.Y.IsZero():
-					x2 := f.Square(p.X)
-					lambda = f.Mul(f.Add(f.Add(x2, x2), x2), inv[j])
-				default:
-					continue // P = −Q: infinity drops out of the group
-				}
-				x3 := f.Sub(f.Sub(f.Square(lambda), p.X), q.X)
-				dst[w] = Point{X: x3, Y: f.Sub(f.Mul(lambda, f.Sub(p.X, x3)), p.Y)}
-				w++
-			}
-			if k < len(g) {
-				dst[w], w = g[k], w+1
-			}
-			cur[i] = dst[:w]
-		}
-	}
-	out := make([]Point, len(groups))
-	var jac []JacPoint
-	var at []int
-	for i, g := range cur {
-		switch len(g) {
-		case 0:
-			out[i] = c.Infinity()
-		case 1:
-			out[i] = g[0]
-		default:
-			var acc JacPoint
-			for _, p := range g {
-				acc = c.JacAddMixed(acc, p)
-			}
-			jac, at = append(jac, acc), append(at, i)
-		}
-	}
-	for j, p := range c.NormalizeJac(jac) {
-		out[at[j]] = p
-	}
-	return out
 }
 
 // scalarDigit extracts the w-bit digit of k starting at bit off.

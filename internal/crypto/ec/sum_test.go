@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/crypto/ec"
@@ -63,12 +64,35 @@ func sumGroups(c *ec.Curve, g ec.Point, rng *rand.Rand) [][]ec.Point {
 	}
 }
 
+// indexGroups is groups as index lists into one base slice, the form
+// SumEachIndex takes: the points of every group in reverse order,
+// listed from the front of the base, so that index order and base
+// order differ.
+func indexGroups(groups [][]ec.Point) ([]ec.Point, [][]int32) {
+	var base []ec.Point
+	lists := make([][]int32, len(groups))
+	for i, g := range groups {
+		for k := len(g) - 1; k >= 0; k-- {
+			lists[i] = append(lists[i], int32(len(base)))
+			base = append(base, g[k])
+		}
+	}
+	return base, lists
+}
+
+// scratch is reused by every checkSumEach call, as a prover reuses its
+// own across calls of every shape.
+var scratch ec.SumScratch
+
 func checkSumEach(t *testing.T, c *ec.Curve, groups [][]ec.Point) {
 	t.Helper()
+	base, lists := indexGroups(groups)
 	paths := map[string][]ec.Point{
 		"SumEach":  c.SumEach(groups),
 		"affine":   c.SumEachWith(groups, 1),
 		"jacobian": c.SumEachWith(groups, 1<<30),
+		"index":    c.SumEachIndex(nil, base, lists),
+		"scratch":  slices.Clone(c.SumEachIndex(&scratch, base, lists)),
 	}
 	for name, got := range paths {
 		if len(got) != len(groups) {
@@ -152,12 +176,12 @@ func FuzzSumEach(f *testing.F) {
 	})
 }
 
-// BenchmarkSumEach measures the crossover sumEachMinPairs records at
-// the default preset, summing each shape with every round affine
-// (affine), with the mixed Jacobian chains from the start (jacobian),
-// and as SumEach chooses: k groups of three points, whose first round has k
-// additions and whose second is the last, and one group of n points,
-// whose rounds halve.
+// BenchmarkSumEach measures the crossover affineRound estimates at the
+// default preset, summing each shape with every round affine (affine),
+// with the mixed Jacobian chains from the start (jacobian), as SumEach
+// chooses, and as SumEachIndex chooses on a reused scratch set: k
+// groups of three points, whose first round has k additions and whose
+// second is the last, and one group of n points, whose rounds halve.
 func BenchmarkSumEach(b *testing.B) {
 	pr := pairing.Default()
 	c := pr.C
@@ -193,6 +217,7 @@ func BenchmarkSumEach(b *testing.B) {
 			minPairs int
 		}{{"affine", 1}, {"jacobian", 1 << 30}, {"SumEach", 0}} {
 			b.Run(sh.name+"/"+path.name, func(b *testing.B) {
+				b.ReportAllocs()
 				for b.Loop() {
 					if path.minPairs == 0 {
 						c.SumEach(sh.groups)
@@ -202,5 +227,13 @@ func BenchmarkSumEach(b *testing.B) {
 				}
 			})
 		}
+		base, lists := indexGroups(sh.groups)
+		var s ec.SumScratch
+		b.Run(sh.name+"/SumEachIndex", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				c.SumEachIndex(&s, base, lists)
+			}
+		})
 	}
 }

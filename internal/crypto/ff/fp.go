@@ -8,10 +8,11 @@
 // chains and multiplications a Montgomery product. At 8 limbs on an
 // amd64 CPU with BMI2 and ADX the product is an assembly kernel
 // (fp_amd64.s); every other field and CPU runs the same product in Go.
-// math/big appears only at the edges: building elements from integers,
-// inversion, the exponents of Exp/Sqrt, and parameter
-// generation. The quadratic extension F_p² is realized as
-// F_p[i]/(i²+1), which is a field whenever p ≡ 3 (mod 4).
+// Inversion is on the limbs too: Bernstein and Yang's safegcd in its
+// variable-time form (inv.go), with no allocation. math/big appears
+// only at the edges: building elements from integers, the exponents of
+// Exp/Sqrt, and parameter generation. The quadratic extension F_p² is
+// realized as F_p[i]/(i²+1), which is a field whenever p ≡ 3 (mod 4).
 package ff
 
 import (
@@ -104,15 +105,6 @@ func limbsOf(v *big.Int) (l [maxLimbs]uint64) {
 		l[i] = binary.BigEndian.Uint64(buf[len(buf)-8*(i+1):])
 	}
 	return l
-}
-
-// toBig returns the integer held in e's live limbs.
-func (f *Field) toBig(e Elt) *big.Int {
-	var buf [8 * maxLimbs]byte
-	for i := 0; i < f.n; i++ {
-		binary.BigEndian.PutUint64(buf[len(buf)-8*(i+1):], e.l[i])
-	}
-	return new(big.Int).SetBytes(buf[len(buf)-8*f.n:])
 }
 
 // NewElt reduces v into the field.
@@ -271,20 +263,14 @@ func (f *Field) fromMont(e Elt) Elt { return f.Mul(e, Elt{l: [maxLimbs]uint64{1}
 
 // Inv returns a⁻¹. It panics on zero, which callers must exclude.
 //
-// The inversion runs in math/big: the extended GCD of ModInverse costs
-// about 80 multiplications at the default preset, a limb Fermat
-// inversion (one exponentiation by p−2) hundreds. It inverts the
-// representative a·R directly and multiplies by R³, which lands on
-// a⁻¹·R with one Montgomery product.
+// It inverts the canonical value of a's representative a·R by safegcd
+// (invCanonical, on the limbs, allocating nothing) and multiplies by
+// R³, which lands on a⁻¹·R with one Montgomery product.
 func (f *Field) Inv(a Elt) Elt {
 	if a.IsZero() {
 		panic("ff: inverse of zero")
 	}
-	v := new(big.Int).ModInverse(f.toBig(a), f.P)
-	if v == nil {
-		panic("ff: modulus not prime")
-	}
-	return f.Mul(Elt{l: limbsOf(v)}, f.r3)
+	return f.Mul(Elt{l: f.invCanonical(a.l)}, f.r3)
 }
 
 // Exp returns a^k by square-and-multiply. Negative exponents invert

@@ -85,6 +85,8 @@ func checkFieldOps(t *testing.T, f *ff.Field, a, b, k []byte) {
 	if ai.Sign() != 0 {
 		inv := new(big.Int).ModInverse(ai, p)
 		want("Inv", f.Inv(x), inv)
+	} else if !panics(func() { f.Inv(x) }) {
+		t.Fatalf("p=%v: Inv(0) did not panic", p)
 	}
 
 	jac := big.Jacobi(ai, p)
@@ -124,4 +126,11 @@ func checkFieldOps(t *testing.T, f *ff.Field, a, b, k []byte) {
 	if in := new(big.Int).SetBytes(le).Cmp(p) < 0; f.InField(ff.EltFromLimbs(limbs)) != in {
 		t.Fatalf("p=%v: InField(limbs %x) = %v, want %v", p, le, !in, in)
 	}
+}
+
+// panics reports whether fn panics.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
 }
