@@ -21,6 +21,7 @@
 package accumulator
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -209,6 +210,26 @@ func SumEach(a Accumulator, groups [][]Acc) ([]Acc, error) {
 		return e.SumEach(groups)
 	}
 	return each(groups, func(g []Acc) (Acc, error) { return a.Sum(g...) })
+}
+
+// ProveDisjointEach sets pfs[i], errs[i] to ProveDisjoint(x1s[i],
+// x2s[i]) for every i. Construction 2 computes the proofs together
+// (Con2.ProveDisjointEach), their key-point sums sharing affine rounds
+// and so their inversions; Construction 1, and any Accumulator without
+// a ProveDisjointEach method, proves them one by one, and once ctx is
+// done fails the pairs not yet proved with ctx's error.
+func ProveDisjointEach(ctx context.Context, a Accumulator, x1s, x2s []multiset.Multiset, pfs []Proof, errs []error) {
+	if e, ok := a.(interface {
+		ProveDisjointEach(x1s, x2s []multiset.Multiset, pfs []Proof, errs []error)
+	}); ok {
+		e.ProveDisjointEach(x1s, x2s, pfs, errs)
+		return
+	}
+	for i := range x1s {
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			pfs[i], errs[i] = a.ProveDisjoint(x1s[i], x2s[i])
+		}
+	}
 }
 
 // each is the per-item fallback of the batch functions.

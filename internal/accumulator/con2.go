@@ -276,30 +276,95 @@ func (c *Con2) combineEach(ts []term) ([]Acc, error) {
 // π = g^{A(X1)(s)·B(X2)(s)} = ∏_{i,j} g^{m_i·n_j·s^{q + x_i − x_j}}.
 // Every exponent index q + x_i − x_j lies in [2, 2q−2] and differs from
 // q exactly when x_i ≠ x_j — so the proof is computable from the
-// public key precisely for disjoint multisets.
+// public key precisely for disjoint multisets. It is ProveDisjointEach
+// of one pair.
+func (c *Con2) ProveDisjoint(x1, x2 multiset.Multiset) (Proof, error) {
+	var pf [1]Proof
+	var err [1]error
+	c.ProveDisjointEach([]multiset.Multiset{x1}, []multiset.Multiset{x2}, pf[:], err[:])
+	return pf[0], err[0]
+}
+
+// ProveDisjointEach is the package's ProveDisjointEach for
+// Construction 2.
 //
 // π = Σ_i m_i·pk[i] over the distinct indices i, with m_i the summed
 // products of multiplicities. Writing each m_i in binary, π = Σ_b 2^b·S_b
 // where S_b sums the key points whose multiplicity has bit b set: one
-// SumEachIndex adds every S_b straight from the public key, and a
-// Horner chain of a few doublings combines them. The indices, the bit
-// groups and every round buffer live in a scratch set taken from c's
-// free list, so a proof allocates only when a set must grow (or when a
+// SumEachIndex adds every S_b of every proof straight from the public
+// key, so that the proofs share its affine rounds and their inversions
+// (it admits them in waves of bounded size), and a Horner chain of a
+// few doublings combines each proof's S_b. The indices, the bit groups
+// and every round buffer live in a scratch set taken from c's free
+// list, so proving allocates only when a set must grow (or when a
 // DictEncoder must see new elements sorted).
-func (c *Con2) ProveDisjoint(x1, x2 multiset.Multiset) (Proof, error) {
+func (c *Con2) ProveDisjointEach(x1s, x2s []multiset.Multiset, pfs []Proof, errs []error) {
 	s := c.getScratch()
 	defer c.putScratch(s)
+	// Proof j's groups are its nbs[j] bit groups, back to back in s.idx
+	// and ending at the offsets in s.ends.
+	s.idx, s.ends, s.nbs = s.idx[:0], s.ends[:0], grow(s.nbs, len(x1s))
+	for j := range x1s {
+		s.nbs[j] = 0
+		if errs[j] = c.powers(s, x1s[j], x2s[j]); errs[j] != nil {
+			continue
+		}
+		var top uint64
+		for _, p := range s.pows {
+			top |= uint64(p.m)
+		}
+		s.nbs[j] = bits.Len64(top)
+		for b := range s.nbs[j] {
+			for _, p := range s.pows {
+				if p.m>>b&1 == 1 {
+					s.idx = append(s.idx, int32(p.i))
+				}
+			}
+			s.ends = append(s.ends, len(s.idx))
+		}
+	}
+	s.groups = grow(s.groups, len(s.ends))
+	start := 0
+	for g, end := range s.ends {
+		s.groups[g], start = s.idx[start:end], end
+	}
+	curve := c.pr.C
+	sums := curve.SumEachIndex(&s.sum, c.pk, s.groups)
+	for j, nb := range s.nbs {
+		if errs[j] != nil {
+			continue
+		}
+		switch nb {
+		case 0:
+			pfs[j] = Proof{F1: curve.Infinity(), F2: curve.Infinity()}
+		case 1:
+			pfs[j] = Proof{F1: sums[0], F2: curve.Infinity()}
+		default:
+			var acc ec.JacPoint
+			for b := nb - 1; b >= 0; b-- {
+				acc = curve.JacAddMixed(curve.JacDouble(acc), sums[b])
+			}
+			pfs[j] = Proof{F1: curve.FromJac(acc), F2: curve.Infinity()}
+		}
+		sums = sums[nb:]
+	}
+}
+
+// powers sets s.pows to the proof's key indices q + x_i − x_j with
+// their multiplicities, ascending and merged, or fails when x1 and x2
+// intersect.
+func (c *Con2) powers(s *proveScratch, x1, x2 multiset.Multiset) error {
 	var err error
 	if s.e1, err = c.encode(grow(s.e1, len(x1))[:0], x1); err != nil {
-		return Proof{}, err
+		return err
 	}
 	if s.e2, err = c.encode(grow(s.e2, len(x2))[:0], x2); err != nil {
-		return Proof{}, err
+		return err
 	}
 	for i, j := 0, 0; i < len(s.e1) && j < len(s.e2); {
 		switch v1, v2 := s.e1[i].i, s.e2[j].i; {
 		case v1 == v2:
-			return Proof{}, ErrNotDisjoint
+			return ErrNotDisjoint
 		case v1 < v2:
 			i++
 		default:
@@ -307,69 +372,96 @@ func (c *Con2) ProveDisjoint(x1, x2 multiset.Multiset) (Proof, error) {
 		}
 	}
 	q := int64(c.q)
-	ps := grow(s.pows, len(s.e1)*len(s.e2))[:0]
-	for _, b := range s.e2 {
-		for _, a := range s.e1 {
-			ps = append(ps, power{q + a.i - b.i, a.m * b.m})
-		}
-	}
-	ps = merge(ps)
-	s.pows = ps
-	var top uint64
-	for _, p := range ps {
+	s.pows, s.heads = mergeRuns(s.pows[:0], s.heads, s.e1, s.e2, q)
+	for _, p := range s.pows {
 		if p.i == q {
-			return Proof{}, ErrNotDisjoint // defensive: cannot happen after the check above
+			return ErrNotDisjoint // defensive: cannot happen after the check above
 		}
-		top |= uint64(p.m)
 	}
-	if len(ps) == 0 {
-		return Proof{F1: c.pr.C.Infinity(), F2: c.pr.C.Infinity()}, nil
-	}
-	// Group b lists the indices whose multiplicity has bit b set, back
-	// to back in s.idx.
-	n := 0
-	for _, p := range ps {
-		n += bits.OnesCount64(uint64(p.m))
-	}
-	nb := bits.Len64(top)
-	s.idx, s.groups = grow(s.idx, n), grow(s.groups, nb)
-	n = 0
-	for b := range nb {
-		start := n
-		for _, p := range ps {
-			if p.m>>b&1 == 1 {
-				s.idx[n] = int32(p.i)
-				n++
-			}
-		}
-		s.groups[b] = s.idx[start:n]
-	}
-	curve := c.pr.C
-	sums := curve.SumEachIndex(&s.sum, c.pk, s.groups)
-	if nb == 1 {
-		return Proof{F1: sums[0], F2: curve.Infinity()}, nil
-	}
-	var acc ec.JacPoint
-	for b := nb - 1; b >= 0; b-- {
-		acc = curve.JacAddMixed(curve.JacDouble(acc), sums[b])
-	}
-	return Proof{F1: curve.FromJac(acc), F2: curve.Infinity()}, nil
+	return nil
 }
 
-// proveScratch is the working memory of one ProveDisjoint: the two
-// encoded multisets, the (index, multiplicity) pairs, the indices
-// grouped by multiplicity bit, and SumEachIndex's round buffers.
+// head is the next pair of one run of mergeRuns: index i of e1's
+// element a with e2's element b.
+type head struct {
+	i    int64
+	a, b int32
+}
+
+// mergeRuns appends to dst the indices q + a.i − b.i for every a of e1
+// and b of e2, with multiplicities a.m·b.m, ascending and with equal
+// indices added up. For each b they run ascending with a (e1 is sorted),
+// so the |e2| runs are merged through a heap of their heads, without
+// sorting and without writing the runs out; heap is the heads' scratch.
+func mergeRuns(dst []power, heap []head, e1, e2 []power, q int64) ([]power, []head) {
+	heap = heap[:0]
+	if len(e1) == 0 {
+		return dst, heap
+	}
+	for b := range e2 {
+		heap = append(heap, head{i: q + e1[0].i - e2[b].i, b: int32(b)})
+	}
+	// e2 is sorted, so the heads start in descending order: reverse
+	// them into a valid min-heap.
+	slices.Reverse(heap)
+	start := len(dst)
+	for len(heap) > 0 {
+		h := heap[0]
+		m := e1[h.a].m * e2[h.b].m
+		if n := len(dst); n > start && dst[n-1].i == h.i {
+			dst[n-1].m += m
+		} else {
+			dst = append(dst, power{h.i, m})
+		}
+		if h.a++; int(h.a) < len(e1) {
+			h.i = q + e1[h.a].i - e2[h.b].i
+			heap[0] = h
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		siftDown(heap)
+	}
+	return dst, heap
+}
+
+// siftDown restores the heap order of h after a change to h[0].
+func siftDown(h []head) {
+	for k := 0; ; {
+		c := 2*k + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].i < h[c].i {
+			c++
+		}
+		if h[k].i <= h[c].i {
+			return
+		}
+		h[k], h[c] = h[c], h[k]
+		k = c
+	}
+}
+
+// proveScratch is the working memory of one ProveDisjointEach: the
+// two encoded multisets and the (index, multiplicity) pairs of a proof,
+// the merge's heap, every proof's indices grouped by multiplicity bit
+// with the groups' ends and each proof's group count, and
+// SumEachIndex's round buffers.
 type proveScratch struct {
 	e1, e2, pows []power
+	heads        []head
 	idx          []int32
+	ends, nbs    []int
 	groups       [][]int32
 	sum          ec.SumScratch
 }
 
 // maxScratchBuf bounds, in bytes, each buffer of a scratch set that a
 // Con2 keeps for reuse; a buffer that grew past it, for an unusually
-// large proof, is dropped. A proof of the benchmark's shape (~300 key
-// indices) fits, with about 45 KB in all.
+// large proof, is dropped. The proofs of one benchmark run chunk (~300
+// key indices each, summed in waves of at most 448 points) fit, with
+// about 150 KB in all.
 const maxScratchBuf = 32 << 10
 
 // getScratch takes a scratch set from c's free list, or a new one.
@@ -391,8 +483,8 @@ func (c *Con2) getScratch() *proveScratch {
 // cache would keep its sets alive across a garbage collection, so the
 // live heap right after one would still hold them.
 func (c *Con2) putScratch(s *proveScratch) {
-	s.e1, s.e2, s.pows = trim(s.e1), trim(s.e2), trim(s.pows)
-	s.idx, s.groups = trim(s.idx), trim(s.groups)
+	s.e1, s.e2, s.pows, s.heads = trim(s.e1), trim(s.e2), trim(s.pows), trim(s.heads)
+	s.idx, s.ends, s.nbs, s.groups = trim(s.idx), trim(s.ends), trim(s.nbs), trim(s.groups)
 	s.sum.Trim(maxScratchBuf)
 	c.freeMu.Lock()
 	defer c.freeMu.Unlock()

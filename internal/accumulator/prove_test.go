@@ -1,6 +1,7 @@
 package accumulator
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/big"
@@ -291,5 +292,33 @@ func TestProveDisjointDictOrder(t *testing.T) {
 			}
 			want++
 		}
+	}
+}
+
+// TestProveDisjointEachMatchesMSM proves every case of proveCases in
+// one ProveDisjointEach, whose sets of proofs share their rounds, at
+// toy and default, and checks each proof and error against proveByMSM:
+// failing pairs among the others leave them unchanged.
+func TestProveDisjointEachMatchesMSM(t *testing.T) {
+	for _, preset := range []string{"toy", "default"} {
+		t.Run(preset, func(t *testing.T) {
+			c := KeyGenCon2Deterministic(pairing.ByName(preset), 512, HashEncoder{Q: 512}, []byte("prove"))
+			cases := proveCases(t, c, rand.New(rand.NewSource(233)))
+			x1s, x2s := make([]multiset.Multiset, len(cases)), make([]multiset.Multiset, len(cases))
+			for i, x := range cases {
+				x1s[i], x2s[i] = x[0], x[1]
+			}
+			pfs, errs := make([]Proof, len(cases)), make([]error, len(cases))
+			ProveDisjointEach(context.Background(), c, x1s, x2s, pfs, errs)
+			for i, x := range cases {
+				want, wantErr := proveByMSM(c, x[0], x[1])
+				if !errors.Is(errs[i], wantErr) && errs[i] != wantErr {
+					t.Fatalf("case %d: error %v, want %v", i, errs[i], wantErr)
+				}
+				if wantErr == nil && (!pfs[i].F1.Equal(want) || !pfs[i].F2.Inf) {
+					t.Fatalf("case %d: proof differs from the reference", i)
+				}
+			}
+		})
 	}
 }

@@ -18,10 +18,12 @@
 // such as a public key, for Construction 2's proofs) instead add
 // affinely in rounds of independent additions that share one
 // inversion, and finish on the Jacobian chain once the round's shape
-// makes that cheaper. SumEachIndex can reuse a caller's SumScratch, so
-// a caller that sums repeatedly allocates nothing. Coordinates are
-// ff.Elt values, so the group arithmetic allocates nothing per field
-// operation; math/big appears here only for scalars.
+// makes that cheaper; where the field has the 8-lane IFMA kernel
+// (ff.Field.HasVec), a round of more than four additions runs on it,
+// eight at a time (vecRound). SumEachIndex can reuse a caller's
+// SumScratch, so a caller that sums repeatedly allocates nothing.
+// Coordinates are ff.Elt values, so the group arithmetic allocates
+// nothing per field operation; math/big appears here only for scalars.
 package ec
 
 import (
@@ -37,7 +39,17 @@ type Curve struct {
 	F *ff.Field
 	// Order is the number of points, p + 1 (supersingular).
 	Order *big.Int
+	// rounds, a test hook, overrides where SumEach's affine rounds run
+	// when the field has the 8-lane kernel: on Field.Mul only
+	// (scalarRounds) or on the kernel whatever their size (vecRounds).
+	rounds int
 }
+
+const (
+	autoRounds = iota
+	scalarRounds
+	vecRounds
+)
 
 // NewCurve constructs E(F_p). The supersingularity condition p ≡ 2
 // (mod 3) is enforced; the field constructor enforces p ≡ 3 (mod 4).

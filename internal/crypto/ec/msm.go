@@ -154,7 +154,7 @@ func (c *Curve) bucketSums(pts []Point, ks []*big.Int, wi, w int) []JacPoint {
 			sizes[d-1]++
 		}
 	}
-	if !affineRound(len(sizes), func(d int) int { return sizes[d] }, true, 0) {
+	if !affineRound(len(sizes), func(d int) int { return sizes[d] }, true, c.vec(), 0) {
 		for i, d := range digits {
 			if d != 0 {
 				buckets[d-1] = c.JacAddMixed(buckets[d-1], pts[i])

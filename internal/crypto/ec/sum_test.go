@@ -87,12 +87,17 @@ var scratch ec.SumScratch
 func checkSumEach(t *testing.T, c *ec.Curve, groups [][]ec.Point) {
 	t.Helper()
 	base, lists := indexGroups(groups)
+	sc, vc := c.ScalarRounds(), c.VecRounds()
 	paths := map[string][]ec.Point{
-		"SumEach":  c.SumEach(groups),
-		"affine":   c.SumEachWith(groups, 1),
-		"jacobian": c.SumEachWith(groups, 1<<30),
-		"index":    c.SumEachIndex(nil, base, lists),
-		"scratch":  slices.Clone(c.SumEachIndex(&scratch, base, lists)),
+		"SumEach":       c.SumEach(groups),
+		"affine":        c.SumEachWith(groups, 1),
+		"jacobian":      c.SumEachWith(groups, 1<<30),
+		"index":         c.SumEachIndex(nil, base, lists),
+		"scratch":       slices.Clone(c.SumEachIndex(&scratch, base, lists)),
+		"scalar affine": sc.SumEachWith(groups, 1),
+		"scalar index":  sc.SumEachIndex(nil, base, lists),
+		"vec affine":    vc.SumEachWith(groups, 1),
+		"vec index":     slices.Clone(vc.SumEachIndex(&scratch, base, lists)),
 	}
 	for name, got := range paths {
 		if len(got) != len(groups) {
@@ -109,18 +114,38 @@ func checkSumEach(t *testing.T, c *ec.Curve, groups [][]ec.Point) {
 	}
 }
 
-// TestSumEachMatchesJacobianChain checks SumEach, and each of its two
-// paths forced, against the mixed Jacobian chain at both presets: all
-// groups in one call, and every group alone.
+// TestSumEachMatchesJacobianChain checks SumEach, and each of its paths
+// forced, against the mixed Jacobian chain at both presets: all groups
+// in one call, and every group alone. At default, on a host with the
+// 8-lane kernel, the forced affine rounds run once on the kernel and
+// once on Field.Mul, and both must give the chain's points, degenerate
+// pairs included (P = Q, P = −Q, infinity, (−1, 0) doubled).
 func TestSumEachMatchesJacobianChain(t *testing.T) {
 	for _, preset := range []string{"toy", "default"} {
 		t.Run(preset, func(t *testing.T) {
 			pr := pairing.ByName(preset)
+			t.Logf("affine rounds on the 8-lane kernel: %v", pr.F.HasVec())
 			groups := sumGroups(pr.C, pr.G, rand.New(rand.NewSource(42)))
 			checkSumEach(t, pr.C, groups)
 			for _, g := range groups {
 				checkSumEach(t, pr.C, [][]ec.Point{g})
 			}
+			// More points than one wave holds, in groups of every size
+			// from 1 to 40 points: groups wait, retire and enter in the
+			// middle of the rounds.
+			rng := rand.New(rand.NewSource(43))
+			var waves [][]ec.Point
+			for i := range 40 {
+				g := make([]ec.Point, i+1)
+				for k := range g {
+					g[k] = groups[len(groups)-1][rng.Intn(33)]
+					if k%7 == 3 {
+						g[k] = pr.C.Neg(g[k-1])
+					}
+				}
+				waves = append(waves, g)
+			}
+			checkSumEach(t, pr.C, waves)
 			if got := pr.C.SumEach(nil); len(got) != 0 {
 				t.Fatalf("SumEach(nil) returned %d sums", len(got))
 			}
@@ -146,23 +171,37 @@ func TestSumEachLeavesInputs(t *testing.T) {
 	}
 }
 
-// FuzzSumEach checks SumEach and its forced affine path against the
-// mixed Jacobian chain at toy. Each input byte either closes the
-// current group (0xff) or appends one point of a small pool: multiples
-// of g and their negations, the 2-torsion point and infinity, so that
-// repeated and opposite points meet in every round.
+// FuzzSumEach checks SumEach and its forced paths against the mixed
+// Jacobian chain at toy and, when atDefault, at the default preset,
+// whose affine rounds run on the 8-lane kernel where the host has it
+// (the fuzz log says which). Each input byte either closes the current
+// group (0xff) or appends one point of a small pool: multiples of g and
+// their negations, the 2-torsion point and infinity, so that repeated
+// and opposite points meet in every round.
 func FuzzSumEach(f *testing.F) {
-	pr := pairing.Toy()
-	c := pr.C
-	pool := []ec.Point{c.Infinity(), twoTorsion(c)}
-	for k := int64(1); k <= 7; k++ {
-		p := c.ScalarMul(pr.G, big.NewInt(k))
-		pool = append(pool, p, c.Neg(p))
+	pools := map[bool][]ec.Point{}
+	curves := map[bool]*ec.Curve{}
+	for _, atDefault := range []bool{false, true} {
+		pr := pairing.Toy()
+		if atDefault {
+			pr = pairing.Default()
+			f.Logf("default preset: affine rounds on the 8-lane kernel: %v", pr.F.HasVec())
+		}
+		c := pr.C
+		pool := []ec.Point{c.Infinity(), twoTorsion(c)}
+		for k := int64(1); k <= 7; k++ {
+			p := c.ScalarMul(pr.G, big.NewInt(k))
+			pool = append(pool, p, c.Neg(p))
+		}
+		pools[atDefault], curves[atDefault] = pool, c
 	}
-	f.Add([]byte{2, 2, 0xff, 2, 3})
-	f.Add([]byte{1, 1, 0, 4, 0xff, 0xff, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 2, 3, 2})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	for _, atDefault := range []bool{false, true} {
+		f.Add(atDefault, []byte{2, 2, 0xff, 2, 3})
+		f.Add(atDefault, []byte{1, 1, 0, 4, 0xff, 0xff, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 2, 3, 2})
+		f.Add(atDefault, []byte{})
+	}
+	f.Fuzz(func(t *testing.T, atDefault bool, data []byte) {
+		pool := pools[atDefault]
 		groups := [][]ec.Point{nil}
 		for _, b := range data {
 			if b == 0xff {
@@ -172,7 +211,7 @@ func FuzzSumEach(f *testing.F) {
 			last := len(groups) - 1
 			groups[last] = append(groups[last], pool[int(b)%len(pool)])
 		}
-		checkSumEach(t, c, groups)
+		checkSumEach(t, curves[atDefault], groups)
 	})
 }
 

@@ -8,6 +8,10 @@
 // chains and multiplications a Montgomery product. At 8 limbs on an
 // amd64 CPU with BMI2 and ADX the product is an assembly kernel
 // (fp_amd64.s); every other field and CPU runs the same product in Go.
+// At 8 limbs on an amd64 CPU with AVX-512 IFMA a third kernel (vec.go,
+// vec_amd64.s) multiplies eight independent elements at once in radix
+// 2⁵², for the affine rounds of ec's point sums: Vec, VecSub,
+// VecInvertEach and VecChord.
 // Inversion is on the limbs too: Bernstein and Yang's safegcd in its
 // variable-time form (inv.go), with no allocation. math/big appears
 // only at the edges: building elements from integers, the exponents of
@@ -40,6 +44,9 @@ type Field struct {
 	// top limb below 2⁶⁴−1 (mulADX's overflow bound), and a CPU with
 	// BMI2 and ADX.
 	adx bool
+	// vec holds the 8-lane kernel's constants where NewField selects it
+	// (8 live limbs, a CPU with AVX-512 IFMA); it is nil elsewhere.
+	vec *vecConst
 	// one, r2 and r3 are R, R² and R³ mod p: the Montgomery form of 1,
 	// the factor that converts into Montgomery form, and the factor that
 	// turns the inverse of a Montgomery representative into the
@@ -88,6 +95,9 @@ func NewField(p *big.Int) *Field {
 	f.r3 = Elt{l: limbsOf(rk)}
 	f.sqrtExp = new(big.Int).Add(p, big.NewInt(1))
 	f.sqrtExp.Rsh(f.sqrtExp, 2)
+	if hasIFMA && f.n == maxLimbs {
+		f.vec = newVecConst(f)
+	}
 	return f
 }
 
@@ -142,8 +152,17 @@ func (f *Field) One() Elt { return f.one }
 // IsZero reports whether e is the additive identity.
 func (e Elt) IsZero() bool { return e.l == [maxLimbs]uint64{} }
 
-// Equal reports whether two elements are identical.
-func (e Elt) Equal(o Elt) bool { return e.l == o.l }
+// Equal reports whether two elements are identical. Limb by limb, it
+// stops at the first difference, which for unequal elements is almost
+// always the first limb.
+func (e Elt) Equal(o Elt) bool {
+	for i := range e.l {
+		if e.l[i] != o.l[i] {
+			return false
+		}
+	}
+	return true
+}
 
 // Add returns a+b.
 func (f *Field) Add(a, b Elt) Elt {

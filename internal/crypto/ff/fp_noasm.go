@@ -2,10 +2,23 @@
 
 package ff
 
-// hasADX is false: the assembly kernel exists for amd64 only.
-const hasADX = false
+// hasADX and hasIFMA are false: the assembly kernels exist for amd64
+// only.
+const (
+	hasADX  = false
+	hasIFMA = false
+)
 
 // mulADX is never called where hasADX is false.
 func mulADX(z, x, y, p *[maxLimbs]uint64, pInv uint64) {
 	panic("ff: no assembly Montgomery kernel on this architecture")
+}
+
+// vecMul, vecSub and vecChord are never called where hasIFMA is false.
+func vecMul(z, x, y *Vec, c *vecConst) { panic("ff: no 8-lane kernel on this architecture") }
+
+func vecSub(z, x, y *Vec, c *vecConst) { panic("ff: no 8-lane kernel on this architecture") }
+
+func vecChord(x3, y3, x1, y1, x2, y2, inv *Vec, c *vecConst) {
+	panic("ff: no 8-lane kernel on this architecture")
 }

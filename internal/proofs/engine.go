@@ -135,6 +135,7 @@ type cacheEntry struct {
 
 // flight is an in-progress computation other requesters can join.
 type flight struct {
+	key  cacheKey
 	done chan struct{}
 	pf   accumulator.Proof
 	err  error
@@ -167,61 +168,52 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// prove returns a proof that w and the clause's multiset are disjoint,
-// serving it from the cache when an equal pair was proved before and
-// joining an in-flight computation when one is already underway.
-// clauseKey must uniquely determine clauseW. A done context fails the
-// request before any pairing work starts, while waiting for the
-// concurrency budget, or while joined onto another caller's in-flight
-// computation. A computation already running is never interrupted (the
-// pairing code has no cancellation points) — its result still lands in
-// the cache for the next caller, so cancellation costs at most one
-// proof of wasted work per worker.
-func (e *Engine) prove(ctx context.Context, w multiset.Multiset, clauseKey string, clauseW multiset.Multiset) (accumulator.Proof, error) {
-	if err := ctx.Err(); err != nil {
-		return accumulator.Proof{}, err
-	}
+// lookup starts a request for a proof that w and the clause's
+// multiset are disjoint. It serves the request from the cache when an
+// equal pair was proved before (its entry), joins an in-flight
+// computation of the same pair (f, which the caller waits on), or
+// registers the caller's own flight (f and own), which the caller must
+// compute and then finish. clauseKey must uniquely determine the
+// clause's multiset. With caching disabled every request is the
+// caller's own, with no flight to register.
+func (e *Engine) lookup(w multiset.Multiset, clauseKey string) (hit *cacheEntry, f *flight, own bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.cacheSize < 0 {
-		e.mu.Lock()
 		e.stats.CacheMisses++
-		e.mu.Unlock()
-		return e.compute(ctx, w, clauseW)
+		return nil, nil, true
 	}
 	key := newCacheKey(w, clauseKey)
-
-	e.mu.Lock()
 	if el, ok := e.items[key]; ok {
 		e.lru.MoveToFront(el)
 		e.stats.CacheHits++
-		pf := el.Value.(*cacheEntry).pf
-		e.mu.Unlock()
-		return e.acc.ProofFromBytes(pf)
+		return el.Value.(*cacheEntry), nil, false
 	}
 	if f, ok := e.inflight[key]; ok {
 		e.stats.CacheHits++
-		e.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.pf, f.err
-		case <-ctx.Done():
-			return accumulator.Proof{}, ctx.Err()
-		}
+		return nil, f, false
 	}
-	f := &flight{done: make(chan struct{})}
+	f = &flight{key: key, done: make(chan struct{})}
 	e.inflight[key] = f
 	e.stats.CacheMisses++
-	e.mu.Unlock()
+	return nil, f, true
+}
 
-	f.pf, f.err = e.compute(ctx, w, clauseW)
-	var pf []byte
-	if f.err == nil {
-		pf = e.acc.ProofBytes(f.pf)
+// finish publishes the result of an own flight: a proof enters the
+// cache, and every request joined onto the flight is released.
+func (e *Engine) finish(f *flight, pf accumulator.Proof, err error) {
+	if f == nil {
+		return
 	}
-
+	f.pf, f.err = pf, err
+	var b []byte
+	if err == nil {
+		b = e.acc.ProofBytes(pf)
+	}
 	e.mu.Lock()
-	delete(e.inflight, key)
-	if f.err == nil {
-		e.items[key] = e.lru.PushFront(&cacheEntry{key: key, pf: pf})
+	delete(e.inflight, f.key)
+	if err == nil {
+		e.items[f.key] = e.lru.PushFront(&cacheEntry{key: f.key, pf: b})
 		for e.lru.Len() > e.cacheSize {
 			oldest := e.lru.Back()
 			delete(e.items, oldest.Value.(*cacheEntry).key)
@@ -231,27 +223,42 @@ func (e *Engine) prove(ctx context.Context, w multiset.Multiset, clauseKey strin
 	}
 	e.mu.Unlock()
 	close(f.done)
-	return f.pf, f.err
 }
 
-// compute runs the accumulator proof under the concurrency bound and
-// updates the computation counters. A context expiring while queued
-// for the budget aborts without touching the pairing counters.
-func (e *Engine) compute(ctx context.Context, w, clauseW multiset.Multiset) (accumulator.Proof, error) {
+// computeEach runs the accumulator proofs of ts under the concurrency
+// bound, all in one accumulator.ProveDisjointEach so that
+// Construction 2 sums their key points together, and updates the
+// computation counters. A context expiring while queued for the budget
+// fails every task without touching the counters, and one expiring
+// later fails the tasks an accumulator proving one pair at a time has
+// not started; a computation already running is never interrupted (the
+// pairing code has no cancellation points).
+func (e *Engine) computeEach(ctx context.Context, ts []*task, pfs []accumulator.Proof, errs []error) {
 	select {
 	case e.sem <- struct{}{}:
 	case <-ctx.Done():
-		return accumulator.Proof{}, ctx.Err()
+		for i := range ts {
+			errs[i] = ctx.Err()
+		}
+		return
 	}
-	pf, err := e.acc.ProveDisjoint(w, clauseW)
+	x1s, x2s := make([]multiset.Multiset, len(ts)), make([]multiset.Multiset, len(ts))
+	for i, t := range ts {
+		x1s[i], x2s[i] = t.w, t.clauseW
+	}
+	accumulator.ProveDisjointEach(ctx, e.acc, x1s, x2s, pfs, errs)
 	<-e.sem
 	e.mu.Lock()
-	e.stats.Proofs++
-	if err != nil {
-		e.stats.Errors++
+	for _, err := range errs {
+		if err != nil && err == ctx.Err() {
+			continue // not started
+		}
+		e.stats.Proofs++
+		if err != nil {
+			e.stats.Errors++
+		}
 	}
 	e.mu.Unlock()
-	return pf, err
 }
 
 // task is one deferred proof with its assign callback.
@@ -292,26 +299,78 @@ func (r *Run) Truncate(n int) {
 	r.tasks = r.tasks[:n]
 }
 
-// WaitCtx executes all scheduled tasks on up to the engine's Workers
-// goroutines (par.For, never more than tasks) and invokes each task's
-// assign callback with its proof. The first error in scheduling order
-// wins; remaining successful assignments still happen. The run is
-// empty afterwards and may be reused. Once the context ends, remaining
-// tasks fail fast with the context error instead of computing — a
-// canceled query drains its deferred proof backlog in one cheap check
-// per task rather than pinning the worker budget until the backlog is
-// exhausted. Tasks already inside the pairing code run to completion
-// (and still populate the cache).
+// WaitCtx executes all scheduled tasks and invokes each task's assign
+// callback with its proof. Tasks the cache or an in-flight computation
+// answers are not computed; the rest are split into one chunk per
+// worker (par.For, at most the engine's Workers goroutines), and each
+// chunk's proofs are computed together (accumulator.ProveDisjointEach).
+// The first error in scheduling order wins; remaining successful
+// assignments still happen. The run is empty afterwards and may be
+// reused. Once the context ends, tasks not yet started fail fast with
+// the context error instead of computing — a canceled query drains its
+// deferred proof backlog in one cheap check per task (or chunk) rather
+// than pinning the worker budget until the backlog is exhausted.
+// Chunks already inside the pairing code run to completion (and still
+// populate the cache).
 func (r *Run) WaitCtx(ctx context.Context) error {
+	e := r.e
 	tasks := r.tasks
 	r.tasks = nil
 	pfs := make([]accumulator.Proof, len(tasks))
 	errs := make([]error, len(tasks))
-
-	par.For(len(tasks), r.e.workers, func(i int) {
+	flights := make([]*flight, len(tasks))
+	var own []int
+	for i := range tasks {
 		t := &tasks[i]
-		pfs[i], errs[i] = r.e.prove(ctx, t.w, t.clauseKey, t.clauseW)
+		if errs[i] = ctx.Err(); errs[i] != nil {
+			continue
+		}
+		hit, f, mine := e.lookup(t.w, t.clauseKey)
+		switch {
+		case hit != nil:
+			pfs[i], errs[i] = e.acc.ProofFromBytes(hit.pf)
+		case mine:
+			own = append(own, i)
+		}
+		flights[i] = f
+	}
+
+	// One chunk per goroutine that par.For can run: more would only
+	// split the sets of proofs that share their rounds.
+	chunks := max(min(len(own), e.workers, runtime.GOMAXPROCS(0)), 1)
+	par.For(chunks, e.workers, func(c int) {
+		idx := own[c*len(own)/chunks : (c+1)*len(own)/chunks]
+		ts := make([]*task, len(idx))
+		cpfs, cerrs := make([]accumulator.Proof, len(idx)), make([]error, len(idx))
+		for k, i := range idx {
+			ts[k] = &tasks[i]
+		}
+		if err := ctx.Err(); err != nil {
+			for k := range cerrs {
+				cerrs[k] = err
+			}
+		} else if len(ts) > 0 {
+			e.computeEach(ctx, ts, cpfs, cerrs)
+		}
+		for k, i := range idx {
+			pfs[i], errs[i] = cpfs[k], cerrs[k]
+			e.finish(flights[i], cpfs[k], cerrs[k])
+			flights[i] = nil
+		}
 	})
+
+	// Requests joined onto other computations wait for them.
+	for i, f := range flights {
+		if f == nil {
+			continue
+		}
+		select {
+		case <-f.done:
+			pfs[i], errs[i] = f.pf, f.err
+		case <-ctx.Done():
+			errs[i] = ctx.Err()
+		}
+	}
 
 	var firstErr error
 	for i := range tasks {
