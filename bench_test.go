@@ -28,6 +28,7 @@ import (
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/crypto/pairing"
 	"github.com/vchain-go/vchain/internal/mhtree"
+	"github.com/vchain-go/vchain/internal/multiset"
 	"github.com/vchain-go/vchain/internal/proofs"
 	"github.com/vchain-go/vchain/internal/subscribe"
 	"github.com/vchain-go/vchain/internal/workload"
@@ -438,8 +439,8 @@ func BenchmarkAccumulatorPrimitives(b *testing.B) {
 	pr := pairing.Toy()
 	acc1 := accumulator.KeyGenCon1Deterministic(pr, 256, []byte("prim"))
 	acc2 := accumulator.KeyGenCon2Deterministic(pr, 512, accumulator.HashEncoder{Q: 512}, []byte("prim"))
-	w := multisetOf("sedan", "benz", "van", "audi", "bmw", "suv", "coupe", "truck")
-	clause := multisetOf("tesla")
+	w := multiset.New("sedan", "benz", "van", "audi", "bmw", "suv", "coupe", "truck")
+	clause := multiset.New("tesla")
 	for _, tc := range []struct {
 		name string
 		acc  accumulator.Accumulator
@@ -473,12 +474,4 @@ func BenchmarkAccumulatorPrimitives(b *testing.B) {
 			}
 		})
 	}
-}
-
-func multisetOf(elems ...string) map[string]int {
-	m := map[string]int{}
-	for _, e := range elems {
-		m[e]++
-	}
-	return m
 }

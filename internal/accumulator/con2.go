@@ -120,24 +120,15 @@ type power struct{ i, m int64 }
 // encode appends to dst every element of x as its code, with
 // multiplicities preserved, and returns the codes sorted and merged:
 // distinct elements that the encoder maps to one code add up. The
-// elements go to the encoder in map order, which allocates nothing;
-// but a DictEncoder numbers elements on first sight, in the order every
-// party uses, x's elements sorted, so one that does not know them all
-// sees them sorted first.
+// elements go to the encoder in x's ascending order, the order in
+// which a DictEncoder numbers them on first sight at every party.
 func (c *Con2) encode(dst []power, x multiset.Multiset) ([]power, error) {
-	if d, ok := c.enc.(*DictEncoder); ok && !d.knows(x) {
-		for _, e := range x.Elements() {
-			if _, err := c.code(e); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for e, m := range x {
-		v, err := c.code(e)
+	for _, e := range x {
+		v, err := c.code(e.Elem)
 		if err != nil {
 			return nil, err
 		}
-		dst = append(dst, power{v, int64(m)})
+		dst = append(dst, power{v, int64(e.Count)})
 	}
 	return merge(dst), nil
 }

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-
-	"github.com/vchain-go/vchain/internal/multiset"
 )
 
 // ElementEncoder maps attribute strings into the bounded integer domain
@@ -52,7 +50,11 @@ type DictEncoder struct {
 }
 
 // NewDictEncoder creates an empty dictionary bounded by q (the key's
-// domain bound): at most q−1 distinct elements can be registered.
+// domain bound): at most q−1 distinct elements can be registered. The
+// bound must cover every element ever *queried*, not only every one
+// mined: proving a mismatch encodes the clause, so a keyword that no
+// block holds still takes an id, and query traffic alone can fill the
+// dictionary, after which mining a block with a new element fails.
 func NewDictEncoder(q int) *DictEncoder {
 	return &DictEncoder{q: q, ids: make(map[string]int), next: 1}
 }
@@ -71,19 +73,6 @@ func (d *DictEncoder) Encode(elem string) (int, error) {
 	d.next++
 	d.ids[elem] = id
 	return id, nil
-}
-
-// knows reports whether every element of x has its identifier already,
-// so that encoding x in any order registers nothing.
-func (d *DictEncoder) knows(x multiset.Multiset) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for e := range x {
-		if _, ok := d.ids[e]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // Len returns the number of registered elements.

@@ -21,12 +21,12 @@ import (
 func proveByMSM(c *Con2, x1, x2 multiset.Multiset) (ec.Point, error) {
 	encode := func(x multiset.Multiset) (map[int]int, error) {
 		out := make(map[int]int, x.Len())
-		for _, e := range x.Elements() {
-			v, err := c.encodeElem(e)
+		for _, e := range x {
+			v, err := c.encodeElem(e.Elem)
 			if err != nil {
 				return nil, err
 			}
-			out[v] += x.Count(e)
+			out[v] += e.Count
 		}
 		return out, nil
 	}
@@ -58,6 +58,9 @@ func proveByMSM(c *Con2, x1, x2 multiset.Multiset) (ec.Point, error) {
 	return c.pr.C.MultiScalarMul(pts, ks), nil
 }
 
+// times returns the multiset of e alone, n times.
+func times(e string, n int) multiset.Multiset { return multiset.Multiset{{Elem: e, Count: n}} }
+
 // checkProve compares ProveDisjoint with proveByMSM on one pair: the
 // same point, or the same ErrNotDisjoint.
 func checkProve(t testing.TB, c *Con2, x1, x2 multiset.Multiset) {
@@ -81,8 +84,8 @@ func checkProve(t testing.TB, c *Con2, x1, x2 multiset.Multiset) {
 func distinctFrom(t testing.TB, c *Con2, x multiset.Multiset, prefix string, skip int) string {
 	t.Helper()
 	codes := map[int]bool{}
-	for e := range x {
-		v, err := c.encodeElem(e)
+	for _, e := range x {
+		v, err := c.encodeElem(e.Elem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,18 +118,14 @@ func proveCases(t testing.TB, c *Con2, rng *rand.Rand) [][2]multiset.Multiset {
 	a := multiset.New("a")
 	b := multiset.New(distinctFrom(t, c, a, "b", 0))
 	for m := 1; m <= 300; m++ {
-		x1 := multiset.Multiset{}
-		x1.Add("a", m)
-		cases = append(cases, [2]multiset.Multiset{x1, b})
+		cases = append(cases, [2]multiset.Multiset{times("a", m), b})
 	}
-	mixed := multiset.Multiset{}
+	var mixed multiset.Multiset
 	for j := 1; j <= 40; j++ {
-		mixed.Add(fmt.Sprintf("m%d", j), j*7%300+1)
+		mixed = multiset.Sum(mixed, times(fmt.Sprintf("m%d", j), j*7%300+1))
 	}
 	cases = append(cases, [2]multiset.Multiset{mixed, multiset.New(distinctFrom(t, c, mixed, "y", 0))})
-	two := multiset.Multiset{}
-	two.Add(distinctFrom(t, c, mixed, "y", 0), 3)
-	two.Add(distinctFrom(t, c, mixed, "y", 1), 5)
+	two := multiset.Sum(times(distinctFrom(t, c, mixed, "y", 0), 3), times(distinctFrom(t, c, mixed, "y", 1), 5))
 	cases = append(cases, [2]multiset.Multiset{mixed, two})
 	cases = append(cases,
 		[2]multiset.Multiset{{}, b},
@@ -142,9 +141,8 @@ func proveCases(t testing.TB, c *Con2, rng *rand.Rand) [][2]multiset.Multiset {
 	for range 60 {
 		var x [2]multiset.Multiset
 		for side, n := range []int{1 + rng.Intn(40), 1 + rng.Intn(6)} {
-			x[side] = multiset.Multiset{}
 			for range n {
-				x[side].Add(vocab[rng.Intn(len(vocab))], 1+rng.Intn(8))
+				x[side] = multiset.Sum(x[side], times(vocab[rng.Intn(len(vocab))], 1+rng.Intn(8)))
 			}
 		}
 		cases = append(cases, x)
@@ -267,7 +265,7 @@ func FuzzProveDisjoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		x := [2]multiset.Multiset{{}, {}}
 		for _, b := range data {
-			x[b>>7].Add(fmt.Sprintf("e%d", b&7), 1+int(b>>3&15))
+			x[b>>7] = multiset.Sum(x[b>>7], times(fmt.Sprintf("e%d", b&7), 1+int(b>>3&15)))
 		}
 		checkProve(t, c, x[0], x[1])
 	})

@@ -410,13 +410,15 @@ func (b *Builder) buildTree(leaves []*IntraNode, ws []multiset.Multiset, indexed
 // aggregate: spans[i] is the sum of BlockW over the blocks
 // [Height−Distance_i+1, Height] that entry i covers. It reads the
 // covered blocks through view, in one pass for all levels since each
-// span contains the smaller ones. A non-nil more ends the pass early:
+// span contains the smaller ones, merging each block into the running
+// sum through two reused buffers. A non-nil more ends the pass early:
 // after the first span it rejects, SkipSpans returns the spans derived
 // so far, that one included. A page-in failure is ErrADSUnavailable,
 // like any other page-in of a window walk.
 func (a *BlockADS) SkipSpans(view ChainView, top int, more func(w multiset.Multiset) bool) ([]multiset.Multiset, error) {
 	spans := make([]multiset.Multiset, 0, top+1)
-	sum := a.BlockW.Clone()
+	var bufs [2]multiset.Multiset
+	sum := a.BlockW
 	h := a.Height - 1
 	for i := 0; i <= top; i++ {
 		for ; h > a.Height-a.Skips[i].Distance; h-- {
@@ -427,15 +429,14 @@ func (a *BlockADS) SkipSpans(view ChainView, top int, more func(w multiset.Multi
 			if prev == nil {
 				return nil, fmt.Errorf("core: skip span: no ADS at height %d", h)
 			}
-			for e, n := range prev.BlockW {
-				sum[e] += n
-			}
+			k := h & 1 // the buffer sum is not in
+			bufs[k] = multiset.AppendSum(bufs[k][:0], sum, prev.BlockW)
+			sum = bufs[k]
 		}
-		spans = append(spans, sum)
-		if i == top || (more != nil && !more(sum)) {
+		spans = append(spans, slices.Clone(sum))
+		if i == top || (more != nil && !more(spans[i])) {
 			break
 		}
-		sum = sum.Clone()
 	}
 	return spans, nil
 }

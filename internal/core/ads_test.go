@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
@@ -102,7 +103,7 @@ func TestIntraNodeUnionInvariant(t *testing.T) {
 	if ads.Width != testWidth {
 		t.Fatalf("ADS width %d, want %d", ads.Width, testWidth)
 	}
-	if !multiset.Equal(ads.Root.Multiset(ads.Width), ads.BlockW) {
+	if !slices.Equal(ads.Root.Multiset(ads.Width), ads.BlockW) {
 		t.Fatalf("root multiset %v != BlockW %v", ads.Root.Multiset(ads.Width), ads.BlockW)
 	}
 	var walk func(n *IntraNode)
@@ -116,7 +117,7 @@ func TestIntraNodeUnionInvariant(t *testing.T) {
 		} else {
 			want = multiset.Union(n.Left.Multiset(ads.Width), n.Right.Multiset(ads.Width))
 		}
-		if !multiset.Equal(n.Multiset(ads.Width), want) {
+		if !slices.Equal(n.Multiset(ads.Width), want) {
 			t.Fatalf("node W %v != %v", n.Multiset(ads.Width), want)
 		}
 		dig, err := acc.Setup(want)
@@ -182,7 +183,7 @@ func TestSkipEntriesAggregateCorrectly(t *testing.T) {
 		for j := 8 - s.Distance + 1; j <= 8; j++ {
 			want = multiset.Sum(want, mustADS(t, node, j).BlockW)
 		}
-		if !multiset.Equal(spans[i], want) {
+		if !slices.Equal(spans[i], want) {
 			t.Fatalf("skip %d span mismatch", s.Distance)
 		}
 		// Digest must accumulate that sum.

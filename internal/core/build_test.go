@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
@@ -143,4 +144,59 @@ func BenchmarkBuildBlock(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkResidentBlock reports the heap a node keeps per mined block,
+// B/block: the growth of the live heap after GC from block 200 to
+// block 800 of BenchmarkBuildBlock's chain, so the key, the encoder's
+// dictionary and the node's fixed cost drop out. The resident node
+// keeps every block's decoded ADS; the paged node mines onto a block
+// log and keeps at most 16 of them.
+func BenchmarkResidentBlock(b *testing.B) {
+	const width, from, to = 8, 200, 800
+	q := 2*(1<<(width+1)) + 64 + 64
+	acc := accumulator.KeyGenCon2Deterministic(pairing.Default(), q, accumulator.NewDictEncoder(q), []byte("build"))
+	builder := &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 3, Width: width}
+	for _, tc := range []struct {
+		name string
+		open func(b *testing.B) *FullNode
+	}{
+		{"resident", func(*testing.B) *FullNode { return NewFullNode(0, builder) }},
+		{"paged", func(b *testing.B) *FullNode {
+			node, err := openLogNode(builder, b.TempDir(), WithADSCache(16))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { node.Close() })
+			return node
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var perBlock float64
+			for b.Loop() {
+				node := tc.open(b)
+				rng := rand.New(rand.NewSource(42))
+				var base uint64
+				for h := range to {
+					if h == from {
+						base = liveHeap()
+					}
+					if _, err := node.MineBlock(benchBlock(rng, h), int64(h)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				perBlock = float64(int64(liveHeap()-base)) / (to - from)
+				runtime.KeepAlive(node)
+			}
+			b.ReportMetric(perBlock, "B/block")
+		})
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

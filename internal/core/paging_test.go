@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/chain"
-	"github.com/vchain-go/vchain/internal/multiset"
 	"github.com/vchain-go/vchain/internal/storage"
 )
 
@@ -307,7 +306,7 @@ func TestSkipSpansFromEvictedBlocks(t *testing.T) {
 		t.Fatalf("%d spans, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if !multiset.Equal(got[i], want[i]) {
+		if !slices.Equal(got[i], want[i]) {
 			t.Fatalf("span %d differs from the warm node's", ads.Skips[i].Distance)
 		}
 	}

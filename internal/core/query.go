@@ -184,9 +184,5 @@ func (q Query) MatchesObject(v []int64, w []string) bool {
 	if !q.Range.Contains(v) {
 		return false
 	}
-	m := multiset.Multiset{}
-	for _, kw := range w {
-		m.Add(KeywordElement(kw), 1)
-	}
-	return q.Bool.Match(m)
+	return q.Bool.Match(multiset.New(appendKeywords(nil, w)...))
 }

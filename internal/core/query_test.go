@@ -152,10 +152,11 @@ func TestQueryCNFAgreesWithDirectEvaluation(t *testing.T) {
 			for _, kws := range [][]string{{"benz"}, {"audi"}, {"bmw", "van"}, {}} {
 				v := []int64{v0, v1}
 				direct := q.MatchesObject(v, kws)
-				m := multiset.New(TransVector(v, 4)...)
+				elems := TransVector(v, 4)
 				for _, kw := range kws {
-					m.Add(KeywordElement(kw), 1)
+					elems = append(elems, KeywordElement(kw))
 				}
+				m := multiset.New(elems...)
 				if f.Match(m) != direct {
 					t.Fatalf("disagreement at V=%v W=%v: CNF=%v direct=%v",
 						v, kws, f.Match(m), direct)

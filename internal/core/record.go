@@ -106,15 +106,13 @@ func EncodeChainRecord(blk *chain.Block, ads *BlockADS) ([]byte, error) {
 		e.Raw(s.PrevHash[:])
 		e.digest(s.Digest)
 	}
-	elems := ads.BlockW.Elements()
-	e.U32(uint32(len(elems)))
-	for _, el := range elems {
-		n := ads.BlockW[el]
-		if !fits16(len(el)) || n < 1 || uint64(n) > math.MaxUint32 {
-			return nil, fmt.Errorf("core: encoding chain record: BlockW element %q×%d does not fit the record", el, n)
+	e.U32(uint32(len(ads.BlockW)))
+	for _, el := range ads.BlockW {
+		if !fits16(len(el.Elem)) || el.Count < 1 || uint64(el.Count) > math.MaxUint32 {
+			return nil, fmt.Errorf("core: encoding chain record: BlockW element %q×%d does not fit the record", el.Elem, el.Count)
 		}
-		e.String16(el)
-		e.U32(uint32(n))
+		e.String16(el.Elem)
+		e.U32(uint32(el.Count))
 	}
 	return e.Buf, nil
 }
@@ -263,13 +261,12 @@ func DecodeChainRecordADS(data []byte) (*BlockADS, error) {
 	// An element costs ≥ 6 bytes: its length and multiplicity.
 	n := d.Count32(6)
 	ads.BlockW = make(multiset.Multiset, n)
-	prev := ""
-	for i := 0; i < n; i++ {
+	for i := range ads.BlockW {
 		el, k := d.String16(), d.U32()
-		if (i > 0 && el <= prev) || k == 0 {
+		if (i > 0 && el <= ads.BlockW[i-1].Elem) || k == 0 {
 			d.Failf("BlockW not ascending with positive multiplicities")
 		}
-		ads.BlockW[el], prev = int(k), el
+		ads.BlockW[i] = multiset.Entry{Elem: el, Count: int(k)}
 	}
 	if err := d.Done(); err != nil {
 		return nil, err

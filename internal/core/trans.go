@@ -114,11 +114,15 @@ func TransVector(v []int64, width int) []string {
 // W' = trans(V) + W of an object (§5.3): numeric prefixes plus
 // namespaced keywords, as a multiset.
 func ObjectMultiset(o chain.Object, width int) multiset.Multiset {
-	m := multiset.New(TransVector(o.V, width)...)
-	for _, kw := range o.W {
-		m.Add(KeywordElement(kw), 1)
+	return multiset.New(appendKeywords(TransVector(o.V, width), o.W)...)
+}
+
+// appendKeywords appends the element of every keyword of w to dst.
+func appendKeywords(dst, w []string) []string {
+	for _, kw := range w {
+		dst = append(dst, KeywordElement(kw))
 	}
-	return m
+	return dst
 }
 
 // objectHas reports whether element e occurs in ObjectMultiset(*o,

@@ -217,7 +217,7 @@ func TestObjectHasMatchesObjectMultiset(t *testing.T) {
 			}
 			elems = append(elems, KeywordElement("a"), KeywordElement("b"), KeywordElement(""))
 			for _, e := range elems {
-				if got, want := objectHas(&o, width, e), w.Contains(e); got != want {
+				if got, want := objectHas(&o, width, e), w.IntersectsSet([]string{e}); got != want {
 					t.Fatalf("width %d, object %v: objectHas(%q) = %v, W' says %v", width, o, e, got, want)
 				}
 			}
@@ -229,7 +229,7 @@ func TestObjectMultiset(t *testing.T) {
 	o := chain.Object{ID: 1, TS: 9, V: []int64{4}, W: []string{"sedan", "benz"}}
 	m := ObjectMultiset(o, 3)
 	for _, e := range []string{"n0:1", "n0:10", "n0:100", "w:sedan", "w:benz"} {
-		if !m.Contains(e) {
+		if !m.IntersectsSet([]string{e}) {
 			t.Fatalf("missing element %q in %v", e, m)
 		}
 	}
@@ -239,10 +239,10 @@ func TestObjectMultiset(t *testing.T) {
 	// Keywords cannot collide with numeric elements even adversarially.
 	evil := chain.Object{ID: 2, V: nil, W: []string{"n0:100"}}
 	em := ObjectMultiset(evil, 3)
-	if em.Contains("n0:100") {
+	if em.IntersectsSet([]string{"n0:100"}) {
 		t.Error("keyword leaked into numeric namespace")
 	}
-	if !em.Contains("w:n0:100") {
+	if !em.IntersectsSet([]string{"w:n0:100"}) {
 		t.Error("namespaced keyword missing")
 	}
 }

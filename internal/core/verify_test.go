@@ -370,3 +370,78 @@ func TestVerifyErrorTaxonomy(t *testing.T) {
 		t.Error("error matched both categories")
 	}
 }
+
+// foreignView is a node's chain view that answers HeaderAt with a
+// foreign block, a sibling of the real one, at the heights in lie.
+type foreignView struct {
+	*FullNode
+	lie []int
+}
+
+func (v foreignView) HeaderAt(h int) (chain.Header, error) {
+	hdr, err := v.FullNode.HeaderAt(h)
+	if slices.Contains(v.lie, h) {
+		hdr.TS++
+	}
+	return hdr, err
+}
+
+// TestVerifyRejectsForeignSkipLanding mines a block whose header
+// commits skip entries that land on foreign blocks: its ADS is built
+// on a view that lies about the landing headers at heights 4 and 0.
+// The SP cites those entries honestly, so SkipListRoot matches, and
+// only the landing check can tell: the verifier must reject the jump
+// landing above genesis and the one landing on genesis.
+func TestVerifyRejectsForeignSkipLanding(t *testing.T) {
+	acc := testAccs(t)["acc2"]
+	b := &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 2, Width: testWidth}
+	node := NewFullNode(0, b)
+	for i := 0; i < 8; i++ {
+		if _, err := node.MineBlock(carObjects(uint64(i*10)), int64(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	objs := carObjects(80)
+	ads, err := b.BuildBlock(8, objs, foreignView{node, []int{0, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := chain.SolvePoW(chain.Header{
+		Height:       8,
+		TS:           1008,
+		PrevHash:     node.Store.Tip().Header.Hash(),
+		MerkleRoot:   ads.MerkleRoot(),
+		SkipListRoot: ads.SkipListRoot(acc),
+	}, node.Store.Difficulty())
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.mu.Lock()
+	err = node.commitLocked(&chain.Block{Header: hdr, Objects: objs}, ads)
+	node.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	light := chain.NewLightStore(0)
+	if err := light.Sync(node.Store.Headers()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ start, distance int }{{5, 4}, {1, 8}} {
+		t.Run(fmt.Sprintf("land-%d", 8-tc.distance), func(t *testing.T) {
+			q := Query{StartBlock: tc.start, EndBlock: 8, Bool: CNF{KeywordClause("tesla")}, Width: testWidth}
+			vo, err := node.SP(false).TimeWindowQuery(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := vo.Blocks[0].Skip; s == nil || s.Distance != tc.distance {
+				t.Fatalf("VO opens with %+v, want the distance-%d skip", vo.Blocks[0], tc.distance)
+			}
+			for _, seq := range []bool{true, false} {
+				v := &Verifier{Acc: acc, Light: light, Sequential: seq}
+				if _, err := v.VerifyTimeWindow(q, vo); !errors.Is(err, ErrCompleteness) {
+					t.Errorf("sequential=%v: err = %v, want ErrCompleteness", seq, err)
+				}
+			}
+		})
+	}
+}

@@ -6,49 +6,57 @@
 // them into the cryptographic accumulators. This package supplies those
 // operations plus the Jaccard similarity used by the index-building
 // clustering heuristic (Alg. 2).
+//
+// A Multiset is one canonical slice of (element, count) entries whose
+// elements are strictly ascending and whose counts are all ≥ 1; equal
+// multisets are equal slices. Every operation keeps that invariant and
+// reads its inputs in order: Union, Sum and Intersect are one merge
+// walk over both inputs, where an element present on one side only
+// keeps its count in Union and Sum and is dropped by Intersect, and an
+// element present on both sides takes the larger count (Union), the
+// added counts (Sum) or the smaller count (Intersect). Consumers that
+// need element order — the accumulator encoding, the chain record, the
+// proof-cache key — iterate the slice as it is.
 package multiset
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
+	"io"
+	"slices"
+	"strconv"
 	"strings"
 )
 
-// Multiset maps an element to its (positive) multiplicity.
-type Multiset map[string]int
-
-// New builds a multiset from elements; duplicates accumulate.
-func New(elems ...string) Multiset {
-	m := make(Multiset, len(elems))
-	for _, e := range elems {
-		m[e]++
-	}
-	return m
+// Entry is one distinct element of a multiset with its multiplicity.
+type Entry struct {
+	Elem  string
+	Count int
 }
 
-// Clone returns a deep copy.
-func (m Multiset) Clone() Multiset {
-	out := make(Multiset, len(m))
-	for k, v := range m {
-		out[k] = v
+// Multiset is a counted multiset: entries with strictly ascending
+// elements and positive counts. The zero value is the empty multiset.
+// Values built outside this package must keep the invariant.
+type Multiset []Entry
+
+// New builds a multiset from elements; duplicates accumulate. elems is
+// not modified.
+func New(elems ...string) Multiset {
+	m := make(Multiset, len(elems))
+	for i, e := range elems {
+		m[i] = Entry{Elem: e, Count: 1}
+	}
+	slices.SortFunc(m, func(a, b Entry) int { return strings.Compare(a.Elem, b.Elem) })
+	out := m[:0]
+	for _, e := range m {
+		if n := len(out); n > 0 && out[n-1].Elem == e.Elem {
+			out[n-1].Count++
+		} else {
+			out = append(out, e)
+		}
 	}
 	return out
 }
-
-// Add inserts n occurrences of e. Non-positive n is a no-op.
-func (m Multiset) Add(e string, n int) {
-	if n <= 0 {
-		return
-	}
-	m[e] += n
-}
-
-// Count returns the multiplicity of e (0 when absent).
-func (m Multiset) Count(e string) int { return m[e] }
-
-// Contains reports whether e occurs at least once.
-func (m Multiset) Contains(e string) bool { return m[e] > 0 }
 
 // Len returns the number of distinct elements.
 func (m Multiset) Len() int { return len(m) }
@@ -56,73 +64,106 @@ func (m Multiset) Len() int { return len(m) }
 // Cardinality returns the total number of occurrences (Σ multiplicity).
 func (m Multiset) Cardinality() int {
 	n := 0
-	for _, v := range m {
-		n += v
+	for _, e := range m {
+		n += e.Count
 	}
 	return n
 }
 
 // Union returns the multiset union (per-element max multiplicity).
 func Union(a, b Multiset) Multiset {
-	out := a.Clone()
-	for k, v := range b {
-		if v > out[k] {
-			out[k] = v
-		}
-	}
-	return out
+	return merge(make(Multiset, 0, len(a)+len(b)-common(a, b)), a, b, union)
 }
 
 // Sum returns the multiset sum (per-element added multiplicity). This
 // is the aggregation the accumulator Sum primitive mirrors in the
 // exponent.
-func Sum(a, b Multiset) Multiset {
-	out := a.Clone()
-	for k, v := range b {
-		out[k] += v
-	}
-	return out
+func Sum(a, b Multiset) Multiset { return AppendSum(nil, a, b) }
+
+// AppendSum appends the entries of Sum(a, b) to dst and returns the
+// extended slice, so a caller summing many multisets can reuse its
+// buffers. dst must not share memory with a or b.
+func AppendSum(dst, a, b Multiset) Multiset {
+	return merge(slices.Grow(dst, len(a)+len(b)-common(a, b)), a, b, sum)
 }
 
 // Intersect returns the multiset intersection (per-element min).
 func Intersect(a, b Multiset) Multiset {
-	small, large := a, b
-	if len(large) < len(small) {
-		small, large = large, small
-	}
-	out := Multiset{}
-	for k, v := range small {
-		if w := large[k]; w > 0 {
-			if w < v {
-				out[k] = w
-			} else {
-				out[k] = v
+	return merge(make(Multiset, 0, common(a, b)), a, b, intersect)
+}
+
+// rule is how merge combines the counts of an element.
+type rule int
+
+const (
+	union     rule = iota // max of both sides; one side's count kept
+	sum                   // both sides added; one side's count kept
+	intersect             // min of both sides; one side's dropped
+)
+
+// merge appends to dst the ascending merge walk of a and b, combining
+// counts by r.
+func merge(dst, a, b Multiset, r rule) Multiset {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := strings.Compare(a[i].Elem, b[j].Elem); {
+		case c == 0:
+			n := a[i].Count + b[j].Count
+			switch r {
+			case union:
+				n = max(a[i].Count, b[j].Count)
+			case intersect:
+				n = min(a[i].Count, b[j].Count)
 			}
+			dst = append(dst, Entry{a[i].Elem, n})
+			i++
+			j++
+		case c < 0:
+			if r != intersect {
+				dst = append(dst, a[i])
+			}
+			i++
+		default:
+			if r != intersect {
+				dst = append(dst, b[j])
+			}
+			j++
 		}
 	}
-	return out
+	if r != intersect {
+		dst = append(dst, a[i:]...)
+		dst = append(dst, b[j:]...)
+	}
+	return dst
+}
+
+// common returns the number of elements a and b share.
+func common(a, b Multiset) int {
+	n := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := strings.Compare(a[i].Elem, b[j].Elem); {
+		case c == 0:
+			n++
+			i++
+			j++
+		case c < 0:
+			i++
+		default:
+			j++
+		}
+	}
+	return n
 }
 
 // Disjoint reports whether a and b share no element.
-func Disjoint(a, b Multiset) bool {
-	small, large := a, b
-	if len(large) < len(small) {
-		small, large = large, small
-	}
-	for k := range small {
-		if large[k] > 0 {
-			return false
-		}
-	}
-	return true
-}
+func Disjoint(a, b Multiset) bool { return common(a, b) == 0 }
 
 // IntersectsSet reports whether any element of the plain set `set`
-// occurs in m. Query clauses are plain sets, so this is the hot path of
-// Boolean matching.
+// occurs in m, by binary search per element. Query clauses are plain
+// sets, so this is the hot path of Boolean matching.
 func (m Multiset) IntersectsSet(set []string) bool {
 	for _, e := range set {
-		if m[e] > 0 {
+		if _, ok := slices.BinarySearchFunc(m, e, func(x Entry, e string) int { return strings.Compare(x.Elem, e) }); ok {
 			return true
 		}
 	}
@@ -136,52 +177,26 @@ func Jaccard(a, b Multiset) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 0
 	}
-	inter := 0
-	small, large := a, b
-	if len(large) < len(small) {
-		small, large = large, small
-	}
-	for k := range small {
-		if large[k] > 0 {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
+	inter := common(a, b)
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
-// Equal reports whether a and b have identical elements and
-// multiplicities.
-func Equal(a, b Multiset) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Elements returns the distinct elements in sorted order (deterministic
-// iteration for hashing and serialization).
+// Elements returns the distinct elements in ascending order.
 func (m Multiset) Elements() []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+	out := make([]string, len(m))
+	for i, e := range m {
+		out[i] = e.Elem
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Expand returns every occurrence (element repeated by multiplicity),
-// sorted. This is the list fed to the accumulator Setup.
+// in ascending order. This is the list fed to the accumulator Setup.
 func (m Multiset) Expand() []string {
 	out := make([]string, 0, m.Cardinality())
-	for _, k := range m.Elements() {
-		for i := 0; i < m[k]; i++ {
-			out = append(out, k)
+	for _, e := range m {
+		for range e.Count {
+			out = append(out, e.Elem)
 		}
 	}
 	return out
@@ -189,16 +204,16 @@ func (m Multiset) Expand() []string {
 
 // Digest returns a collision-resistant 32-byte digest of the multiset:
 // SHA-256 over the length-delimited (element, multiplicity) pairs in
-// sorted element order. Equal multisets share a digest regardless of
-// construction order; the proof engine uses it as a memoization key.
+// ascending element order. Equal multisets share a digest; the proof
+// engine uses it as a memoization key.
 func (m Multiset) Digest() [sha256.Size]byte {
 	h := sha256.New()
 	var buf [8]byte
-	for _, k := range m.Elements() {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(k)))
+	for _, e := range m {
+		binary.LittleEndian.PutUint64(buf[:], uint64(len(e.Elem)))
 		h.Write(buf[:])
-		h.Write([]byte(k))
-		binary.LittleEndian.PutUint64(buf[:], uint64(m[k]))
+		io.WriteString(h, e.Elem)
+		binary.LittleEndian.PutUint64(buf[:], uint64(e.Count))
 		h.Write(buf[:])
 	}
 	var out [sha256.Size]byte
@@ -210,30 +225,16 @@ func (m Multiset) Digest() [sha256.Size]byte {
 func (m Multiset) String() string {
 	var sb strings.Builder
 	sb.WriteByte('{')
-	for i, k := range m.Elements() {
+	for i, e := range m {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		sb.WriteString(k)
-		if m[k] > 1 {
+		sb.WriteString(e.Elem)
+		if e.Count > 1 {
 			sb.WriteString("×")
-			sb.WriteString(itoa(m[k]))
+			sb.WriteString(strconv.Itoa(e.Count))
 		}
 	}
 	sb.WriteByte('}')
 	return sb.String()
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

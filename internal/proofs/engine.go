@@ -414,7 +414,7 @@ func (e *Engine) NewAggregator() *Aggregator {
 func (a *Aggregator) Add(clauseKey string, w, clauseW multiset.Multiset) int {
 	g, ok := a.groups[clauseKey]
 	if !ok {
-		g = &aggGroup{key: clauseKey, w: multiset.Multiset{}, clauseW: clauseW, index: len(a.order)}
+		g = &aggGroup{key: clauseKey, clauseW: clauseW, index: len(a.order)}
 		a.groups[clauseKey] = g
 		a.order = append(a.order, clauseKey)
 	}

@@ -152,10 +152,11 @@ func TestQueryCNFAgreesWithDirect(t *testing.T) {
 		}
 		for _, blk := range ds.Blocks {
 			for _, o := range blk {
-				m := multiset.New(core.TransVector(o.V, ds.Width)...)
+				elems := core.TransVector(o.V, ds.Width)
 				for _, kw := range o.W {
-					m.Add(core.KeywordElement(kw), 1)
+					elems = append(elems, core.KeywordElement(kw))
 				}
+				m := multiset.New(elems...)
 				if cnf.Match(m) != q.MatchesObject(o.V, o.W) {
 					t.Fatalf("CNF and direct evaluation disagree on %v", o)
 				}
