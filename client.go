@@ -128,11 +128,11 @@ func (s *SPClient) SyncHeaders() error {
 // context's deadline bounds the round trip locally and propagates to
 // the SP's proof walk. A nil error certifies soundness and
 // completeness.
-func (s *SPClient) Query(ctx context.Context, q Query, batched bool) ([]Object, error) {
+func (s *SPClient) Query(ctx context.Context, q Query) ([]Object, error) {
 	if err := s.cli.SyncHeaders(ctx, s.c.light); err != nil {
 		return nil, err
 	}
-	return s.cli.QueryVerified(ctx, q, batched, s.c.verifier())
+	return s.cli.QueryVerified(ctx, q, true, s.c.verifier())
 }
 
 // QueryDegraded runs a remote time-window query in degraded-read mode
@@ -142,11 +142,11 @@ func (s *SPClient) Query(ctx context.Context, q Query, batched bool) ([]Object, 
 // result has no gaps and the error is nil. The gap claims are
 // cryptographically checked to tile the window exactly with the
 // proved parts — the SP cannot shrink the answer silently.
-func (s *SPClient) QueryDegraded(ctx context.Context, q Query, batched bool) (*DegradedResult, error) {
+func (s *SPClient) QueryDegraded(ctx context.Context, q Query) (*DegradedResult, error) {
 	if err := s.cli.SyncHeaders(ctx, s.c.light); err != nil {
 		return nil, err
 	}
-	return s.cli.QueryVerifiedDegraded(ctx, q, batched, s.c.verifier())
+	return s.cli.QueryVerifiedDegraded(ctx, q, s.c.verifier())
 }
 
 // Reconnects reports how many times the connection transparently

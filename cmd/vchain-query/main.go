@@ -32,7 +32,6 @@ func main() {
 		hi       = flag.Int64("hi", -1, "numeric range high bound")
 		width    = flag.Int("width", 8, "numeric bit width (must match the SP)")
 		preset   = flag.String("preset", "toy", "pairing preset (must match the SP)")
-		batched  = flag.Bool("batched", false, "request online batch verification")
 		timeout  = flag.Duration("timeout", 0, "query deadline, propagated into the SP's proof walk (0 = the client's 30s per-call default)")
 		retries  = flag.Int("retries", 1, "total attempts per idempotent call (transport failures re-dial between attempts)")
 		degraded = flag.Bool("degraded", false, "accept a verified partial answer (with machine-readable gaps) when the SP has shards down")
@@ -86,10 +85,10 @@ func main() {
 	t0 := time.Now()
 	var res *vchain.DegradedResult
 	if *degraded {
-		res, err = sp.QueryDegraded(ctx, query, *batched)
+		res, err = sp.QueryDegraded(ctx, query)
 	} else {
 		res = &vchain.DegradedResult{}
-		res.Objects, err = sp.Query(ctx, query, *batched)
+		res.Objects, err = sp.Query(ctx, query)
 	}
 	switch {
 	case errors.Is(err, vchain.ErrSoundness) || errors.Is(err, vchain.ErrCompleteness):

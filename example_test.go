@@ -35,7 +35,7 @@ func Example() {
 		Bool:  vchain.And(vchain.Or("sedan")),
 		Width: 8,
 	}
-	parts, _ := node.TimeWindow(q, false)
+	parts, _ := node.TimeWindow(q)
 	results, err := client.Verify(q, parts)
 	fmt.Println(len(results), err)
 	// Output: 1 <nil>
@@ -57,7 +57,7 @@ func ExampleLightClient_Verify() {
 	client.SyncHeaders(node.Headers())
 
 	q := vchain.Query{StartBlock: 0, EndBlock: 1, Bool: vchain.And(vchain.Or("sedan")), Width: 8}
-	parts, _ := node.TimeWindow(q, false)
+	parts, _ := node.TimeWindow(q)
 	parts[0].VO.Blocks = parts[0].VO.Blocks[:1] // the "SP" hides the older block
 
 	_, err := client.Verify(q, parts)

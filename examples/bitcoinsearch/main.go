@@ -71,7 +71,7 @@ func main() {
 		Bool:       vchain.And(vchain.Or("send:1FFYc"), vchain.Or("recv:2DAAf")),
 		Width:      10,
 	}
-	parts, err := node.TimeWindow(q, false)
+	parts, err := node.TimeWindow(q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func main() {
 
 	// Adversarial SP: silently truncate the VO to hide recent matches.
 	fmt.Println("\nsimulating a cheating SP that omits the latest blocks...")
-	forged, _ := node.TimeWindow(q, false)
+	forged, _ := node.TimeWindow(q)
 	forged[0].VO.Blocks = forged[0].VO.Blocks[1:] // drop the newest block's proof
 	if _, err := client.Verify(q, forged); err != nil {
 		fmt.Printf("caught: %v\n", err)

@@ -59,7 +59,7 @@ func main() {
 	}
 	// The answer is a list of window parts tiling [StartBlock, EndBlock]:
 	// exactly one at every shard count (degraded reads add gaps).
-	parts, err := node.TimeWindow(q, false)
+	parts, err := node.TimeWindow(q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestFacadeDegradedReads(t *testing.T) {
 			t.Fatalf("health = %v, want quarantined", got)
 		}
 		// Strict queries touching the shard fail typed...
-		if _, err := node.TimeWindow(q, false); !errors.Is(err, ErrShardUnavailable) {
+		if _, err := node.TimeWindow(q); !errors.Is(err, ErrShardUnavailable) {
 			t.Fatalf("strict query err = %v, want ErrShardUnavailable", err)
 		}
 		// ...degraded ones return the provable parts plus the shard's
@@ -80,13 +80,13 @@ func TestFacadeDegradedReads(t *testing.T) {
 		}
 		defer cli.Close()
 		// A strict remote query fails typed too, and is not retried.
-		if _, err := cli.Query(context.Background(), q, false); !errors.Is(err, ErrShardUnavailable) {
+		if _, err := cli.Query(context.Background(), q); !errors.Is(err, ErrShardUnavailable) {
 			t.Fatalf("remote strict query err = %v, want ErrShardUnavailable", err)
 		}
 		if got := cli.Retries(); got != 0 {
 			t.Fatalf("remote strict query retried %d times", got)
 		}
-		wres, err := cli.QueryDegraded(context.Background(), q, false)
+		wres, err := cli.QueryDegraded(context.Background(), q)
 		if !errors.Is(err, ErrDegraded) {
 			t.Fatalf("remote degraded err = %v, want ErrDegraded", err)
 		}
@@ -101,7 +101,7 @@ func TestFacadeDegradedReads(t *testing.T) {
 		if got := node.Health(target); got != ShardHealthy {
 			t.Fatalf("post-restart health = %v, want healthy", got)
 		}
-		results, err := cli.Query(context.Background(), q, false)
+		results, err := cli.Query(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestDegradedQueryCannotQuarantine(t *testing.T) {
 		keywords[i] = fmt.Sprintf("nobody-sells-%03d", i)
 	}
 	hostile := Query{StartBlock: 0, EndBlock: blocks - 1, Bool: And(Or(keywords...)), Width: 4}
-	if _, err := node.TimeWindow(hostile, false); err == nil {
+	if _, err := node.TimeWindow(hostile); err == nil {
 		t.Fatal("over-capacity clause answered; the scenario needs it to fail")
 	}
 
@@ -166,7 +166,7 @@ func TestDegradedQueryCannotQuarantine(t *testing.T) {
 	})
 
 	for i := 0; i < 3; i++ { // the default breaker threshold
-		if res, err := cli.QueryDegraded(context.Background(), hostile, false); err == nil || errors.Is(err, ErrDegraded) {
+		if res, err := cli.QueryDegraded(context.Background(), hostile); err == nil || errors.Is(err, ErrDegraded) {
 			t.Fatalf("gob attempt %d: unprovable query came back as gaps %+v (err %v), want a query error", i, res, err)
 		}
 		resp, err := http.Post("http://"+gw.Addr()+"/v1/query", "application/json", bytes.NewReader(body))
@@ -186,7 +186,7 @@ func TestDegradedQueryCannotQuarantine(t *testing.T) {
 	}
 	// Honest strict queries still get full answers.
 	q := Query{StartBlock: 0, EndBlock: blocks - 1, Bool: And(Or("sedan")), Width: 4}
-	results, err := cli.Query(context.Background(), q, false)
+	results, err := cli.Query(context.Background(), q)
 	if err != nil {
 		t.Fatalf("strict query after the hostile ones: %v", err)
 	}

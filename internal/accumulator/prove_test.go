@@ -284,9 +284,9 @@ func TestProveDisjointDictOrder(t *testing.T) {
 	}
 	want := 1
 	for _, x := range []multiset.Multiset{x1, x2} {
-		for _, e := range x.Elements() {
-			if got, _ := dict.Encode(e); got != want {
-				t.Fatalf("%q numbered %d, want %d", e, got, want)
+		for _, e := range x {
+			if got, _ := dict.Encode(e.Elem); got != want {
+				t.Fatalf("%q numbered %d, want %d", e.Elem, got, want)
 			}
 			want++
 		}

@@ -51,12 +51,14 @@ func (v *failView) ADSAt(h int) (*BlockADS, error) {
 
 // TimeWindowParts answers a time-window query with one walk of the
 // window onto one proof run: a single part, byte for byte the VO of
-// SP.TimeWindowQuery, at every slot count. This is the strict path: a
-// slot the Guard refuses, or any walk failure, fails the whole query
-// before a single proof is computed, and feeds no breaker. Verifiers
-// resolve the parts via Verifier.VerifyWindowParts.
+// SP{Batch: true}.TimeWindowQuery (§6.3), at every slot count. This is
+// the strict path: a slot the Guard refuses, or any walk failure,
+// fails the whole query before a single proof is computed, and feeds
+// no breaker. Verifiers resolve the parts via
+// Verifier.VerifyWindowParts. batched is ignored; the benchmark pins
+// the signature until ROADMAP item 24.
 func (n *FullNode) TimeWindowParts(ctx context.Context, q Query, batched bool) ([]WindowPart, error) {
-	parts, _, err := n.window(ctx, q, batched, false)
+	parts, _, err := n.window(ctx, q, false)
 	return parts, err
 }
 
@@ -68,14 +70,15 @@ func (n *FullNode) TimeWindowParts(ctx context.Context, q Query, batched bool) (
 // path. Parts and gaps tile the window in descending order, and
 // Verifier.VerifyDegraded checks that tiling, so a gap hides nothing
 // silently. With every slot serving the answer equals the strict one.
-func (n *FullNode) TimeWindowDegraded(ctx context.Context, q Query, batched bool) ([]WindowPart, []Gap, error) {
-	return n.window(ctx, q, batched, true)
+// Each part is its own walk, so no batch group spans a gap.
+func (n *FullNode) TimeWindowDegraded(ctx context.Context, q Query) ([]WindowPart, []Gap, error) {
+	return n.window(ctx, q, true)
 }
 
 // window plans q over the serving slots, walks every part onto one
 // run, and proves the run once. A degraded page-in failure marks its
 // height's slot down and plans again, at most once per slot.
-func (n *FullNode) window(ctx context.Context, q Query, batched, degraded bool) ([]WindowPart, []Gap, error) {
+func (n *FullNode) window(ctx context.Context, q Query, degraded bool) ([]WindowPart, []Gap, error) {
 	if _, err := q.CNF(); err != nil {
 		return nil, nil, err
 	}
@@ -98,7 +101,7 @@ func (n *FullNode) window(ctx context.Context, q Query, batched, degraded bool) 
 	}
 
 	view := &failView{FullNode: n}
-	sp := n.SP(batched)
+	sp := n.SP(true)
 	sp.View = view
 	run := sp.Engine.NewRun()
 replan:

@@ -40,14 +40,14 @@ func TestPlannerBareNodeDegradedGap(t *testing.T) {
 
 	sched.NextFailures(fault.OpRead, 1000)
 	before := node.ProofStats()
-	if _, err := node.TimeWindowParts(ctx, q, false); !errors.Is(err, ErrADSUnavailable) || !errors.Is(err, fault.ErrInjected) {
+	if _, err := node.TimeWindowParts(ctx, q, true); !errors.Is(err, ErrADSUnavailable) || !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("strict read over a failing disk: err = %v, want an injected ErrADSUnavailable", err)
 	}
 	if d := node.ProofStats().Proofs - before.Proofs; d != 0 {
 		t.Fatalf("failed strict read computed %d proofs, want 0", d)
 	}
 
-	parts, gaps, err := node.TimeWindowDegraded(ctx, q, false)
+	parts, gaps, err := node.TimeWindowDegraded(ctx, q)
 	if err != nil {
 		t.Fatalf("degraded read over a failing disk: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestPlannerBareNodeDegradedGap(t *testing.T) {
 	}
 
 	sched.Heal()
-	parts, gaps, err = node.TimeWindowDegraded(ctx, q, false)
+	parts, gaps, err = node.TimeWindowDegraded(ctx, q)
 	if err != nil || len(gaps) != 0 || len(parts) != 1 {
 		t.Fatalf("healed degraded read: %d parts, gaps %v, err %v; want one part", len(parts), gaps, err)
 	}

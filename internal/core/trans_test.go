@@ -209,7 +209,9 @@ func TestObjectHasMatchesObjectMultiset(t *testing.T) {
 			}
 			w := ObjectMultiset(o, width)
 			elems := append([]string{}, hostile...)
-			elems = append(elems, w.Elements()...)
+			for _, e := range w {
+				elems = append(elems, e.Elem)
+			}
 			for d := range len(o.V) + 1 {
 				lo := rng.Int63n(1 << 12)
 				elems = append(elems, RangeCover(lo, lo+rng.Int63n(1<<12), d, width)...)

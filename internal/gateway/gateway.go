@@ -473,8 +473,6 @@ type queryRequest struct {
 		Lo []int64 `json:"lo"`
 		Hi []int64 `json:"hi"`
 	} `json:"range,omitempty"`
-	// Batched requests online batch verification (§6.3).
-	Batched bool `json:"batched,omitempty"`
 	// AllowDegraded accepts a partial answer with machine-readable
 	// gaps when shards are down, instead of an error.
 	AllowDegraded bool `json:"allowDegraded,omitempty"`
@@ -553,9 +551,9 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request, tenant str
 		err   error
 	)
 	if req.AllowDegraded {
-		parts, gaps, err = g.node.TimeWindowDegraded(ctx, q, req.Batched)
+		parts, gaps, err = g.node.TimeWindowDegraded(ctx, q)
 	} else {
-		parts, err = g.node.TimeWindowParts(ctx, q, req.Batched)
+		parts, err = g.node.TimeWindowParts(ctx, q, true)
 	}
 	if err != nil {
 		g.queryError(w, r, tenant, q, err)
@@ -599,7 +597,6 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request, tenant str
 		g.log.Info("gateway query",
 			"tenant", tenant,
 			"window", fmt.Sprintf("[%d,%d]", q.StartBlock, q.EndBlock),
-			"batched", req.Batched,
 			"degraded", resp.Degraded,
 			"parts", len(resp.Parts),
 			"gaps", len(resp.Gaps),

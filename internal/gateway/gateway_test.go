@@ -291,7 +291,7 @@ func TestQueryExternallyVerifiable(t *testing.T) {
 		t.Fatalf("external verification of the HTTP answer failed: %v", err)
 	}
 
-	want, err := node.TimeWindowParts(context.Background(), q, false)
+	want, err := node.TimeWindowParts(context.Background(), q, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,6 +341,7 @@ func TestQueryValidation(t *testing.T) {
 		{"no condition", map[string]any{"startBlock": 0, "endBlock": 1}},
 		{"empty clause", map[string]any{"startBlock": 0, "endBlock": 1, "keywords": [][]string{{}}}},
 		{"unknown field", map[string]any{"startBlock": 0, "endBlock": 1, "keywords": [][]string{{"x"}}, "bogus": 1}},
+		{"removed batched field", map[string]any{"startBlock": 0, "endBlock": 1, "keywords": [][]string{{"x"}}, "batched": true}},
 		{"lopsided range", map[string]any{"startBlock": 0, "endBlock": 1, "range": map[string]any{"lo": []int64{1}, "hi": []int64{}}}},
 	}
 	for _, tc := range cases {
@@ -391,11 +392,11 @@ func TestEmptyClauseRefusedAtEveryFrontDoor(t *testing.T) {
 		refuse func() error
 	}{
 		{"in-process TimeWindowParts", func() error {
-			_, err := node.TimeWindowParts(ctx, q, false)
+			_, err := node.TimeWindowParts(ctx, q, true)
 			return err
 		}},
 		{"tcp QueryParts", func() error {
-			_, err := cli.QueryParts(ctx, q, false)
+			_, err := cli.QueryParts(ctx, q, true)
 			return err
 		}},
 		{"HTTP /v1/query", func() error {

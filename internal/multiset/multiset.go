@@ -181,15 +181,6 @@ func Jaccard(a, b Multiset) float64 {
 	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
-// Elements returns the distinct elements in ascending order.
-func (m Multiset) Elements() []string {
-	out := make([]string, len(m))
-	for i, e := range m {
-		out[i] = e.Elem
-	}
-	return out
-}
-
 // Expand returns every occurrence (element repeated by multiplicity),
 // in ascending order. This is the list fed to the accumulator Setup.
 func (m Multiset) Expand() []string {

@@ -577,8 +577,9 @@ func (c *Client) SyncHeaders(ctx context.Context, light *chain.LightStore) error
 // the codec the SP's hello names, built from this client's own copy of
 // the parameters. Verify with core.Verifier.VerifyWindowParts, which
 // settles the parts in a single pairing-product batch.
+// batched is ignored; the benchmark pins it until ROADMAP item 24.
 func (c *Client) QueryParts(ctx context.Context, q core.Query, batched bool) ([]core.WindowPart, error) {
-	parts, _, err := c.query(ctx, q, batched, false, nil)
+	parts, _, err := c.query(ctx, q, false, nil)
 	return parts, err
 }
 
@@ -588,8 +589,8 @@ func (c *Client) QueryParts(ctx context.Context, q core.Query, batched bool) ([]
 // machine-readable gaps instead of an error. VOs decode as in
 // QueryParts. Verify the pair with core.Verifier.VerifyDegraded — the
 // gaps are claims until then.
-func (c *Client) QueryDegraded(ctx context.Context, q core.Query, batched bool) ([]core.WindowPart, []core.Gap, error) {
-	return c.query(ctx, q, batched, true, nil)
+func (c *Client) QueryDegraded(ctx context.Context, q core.Query) ([]core.WindowPart, []core.Gap, error) {
+	return c.query(ctx, q, true, nil)
 }
 
 // QueryVerified runs a remote time-window query and verifies the
@@ -601,7 +602,7 @@ func (c *Client) QueryDegraded(ctx context.Context, q core.Query, batched bool) 
 // any SP misbehavior surfaces as the verifier's error. The verifier
 // defaults to the batched engine; set ver.Sequential for the baseline.
 func (c *Client) QueryVerified(ctx context.Context, q core.Query, batched bool, ver *core.Verifier) ([]chain.Object, error) {
-	parts, _, err := c.query(ctx, q, batched, false, ver.Acc)
+	parts, _, err := c.query(ctx, q, false, ver.Acc)
 	if err != nil {
 		return nil, err
 	}
@@ -613,8 +614,8 @@ func (c *Client) QueryVerified(ctx context.Context, q core.Query, batched bool, 
 // are cryptographically checked to tile the window exactly with the
 // parts. When gaps are present the result is accompanied by
 // core.ErrDegraded — a degraded answer is never silently incomplete.
-func (c *Client) QueryVerifiedDegraded(ctx context.Context, q core.Query, batched bool, ver *core.Verifier) (*core.DegradedResult, error) {
-	parts, gaps, err := c.query(ctx, q, batched, true, ver.Acc)
+func (c *Client) QueryVerifiedDegraded(ctx context.Context, q core.Query, ver *core.Verifier) (*core.DegradedResult, error) {
+	parts, gaps, err := c.query(ctx, q, true, ver.Acc)
 	if err != nil {
 		return nil, err
 	}
@@ -624,8 +625,8 @@ func (c *Client) QueryVerifiedDegraded(ctx context.Context, q core.Query, batche
 // query runs one remote time-window query and decodes its parts with
 // codec, or with the answering connection's hello codec when codec is
 // nil.
-func (c *Client) query(ctx context.Context, q core.Query, batched, degraded bool, codec accumulator.Codec) ([]core.WindowPart, []core.Gap, error) {
-	resp, gen, err := c.callIdem(ctx, &Request{Kind: "query", Query: q, Batched: batched, AllowDegraded: degraded})
+func (c *Client) query(ctx context.Context, q core.Query, degraded bool, codec accumulator.Codec) ([]core.WindowPart, []core.Gap, error) {
+	resp, gen, err := c.callIdem(ctx, &Request{Kind: "query", Query: q, AllowDegraded: degraded})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -62,11 +62,11 @@ func TestVOFrameRoundTrip(t *testing.T) {
 				}
 
 				q := core.Query{EndBlock: 4, Bool: core.CNF{core.KeywordClause("sedan"), core.KeywordClause("benz", "bmw")}, Width: 4}
-				want, err := node.TimeWindowParts(context.Background(), q, false)
+				want, err := node.TimeWindowParts(context.Background(), q, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				vo := queryVO(t, cli, q, false)
+				vo := queryVO(t, cli, q)
 				if !bytes.Equal(core.EncodeVO(acc, vo), core.EncodeVO(acc, want[0].VO)) {
 					t.Fatal("the VO the client decoded is not the SP's canonical VO")
 				}

@@ -194,12 +194,12 @@ func TestRemoteDegradedQuery(t *testing.T) {
 	q := core.Query{StartBlock: 0, EndBlock: 3, Bool: core.CNF{core.KeywordClause("sedan")}, Width: 4}
 
 	// Strict mode: the quarantined shard fails the whole query.
-	if _, err := cli.QueryParts(context.Background(), q, false); err == nil ||
+	if _, err := cli.QueryParts(context.Background(), q, true); err == nil ||
 		!strings.Contains(err.Error(), "unavailable") {
 		t.Fatalf("strict query err = %v, want shard-unavailable SP error", err)
 	}
 
-	parts, gaps, err := cli.QueryDegraded(context.Background(), q, false)
+	parts, gaps, err := cli.QueryDegraded(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestRemoteDegradedQuery(t *testing.T) {
 	}
 
 	// The one-call path wraps the same outcome.
-	res2, err := cli.QueryVerifiedDegraded(context.Background(), q, false, &core.Verifier{Acc: acc, Light: light})
+	res2, err := cli.QueryVerifiedDegraded(context.Background(), q, &core.Verifier{Acc: acc, Light: light})
 	if !errors.Is(err, core.ErrDegraded) {
 		t.Fatalf("QueryVerifiedDegraded err = %v, want ErrDegraded", err)
 	}
@@ -238,7 +238,7 @@ func TestDegradedTypedErrorOverGob(t *testing.T) {
 	}
 	defer cli.Close()
 	q := core.Query{StartBlock: 0, EndBlock: 3, Bool: core.CNF{core.KeywordClause("sedan")}, Width: 4}
-	_, err = cli.QueryParts(context.Background(), q, false)
+	_, err = cli.QueryParts(context.Background(), q, true)
 	if !errors.Is(err, shard.ErrShardUnavailable) {
 		t.Fatalf("strict query err = %v, want errors.Is ErrShardUnavailable", err)
 	}
@@ -274,7 +274,7 @@ func TestRemoteDegradedTamperRejected(t *testing.T) {
 	light := shardedLight(t, cli)
 	q := core.Query{StartBlock: 0, EndBlock: 3, Bool: core.CNF{core.KeywordClause("sedan")}, Width: 4}
 
-	parts, gaps, err := cli.QueryDegraded(context.Background(), q, false)
+	parts, gaps, err := cli.QueryDegraded(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

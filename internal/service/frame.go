@@ -31,7 +31,7 @@ import (
 //
 //	hello    = u16 version, str construction, str preset
 //	request  = u64 Seq, str Kind, int FromHeight, core.WriteQuery,
-//	           u8 flags (1 = Batched, 2 = AllowDegraded),
+//	           u8 flags (2 = AllowDegraded; 1 is ignored),
 //	           int DeadlineMs, int SubID
 //	response = u64 Seq, str Err, u8 Code,
 //	           u32 n, n × chain.Header.Bytes(),
@@ -175,8 +175,6 @@ type Request struct {
 	// continuous query to register (Kind == "subscribe"; its window
 	// fields are ignored).
 	Query core.Query
-	// Batched requests online batch verification (§6.3).
-	Batched bool
 	// AllowDegraded lets a query answer omit unprovable sub-windows as
 	// machine-readable Gaps (verified client-side by VerifyDegraded)
 	// instead of failing outright when a shard is down.
@@ -190,11 +188,14 @@ type Request struct {
 	DeadlineMs int64
 	// SubID names the subscription to drop (Kind == "unsubscribe").
 	SubID int
+	// legacy keeps flagLegacy as received, so the frame re-encodes.
+	legacy byte
 }
 
-// The request flag bits.
+// The request flag bits. Older clients set flagLegacy to ask for the
+// online batching (§6.3) every answer now uses; it is ignored.
 const (
-	flagBatched byte = 1 << iota
+	flagLegacy byte = 1 << iota
 	flagDegraded
 )
 
@@ -205,10 +206,7 @@ func (q *Request) appendTo(w *wire.Writer) {
 	w.String32(q.Kind)
 	w.Int(q.FromHeight)
 	core.WriteQuery(w, q.Query)
-	var flags byte
-	if q.Batched {
-		flags |= flagBatched
-	}
+	flags := q.legacy
 	if q.AllowDegraded {
 		flags |= flagDegraded
 	}
@@ -223,10 +221,10 @@ func (q *Request) readFrom(r *wire.Reader) {
 	q.FromHeight = r.Int()
 	q.Query = core.ReadQuery(r)
 	flags := r.U8()
-	if flags&^(flagBatched|flagDegraded) != 0 {
+	if flags&^(flagLegacy|flagDegraded) != 0 {
 		r.Failf("unknown request flags %#x", flags)
 	}
-	q.Batched, q.AllowDegraded = flags&flagBatched != 0, flags&flagDegraded != 0
+	q.legacy, q.AllowDegraded = flags&flagLegacy, flags&flagDegraded != 0
 	q.DeadlineMs = int64(r.U64())
 	q.SubID = r.Int()
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -33,6 +34,48 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if err := decodeFrame(append(payload[4:], 0xff), &got); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+// TestLegacyBatchedFlag: an older client sets flag bit 1 to ask for
+// online batching, which every answer now uses. The SP accepts the bit,
+// ignores it and answers with the VO every client gets; the request
+// still re-encodes to its own bytes.
+func TestLegacyBatchedFlag(t *testing.T) {
+	q := core.Query{StartBlock: 0, EndBlock: 2, Bool: core.CNF{core.KeywordClause("tesla")}, Width: 4}
+	frame, err := encodeFrame(&Request{Seq: 1, Kind: "query", Query: q, DeadlineMs: 5000, legacy: flagLegacy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req Request
+	if err := decodeFrame(frame[framePrefixLen:], &req); err != nil {
+		t.Fatalf("legacy flag refused: %v", err)
+	}
+	if again, _ := encodeFrame(&req); !bytes.Equal(again, frame) {
+		t.Fatal("a request with the legacy flag re-encodes to other bytes")
+	}
+
+	_, addr, acc := startServer(t)
+	conn, fc := dialRaw(t, addr)
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var resp Response
+	if err := fc.readFrame(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Err != "" || len(resp.Parts) != 1 {
+		t.Fatalf("legacy request answered with error %q and %d part(s)", resp.Err, len(resp.Parts))
+	}
+	cli, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	vo := queryVO(t, cli, q)
+	if len(vo.Groups) == 0 || !bytes.Equal(resp.Parts[0].VO, core.EncodeVO(acc, vo)) {
+		t.Fatal("the legacy request's answer is not the batched VO a current client gets")
 	}
 }
 

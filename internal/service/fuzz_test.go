@@ -107,7 +107,7 @@ func realFrames(tb testing.TB) [][]byte {
 	}
 	srv := NewServer(node)
 	q := core.Query{EndBlock: 3, Bool: core.CNF{core.KeywordClause("sedan")}, Width: 4}
-	strict, err := node.TimeWindowParts(context.Background(), q, false)
+	strict, err := node.TimeWindowParts(context.Background(), q, true)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func realFrames(tb testing.TB) [][]byte {
 	if err := node.Quarantine(1, errors.New("fuzz seed: shard fenced")); err != nil {
 		tb.Fatal(err)
 	}
-	parts, gaps, err := node.TimeWindowDegraded(context.Background(), q, true)
+	parts, gaps, err := node.TimeWindowDegraded(context.Background(), q)
 	if err != nil || len(gaps) == 0 {
 		tb.Fatalf("degraded answer with gaps %v: %v", gaps, err)
 	}

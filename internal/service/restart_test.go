@@ -66,7 +66,7 @@ func TestServerOverReopenedStore(t *testing.T) {
 	// Remote verified query over the persisted chain.
 	q := sedanQuery()
 	q.StartBlock, q.EndBlock = 0, 2
-	results, err := (&core.Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, queryVO(t, cli, q, false))
+	results, err := (&core.Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, queryVO(t, cli, q))
 	if err != nil {
 		t.Fatalf("reopened SP's VO rejected: %v", err)
 	}

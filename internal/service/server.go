@@ -418,13 +418,13 @@ func (sc *serverConn) process(req *Request) *Response {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(req.DeadlineMs)*time.Millisecond)
 		defer cancel()
 		if req.AllowDegraded {
-			parts, gaps, err := s.node.TimeWindowDegraded(ctx, req.Query, req.Batched)
+			parts, gaps, err := s.node.TimeWindowDegraded(ctx, req.Query)
 			if err != nil {
 				return errResponse(err)
 			}
 			return &Response{Parts: s.wireParts(parts), Gaps: gaps}
 		}
-		parts, err := s.node.TimeWindowParts(ctx, req.Query, req.Batched)
+		parts, err := s.node.TimeWindowParts(ctx, req.Query, true)
 		if err != nil {
 			return errResponse(err)
 		}

@@ -51,12 +51,13 @@ type Chain interface {
 	Height() int
 	// TimeWindowParts answers a time-window query as a descending
 	// part list tiling the window. The context carries the client's
-	// propagated deadline into the proof walk.
+	// propagated deadline into the proof walk. batched is ignored;
+	// the benchmark pins it until ROADMAP item 24.
 	TimeWindowParts(ctx context.Context, q core.Query, batched bool) ([]core.WindowPart, error)
 	// TimeWindowDegraded is the degraded-read entry point: the heights
 	// of quarantined shards, or of a slot whose page-in fails, come
 	// back as gaps instead of failing the query.
-	TimeWindowDegraded(ctx context.Context, q core.Query, batched bool) ([]core.WindowPart, []core.Gap, error)
+	TimeWindowDegraded(ctx context.Context, q core.Query) ([]core.WindowPart, []core.Gap, error)
 	// Acc exposes the accumulator public part.
 	Acc() accumulator.Accumulator
 	// BitWidth is the numeric attribute width of the deployment.

@@ -44,9 +44,9 @@ func startServer(t *testing.T) (*Server, string, accumulator.Accumulator) {
 
 // queryVO runs a remote query and returns its answer's single part,
 // which must span the whole window.
-func queryVO(t *testing.T, cli *Client, q core.Query, batched bool) *core.VO {
+func queryVO(t *testing.T, cli *Client, q core.Query) *core.VO {
 	t.Helper()
-	parts, err := cli.QueryParts(context.Background(), q, batched)
+	parts, err := cli.QueryParts(context.Background(), q, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRemoteQueryAndVerify(t *testing.T) {
 	}
 
 	q := core.Query{StartBlock: 0, EndBlock: 2, Bool: core.CNF{core.KeywordClause("sedan")}, Width: 4}
-	vo := queryVO(t, cli, q, false)
+	vo := queryVO(t, cli, q)
 	results, err := (&core.Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, vo)
 	if err != nil {
 		t.Fatalf("remote VO failed verification: %v", err)
@@ -100,7 +100,7 @@ func TestRemoteBatchedQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := core.Query{StartBlock: 0, EndBlock: 2, Bool: core.CNF{core.KeywordClause("tesla")}, Width: 4}
-	vo := queryVO(t, cli, q, true)
+	vo := queryVO(t, cli, q)
 	if len(vo.Groups) == 0 {
 		t.Error("batched query produced no groups")
 	}
@@ -166,7 +166,7 @@ func TestServerErrors(t *testing.T) {
 	defer cli.Close()
 	// Invalid query window.
 	q := core.Query{StartBlock: 5, EndBlock: 1, Bool: core.CNF{core.KeywordClause("x")}, Width: 4}
-	if _, err := cli.QueryParts(context.Background(), q, false); err == nil || !strings.Contains(err.Error(), "SP error") {
+	if _, err := cli.QueryParts(context.Background(), q, true); err == nil || !strings.Contains(err.Error(), "SP error") {
 		t.Errorf("invalid window: %v", err)
 	}
 	// Unknown request kind.
@@ -232,7 +232,7 @@ func TestRemoteSkipVOOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := core.Query{StartBlock: 0, EndBlock: 7, Bool: core.CNF{core.KeywordClause("tesla")}, Width: 4}
-	vo := queryVO(t, cli, q, false)
+	vo := queryVO(t, cli, q)
 	hasSkip := false
 	for i := range vo.Blocks {
 		if vo.Blocks[i].Skip != nil {

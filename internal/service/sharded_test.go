@@ -74,10 +74,10 @@ func TestRemoteShardedQueryParts(t *testing.T) {
 	light := shardedLight(t, cli)
 
 	q := core.Query{StartBlock: 0, EndBlock: 3, Bool: core.CNF{core.KeywordClause("sedan")}, Width: 4}
-	vo := queryVO(t, cli, q, false)
+	vo := queryVO(t, cli, q)
 	mono := core.NewFullNode(0, shardedBuilder(acc))
 	mineSharded(t, mono)
-	want, err := mono.SP(false).TimeWindowQuery(context.Background(), q)
+	want, err := mono.SP(true).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRemoteShardedSingleShardWindow(t *testing.T) {
 	light := shardedLight(t, cli)
 
 	q := core.Query{StartBlock: 2, EndBlock: 2, Bool: core.CNF{core.KeywordClause("sedan")}, Width: 4}
-	if _, err := (&core.Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, queryVO(t, cli, q, false)); err != nil {
+	if _, err := (&core.Verifier{Acc: acc, Light: light}).VerifyTimeWindow(q, queryVO(t, cli, q)); err != nil {
 		t.Fatal(err)
 	}
 }

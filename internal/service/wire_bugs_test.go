@@ -129,7 +129,7 @@ func TestDeadlineClampedClientSide(t *testing.T) {
 	}
 	defer cli.Close()
 	q := core.Query{EndBlock: 1, Bool: core.CNF{core.KeywordClause("x")}, Width: 4}
-	cli.QueryParts(context.Background(), q, false) // outcome irrelevant; the wire capture is the assertion
+	cli.QueryParts(context.Background(), q, true) // outcome irrelevant; the wire capture is the assertion
 
 	select {
 	case ms := <-got:

@@ -90,16 +90,16 @@ func TestDegradedReadQuarantinedShard(t *testing.T) {
 
 	// Strict queries covering the sick shard fail fast...
 	q := sedanBenzQuery(0, blocks-1)
-	if _, err := node.TimeWindowParts(context.Background(), q, false); !errors.Is(err, shard.ErrShardUnavailable) {
+	if _, err := node.TimeWindowParts(context.Background(), q, true); !errors.Is(err, shard.ErrShardUnavailable) {
 		t.Fatalf("strict query: err = %v, want ErrShardUnavailable", err)
 	}
 	// ...and ones avoiding it still work.
 	safe := sedanBenzQuery(0, 3)
-	if _, err := node.TimeWindowParts(context.Background(), safe, false); err != nil {
+	if _, err := node.TimeWindowParts(context.Background(), safe, true); err != nil {
 		t.Fatalf("strict query avoiding the sick shard: %v", err)
 	}
 
-	parts, gaps, err := node.TimeWindowDegraded(context.Background(), q, false)
+	parts, gaps, err := node.TimeWindowDegraded(context.Background(), q)
 	if err != nil {
 		t.Fatalf("degraded query: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestDegradedReadQuarantinedShard(t *testing.T) {
 	wantObjs := 0
 	for _, w := range [][2]int{{0, 3}, {6, 11}, {14, 15}} {
 		sq := sedanBenzQuery(w[0], w[1])
-		ps, err := node.TimeWindowParts(context.Background(), sq, false)
+		ps, err := node.TimeWindowParts(context.Background(), sq, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestDegradedReadQuarantinedShard(t *testing.T) {
 	}
 
 	// Dropping a part without declaring the gap must be rejected too.
-	fresh, gaps2, err := node.TimeWindowDegraded(context.Background(), q, false)
+	fresh, gaps2, err := node.TimeWindowDegraded(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestChaosKillRestoreShard(t *testing.T) {
 			default:
 			}
 			q := sedanBenzQuery(0, preFault-1)
-			parts, gaps, err := node.TimeWindowDegraded(context.Background(), q, false)
+			parts, gaps, err := node.TimeWindowDegraded(context.Background(), q)
 			if err != nil {
 				t.Error(err)
 				return
@@ -247,7 +247,7 @@ func TestChaosKillRestoreShard(t *testing.T) {
 
 	// Degraded read during the outage: shard 0's heights gap out.
 	q := sedanBenzQuery(0, preFault-1)
-	_, gaps, err := node.TimeWindowDegraded(context.Background(), q, false)
+	_, gaps, err := node.TimeWindowDegraded(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,14 +291,14 @@ func TestChaosKillRestoreShard(t *testing.T) {
 	// Full-window answers are byte-identical to the unfaulted run
 	// (disjointness proofs are deterministic), and gaps are gone.
 	fq := sedanBenzQuery(0, total-1)
-	gotParts, gotGaps, err := node.TimeWindowDegraded(context.Background(), fq, false)
+	gotParts, gotGaps, err := node.TimeWindowDegraded(context.Background(), fq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(gotGaps) != 0 {
 		t.Fatalf("recovered node still reports gaps: %v", gotGaps)
 	}
-	wantParts, err := baseline.TimeWindowParts(context.Background(), fq, false)
+	wantParts, err := baseline.TimeWindowParts(context.Background(), fq, true)
 	if err != nil {
 		t.Fatal(err)
 	}

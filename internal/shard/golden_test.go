@@ -22,8 +22,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden part-digest fi
 
 // TestGoldenVectors extends core's golden VO fixtures across shard
 // counts: it pins the SHA-256 of core.EncodeVO for every part of a
-// seeded corpus over acc1/acc2 × unbatched/batched × shards ∈ {1,2,4},
-// plus the monolithic core.FullNode VO. Every sharded answer must be a
+// seeded corpus over acc1/acc2 × batched=false/true × shards ∈ {1,2,4},
+// plus the monolithic core.FullNode VO. The nodes batch every answer
+// (§6.3) and ignore the argument, so each batched=false row pins that
+// its answer equals the batched=true row. Every sharded answer must be a
 // single part equal to the monolithic VO byte for byte. A refactor of the node layers must pass
 // without -update; regenerate with `go test -run TestGoldenVectors
 // -update ./internal/shard/` only after an intentional format change.

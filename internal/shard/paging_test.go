@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -59,7 +60,7 @@ func TestShardedLazyReopenPagesIn(t *testing.T) {
 	}
 
 	q := sedanBenzQuery(0, blocks-1)
-	parts, err := re.TimeWindowParts(context.Background(), q, false)
+	parts, err := re.TimeWindowParts(context.Background(), q, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestPageInFaultDegradesToGap(t *testing.T) {
 	mid := reopenWrapped(t, opts, target, blocks, reads.wrap)
 	reads.arm(1)
 	before := mid.ProofStats()
-	parts, gaps, err := mid.TimeWindowDegraded(context.Background(), q, false)
+	parts, gaps, err := mid.TimeWindowDegraded(context.Background(), q)
 	if err != nil {
 		t.Fatalf("degraded query with a mid-span fault: %v", err)
 	}
@@ -190,7 +191,7 @@ func TestPageInFaultDegradesToGap(t *testing.T) {
 		t.Fatalf("mid-span fault: gaps = %v, want %v", gaps, wantGaps)
 	}
 	ref := proofs.New(mid.Acc(), proofs.Options{})
-	sp := &core.SP{Acc: mid.Acc(), View: mid.FullNode, Engine: ref}
+	sp := &core.SP{Acc: mid.Acc(), View: mid.FullNode, Batch: true, Engine: ref}
 	run := ref.NewRun()
 	for _, p := range parts {
 		sub := q
@@ -212,11 +213,11 @@ func TestPageInFaultDegradesToGap(t *testing.T) {
 	re, sched := reopenWithFaultyShard(t, opts, target, blocks)
 	sched.NextFailures(fault.OpRead, 1000)
 
-	if _, err := re.TimeWindowParts(context.Background(), q, false); !errors.Is(err, fault.ErrInjected) {
+	if _, err := re.TimeWindowParts(context.Background(), q, true); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("strict query over broken shard: err = %v, want injected page-in error", err)
 	}
 
-	parts, gaps, err = re.TimeWindowDegraded(context.Background(), q, false)
+	parts, gaps, err = re.TimeWindowDegraded(context.Background(), q)
 	if err != nil {
 		t.Fatalf("degraded query: %v", err)
 	}
@@ -231,7 +232,7 @@ func TestPageInFaultDegradesToGap(t *testing.T) {
 	// Page-in failures feed the breaker like any other shard fault:
 	// keep asking and the shard quarantines.
 	for i := 0; i < 5 && re.Health(target) != shard.Quarantined; i++ {
-		if _, _, err := re.TimeWindowDegraded(context.Background(), q, false); err != nil {
+		if _, _, err := re.TimeWindowDegraded(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,6 +241,79 @@ func TestPageInFaultDegradesToGap(t *testing.T) {
 	}
 	if st := re.ShardStats()[target]; st.Failures == 0 {
 		t.Fatalf("page-in failures not recorded in shard stats: %+v", st)
+	}
+}
+
+// TestDegradedGroupsStayInTheirPart: a page-in fault mid-walk leaves a
+// gap between two parts of a degraded answer, and each part's batch
+// groups (§6.3) are its own. Every group is cited only by mismatch
+// nodes of the part that carries it, every part is byte for byte a
+// fresh batched walk of its sub-window, and each part verifies alone.
+func TestDegradedGroupsStayInTheirPart(t *testing.T) {
+	const target, blocks = 1, 8 // shard 1 owns {2,3} and {6,7}
+	opts := shard.Options{Shards: 2, Band: 2, Workers: 2, ADSCacheBlocks: 2, BreakerCooldown: time.Hour}
+	q := sedanBenzQuery(0, blocks-1)
+	var reads readBudget
+	node := reopenWrapped(t, opts, target, blocks, reads.wrap)
+	reads.arm(1) // height 7 pages in and joins the first walk's groups; height 6 fails
+	parts, gaps, err := node.TimeWindowDegraded(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []core.Gap{{Start: 6, End: 7}, {Start: 2, End: 3}}; !reflect.DeepEqual(gaps, want) {
+		t.Fatalf("gaps = %v, want %v", gaps, want)
+	}
+	if len(parts) != 2 || parts[0].Start != 4 || parts[1].End != 1 {
+		t.Fatalf("%d part(s); want [4,5] and [0,1] around the gap [2,3]", len(parts))
+	}
+
+	ref := &core.SP{Acc: node.Acc(), View: node.FullNode, Batch: true, Engine: proofs.New(node.Acc(), proofs.Options{})}
+	light := lightFor(t, node.Headers())
+	for _, p := range parts {
+		cited := map[int]bool{}
+		var walk func(*core.NodeVO)
+		walk = func(nd *core.NodeVO) {
+			if nd == nil {
+				return
+			}
+			if nd.Kind == core.KindMismatch && nd.Group >= 0 {
+				if nd.Group >= len(p.VO.Groups) {
+					t.Fatalf("part [%d,%d]: a node cites group %d of %d", p.Start, p.End, nd.Group, len(p.VO.Groups))
+				}
+				cited[nd.Group] = true
+			}
+			walk(nd.Left)
+			walk(nd.Right)
+		}
+		for _, b := range p.VO.Blocks {
+			if b.Height < p.Start || b.Height > p.End {
+				t.Fatalf("part [%d,%d] carries height %d", p.Start, p.End, b.Height)
+			}
+			walk(b.Tree)
+		}
+		if len(p.VO.Groups) == 0 || len(cited) != len(p.VO.Groups) {
+			t.Fatalf("part [%d,%d]: %d groups, %d cited by its own nodes", p.Start, p.End, len(p.VO.Groups), len(cited))
+		}
+
+		sub := q
+		sub.StartBlock, sub.EndBlock = p.Start, p.End
+		want, err := ref.TimeWindowQuery(context.Background(), sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(core.EncodeVO(node.Acc(), p.VO), core.EncodeVO(node.Acc(), want)) {
+			t.Fatalf("part [%d,%d] differs from a batched walk of its sub-window", p.Start, p.End)
+		}
+		for _, sequential := range []bool{true, false} {
+			ver := &core.Verifier{Acc: node.Acc(), Light: light, Sequential: sequential}
+			if _, err := ver.VerifySpan(q, p.Start, p.End, p.VO); err != nil {
+				t.Fatalf("part [%d,%d] alone, sequential=%v: %v", p.Start, p.End, sequential, err)
+			}
+		}
+	}
+	ver := &core.Verifier{Acc: node.Acc(), Light: light}
+	if _, err := ver.VerifyDegraded(q, parts, gaps); !errors.Is(err, core.ErrDegraded) {
+		t.Fatalf("VerifyDegraded err = %v, want ErrDegraded", err)
 	}
 }
 
@@ -274,7 +348,7 @@ func TestRestartShardRepopulatesLazily(t *testing.T) {
 	// First query touching the restarted shard pages its ADSs back in
 	// and still verifies.
 	q := sedanBenzQuery(2, 3) // owned by shard 1
-	parts, err := node.TimeWindowParts(context.Background(), q, false)
+	parts, err := node.TimeWindowParts(context.Background(), q, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,13 +375,13 @@ func TestSkipSpanPageInFault(t *testing.T) {
 	var reads readBudget
 	re := reopenWrapped(t, opts, target, blocks, reads.wrap)
 	reads.arm(1)
-	_, err := re.TimeWindowParts(context.Background(), q, false)
+	_, err := re.TimeWindowParts(context.Background(), q, true)
 	if !errors.Is(err, core.ErrADSUnavailable) || !strings.Contains(err.Error(), "skip span at height 14") {
 		t.Fatalf("strict query with a failed span page-in: err = %v, want ErrADSUnavailable at height 14", err)
 	}
 
 	reads.arm(1)
-	parts, gaps, err := re.TimeWindowDegraded(context.Background(), q, false)
+	parts, gaps, err := re.TimeWindowDegraded(context.Background(), q)
 	if err != nil {
 		t.Fatalf("degraded query with a failed span page-in: %v", err)
 	}

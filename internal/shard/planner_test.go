@@ -29,7 +29,7 @@ func TestPlannerStrictFailureProvesNothing(t *testing.T) {
 	reads.arm(3)
 
 	before, goroutines := node.ProofStats(), runtime.NumGoroutine()
-	_, err := node.TimeWindowParts(context.Background(), sedanBenzQuery(0, blocks-1), false)
+	_, err := node.TimeWindowParts(context.Background(), sedanBenzQuery(0, blocks-1), true)
 	if !errors.Is(err, fault.ErrInjected) || !errors.Is(err, core.ErrADSUnavailable) {
 		t.Fatalf("strict query over a failing page-in: err = %v, want an injected ADS fault", err)
 	}
@@ -52,7 +52,7 @@ func TestPlannerHonorsContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := node.TimeWindowParts(ctx, sedanBenzQuery(0, 3), false); err == nil {
+	if _, err := node.TimeWindowParts(ctx, sedanBenzQuery(0, 3), true); err == nil {
 		t.Fatal("canceled context did not fail the query")
 	}
 }
@@ -70,7 +70,7 @@ func TestPlannerCrossBandSkipFault(t *testing.T) {
 	node, sched := reopenWithFaultyShard(t, opts, target, blocks)
 	sched.NextFailures(fault.OpRead, 1000)
 
-	_, err := node.TimeWindowParts(context.Background(), q, false)
+	_, err := node.TimeWindowParts(context.Background(), q, true)
 	if !errors.Is(err, core.ErrADSUnavailable) || !strings.Contains(err.Error(), "skip span at height 11") {
 		t.Fatalf("strict query: err = %v, want ErrADSUnavailable from the skip span at height 11", err)
 	}
@@ -78,7 +78,7 @@ func TestPlannerCrossBandSkipFault(t *testing.T) {
 		t.Fatalf("strict failure fed a breaker: %+v", st)
 	}
 
-	parts, gaps, err := node.TimeWindowDegraded(context.Background(), q, false)
+	parts, gaps, err := node.TimeWindowDegraded(context.Background(), q)
 	if err != nil {
 		t.Fatalf("degraded query: %v", err)
 	}
@@ -107,26 +107,27 @@ func TestPlannerHealthyDegradedIsStrict(t *testing.T) {
 	mineBlocks(t, node, blocks)
 
 	q := sedanBenzQuery(1, blocks-2)
-	for _, batched := range []bool{false, true} {
-		want, err := mono.SP(batched).TimeWindowQuery(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		strict, err := node.TimeWindowParts(context.Background(), q, batched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts, gaps, err := node.TimeWindowDegraded(context.Background(), q, batched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gaps) != 0 || len(parts) != 1 || len(strict) != 1 {
-			t.Fatalf("batched=%v: strict %d part(s), degraded %d part(s) and gaps %v; want one part each, no gaps",
-				batched, len(strict), len(parts), gaps)
-		}
-		enc := core.EncodeVO(acc, want)
-		if !bytes.Equal(core.EncodeVO(acc, strict[0].VO), enc) || !bytes.Equal(core.EncodeVO(acc, parts[0].VO), enc) {
-			t.Fatalf("batched=%v: healthy answers differ from the unsharded VO", batched)
-		}
+	want, err := mono.SP(true).TimeWindowQuery(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strict, err := node.TimeWindowParts(context.Background(), q, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, gaps, err := node.TimeWindowDegraded(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gaps) != 0 || len(parts) != 1 || len(strict) != 1 {
+		t.Fatalf("strict %d part(s), degraded %d part(s) and gaps %v; want one part each, no gaps",
+			len(strict), len(parts), gaps)
+	}
+	if len(want.Groups) == 0 {
+		t.Fatal("the query aggregates no mismatch: it does not exercise batching")
+	}
+	enc := core.EncodeVO(acc, want)
+	if !bytes.Equal(core.EncodeVO(acc, strict[0].VO), enc) || !bytes.Equal(core.EncodeVO(acc, parts[0].VO), enc) {
+		t.Fatal("healthy answers differ from the unsharded batched VO")
 	}
 }

@@ -105,7 +105,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parts, err := node.TimeWindowParts(context.Background(), q, false)
+			parts, err := node.TimeWindowParts(context.Background(), q, true)
 			if err != nil {
 				t.Fatalf("%d shards window %v: %v", shards, w, err)
 			}
@@ -174,7 +174,7 @@ func TestConcurrentMineAndQuery(t *testing.T) {
 							return
 						}
 						q := sedanBenzQuery(0, light.Height()-1)
-						parts, err := node.TimeWindowParts(context.Background(), q, false)
+						parts, err := node.TimeWindowParts(context.Background(), q, true)
 						if err != nil {
 							t.Error(err)
 							return
@@ -268,7 +268,7 @@ func TestReopenTornTail(t *testing.T) {
 			// The restored chain still answers verifiable queries...
 			ver := &core.Verifier{Acc: acc, Light: lightFor(t, node.Headers())}
 			q := sedanBenzQuery(0, lost-1)
-			parts, err := node.TimeWindowParts(context.Background(), q, false)
+			parts, err := node.TimeWindowParts(context.Background(), q, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -328,7 +328,7 @@ func TestReopenSurvivesRestart(t *testing.T) {
 			}
 			ver := &core.Verifier{Acc: acc, Light: lightFor(t, headers)}
 			q := sedanBenzQuery(0, blocks-1)
-			parts, err := node.TimeWindowParts(context.Background(), q, false)
+			parts, err := node.TimeWindowParts(context.Background(), q, true)
 			if err != nil {
 				t.Fatal(err)
 			}

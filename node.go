@@ -155,12 +155,12 @@ func (n *Node) WindowByTime(ts, te int64) (start, end int, ok bool) {
 
 // TimeWindow answers a time-window query with one window part spanning
 // the window, at every shard count. Verify with LightClient.Verify;
-// results are embedded (WindowPart.VO.Results()). batched enables
-// online batch verification (§6.3); it falls back to individual proofs
-// when the configured accumulator cannot aggregate. All of the query's
-// proofs run as one batch on the node's Config.SPWorkers workers.
-func (n *Node) TimeWindow(q Query, batched bool) ([]WindowPart, error) {
-	return n.node.TimeWindowParts(context.Background(), q, batched)
+// results are embedded (WindowPart.VO.Results()). Under acc2 every
+// mismatch of one clause shares one aggregated proof (§6.3); acc1
+// proves each on its own. All of the query's proofs run as one batch
+// on the node's Config.SPWorkers workers.
+func (n *Node) TimeWindow(q Query) ([]WindowPart, error) {
+	return n.node.TimeWindowParts(context.Background(), q, true)
 }
 
 // TimeWindowDegraded answers a time-window query in degraded-read
@@ -170,7 +170,7 @@ func (n *Node) TimeWindow(q Query, batched bool) ([]WindowPart, error) {
 // Parts and gaps together tile the window, descending; verify the pair
 // with LightClient.VerifyDegraded.
 func (n *Node) TimeWindowDegraded(q Query) ([]WindowPart, []Gap, error) {
-	return n.node.TimeWindowDegraded(context.Background(), q, false)
+	return n.node.TimeWindowDegraded(context.Background(), q)
 }
 
 // Health reports one shard's current health state.

@@ -23,7 +23,7 @@
 //	client.SyncHeaders(node.Headers())
 //
 //	q := vchain.Query{EndBlock: 0, Bool: vchain.And(vchain.Or("sedan"))}
-//	parts, _ := node.TimeWindow(q, false)
+//	parts, _ := node.TimeWindow(q)
 //	results, err := client.Verify(q, parts) // err == nil certifies integrity
 //	_ = results
 package vchain

@@ -97,35 +97,33 @@ func TestFacadeEndToEnd(t *testing.T) {
 					Bool:  And(Or("sedan")),
 					Width: 4,
 				}
-				for _, batched := range []bool{false, true} {
-					parts, err := node.TimeWindow(q, batched)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if shards == 1 && len(parts) != 1 {
-						t.Fatalf("one shard answered with %d parts", len(parts))
-					}
-					results, err := client.Verify(q, parts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(results) != blocks {
-						t.Fatalf("results %d, want %d", len(results), blocks)
-					}
-					// The reference verifier agrees with the batched one.
-					ref := client.verifier()
-					ref.Sequential = true
-					seq, err := ref.VerifyWindowParts(q, parts)
-					if err != nil || len(seq) != len(results) {
-						t.Fatalf("sequential verifier: %d results, %v", len(seq), err)
-					}
-					if client.VOSize(parts[0].VO) <= 0 {
-						t.Error("VO size should be positive")
-					}
-					// A dropped part is incompleteness.
-					if _, err := client.Verify(q, parts[1:]); !errors.Is(err, ErrCompleteness) {
-						t.Fatalf("dropped part: err = %v, want ErrCompleteness", err)
-					}
+				parts, err := node.TimeWindow(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if shards == 1 && len(parts) != 1 {
+					t.Fatalf("one shard answered with %d parts", len(parts))
+				}
+				results, err := client.Verify(q, parts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(results) != blocks {
+					t.Fatalf("results %d, want %d", len(results), blocks)
+				}
+				// The reference verifier agrees with the batched one.
+				ref := client.verifier()
+				ref.Sequential = true
+				seq, err := ref.VerifyWindowParts(q, parts)
+				if err != nil || len(seq) != len(results) {
+					t.Fatalf("sequential verifier: %d results, %v", len(seq), err)
+				}
+				if client.VOSize(parts[0].VO) <= 0 {
+					t.Error("VO size should be positive")
+				}
+				// A dropped part is incompleteness.
+				if _, err := client.Verify(q, parts[1:]); !errors.Is(err, ErrCompleteness) {
+					t.Fatalf("dropped part: err = %v, want ErrCompleteness", err)
 				}
 				if client.StorageBits() <= 0 {
 					t.Error("light storage should be positive")
@@ -144,7 +142,7 @@ func TestFacadeBatchedQuery(t *testing.T) {
 	mine(t, node, 0, 3)
 	client := syncedClient(t, sys, node)
 	q := Query{StartBlock: 0, EndBlock: 2, Bool: And(Or("tesla")), Width: 4}
-	parts, err := node.TimeWindow(q, true)
+	parts, err := node.TimeWindow(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +201,7 @@ func TestFacadeRejectsTamperedVO(t *testing.T) {
 	mine(t, node, 0, 1)
 	client := syncedClient(t, sys, node)
 	q := Query{StartBlock: 0, EndBlock: 0, Bool: And(Or("sedan")), Width: 4}
-	parts, err := node.TimeWindow(q, false)
+	parts, err := node.TimeWindow(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +236,7 @@ func TestFacadeTimestampWindow(t *testing.T) {
 		t.Fatal("node and client disagree on the window")
 	}
 	q := Query{StartBlock: start, EndBlock: end, Bool: And(Or("sedan")), Width: 4}
-	parts, err := node.TimeWindow(q, false)
+	parts, err := node.TimeWindow(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +264,7 @@ func TestFacadeParallelSP(t *testing.T) {
 	mine(t, node, 0, 3)
 	client := syncedClient(t, sys, node)
 	q := Query{StartBlock: 0, EndBlock: 2, Bool: And(Or("sedan")), Width: 4}
-	parts, err := node.TimeWindow(q, false)
+	parts, err := node.TimeWindow(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +410,7 @@ func TestFacadeRemoteSubscription(t *testing.T) {
 
 				// The same connection also answers verified one-shot
 				// queries.
-				res, err := conn.Query(context.Background(), Query{StartBlock: 0, EndBlock: blocks - 1, Bool: And(Or("sedan")), Width: 4}, false)
+				res, err := conn.Query(context.Background(), Query{StartBlock: 0, EndBlock: blocks - 1, Bool: And(Or("sedan")), Width: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -472,21 +470,21 @@ func TestFacadeProofStats(t *testing.T) {
 			}
 
 			q := Query{StartBlock: 0, EndBlock: 9, Bool: And(Or("sedan")), Width: 4}
-			parts, err := node.TimeWindow(q, true)
+			parts, err := node.TimeWindow(q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(parts) != 1 {
 				t.Fatalf("%d parts, want one at every shard count", len(parts))
 			}
-			if _, err := node.TimeWindow(q, false); err != nil {
+			if _, err := node.TimeWindow(q); err != nil {
 				t.Fatal(err)
 			}
 			first := node.ProofStats()
 			if first.CacheMisses <= afterSubs.CacheMisses || first.AggGroups == 0 {
 				t.Errorf("time-window traffic did not reach the node's engine: %+v vs %+v", first, afterSubs)
 			}
-			if _, err := node.TimeWindow(q, false); err != nil {
+			if _, err := node.TimeWindow(q); err != nil {
 				t.Fatal(err)
 			}
 			st := node.ProofStats()
@@ -536,7 +534,7 @@ func TestFacadeOpenNode(t *testing.T) {
 		}
 		client := syncedClient(t, sys, re)
 		q := Query{StartBlock: 0, EndBlock: blocks - 1, Bool: And(Or("sedan")), Width: 4}
-		parts, err := re.TimeWindow(q, false)
+		parts, err := re.TimeWindow(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -585,7 +583,7 @@ func TestFacadeFlatStoreMigration(t *testing.T) {
 		}
 	}
 	q := Query{StartBlock: 1, EndBlock: blocks - 1, Bool: And(Or("sedan")), Width: 4}
-	before, err := legacy.SP(false).TimeWindowQuery(context.Background(), q)
+	before, err := legacy.SP(true).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +623,7 @@ func TestFacadeFlatStoreMigration(t *testing.T) {
 	if node.Shards() != 1 || node.Height() != blocks {
 		t.Fatalf("migrated node: %d shards, height %d; want 1 and %d", node.Shards(), node.Height(), blocks)
 	}
-	parts, err := node.TimeWindow(q, false)
+	parts, err := node.TimeWindow(q)
 	if err != nil {
 		t.Fatal(err)
 	}
