@@ -36,7 +36,7 @@ func FuzzQueryBody(f *testing.F) {
 	for _, body := range []map[string]any{
 		queryBody(0, blocks-1, false),
 		queryBody(1, 2, true),
-		{"startBlock": 0, "endBlock": blocks - 1, "range": map[string]any{"lo": []int64{2}, "hi": []int64{8}}, "batched": true},
+		{"startBlock": 0, "endBlock": blocks - 1, "range": map[string]any{"lo": []int64{2}, "hi": []int64{8}}},
 		{"startBlock": 0, "endBlock": blocks - 1, "keywords": [][]string{{}}},
 		{"startBlock": 3, "endBlock": 0},
 	} {

@@ -31,7 +31,7 @@ import (
 //
 //	hello    = u16 version, str construction, str preset
 //	request  = u64 Seq, str Kind, int FromHeight, core.WriteQuery,
-//	           u8 flags (2 = AllowDegraded; 1 is ignored),
+//	           u8 flags (2 = AllowDegraded; any other bit is refused),
 //	           int DeadlineMs, int SubID
 //	response = u64 Seq, str Err, u8 Code,
 //	           u32 n, n × chain.Header.Bytes(),
@@ -188,16 +188,12 @@ type Request struct {
 	DeadlineMs int64
 	// SubID names the subscription to drop (Kind == "unsubscribe").
 	SubID int
-	// legacy keeps flagLegacy as received, so the frame re-encodes.
-	legacy byte
 }
 
-// The request flag bits. Older clients set flagLegacy to ask for the
-// online batching (§6.3) every answer now uses; it is ignored.
-const (
-	flagLegacy byte = 1 << iota
-	flagDegraded
-)
+// flagDegraded is the one request flag bit. Bit 1 asked for the online
+// batching (§6.3) every answer now uses; like any other bit, it is
+// refused.
+const flagDegraded byte = 2
 
 func (*Request) kind() byte { return kindRequest }
 
@@ -206,7 +202,7 @@ func (q *Request) appendTo(w *wire.Writer) {
 	w.String32(q.Kind)
 	w.Int(q.FromHeight)
 	core.WriteQuery(w, q.Query)
-	flags := q.legacy
+	var flags byte
 	if q.AllowDegraded {
 		flags |= flagDegraded
 	}
@@ -221,10 +217,10 @@ func (q *Request) readFrom(r *wire.Reader) {
 	q.FromHeight = r.Int()
 	q.Query = core.ReadQuery(r)
 	flags := r.U8()
-	if flags&^(flagLegacy|flagDegraded) != 0 {
+	if flags&^flagDegraded != 0 {
 		r.Failf("unknown request flags %#x", flags)
 	}
-	q.legacy, q.AllowDegraded = flags&flagLegacy, flags&flagDegraded != 0
+	q.AllowDegraded = flags&flagDegraded != 0
 	q.DeadlineMs = int64(r.U64())
 	q.SubID = r.Int()
 }

@@ -37,45 +37,37 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyBatchedFlag: an older client sets flag bit 1 to ask for
-// online batching, which every answer now uses. The SP accepts the bit,
-// ignores it and answers with the VO every client gets; the request
-// still re-encodes to its own bytes.
-func TestLegacyBatchedFlag(t *testing.T) {
-	q := core.Query{StartBlock: 0, EndBlock: 2, Bool: core.CNF{core.KeywordClause("tesla")}, Width: 4}
-	frame, err := encodeFrame(&Request{Seq: 1, Kind: "query", Query: q, DeadlineMs: 5000, legacy: flagLegacy})
+// TestRequestRefusesBatchedFlag: bit 1 of the request flags once asked
+// for online batching (§6.3), which every answer now uses. The decoder
+// refuses it like any other unknown bit, as the gateway refuses the
+// body's old "batched" field.
+func TestRequestRefusesBatchedFlag(t *testing.T) {
+	q := core.Query{EndBlock: 2, Bool: core.CNF{core.KeywordClause("tesla")}, Width: 4}
+	plain, err := encodeFrame(&Request{Seq: 1, Kind: "query", Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var req Request
-	if err := decodeFrame(frame[framePrefixLen:], &req); err != nil {
-		t.Fatalf("legacy flag refused: %v", err)
-	}
-	if again, _ := encodeFrame(&req); !bytes.Equal(again, frame) {
-		t.Fatal("a request with the legacy flag re-encodes to other bytes")
-	}
-
-	_, addr, acc := startServer(t)
-	conn, fc := dialRaw(t, addr)
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var resp Response
-	if err := fc.readFrame(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" || len(resp.Parts) != 1 {
-		t.Fatalf("legacy request answered with error %q and %d part(s)", resp.Err, len(resp.Parts))
-	}
-	cli, err := Dial(addr)
+	degraded, err := encodeFrame(&Request{Seq: 1, Kind: "query", Query: q, AllowDegraded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
-	vo := queryVO(t, cli, q)
-	if len(vo.Groups) == 0 || !bytes.Equal(resp.Parts[0].VO, core.EncodeVO(acc, vo)) {
-		t.Fatal("the legacy request's answer is not the batched VO a current client gets")
+	at := -1
+	for i := range plain {
+		if plain[i] != degraded[i] {
+			at = i
+			break
+		}
+	}
+	if at < 0 || degraded[at] != flagDegraded {
+		t.Fatal("cannot locate the request flags byte")
+	}
+	for _, flags := range []byte{1, 1 | flagDegraded} {
+		frame := bytes.Clone(plain)
+		frame[at] = flags
+		var req Request
+		if err := decodeFrame(frame[framePrefixLen:], &req); err == nil {
+			t.Errorf("request flags %#x accepted", flags)
+		}
 	}
 }
 
