@@ -275,6 +275,8 @@ type badEncoder struct{}
 
 func (badEncoder) Encode(string) (int, error) { return 99999, nil }
 
+// TestAccProofBytesNonEmpty also checks that each encoding is one
+// allocation, the slice it returns.
 func TestAccProofBytesNonEmpty(t *testing.T) {
 	for _, acc := range both(t) {
 		a, _ := acc.Setup(multiset.New("a"))
@@ -287,6 +289,12 @@ func TestAccProofBytesNonEmpty(t *testing.T) {
 		}
 		if len(acc.ProofBytes(pf)) == 0 {
 			t.Errorf("%s: empty proof encoding", acc.Name())
+		}
+		if n := testing.AllocsPerRun(20, func() { acc.AccBytes(a) }); n != 1 {
+			t.Errorf("%s: an acc encoding takes %.1f allocations", acc.Name(), n)
+		}
+		if n := testing.AllocsPerRun(20, func() { acc.ProofBytes(pf) }); n != 1 {
+			t.Errorf("%s: a proof encoding takes %.1f allocations", acc.Name(), n)
 		}
 	}
 }

@@ -275,8 +275,9 @@ func (c *Con1) AccBytes(a Acc) []byte { return c.pr.C.Bytes(a.A) }
 
 // ProofBytes implements Accumulator.
 func (c *Con1) ProofBytes(p Proof) []byte {
-	out := c.pr.C.Bytes(p.F1)
-	return append(out, c.pr.C.Bytes(p.F2)...)
+	cv := c.pr.C
+	out := cv.AppendBytes(make([]byte, 0, cv.BytesLen(p.F1)+cv.BytesLen(p.F2)), p.F1)
+	return cv.AppendBytes(out, p.F2)
 }
 
 // AccFromBytes implements Accumulator (Construction 1 serializes only

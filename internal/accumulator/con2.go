@@ -450,10 +450,13 @@ type proveScratch struct {
 
 // maxScratchBuf bounds, in bytes, each buffer of a scratch set that a
 // Con2 keeps for reuse; a buffer that grew past it, for an unusually
-// large proof, is dropped. The proofs of one benchmark run chunk (~300
-// key indices each, summed in waves of at most 448 points) fit, with
-// about 150 KB in all.
-const maxScratchBuf = 32 << 10
+// large proof, is dropped. It is sized to the aggregated proofs of a
+// batched answer, whose groups enter sumRounds alone when they exceed
+// its wave: at the default preset, a gob_prove run's largest set holds
+// about 250 KB, its largest buffers the round buffer (75 KB),
+// VecInvertEach's denominators and inverses (45 KB each) and the
+// proof's powers (41 KB). The free list keeps at most GOMAXPROCS sets.
+const maxScratchBuf = 256 << 10
 
 // getScratch takes a scratch set from c's free list, or a new one.
 func (c *Con2) getScratch() *proveScratch {
@@ -575,8 +578,9 @@ func (c *Con2) ValidateProof(p Proof) bool { return c.pr.C.IsOnCurve(p.F1) }
 
 // AccBytes implements Accumulator.
 func (c *Con2) AccBytes(a Acc) []byte {
-	out := c.pr.C.Bytes(a.A)
-	return append(out, c.pr.C.Bytes(a.B)...)
+	cv := c.pr.C
+	out := cv.AppendBytes(make([]byte, 0, cv.BytesLen(a.A)+cv.BytesLen(a.B)), a.A)
+	return cv.AppendBytes(out, a.B)
 }
 
 // ProofBytes implements Accumulator.

@@ -170,15 +170,20 @@ type BlockADS struct {
 	// Width is the numeric bit width the leaves' multisets are derived
 	// at (IntraNode.Multiset).
 	Width int
-	// BlockW is the block-level attribute multiset (union over
+	// blockW is the block-level attribute multiset (union over
 	// objects' W', so the root's multiset), the unit aggregated by skip
-	// entries.
-	BlockW multiset.Multiset
+	// entries, packed: a node keeps every block's, and reads it only to
+	// prove at the root, to sum skip spans and to encode the record.
+	blockW multiset.Packed
 	// Skips holds the inter-block entries (empty unless ModeBoth).
 	Skips []SkipEntry
 	// size is SizeBytes, counted while the node hashes are derived.
 	size int
 }
+
+// BlockW returns the block-level attribute multiset: the union over the
+// objects' W', so the root's multiset. Each call unpacks it anew.
+func (a *BlockADS) BlockW() multiset.Multiset { return a.blockW.Unpack() }
 
 // MerkleRoot returns the header commitment of the intra index.
 func (a *BlockADS) MerkleRoot() chain.Digest { return a.Root.Hash }
@@ -312,7 +317,7 @@ func (b *Builder) BuildBlock(height int, objs []chain.Object, view ChainView) (*
 		Height: height,
 		Root:   root,
 		Width:  width,
-		BlockW: blockW,
+		blockW: multiset.Pack(blockW),
 	}
 
 	if b.Mode == ModeBoth {
@@ -418,7 +423,8 @@ func (b *Builder) buildTree(leaves []*IntraNode, ws []multiset.Multiset, indexed
 func (a *BlockADS) SkipSpans(view ChainView, top int, more func(w multiset.Multiset) bool) ([]multiset.Multiset, error) {
 	spans := make([]multiset.Multiset, 0, top+1)
 	var bufs [2]multiset.Multiset
-	sum := a.BlockW
+	var w multiset.Multiset // the covered block's BlockW
+	sum := a.BlockW()
 	h := a.Height - 1
 	for i := 0; i <= top; i++ {
 		for ; h > a.Height-a.Skips[i].Distance; h-- {
@@ -430,7 +436,8 @@ func (a *BlockADS) SkipSpans(view ChainView, top int, more func(w multiset.Multi
 				return nil, fmt.Errorf("core: skip span: no ADS at height %d", h)
 			}
 			k := h & 1 // the buffer sum is not in
-			bufs[k] = multiset.AppendSum(bufs[k][:0], sum, prev.BlockW)
+			w = prev.blockW.AppendTo(w[:0])
+			bufs[k] = multiset.AppendSum(bufs[k][:0], sum, w)
 			sum = bufs[k]
 		}
 		spans = append(spans, slices.Clone(sum))
@@ -446,19 +453,22 @@ func (a *BlockADS) SkipSpans(view ChainView, top int, more func(w multiset.Multi
 // exact-genesis landing d = h+1 has no use and is skipped). It runs in
 // ModeBoth only, where every block's Root.Digest is acc(BlockW).
 func (b *Builder) buildSkips(ads *BlockADS, view ChainView) error {
-	for _, d := range SkipDistances(b.SkipSize) {
+	dists := SkipDistances(b.SkipSize)
+	n := 0
+	for n < len(dists) && dists[n] <= ads.Height {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	ads.Skips = make([]SkipEntry, 0, n) // sized once: a node keeps every block's
+	for _, d := range dists[:n] {
 		land := ads.Height - d
-		if land < 0 {
-			break
-		}
 		hdr, err := view.HeaderAt(land)
 		if err != nil {
 			return fmt.Errorf("core: skip landing header %d: %w", land, err)
 		}
 		ads.Skips = append(ads.Skips, SkipEntry{Distance: d, PrevHash: hdr.Hash()})
-	}
-	if len(ads.Skips) == 0 {
-		return nil
 	}
 	digs, err := b.skipDigests(ads, view)
 	if err != nil {

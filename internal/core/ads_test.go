@@ -103,8 +103,8 @@ func TestIntraNodeUnionInvariant(t *testing.T) {
 	if ads.Width != testWidth {
 		t.Fatalf("ADS width %d, want %d", ads.Width, testWidth)
 	}
-	if !slices.Equal(ads.Root.Multiset(ads.Width), ads.BlockW) {
-		t.Fatalf("root multiset %v != BlockW %v", ads.Root.Multiset(ads.Width), ads.BlockW)
+	if !slices.Equal(ads.Root.Multiset(ads.Width), ads.BlockW()) {
+		t.Fatalf("root multiset %v != BlockW %v", ads.Root.Multiset(ads.Width), ads.BlockW())
 	}
 	var walk func(n *IntraNode)
 	walk = func(n *IntraNode) {
@@ -181,7 +181,7 @@ func TestSkipEntriesAggregateCorrectly(t *testing.T) {
 		// blocks.
 		want := multiset.Multiset{}
 		for j := 8 - s.Distance + 1; j <= 8; j++ {
-			want = multiset.Sum(want, mustADS(t, node, j).BlockW)
+			want = multiset.Sum(want, mustADS(t, node, j).BlockW())
 		}
 		if !slices.Equal(spans[i], want) {
 			t.Fatalf("skip %d span mismatch", s.Distance)

@@ -356,7 +356,7 @@ func TestForeignClauseRejected(t *testing.T) {
 			// All car multisets are disjoint from "spaceship", so a
 			// valid proof exists; simulate the SP computing it.
 			ads := mustADS(t, node, 0)
-			pf, err := acc.ProveDisjoint(ads.BlockW, foreign.Multiset())
+			pf, err := acc.ProveDisjoint(ads.BlockW(), foreign.Multiset())
 			if err != nil {
 				t.Fatal(err)
 			}

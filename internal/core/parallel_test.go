@@ -150,7 +150,7 @@ func TestAnswersIndependentOfWorkerCount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			failing := failingAcc{Accumulator: acc, blockCard: root.BlockW.Cardinality()}
+			failing := failingAcc{Accumulator: acc, blockCard: root.BlockW().Cardinality()}
 			for _, workers := range workerCounts {
 				_, err := spWithWorkers(node, failing, false, workers).TimeWindowQuery(context.Background(), queries[1])
 				if !errors.Is(err, errInjectedProof) {

@@ -106,8 +106,9 @@ func EncodeChainRecord(blk *chain.Block, ads *BlockADS) ([]byte, error) {
 		e.Raw(s.PrevHash[:])
 		e.digest(s.Digest)
 	}
-	e.U32(uint32(len(ads.BlockW)))
-	for _, el := range ads.BlockW {
+	blockW := ads.BlockW()
+	e.U32(uint32(len(blockW)))
+	for _, el := range blockW {
 		if !fits16(len(el.Elem)) || el.Count < 1 || uint64(el.Count) > math.MaxUint32 {
 			return nil, fmt.Errorf("core: encoding chain record: BlockW element %q×%d does not fit the record", el.Elem, el.Count)
 		}
@@ -260,17 +261,18 @@ func DecodeChainRecordADS(data []byte) (*BlockADS, error) {
 	}
 	// An element costs ≥ 6 bytes: its length and multiplicity.
 	n := d.Count32(6)
-	ads.BlockW = make(multiset.Multiset, n)
-	for i := range ads.BlockW {
+	blockW := make(multiset.Multiset, n)
+	for i := range blockW {
 		el, k := d.String16(), d.U32()
-		if (i > 0 && el <= ads.BlockW[i-1].Elem) || k == 0 {
+		if (i > 0 && el <= blockW[i-1].Elem) || k == 0 {
 			d.Failf("BlockW not ascending with positive multiplicities")
 		}
-		ads.BlockW[i] = multiset.Entry{Elem: el, Count: int(k)}
+		blockW[i] = multiset.Entry{Elem: el, Count: int(k)}
 	}
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
+	ads.blockW = multiset.Pack(blockW)
 	return ads, nil
 }
 

@@ -277,8 +277,10 @@ func (sp *SP) blockTreeVO(ads *BlockADS, cnf CNF, batch *aggVO, run *proofs.Run)
 		// Prunable node: carries a digest and mismatches some clause.
 		if n.HasDigest {
 			if clause, bad := findMismatch(cnf, n, ads.Width); bad {
-				w := ads.BlockW
-				if n != ads.Root {
+				var w multiset.Multiset
+				if n == ads.Root {
+					w = ads.BlockW()
+				} else {
 					w = n.Multiset(ads.Width)
 				}
 				out := &NodeVO{

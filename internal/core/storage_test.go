@@ -238,7 +238,7 @@ func TestRecordFormatV6(t *testing.T) {
 		if ads.Width != testWidth {
 			t.Fatalf("record %d: width %d, want %d", i, ads.Width, testWidth)
 		}
-		if !slices.Equal(ads.Root.Multiset(ads.Width), ads.BlockW) {
+		if !slices.Equal(ads.Root.Multiset(ads.Width), ads.BlockW()) {
 			t.Fatalf("record %d: derived root multiset differs from BlockW", i)
 		}
 		var leaves func(n *IntraNode) int

@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"testing"
+
+	"github.com/vchain-go/vchain/internal/accumulator"
+	"github.com/vchain-go/vchain/internal/crypto/pairing"
 )
 
 // BenchmarkVerifyTimeWindow measures the light client's end-to-end VO
@@ -11,7 +14,10 @@ import (
 // two-phase engine (structural walk, then randomized pairing-product
 // batches spread by par.For). The chain/query shape keeps dozens of
 // mismatch proofs per VO — the regime a window query over
-// keyword-sparse data produces.
+// keyword-sparse data produces. These VOs are the toy preset's and
+// unbatched; `acc2-default/batched` verifies the shape every front end
+// serves: a batched walk's VO (aggregated proofs) at the default
+// preset.
 func BenchmarkVerifyTimeWindow(b *testing.B) {
 	for _, accName := range []string{"acc1", "acc2"} {
 		acc := testAccs(b)[accName]
@@ -38,4 +44,20 @@ func BenchmarkVerifyTimeWindow(b *testing.B) {
 			})
 		}
 	}
+
+	acc := accumulator.KeyGenCon2Deterministic(pairing.Default(), 256, accumulator.HashEncoder{Q: 256}, []byte("e2e"))
+	node, light := buildTestChain(b, acc, ModeIntra, 8)
+	q := sedanBenzQuery(0, 7)
+	vo, err := node.SP(true).TimeWindowQuery(context.Background(), q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := &Verifier{Acc: acc, Light: light}
+	b.Run("acc2-default/batched", func(b *testing.B) {
+		for b.Loop() {
+			if _, err := v.VerifyTimeWindow(q, vo); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

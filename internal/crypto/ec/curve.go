@@ -184,13 +184,23 @@ func (c *Curve) HashToPoint(msg []byte, hashFn func([]byte) []byte) Point {
 }
 
 // Bytes encodes a point as a tag byte plus fixed-width coordinates.
-func (c *Curve) Bytes(p Point) []byte {
+func (c *Curve) Bytes(p Point) []byte { return c.AppendBytes(make([]byte, 0, c.BytesLen(p)), p) }
+
+// AppendBytes appends Bytes(p) to dst.
+func (c *Curve) AppendBytes(dst []byte, p Point) []byte {
 	if p.Inf {
-		return []byte{0}
+		return append(dst, 0)
 	}
-	out := []byte{1}
-	out = append(out, c.F.Bytes(p.X)...)
-	return append(out, c.F.Bytes(p.Y)...)
+	dst = c.F.AppendBytes(append(dst, 1), p.X)
+	return c.F.AppendBytes(dst, p.Y)
+}
+
+// BytesLen returns the length of Bytes(p).
+func (c *Curve) BytesLen(p Point) int {
+	if p.Inf {
+		return 1
+	}
+	return 1 + 2*c.F.ByteLen()
 }
 
 // ReadPoint decodes one point from the front of b and returns the

@@ -319,9 +319,11 @@ func (c *Curve) sumRounds(s *SumScratch, jacOut bool, minPairs int) {
 	clear(s.cur) // s keeps no reference to the caller's points
 }
 
-// wavePoints bounds the live points of sumRounds, so that a round's
-// buffers (buf, and vecRound's pairs, vden and vinv) stay within 32 KB
-// each, the budget the accumulators keep a SumScratch to.
+// wavePoints bounds the live points of sumRounds that many small
+// groups fill, so that a round's buffers (buf, and vecRound's pairs,
+// vden and vinv) stay within about 41, 6, 18 and 18 KB. A group larger
+// than a wave enters alone, and the buffers grow with it; the
+// accumulators keep a SumScratch's buffers up to their own cap (Trim).
 const wavePoints = 448
 
 // retire moves group g's sum to s.out if it has at most one point, and

@@ -20,10 +20,6 @@ func (f *Field) MulKernel(z, x, y *Elt) { mulADX(&z.l, &x.l, &y.l, &f.p, f.pInv)
 // Raw returns the element whose representative is v, for 0 ≤ v < 2⁵¹².
 func Raw(v *big.Int) Elt { return Elt{l: limbsOf(v)} }
 
-// VecMul runs the 8-lane Montgomery product: every lane of z becomes
-// x·y·2⁻⁵²⁰ mod p, below 2p. It is only valid where HasVec holds.
-func (f *Field) VecMul(z, x, y *Vec) { vecMul(z, x, y, f.vec) }
-
 // SetLane52 puts the integer v < 2⁵²⁰ into lane j of z, and Lane52
 // reads lane j back, so that tests can feed the kernel values at and
 // above p.

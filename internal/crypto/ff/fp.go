@@ -10,8 +10,9 @@
 // (fp_amd64.s); every other field and CPU runs the same product in Go.
 // At 8 limbs on an amd64 CPU with AVX-512 IFMA a third kernel (vec.go,
 // vec_amd64.s) multiplies eight independent elements at once in radix
-// 2⁵², for the affine rounds of ec's point sums: Vec, VecSub,
-// VecInvertEach and VecChord.
+// 2⁵², for the affine rounds of ec's point sums (VecInvertEach,
+// VecChord) and pairing's Miller loops, one pair per lane (VecMul,
+// VecAdd, VecSub, VecExt).
 // Inversion is on the limbs too: Bernstein and Yang's safegcd in its
 // variable-time form (inv.go), with no allocation. math/big appears
 // only at the edges: building elements from integers, the exponents of
@@ -324,14 +325,20 @@ func (f *Field) Sqrt(a Elt) (Elt, bool) {
 
 // Bytes returns the fixed-width big-endian encoding of e's canonical
 // value, padded to the byte length of p.
-func (f *Field) Bytes(e Elt) []byte {
+func (f *Field) Bytes(e Elt) []byte { return f.AppendBytes(make([]byte, 0, f.size), e) }
+
+// AppendBytes appends Bytes(e) to dst.
+func (f *Field) AppendBytes(dst []byte, e Elt) []byte {
 	c := f.fromMont(e)
 	var buf [8 * maxLimbs]byte
 	for i := 0; i < f.n; i++ {
 		binary.BigEndian.PutUint64(buf[len(buf)-8*(i+1):], c.l[i])
 	}
-	return append([]byte(nil), buf[len(buf)-f.size:]...)
+	return append(dst, buf[len(buf)-f.size:]...)
 }
+
+// ByteLen returns the length of Bytes' encodings: the byte length of p.
+func (f *Field) ByteLen() int { return f.size }
 
 // Limbs returns e's Montgomery limbs, least significant first: the raw
 // form chain records store, meaningful only to e's field.

@@ -6,7 +6,7 @@ var hasADX = cpuHasADX()
 
 // hasIFMA reports whether the CPU has AVX-512F and AVX-512 IFMA and the
 // operating system saves the opmask and ZMM state, which the 8-lane
-// kernel (vecMul, vecSub, vecChord) needs.
+// kernel (vec_amd64.s) needs.
 var hasIFMA = cpuHasIFMA()
 
 // cpuHasADX reads the BMI2 and ADX bits of CPUID leaf 7.
@@ -28,10 +28,21 @@ func mulADX(z, x, y, p *[maxLimbs]uint64, pInv uint64)
 //go:noescape
 func vecMul(z, x, y *Vec, c *vecConst)
 
-// vecSub sets every lane of z to x + p − y, normalized.
+// vecAdd sets every lane of z to x + y, and vecSub to x + 2p − y,
+// each normalized and less 2p where that leaves it non-negative: below
+// 2p for x and y below 2p.
 //
 //go:noescape
+func vecAdd(z, x, y *Vec, c *vecConst)
+
+//go:noescape
 func vecSub(z, x, y *Vec, c *vecConst)
+
+// vecReduce sets every lane of z to x less p where that leaves it
+// non-negative: below p for x below 2p.
+//
+//go:noescape
+func vecReduce(z, x *Vec, c *vecConst)
 
 // vecChord is Field.VecChord.
 //

@@ -14,10 +14,15 @@ func mulADX(z, x, y, p *[maxLimbs]uint64, pInv uint64) {
 	panic("ff: no assembly Montgomery kernel on this architecture")
 }
 
-// vecMul, vecSub and vecChord are never called where hasIFMA is false.
+// The 8-lane kernel's functions are never called where hasIFMA is
+// false.
 func vecMul(z, x, y *Vec, c *vecConst) { panic("ff: no 8-lane kernel on this architecture") }
 
+func vecAdd(z, x, y *Vec, c *vecConst) { panic("ff: no 8-lane kernel on this architecture") }
+
 func vecSub(z, x, y *Vec, c *vecConst) { panic("ff: no 8-lane kernel on this architecture") }
+
+func vecReduce(z, x *Vec, c *vecConst) { panic("ff: no 8-lane kernel on this architecture") }
 
 func vecChord(x3, y3, x1, y1, x2, y2, inv *Vec, c *vecConst) {
 	panic("ff: no 8-lane kernel on this architecture")

@@ -4,16 +4,25 @@ import "math/big"
 
 // The 8-lane kernel. On amd64 CPUs with AVX-512 IFMA, fields of 8 live
 // limbs also run a Montgomery product over eight independent elements
-// at once (vec_amd64.s), for the affine rounds of ec's point sums,
-// whose additions are independent of one another. Its form differs
-// from Elt's: radix 2⁵², ten limbs, and Montgomery factor R′ = 2⁵²⁰
-// (> 4p), so that a product of two values below 2p is again below 2p
-// and needs no final subtraction; values stay lazily in [0, 2p) until
-// a result is stored. Elt representatives enter lanes unchanged (Set)
-// and so stand, in the kernel's domain, for their element times
-// R/R′ = 2⁻⁸; the kernel's operations are arranged so that the lanes
-// the callers read back (Get) hold Elt representatives again, and no
-// conversion between the domains is ever multiplied out.
+// at once (vec_amd64.s). Its form differs from Elt's: radix 2⁵², ten
+// limbs, and Montgomery factor R′ = 2⁵²⁰ (> 4p), so that a product of
+// two values below 2p is again below 2p and needs no final
+// subtraction. It serves two callers:
+//
+//   - ec's affine rounds, whose additions are independent of one
+//     another (VecSub, VecInvertEach, VecChord). Elt representatives
+//     enter lanes unchanged (Set) and so stand, in the kernel's domain,
+//     for their element times R/R′ = 2⁻⁸; the operations are arranged
+//     so that the lanes the callers read back (Get) hold Elt
+//     representatives again, and no conversion between the domains is
+//     ever multiplied out.
+//   - pairing's Miller loops, one pair per lane (VecMul, VecAdd, VecSub
+//     and VecExt's F_p² on them). These values enter the kernel's
+//     domain once (VecEnter) and leave it once (VecLeave).
+//
+// Lane arithmetic reduces lazily: VecMul, VecAdd and VecSub take lanes
+// below 2p and leave lanes below 2p, congruent to the product, sum or
+// difference; only VecChord and VecLeave reduce below p.
 
 const (
 	vecLimbs = 10 // limbs of 52 bits: 520 bits
@@ -38,6 +47,9 @@ type vecConst struct {
 	// kernel's inverse.
 	one Vec
 	k   Elt
+	// enter is 2⁵²⁸ mod p and leave 2⁵¹² mod p in every lane: VecEnter's
+	// and VecLeave's factors.
+	enter, leave Vec
 }
 
 // newVecConst builds the kernel constants of f.
@@ -52,6 +64,10 @@ func newVecConst(f *Field) *vecConst {
 		}
 	}
 	c.k = Elt{l: limbsOf(new(big.Int).Mod(new(big.Int).Lsh(big.NewInt(1), 528), f.P))}
+	for j := range vecLanes {
+		c.enter.Set(j, c.k)
+		c.leave.Set(j, f.one)
+	}
 	return c
 }
 
@@ -66,10 +82,13 @@ func limbs52(v *big.Int) (l [vecLimbs]uint64) {
 	return l
 }
 
-// HasVec reports whether f runs the 8-lane kernel (VecSub, VecChord,
-// VecInvertEach): 8 live limbs on an amd64 CPU with AVX-512 IFMA whose
-// operating system keeps the ZMM and opmask state.
+// HasVec reports whether f runs the 8-lane kernel (every Vec operation
+// of Field and VecExt): 8 live limbs on an amd64 CPU with AVX-512 IFMA
+// whose operating system keeps the ZMM and opmask state.
 func (f *Field) HasVec() bool { return f.vec != nil }
+
+// VecLanes is the number of lanes of a Vec.
+const VecLanes = vecLanes
 
 // Set puts e's representative into lane j.
 func (v *Vec) Set(j int, e Elt) {
@@ -103,10 +122,29 @@ func (v *Vec) Get(j int) Elt {
 	}}
 }
 
-// VecSub sets z = x − y + p lane by lane: for x and y below p, a value
-// in (0, 2p) congruent to x − y, as VecInvertEach takes it. Only valid
-// where HasVec holds.
+// VecMul sets every lane of z to the Montgomery product x·y·2⁻⁵²⁰ mod
+// p: the product in the kernel's domain. For x and y below 2p it is
+// below 2p. z may alias x or y. Only valid where HasVec holds.
+func (f *Field) VecMul(z, x, y *Vec) { vecMul(z, x, y, f.vec) }
+
+// VecAdd sets z ≡ x + y lane by lane, and VecSub z ≡ x − y: for x and y
+// below 2p, a value below 2p. z may alias x or y. Only valid where
+// HasVec holds.
+func (f *Field) VecAdd(z, x, y *Vec) { vecAdd(z, x, y, f.vec) }
+
 func (f *Field) VecSub(z, x, y *Vec) { vecSub(z, x, y, f.vec) }
+
+// VecEnter sets z to the kernel's form of the elements whose Elt
+// representatives x's lanes hold (Set), below 2p. VecLeave is its
+// inverse: it sets z to the Elt representatives, below p, of the
+// elements x's lanes hold in the kernel's form, for Get. Each costs
+// one VecMul. z may alias x. Only valid where HasVec holds.
+func (f *Field) VecEnter(z, x *Vec) { vecMul(z, x, &f.vec.enter, f.vec) }
+
+func (f *Field) VecLeave(z, x *Vec) {
+	vecMul(z, x, &f.vec.leave, f.vec)
+	vecReduce(z, z, f.vec)
+}
 
 // VecInvertEach sets every lane of inv[b] to the inverse, in the
 // kernel's domain, of the same lane of xs[b], with one field inversion
@@ -147,7 +185,8 @@ func (f *Field) VecInvertEach(xs, inv []Vec) {
 		}
 		vecMul(&tot, &tot, &sw, c)
 	}
-	y := f.Mul(f.Inv(f.lane(&tot, 0)), c.k)
+	vecReduce(&sw, &tot, c)
+	y := f.Mul(f.Inv(sw.Get(0)), c.k)
 	for j := range vecLanes {
 		sw.Set(j, y)
 	}
@@ -167,25 +206,6 @@ func swapLanes(z, x *Vec, d int) {
 	}
 }
 
-// lane returns lane j of a kernel value below 2p as a canonical Elt
-// representative.
-func (f *Field) lane(v *Vec, j int) Elt {
-	var l [vecLimbs]uint64
-	var bw uint64
-	for k := range l {
-		d := v[k][j] - f.vec.p[k] - bw
-		l[k], bw = d&mask52, d>>63
-	}
-	if bw != 0 { // below p already
-		return v.Get(j)
-	}
-	var t Vec
-	for k := range l {
-		t[k][0] = l[k]
-	}
-	return t.Get(0)
-}
-
 // VecChord adds the point pairs of eight lanes in affine coordinates:
 // with λ = (y2 − y1)·inv, it sets x3 = λ² − x1 − x2 and
 // y3 = λ·(x1 − x3) − y1, below p. The coordinates are Elt
@@ -198,4 +218,43 @@ func (f *Field) lane(v *Vec, j int) Elt {
 // each, l·(l·2⁻⁸) and l·(x1 − x3), are again Elt representatives.
 func (f *Field) VecChord(x3, y3, x1, y1, x2, y2, inv *Vec) {
 	vecChord(x3, y3, x1, y1, x2, y2, inv, f.vec)
+}
+
+// Vec2 holds eight elements of F_p² = F_p[i]/(i²+1), lane j of A and B
+// being lane j's A + B·i.
+type Vec2 struct{ A, B Vec }
+
+// VecExt runs Ext's F_p² formulas on the kernel, lane by lane, on
+// values in the kernel's form with VecMul's, VecAdd's and VecSub's
+// bounds. It holds the scratch its products need, so one VecExt serves
+// one goroutine. Only valid where HasVec holds.
+type VecExt struct {
+	f       *Field
+	s, t, u Vec
+}
+
+// NewVecExt returns a VecExt over f.
+func (f *Field) NewVecExt() *VecExt { return &VecExt{f: f} }
+
+// Mul sets z = a·b with Ext.Mul's three products. z may alias a or b.
+func (x *VecExt) Mul(z, a, b *Vec2) {
+	f := x.f
+	f.VecAdd(&x.s, &a.A, &a.B)
+	f.VecAdd(&x.t, &b.A, &b.B)
+	f.VecMul(&x.s, &x.s, &x.t)
+	f.VecMul(&x.t, &a.A, &b.A)
+	f.VecMul(&x.u, &a.B, &b.B)
+	f.VecSub(&z.A, &x.t, &x.u)
+	f.VecSub(&z.B, &x.s, &x.t)
+	f.VecSub(&z.B, &z.B, &x.u)
+}
+
+// Square sets z = a² with Ext.Square's two products. z may alias a.
+func (x *VecExt) Square(z, a *Vec2) {
+	f := x.f
+	f.VecMul(&x.u, &a.A, &a.B)
+	f.VecAdd(&x.s, &a.A, &a.B)
+	f.VecSub(&x.t, &a.A, &a.B)
+	f.VecMul(&z.A, &x.s, &x.t)
+	f.VecAdd(&z.B, &x.u, &x.u)
 }

@@ -288,14 +288,68 @@ TEXT ·vecMul(SB), NOSPLIT, $0-32
 	VZEROUPPER
 	RET
 
+// func vecAdd(z, x, y *Vec, c *vecConst)
+//
+// x + y, normalized, less 2p where that leaves it non-negative: for x
+// and y below 2p, a value below 2p.
+TEXT ·vecAdd(SB), NOSPLIT, $0-32
+	MOVQ z+0(FP), DX
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DI
+	MOVQ c+24(FP), CX
+	VPBROADCASTQ 168(CX), Z31
+	LOAD(SI, Z10, Z11, Z12, Z13, Z14, Z15, Z16, Z17, Z18, Z19)
+	VPADDQ 0(DI), Z10, Z10
+	VPADDQ 64(DI), Z11, Z11
+	VPADDQ 128(DI), Z12, Z12
+	VPADDQ 192(DI), Z13, Z13
+	VPADDQ 256(DI), Z14, Z14
+	VPADDQ 320(DI), Z15, Z15
+	VPADDQ 384(DI), Z16, Z16
+	VPADDQ 448(DI), Z17, Z17
+	VPADDQ 512(DI), Z18, Z18
+	VPADDQ 576(DI), Z19, Z19
+	CARRY(Z10, Z11)
+	CARRY(Z11, Z12)
+	CARRY(Z12, Z13)
+	CARRY(Z13, Z14)
+	CARRY(Z14, Z15)
+	CARRY(Z15, Z16)
+	CARRY(Z16, Z17)
+	CARRY(Z17, Z18)
+	CARRY(Z18, Z19)
+	CSUB(80)
+	STORE(DX, Z10, Z11, Z12, Z13, Z14, Z15, Z16, Z17, Z18, Z19)
+	VZEROUPPER
+	RET
+
 // func vecSub(z, x, y *Vec, c *vecConst)
+//
+// x + 2p − y, normalized, less 2p where that leaves it non-negative:
+// for x and y below 2p, a value below 2p.
 TEXT ·vecSub(SB), NOSPLIT, $0-32
 	MOVQ z+0(FP), DX
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DI
 	MOVQ c+24(FP), CX
 	VPBROADCASTQ 168(CX), Z31
-	SUBK(SI, DI, 0)
+	SUBK(SI, DI, 80)
+	CSUB(80)
+	STORE(DX, Z10, Z11, Z12, Z13, Z14, Z15, Z16, Z17, Z18, Z19)
+	VZEROUPPER
+	RET
+
+// func vecReduce(z, x *Vec, c *vecConst)
+//
+// x less p where that leaves it non-negative: for x below 2p, a value
+// below p.
+TEXT ·vecReduce(SB), NOSPLIT, $0-24
+	MOVQ z+0(FP), DX
+	MOVQ x+8(FP), SI
+	MOVQ c+16(FP), CX
+	VPBROADCASTQ 168(CX), Z31
+	LOAD(SI, Z10, Z11, Z12, Z13, Z14, Z15, Z16, Z17, Z18, Z19)
+	CSUB(0)
 	STORE(DX, Z10, Z11, Z12, Z13, Z14, Z15, Z16, Z17, Z18, Z19)
 	VZEROUPPER
 	RET

@@ -183,3 +183,86 @@ func BenchmarkVecMul(b *testing.B) {
 		f.VecMul(&x, &x, &y)
 	}
 }
+
+// TestVecLaneArithMatchesBig checks the lazy lane arithmetic the Miller
+// loops run on against math/big: VecAdd and VecSub on edge lanes (0,
+// 1, p−1, p, 2p−1) and seeded random lanes below 2p must stay below 2p
+// and congruent to the sum and difference; VecEnter then VecLeave must
+// return every element unchanged; and VecExt's Mul and Square, on
+// entered lanes, must leave what Ext's give, element for element.
+func TestVecLaneArithMatchesBig(t *testing.T) {
+	for name, f := range vecFields(t) {
+		t.Run(name, func(t *testing.T) {
+			p := f.P
+			one := big.NewInt(1)
+			p2 := new(big.Int).Lsh(p, 1)
+			edges := []*big.Int{big.NewInt(0), one, new(big.Int).Sub(p, one), p, new(big.Int).Sub(p2, one)}
+			rng := rand.New(rand.NewSource(53))
+			var x, y, z ff.Vec
+			var xs, ys [8]*big.Int
+			for n := range 2000 {
+				for j := range 8 {
+					if k := n*8 + j; k < len(edges)*len(edges) {
+						xs[j], ys[j] = edges[k/len(edges)], edges[k%len(edges)]
+					} else {
+						xs[j], ys[j] = new(big.Int).Rand(rng, p2), new(big.Int).Rand(rng, p2)
+					}
+					ff.SetLane52(&x, j, xs[j])
+					ff.SetLane52(&y, j, ys[j])
+				}
+				for _, op := range []struct {
+					name string
+					run  func(z, x, y *ff.Vec)
+					want func(a, b *big.Int) *big.Int
+				}{
+					{"VecAdd", f.VecAdd, func(a, b *big.Int) *big.Int { return new(big.Int).Add(a, b) }},
+					{"VecSub", f.VecSub, func(a, b *big.Int) *big.Int { return new(big.Int).Sub(a, b) }},
+				} {
+					op.run(&z, &x, &y)
+					for j := range 8 {
+						got := ff.Lane52(&z, j)
+						want := op.want(xs[j], ys[j])
+						if d := new(big.Int).Sub(got, want); got.Cmp(p2) >= 0 || d.Mod(d, p).Sign() != 0 {
+							t.Fatalf("%s lane %d: %v, %v gave %v, want ≡ %v below 2p", op.name, j, xs[j], ys[j], got, want)
+						}
+					}
+				}
+			}
+
+			x2 := ff.NewExt(f)
+			ext := f.NewVecExt()
+			var a, b ff.Vec2
+			var ea, eb [8]ff.Elt2
+			for range 200 {
+				for j := range 8 {
+					ea[j] = x2.New(f.NewElt(new(big.Int).Rand(rng, p)), f.NewElt(new(big.Int).Rand(rng, p)))
+					eb[j] = x2.New(f.NewElt(new(big.Int).Rand(rng, p)), f.NewElt(new(big.Int).Rand(rng, p)))
+					a.A.Set(j, ea[j].A)
+					a.B.Set(j, ea[j].B)
+					b.A.Set(j, eb[j].A)
+					b.B.Set(j, eb[j].B)
+				}
+				for _, v := range []*ff.Vec{&a.A, &a.B, &b.A, &b.B} {
+					f.VecEnter(v, v)
+				}
+				var m, s ff.Vec2
+				ext.Mul(&m, &a, &b)
+				ext.Square(&s, &a)
+				for _, v := range []*ff.Vec{&a.A, &a.B, &m.A, &m.B, &s.A, &s.B} {
+					f.VecLeave(v, v)
+				}
+				for j := range 8 {
+					if got := x2.New(a.A.Get(j), a.B.Get(j)); !got.Equal(ea[j]) {
+						t.Fatalf("lane %d: VecEnter then VecLeave changed the element", j)
+					}
+					if got := x2.New(m.A.Get(j), m.B.Get(j)); !got.Equal(x2.Mul(ea[j], eb[j])) {
+						t.Fatalf("lane %d: VecExt.Mul differs from Ext.Mul", j)
+					}
+					if got := x2.New(s.A.Get(j), s.B.Get(j)); !got.Equal(x2.Square(ea[j])) {
+						t.Fatalf("lane %d: VecExt.Square differs from Ext.Square", j)
+					}
+				}
+			}
+		})
+	}
+}

@@ -117,8 +117,12 @@ func splitArgs(terms []millerTerm, args []millerArg, n int) []millerTerm {
 // value is the product of its pairs' values, so cutting a loop into
 // ranges changes nothing, element for element: F_p² multiplication
 // commutes, and a zero value (a vanishing line) still zeroes the
-// product.
+// product. Where the field has the 8-lane kernel, the pairs run in its
+// lanes instead (millerLanes), with the same values.
 func (pr *Params) millerTerms(terms []millerTerm, n int) ff.Elt2 {
+	if pr.lanes() {
+		return pr.millerLanes(terms, n)
+	}
 	vals := make([]ff.Elt2, len(terms))
 	par.For(len(terms), n, func(i int) {
 		v := pr.millerRange(terms[i].args)
@@ -156,23 +160,30 @@ func (pr *Params) millerTerms(terms []millerTerm, n int) ff.Elt2 {
 // constant: the reduced pairing is bit-identical. For Q in G, x_Q ≠ 0,
 // so φ(Q) is not F_p-rational and no line or vertical vanishes there.
 func (pr *Params) millerRange(args []millerArg) ff.Elt2 {
-	x := pr.X
 	ts := make([]ec.JacPoint, len(args))
+	for i, a := range args {
+		ts[i] = pr.C.ToJac(a.p)
+	}
+	return pr.millerFrom(args, ts, pr.X.One(), len(pr.rNAF)-2)
+}
+
+// millerFrom runs millerRange's loop from digit top of rNAF down to 0,
+// starting from the points ts and the value f, which it advances.
+func (pr *Params) millerFrom(args []millerArg, ts []ec.JacPoint, f ff.Elt2, top int) ff.Elt2 {
+	x := pr.X
 	negs := make([]ec.Point, len(args))
 	subs := make([]ff.Elt2, len(args))
 	for i, a := range args {
-		ts[i] = pr.C.ToJac(a.p)
 		negs[i] = pr.C.Neg(a.p)
 		subs[i] = x.Conj(pr.verticalAt(a.p.X, a.at))
 	}
-	f := x.One()
 	mul := func(i int, g ff.Elt2) {
 		if args[i].inv {
 			g = x.Conj(g)
 		}
 		f = x.Mul(f, g)
 	}
-	for d := len(pr.rNAF) - 2; d >= 0; d-- {
+	for d := top; d >= 0; d-- {
 		f = x.Square(f)
 		for i := range args {
 			var g ff.Elt2

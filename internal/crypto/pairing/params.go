@@ -55,6 +55,9 @@ type Params struct {
 	// least significant digit first: the Miller loop's schedule and the
 	// final exponentiation's exponent after its p−1 part.
 	rNAF, cofNAF []int8
+	// scalarMiller keeps the Miller loops on Field.Mul where the field
+	// has the 8-lane kernel; only tests set it.
+	scalarMiller bool
 }
 
 // securityPreset describes a deterministic parameter search target.

@@ -1,6 +1,7 @@
 package pairing
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -392,25 +393,35 @@ func TestMillerSplitMatchesOneLoop(t *testing.T) {
 
 // BenchmarkMillerLoop and BenchmarkFinalExp split one Pair into its two
 // halves at each preset: the Miller loop f_{r,P}(φ(Q)) and the final
-// exponentiation f^((p²−1)/r). The "4" case is a four-pair product.
+// exponentiation f^((p²−1)/r). The Miller loop runs products of 1, 2,
+// 4, 8 and 9 pairs, as millerLoop serves them, on the scalar path and,
+// where the field has the 8-lane kernel, on the lanes.
 func BenchmarkMillerLoop(b *testing.B) {
 	for _, name := range []string{"toy", "default"} {
 		pr := ByName(name)
 		rng := rand.New(rand.NewSource(5))
-		args := pr.millerArgs(nil, []PairPair{
-			{P: randPoint(pr, rng), Q: pr.G}, {P: randPoint(pr, rng), Q: randPoint(pr, rng)},
-			{P: randPoint(pr, rng), Q: randPoint(pr, rng)}, {P: randPoint(pr, rng), Q: randPoint(pr, rng)},
-		}, false)
-		b.Run(name, func(b *testing.B) {
-			for b.Loop() {
-				pr.millerLoop(args[:1])
+		pairs := []PairPair{{P: randPoint(pr, rng), Q: pr.G}}
+		for len(pairs) < 9 {
+			pairs = append(pairs, PairPair{P: randPoint(pr, rng), Q: randPoint(pr, rng)})
+		}
+		args := pr.millerArgs(nil, pairs, false)
+		paths := []*Params{pr.ScalarMiller()}
+		if pr.lanes() {
+			paths = append(paths, pr)
+		}
+		for _, m := range []int{1, 2, 4, 8, 9} {
+			for _, p := range paths {
+				path := "scalar"
+				if p.lanes() {
+					path = "lanes"
+				}
+				b.Run(fmt.Sprintf("%s/%d/%s", name, m, path), func(b *testing.B) {
+					for b.Loop() {
+						p.millerLoop(args[:m])
+					}
+				})
 			}
-		})
-		b.Run(name+"/4", func(b *testing.B) {
-			for b.Loop() {
-				pr.millerLoop(args)
-			}
-		})
+		}
 	}
 }
 

@@ -3,12 +3,14 @@ package multiset
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // ref is the reference multiset the tests check Multiset against: a
@@ -212,7 +214,30 @@ func FuzzMultisetOps(f *testing.F) {
 		if a.Digest() != ra.digest() {
 			t.Fatalf("%v: digest differs from the reference's", a)
 		}
+		if got := Pack(a).Unpack(); !slices.Equal(got, a) {
+			t.Fatalf("%v: packed and unpacked as %v", a, got)
+		}
 	})
+}
+
+// TestPackRoundTrip packs multisets whose lengths, counts and entry
+// numbers need multi-byte uvarints, and appends the unpacked entries
+// after existing ones.
+func TestPackRoundTrip(t *testing.T) {
+	long := strings.Repeat("x", 300)
+	var many Multiset
+	for i := range 200 {
+		many = append(many, Entry{Elem: fmt.Sprintf("e%03d", i), Count: 1 + i*i})
+	}
+	for _, m := range []Multiset{nil, {{"", 1}}, {{"a", 1}, {long, 1 << 40}}, many} {
+		p := Pack(m)
+		if got := p.AppendTo(Multiset{{"zz", 1}}); got[0] != (Entry{"zz", 1}) || !slices.Equal(got[1:], m) {
+			t.Fatalf("%d entries: unpacked %v", len(m), got)
+		}
+	}
+	if n := len(Pack(many)); n >= len(many)*int(unsafe.Sizeof(Entry{})) {
+		t.Fatalf("%d short entries packed into %d bytes, no fewer than their Entry values", len(many), n)
+	}
 }
 
 func TestNewAndCounts(t *testing.T) {

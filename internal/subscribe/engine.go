@@ -292,6 +292,7 @@ type mismatch struct {
 // all the queries it decides; without it, per query.
 func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) map[int]*mismatch {
 	decided := make(map[int]*mismatch, len(ids))
+	blockW := ads.BlockW()
 	schedule := func(clause core.Clause) *mismatch {
 		m := &mismatch{clause: clause}
 		if !ads.Root.HasDigest {
@@ -300,7 +301,7 @@ func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) map[int]
 			// kept; lazy mode still needs it.
 			return m
 		}
-		run.Add(ads.BlockW, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) {
+		run.Add(blockW, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) {
 			for _, n := range m.nodes {
 				*n.Proof = pf
 			}
@@ -309,14 +310,14 @@ func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) map[int]
 	}
 	if !e.Opts.UseIPTree {
 		for _, id := range ids {
-			if clause, bad := e.subs[id].cnf.FindMismatch(ads.BlockW); bad {
+			if clause, bad := e.subs[id].cnf.FindMismatch(blockW); bad {
 				decided[id] = schedule(clause)
 			}
 		}
 		return decided
 	}
 	for _, g := range e.clauseGroups() {
-		if g.Clause.Matches(ads.BlockW) {
+		if g.Clause.Matches(blockW) {
 			continue
 		}
 		// Prove the clause only if some still-undecided query needs it.

@@ -113,7 +113,7 @@ func TestLazySkipProofFailureFailsBlock(t *testing.T) {
 		if _, err := node.MineBlock(rentalObjects(0, false), 1000); err != nil {
 			t.Fatal(err)
 		}
-		failing := failingAcc{Accumulator: acc, blockCard: adsAt(t, node, 0).BlockW.Cardinality()}
+		failing := failingAcc{Accumulator: acc, blockCard: adsAt(t, node, 0).BlockW().Cardinality()}
 		engine := NewEngine(acc, Options{Lazy: true,
 			Proofs: proofs.New(failing, proofs.Options{Workers: workers})})
 		if _, err := engine.Register(carQuery()); err != nil {
