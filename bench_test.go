@@ -261,13 +261,13 @@ func BenchmarkSubscriptionIPTree(b *testing.B) {
 // Figs. 13–15 over a fixed period.
 func BenchmarkSubscriptionPeriod(b *testing.B) {
 	for _, scheme := range []struct {
-		name    string
-		accName string
-		lazy    bool
+		name      string
+		accName   string
+		threshold int
 	}{
-		{"realtime-acc1", "acc1", false},
-		{"realtime-acc2", "acc2", false},
-		{"lazy-acc2", "acc2", true},
+		{"realtime-acc1", "acc1", 0},
+		{"realtime-acc2", "acc2", 0},
+		{"lazy-acc2", "acc2", subscribe.DefaultLazyThreshold},
 	} {
 		b.Run(scheme.name, func(b *testing.B) {
 			f := fixture(b, workload.ETH, scheme.accName, core.ModeBoth, benchSkip)
@@ -275,7 +275,7 @@ func BenchmarkSubscriptionPeriod(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng := subscribe.NewEngine(f.acc, subscribe.Options{
-					Lazy: scheme.lazy, UseIPTree: true, Proofs: proofs.New(f.acc, proofs.Options{}),
+					LazyThreshold: scheme.threshold, UseIPTree: true, Proofs: proofs.New(f.acc, proofs.Options{}),
 				})
 				ids := make([]int, len(queries))
 				for j, q := range queries {

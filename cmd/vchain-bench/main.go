@@ -8,9 +8,10 @@
 //	vchain-bench -exp fig9 -blocks 64 -queries 5 -preset default
 //
 // Each experiment prints an aligned text table whose rows mirror the
-// paper's series, and writes the same data as a machine-readable
-// BENCH_<experiment>.json artifact into -json-dir (so CI and the
-// process tracking the perf trajectory can diff runs).
+// paper's series. With -json-dir it also writes the same data as a
+// machine-readable BENCH_<experiment>.json artifact into that directory
+// (so CI and the process tracking the perf trajectory can diff runs);
+// without it, nothing is written.
 package main
 
 import (
@@ -51,7 +52,7 @@ func main() {
 		queries = flag.Int("queries", 0, "queries averaged per data point (0 = default)")
 		skip    = flag.Int("skiplist", 0, "skip-list size ℓ (0 = default)")
 		seed    = flag.Int64("seed", 0, "workload seed (0 = default)")
-		jsonDir = flag.String("json-dir", ".", "directory for BENCH_<experiment>.json artifacts (empty = don't write)")
+		jsonDir = flag.String("json-dir", "", "directory for BENCH_<experiment>.json artifacts (empty = don't write)")
 	)
 	flag.Parse()
 

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	vchain-sp -listen 127.0.0.1:7060 -dataset eth -blocks 32
-//	vchain-sp -listen 127.0.0.1:7060 -mine-interval 2s -sub-lazy
+//	vchain-sp -listen 127.0.0.1:7060 -mine-interval 2s -lazy-threshold 64
 //	vchain-sp -listen 127.0.0.1:7060 -store ./sp-data -blocks 32
 //	vchain-sp -http 127.0.0.1:7080 -tenants tenants.txt -rate 50
 //
@@ -62,9 +62,7 @@ func main() {
 		seed     = flag.Int64("seed", 42, "workload seed")
 		workers  = flag.Int("workers", 4, "proof-computation workers: goroutines proving each query's or block's proofs, at most GOMAXPROCS, at any shard count")
 		interval = flag.Duration("mine-interval", 0, "keep mining one block per interval after startup (0 = off)")
-		subLazy  = flag.Bool("sub-lazy", false, "lazy subscription authentication (§7.2): defer mismatch proofs into spans")
-		subIP    = flag.Bool("sub-iptree", true, "share clause evaluation across subscriptions by the IP-tree's clause groups (§7.1)")
-		subLT    = flag.Int("lazy-threshold", 0, "blocks a lazy span may stay pending (0 = engine default)")
+		subLT    = flag.Int("lazy-threshold", 0, "lazy subscription authentication (§7.2): blocks a subscription's mismatch span may stay pending (0 = publish every block)")
 		store    = flag.String("store", "", "block store directory: blocks and ADSs persist there and are recovered on restart (empty = in-memory)")
 		adsCache = flag.Int("ads-cache", 0, "decoded-ADS cache budget in blocks for durable stores, split across shards: older ADSs stay on disk and page in on demand (0 = unbounded)")
 		shards   = flag.Int("shards", 1, "shard the SP by height range across this many shards (answers stay one VO, the same bytes at every count)")
@@ -136,11 +134,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	sp, err := node.Serve(*listen, vchain.SubscribeOptions{
-		UseIPTree:     *subIP,
-		Lazy:          *subLazy,
-		LazyThreshold: *subLT,
-	})
+	sp, err := node.Serve(*listen, vchain.SubscribeOptions{LazyThreshold: *subLT})
 	if err != nil {
 		fatal(err)
 	}

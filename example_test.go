@@ -73,7 +73,7 @@ func ExampleNode_Subscribe() {
 	})
 	node := sys.NewNode(1)
 	q := vchain.Query{Bool: vchain.And(vchain.Or("benz", "bmw")), Width: 8}
-	node.Subscribe(q, vchain.SubscribeOptions{UseIPTree: true})
+	node.Subscribe(q, vchain.SubscribeOptions{})
 
 	_, pubs, _ := node.Mine([]vchain.Object{
 		{ID: 1, TS: 0, V: []int64{10}, W: []string{"sedan", "benz"}},

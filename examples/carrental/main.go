@@ -38,10 +38,10 @@ func main() {
 		Bool:  vchain.And(vchain.Or("sedan"), vchain.Or("benz", "bmw")),
 		Width: 9,
 	}
-	if _, err := realtime.Subscribe(q, vchain.SubscribeOptions{UseIPTree: true}); err != nil {
+	if _, err := realtime.Subscribe(q, vchain.SubscribeOptions{}); err != nil {
 		log.Fatal(err)
 	}
-	lazyID, err := lazy.Subscribe(q, vchain.SubscribeOptions{UseIPTree: true, Lazy: true})
+	lazyID, err := lazy.Subscribe(q, vchain.SubscribeOptions{LazyThreshold: vchain.DefaultLazyThreshold})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -112,8 +112,8 @@ func SubscriptionIPTreeFig(kind workload.Kind, title string, o Options) (*Table,
 	}{
 		{"real-nip", subscribe.Options{}},
 		{"real-ip", subscribe.Options{UseIPTree: true}},
-		{"lazy-nip", subscribe.Options{Lazy: true}},
-		{"lazy-ip", subscribe.Options{Lazy: true, UseIPTree: true}},
+		{"lazy-nip", subscribe.Options{LazyThreshold: subscribe.DefaultLazyThreshold}},
+		{"lazy-ip", subscribe.Options{LazyThreshold: subscribe.DefaultLazyThreshold, UseIPTree: true}},
 	}
 	for _, sch := range schemes {
 		for _, n := range counts {
@@ -159,14 +159,14 @@ func SubscriptionPeriodFig(kind workload.Kind, title string, o Options) (*Table,
 		Columns: []string{"Scheme", "Period(blocks)", "SP CPU(ms)", "User CPU(ms)", "VO(KB)", "Results"},
 	}
 	type scheme struct {
-		name    string
-		accName string
-		lazy    bool
+		name      string
+		accName   string
+		threshold int
 	}
 	schemes := []scheme{
-		{"realtime-acc1", "acc1", false},
-		{"realtime-acc2", "acc2", false},
-		{"lazy-acc2", "acc2", true},
+		{"realtime-acc1", "acc1", 0},
+		{"realtime-acc2", "acc2", 0},
+		{"lazy-acc2", "acc2", subscribe.DefaultLazyThreshold},
 	}
 	periods := windowSweep(o.Blocks)
 	for _, sch := range schemes {
@@ -175,7 +175,7 @@ func SubscriptionPeriodFig(kind workload.Kind, title string, o Options) (*Table,
 			return nil, err
 		}
 		for _, period := range periods {
-			run, err := runSubscription(s, queries, subscribe.Options{Lazy: sch.lazy, UseIPTree: true}, period)
+			run, err := runSubscription(s, queries, subscribe.Options{LazyThreshold: sch.threshold, UseIPTree: true}, period)
 			if err != nil {
 				return nil, err
 			}

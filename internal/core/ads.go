@@ -148,11 +148,12 @@ func SkipDistances(size int) []int {
 	return out
 }
 
-// skipListRoot commits all entries in distance order.
-func skipListRoot(entries []SkipEntry, acc accumulator.Accumulator) chain.Digest {
-	var buf []byte
-	for i := range entries {
-		h := entries[i].hashEntry(acc)
+// skipListRoot commits the per-level hashes (hashEntry), given in
+// ascending distance order. The builder, the page-in check and the
+// verifier all derive the header's SkipListRoot through it.
+func skipListRoot(hashes []chain.Digest) chain.Digest {
+	buf := make([]byte, 0, len(hashes)*len(chain.Digest{}))
+	for _, h := range hashes {
 		buf = append(buf, h[:]...)
 	}
 	return sha256.Sum256(buf)
@@ -194,7 +195,11 @@ func (a *BlockADS) SkipListRoot(acc accumulator.Accumulator) chain.Digest {
 	if len(a.Skips) == 0 {
 		return chain.Digest{}
 	}
-	return skipListRoot(a.Skips, acc)
+	hashes := make([]chain.Digest, len(a.Skips))
+	for i := range a.Skips {
+		hashes[i] = a.Skips[i].hashEntry(acc)
+	}
+	return skipListRoot(hashes)
 }
 
 // SizeBytes reports the ADS storage overhead of the block (Table 1's

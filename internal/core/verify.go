@@ -1,10 +1,10 @@
 package core
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync/atomic"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
@@ -403,8 +403,12 @@ func (v *Verifier) verifySkip(s *SkipVO, height int, hdr chain.Header, cnf CNF, 
 		}
 		hashes[d] = hash
 	}
-	root := combineSkipHashes(hashes)
-	if root != hdr.SkipListRoot {
+	ds := slices.Sorted(maps.Keys(hashes))
+	levels := make([]chain.Digest, len(ds))
+	for i, d := range ds {
+		levels[i] = hashes[d]
+	}
+	if skipListRoot(levels) != hdr.SkipListRoot {
 		return fmt.Errorf("%w: SkipListRoot mismatch at height %d", ErrCompleteness, height)
 	}
 	// The jump must land where the chain says block height−Distance is.
@@ -419,22 +423,6 @@ func (v *Verifier) verifySkip(s *SkipVO, height int, hdr chain.Header, cnf CNF, 
 		}
 	}
 	return nil
-}
-
-// combineSkipHashes rebuilds the SkipListRoot preimage in ascending
-// distance order.
-func combineSkipHashes(hashes map[int]chain.Digest) chain.Digest {
-	ds := make([]int, 0, len(hashes))
-	for d := range hashes {
-		ds = append(ds, d)
-	}
-	sort.Ints(ds)
-	var buf []byte
-	for _, d := range ds {
-		h := hashes[d]
-		buf = append(buf, h[:]...)
-	}
-	return sha256Sum(buf)
 }
 
 // verifyTree replays one block's NodeVO: recomputes the Merkle root,
@@ -527,8 +515,4 @@ func (v *Verifier) verifyTree(root *NodeVO, hdr chain.Header, cnf CNF, q Query,
 		return nil, fmt.Errorf("%w: MerkleRoot mismatch at height %d", ErrCompleteness, hdr.Height)
 	}
 	return results, nil
-}
-
-func sha256Sum(b []byte) chain.Digest {
-	return sha256.Sum256(b)
 }

@@ -93,11 +93,6 @@ const dialTimeout = 10 * time.Second
 // subBuffer is a subscription's delivery channel capacity.
 const subBuffer = 16
 
-// maxOrphans bounds publications parked while a Subscribe ack is in
-// flight; beyond it frames are dropped rather than buffered (the pen
-// exists for a race window, not for storage).
-const maxOrphans = 256
-
 // ErrClosed reports an operation on a closed or failed connection.
 var ErrClosed = errors.New("service: connection closed")
 
@@ -155,23 +150,25 @@ type Client struct {
 	mu         sync.Mutex
 	gen        *genState
 	seq        uint64 // never resets: a Seq is unique across generations
-	pending    map[uint64]chan *Response
+	pending    map[uint64]*call
 	subs       map[int]*Subscription
 	err        error // current generation's terminal error
 	closing    bool  // user-initiated Close in progress
 	reconnects int
 	retries    int
 
-	// subscribing counts in-flight Subscribe calls; while positive,
-	// publications with no matching subscription are parked in orphans
-	// (they may belong to a subscription whose ack hasn't registered
-	// yet) instead of being dropped.
-	subscribing int
-	orphans     []*Push
-
 	// verifies batches the verification of the publications this
 	// client's streams have waiting.
 	verifies verifyGroup
+}
+
+// call is one request waiting for its response. On a subscribe call,
+// sub is the stream to register: the read loop files it under the
+// acked id before it reads the next frame, and the SP queues a
+// subscription's pushes behind its ack, so the first push finds it.
+type call struct {
+	ch  chan *Response
+	sub *Subscription
 }
 
 // Dial connects to an SP. An optional ClientConfig tunes timeouts,
@@ -200,7 +197,7 @@ func DialCtx(ctx context.Context, addr string, cfg ...ClientConfig) (*Client, er
 	cli := &Client{
 		cfg:     c.withDefaults(),
 		addr:    addr,
-		pending: map[uint64]chan *Response{},
+		pending: map[uint64]*call{},
 		subs:    map[int]*Subscription{},
 	}
 	gen, err := cli.dial(timeout)
@@ -264,9 +261,8 @@ func (c *Client) ensureLive() error {
 	// generation's late response can never match a new call.
 	c.gen = gen
 	c.err = nil
-	c.pending = map[uint64]chan *Response{}
+	c.pending = map[uint64]*call{}
 	c.subs = map[int]*Subscription{}
-	c.orphans = nil
 	c.reconnects++
 	c.mu.Unlock()
 	go c.readLoop(gen)
@@ -301,20 +297,21 @@ func (c *Client) readLoop(gen *genState) {
 		switch m := m.(type) {
 		case *Response:
 			c.mu.Lock()
-			ch := c.pending[m.Seq]
+			cl := c.pending[m.Seq]
 			delete(c.pending, m.Seq)
+			// A failed generation's subscriptions were swept by fail():
+			// registering now would leave a stream nothing ends.
+			if cl != nil && cl.sub != nil && m.Err == "" && !gen.failed {
+				cl.sub.ID, cl.sub.gen = m.SubID, gen
+				c.subs[m.SubID] = cl.sub
+			}
 			c.mu.Unlock()
-			if ch != nil {
-				ch <- m // buffered; never blocks
+			if cl != nil {
+				cl.ch <- m // buffered; never blocks
 			}
 		case *Push:
 			c.mu.Lock()
 			sub := c.subs[m.QueryID]
-			if sub == nil {
-				if c.subscribing > 0 && len(c.orphans) < maxOrphans {
-					c.orphans = append(c.orphans, m)
-				}
-			}
 			c.mu.Unlock()
 			if sub != nil {
 				// enqueue never blocks (bounded queue, overrun ends
@@ -389,8 +386,9 @@ func (c *Client) fail(gen *genState, err error) {
 // SP fails each caller within RPCTimeout (or the context's earlier
 // deadline) instead of queueing them behind one another. The serving
 // generation is returned so callers binding state to the connection
-// (Subscribe) can detect a reconnect between ack and registration.
-func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, *genState, error) {
+// (Subscribe) can detect a reconnect after the ack. sub, set only on a
+// subscribe request, is registered by the read loop with the ack.
+func (c *Client) roundTrip(ctx context.Context, req *Request, sub *Subscription) (*Response, *genState, error) {
 	c.mu.Lock()
 	gen := c.gen
 	if c.err != nil {
@@ -402,7 +400,7 @@ func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, *genSt
 	seq := c.seq
 	req.Seq = seq
 	ch := make(chan *Response, 1)
-	c.pending[seq] = ch
+	c.pending[seq] = &call{ch: ch, sub: sub}
 	c.mu.Unlock()
 
 	abort := func() {
@@ -520,7 +518,7 @@ func (c *Client) callIdem(ctx context.Context, req *Request) (*Response, *genSta
 			continue
 		}
 		r := *req // fresh copy: Seq and DeadlineMs are per-attempt
-		resp, gen, err := c.roundTrip(ctx, &r)
+		resp, gen, err := c.roundTrip(ctx, &r, nil)
 		if err == nil {
 			return resp, gen, nil
 		}

@@ -329,18 +329,28 @@ func (sc *serverConn) readLoop() {
 		if err := sc.fc.readFrame(&req); err != nil {
 			return // disconnect, oversized frame, or stalled frame
 		}
-		resp := sc.process(&req)
-		resp.Seq = req.Seq
-		frame, err := encodeFrame(resp)
-		if err != nil {
-			frame, _ = encodeFrame(&Response{Seq: req.Seq, Err: err.Error()})
+		if req.Kind == "subscribe" {
+			sc.subscribe(&req)
+			continue
 		}
+		frame := responseFrame(req.Seq, sc.process(&req))
 		select {
 		case sc.out <- outFrame{seq: req.Seq, frame: frame}:
 		case <-sc.done:
 			return
 		}
 	}
+}
+
+// responseFrame encodes resp as the answer to request seq, or an
+// error answer when resp cannot be encoded.
+func responseFrame(seq uint64, resp *Response) []byte {
+	resp.Seq = seq
+	frame, err := encodeFrame(resp)
+	if err != nil {
+		frame, _ = encodeFrame(&Response{Seq: seq, Err: err.Error()})
+	}
+	return frame
 }
 
 func (sc *serverConn) writeLoop() {
@@ -390,6 +400,39 @@ func (sc *serverConn) teardown() {
 	})
 }
 
+// subscribe registers a subscription and queues its ack. Register,
+// recording the owner and queueing the ack share one s.mu section, and
+// pushPub looks the owner up under s.mu before it queues a push, so
+// the ack is ahead of the subscription's first push in the outbound
+// queue. A full queue evicts the connection, as it does for a push. A
+// connection already torn down (teardown consumed sc.once, so it would
+// never deregister again) registers nothing and answers nothing: its
+// writer is gone.
+func (sc *serverConn) subscribe(req *Request) {
+	s := sc.srv
+	s.mu.Lock()
+	if _, live := s.conns[sc]; !live {
+		s.mu.Unlock()
+		return
+	}
+	resp := &Response{}
+	if id, err := s.engine.Register(req.Query); err != nil {
+		resp = errResponse(err)
+	} else {
+		resp.SubID = id
+		s.subOwner[id] = sc
+		sc.subs[id] = struct{}{}
+	}
+	select {
+	case sc.out <- outFrame{seq: req.Seq, frame: responseFrame(req.Seq, resp)}:
+		s.mu.Unlock()
+	default:
+		s.evicted++
+		s.mu.Unlock()
+		sc.teardown()
+	}
+}
+
 func (sc *serverConn) process(req *Request) *Response {
 	s := sc.srv
 	switch req.Kind {
@@ -429,26 +472,6 @@ func (sc *serverConn) process(req *Request) *Response {
 			return errResponse(err)
 		}
 		return &Response{Parts: s.wireParts(parts)}
-	case "subscribe":
-		// Register and record ownership under one lock so a block
-		// mined in between cannot emit a publication that pushPub
-		// finds ownerless (and silently drops). A connection already
-		// torn down (teardown consumed sc.once, so it would never
-		// deregister again) must not register ghost subscriptions.
-		s.mu.Lock()
-		if _, live := s.conns[sc]; !live {
-			s.mu.Unlock()
-			return &Response{Err: "connection closing"}
-		}
-		id, err := s.engine.Register(req.Query)
-		if err != nil {
-			s.mu.Unlock()
-			return errResponse(err)
-		}
-		s.subOwner[id] = sc
-		sc.subs[id] = struct{}{}
-		s.mu.Unlock()
-		return &Response{SubID: id}
 	case "unsubscribe":
 		s.mu.Lock()
 		owner := s.subOwner[req.SubID]

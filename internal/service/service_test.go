@@ -170,7 +170,7 @@ func TestServerErrors(t *testing.T) {
 		t.Errorf("invalid window: %v", err)
 	}
 	// Unknown request kind.
-	resp, _, err := cli.roundTrip(context.Background(), &Request{Kind: "bogus"})
+	resp, _, err := cli.roundTrip(context.Background(), &Request{Kind: "bogus"}, nil)
 	if err == nil {
 		t.Errorf("unknown kind accepted: %+v", resp)
 	}

@@ -82,51 +82,32 @@ func (c *Client) SubscribeCtx(ctx context.Context, q core.Query, cfg SubscribeCo
 	if _, err := q.CNF(); err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	c.subscribing++
-	c.mu.Unlock()
-	resp, gen, err := c.roundTrip(ctx, &Request{Kind: "subscribe", Query: q})
+	sub := &Subscription{
+		c: c, q: q, cfg: cfg,
+		out:    make(chan Delivery, subBuffer),
+		signal: make(chan struct{}, 1),
+		lastTo: -1,
+	}
+	sub.C = sub.out
+	// The read loop registers sub (ID and generation) as it reads the
+	// ack, so pushes behind the ack queue on sub until run starts.
+	_, gen, err := c.roundTrip(ctx, &Request{Kind: "subscribe", Query: q}, sub)
 
 	c.mu.Lock()
-	c.subscribing--
 	// The connection may have died right after delivering the ack:
-	// fail() has already swept c.subs and will not run again, so
-	// registering now would create a stream nothing ever ends. A
-	// reconnect in the same window is the same hazard with fresh maps —
-	// the server that acked this subscription is gone, so registering
-	// against the new generation would also orphan the stream.
+	// fail() has swept c.subs (or the read loop never registered sub)
+	// and will not run again, so the stream would be one nothing ever
+	// ends. A reconnect in the same window is the same hazard with
+	// fresh maps: the server that acked this subscription is gone.
 	if err == nil && (c.err != nil || c.gen != gen) {
 		if c.err != nil {
 			err = c.err
 		} else {
-			err = fmt.Errorf("service: connection reset while subscribing: %w", gen.err)
+			err = fmt.Errorf("service: connection reset during subscribe: %w", gen.err)
 		}
 	}
-	var sub *Subscription
-	if err == nil {
-		sub = &Subscription{
-			c: c, gen: gen, q: q, cfg: cfg,
-			ID:     resp.SubID,
-			out:    make(chan Delivery, subBuffer),
-			signal: make(chan struct{}, 1),
-			lastTo: -1,
-		}
-		sub.C = sub.out
-		c.subs[sub.ID] = sub
-		// Publications that raced ahead of this registration were
-		// parked by the read loop; adopt ours in arrival order.
-		rest := c.orphans[:0]
-		for _, pub := range c.orphans {
-			if pub.QueryID == sub.ID {
-				sub.queue = append(sub.queue, pub)
-			} else {
-				rest = append(rest, pub)
-			}
-		}
-		c.orphans = rest
-	}
-	if c.subscribing == 0 {
-		c.orphans = nil
+	if err != nil && c.subs[sub.ID] == sub {
+		delete(c.subs, sub.ID) // acked, but the caller gave up first
 	}
 	c.mu.Unlock()
 	if err != nil {
@@ -141,7 +122,7 @@ func (c *Client) SubscribeCtx(ctx context.Context, q core.Query, cfg SubscribeCo
 // C closes.
 func (s *Subscription) Close() error {
 	s.closeOnce.Do(func() {
-		resp, _, err := s.c.roundTrip(context.Background(), &Request{Kind: "unsubscribe", SubID: s.ID})
+		resp, _, err := s.c.roundTrip(context.Background(), &Request{Kind: "unsubscribe", SubID: s.ID}, nil)
 		s.c.mu.Lock()
 		if s.c.subs[s.ID] == s {
 			delete(s.c.subs, s.ID)
@@ -199,7 +180,7 @@ func (s *Subscription) abandonRemote() {
 		}
 		s.c.mu.Unlock()
 		if !dead {
-			_, _, _ = s.c.roundTrip(context.Background(), &Request{Kind: "unsubscribe", SubID: s.ID})
+			_, _, _ = s.c.roundTrip(context.Background(), &Request{Kind: "unsubscribe", SubID: s.ID}, nil)
 		}
 	})
 }

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -131,7 +133,7 @@ func TestStreamEager(t *testing.T) {
 // every span against its own headers.
 func TestStreamLazy(t *testing.T) {
 	env := newStreamEnv(t, ServerConfig{
-		Subscriptions: subscribe.Options{Lazy: true},
+		Subscriptions: subscribe.Options{LazyThreshold: subscribe.DefaultLazyThreshold},
 	})
 	_, sub, _ := env.dialSub(t, sedanQuery())
 
@@ -650,3 +652,117 @@ func (nopConn) RemoteAddr() net.Addr             { return &net.TCPAddr{} }
 func (nopConn) SetDeadline(time.Time) error      { return nil }
 func (nopConn) SetReadDeadline(time.Time) error  { return nil }
 func (nopConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestSubscribeAckPrecedesFirstPush: the SP queues a subscribe ack
+// ahead of the subscription's first push, and the client registers the
+// stream as it reads the ack, so a stream opened while blocks are mined
+// loses none of its publications. One goroutine mines without pause
+// while the client subscribes again and again; a recorder on the push
+// path logs every publication per subscription, and each stream must
+// deliver exactly that sequence. The miner holds between blocks only
+// while a stream unsubscribes, so that every logged publication was
+// pushed before the unsubscribe ack.
+func TestSubscribeAckPrecedesFirstPush(t *testing.T) {
+	// The miner does not wait for the writer: a queue deep enough for a
+	// scheduling stall keeps a slow-consumer eviction out of the test.
+	env := newStreamEnv(t, ServerConfig{SendQueue: 4096})
+	var mu sync.Mutex
+	logged := map[int][][2]int{}
+	env.srv.tamperPub = func(p *subscribe.Publication) *subscribe.Publication {
+		mu.Lock()
+		logged[p.QueryID] = append(logged[p.QueryID], [2]int{p.From, p.To})
+		mu.Unlock()
+		return p
+	}
+
+	stop := make(chan struct{})
+	hold := make(chan chan struct{})
+	minerDone := make(chan struct{})
+	var minerErr error
+	go func() {
+		defer close(minerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			case resume := <-hold:
+				select {
+				case <-resume:
+				case <-stop:
+					return
+				}
+			default:
+			}
+			// Every block matches: its publication needs no proof, so
+			// a push can follow a registration closely.
+			if _, err := env.node.MineBlock(block(env.height, "sedan"), int64(env.height)); err != nil {
+				minerErr = err
+				return
+			}
+			if err := env.srv.ProcessBlock(env.height); err != nil {
+				minerErr = err
+				return
+			}
+			env.height++
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-minerDone
+		if minerErr != nil {
+			t.Fatalf("miner: %v", minerErr)
+		}
+	}()
+
+	cli, err := Dial(env.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	light := chain.NewLightStore(0)
+	for i := 0; i < 40; i++ {
+		sub, err := cli.SubscribeCtx(context.Background(), sedanQuery(), SubscribeConfig{Acc: env.acc, Light: light})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][2]int
+		for len(got) < 2 {
+			var d Delivery
+			select {
+			case next, ok := <-sub.C:
+				if !ok {
+					t.Fatalf("subscription %d ended after %v: %v (evictions %d)", sub.ID, got, sub.Err(), env.srv.Evictions())
+				}
+				d = next
+			case <-time.After(10 * time.Second):
+				t.Fatalf("subscription %d: no delivery after %v", sub.ID, got)
+			}
+			if d.Err != nil {
+				t.Fatalf("subscription %d: %v", sub.ID, d.Err)
+			}
+			got = append(got, [2]int{d.Pub.From, d.Pub.To})
+		}
+		resume := make(chan struct{})
+		select {
+		case hold <- resume:
+		case <-minerDone:
+			t.Fatalf("miner stopped: %v", minerErr)
+		}
+		if err := sub.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for d := range sub.C {
+			if d.Err != nil {
+				t.Fatalf("subscription %d: %v", sub.ID, d.Err)
+			}
+			got = append(got, [2]int{d.Pub.From, d.Pub.To})
+		}
+		mu.Lock()
+		want := logged[sub.ID]
+		mu.Unlock()
+		close(resume)
+		if !slices.Equal(got, want) {
+			t.Fatalf("subscription %d delivered %v, the SP pushed %v", sub.ID, got, want)
+		}
+	}
+}

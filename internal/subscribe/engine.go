@@ -1,8 +1,10 @@
 // Package subscribe implements vChain's verifiable subscription queries
-// (§7): a real-time publisher that emits per-block results with VOs,
-// shared processing of the registered queries (§7.1), and the
-// lazy-authentication optimization that defers and aggregates mismatch
-// proofs until a matching result appears (Alg. 5).
+// (§7): one publisher that holds each subscription's blocks in a
+// pending span and publishes the span with its VO once a block may hold
+// results, shared processing of the registered queries (§7.1), and
+// lazy authentication (§7.2, Alg. 5), which keeps mismatch blocks
+// pending up to a threshold and aggregates their proofs. Real-time
+// publishing is the threshold-one case.
 //
 // Of the IP-tree of §7.1 the engine keeps the Boolean Condition
 // Inverted File (BCIF): each distinct clause with the queries sharing
@@ -40,14 +42,12 @@ type Options struct {
 	// every query is processed independently (the "nip" baseline of
 	// Fig. 12).
 	UseIPTree bool
-	// Lazy defers mismatch proofs until a result appears (§7.2);
-	// publications then cover multi-block spans. Requires nothing
-	// special of the accumulator, but proof aggregation inside lazy
-	// spans only happens when the accumulator supports it (acc2).
-	Lazy bool
-	// LazyThreshold bounds how many blocks may stay pending before a
-	// resultless publication is forced ("the time since the last result
-	// has passed a threshold", §7.2). Zero means 64.
+	// LazyThreshold bounds a pending span before a resultless
+	// publication is forced ("the time since the last result has passed
+	// a threshold", §7.2). 0 or 1 publishes every block; n > 1 defers
+	// mismatch proofs into a span until it holds n VO entries (single
+	// blocks, or skips that collapsed several), aggregating the proofs
+	// when the accumulator supports it (acc2).
 	LazyThreshold int
 	// Dims and Width are unused: the engine builds no grid over the
 	// numeric space. They remain for callers that still set them.
@@ -58,16 +58,12 @@ type Options struct {
 	Proofs *proofs.Engine
 }
 
-// DefaultLazyThreshold is the pending-block bound of §7.2, the
-// effective value of a zero LazyThreshold. Exported so callers that
-// compare options (e.g. the facade's conflict check) use the same
-// default as the engine itself.
+// DefaultLazyThreshold is the §7.2 pending-span bound that the
+// lazy examples and figures use.
 const DefaultLazyThreshold = 64
 
 func (o Options) withDefaults() Options {
-	if o.LazyThreshold <= 0 {
-		o.LazyThreshold = DefaultLazyThreshold
-	}
+	o.LazyThreshold = max(o.LazyThreshold, 1)
 	return o
 }
 
@@ -119,7 +115,7 @@ type subState struct {
 	id  int
 	q   core.Query
 	cnf core.CNF
-	// pending holds unpublished block VOs, oldest first (lazy mode).
+	// pending holds unpublished block VOs, oldest first.
 	pending []core.BlockVO
 	// pendingFrom is the height of pending[0].
 	pendingFrom int
@@ -205,8 +201,11 @@ func (e *Engine) clauseGroups() []ClauseGroup {
 // It plans first and proves second: every subscription's block VO is
 // built with its disjointness proofs scheduled on one run of the proof
 // engine, one WaitCtx computes them all on the worker pool, and only
-// then are publications assembled. Lazy collapses that need a fresh
-// skip proof schedule it on the emptied run, which is waited once more
+// then are publications assembled. Every subscription appends the
+// block to its pending span and publishes the span through flushLocked
+// once the block may hold results or the span reaches LazyThreshold
+// (at threshold 1, every block). Span collapses that need a fresh skip
+// proof schedule it on the emptied run, which is waited once more
 // before ProcessBlock returns.
 func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Publication, error) {
 	e.mu.Lock()
@@ -247,13 +246,6 @@ func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Public
 	var pubs []Publication
 	for i, id := range ids {
 		s := e.subs[id]
-		if !e.Opts.Lazy {
-			pubs = append(pubs, Publication{
-				QueryID: id, From: h, To: h,
-				VO: &core.VO{Blocks: []core.BlockVO{planned[i]}},
-			})
-			continue
-		}
 		if len(s.pending) == 0 {
 			s.pendingFrom = h
 		}
@@ -298,7 +290,7 @@ func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) map[int]
 		if !ads.Root.HasDigest {
 			// ModeNil: no root mismatch node can cite the proof
 			// (RootMismatchVO returns nil), so only the decision is
-			// kept; lazy mode still needs it.
+			// kept: it still holds the block in the pending span.
 			return m
 		}
 		run.Add(blockW, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) {

@@ -146,7 +146,7 @@ func TestRealtimeSubscription(t *testing.T) {
 func TestLazySubscriptionAggregatesSpans(t *testing.T) {
 	acc := acc2(t)
 	match := func(i int) bool { return i == 9 } // one match at the end
-	f := run(t, acc, Options{Lazy: true}, 10, match, carQuery())
+	f := run(t, acc, Options{LazyThreshold: DefaultLazyThreshold}, 10, match, carQuery())
 	results, covered := verifyAll(t, f, acc, carQuery(), 0)
 	if results != 1 {
 		t.Errorf("results = %d, want 1", results)
@@ -170,7 +170,7 @@ func TestLazySubscriptionAggregatesSpans(t *testing.T) {
 func TestLazyThresholdForcesPublication(t *testing.T) {
 	acc := acc2(t)
 	never := func(int) bool { return false }
-	f := run(t, acc, Options{Lazy: true, LazyThreshold: 4}, 9, never, carQuery())
+	f := run(t, acc, Options{LazyThreshold: 4}, 9, never, carQuery())
 	if len(f.pubs[0]) == 0 {
 		t.Fatal("threshold never fired")
 	}
@@ -184,7 +184,7 @@ func TestDeregisterFlushesPending(t *testing.T) {
 	acc := acc2(t)
 	b := &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: testWidth}
 	node := core.NewFullNode(0, b)
-	engine := NewEngine(acc, Options{Lazy: true, Proofs: newProofs(acc)})
+	engine := NewEngine(acc, Options{LazyThreshold: DefaultLazyThreshold, Proofs: newProofs(acc)})
 	id, err := engine.Register(carQuery())
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +298,7 @@ func TestLazyWithAcc1FallsBackToFreshProofs(t *testing.T) {
 	// proofs.
 	acc := acc1(t)
 	match := func(i int) bool { return i == 7 }
-	f := run(t, acc, Options{Lazy: true}, 8, match, carQuery())
+	f := run(t, acc, Options{LazyThreshold: DefaultLazyThreshold}, 8, match, carQuery())
 	results, covered := verifyAll(t, f, acc, carQuery(), 0)
 	if results != 1 {
 		t.Errorf("results = %d, want 1", results)
@@ -311,7 +311,7 @@ func TestLazyWithAcc1FallsBackToFreshProofs(t *testing.T) {
 func TestPublicationSpansAreContiguous(t *testing.T) {
 	acc := acc2(t)
 	match := func(i int) bool { return i%4 == 1 }
-	f := run(t, acc, Options{Lazy: true}, 12, match, carQuery())
+	f := run(t, acc, Options{LazyThreshold: DefaultLazyThreshold}, 12, match, carQuery())
 	last := -1
 	for _, pub := range f.pubs[0] {
 		if pub.From != last+1 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,7 +22,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden publication-di
 // TestGoldenPublications pins every publication of a seeded toy chain
 // — the SHA-256 of core.EncodeVO plus (QueryID, From, To) — and the
 // proofs each block computes on a fresh engine, over acc1/acc2 ×
-// ModeBoth/ModeNil × eager/lazy × nip/IP-tree. The lazy runs cover
+// ModeBoth/ModeNil × eager/lazy × nip/IP-tree, where eager is
+// LazyThreshold 0 (and must publish the same at 1) and lazy is
+// LazyThreshold 6. The lazy runs cover
 // spans that collapse into skips (acc2 by ProofSum, acc1 by fresh skip
 // proofs) and forced threshold flushes; ModeNil roots carry no digest.
 // A refactor of the subscription engine must pass without -update;
@@ -47,40 +50,60 @@ func TestGoldenPublications(t *testing.T) {
 		{"acc2", accumulator.KeyGenCon2Deterministic(pairing.Toy(), 4096, accumulator.HashEncoder{Q: 4096}, []byte("golden-pubs"))},
 	}
 
+	// pinned runs one configuration and returns its fixture lines and
+	// publications.
+	pinned := func(name string, acc accumulator.Accumulator, mode core.IndexMode, threshold int, ip bool) ([]string, []Publication, *core.FullNode) {
+		var lines []string
+		eng := proofs.New(acc, proofs.Options{Workers: 2})
+		sub := NewEngine(acc, Options{UseIPTree: ip, LazyThreshold: threshold, Proofs: eng})
+		for _, q := range queries {
+			if _, err := sub.Register(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var pubs []Publication
+		node := core.NewFullNode(0, &core.Builder{Acc: acc, Mode: mode, SkipSize: 2, Width: testWidth})
+		for h := 0; h < blocks; h++ {
+			if _, err := node.MineBlock(goldenObjects(h, match(h)), int64(1000+h)); err != nil {
+				t.Fatal(err)
+			}
+			before := eng.Stats().Proofs
+			due, err := sub.ProcessBlock(adsAt(t, node, h), node)
+			if err != nil {
+				t.Fatalf("%s block %d: %v", name, h, err)
+			}
+			lines = append(lines, fmt.Sprintf("%s block %d proofs=%d", name, h, eng.Stats().Proofs-before))
+			for i := range due {
+				lines = append(lines, pubLine(name, acc, &due[i]))
+			}
+			pubs = append(pubs, due...)
+		}
+		for _, id := range sub.Subscriptions() {
+			if p := sub.Deregister(id); p != nil {
+				lines = append(lines, pubLine(name, acc, p))
+				pubs = append(pubs, *p)
+			}
+		}
+		return lines, pubs, node
+	}
+
 	var got []string
 	for _, a := range accs {
 		for _, mode := range []core.IndexMode{core.ModeBoth, core.ModeNil} {
-			for _, lazy := range []bool{false, true} {
+			// Threshold 0 publishes every block (the fixture's eager
+			// rows); 6 bounds a lazy span.
+			for _, threshold := range []int{0, 6} {
+				lazy := threshold > 1
 				for _, ip := range []bool{false, true} {
 					name := fmt.Sprintf("%s/%v/lazy=%v/iptree=%v", a.name, mode, lazy, ip)
-					eng := proofs.New(a.acc, proofs.Options{Workers: 2})
-					sub := NewEngine(a.acc, Options{UseIPTree: ip, Lazy: lazy, LazyThreshold: 6, Proofs: eng})
-					for _, q := range queries {
-						if _, err := sub.Register(q); err != nil {
-							t.Fatal(err)
-						}
-					}
-					var pubs []Publication
-					node := core.NewFullNode(0, &core.Builder{Acc: a.acc, Mode: mode, SkipSize: 2, Width: testWidth})
-					for h := 0; h < blocks; h++ {
-						if _, err := node.MineBlock(goldenObjects(h, match(h)), int64(1000+h)); err != nil {
-							t.Fatal(err)
-						}
-						before := eng.Stats().Proofs
-						due, err := sub.ProcessBlock(adsAt(t, node, h), node)
-						if err != nil {
-							t.Fatalf("%s block %d: %v", name, h, err)
-						}
-						got = append(got, fmt.Sprintf("%s block %d proofs=%d", name, h, eng.Stats().Proofs-before))
-						for i := range due {
-							got = append(got, pubLine(name, a.acc, &due[i]))
-						}
-						pubs = append(pubs, due...)
-					}
-					for _, id := range sub.Subscriptions() {
-						if p := sub.Deregister(id); p != nil {
-							got = append(got, pubLine(name, a.acc, p))
-							pubs = append(pubs, *p)
+					lines, pubs, node := pinned(name, a.acc, mode, threshold, ip)
+					got = append(got, lines...)
+					if !lazy {
+						// 0 and 1 are one setting.
+						one, _, n1 := pinned(name, a.acc, mode, 1, ip)
+						n1.Close()
+						if !slices.Equal(one, lines) {
+							t.Errorf("%s: threshold 1 publishes differently from threshold 0", name)
 						}
 					}
 					// The fixture pins only publications a light client accepts.

@@ -114,7 +114,7 @@ func TestLazySkipProofFailureFailsBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		failing := failingAcc{Accumulator: acc, blockCard: adsAt(t, node, 0).BlockW().Cardinality()}
-		engine := NewEngine(acc, Options{Lazy: true,
+		engine := NewEngine(acc, Options{LazyThreshold: DefaultLazyThreshold,
 			Proofs: proofs.New(failing, proofs.Options{Workers: workers})})
 		if _, err := engine.Register(carQuery()); err != nil {
 			t.Fatal(err)

@@ -212,27 +212,26 @@ func (n *Node) ShardStats() []ShardStat { return n.node.ShardStats() }
 // engine is created on the first Subscribe call; every later call must
 // carry equivalent options (the engine is shared across all of a
 // node's subscriptions, so differing options cannot be honored and are
-// rejected with an error rather than silently ignored).
+// rejected with an error rather than silently ignored). The engine
+// always shares clause evaluation and proofs across queries by the
+// IP-tree's clause groups (its BCIF, §7.1).
 type SubscribeOptions struct {
-	// UseIPTree shares clause evaluation and proofs across queries by
-	// the IP-tree's clause groups (its BCIF, §7.1); the tree's grid of
-	// cells is not built, since a block-level decision reads only the
-	// groups.
-	UseIPTree bool
-	// Lazy defers mismatch proofs until results appear (§7.2).
-	Lazy bool
-	// LazyThreshold caps pending blocks before a forced publication
-	// (0 means the engine default).
+	// LazyThreshold caps a subscription's pending span (§7.2): 0 or 1
+	// publishes every block, and n > 1 holds mismatch blocks back until
+	// the span's VO holds n entries (single blocks, or skips that
+	// collapsed several). DefaultLazyThreshold is the lazy setting of
+	// the paper's figures.
 	LazyThreshold int
 }
 
+// DefaultLazyThreshold is the §7.2 pending-span bound that the
+// lazy examples and figures use.
+const DefaultLazyThreshold = subscribe.DefaultLazyThreshold
+
 // normalize maps the defaulted fields onto the engine's effective
-// values so option comparison treats e.g. LazyThreshold 0 and the
-// engine default as equal.
+// values so option comparison treats LazyThreshold 0 and 1 as equal.
 func (o SubscribeOptions) normalize() SubscribeOptions {
-	if o.LazyThreshold <= 0 {
-		o.LazyThreshold = subscribe.DefaultLazyThreshold
-	}
+	o.LazyThreshold = max(o.LazyThreshold, 1)
 	return o
 }
 
@@ -259,8 +258,7 @@ func (n *Node) Subscribe(q Query, opts SubscribeOptions) (int, error) {
 // Subscribe and Serve so the two paths cannot drift).
 func (n *Node) engineOptions(opts SubscribeOptions) subscribe.Options {
 	return subscribe.Options{
-		UseIPTree:     opts.UseIPTree,
-		Lazy:          opts.Lazy,
+		UseIPTree:     true,
 		LazyThreshold: opts.LazyThreshold,
 		Proofs:        n.node.ProofEngine(),
 	}

@@ -14,7 +14,6 @@ import (
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/storage"
-	"github.com/vchain-go/vchain/internal/subscribe"
 )
 
 func testSystem(t testing.TB, accName string, mode IndexMode) *System {
@@ -160,7 +159,7 @@ func TestFacadeSubscription(t *testing.T) {
 		node := sys.NewNode(shards)
 		defer node.Close()
 		q := Query{Bool: And(Or("sedan")), Width: 4}
-		id, err := node.Subscribe(q, SubscribeOptions{UseIPTree: true})
+		id, err := node.Subscribe(q, SubscribeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,26 +327,27 @@ func TestConfigIndexDefaulting(t *testing.T) {
 
 // TestSubscribeConflictingOptions covers the former silent-ignore bug:
 // the engine is created from the first Subscribe call's options, so a
-// later call with different options (e.g. Lazy vs eager) cannot be
-// honored — it must fail loudly instead of pretending.
+// later call with different options (e.g. a lazy threshold after an
+// eager one) cannot be honored — it must fail loudly instead of
+// pretending.
 func TestSubscribeConflictingOptions(t *testing.T) {
 	sys := testSystem(t, "acc2", IndexBoth)
 	node := sys.NewNode(1)
 	q := Query{Bool: And(Or("sedan")), Width: 4}
-	if _, err := node.Subscribe(q, SubscribeOptions{UseIPTree: true}); err != nil {
+	if _, err := node.Subscribe(q, SubscribeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Same options: fine.
-	if _, err := node.Subscribe(q, SubscribeOptions{UseIPTree: true}); err != nil {
+	if _, err := node.Subscribe(q, SubscribeOptions{}); err != nil {
 		t.Fatalf("identical options rejected: %v", err)
 	}
-	// Defaulted fields compare by effective value, not raw zero.
-	if _, err := node.Subscribe(q, SubscribeOptions{UseIPTree: true, LazyThreshold: subscribe.DefaultLazyThreshold}); err != nil {
+	// Thresholds 0 and 1 are one setting: publish every block.
+	if _, err := node.Subscribe(q, SubscribeOptions{LazyThreshold: 1}); err != nil {
 		t.Fatalf("equivalent options rejected: %v", err)
 	}
-	// Conflicting Lazy: loud error.
-	if _, err := node.Subscribe(q, SubscribeOptions{UseIPTree: true, Lazy: true}); err == nil {
-		t.Fatal("conflicting Lazy option silently ignored")
+	// A lazy threshold after an eager one: loud error.
+	if _, err := node.Subscribe(q, SubscribeOptions{LazyThreshold: DefaultLazyThreshold}); err == nil {
+		t.Fatal("conflicting LazyThreshold silently ignored")
 	} else if !strings.Contains(err.Error(), "conflict") {
 		t.Fatalf("unexpected error: %v", err)
 	}
@@ -368,7 +368,11 @@ func TestFacadeRemoteSubscription(t *testing.T) {
 			forEachShardCount(t, func(t *testing.T, shards int) {
 				node := sys.NewNode(shards)
 				defer node.Close()
-				sp, err := node.Serve("127.0.0.1:0", SubscribeOptions{UseIPTree: true, Lazy: lazy})
+				var opts SubscribeOptions
+				if lazy {
+					opts.LazyThreshold = DefaultLazyThreshold
+				}
+				sp, err := node.Serve("127.0.0.1:0", opts)
 				if err != nil {
 					t.Fatal(err)
 				}
