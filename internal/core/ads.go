@@ -111,7 +111,7 @@ func nodeHash(pre chain.Digest, accBytes []byte) chain.Digest {
 // the block at height h: it aggregates the Distance blocks
 // [h−Distance+1, h] and records the header hash of the landing block
 // h−Distance. The aggregated multiset, the sum of the covered blocks'
-// BlockW, is not stored: BlockADS.SkipSpans derives it. Under acc2 a
+// BlockW, is not stored: BlockADS.skipSpans derives it. Under acc2 a
 // digest is a sum of digests that exist: the four covered roots and
 // earlier blocks' entries (Builder.skipDigests); acc1, which cannot add
 // digests, runs Setup over the span.
@@ -416,16 +416,17 @@ func (b *Builder) buildTree(leaves []*IntraNode, ws []multiset.Multiset, indexed
 	return nodes[0].n, nodes[0].w, nil
 }
 
-// SkipSpans derives the multisets the skip entries 0..top of a
+// skipSpans derives the multisets the skip entries 0..top of a
 // aggregate: spans[i] is the sum of BlockW over the blocks
 // [Height−Distance_i+1, Height] that entry i covers. It reads the
 // covered blocks through view, in one pass for all levels since each
 // span contains the smaller ones, merging each block into the running
-// sum through two reused buffers. A non-nil more ends the pass early:
-// after the first span it rejects, SkipSpans returns the spans derived
-// so far, that one included. A page-in failure is ErrADSUnavailable,
-// like any other page-in of a window walk.
-func (a *BlockADS) SkipSpans(view ChainView, top int, more func(w multiset.Multiset) bool) ([]multiset.Multiset, error) {
+// sum through two reused buffers. A non-nil more sees every span in
+// order and ends the pass early: after the first span it rejects,
+// skipSpans returns the spans derived so far, that one included. A
+// page-in failure is ErrADSUnavailable, like any other page-in of a
+// window walk.
+func (a *BlockADS) skipSpans(view ChainView, top int, more func(w multiset.Multiset) bool) ([]multiset.Multiset, error) {
 	spans := make([]multiset.Multiset, 0, top+1)
 	var bufs [2]multiset.Multiset
 	var w multiset.Multiset // the covered block's BlockW
@@ -446,7 +447,7 @@ func (a *BlockADS) SkipSpans(view ChainView, top int, more func(w multiset.Multi
 			sum = bufs[k]
 		}
 		spans = append(spans, slices.Clone(sum))
-		if i == top || (more != nil && !more(spans[i])) {
+		if (more != nil && !more(spans[i])) || i == top {
 			break
 		}
 	}
@@ -493,11 +494,11 @@ func (b *Builder) buildSkips(ads *BlockADS, view ChainView) error {
 // h−k. Every entry is thus a sum of digests that exist before this
 // block's entries do, and one accumulator.SumEach computes them all.
 // acc1 has no Sum, so it runs Setup over each entry's span, the sum of
-// the covered blocks' BlockW (SkipSpans). A missing covered block or
+// the covered blocks' BlockW (skipSpans). A missing covered block or
 // entry is an error: a chain this builder built has all of them.
 func (b *Builder) skipDigests(ads *BlockADS, view ChainView) ([]accumulator.Acc, error) {
 	if !b.Acc.SupportsAgg() {
-		spans, err := ads.SkipSpans(view, len(ads.Skips)-1, nil)
+		spans, err := ads.skipSpans(view, len(ads.Skips)-1, nil)
 		if err != nil {
 			return nil, err
 		}

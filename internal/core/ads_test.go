@@ -172,7 +172,7 @@ func TestSkipEntriesAggregateCorrectly(t *testing.T) {
 	if len(ads.Skips) != 2 { // distances 4 and 8
 		t.Fatalf("skips %d, want 2", len(ads.Skips))
 	}
-	spans, err := ads.SkipSpans(node, len(ads.Skips)-1, nil)
+	spans, err := ads.skipSpans(node, len(ads.Skips)-1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -273,7 +273,7 @@ func TestSkipSpansFromEvictedBlocks(t *testing.T) {
 		}
 	}
 	top := mustADS(t, warm, blocks-1)
-	want, err := top.SkipSpans(warm, len(top.Skips)-1, nil)
+	want, err := top.skipSpans(warm, len(top.Skips)-1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestSkipSpansFromEvictedBlocks(t *testing.T) {
 	paged := openTestNode(t, b, dir, WithADSCache(1))
 	ads := mustADS(t, paged, blocks-1)
 	before := paged.ADSStats().Decodes
-	got, err := ads.SkipSpans(paged, len(ads.Skips)-1, nil)
+	got, err := ads.skipSpans(paged, len(ads.Skips)-1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func mineSkipChain(t *testing.T, node *FullNode, blocks int) {
 
 // TestSkipDigestsMatchSetupOfSpan is the oracle for the skip digests a
 // node builds: at skip size 4 (distances 4–32) every entry's Digest is
-// Acc.Setup of the span BlockADS.SkipSpans derives. It runs on a
+// Acc.Setup of the span BlockADS.skipSpans derives. It runs on a
 // resident node, on a paged node whose two-block ADS cache makes the
 // builder page prior blocks back in, and on a two-slot node.
 func TestSkipDigestsMatchSetupOfSpan(t *testing.T) {
@@ -77,7 +77,7 @@ func TestSkipDigestsMatchSetupOfSpan(t *testing.T) {
 				if len(ads.Skips) == 0 {
 					continue
 				}
-				spans, err := ads.SkipSpans(node, len(ads.Skips)-1, nil)
+				spans, err := ads.skipSpans(node, len(ads.Skips)-1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

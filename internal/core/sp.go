@@ -154,49 +154,62 @@ func (sp *SP) Walk(ctx context.Context, q Query, run *proofs.Run) (vo *VO, err e
 }
 
 // trySkip returns the largest skip at ads.Height that stays within the
-// window and mismatches some clause, or nil. The skip's proof is
-// scheduled on run. Deriving the spans' multisets pages in covered
-// blocks, all inside the window; it stops at the first span that
-// matches the CNF, since every larger span contains it and matches too.
+// window and mismatches some clause, or nil (PlanSkip). The skip's
+// proof is scheduled on run.
 func (sp *SP) trySkip(ads *BlockADS, cnf CNF, startBlock int, run *proofs.Run) (*SkipVO, error) {
-	top := len(ads.Skips) - 1
-	for top >= 0 && ads.Height-ads.Skips[top].Distance+1 < startBlock {
-		top-- // would overshoot the window
-	}
-	if top < 0 {
-		return nil, nil
-	}
-	spans, err := ads.SkipSpans(sp.View, top, func(w multiset.Multiset) bool {
-		_, bad := cnf.FindMismatch(w)
-		return bad
+	skip, w, err := ads.PlanSkip(sp.View, sp.Acc, startBlock, func(_ int, w multiset.Multiset) (Clause, bool) {
+		return cnf.FindMismatch(w)
 	})
-	if err != nil {
-		return nil, err
+	if skip != nil {
+		run.Add(w, skip.Clause.Key(), skip.Clause.Multiset(), func(pf accumulator.Proof) { skip.Proof = pf })
 	}
-	for i := len(spans) - 1; i >= 0; i-- {
-		clause, ok := cnf.FindMismatch(spans[i])
-		if !ok {
-			continue
-		}
-		out := ads.SkipVO(i, spans[i], clause, sp.Acc)
-		if out == nil {
-			// Over the key's capacity: fall back to smaller skips or
-			// per-block processing rather than failing the query.
-			continue
-		}
-		run.Add(spans[i], clause.Key(), clause.Multiset(), func(pf accumulator.Proof) { out.Proof = pf })
-		return out, nil
-	}
-	return nil, nil
+	return skip, err
 }
 
-// SkipVO builds the VO entry that cites skip entry i, whose span
-// multiset is w (see SkipSpans), against clause: the entry's distance,
+// PlanSkip is the one skip choice of the window walk (Alg. 4) and of
+// lazy subscription spans (Alg. 5): it returns the VO entry of a's
+// largest skip that covers no block below lowest and whose span misses
+// the clause pick chooses, with the span's multiset, or nil when no
+// skip qualifies. pick gets the first covered height and the span's
+// multiset; it must reject every span that contains one it rejected,
+// as "matches the CNF" does, because deriving the spans, which pages in
+// the covered blocks, stops at the first span pick rejects. A skip over
+// acc's key capacity is passed over for a smaller one. The caller fills
+// the entry's proof.
+func (a *BlockADS) PlanSkip(view ChainView, acc accumulator.Accumulator, lowest int,
+	pick func(from int, w multiset.Multiset) (Clause, bool)) (*SkipVO, multiset.Multiset, error) {
+	top := len(a.Skips) - 1
+	for top >= 0 && a.Height-a.Skips[top].Distance+1 < lowest {
+		top--
+	}
+	if top < 0 {
+		return nil, nil, nil
+	}
+	var clauses []Clause // clauses[i] is pick's clause for span i
+	spans, err := a.skipSpans(view, top, func(w multiset.Multiset) bool {
+		cl, ok := pick(a.Height-a.Skips[len(clauses)].Distance+1, w)
+		if ok {
+			clauses = append(clauses, cl)
+		}
+		return ok
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := len(clauses) - 1; i >= 0; i-- {
+		if out := a.skipVO(i, spans[i], clauses[i], acc); out != nil {
+			return out, spans[i], nil
+		}
+	}
+	return nil, nil, nil
+}
+
+// skipVO builds the VO entry that cites skip entry i, whose span
+// multiset is w (see skipSpans), against clause: the entry's distance,
 // digest and landing hash plus the commitment leaves of its siblings.
 // The caller fills the proof. It returns nil when acc's key is too
-// small to prove w disjoint from clause, so callers fall back to a
-// smaller skip.
-func (a *BlockADS) SkipVO(i int, w multiset.Multiset, clause Clause, acc accumulator.Accumulator) *SkipVO {
+// small to prove w disjoint from clause.
+func (a *BlockADS) skipVO(i int, w multiset.Multiset, clause Clause, acc accumulator.Accumulator) *SkipVO {
 	entry := &a.Skips[i]
 	if max := acc.MaxCardinality(); max >= 0 && (w.Cardinality() > max || len(clause) > max) {
 		return nil
@@ -216,31 +229,24 @@ func (a *BlockADS) SkipVO(i int, w multiset.Multiset, clause Clause, acc accumul
 	}
 }
 
-// RootMismatchVO builds the block-level mismatch entry subscriptions
-// publish when an entire block provably misses a clause: the root's
-// digest and pre-hash, with a zero proof the caller fills in place. It
-// returns nil when the root carries no digest (ModeNil), in which case
-// the caller must fall back to a full traversal.
-func RootMismatchVO(ads *BlockADS, clause Clause) *NodeVO {
-	root := ads.Root
-	if !root.HasDigest {
-		return nil
-	}
-	var pre chain.Digest
-	if root.IsLeaf() {
-		pre = leafPreHash(root.Obj.Hash())
-	} else {
-		pre = internalPreHash(root.Left.Hash, root.Right.Hash)
-	}
-	return &NodeVO{
+// MismatchVO builds the VO node that prunes n, which carries a digest,
+// as missing clause: n's digest and pre-hash. Its proof is the caller's
+// to fill, or its batch group's. The window walk builds one at any
+// node, and subscriptions at a block root that misses a clause.
+func MismatchVO(n *IntraNode, clause Clause) *NodeVO {
+	out := &NodeVO{
 		Kind:      KindMismatch,
-		Digest:    root.Digest,
+		Digest:    n.Digest,
 		HasDigest: true,
-		PreHash:   pre,
 		Clause:    clause,
-		Proof:     &accumulator.Proof{},
 		Group:     -1,
 	}
+	if n.IsLeaf() {
+		out.PreHash = leafPreHash(n.Obj.Hash())
+	} else {
+		out.PreHash = internalPreHash(n.Left.Hash, n.Right.Hash)
+	}
+	return out
 }
 
 // findMismatch is cnf.FindMismatch of n's multiset at the bit width,
@@ -283,18 +289,7 @@ func (sp *SP) blockTreeVO(ads *BlockADS, cnf CNF, batch *aggVO, run *proofs.Run)
 				} else {
 					w = n.Multiset(ads.Width)
 				}
-				out := &NodeVO{
-					Kind:      KindMismatch,
-					Digest:    n.Digest,
-					HasDigest: true,
-					Clause:    clause,
-					Group:     -1,
-				}
-				if n.IsLeaf() {
-					out.PreHash = leafPreHash(n.Obj.Hash())
-				} else {
-					out.PreHash = internalPreHash(n.Left.Hash, n.Right.Hash)
-				}
+				out := MismatchVO(n, clause)
 				if batch != nil {
 					batch.add(out, w, clause)
 				} else {

@@ -19,10 +19,12 @@
 package subscribe
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
@@ -85,10 +87,9 @@ type Publication struct {
 // height order via ProcessBlock; the engine returns the publications
 // due after each block.
 type Engine struct {
-	// Acc is the accumulator shared with the chain.
-	Acc accumulator.Accumulator
-	// Opts are the engine options.
-	Opts Options
+	// acc is the accumulator shared with the chain.
+	acc  accumulator.Accumulator
+	opts Options
 
 	// proofs computes, parallelizes, and memoizes every disjointness
 	// proof: across the queries sharing a block (on top of the clause
@@ -101,12 +102,12 @@ type Engine struct {
 	subs   map[int]*subState
 	nextID int
 	// groups caches clauseGroups; Register and Deregister clear it.
-	groups []ClauseGroup
+	groups []clauseGroup
 }
 
-// ClauseGroup is one shared clause with its member queries: a row of
+// clauseGroup is one shared clause with its member queries: a row of
 // the IP-tree's BCIF (§7.1) over the whole space.
-type ClauseGroup struct {
+type clauseGroup struct {
 	Clause  core.Clause
 	Queries []int
 }
@@ -124,7 +125,7 @@ type subState struct {
 // NewEngine creates a subscription engine proving on opts.Proofs,
 // which must be set.
 func NewEngine(acc accumulator.Accumulator, opts Options) *Engine {
-	return &Engine{Acc: acc, Opts: opts.withDefaults(), proofs: opts.Proofs, subs: map[int]*subState{}}
+	return &Engine{acc: acc, opts: opts.withDefaults(), proofs: opts.Proofs, subs: map[int]*subState{}}
 }
 
 // Register adds a subscription query (its block window fields are
@@ -169,7 +170,7 @@ func (e *Engine) Subscriptions() []int {
 // it, members in id order, widest first (sortGroupsByFanout). It is
 // built from the CNFs computed at Register and reused until the next
 // Register or Deregister.
-func (e *Engine) clauseGroups() []ClauseGroup {
+func (e *Engine) clauseGroups() []clauseGroup {
 	if e.groups != nil {
 		return e.groups
 	}
@@ -181,7 +182,7 @@ func (e *Engine) clauseGroups() []ClauseGroup {
 			if !ok {
 				i = len(e.groups)
 				byKey[k] = i
-				e.groups = append(e.groups, ClauseGroup{Clause: cl})
+				e.groups = append(e.groups, clauseGroup{Clause: cl})
 			}
 			e.groups[i].Queries = append(e.groups[i].Queries, id)
 		}
@@ -218,15 +219,14 @@ func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Public
 	ids := sortedStateIDs(e.subs)
 	run := e.proofs.NewRun()
 	decided := e.decide(ads, ids, run)
-	sp := &core.SP{Acc: e.Acc, View: view, Engine: e.proofs}
+	sp := &core.SP{Acc: e.acc, View: view, Engine: e.proofs}
 	planned := make([]core.BlockVO, len(ids))
 	for i, id := range ids {
-		if m := decided[id]; m != nil {
-			if node := core.RootMismatchVO(ads, m.clause); node != nil {
-				m.nodes = append(m.nodes, node)
-				planned[i] = core.BlockVO{Height: h, Tree: node}
-				continue
-			}
+		if m := decided[id]; m != nil && ads.Root.HasDigest {
+			node := core.MismatchVO(ads.Root, m.clause)
+			m.nodes = append(m.nodes, node)
+			planned[i] = core.BlockVO{Height: h, Tree: node}
+			continue
 		}
 		// The block (possibly) holds results, or its root carries no
 		// digest (ModeNil): walk the one-block window, where no skip
@@ -256,7 +256,7 @@ func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Public
 			if err := e.collapse(s, ads, view, run); err != nil {
 				return nil, err
 			}
-			if len(s.pending) < e.Opts.LazyThreshold {
+			if len(s.pending) < e.opts.LazyThreshold {
 				continue
 			}
 		}
@@ -288,19 +288,20 @@ func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) map[int]
 	schedule := func(clause core.Clause) *mismatch {
 		m := &mismatch{clause: clause}
 		if !ads.Root.HasDigest {
-			// ModeNil: no root mismatch node can cite the proof
-			// (RootMismatchVO returns nil), so only the decision is
-			// kept: it still holds the block in the pending span.
+			// ModeNil: no root mismatch node can cite the proof, so
+			// only the decision is kept: it still holds the block in
+			// the pending span.
 			return m
 		}
 		run.Add(blockW, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) {
 			for _, n := range m.nodes {
+				n.Proof = new(accumulator.Proof)
 				*n.Proof = pf
 			}
 		})
 		return m
 	}
-	if !e.Opts.UseIPTree {
+	if !e.opts.UseIPTree {
 		for _, id := range ids {
 			if clause, bad := e.subs[id].cnf.FindMismatch(blockW); bad {
 				decided[id] = schedule(clause)
@@ -327,74 +328,56 @@ func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) map[int]
 	return decided
 }
 
-// collapse folds the trailing single-block mismatch entries of the
-// pending span into the largest skip of ads whose distance d matches
-// them (Alg. 5). Same-clause per-block proofs aggregate by ProofSum;
-// any other skip proof is scheduled on run.
+// collapse folds the trailing run of single-block mismatch entries of
+// the pending span into the largest skip of ads that covers only them
+// (Alg. 5), through core's skip choice (BlockADS.PlanSkip). A skip
+// whose blocks share their clause cites it, and under acc2 its proof
+// is the ProofSum of theirs; any other skip cites the first clause of
+// the query its span misses, proved afresh on run.
 func (e *Engine) collapse(s *subState, ads *core.BlockADS, view core.ChainView, run *proofs.Run) error {
-	var spans []multiset.Multiset // derived at the largest candidate skip
-	for i := len(ads.Skips) - 1; i >= 0; i-- {
-		d := ads.Skips[i].Distance
-		if d > len(s.pending) {
-			continue
-		}
-		tail := s.pending[len(s.pending)-d:]
-		ok := true
-		var clause core.Clause
-		sameClause := true
-		var pfs []accumulator.Proof
-		for j, b := range tail {
-			if b.Skip != nil || b.Tree == nil || b.Tree.Kind != core.KindMismatch ||
-				b.Height != ads.Height-d+1+j {
-				ok = false
-				break
-			}
-			if clause == nil {
-				clause = b.Tree.Clause
-			} else if !clause.Equal(b.Tree.Clause) {
-				sameClause = false
-			}
-			pfs = append(pfs, *b.Tree.Proof) // proved by the block's run
-		}
-		if !ok || clause == nil {
-			continue
-		}
-		if spans == nil {
-			var err error
-			if spans, err = ads.SkipSpans(view, i, nil); err != nil {
-				return fmt.Errorf("subscribe: %w", err)
-			}
-		}
-		w := spans[i]
-		// The skip's aggregated multiset must miss the clause we will
-		// cite; if per-block clauses diverged, fall back to the first
-		// clause that the aggregate misses.
-		if !sameClause || clause.Matches(w) {
-			cl, bad := s.cnf.FindMismatch(w)
-			if !bad {
-				continue
-			}
-			clause = cl
-			sameClause = false
-		}
-		skip := ads.SkipVO(i, w, clause, e.Acc)
-		if skip == nil {
-			continue // over the key's capacity: try a smaller skip
-		}
-		if sameClause && e.Acc.SupportsAgg() {
-			// Aggregate the already-computed per-block proofs (the
-			// ProofSum path of §7.2) instead of proving from scratch.
-			pf, err := e.Acc.ProofSum(pfs...)
-			if err != nil {
-				return fmt.Errorf("subscribe: skip proof sum: %w", err)
-			}
-			skip.Proof = pf
-		} else {
-			run.Add(w, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) { skip.Proof = pf })
-		}
-		s.pending = append(s.pending[:len(s.pending)-d], core.BlockVO{Height: ads.Height, Skip: skip})
+	start := len(s.pending)
+	for start > 0 && s.pending[start-1].Skip == nil && s.pending[start-1].Tree.Kind == core.KindMismatch {
+		start--
+	}
+	if start == len(s.pending) {
 		return nil
 	}
+	tail := s.pending[start:]
+	// shared returns the clause that every block of the tail from
+	// height from on cites, or nil.
+	shared := func(from int) core.Clause {
+		blocks := tail[from-tail[0].Height:]
+		for _, b := range blocks[1:] {
+			if !b.Tree.Clause.Equal(blocks[0].Tree.Clause) {
+				return nil
+			}
+		}
+		return blocks[0].Tree.Clause
+	}
+	skip, w, err := ads.PlanSkip(view, e.acc, tail[0].Height, func(from int, w multiset.Multiset) (core.Clause, bool) {
+		if cl := shared(from); cl != nil && !cl.Matches(w) {
+			return cl, true
+		}
+		return s.cnf.FindMismatch(w)
+	})
+	if err != nil || skip == nil {
+		return err
+	}
+	from := ads.Height - skip.Distance + 1
+	if e.acc.SupportsAgg() && shared(from).Equal(skip.Clause) {
+		// Aggregate the block proofs the run computed (the ProofSum
+		// path of §7.2) instead of proving from scratch.
+		var pfs []accumulator.Proof
+		for _, b := range tail[from-tail[0].Height:] {
+			pfs = append(pfs, *b.Tree.Proof)
+		}
+		if skip.Proof, err = e.acc.ProofSum(pfs...); err != nil {
+			return fmt.Errorf("subscribe: skip proof sum: %w", err)
+		}
+	} else {
+		run.Add(w, skip.Clause.Key(), skip.Clause.Multiset(), func(pf accumulator.Proof) { skip.Proof = pf })
+	}
+	s.pending = append(s.pending[:len(s.pending)-skip.Distance], core.BlockVO{Height: ads.Height, Skip: skip})
 	return nil
 }
 
@@ -428,23 +411,17 @@ func VerifyPublication(v *core.Verifier, q core.Query, pub *Publication) ([]chai
 }
 
 // sortGroupsByFanout orders clause groups by member count descending
-// (ties: smaller clause first, then stable by key).
-func sortGroupsByFanout(groups []ClauseGroup) {
-	for i := 1; i < len(groups); i++ {
-		for j := i; j > 0 && groupLess(&groups[j], &groups[j-1]); j-- {
-			groups[j], groups[j-1] = groups[j-1], groups[j]
-		}
-	}
+// (ties: smaller clause first, then by key).
+func sortGroupsByFanout(groups []clauseGroup) {
+	slices.SortStableFunc(groups, compareGroups)
 }
 
-func groupLess(a, b *ClauseGroup) bool {
-	if len(a.Queries) != len(b.Queries) {
-		return len(a.Queries) > len(b.Queries)
-	}
-	if len(a.Clause) != len(b.Clause) {
-		return len(a.Clause) < len(b.Clause)
-	}
-	return a.Clause.Key() < b.Clause.Key()
+func compareGroups(a, b clauseGroup) int {
+	return cmp.Or(
+		cmp.Compare(len(b.Queries), len(a.Queries)),
+		cmp.Compare(len(a.Clause), len(b.Clause)),
+		strings.Compare(a.Clause.Key(), b.Clause.Key()),
+	)
 }
 
 func sortedStateIDs(m map[int]*subState) []int {

@@ -514,7 +514,7 @@ func TestClauseGroupsGlobal(t *testing.T) {
 		if !slices.IsSorted(g.Queries) {
 			t.Errorf("group %v members %v out of id order", g.Clause, g.Queries)
 		}
-		if i > 0 && !groupLess(&groups[i-1], &g) {
+		if i > 0 && compareGroups(groups[i-1], g) >= 0 {
 			t.Errorf("group %d (%v) sorts before group %d (%v)", i, g.Clause, i-1, groups[i-1].Clause)
 		}
 	}
