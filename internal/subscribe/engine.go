@@ -46,10 +46,10 @@ type Options struct {
 	UseIPTree bool
 	// LazyThreshold bounds a pending span before a resultless
 	// publication is forced ("the time since the last result has passed
-	// a threshold", §7.2). 0 or 1 publishes every block; n > 1 defers
-	// mismatch proofs into a span until it holds n VO entries (single
-	// blocks, or skips that collapsed several), aggregating the proofs
-	// when the accumulator supports it (acc2).
+	// a threshold", §7.2). 0 or 1 publishes every block; n > 1 holds
+	// mismatch blocks back until the span covers n blocks, collapsing
+	// them into skips on the way and aggregating their proofs when the
+	// accumulator supports it (acc2).
 	LazyThreshold int
 	// Dims and Width are unused: the engine builds no grid over the
 	// numeric space. They remain for callers that still set them.
@@ -204,8 +204,8 @@ func (e *Engine) clauseGroups() []clauseGroup {
 // engine, one WaitCtx computes them all on the worker pool, and only
 // then are publications assembled. Every subscription appends the
 // block to its pending span and publishes the span through flushLocked
-// once the block may hold results or the span reaches LazyThreshold
-// (at threshold 1, every block). Span collapses that need a fresh skip
+// once the block may hold results or the span covers LazyThreshold
+// blocks (at threshold 1, every block). Span collapses that need a fresh skip
 // proof schedule it on the emptied run, which is waited once more
 // before ProcessBlock returns.
 func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Publication, error) {
@@ -250,13 +250,14 @@ func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Public
 			s.pendingFrom = h
 		}
 		s.pending = append(s.pending, planned[i])
-		// A mismatch block stays pending until the threshold; a block
-		// that may hold results publishes the span at once.
+		// A mismatch block stays pending until the span holds
+		// LazyThreshold blocks; a block that may hold results publishes
+		// the span at once.
 		if decided[id] != nil {
 			if err := e.collapse(s, ads, view, run); err != nil {
 				return nil, err
 			}
-			if len(s.pending) < e.opts.LazyThreshold {
+			if h-s.pendingFrom+1 < e.opts.LazyThreshold {
 				continue
 			}
 		}

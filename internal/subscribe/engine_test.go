@@ -180,6 +180,32 @@ func TestLazyThresholdForcesPublication(t *testing.T) {
 	}
 }
 
+// TestLazyThresholdCountsBlocks pins that LazyThreshold bounds the
+// blocks a resultless span covers, not its VO entries: at threshold 4
+// every publication covers 4 blocks, also once a span has collapsed
+// into a 4-block skip.
+func TestLazyThresholdCountsBlocks(t *testing.T) {
+	acc := acc2(t)
+	f := run(t, acc, Options{LazyThreshold: 4}, 12, func(int) bool { return false }, carQuery())
+	var spans [][2]int
+	skips := 0
+	for _, p := range f.pubs[0] {
+		spans = append(spans, [2]int{p.From, p.To})
+		for _, b := range p.VO.Blocks {
+			if b.Skip != nil {
+				skips++
+			}
+		}
+	}
+	if want := [][2]int{{0, 3}, {4, 7}, {8, 11}}; !slices.Equal(spans, want) {
+		t.Errorf("spans %v, want %v", spans, want)
+	}
+	if skips == 0 {
+		t.Error("no span collapsed into a skip")
+	}
+	verifyAll(t, f, acc, carQuery(), 0)
+}
+
 func TestDeregisterFlushesPending(t *testing.T) {
 	acc := acc2(t)
 	b := &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: testWidth}

@@ -24,9 +24,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden publication-di
 // proofs each block computes on a fresh engine, over acc1/acc2 ×
 // ModeBoth/ModeNil × eager/lazy × nip/IP-tree, where eager is
 // LazyThreshold 0 (and must publish the same at 1) and lazy is
-// LazyThreshold 6. The lazy runs cover
+// LazyThreshold 4. The lazy runs cover
 // spans that collapse into skips (acc2 by ProofSum, acc1 by fresh skip
-// proofs) and forced threshold flushes; ModeNil roots carry no digest.
+// proofs) and forced flushes of 4-block spans; ModeNil roots carry no
+// digest.
 // A refactor of the subscription engine must pass without -update;
 // regenerate with `go test -run TestGoldenPublications -update
 // ./internal/subscribe/` only after an intentional format change.
@@ -91,8 +92,8 @@ func TestGoldenPublications(t *testing.T) {
 	for _, a := range accs {
 		for _, mode := range []core.IndexMode{core.ModeBoth, core.ModeNil} {
 			// Threshold 0 publishes every block (the fixture's eager
-			// rows); 6 bounds a lazy span.
-			for _, threshold := range []int{0, 6} {
+			// rows); 4 bounds a lazy span.
+			for _, threshold := range []int{0, 4} {
 				lazy := threshold > 1
 				for _, ip := range []bool{false, true} {
 					name := fmt.Sprintf("%s/%v/lazy=%v/iptree=%v", a.name, mode, lazy, ip)

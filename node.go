@@ -218,9 +218,9 @@ func (n *Node) ShardStats() []ShardStat { return n.node.ShardStats() }
 type SubscribeOptions struct {
 	// LazyThreshold caps a subscription's pending span (§7.2): 0 or 1
 	// publishes every block, and n > 1 holds mismatch blocks back until
-	// the span's VO holds n entries (single blocks, or skips that
-	// collapsed several). DefaultLazyThreshold is the lazy setting of
-	// the paper's figures.
+	// the span covers n blocks, however many of them collapsed into
+	// skips. DefaultLazyThreshold is the lazy setting of the paper's
+	// figures.
 	LazyThreshold int
 }
 
