@@ -22,10 +22,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden part-digest fi
 
 // TestGoldenVectors extends core's golden VO fixtures across shard
 // counts: it pins the SHA-256 of core.EncodeVO for every part of a
-// seeded corpus over acc1/acc2 × batched=false/true × shards ∈ {1,2,4},
-// plus the monolithic core.FullNode VO. The nodes batch every answer
-// (§6.3) and ignore the argument, so each batched=false row pins that
-// its answer equals the batched=true row. Every sharded answer must be a
+// seeded corpus over acc1/acc2 × shards ∈ {1,2,4}, plus the monolithic
+// core.FullNode VO. The nodes batch every answer (§6.3) and ignore the
+// batched argument (TestFrontEndsServeBatchedAnswers pins that), so the
+// rows keep their batched=true label. Every sharded answer must be a
 // single part equal to the monolithic VO byte for byte. A refactor of the node layers must pass
 // without -update; regenerate with `go test -run TestGoldenVectors
 // -update ./internal/shard/` only after an intentional format change.
@@ -70,31 +70,27 @@ func TestGoldenVectors(t *testing.T) {
 				node miner
 			}{fmt.Sprintf("shards=%d", n), shard.New(0, builder, shard.Options{Shards: n, Band: band})})
 		}
-		for _, batched := range []bool{false, true} {
-			mono := map[int]string{}
-			for _, nd := range nodes {
-				if !batched {
-					for h, objs := range ds.Blocks {
-						if _, err := nd.node.MineBlock(objs, int64(1000+h)); err != nil {
-							t.Fatalf("%s %s: mining block %d: %v", a.name, nd.name, h, err)
-						}
-					}
+		mono := map[int]string{}
+		for _, nd := range nodes {
+			for h, objs := range ds.Blocks {
+				if _, err := nd.node.MineBlock(objs, int64(1000+h)); err != nil {
+					t.Fatalf("%s %s: mining block %d: %v", a.name, nd.name, h, err)
 				}
-				for qi, q := range queries {
-					parts, err := nd.node.TimeWindowParts(context.Background(), q, batched)
-					if err != nil {
-						t.Fatalf("%s %s q%d: %v", a.name, nd.name, qi, err)
-					}
-					for _, p := range parts {
-						sum := fmt.Sprintf("%x", sha256.Sum256(core.EncodeVO(a.acc, p.VO)))
-						got = append(got, fmt.Sprintf("%s/batched=%v/%s/q%d/[%d,%d] %s",
-							a.name, batched, nd.name, qi, p.Start, p.End, sum))
-						switch {
-						case nd.name == "mono":
-							mono[qi] = sum
-						case len(parts) != 1 || sum != mono[qi]:
-							t.Errorf("%s batched=%v %s q%d: the answer is not the monolithic VO", a.name, batched, nd.name, qi)
-						}
+			}
+			for qi, q := range queries {
+				parts, err := nd.node.TimeWindowParts(context.Background(), q, true)
+				if err != nil {
+					t.Fatalf("%s %s q%d: %v", a.name, nd.name, qi, err)
+				}
+				for _, p := range parts {
+					sum := fmt.Sprintf("%x", sha256.Sum256(core.EncodeVO(a.acc, p.VO)))
+					got = append(got, fmt.Sprintf("%s/batched=true/%s/q%d/[%d,%d] %s",
+						a.name, nd.name, qi, p.Start, p.End, sum))
+					switch {
+					case nd.name == "mono":
+						mono[qi] = sum
+					case len(parts) != 1 || sum != mono[qi]:
+						t.Errorf("%s %s q%d: the answer is not the monolithic VO", a.name, nd.name, qi)
 					}
 				}
 			}
