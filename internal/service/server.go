@@ -214,6 +214,9 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // queues. The miner calls it once per block, in height order. A
 // subscriber whose queue is full is evicted rather than awaited: one
 // slow consumer must not block the mining path or other subscribers.
+// Likewise a subscription the engine drops because its clause cannot
+// be proved against the block ends its connection, and the block's
+// other publications go out as usual.
 func (s *Server) ProcessBlock(height int) error {
 	ads, err := s.node.ADSAt(height)
 	if err != nil {
@@ -223,7 +226,20 @@ func (s *Server) ProcessBlock(height int) error {
 		return fmt.Errorf("service: no ADS at height %d", height)
 	}
 	pubs, err := s.engine.ProcessBlock(ads, s.node)
-	if err != nil {
+	var dropped *subscribe.DroppedError
+	if errors.As(err, &dropped) {
+		s.mu.Lock()
+		var owners []*serverConn
+		for _, id := range dropped.IDs {
+			if sc := s.subOwner[id]; sc != nil {
+				owners = append(owners, sc)
+			}
+		}
+		s.mu.Unlock()
+		for _, sc := range owners {
+			sc.teardown()
+		}
+	} else if err != nil {
 		return fmt.Errorf("service: subscriptions at height %d: %w", height, err)
 	}
 	for i := range pubs {

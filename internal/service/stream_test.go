@@ -529,6 +529,63 @@ func TestSlowConsumerEviction(t *testing.T) {
 	env.mine(t, block(3, "sedan"))
 }
 
+// TestUnprovableSubscriptionEndsItsStream: a subscription whose clause
+// the SP cannot prove disjoint from a block (its keyword encodes to the
+// code of an element of the block) ends its own stream with an error,
+// while a second connection gets a verified publication for every
+// block and mining continues.
+func TestUnprovableSubscriptionEndsItsStream(t *testing.T) {
+	env := newStreamEnv(t, ServerConfig{})
+	env.mine(t, block(1, "van", "audi"))
+	ads, err := env.node.ADSAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := ads.BlockW()
+	enc := accumulator.HashEncoder{Q: 512} // the env key's encoder
+	codes := map[int]bool{}
+	for _, e := range w {
+		c, _ := enc.Encode(e.Elem)
+		codes[c] = true
+	}
+	kw := ""
+	for i := 0; kw == "" && i < 1<<16; i++ {
+		el := core.KeywordElement(fmt.Sprintf("absent-%d", i))
+		if c, _ := enc.Encode(el); codes[c] && !w.IntersectsSet([]string{el}) {
+			kw = fmt.Sprintf("absent-%d", i)
+		}
+	}
+	if kw == "" {
+		t.Fatal("no colliding keyword found")
+	}
+
+	_, bad, _ := env.dialSub(t, core.Query{Bool: core.CNF{core.KeywordClause(kw)}, Width: 4})
+	_, good, _ := env.dialSub(t, sedanQuery())
+	env.mine(t, block(2, "van", "audi")) // collides: bad is dropped
+	env.mine(t, block(3, "sedan"))
+	env.mine(t, block(4, "truck"))
+	for h := 1; h <= 3; h++ {
+		d := recv(t, good)
+		if d.Err != nil || d.Pub.From != h || d.Pub.To != h {
+			t.Fatalf("good stream at height %d: [%d,%d] %v", h, d.Pub.From, d.Pub.To, d.Err)
+		}
+	}
+	deadline := time.After(10 * time.Second)
+	for open := true; open; {
+		select {
+		case _, open = <-bad.C:
+		case <-deadline:
+			t.Fatal("the unprovable subscription's stream did not end")
+		}
+	}
+	if bad.Err() == nil {
+		t.Error("the unprovable subscription's stream ended without an error")
+	}
+	if got := env.srv.Subscriptions(); !slices.Equal(got, []int{good.ID}) {
+		t.Errorf("server subscriptions %v, want [%d]", got, good.ID)
+	}
+}
+
 // TestStreamConnectionFailure: when the SP goes away mid-stream the
 // channel closes and the failure is reported via Err — a dead SP is
 // distinguishable from a clean unsubscribe.

@@ -3,8 +3,16 @@
 // pending span and publishes the span with its VO once a block may hold
 // results, shared processing of the registered queries (§7.1), and
 // lazy authentication (§7.2, Alg. 5), which keeps mismatch blocks
-// pending up to a threshold and aggregates their proofs. Real-time
-// publishing is the threshold-one case.
+// pending until the span covers a threshold of blocks and aggregates
+// their proofs. Real-time publishing is the threshold-one case.
+//
+// A pending span's trailing run of mismatch blocks folds into a skip
+// through core's one skip choice (core.BlockADS.PlanSkip), the one the
+// time-window walk uses, preferring the clause the covered blocks
+// share so that their proofs sum into the skip's. A subscription whose
+// clause cannot be proved against a block (a hash-encoder collision)
+// is dropped alone; the other subscriptions publish as usual
+// (DroppedError).
 //
 // Of the IP-tree of §7.1 the engine keeps the Boolean Condition
 // Inverted File (BCIF): each distinct clause with the queries sharing
@@ -205,9 +213,14 @@ func (e *Engine) clauseGroups() []clauseGroup {
 // then are publications assembled. Every subscription appends the
 // block to its pending span and publishes the span through flushLocked
 // once the block may hold results or the span covers LazyThreshold
-// blocks (at threshold 1, every block). Span collapses that need a fresh skip
-// proof schedule it on the emptied run, which is waited once more
-// before ProcessBlock returns.
+// blocks (at threshold 1, every block). Span collapses that need a
+// fresh skip proof schedule it on the emptied run, which is waited
+// once more before ProcessBlock returns.
+//
+// A proof that cannot be computed (a clause whose encoding collides
+// with an element of the block, say) fails only the subscriptions
+// whose VO needs it: they are dropped, and ProcessBlock returns the
+// other subscriptions' publications with a *DroppedError naming them.
 func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Publication, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -239,13 +252,25 @@ func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Public
 		}
 		planned[i] = vo.Blocks[0]
 	}
-	if err := run.WaitCtx(ctx); err != nil {
-		return nil, fmt.Errorf("subscribe: disjointness proof: %w", err)
+	// unproved holds the subscriptions whose VO lacks a proof: a failed
+	// task leaves its mismatch node's Proof nil, and a fresh skip proof
+	// clears its subscription's entry when it lands.
+	unproved := map[int]bool{}
+	proofErr := run.WaitCtx(ctx)
+	if proofErr != nil {
+		for i, id := range ids {
+			if !proved(planned[i].Tree) {
+				unproved[id] = true
+			}
+		}
 	}
 
 	var pubs []Publication
 	for i, id := range ids {
 		s := e.subs[id]
+		if unproved[id] {
+			continue
+		}
 		if len(s.pending) == 0 {
 			s.pendingFrom = h
 		}
@@ -254,7 +279,7 @@ func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Public
 		// LazyThreshold blocks; a block that may hold results publishes
 		// the span at once.
 		if decided[id] != nil {
-			if err := e.collapse(s, ads, view, run); err != nil {
+			if err := e.collapse(s, ads, view, run, unproved); err != nil {
 				return nil, err
 			}
 			if h-s.pendingFrom+1 < e.opts.LazyThreshold {
@@ -263,10 +288,51 @@ func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Public
 		}
 		pubs = append(pubs, *e.flushLocked(s))
 	}
-	if err := run.WaitCtx(ctx); err != nil {
-		return nil, fmt.Errorf("subscribe: skip proof: %w", err)
+	if err := run.WaitCtx(ctx); proofErr == nil {
+		proofErr = err
 	}
-	return pubs, nil
+	if proofErr == nil {
+		return pubs, nil
+	}
+	if len(unproved) == 0 {
+		return nil, fmt.Errorf("subscribe: disjointness proof: %w", proofErr)
+	}
+	pubs = slices.DeleteFunc(pubs, func(p Publication) bool { return unproved[p.QueryID] })
+	dropped := slices.Sorted(maps.Keys(unproved))
+	for _, id := range dropped {
+		delete(e.subs, id)
+	}
+	e.groups = nil
+	return pubs, &DroppedError{IDs: dropped, Err: proofErr}
+}
+
+// DroppedError reports the subscriptions that ProcessBlock dropped
+// because a disjointness proof their block VO needs could not be
+// computed. They are deregistered without a final publication; every
+// other subscription was processed as usual.
+type DroppedError struct {
+	// IDs are the dropped subscriptions, ascending.
+	IDs []int
+	// Err is the first proof failure.
+	Err error
+}
+
+func (e *DroppedError) Error() string {
+	return fmt.Sprintf("subscribe: dropped subscriptions %v: disjointness proof: %v", e.IDs, e.Err)
+}
+
+func (e *DroppedError) Unwrap() error { return e.Err }
+
+// proved reports whether every mismatch node of a block VO's tree holds
+// its proof.
+func proved(n *core.NodeVO) bool {
+	if n == nil {
+		return true
+	}
+	if n.Kind == core.KindMismatch {
+		return n.Proof != nil
+	}
+	return proved(n.Left) && proved(n.Right)
 }
 
 // mismatch is a block-level decision: the whole block misses clause,
@@ -334,8 +400,9 @@ func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) map[int]
 // (Alg. 5), through core's skip choice (BlockADS.PlanSkip). A skip
 // whose blocks share their clause cites it, and under acc2 its proof
 // is the ProofSum of theirs; any other skip cites the first clause of
-// the query its span misses, proved afresh on run.
-func (e *Engine) collapse(s *subState, ads *core.BlockADS, view core.ChainView, run *proofs.Run) error {
+// the query its span misses, proved afresh on run; s stays in
+// unproved until that proof lands.
+func (e *Engine) collapse(s *subState, ads *core.BlockADS, view core.ChainView, run *proofs.Run, unproved map[int]bool) error {
 	start := len(s.pending)
 	for start > 0 && s.pending[start-1].Skip == nil && s.pending[start-1].Tree.Kind == core.KindMismatch {
 		start--
@@ -376,7 +443,11 @@ func (e *Engine) collapse(s *subState, ads *core.BlockADS, view core.ChainView, 
 			return fmt.Errorf("subscribe: skip proof sum: %w", err)
 		}
 	} else {
-		run.Add(w, skip.Clause.Key(), skip.Clause.Multiset(), func(pf accumulator.Proof) { skip.Proof = pf })
+		unproved[s.id] = true
+		run.Add(w, skip.Clause.Key(), skip.Clause.Multiset(), func(pf accumulator.Proof) {
+			skip.Proof = pf
+			delete(unproved, s.id)
+		})
 	}
 	s.pending = append(s.pending[:len(s.pending)-skip.Distance], core.BlockVO{Height: ads.Height, Skip: skip})
 	return nil

@@ -2,6 +2,8 @@ package subscribe
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -103,9 +105,9 @@ func (a failingAcc) ProveDisjoint(x1, x2 multiset.Multiset) (accumulator.Proof, 
 }
 
 // TestLazySkipProofFailureFailsBlock pins that a fresh skip proof that
-// fails for any reason but the key's capacity fails ProcessBlock at
-// every worker count, instead of silently falling back to a smaller
-// skip.
+// fails for any reason but the key's capacity is reported by
+// ProcessBlock at every worker count, which drops the subscription,
+// instead of silently falling back to a smaller skip.
 func TestLazySkipProofFailureFailsBlock(t *testing.T) {
 	acc := acc1(t) // no ProofSum: every collapse proves its skip afresh
 	for _, workers := range []int{1, 4} {
@@ -128,8 +130,9 @@ func TestLazySkipProofFailureFailsBlock(t *testing.T) {
 			}
 			_, err = engine.ProcessBlock(adsAt(t, node, h), node)
 		}
-		if !errors.Is(err, errInjectedProof) {
-			t.Errorf("%d workers: got %v, want the injected skip-proof failure", workers, err)
+		var dropped *DroppedError
+		if !errors.Is(err, errInjectedProof) || !errors.As(err, &dropped) || !slices.Equal(dropped.IDs, []int{0}) {
+			t.Errorf("%d workers: got %v, want the injected skip-proof failure dropping subscription 0", workers, err)
 		}
 	}
 }
@@ -184,5 +187,105 @@ func TestIPTreeGroupProofsRunConcurrently(t *testing.T) {
 	}
 	if !racc.met.Load() {
 		t.Fatal("the two group proofs ran one after the other")
+	}
+}
+
+// collidingKeyword returns a keyword whose element is in neither
+// multiset but encodes, under enc, to the code of an element that only
+// in has: the SP cannot prove a block with that element disjoint from
+// the keyword (a hash-encoder collision, a liveness issue only).
+func collidingKeyword(t *testing.T, enc accumulator.ElementEncoder, in, notIn multiset.Multiset) string {
+	t.Helper()
+	code := func(elem string) int {
+		c, err := enc.Encode(elem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	target := map[int]bool{}
+	for _, e := range in {
+		target[code(e.Elem)] = true
+	}
+	for _, e := range notIn {
+		delete(target, code(e.Elem))
+	}
+	for i := 0; i < 1<<16; i++ {
+		el := core.KeywordElement(fmt.Sprintf("absent-%d", i))
+		if target[code(el)] && !in.IntersectsSet([]string{el}) {
+			return fmt.Sprintf("absent-%d", i)
+		}
+	}
+	t.Fatal("no colliding keyword found")
+	return ""
+}
+
+// TestUnprovableSubscriptionDropped pins that a subscription whose
+// clause cannot be proved disjoint from a block is dropped alone: its
+// keyword collides with an element of the one result block, so
+// ProcessBlock names it in a *DroppedError there and deregisters it,
+// and every other subscription publishes byte for byte what a run
+// without it publishes, eager and lazy, with and without the IP-tree.
+func TestUnprovableSubscriptionDropped(t *testing.T) {
+	acc := acc2(t)
+	const blocks, matchAt = 10, 6
+	node := core.NewFullNode(0, &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: testWidth})
+	for h := 0; h < blocks; h++ {
+		if _, err := node.MineBlock(rentalObjects(h, h == matchAt), int64(1000+h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kw := collidingKeyword(t, accumulator.HashEncoder{Q: 512}, // acc2's encoder
+		adsAt(t, node, matchAt).BlockW(), adsAt(t, node, 0).BlockW())
+	others := []core.Query{carQuery(), {Bool: core.CNF{core.KeywordClause("bmw")}, Width: testWidth}}
+	colliding := core.Query{Bool: core.CNF{core.KeywordClause(kw)}, Width: testWidth}
+
+	for _, threshold := range []int{0, 4} {
+		for _, ip := range []bool{false, true} {
+			name := fmt.Sprintf("threshold=%d/iptree=%v", threshold, ip)
+			// process runs a fresh engine over the chain and returns its
+			// publications, encoded, and each block's error.
+			process := func(queries []core.Query) (map[int][]string, map[int]error, *Engine) {
+				t.Helper()
+				eng := NewEngine(acc, Options{UseIPTree: ip, LazyThreshold: threshold, Proofs: newProofs(acc)})
+				for _, q := range queries {
+					if _, err := eng.Register(q); err != nil {
+						t.Fatal(err)
+					}
+				}
+				pubs, errs := map[int][]string{}, map[int]error{}
+				for h := 0; h < blocks; h++ {
+					due, err := eng.ProcessBlock(adsAt(t, node, h), node)
+					if err != nil {
+						errs[h] = err
+					}
+					for _, p := range due {
+						if p.To >= matchAt && p.QueryID == len(others) {
+							t.Errorf("%s: the colliding query published [%d,%d]", name, p.From, p.To)
+						}
+						pubs[p.QueryID] = append(pubs[p.QueryID],
+							fmt.Sprintf("[%d,%d] %x", p.From, p.To, core.EncodeVO(acc, p.VO)))
+					}
+				}
+				return pubs, errs, eng
+			}
+			want, errs, _ := process(others)
+			if len(errs) != 0 {
+				t.Fatalf("%s: without the colliding query: %v", name, errs)
+			}
+			got, errs, eng := process(append(others, colliding))
+			var dropped *DroppedError
+			if len(errs) != 1 || !errors.As(errs[matchAt], &dropped) || !slices.Equal(dropped.IDs, []int{len(others)}) {
+				t.Fatalf("%s: block errors %v, want one *DroppedError of subscription %d at height %d", name, errs, len(others), matchAt)
+			}
+			if ids := eng.Subscriptions(); !slices.Equal(ids, []int{0, 1}) {
+				t.Errorf("%s: subscriptions %v after the drop, want [0 1]", name, ids)
+			}
+			for id := range others {
+				if !slices.Equal(got[id], want[id]) {
+					t.Errorf("%s: q%d publishes differently beside the colliding query", name, id)
+				}
+			}
+		}
 	}
 }

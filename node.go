@@ -2,6 +2,7 @@ package vchain
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -101,7 +102,12 @@ func (n *Node) Close() error { return n.node.Close() }
 // Mine appends a block of objects with the given timestamp — it commits
 // atomically to its owning shard — and returns the new block. Registered
 // subscriptions are processed automatically; due publications are
-// returned alongside.
+// returned alongside. A subscription whose clause cannot be proved
+// disjoint from the block (a hash-encoder collision) is dropped: Mine
+// then returns the block and the other publications with a
+// *DroppedError naming the dropped ids, so a caller tells it apart
+// from a failed mine with errors.As. Remote subscriptions dropped so
+// lose their connection instead.
 func (n *Node) Mine(objs []Object, ts int64) (*Block, []Publication, error) {
 	blk, err := n.node.MineBlock(objs, ts)
 	if err != nil {
@@ -111,13 +117,14 @@ func (n *Node) Mine(objs []Object, ts int64) (*Block, []Publication, error) {
 	engine, srv := n.engine, n.srv
 	n.mu.Unlock()
 	var pubs []Publication
+	var dropped *DroppedError
 	if engine != nil {
 		ads, err := n.node.ADSAt(int(blk.Header.Height))
 		if err != nil {
 			return nil, nil, fmt.Errorf("vchain: subscriptions: %w", err)
 		}
 		pubs, err = engine.ProcessBlock(ads, n.node)
-		if err != nil {
+		if err != nil && !errors.As(err, &dropped) {
 			return nil, nil, fmt.Errorf("vchain: subscriptions: %w", err)
 		}
 	}
@@ -128,6 +135,9 @@ func (n *Node) Mine(objs []Object, ts int64) (*Block, []Publication, error) {
 		if err := srv.ProcessBlock(int(blk.Header.Height)); err != nil {
 			return nil, nil, fmt.Errorf("vchain: remote subscriptions: %w", err)
 		}
+	}
+	if dropped != nil {
+		return blk, pubs, dropped
 	}
 	return blk, pubs, nil
 }

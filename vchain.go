@@ -87,6 +87,10 @@ type (
 	ShardReport = shard.ShardReport
 	// Publication is a subscription delivery.
 	Publication = subscribe.Publication
+	// DroppedError is what Node.Mine returns beside a mined block when
+	// it dropped local subscriptions whose clause could not be proved
+	// against the block; its IDs name them.
+	DroppedError = subscribe.DroppedError
 	// RemoteStream is a remote subscription's verified delivery
 	// stream (SPClient.Subscribe).
 	RemoteStream = service.Subscription

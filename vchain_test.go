@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/chain"
 	"github.com/vchain-go/vchain/internal/core"
 	"github.com/vchain-go/vchain/internal/storage"
@@ -190,6 +192,60 @@ func TestFacadeSubscription(t *testing.T) {
 		// Unsubscribed: mining publishes nothing more.
 		if _, p, err := node.Mine(carBlock(blocks), blocks); err != nil || len(p) != 0 {
 			t.Fatalf("after Unsubscribe: %d publications, %v", len(p), err)
+		}
+	})
+}
+
+// TestFacadeMineDropsUnprovableSubscription: a local subscription whose
+// keyword encodes to the code of an element of the block cannot be
+// proved disjoint from it. Mine drops it and returns the mined block,
+// the other subscription's publication and a *DroppedError naming it;
+// mining goes on.
+func TestFacadeMineDropsUnprovableSubscription(t *testing.T) {
+	sys := testSystem(t, "acc2", IndexBoth)
+	enc := accumulator.HashEncoder{Q: 512} // testSystem's Capacity
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		node := sys.NewNode(shards)
+		defer node.Close()
+		mine(t, node, 0, 1)
+		ads, err := node.node.ADSAt(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := ads.BlockW()
+		codes := map[int]bool{}
+		for _, e := range w {
+			c, _ := enc.Encode(e.Elem)
+			codes[c] = true
+		}
+		kw := ""
+		for i := 0; kw == "" && i < 1<<16; i++ {
+			el := core.KeywordElement(fmt.Sprintf("absent-%d", i))
+			if c, _ := enc.Encode(el); codes[c] && !w.IntersectsSet([]string{el}) {
+				kw = fmt.Sprintf("absent-%d", i)
+			}
+		}
+		if kw == "" {
+			t.Fatal("no colliding keyword found")
+		}
+		bad, err := node.Subscribe(Query{Bool: And(Or(kw)), Width: 4}, SubscribeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		good, err := node.Subscribe(Query{Bool: And(Or("sedan")), Width: 4}, SubscribeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk, pubs, err := node.Mine(carBlock(1), 1)
+		var dropped *DroppedError
+		if !errors.As(err, &dropped) || !slices.Equal(dropped.IDs, []int{bad}) {
+			t.Fatalf("Mine error %v, want a *DroppedError of subscription %d", err, bad)
+		}
+		if blk == nil || blk.Header.Height != 1 || len(pubs) != 1 || pubs[0].QueryID != good {
+			t.Fatalf("Mine returned block %v and %d publications, want block 1 and q%d's", blk, len(pubs), good)
+		}
+		if _, pubs, err := node.Mine(carBlock(2), 2); err != nil || len(pubs) != 1 {
+			t.Fatalf("after the drop: %d publications, %v", len(pubs), err)
 		}
 	})
 }
