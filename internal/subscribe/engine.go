@@ -267,10 +267,10 @@ func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Public
 
 	var pubs []Publication
 	for i, id := range ids {
-		s := e.subs[id]
 		if unproved[id] {
 			continue
 		}
+		s := e.subs[id]
 		if len(s.pending) == 0 {
 			s.pendingFrom = h
 		}
