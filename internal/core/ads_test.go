@@ -215,6 +215,67 @@ func TestSkipEntriesAggregateCorrectly(t *testing.T) {
 
 // mustADS fetches a committed height's ADS through the view, failing
 // the test on a page-in error or absence.
+// countingView counts the ADS page-ins through a view.
+type countingView struct {
+	ChainView
+	reads int
+}
+
+func (v *countingView) ADSAt(h int) (*BlockADS, error) {
+	v.reads++
+	return v.ChainView.ADSAt(h)
+}
+
+// TestPlanSkipBoundAndEarlyStop pins PlanSkip's two limits on span
+// derivation: it considers no skip that reaches below lowest, and it
+// pages in no block beyond the first span pick rejects. Among the spans
+// pick accepts, the largest wins, citing pick's clause.
+func TestPlanSkipBoundAndEarlyStop(t *testing.T) {
+	acc := adsAcc(t)
+	node := NewFullNode(0, &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 3, Width: testWidth})
+	const h = 20 // skips of distance 4, 8 and 16
+	for i := 0; i <= h; i++ {
+		if _, err := node.MineBlock(carObjects(uint64(i*10)), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ads := mustADS(t, node, h)
+	clause := KeywordClause("truck")
+	for _, tc := range []struct {
+		name      string
+		lowest    int
+		rejectAt  int // first covered height pick rejects, or -1
+		wantFroms []int
+		wantDist  int
+		wantReads int
+	}{
+		{"all accepted", 0, -1, []int{17, 13, 5}, 16, 15},
+		{"bounded by lowest", 13, -1, []int{17, 13}, 8, 7},
+		{"stops at the first rejected span", 0, 13, []int{17, 13}, 4, 7},
+		{"first span rejected", 0, 17, []int{17}, 0, 3},
+		{"no skip above lowest", 18, -1, nil, 0, 0},
+	} {
+		view := &countingView{ChainView: node}
+		var froms []int
+		skip, w, err := ads.PlanSkip(view, acc, tc.lowest, func(from int, w multiset.Multiset) (Clause, bool) {
+			froms = append(froms, from)
+			return clause, from != tc.rejectAt
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(froms, tc.wantFroms) || view.reads != tc.wantReads {
+			t.Errorf("%s: pick saw spans from %v after %d page-ins, want %v after %d", tc.name, froms, view.reads, tc.wantFroms, tc.wantReads)
+		}
+		switch {
+		case tc.wantDist == 0 && skip != nil:
+			t.Errorf("%s: got a distance-%d skip, want none", tc.name, skip.Distance)
+		case tc.wantDist != 0 && (skip == nil || skip.Distance != tc.wantDist || !skip.Clause.Equal(clause) || w.Cardinality() == 0):
+			t.Errorf("%s: got skip %+v, want distance %d citing %v", tc.name, skip, tc.wantDist, clause)
+		}
+	}
+}
+
 func mustADS(t *testing.T, view ChainView, h int) *BlockADS {
 	t.Helper()
 	ads, err := view.ADSAt(h)
