@@ -20,6 +20,7 @@ package vchain_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -414,14 +415,17 @@ func BenchmarkClusteringAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkSPParallelism measures the proof-worker pool (the paper's SP
-// runs 24 threads). Each engine runs uncached, so every iteration proves.
+// BenchmarkSPParallelism measures the proof engine at GOMAXPROCS 1 and
+// 4 (the paper's SP runs 24 threads). Each engine runs uncached, so
+// every iteration proves.
 func BenchmarkSPParallelism(b *testing.B) {
 	f := fixture(b, workload.FSQ, "acc2", core.ModeIntra, 0)
 	q := benchQuery(f, 7)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng := proofs.New(f.acc, proofs.Options{Workers: workers, CacheSize: -1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			runtime.GOMAXPROCS(procs)
+			eng := proofs.New(f.acc, proofs.Options{CacheSize: -1})
 			sp := &core.SP{Acc: f.acc, View: f.node, Engine: eng}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -31,7 +31,9 @@
 // With -shards N the SP spreads the chain by height range across N
 // shards: each owns its own block store subdirectory, and a time-window
 // query still answers one VO, byte for byte the one-shard answer,
-// proved on the node's one -workers pool. One shard is the default.
+// proved by the node's one proof engine on up to GOMAXPROCS goroutines
+// (set it with the GOMAXPROCS environment variable). One shard is the
+// default.
 //
 // The SP runs on the public vchain API with a deterministic System
 // (seed "vchain-demo", -preset, the dataset's width) that vchain-query
@@ -60,7 +62,6 @@ func main() {
 		objs     = flag.Int("objects", 4, "objects per block")
 		preset   = flag.String("preset", "toy", "pairing preset")
 		seed     = flag.Int64("seed", 42, "workload seed")
-		workers  = flag.Int("workers", 4, "proof-computation workers: goroutines proving each query's or block's proofs, at most GOMAXPROCS, at any shard count")
 		interval = flag.Duration("mine-interval", 0, "keep mining one block per interval after startup (0 = off)")
 		subLT    = flag.Int("lazy-threshold", 0, "lazy subscription authentication (§7.2): blocks a subscription's mismatch span may stay pending (0 = publish every block)")
 		store    = flag.String("store", "", "block store directory: blocks and ADSs persist there and are recovered on restart (empty = in-memory)")
@@ -88,7 +89,6 @@ func main() {
 	sys, err := vchain.NewSystem(vchain.Config{
 		Preset:         *preset,
 		BitWidth:       ds.Width,
-		SPWorkers:      *workers,
 		ADSCacheBlocks: *adsCache,
 		Seed:           []byte("vchain-demo"),
 	})

@@ -11,8 +11,9 @@
 //
 // The keyword list forms one disjunctive clause (kw1 ∨ kw2 ∨ …);
 // -lo/-hi add a numeric range. Exit code 0 means every received
-// publication verified; a tampering SP makes the stream error and the
-// command exit non-zero.
+// publication verified. Exit code 1 means a publication failed
+// verification ("VERIFICATION FAILED") or the connection ended the
+// stream ("stream ended abnormally").
 package main
 
 import (
@@ -79,6 +80,9 @@ func main() {
 	}()
 	received, results := 0, 0
 	for d := range sub.C {
+		if d.Pub == nil {
+			break // the stream's end, not a verdict: sub.Err reports it
+		}
 		if d.Err != nil {
 			fatal(fmt.Errorf("VERIFICATION FAILED — the SP is cheating or misconfigured: %w", d.Err))
 		}

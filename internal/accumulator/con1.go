@@ -99,7 +99,7 @@ func powerBaseMuls(pr *pairing.Params, s *big.Int, dst []ec.Point) {
 		cur = next
 	}
 	js := make([]ec.JacPoint, n)
-	par.For(n, n, func(i int) { js[i] = fb.MulJac(scalars[i]) })
+	par.For(n, func(i int) { js[i] = fb.MulJac(scalars[i]) })
 	// One batch inversion for the whole public key instead of one per
 	// element.
 	copy(dst, pr.C.NormalizeJac(js))

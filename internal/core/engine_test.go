@@ -29,7 +29,7 @@ func TestEngineVOEquivalence(t *testing.T) {
 
 			// Shared engine, queried twice: the second run is served
 			// almost entirely from the cache.
-			eng := proofs.New(acc, proofs.Options{Workers: 2})
+			eng := proofs.New(acc, proofs.Options{})
 			sp := &SP{Acc: acc, View: node, Engine: eng}
 			if _, err := sp.TimeWindowQuery(context.Background(), q); err != nil {
 				t.Fatal(err)
@@ -69,7 +69,7 @@ func TestBatchedEngineEquivalence(t *testing.T) {
 	q := sedanBenzQuery(0, 3)
 	ver := &Verifier{Acc: acc, Light: light}
 
-	eng := proofs.New(acc, proofs.Options{Workers: 3})
+	eng := proofs.New(acc, proofs.Options{})
 	sp := &SP{Acc: acc, View: node, Batch: true, Engine: eng}
 	var sizes []int
 	for i := 0; i < 2; i++ {
@@ -113,7 +113,7 @@ func BenchmarkRepeatedWindowQuery(b *testing.B) {
 		{"cached", 0},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			eng := proofs.New(acc, proofs.Options{Workers: 1, CacheSize: cfg.cache})
+			eng := proofs.New(acc, proofs.Options{CacheSize: cfg.cache})
 			sp := &SP{Acc: acc, View: node, Engine: eng}
 			// Warm once so both variants measure steady state.
 			vo, err := sp.TimeWindowQuery(context.Background(), q)

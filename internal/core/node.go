@@ -432,7 +432,8 @@ func (n *FullNode) MineBlock(objs []chain.Object, ts int64) (*chain.Block, error
 }
 
 // ProofEngine returns the node's shared proof engine, creating a
-// default one (single default worker, default cache) on first use.
+// default one (proving on GOMAXPROCS goroutines, default cache) on
+// first use.
 func (n *FullNode) ProofEngine() *proofs.Engine {
 	n.proofsMu.Lock()
 	defer n.proofsMu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
@@ -12,11 +13,10 @@ import (
 	"github.com/vchain-go/vchain/internal/proofs"
 )
 
-// spWithWorkers returns an SP over node on a fresh engine of the given
-// worker count, proving through acc (the node's accumulator or a
-// decorator of it).
-func spWithWorkers(node *FullNode, acc accumulator.Accumulator, batch bool, workers int) *SP {
-	return &SP{Acc: node.Acc(), View: node, Batch: batch, Engine: proofs.New(acc, proofs.Options{Workers: workers})}
+// freshSP returns an SP over node on a fresh engine proving through acc
+// (the node's accumulator or a decorator of it).
+func freshSP(node *FullNode, acc accumulator.Accumulator, batch bool) *SP {
+	return &SP{Acc: node.Acc(), View: node, Batch: batch, Engine: proofs.New(acc, proofs.Options{})}
 }
 
 // TestParallelSPMatchesSequential checks that a parallel SP produces a
@@ -32,7 +32,7 @@ func TestParallelSPMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				par, err := spWithWorkers(node, acc, false, 4).TimeWindowQuery(context.Background(), q)
+				par, err := freshSP(node, acc, false).TimeWindowQuery(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -62,12 +62,12 @@ func TestParallelSPMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelSPWithBatch combines §6.3 batching with the worker pool.
+// TestParallelSPWithBatch combines §6.3 batching with parallel proving.
 func TestParallelSPWithBatch(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, light := buildTestChain(t, acc, ModeIntra, 4)
 	q := sedanBenzQuery(0, 3)
-	vo, err := spWithWorkers(node, acc, true, 3).TimeWindowQuery(context.Background(), q)
+	vo, err := freshSP(node, acc, true).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestParallelSPNoResults(t *testing.T) {
 	acc := testAccs(t)["acc2"]
 	node, light := buildTestChain(t, acc, ModeBoth, 8)
 	q := Query{StartBlock: 0, EndBlock: 7, Bool: CNF{KeywordClause("tesla")}, Width: testWidth}
-	vo, err := spWithWorkers(node, acc, false, 4).TimeWindowQuery(context.Background(), q)
+	vo, err := freshSP(node, acc, false).TimeWindowQuery(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,48 +113,52 @@ func (a failingAcc) ProveDisjoint(x1, x2 multiset.Multiset) (accumulator.Proof, 
 	return a.Accumulator.ProveDisjoint(x1, x2)
 }
 
-// TestAnswersIndependentOfWorkerCount pins that the proof pool's size
-// changes neither an answer's bytes nor a failed proof's outcome.
+// TestAnswersIndependentOfWorkerCount pins that the number of
+// goroutines proving a run, set by GOMAXPROCS, changes neither an
+// answer's bytes nor a failed proof's outcome.
 func TestAnswersIndependentOfWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	queries := []Query{
 		sedanBenzQuery(0, 7),
 		{StartBlock: 0, EndBlock: 7, Bool: CNF{KeywordClause("tesla")}, Width: testWidth},
 		{StartBlock: 2, EndBlock: 6, Range: &RangeCond{Lo: []int64{4}, Hi: []int64{8}}, Width: testWidth},
 	}
-	workerCounts := []int{1, 2, 4}
+	procCounts := []int{1, 2, 4}
 	for accName, acc := range testAccs(t) {
 		node, _ := buildTestChain(t, acc, ModeBoth, 8)
 		for _, batched := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/batched=%v", accName, batched), func(t *testing.T) {
 				for qi, q := range queries {
 					var want []byte
-					for _, workers := range workerCounts {
-						vo, err := spWithWorkers(node, acc, batched, workers).TimeWindowQuery(context.Background(), q)
+					for _, procs := range procCounts {
+						runtime.GOMAXPROCS(procs)
+						vo, err := freshSP(node, acc, batched).TimeWindowQuery(context.Background(), q)
 						if err != nil {
-							t.Fatalf("query %d, %d workers: %v", qi, workers, err)
+							t.Fatalf("query %d, GOMAXPROCS %d: %v", qi, procs, err)
 						}
 						got := EncodeVO(acc, vo)
 						if want == nil {
 							want = got
 						} else if !bytes.Equal(got, want) {
-							t.Errorf("query %d: %d workers encode different bytes than 1", qi, workers)
+							t.Errorf("query %d: GOMAXPROCS %d encodes different bytes than 1", qi, procs)
 						}
 					}
 				}
 			})
 		}
 
-		// A skip whose proof fails fails the query, at every worker count.
+		// A skip whose proof fails fails the query, at every GOMAXPROCS.
 		t.Run(accName+"/failing-skip-proof", func(t *testing.T) {
 			root, err := node.ADSAt(0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			failing := failingAcc{Accumulator: acc, blockCard: root.BlockW().Cardinality()}
-			for _, workers := range workerCounts {
-				_, err := spWithWorkers(node, failing, false, workers).TimeWindowQuery(context.Background(), queries[1])
+			for _, procs := range procCounts {
+				runtime.GOMAXPROCS(procs)
+				_, err := freshSP(node, failing, false).TimeWindowQuery(context.Background(), queries[1])
 				if !errors.Is(err, errInjectedProof) {
-					t.Errorf("%d workers: got %v, want the injected proof failure", workers, err)
+					t.Errorf("GOMAXPROCS %d: got %v, want the injected proof failure", procs, err)
 				}
 			}
 		})
@@ -173,15 +177,17 @@ func (a cancelingAcc) ProveDisjoint(x1, x2 multiset.Multiset) (accumulator.Proof
 }
 
 // TestDeadlineStopsProvingAtOneWorker pins that a canceled query stops
-// proving mid-block on a one-worker engine, as it does on larger pools.
+// proving mid-block at GOMAXPROCS 1, where a run proves on one
+// goroutine, as it does on more.
 func TestDeadlineStopsProvingAtOneWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	acc := testAccs(t)["acc2"]
 	node, _ := buildTestChain(t, acc, ModeIntra, 1)
 	// Block 0 holds three non-matching cars: at least two mismatch proofs.
 	q := sedanBenzQuery(0, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sp := spWithWorkers(node, cancelingAcc{Accumulator: acc, cancel: cancel}, false, 1)
+	sp := freshSP(node, cancelingAcc{Accumulator: acc, cancel: cancel}, false)
 	if _, err := sp.TimeWindowQuery(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want an error wrapping context.Canceled", err)
 	}

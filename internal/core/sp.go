@@ -25,8 +25,8 @@ var ErrADSUnavailable = errors.New("core: block ADS unavailable")
 //
 // All disjointness proofs are scheduled on a proofs.Run of the SP's
 // engine, which memoizes (multiset, clause) pairs and computes them on
-// its worker pool. Sharing one engine across SPs, repeated queries,
-// and the subscription engine is where cross-query proof reuse
+// up to GOMAXPROCS goroutines. Sharing one engine across SPs, repeated
+// queries, and the subscription engine is where cross-query proof reuse
 // (§6.3/§7) comes from.
 type SP struct {
 	// Acc is the shared accumulator construction.
@@ -37,9 +37,8 @@ type SP struct {
 	// sharing a clause are aggregated with Sum/ProofSum. Requires an
 	// aggregating accumulator (acc2); silently ignored otherwise.
 	Batch bool
-	// Engine is the proof engine (required); its worker count is the
-	// SP's proof parallelism. FullNode.SP attaches the node's shared
-	// engine.
+	// Engine is the proof engine (required). FullNode.SP attaches the
+	// node's shared engine.
 	Engine *proofs.Engine
 }
 

@@ -47,10 +47,9 @@ type Verifier struct {
 	// check runs its own VerifyDisjoint, in collection order. This is
 	// the paper's baseline client and the differential-testing anchor.
 	Sequential bool
-	// Workers bounds how many flushBatchSize chunks of a batched flush
-	// are verified at once, the caller's goroutine included. 0 leaves
-	// only the process's one par budget, which the Miller-loop splits
-	// inside each chunk share.
+	// Deprecated: Workers is ignored. GOMAXPROCS alone bounds how many
+	// chunks of a batched flush are verified at once; the field stays so
+	// that the benchmark harness, which sets it, keeps compiling.
 	Workers int
 }
 
@@ -152,11 +151,7 @@ func (v *Verifier) flush(checks []pendingCheck) error {
 	var firstBad atomic.Int64
 	firstBad.Store(int64(len(checks)))
 	chunks := (len(checks) + flushBatchSize - 1) / flushBatchSize
-	limit := v.Workers
-	if limit <= 0 {
-		limit = chunks
-	}
-	par.For(chunks, limit, func(c int) {
+	par.For(chunks, func(c int) {
 		lo := c * flushBatchSize
 		if int64(lo) > firstBad.Load() {
 			return

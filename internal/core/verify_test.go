@@ -285,13 +285,14 @@ func TestFlushSurfacesFirstFailingCheck(t *testing.T) {
 			first := slices.Min(bad)
 			want, chunks = checks[first].err, int64(first/flushBatchSize+1)
 		}
-		for _, workers := range []int{0, 1} {
+		for _, procs := range []int{4, 1} {
+			runtime.GOMAXPROCS(procs)
 			for range 20 {
 				acc := &markedAcc{}
-				if got := (&Verifier{Acc: acc, Workers: workers}).flush(checks); !errors.Is(got, want) {
-					t.Fatalf("failing %v, Workers %d: got %v, want %v", bad, workers, got, want)
+				if got := (&Verifier{Acc: acc}).flush(checks); !errors.Is(got, want) {
+					t.Fatalf("failing %v, GOMAXPROCS %d: got %v, want %v", bad, procs, got, want)
 				}
-				if got := acc.batches.Load(); workers == 1 && got != chunks {
+				if got := acc.batches.Load(); procs == 1 && got != chunks {
 					t.Fatalf("failing %v on one goroutine: %d chunks verified, want %d", bad, got, chunks)
 				}
 			}

@@ -121,11 +121,13 @@ func (c *Curve) msmPippenger(pts []Point, ks []*big.Int, maxBits int) Point {
 		return sum
 	}
 
-	limit := nWindows
 	if len(pts) < msmParallelMin {
-		limit = 1
+		for wi := range sums {
+			sums[wi] = windowSum(wi)
+		}
+	} else {
+		par.For(nWindows, func(wi int) { sums[wi] = windowSum(wi) })
 	}
-	par.For(nWindows, limit, func(wi int) { sums[wi] = windowSum(wi) })
 
 	var acc JacPoint
 	for wi := nWindows - 1; wi >= 0; wi-- {

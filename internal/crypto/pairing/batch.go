@@ -245,12 +245,11 @@ func (pr *Params) runPlan(pl batchPlan, exps []*big.Int) GT {
 	for _, mp := range pl.shared {
 		shared = pr.millerArgs(shared, []PairPair{{P: point(mp.p), Q: point(mp.q)}}, false)
 	}
-	n := runtime.GOMAXPROCS(0)
-	terms := splitArgs(nil, shared, n)
+	terms := splitArgs(nil, shared, runtime.GOMAXPROCS(0))
 	for i, pairs := range pl.own {
 		if args := pr.millerArgs(nil, pairs, false); len(args) > 0 {
 			terms = append(terms, millerTerm{args: args, exp: exps[i]})
 		}
 	}
-	return GT{V: pr.finalExp(pr.millerTerms(terms, n))}
+	return GT{V: pr.finalExp(pr.millerTerms(terms))}
 }

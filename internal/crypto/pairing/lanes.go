@@ -12,12 +12,12 @@ func (pr *Params) lanes() bool { return pr.F.HasVec() && !pr.scalarMiller }
 
 // millerLanes is millerTerms on the field's 8-lane kernel. Every term's
 // args are packed into chunks of at most eight, one pair per lane, and
-// the chunks run on up to n goroutines (par.For). In a chunk the pairs
-// advance in lockstep through the digits of r, each lane keeping its
-// own point T and its own Miller value f_j and running doubleStep's and
-// addStep's formulas unchanged, so an 8-lane product costs a chunk what
-// one Field.Mul costs a single pair (BenchmarkVecMul against
-// BenchmarkFieldMul).
+// the chunks run on up to GOMAXPROCS goroutines (par.For). In a chunk
+// the pairs advance in lockstep through the digits of r, each lane
+// keeping its own point T and its own Miller value f_j and running
+// doubleStep's and addStep's formulas unchanged, so an 8-lane product
+// costs a chunk what one Field.Mul costs a single pair (BenchmarkVecMul
+// against BenchmarkFieldMul).
 //
 // The values are millerTerms' element for element. A lane's f_j is
 // its pair's own factor of the shared accumulator, because F_p²
@@ -25,14 +25,14 @@ func (pr *Params) lanes() bool { return pr.F.HasVec() && !pr.scalarMiller }
 // squares; an arg's conjugation applies to f_j as a whole, since
 // conjugation is a field automorphism. Each term then multiplies out
 // its args' values and takes its exponent.
-func (pr *Params) millerLanes(terms []millerTerm, n int) ff.Elt2 {
+func (pr *Params) millerLanes(terms []millerTerm) ff.Elt2 {
 	var args []millerArg
 	for _, t := range terms {
 		args = append(args, t.args...)
 	}
 	vals := make([]ff.Elt2, len(args))
 	chunks := (len(args) + ff.VecLanes - 1) / ff.VecLanes
-	par.For(chunks, n, func(c int) {
+	par.For(chunks, func(c int) {
 		lo, hi := c*len(args)/chunks, (c+1)*len(args)/chunks
 		pr.millerChunk(args[lo:hi], vals[lo:hi])
 	})

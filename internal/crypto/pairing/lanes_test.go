@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/crypto/ec"
@@ -47,11 +48,12 @@ func laneInputs(pr *Params, rng *rand.Rand) []PairPair {
 // one element for element, before the final exponentiation, at the
 // default preset: 1–17 args drawn from laneInputs, about half entering
 // conjugated, cut into terms of which some are raised to a random
-// 64-bit exponent, on one and on two goroutines. Every arg's own value
+// 64-bit exponent, at GOMAXPROCS 1 and 2. Every arg's own value
 // (millerChunk) is also checked against its scalar loop.
 func TestMillerLanesMatchScalar(t *testing.T) {
 	pr := laneParams(t)
 	sc := pr.ScalarMiller()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(89))
 	pairs := laneInputs(pr, rng)
 	for m := 1; m <= 17; m++ {
@@ -68,9 +70,10 @@ func TestMillerLanesMatchScalar(t *testing.T) {
 			}
 			terms, rest = append(terms, term), rest[k:]
 		}
-		for _, n := range []int{1, 2} {
-			if got, want := pr.millerTerms(terms, n), sc.millerTerms(terms, n); !got.Equal(want) {
-				t.Fatalf("%d args in %d terms on %d goroutines: lane product differs from scalar", m, len(terms), n)
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			if got, want := pr.millerTerms(terms), sc.millerTerms(terms); !got.Equal(want) {
+				t.Fatalf("%d args in %d terms at GOMAXPROCS %d: lane product differs from scalar", m, len(terms), procs)
 			}
 		}
 		if m > 8 {
@@ -137,7 +140,7 @@ func FuzzMillerLanes(f *testing.F) {
 				terms, args = append(terms, term), nil
 			}
 		}
-		if got, want := pr.millerTerms(terms, 2), pr.ScalarMiller().millerTerms(terms, 2); !got.Equal(want) {
+		if got, want := pr.millerTerms(terms), pr.ScalarMiller().millerTerms(terms); !got.Equal(want) {
 			t.Fatalf("%d pairs from %x (modes %o, invs %x, cuts %x): lane product differs from scalar", n, seed, modes, invs, cuts)
 		}
 	})

@@ -92,8 +92,7 @@ func (pr *Params) millerArgs(args []millerArg, pairs []PairPair, inv bool) []mil
 // the non-empty args, cut into GOMAXPROCS contiguous ranges run on up
 // to as many goroutines.
 func (pr *Params) millerLoop(args []millerArg) ff.Elt2 {
-	n := runtime.GOMAXPROCS(0)
-	return pr.millerTerms(splitArgs(nil, args, n), n)
+	return pr.millerTerms(splitArgs(nil, args, runtime.GOMAXPROCS(0)))
 }
 
 // millerTerm is one factor of a Miller product: the value of one loop
@@ -113,18 +112,18 @@ func splitArgs(terms []millerTerm, args []millerArg, n int) []millerTerm {
 }
 
 // millerTerms returns the product of the terms' values, computing them
-// on up to n goroutines, the caller's included (par.For). A range's
-// value is the product of its pairs' values, so cutting a loop into
-// ranges changes nothing, element for element: F_p² multiplication
-// commutes, and a zero value (a vanishing line) still zeroes the
-// product. Where the field has the 8-lane kernel, the pairs run in its
+// on up to GOMAXPROCS goroutines, the caller's included (par.For). A
+// range's value is the product of its pairs' values, so cutting a loop
+// into ranges changes nothing, element for element: F_p²
+// multiplication commutes, and a zero value (a vanishing line) still
+// zeroes the product. Where the field has the 8-lane kernel, the pairs run in its
 // lanes instead (millerLanes), with the same values.
-func (pr *Params) millerTerms(terms []millerTerm, n int) ff.Elt2 {
+func (pr *Params) millerTerms(terms []millerTerm) ff.Elt2 {
 	if pr.lanes() {
-		return pr.millerLanes(terms, n)
+		return pr.millerLanes(terms)
 	}
 	vals := make([]ff.Elt2, len(terms))
-	par.For(len(terms), n, func(i int) {
+	par.For(len(terms), func(i int) {
 		v := pr.millerRange(terms[i].args)
 		if terms[i].exp != nil {
 			v = pr.X.Exp(v, terms[i].exp)

@@ -316,9 +316,9 @@ func FuzzMillerLoop(f *testing.F) {
 		// The same pairs, one of them conjugated, as one loop and split.
 		args := pr.millerArgs(nil, []PairPair{{P: p, Q: q}, {P: pr.G, Q: q}}, false)
 		args = pr.millerArgs(args, []PairPair{{P: p, Q: t3}}, true)
-		one := pr.millerTerms(splitArgs(nil, args, 1), 1)
+		one := pr.millerTerms(splitArgs(nil, args, 1))
 		for n := 2; n <= len(args); n++ {
-			if !pr.millerTerms(splitArgs(nil, args, n), n).Equal(one) {
+			if !pr.millerTerms(splitArgs(nil, args, n)).Equal(one) {
 				t.Fatalf("Miller loop split %d ways differs from one loop for P from %x (mode %d)", n, pSeed, mode%5)
 			}
 		}
@@ -368,7 +368,7 @@ func TestMillerSplitMatchesOneLoop(t *testing.T) {
 					t.Fatalf("%s: %d args with a vanishing tangent: Miller value not zero", pr.Name, m)
 				}
 				for n := 1; n <= m; n++ {
-					got := pr.millerTerms(splitArgs(nil, args, n), n)
+					got := pr.millerTerms(splitArgs(nil, args, n))
 					if !got.Equal(one) {
 						t.Fatalf("%s: %d args split %d ways (vanishing %v): Miller value differs from one loop", pr.Name, m, n, zero)
 					}
@@ -377,13 +377,13 @@ func TestMillerSplitMatchesOneLoop(t *testing.T) {
 					}
 				}
 				// The batch's shape: the loop's ranges beside one-pair
-				// loops raised to their randomizers, on n goroutines.
+				// loops raised to their randomizers, in n ranges.
 				e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 64))
 				terms := []millerTerm{{args: args[:1], exp: e}}
 				wantTerms := pr.X.Mul(pr.X.Exp(pr.millerRange(args[:1]), e), pr.millerRange(args[1:]))
 				for n := 1; n <= m; n++ {
-					if got := pr.millerTerms(splitArgs(terms, args[1:], n), n); !got.Equal(wantTerms) {
-						t.Fatalf("%s: %d args with a raised term on %d goroutines: value differs from sequential", pr.Name, m, n)
+					if got := pr.millerTerms(splitArgs(terms, args[1:], n)); !got.Equal(wantTerms) {
+						t.Fatalf("%s: %d args with a raised term in %d ranges: value differs from sequential", pr.Name, m, n)
 					}
 				}
 			}

@@ -430,7 +430,6 @@ func faultySharded(t *testing.T, blocks, target int) *shard.Node {
 	node := shard.New(0, testBuilder(testAcc(t)), shard.Options{
 		Shards:           4,
 		Band:             2,
-		Workers:          4,
 		FailureThreshold: 3,
 		BreakerCooldown:  time.Hour,
 		WrapBackend: func(id int, b storage.Backend) storage.Backend {
@@ -546,9 +545,8 @@ func TestStorageFaultHTTPQuery(t *testing.T) {
 	const blocks, target = 8, 1
 	sched := fault.NewSchedule()
 	opts := shard.Options{
-		Shards:  2,
-		Band:    2,
-		Workers: 2,
+		Shards: 2,
+		Band:   2,
 		WrapBackend: func(id int, b storage.Backend) storage.Backend {
 			if id == target {
 				return fault.WrapBackend(b, sched)

@@ -3,10 +3,11 @@
 // of an MSM, the powers of a trusted setup and the chunks of a batched
 // verification flush all spread their items with For.
 //
-// Every call runs on its caller's goroutine plus helper goroutines drawn
-// from one budget shared by the whole process: GOMAXPROCS−1 helpers in
-// flight at once, GOMAXPROCS read at every call, so a program that lowers
-// it at run time is obeyed from its next call on. A call that finds the
+// GOMAXPROCS is the one setting that bounds this parallelism: every call
+// runs on its caller's goroutine plus helper goroutines drawn from one
+// budget shared by the whole process, GOMAXPROCS−1 helpers in flight at
+// once, with GOMAXPROCS read at every call, so a program that lowers it
+// at run time is obeyed from its next call on. A call that finds the
 // budget spent runs its items on the caller alone. A For nested in
 // another's items therefore adds helpers only where the outer loop left
 // processors idle, and nested fan-outs cannot multiply the goroutines in
@@ -23,11 +24,11 @@ import (
 var helpers atomic.Int64
 
 // For runs f(i) for every i in [0, n) and returns when all have
-// returned. At most limit goroutines work on the call, the caller's
-// included; a limit below 2 runs every item on the caller. Each
-// goroutine claims the next unclaimed index, so items start in index
-// order. f must be safe to run concurrently for distinct indexes.
-func For(n, limit int, f func(i int)) {
+// returned. At most min(n, GOMAXPROCS) goroutines work on the call, the
+// caller's included. Each goroutine claims the next unclaimed index, so
+// items start in index order. f must be safe to run concurrently for
+// distinct indexes.
+func For(n int, f func(i int)) {
 	var next atomic.Int64
 	work := func() {
 		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
@@ -35,7 +36,7 @@ func For(n, limit int, f func(i int)) {
 		}
 	}
 	var wg sync.WaitGroup
-	for range acquire(min(n, limit) - 1) {
+	for range acquire(n - 1) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

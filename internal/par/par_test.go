@@ -21,14 +21,19 @@ func (h *highWater) note(v int64) {
 func (h *highWater) enter() { h.note(h.cur.Add(1)) }
 func (h *highWater) leave() { h.cur.Add(-1) }
 
+// TestForRunsEveryIndexOnce runs For under several goroutine limits,
+// each set through GOMAXPROCS: a limit above 4 runs at 4, and one below
+// 1 leaves the setting at 4, as runtime.GOMAXPROCS does.
 func TestForRunsEveryIndexOnce(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	for _, n := range []int{0, 1, 1000} {
 		for _, limit := range []int{-1, 0, 1, 3, n + 5} {
 			t.Run(fmt.Sprintf("n=%d/limit=%d", n, limit), func(t *testing.T) {
+				runtime.GOMAXPROCS(4)
+				runtime.GOMAXPROCS(min(limit, 4))
 				counts := make([]atomic.Int32, n)
-				For(n, limit, func(i int) { counts[i].Add(1) })
+				For(n, func(i int) { counts[i].Add(1) })
 				for i := range counts {
 					if c := counts[i].Load(); c != 1 {
 						t.Fatalf("index %d ran %d times", i, c)
@@ -51,7 +56,7 @@ func TestForUsesHelpers(t *testing.T) {
 	started.Add(2)
 	done := make(chan struct{})
 	go func() {
-		For(2, 2, func(int) {
+		For(2, func(int) {
 			started.Done()
 			started.Wait()
 		})
@@ -60,25 +65,7 @@ func TestForUsesHelpers(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("the two items of For(2, 2, f) never ran at once")
-	}
-}
-
-// TestForLimitBoundsGoroutines checks that no more than limit items of
-// one call run at once, and that a limit of 1 runs them one by one.
-func TestForLimitBoundsGoroutines(t *testing.T) {
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-	for _, limit := range []int{1, 3} {
-		var inFlight highWater
-		For(200, limit, func(int) {
-			inFlight.enter()
-			runtime.Gosched()
-			inFlight.leave()
-		})
-		if got := inFlight.max.Load(); got > int64(limit) {
-			t.Fatalf("limit %d: %d items ran at once", limit, got)
-		}
+		t.Fatal("the two items of For(2, f) never ran at once")
 	}
 }
 
@@ -90,8 +77,8 @@ func TestNestedForSharesOneBudget(t *testing.T) {
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
 	var helpersMax, leaves highWater
-	For(16, 16, func(int) {
-		For(16, 16, func(int) {
+	For(16, func(int) {
+		For(16, func(int) {
 			helpersMax.note(helpers.Load())
 			leaves.enter()
 			runtime.Gosched()
@@ -112,11 +99,11 @@ func TestNestedForSharesOneBudget(t *testing.T) {
 func TestForFollowsGOMAXPROCSAtRunTime(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	For(64, 64, func(int) {})
+	For(64, func(int) {})
 
 	runtime.GOMAXPROCS(1)
 	var helpersMax, inFlight highWater
-	For(64, 64, func(int) {
+	For(64, func(int) {
 		helpersMax.note(helpers.Load())
 		inFlight.enter()
 		runtime.Gosched()

@@ -48,12 +48,9 @@ const DefaultCacheSize = 4096
 
 // Options configure an Engine.
 type Options struct {
-	// Workers bounds the goroutines proving one deferred run
-	// (Run.WaitCtx), the waiting goroutine included — the paper's SP
-	// uses 24. The helpers come from the process's one par budget, so
-	// a run proves on at most min(Workers, GOMAXPROCS) goroutines, and
-	// fan-outs nested in a proof run inline while that budget is spent.
-	// Values <= 1 prove on the waiting goroutine alone.
+	// Deprecated: Workers is ignored. GOMAXPROCS alone bounds the
+	// goroutines a run proves on; the field stays so that the benchmark
+	// harness, which sets it, keeps compiling.
 	Workers int
 	// CacheSize bounds the LRU proof cache: 0 means DefaultCacheSize,
 	// negative disables caching entirely.
@@ -93,12 +90,11 @@ func (s Stats) HitRate() float64 {
 // behalf of every proof consumer of one deployment.
 type Engine struct {
 	acc       accumulator.Accumulator
-	workers   int
 	cacheSize int
 
 	// sem bounds proof computations in flight across all concurrent
 	// runs using this engine, so stacking runs cannot oversubscribe the
-	// host. Its capacity is max(Workers, GOMAXPROCS).
+	// host. Its capacity is GOMAXPROCS when the engine is built.
 	sem chan struct{}
 
 	mu       sync.Mutex
@@ -149,9 +145,8 @@ func New(acc accumulator.Accumulator, opts Options) *Engine {
 	}
 	return &Engine{
 		acc:       acc,
-		workers:   opts.Workers,
 		cacheSize: size,
-		sem:       make(chan struct{}, max(opts.Workers, runtime.GOMAXPROCS(0))),
+		sem:       make(chan struct{}, runtime.GOMAXPROCS(0)),
 		lru:       list.New(),
 		items:     map[cacheKey]*list.Element{},
 		inflight:  map[cacheKey]*flight{},
@@ -301,9 +296,9 @@ func (r *Run) Truncate(n int) {
 
 // WaitCtx executes all scheduled tasks and invokes each task's assign
 // callback with its proof. Tasks the cache or an in-flight computation
-// answers are not computed; the rest are split into one chunk per
-// worker (par.For, at most the engine's Workers goroutines), and each
-// chunk's proofs are computed together (accumulator.ProveDisjointEach).
+// answers are not computed; the rest are split into min(their count,
+// GOMAXPROCS) chunks spread by par.For, and each chunk's proofs are
+// computed together (accumulator.ProveDisjointEach).
 // The first error in scheduling order wins; remaining successful
 // assignments still happen. The run is empty afterwards and may be
 // reused. Once the context ends, tasks not yet started fail fast with
@@ -336,9 +331,10 @@ func (r *Run) WaitCtx(ctx context.Context) error {
 	}
 
 	// One chunk per goroutine that par.For can run: more would only
-	// split the sets of proofs that share their rounds.
-	chunks := max(min(len(own), e.workers, runtime.GOMAXPROCS(0)), 1)
-	par.For(chunks, e.workers, func(c int) {
+	// split the sets of proofs that share their rounds. Every chunk
+	// holds at least one task.
+	chunks := min(len(own), runtime.GOMAXPROCS(0))
+	par.For(chunks, func(c int) {
 		idx := own[c*len(own)/chunks : (c+1)*len(own)/chunks]
 		ts := make([]*task, len(idx))
 		cpfs, cerrs := make([]accumulator.Proof, len(idx)), make([]error, len(idx))
@@ -349,7 +345,7 @@ func (r *Run) WaitCtx(ctx context.Context) error {
 			for k := range cerrs {
 				cerrs[k] = err
 			}
-		} else if len(ts) > 0 {
+		} else {
 			e.computeEach(ctx, ts, cpfs, cerrs)
 		}
 		for k, i := range idx {

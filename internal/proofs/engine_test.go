@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -150,7 +151,7 @@ func TestCacheDisabled(t *testing.T) {
 // many goroutines: exactly one computation may happen.
 func TestConcurrentProveSingleFlight(t *testing.T) {
 	acc := testAcc(t)
-	e := New(acc, Options{Workers: 4})
+	e := New(acc, Options{})
 	w, cw := multiset.New("sedan", "benz"), multiset.New("van")
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -175,7 +176,7 @@ func TestConcurrentProveSingleFlight(t *testing.T) {
 // goroutines under -race.
 func TestConcurrentProveMixed(t *testing.T) {
 	acc := testAcc(t)
-	e := New(acc, Options{Workers: 4, CacheSize: 8})
+	e := New(acc, Options{CacheSize: 8})
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		i := i
@@ -197,8 +198,10 @@ func TestConcurrentProveMixed(t *testing.T) {
 
 func TestRunAssignsAllTasks(t *testing.T) {
 	acc := testAcc(t)
-	for _, workers := range []int{1, 4} {
-		e := New(acc, Options{Workers: workers})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		e := New(acc, Options{})
 		run := e.NewRun()
 		const n = 9
 		got := make([]accumulator.Proof, n)
@@ -219,7 +222,7 @@ func TestRunAssignsAllTasks(t *testing.T) {
 		}
 		// 3 distinct pairs → exactly 3 computations.
 		if st := e.Stats(); st.Proofs != 3 {
-			t.Fatalf("workers=%d: %d computations, want 3", workers, st.Proofs)
+			t.Fatalf("GOMAXPROCS %d: %d computations, want 3", procs, st.Proofs)
 		}
 		// An exhausted run is reusable and a no-op.
 		if err := run.WaitCtx(context.Background()); err != nil {
@@ -230,7 +233,7 @@ func TestRunAssignsAllTasks(t *testing.T) {
 
 func TestRunFirstErrorWins(t *testing.T) {
 	acc := testAcc(t)
-	e := New(acc, Options{Workers: 2})
+	e := New(acc, Options{})
 	run := e.NewRun()
 	var okPf accumulator.Proof
 	assigned := false

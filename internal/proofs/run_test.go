@@ -2,11 +2,13 @@ package proofs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
 	"github.com/vchain-go/vchain/internal/multiset"
@@ -34,16 +36,15 @@ func (c *countingAcc) ProveDisjoint(x1, x2 multiset.Multiset) (accumulator.Proof
 
 // TestConcurrentRunsRespectEngineBound waits several runs on one engine
 // at once and checks that proofs in flight never exceed the engine's
-// bound of max(Workers, GOMAXPROCS): stacking runs queues them rather
-// than oversubscribing the host.
+// bound, the GOMAXPROCS it was built at: stacking runs queues them
+// rather than oversubscribing the host, even after GOMAXPROCS rises.
 func TestConcurrentRunsRespectEngineBound(t *testing.T) {
-	const workers, runs, perRun = 2, 3, 4
+	const runs, perRun = 3, 4
+	bound := runtime.GOMAXPROCS(0)
 	acc := &countingAcc{Accumulator: testAcc(t)}
-	// The bound is fixed when the engine is built: pin it to Workers,
-	// then let the runs execute on every core.
-	prev := runtime.GOMAXPROCS(1)
-	e := New(acc, Options{Workers: workers, CacheSize: -1})
-	runtime.GOMAXPROCS(prev)
+	e := New(acc, Options{CacheSize: -1})
+	// Let the runs split wider and draw more helpers than the bound.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(bound + 2))
 
 	var wg sync.WaitGroup
 	for r := range runs {
@@ -62,18 +63,55 @@ func TestConcurrentRunsRespectEngineBound(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := acc.max.Load(); got > workers {
-		t.Fatalf("observed %d concurrent proofs on one engine, bound is %d", got, workers)
+	if got := acc.max.Load(); got > int64(bound) {
+		t.Fatalf("observed %d concurrent proofs on one engine, bound is %d", got, bound)
 	}
 	if st := e.Stats(); st.Proofs != runs*perRun {
 		t.Fatalf("%d proofs computed, want %d", st.Proofs, runs*perRun)
 	}
 }
 
+var errNoMeeting = errors.New("the other proof never started")
+
+// meetingAcc makes its first two proofs wait for each other: each
+// returns errNoMeeting unless both have started within a bound.
+type meetingAcc struct {
+	accumulator.Accumulator
+	started atomic.Int32
+	both    chan struct{}
+}
+
+func (m *meetingAcc) ProveDisjoint(x1, x2 multiset.Multiset) (accumulator.Proof, error) {
+	if m.started.Add(1) == 2 {
+		close(m.both)
+	}
+	select {
+	case <-m.both:
+	case <-time.After(5 * time.Second):
+		return accumulator.Proof{}, errNoMeeting
+	}
+	return m.Accumulator.ProveDisjoint(x1, x2)
+}
+
+// TestDefaultEngineProvesInParallel pins that an engine built with no
+// options, as a node builds its own, proves a run on GOMAXPROCS
+// goroutines: at GOMAXPROCS 2 a run's two proofs are in flight at once.
+func TestDefaultEngineProvesInParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	acc := &meetingAcc{Accumulator: testAcc(t), both: make(chan struct{})}
+	run := New(acc, Options{}).NewRun()
+	for i := range 2 {
+		run.Add(multiset.New(fmt.Sprintf("elt%d", i)), key("van"), multiset.New("van"), func(accumulator.Proof) {})
+	}
+	if err := run.WaitCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRunTruncateWithdrawsTasks checks that tasks dropped by Truncate
 // are neither computed nor assigned, while the ones kept still are.
 func TestRunTruncateWithdrawsTasks(t *testing.T) {
-	e := New(testAcc(t), Options{Workers: 2})
+	e := New(testAcc(t), Options{})
 	run := e.NewRun()
 	assigned := 0
 	for i := range 5 {

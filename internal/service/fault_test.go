@@ -156,7 +156,7 @@ func startDegradedServer(t *testing.T) (string, *shard.Node, accumulator.Accumul
 	t.Helper()
 	acc := accumulator.KeyGenCon2Deterministic(pairing.Toy(), 512, accumulator.HashEncoder{Q: 512}, []byte("svc"))
 	b := &core.Builder{Acc: acc, Mode: core.ModeIntra, Width: 4}
-	node := shard.New(0, b, shard.Options{Shards: 2, Band: 1, Workers: 2})
+	node := shard.New(0, b, shard.Options{Shards: 2, Band: 1})
 	for i := 0; i < 4; i++ {
 		objs := []chain.Object{
 			{ID: chain.ObjectID(i*10 + 1), TS: int64(i), V: []int64{4}, W: []string{"sedan", "benz"}},

@@ -94,7 +94,7 @@ func reencodes(t *testing.T, m message, body []byte) {
 // an unsubscribe flush.
 func realFrames(tb testing.TB) [][]byte {
 	acc := accumulator.KeyGenCon2Deterministic(pairing.Toy(), 512, accumulator.HashEncoder{Q: 512}, []byte("svc"))
-	node := shard.New(0, &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: 4}, shard.Options{Shards: 2, Band: 1, Workers: 2})
+	node := shard.New(0, &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: 4}, shard.Options{Shards: 2, Band: 1})
 	defer node.Close()
 	for i := 0; i < 4; i++ {
 		objs := []chain.Object{

@@ -17,7 +17,7 @@ import (
 func startShardedServer(t *testing.T) (string, accumulator.Accumulator) {
 	t.Helper()
 	acc := accumulator.KeyGenCon2Deterministic(pairing.Toy(), 512, accumulator.HashEncoder{Q: 512}, []byte("svc"))
-	node := shard.New(0, shardedBuilder(acc), shard.Options{Shards: 2, Band: 1, Workers: 2})
+	node := shard.New(0, shardedBuilder(acc), shard.Options{Shards: 2, Band: 1})
 	mineSharded(t, node)
 	srv := NewServer(node)
 	addr, err := srv.Serve("127.0.0.1:0")

@@ -15,12 +15,16 @@ import (
 // Delivery is one item of a subscription stream: a pushed publication
 // together with the outcome of its local verification. Err == nil
 // certifies Objects is exactly the span's correct result set; a
-// non-nil Err wraps core.ErrSoundness / core.ErrCompleteness (or
-// core.ErrVODecode, or a transport failure) and Objects is nil — a
-// tampered publication is never delivered as results.
+// non-nil Err with a Pub wraps core.ErrSoundness / core.ErrCompleteness
+// (or core.ErrVODecode) and Objects is nil — a tampered publication is
+// never delivered as results. A Delivery with a nil Pub is no verdict
+// but the stream's end: the last item before C closes, carrying the
+// transport error that Subscription.Err also returns. It is sent only
+// if the consumer is keeping up, so read Err after C closes.
 type Delivery struct {
 	// Pub is the publication as pushed by the SP (untrusted). Its VO
-	// is nil when the pushed bytes did not decode.
+	// is nil when the pushed bytes did not decode; Pub itself is nil
+	// on the stream's terminal delivery.
 	Pub *subscribe.Publication
 	// Objects is the locally verified result set (nil when Err != nil).
 	Objects []chain.Object

@@ -23,7 +23,6 @@ func faultyNode(t *testing.T, target int) (*shard.Node, *fault.Schedule) {
 	node := shard.New(0, testBuilder(acc), shard.Options{
 		Shards:           4,
 		Band:             2,
-		Workers:          4,
 		FailureThreshold: 3,
 		BreakerCooldown:  time.Hour, // restarts only when the test says so
 		WrapBackend: func(id int, b storage.Backend) storage.Backend {
@@ -188,7 +187,6 @@ func TestChaosKillRestoreShard(t *testing.T) {
 	opts := shard.Options{
 		Shards:           4,
 		Band:             1,
-		Workers:          4,
 		FailureThreshold: 2,
 		BreakerCooldown:  time.Millisecond,
 		Storage:          storage.Options{Hooks: fault.LogHooks(sched)},
@@ -200,7 +198,7 @@ func TestChaosKillRestoreShard(t *testing.T) {
 	defer node.Close()
 
 	// Unfaulted in-memory baseline mining the identical chain.
-	baseline := shard.New(0, testBuilder(acc), shard.Options{Shards: 4, Band: 1, Workers: 4})
+	baseline := shard.New(0, testBuilder(acc), shard.Options{Shards: 4, Band: 1})
 	defer baseline.Close()
 
 	const preFault = 12 // band 1: shard 0 owns 0,4,8 — and next owns 12

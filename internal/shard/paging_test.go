@@ -34,7 +34,7 @@ func totalDecodes(stats []shard.Stats) int64 {
 // pages the bodies in on demand.
 func TestShardedLazyReopenPagesIn(t *testing.T) {
 	acc := testAcc(t)
-	opts := shard.Options{Shards: 2, Band: 2, Workers: 2, ADSCacheBlocks: 4}
+	opts := shard.Options{Shards: 2, Band: 2, ADSCacheBlocks: 4}
 	dir := t.TempDir()
 
 	node, _, err := shard.Open(0, testBuilder(acc), dir, opts)
@@ -166,7 +166,6 @@ func TestPageInFaultDegradesToGap(t *testing.T) {
 	opts := shard.Options{
 		Shards:           2,
 		Band:             2,
-		Workers:          2,
 		ADSCacheBlocks:   2, // 1 per shard: every older height must page in
 		FailureThreshold: 3,
 		BreakerCooldown:  time.Hour,
@@ -251,7 +250,7 @@ func TestPageInFaultDegradesToGap(t *testing.T) {
 // fresh batched walk of its sub-window, and each part verifies alone.
 func TestDegradedGroupsStayInTheirPart(t *testing.T) {
 	const target, blocks = 1, 8 // shard 1 owns {2,3} and {6,7}
-	opts := shard.Options{Shards: 2, Band: 2, Workers: 2, ADSCacheBlocks: 2, BreakerCooldown: time.Hour}
+	opts := shard.Options{Shards: 2, Band: 2, ADSCacheBlocks: 2, BreakerCooldown: time.Hour}
 	q := sedanBenzQuery(0, blocks-1)
 	var reads readBudget
 	node := reopenWrapped(t, opts, target, blocks, reads.wrap)
@@ -323,7 +322,7 @@ func TestDegradedGroupsStayInTheirPart(t *testing.T) {
 func TestRestartShardRepopulatesLazily(t *testing.T) {
 	const target = 1
 	acc := testAcc(t)
-	opts := shard.Options{Shards: 2, Band: 2, Workers: 2, ADSCacheBlocks: 4}
+	opts := shard.Options{Shards: 2, Band: 2, ADSCacheBlocks: 4}
 	node, _, err := shard.Open(0, testBuilder(acc), t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +368,7 @@ func TestRestartShardRepopulatesLazily(t *testing.T) {
 // gaps shard 1's heights.
 func TestSkipSpanPageInFault(t *testing.T) {
 	const target, blocks = 1, 16
-	opts := shard.Options{Shards: 2, Band: 4, Workers: 2, ADSCacheBlocks: 2, FailureThreshold: -1}
+	opts := shard.Options{Shards: 2, Band: 4, ADSCacheBlocks: 2, FailureThreshold: -1}
 	q := core.Query{StartBlock: 0, EndBlock: blocks - 1, Bool: core.CNF{core.KeywordClause("tesla")}, Width: testWidth}
 
 	var reads readBudget

@@ -25,7 +25,7 @@ func TestPlannerStrictFailureProvesNothing(t *testing.T) {
 	// walk therefore fails at height 0 with seven blocks already planned.
 	const blocks = 8
 	var reads readBudget
-	node := reopenWrapped(t, shard.Options{Shards: 2, Band: 4, Workers: 2}, 0, blocks, reads.wrap)
+	node := reopenWrapped(t, shard.Options{Shards: 2, Band: 4}, 0, blocks, reads.wrap)
 	reads.arm(3)
 
 	before, goroutines := node.ProofStats(), runtime.NumGoroutine()
@@ -46,7 +46,7 @@ func TestPlannerStrictFailureProvesNothing(t *testing.T) {
 // without touching any shard.
 func TestPlannerHonorsContextCancel(t *testing.T) {
 	acc := testAcc(t)
-	node := shard.New(0, testBuilder(acc), shard.Options{Shards: 2, Band: 2, Workers: 2})
+	node := shard.New(0, testBuilder(acc), shard.Options{Shards: 2, Band: 2})
 	defer node.Close()
 	mineBlocks(t, node, 4)
 
@@ -65,7 +65,7 @@ func TestPlannerHonorsContextCancel(t *testing.T) {
 // and only shard 0's breaker counts the failure.
 func TestPlannerCrossBandSkipFault(t *testing.T) {
 	const target, blocks = 0, 16
-	opts := shard.Options{Shards: 2, Band: 4, Workers: 2, ADSCacheBlocks: 2, FailureThreshold: 3}
+	opts := shard.Options{Shards: 2, Band: 4, ADSCacheBlocks: 2, FailureThreshold: 3}
 	q := core.Query{StartBlock: 0, EndBlock: blocks - 1, Bool: core.CNF{core.KeywordClause("tesla")}, Width: testWidth}
 	node, sched := reopenWithFaultyShard(t, opts, target, blocks)
 	sched.NextFailures(fault.OpRead, 1000)
@@ -102,7 +102,7 @@ func TestPlannerHealthyDegradedIsStrict(t *testing.T) {
 	const blocks = 12
 	mono := core.NewFullNode(0, testBuilder(acc))
 	mineBlocks(t, mono, blocks)
-	node := shard.New(0, testBuilder(acc), shard.Options{Shards: 2, Band: 2, Workers: 2})
+	node := shard.New(0, testBuilder(acc), shard.Options{Shards: 2, Band: 2})
 	defer node.Close()
 	mineBlocks(t, node, blocks)
 

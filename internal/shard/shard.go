@@ -54,9 +54,10 @@ type Options struct {
 	// is fixed at store creation; reopening validates it against the
 	// directory's topology record.
 	Band int
-	// Workers sizes the node's one proof engine: the goroutines, at most
-	// GOMAXPROCS, each run of a query's or subscription's proofs is
-	// proved on (proofs.Options.Workers). 0 means one worker per shard.
+	// Deprecated: Workers is ignored. GOMAXPROCS alone bounds the
+	// goroutines the node's one proof engine proves a run on; the field
+	// stays so that the benchmark harness, which sets it, keeps
+	// compiling.
 	Workers int
 	// ADSCacheBlocks bounds the node's decoded-ADS cache, in blocks,
 	// split evenly across the shards (each worker keeps at least one
@@ -96,9 +97,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Band < 1 {
 		o.Band = DefaultBand
-	}
-	if o.Workers < 1 {
-		o.Workers = o.Shards
 	}
 	if o.FailureThreshold == 0 {
 		o.FailureThreshold = DefaultFailureThreshold
@@ -192,12 +190,12 @@ type RecoveryReport struct {
 }
 
 // newNode layers the shard machinery over a core node with one slot
-// per shard: the node's one proof engine, which answers queries and
-// subscriptions from one worker pool and one cache, and the breakers
-// on the commit path.
+// per shard: the node's one proof engine, which proves queries and
+// subscriptions on up to GOMAXPROCS goroutines from one cache, and the
+// breakers on the commit path.
 func newNode(full *core.FullNode, dir string, opts Options) *Node {
 	n := &Node{FullNode: full, opts: opts, dir: dir}
-	full.Proofs = proofs.New(full.Acc(), proofs.Options{Workers: opts.Workers})
+	full.Proofs = proofs.New(full.Acc(), proofs.Options{})
 	for i := 0; i < opts.Shards; i++ {
 		n.shards = append(n.shards, &worker{id: i, threshold: opts.FailureThreshold})
 	}

@@ -90,7 +90,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 3, 4} {
-		node := shard.New(0, testBuilder(acc), shard.Options{Shards: shards, Band: 2, Workers: shards})
+		node := shard.New(0, testBuilder(acc), shard.Options{Shards: shards, Band: 2})
 		mineBlocks(t, node, blocks)
 		if got, want := node.Headers(), mono.Store.Headers(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d shards: headers diverge from the monolithic chain", shards)
@@ -141,7 +141,7 @@ func TestConcurrentMineAndQuery(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			acc := testAcc(t)
-			node := shard.New(0, testBuilder(acc), shard.Options{Shards: shards, Band: 2, Workers: shards})
+			node := shard.New(0, testBuilder(acc), shard.Options{Shards: shards, Band: 2})
 			mineBlocks(t, node, 4) // pre-mine so readers always have a window
 			defer node.Close()
 
@@ -215,7 +215,7 @@ func TestReopenTornTail(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			acc := testAcc(t)
 			dir := t.TempDir()
-			opts := shard.Options{Shards: shards, Band: 1, Workers: shards}
+			opts := shard.Options{Shards: shards, Band: 1}
 
 			node, rep, err := shard.Open(0, testBuilder(acc), dir, opts)
 			if err != nil {
@@ -296,7 +296,7 @@ func TestReopenSurvivesRestart(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			acc := testAcc(t)
 			dir := t.TempDir()
-			opts := shard.Options{Shards: shards, Band: 2, Workers: shards}
+			opts := shard.Options{Shards: shards, Band: 2}
 
 			node, _, err := shard.Open(0, testBuilder(acc), dir, opts)
 			if err != nil {

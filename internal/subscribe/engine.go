@@ -63,7 +63,7 @@ type Options struct {
 	// numeric space. They remain for callers that still set them.
 	Dims, Width int
 	// Proofs is the proof engine (required). Every block's proofs run
-	// on its worker pool; pass the node's engine so subscriptions reuse
+	// on one of its runs; pass the node's engine so subscriptions reuse
 	// proofs cached by time-window queries (and vice versa).
 	Proofs *proofs.Engine
 }
@@ -209,7 +209,7 @@ func (e *Engine) clauseGroups() []clauseGroup {
 //
 // It plans first and proves second: every subscription's block VO is
 // built with its disjointness proofs scheduled on one run of the proof
-// engine, one WaitCtx computes them all on the worker pool, and only
+// engine, one WaitCtx computes them all in parallel, and only
 // then are publications assembled. Every subscription appends the
 // block to its pending span and publishes the span through flushLocked
 // once the block may hold results or the span covers LazyThreshold

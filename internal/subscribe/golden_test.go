@@ -55,7 +55,7 @@ func TestGoldenPublications(t *testing.T) {
 	// publications.
 	pinned := func(name string, acc accumulator.Accumulator, mode core.IndexMode, threshold int, ip bool) ([]string, []Publication, *core.FullNode) {
 		var lines []string
-		eng := proofs.New(acc, proofs.Options{Workers: 2})
+		eng := proofs.New(acc, proofs.Options{})
 		sub := NewEngine(acc, Options{UseIPTree: ip, LazyThreshold: threshold, Proofs: eng})
 		for _, q := range queries {
 			if _, err := sub.Register(q); err != nil {

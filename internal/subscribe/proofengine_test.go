@@ -3,6 +3,7 @@ package subscribe
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -20,7 +21,7 @@ import (
 // once — the cross-query reuse the nip baseline lacked.
 func TestSharedEngineDeduplicatesAcrossQueries(t *testing.T) {
 	acc := acc2(t)
-	eng := proofs.New(acc, proofs.Options{Workers: 4})
+	eng := proofs.New(acc, proofs.Options{})
 	never := func(int) bool { return false }
 	// No IP-tree: without the cache every query would prove its own
 	// block-mismatch proof every block.
@@ -44,22 +45,24 @@ func TestSharedEngineDeduplicatesAcrossQueries(t *testing.T) {
 }
 
 // TestSharedEngineParallelMatchesSerial checks that publications
-// produced with a parallel, cached engine verify identically to a
-// one-worker engine's.
+// produced by an engine proving on four goroutines verify identically
+// to one proving on one (GOMAXPROCS 4 and 1).
 func TestSharedEngineParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	acc := acc2(t)
 	match := func(i int) bool { return i%2 == 0 }
 	queries := []struct {
-		name string
-		opts Options
+		name  string
+		procs int
+		opts  Options
 	}{
-		{"serial", Options{}},
-		{"parallel", Options{Proofs: proofs.New(acc, proofs.Options{Workers: 4})}},
-		{"parallel-iptree", Options{UseIPTree: true,
-			Proofs: proofs.New(acc, proofs.Options{Workers: 4})}},
+		{"serial", 1, Options{}},
+		{"parallel", 4, Options{}},
+		{"parallel-iptree", 4, Options{UseIPTree: true}},
 	}
 	var wantResults, wantPubs int
 	for i, cfg := range queries {
+		runtime.GOMAXPROCS(cfg.procs)
 		f := run(t, acc, cfg.opts, 6, match, carQuery())
 		results, covered := verifyAll(t, f, acc, carQuery(), 0)
 		if len(covered) != 6 {
@@ -106,18 +109,20 @@ func (a failingAcc) ProveDisjoint(x1, x2 multiset.Multiset) (accumulator.Proof, 
 
 // TestLazySkipProofFailureFailsBlock pins that a fresh skip proof that
 // fails for any reason but the key's capacity is reported by
-// ProcessBlock at every worker count, which drops the subscription,
+// ProcessBlock at every GOMAXPROCS, which drops the subscription,
 // instead of silently falling back to a smaller skip.
 func TestLazySkipProofFailureFailsBlock(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	acc := acc1(t) // no ProofSum: every collapse proves its skip afresh
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
 		node := core.NewFullNode(0, &core.Builder{Acc: acc, Mode: core.ModeBoth, SkipSize: 2, Width: testWidth})
 		if _, err := node.MineBlock(rentalObjects(0, false), 1000); err != nil {
 			t.Fatal(err)
 		}
 		failing := failingAcc{Accumulator: acc, blockCard: adsAt(t, node, 0).BlockW().Cardinality()}
 		engine := NewEngine(acc, Options{LazyThreshold: DefaultLazyThreshold,
-			Proofs: proofs.New(failing, proofs.Options{Workers: workers})})
+			Proofs: proofs.New(failing, proofs.Options{})})
 		if _, err := engine.Register(carQuery()); err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +137,7 @@ func TestLazySkipProofFailureFailsBlock(t *testing.T) {
 		}
 		var dropped *DroppedError
 		if !errors.Is(err, errInjectedProof) || !errors.As(err, &dropped) || !slices.Equal(dropped.IDs, []int{0}) {
-			t.Errorf("%d workers: got %v, want the injected skip-proof failure dropping subscription 0", workers, err)
+			t.Errorf("GOMAXPROCS %d: got %v, want the injected skip-proof failure dropping subscription 0", procs, err)
 		}
 	}
 }
@@ -161,9 +166,10 @@ func (a *rendezvousAcc) ProveDisjoint(x1, x2 multiset.Multiset) (accumulator.Pro
 }
 
 // TestIPTreeGroupProofsRunConcurrently pins that one block's IP-tree
-// group proofs run on the engine's worker pool: on a 2-worker engine,
-// two of them are in flight at once.
+// group proofs run in parallel: at GOMAXPROCS 2, two of them are in
+// flight at once.
 func TestIPTreeGroupProofsRunConcurrently(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	acc := acc1(t)
 	node := core.NewFullNode(0, &core.Builder{Acc: acc, Mode: core.ModeIntra, Width: testWidth})
 	if _, err := node.MineBlock(rentalObjects(0, false), 1000); err != nil {
@@ -171,7 +177,7 @@ func TestIPTreeGroupProofsRunConcurrently(t *testing.T) {
 	}
 	racc := &rendezvousAcc{Accumulator: acc, second: make(chan struct{})}
 	engine := NewEngine(acc, Options{UseIPTree: true,
-		Proofs: proofs.New(racc, proofs.Options{Workers: 2})})
+		Proofs: proofs.New(racc, proofs.Options{})})
 	// Two clauses the block misses: two groups, each deciding its query
 	// with a root mismatch, so the block needs exactly their two proofs.
 	for _, kw := range []string{"sedan", "benz"} {

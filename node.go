@@ -19,7 +19,7 @@ import (
 // the subscription engine. Its chain is spread over N ≥ 1 shards —
 // height bands, each with its own block store and decoded-ADS cache —
 // while every proof, for queries and subscriptions alike, runs on the
-// node's one proof engine (Config.SPWorkers workers, one cache).
+// node's one proof engine (GOMAXPROCS goroutines, one cache).
 // Sharding is a placement decision, not a second kind of node: every
 // operation works at every N, and a strict query answer is one
 // WindowPart, byte for byte the same at every N. LightClient.Verify
@@ -51,7 +51,6 @@ func (s *System) builder() *core.Builder {
 func (s *System) shardOptions(shards int) shard.Options {
 	return shard.Options{
 		Shards:         shards,
-		Workers:        s.cfg.SPWorkers,
 		ADSCacheBlocks: s.cfg.ADSCacheBlocks,
 	}
 }
@@ -168,7 +167,7 @@ func (n *Node) WindowByTime(ts, te int64) (start, end int, ok bool) {
 // results are embedded (WindowPart.VO.Results()). Under acc2 every
 // mismatch of one clause shares one aggregated proof (§6.3); acc1
 // proves each on its own. All of the query's proofs run as one batch
-// on the node's Config.SPWorkers workers.
+// on up to GOMAXPROCS goroutines.
 func (n *Node) TimeWindow(q Query) ([]WindowPart, error) {
 	return n.node.TimeWindowParts(context.Background(), q, true)
 }

@@ -92,10 +92,13 @@ type (
 	// against the block; its IDs name them.
 	DroppedError = subscribe.DroppedError
 	// RemoteStream is a remote subscription's verified delivery
-	// stream (SPClient.Subscribe).
+	// stream (SPClient.Subscribe). A Delivery with a nil Pub is the
+	// stream's end, not a verdict: its Err is the transport error that
+	// RemoteStream.Err returns once C closes.
 	RemoteStream = service.Subscription
 	// Delivery is one item of a RemoteStream: the pushed publication
-	// plus its local verification outcome.
+	// plus its local verification outcome, or, with a nil Pub, the
+	// stream's terminal error.
 	Delivery = service.Delivery
 	// IndexMode selects the ADS indexes (IndexNone / IndexIntra /
 	// IndexBoth).
@@ -177,14 +180,6 @@ type Config struct {
 	// Difficulty is the proof-of-work difficulty in leading zero bits.
 	// Default 8.
 	Difficulty uint8
-	// SPWorkers bounds the goroutines proving one run of the node's one
-	// proof engine, which every query and subscription proves on at any
-	// shard count (the paper's SP runs 24 hyper-threads). A run proves
-	// on at most min(SPWorkers, GOMAXPROCS) goroutines, and the
-	// fan-outs nested in its proofs run inline while the process's one
-	// parallelism budget (internal/par) is spent. 0 means one worker per
-	// shard.
-	SPWorkers int
 	// ADSCacheBlocks bounds a durable node's decoded-ADS cache to that
 	// many blocks (split across its shards), so RAM
 	// stays flat as the chain grows: blocks beyond the budget stay on

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -307,24 +308,40 @@ func TestFacadeTimestampWindow(t *testing.T) {
 	}
 }
 
+// TestFacadeParallelSP checks that the facade's node, which proves on
+// GOMAXPROCS goroutines, answers the same verified bytes at 1, 2 and 4.
+// Each setting mines a fresh node, so its proofs are computed, not
+// served from the cache.
 func TestFacadeParallelSP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	sys, err := NewSystem(Config{
 		Preset: "toy", Index: IndexIntra, BitWidth: 4, Capacity: 512,
-		Difficulty: 1, Seed: []byte("par"), SPWorkers: 4,
+		Difficulty: 1, Seed: []byte("par"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := sys.NewNode(1)
-	mine(t, node, 0, 3)
-	client := syncedClient(t, sys, node)
 	q := Query{StartBlock: 0, EndBlock: 2, Bool: And(Or("sedan")), Width: 4}
-	parts, err := node.TimeWindow(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Verify(q, parts); err != nil {
-		t.Fatal(err)
+	var want []byte
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		node := sys.NewNode(1)
+		mine(t, node, 0, 3)
+		client := syncedClient(t, sys, node)
+		parts, err := node.TimeWindow(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Verify(q, parts); err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		got := core.EncodeVO(sys.acc, parts[0].VO)
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("GOMAXPROCS %d encodes different bytes than 1", procs)
+		}
+		node.Close()
 	}
 }
 
