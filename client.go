@@ -160,7 +160,9 @@ func (s *SPClient) Retries() int { return s.cli.Retries() }
 // stream of locally verified publications: read RemoteStream.C until
 // it closes; Close to unsubscribe. Tampered publications surface as
 // Delivery.Err wrapping ErrSoundness/ErrCompleteness and are never
-// delivered as results.
+// delivered as results. A subscription the SP drops (it cannot prove
+// the clause against a block) ends the stream with an error wrapping
+// ErrSubscriptionDropped.
 func (s *SPClient) Subscribe(q Query) (*RemoteStream, error) {
 	return s.cli.SubscribeCtx(context.Background(), q, service.SubscribeConfig{
 		Acc:   s.c.sys.acc,

@@ -12,11 +12,14 @@
 // The keyword list forms one disjunctive clause (kw1 ∨ kw2 ∨ …);
 // -lo/-hi add a numeric range. Exit code 0 means every received
 // publication verified. Exit code 1 means a publication failed
-// verification ("VERIFICATION FAILED") or the connection ended the
-// stream ("stream ended abnormally").
+// verification ("VERIFICATION FAILED"), the SP dropped the
+// subscription because it could not prove the clause against a block
+// ("stream ended: subscription dropped by the SP"), or the connection
+// ended the stream ("stream ended abnormally").
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -99,7 +102,9 @@ func main() {
 			}
 		}
 	}
-	if err := sub.Err(); err != nil {
+	if err := sub.Err(); errors.Is(err, vchain.ErrSubscriptionDropped) {
+		fatal(fmt.Errorf("stream ended after %d publications: %w", received, err))
+	} else if err != nil {
 		fatal(fmt.Errorf("stream ended abnormally after %d publications: %w", received, err))
 	}
 	fmt.Printf("done: %d publications, %d verified results\n", received, results)

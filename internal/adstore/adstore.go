@@ -1,21 +1,15 @@
 // Package adstore owns the decoded authenticated-data-structure set of
-// a node. Historically every layer kept its own decoded copy of the
-// whole chain's ADS in RAM (core.FullNode's slice, each shard worker's
-// map), so node footprint grew linearly with chain length. This package
-// turns that ownership into a pluggable Source with two policies:
-//
-//   - Resident keeps every decoded value, exactly the old behavior.
-//     It is the right choice for ephemeral backends (Null/Memory),
-//     where the decoded set IS the chain state.
-//   - Paged keeps a bounded LRU of decoded values over a durable
-//     backend's record index: a miss reads the record bytes back,
-//     decodes (and cryptographically re-verifies) them, and caches the
-//     result under an entry budget. Concurrent misses for the same
-//     index decode once (single-flight).
+// a node: one LRU of decoded values (Paged) per storage slot, keyed by
+// block height, over the slot's record index. A miss reads the record
+// bytes back, decodes (and cryptographically re-verifies) them, and
+// caches the result under an entry budget; concurrent misses for the
+// same key decode once (single-flight). Without a budget every value
+// stays, which is how a slot over an ephemeral backend keeps its only
+// copy of the chain's ADSs.
 //
 // The package is generic over the decoded value so it does not import
 // core (which imports storage, which this package must sit beside);
-// core instantiates it as Source[*BlockADS].
+// core instantiates it as Paged[*BlockADS].
 package adstore
 
 import (
@@ -24,27 +18,7 @@ import (
 	"sync/atomic"
 )
 
-// Source is a store of decoded values keyed by block height (a node
-// keeps one per storage slot). A missing key yields the zero value and a nil error —
-// errors are reserved for page-in failures (IO, corruption, failed
-// re-verification), which callers must surface rather than treat as
-// absence.
-type Source[T any] interface {
-	// At returns the value for key i, paging it in if necessary.
-	At(i int) (T, error)
-	// Add publishes the value for key i; the commit path calls it with
-	// the freshly built value so the newest entries are always warm.
-	Add(i int, v T)
-	// InvalidateFrom discards every key >= i. It is the cache half of
-	// a backend Truncate: after a rollback the discarded heights must
-	// not be served from cache.
-	InvalidateFrom(i int)
-	// Stats returns a snapshot of the source's counters.
-	Stats() Stats
-}
-
-// Stats is a point-in-time snapshot of a Source's counters. Resident
-// sources only populate Entries.
+// Stats is a point-in-time snapshot of a Paged source's counters.
 type Stats struct {
 	// Hits counts At calls served from cache.
 	Hits int64
@@ -60,50 +34,6 @@ type Stats struct {
 	Entries int
 	// Bytes is the current estimated cache footprint.
 	Bytes int64
-}
-
-// Resident keeps every value for the process lifetime — the historical
-// all-in-RAM policy. The zero value is not usable; call NewResident.
-type Resident[T any] struct {
-	mu sync.RWMutex
-	m  map[int]T
-}
-
-// NewResident returns an empty resident source.
-func NewResident[T any]() *Resident[T] {
-	return &Resident[T]{m: make(map[int]T)}
-}
-
-// At implements Source; a missing key returns the zero value.
-func (r *Resident[T]) At(i int) (T, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.m[i], nil
-}
-
-// Add implements Source.
-func (r *Resident[T]) Add(i int, v T) {
-	r.mu.Lock()
-	r.m[i] = v
-	r.mu.Unlock()
-}
-
-// InvalidateFrom implements Source.
-func (r *Resident[T]) InvalidateFrom(i int) {
-	r.mu.Lock()
-	for k := range r.m {
-		if k >= i {
-			delete(r.m, k)
-		}
-	}
-	r.mu.Unlock()
-}
-
-// Stats implements Source.
-func (r *Resident[T]) Stats() Stats {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return Stats{Entries: len(r.m)}
 }
 
 // PagedConfig wires a Paged source to its backing record store.
@@ -135,8 +65,11 @@ type inflight[T any] struct {
 	err  error
 }
 
-// Paged is a bounded LRU of decoded values over a record store. The
-// zero value is not usable; call NewPaged.
+// Paged is an LRU of decoded values over a record store, bounded by
+// MaxEntries. A missing key is paged in; errors are page-in failures
+// (IO, corruption, failed re-verification), which callers must surface
+// rather than treat as absence. The zero value is not usable; call
+// NewPaged.
 type Paged[T any] struct {
 	cfg PagedConfig[T]
 
@@ -163,8 +96,8 @@ func NewPaged[T any](cfg PagedConfig[T]) *Paged[T] {
 	}
 }
 
-// At implements Source. A miss pages the record in outside the cache
-// lock; concurrent misses for the same key share one decode.
+// At returns the value for key i. A miss pages the record in outside
+// the cache lock; concurrent misses for the same key share one decode.
 func (p *Paged[T]) At(i int) (T, error) {
 	p.mu.Lock()
 	if el, ok := p.entries[i]; ok {
@@ -208,8 +141,8 @@ func (p *Paged[T]) load(i int) (T, error) {
 	return p.cfg.Decode(i, data)
 }
 
-// Add implements Source: commits insert the freshly built value so the
-// chain tip is always warm.
+// Add publishes the value for key i: the commit path inserts the
+// freshly built value so the chain tip is always warm.
 func (p *Paged[T]) Add(i int, v T) {
 	p.mu.Lock()
 	p.insertLocked(i, v)
@@ -246,8 +179,10 @@ func (p *Paged[T]) sizeOf(v T) int64 {
 	return int64(p.cfg.Size(v))
 }
 
-// InvalidateFrom implements Source. In-flight page-ins started before
-// the call still resolve for their waiters but are not cached.
+// InvalidateFrom discards every key >= i: the cache half of a backend
+// Truncate, so that heights a rollback discarded are not served from
+// cache. In-flight page-ins started before the call still resolve for
+// their waiters but are not cached.
 func (p *Paged[T]) InvalidateFrom(i int) {
 	p.mu.Lock()
 	p.gen++
@@ -264,7 +199,7 @@ func (p *Paged[T]) InvalidateFrom(i int) {
 	p.mu.Unlock()
 }
 
-// Stats implements Source.
+// Stats returns a snapshot of the source's counters.
 func (p *Paged[T]) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -9,29 +9,6 @@ import (
 	"testing"
 )
 
-func TestResidentBasics(t *testing.T) {
-	r := NewResident[string]()
-	if v, err := r.At(3); err != nil || v != "" {
-		t.Fatalf("empty At = %q, %v", v, err)
-	}
-	r.Add(0, "a")
-	r.Add(1, "b")
-	r.Add(2, "c")
-	if v, _ := r.At(1); v != "b" {
-		t.Fatalf("At(1) = %q", v)
-	}
-	r.InvalidateFrom(1)
-	if v, _ := r.At(1); v != "" {
-		t.Fatalf("invalidated At(1) = %q", v)
-	}
-	if v, _ := r.At(0); v != "a" {
-		t.Fatalf("surviving At(0) = %q", v)
-	}
-	if s := r.Stats(); s.Entries != 1 {
-		t.Fatalf("Entries = %d, want 1", s.Entries)
-	}
-}
-
 // pagedOver returns a Paged source decoding "v<i>" strings from a
 // fake record store, with a decode counter independent of Stats.
 func pagedOver(maxEntries int, decoded *atomic.Int64) *Paged[string] {

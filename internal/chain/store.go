@@ -45,16 +45,6 @@ func (s *Store) Append(b *Block) error {
 	return nil
 }
 
-// Validate runs every Append-time check — height, linkage, timestamp
-// monotonicity, proof-of-work — without appending. The atomic commit
-// pipeline validates before it persists, so a record can never reach a
-// durable backend and then be rejected by the in-RAM store.
-func (s *Store) Validate(b *Block) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.validateNext(b)
-}
-
 // validateNext checks b as the next block; callers hold s.mu.
 func (s *Store) validateNext(b *Block) error {
 	h := b.Header

@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
@@ -199,4 +202,49 @@ func liveHeap() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
+}
+
+// encodeCounter counts AccBytes calls per encoding.
+type encodeCounter struct {
+	accumulator.Accumulator
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (c *encodeCounter) AccBytes(a accumulator.Acc) []byte {
+	enc := c.Accumulator.AccBytes(a)
+	c.mu.Lock()
+	c.calls[string(enc)]++
+	c.mu.Unlock()
+	return enc
+}
+
+// TestMineEncodesEachDigestOnce: mining a block hashes its ADS once.
+// The commit does not re-derive what MineBlock built, so every
+// intra-index digest is encoded exactly once, and nothing else is.
+func TestMineEncodesEachDigestOnce(t *testing.T) {
+	acc := &encodeCounter{Accumulator: testAccs(t)["acc2"], calls: map[string]int{}}
+	node := NewFullNode(0, &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 2, Width: testWidth})
+	if _, err := node.MineBlock(carObjects(0), 1000); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{}
+	var walk func(n *IntraNode)
+	walk = func(n *IntraNode) {
+		if n == nil {
+			return
+		}
+		if n.HasDigest {
+			want[string(acc.Accumulator.AccBytes(n.Digest))]++
+		}
+		walk(n.Left)
+		walk(n.Right)
+	}
+	walk(mustADS(t, node, 0).Root)
+	if len(want) == 0 {
+		t.Fatal("the block's index holds no digest")
+	}
+	if !maps.Equal(acc.calls, want) {
+		t.Fatalf("AccBytes calls per digest %v, want one per index node %v", slices.Collect(maps.Values(acc.calls)), slices.Collect(maps.Values(want)))
+	}
 }

@@ -11,10 +11,11 @@ import (
 // header: presence, height alignment, and the two root commitments. It
 // derives every intra-index node's hash bottom-up from the leaves'
 // objects and the digests, and sets the ADS's size, so a decoded ADS,
-// which stores no hash, is usable only after it has passed. It is the
-// half of commit validation a lazy reopen defers — the paged sources
-// run it at page-in, so a tampered stored ADS surfaces exactly as it
-// would have at an eager open. BlockW and Width are not re-checked:
+// which stores no hash, is usable only after it has passed. The slots'
+// LRUs run it at page-in, where the bytes come from disk, so a
+// tampered stored ADS surfaces exactly as it would have at an eager
+// open; a freshly mined ADS needs no check, as MineBlock derives the
+// header's roots from it. BlockW and Width are not re-checked:
 // the header does not commit them, and a wrong one only makes the SP
 // send proofs that clients reject.
 func VerifyADSCommitments(b *Builder, hdr chain.Header, height int, ads *BlockADS) error {
@@ -36,39 +37,30 @@ func VerifyADSCommitments(b *Builder, hdr chain.Header, height int, ads *BlockAD
 	return nil
 }
 
-// validateCommit checks that (blk, ads) is a valid chain entry at the
-// given height of the store: height alignment, ADS/header commitment
-// match, and every chain-level rule (linkage, timestamps,
-// proof-of-work). It mutates nothing. The commit pipeline runs it
-// before a byte reaches any backend, so a record can never be durably
-// persisted and then rejected.
-func validateCommit(b *Builder, against *chain.Store, height int, blk *chain.Block, ads *BlockADS) error {
-	if blk == nil {
-		return fmt.Errorf("core: commit of a nil block")
-	}
+// commitLocked is the single choke point through which every mined
+// (block, ADS) pair enters the node, whatever the slot count. The pair
+// is MineBlock's own derivation, so it is not re-verified: the only
+// thing a concurrent miner can have changed since is the tip, which is
+// checked before any byte reaches a backend, and Store.Append below
+// re-checks every chain rule. It then asks the guard whether the owning
+// slot admits work, persists to the slot's backend (nothing for an
+// ephemeral one — no point encoding a record the backend would
+// discard), publishes the ADS to the slot's LRU, and only then appends
+// the block — readers gate on the store height, so no one can ever
+// observe the chain advanced to h+1 without the ADS at h reachable
+// (cached, and for a durable backend also pageable). The caller holds
+// n.mu, which serializes writers; readers never take it.
+func (n *FullNode) commitLocked(blk *chain.Block, ads *BlockADS) error {
+	height := n.Store.Height()
 	if int(blk.Header.Height) != height {
 		return fmt.Errorf("core: commit height %d, want %d", blk.Header.Height, height)
 	}
-	if err := VerifyADSCommitments(b, blk.Header, height, ads); err != nil {
-		return err
+	var tip chain.Digest
+	if b := n.Store.Tip(); b != nil {
+		tip = b.Header.Hash()
 	}
-	return against.Validate(blk)
-}
-
-// commitLocked is the single choke point through which every mined
-// (block, ADS) pair enters the node, whatever the slot count. It
-// validates, asks the guard whether the owning slot admits work,
-// persists to the slot's backend (nothing for an ephemeral one — no
-// point encoding a record the backend would discard), publishes the
-// ADS to the slot's source, and only then appends the block — readers
-// gate on the store height, so no one can ever observe the chain
-// advanced to h+1 without the ADS at h reachable (cached for a resident
-// source, durable and pageable for a paged one). The caller holds n.mu,
-// which serializes writers; readers never take it.
-func (n *FullNode) commitLocked(blk *chain.Block, ads *BlockADS) error {
-	height := n.Store.Height()
-	if err := validateCommit(n.Builder, n.Store, height, blk, ads); err != nil {
-		return err
+	if blk.Header.PrevHash != tip {
+		return fmt.Errorf("core: block %d was mined on another tip", height)
 	}
 	i := n.Owner(height)
 	s := n.slots[i].Load()
@@ -100,8 +92,7 @@ func (n *FullNode) commitLocked(blk *chain.Block, ads *BlockADS) error {
 	// height advances.
 	s.ads.Add(height, ads)
 	if err := n.Store.Append(blk); err != nil {
-		// Unreachable after validateCommit (n.mu serializes all
-		// writers), but if it ever fires the durable record and the
+		// A block that breaks a chain rule: the durable record and the
 		// cached ADS must not outlive the rejected in-RAM append.
 		s.ads.InvalidateFrom(height)
 		if !ephemeral {

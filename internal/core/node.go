@@ -13,21 +13,18 @@ import (
 	"github.com/vchain-go/vchain/internal/storage"
 )
 
-// ADSSource is the node's decoded-ADS store: resident (every ADS in
-// RAM, the historical behavior) or paged (a bounded LRU over the
-// storage backend, so node footprint no longer grows with chain
-// length). See internal/adstore.
-type ADSSource = adstore.Source[*BlockADS]
-
 // FullNode is a miner/SP node: the chain store plus the per-block ADS
 // bodies (only the roots of which live in headers). It implements
 // ChainView for the Builder and the SP.
 //
 // Every (block, ADS) pair enters the node through one atomic commit
-// pipeline (commitLocked) that validates, persists to the owning
-// storage slot, and publishes both halves under a single lock —
-// readers can never observe the chain height advanced without the
-// matching ADS.
+// pipeline (commitLocked) that checks the block still extends the tip,
+// persists it to the owning storage slot, and publishes both halves
+// under a single lock — readers can never observe the chain height
+// advanced without the matching ADS. Each slot keeps its decoded ADSs
+// in one LRU (adstore.Paged): unbounded over an ephemeral backend,
+// where it holds the only copy, and over a durable one unless
+// WithADSCache bounds it.
 //
 // Where a block's record and decoded ADS live is a placement decision,
 // not a second kind of node: heights are dealt to N ≥ 1 storage slots
@@ -72,12 +69,11 @@ type FullNode struct {
 	SetupStats SetupStats
 }
 
-// slot is one storage placement: a backend and the decoded-ADS source
-// over it (resident for an ephemeral backend, a paged LRU otherwise).
-// A slot is immutable; RestartSlot replaces it whole.
+// slot is one storage placement: a backend and the decoded-ADS LRU
+// over it. A slot is immutable; RestartSlot replaces it whole.
 type slot struct {
 	backend storage.Backend
-	ads     ADSSource
+	ads     *adstore.Paged[*BlockADS]
 }
 
 // SlotGuard lets the layer above veto a slot's work and observe its
@@ -144,8 +140,8 @@ func NewFullNodeOn(difficulty chain.Difficulty, b *Builder, be storage.Backend, 
 // that runs out of records bounds the restored chain; later heights may
 // exist in other slots, but without the gap filled they can never be
 // served or re-validated, so they are truncated and counted per slot in
-// stranded. Without WithADSCache the paged sets are unbounded
-// (everything faulted in stays). The node owns the backends on success
+// stranded. Without WithADSCache the LRUs are unbounded (everything
+// faulted in stays). The node owns the backends on success
 // (Close closes them); every block mined later is persisted to its
 // owning slot at commit time.
 func NewBandedNode(difficulty chain.Difficulty, b *Builder, band int, backends []storage.Backend, opts ...NodeOption) (n *FullNode, stranded []int, err error) {
@@ -192,16 +188,14 @@ func NewBandedNode(difficulty chain.Difficulty, b *Builder, band int, backends [
 	return n, stranded, nil
 }
 
-// newSlot pairs a backend with its decoded-ADS source. A paged source
-// reads through its own backend, so after RestartSlot an in-flight
-// page-in against the closed old backend fails cleanly instead of
-// touching the new one.
+// newSlot pairs a backend with its decoded-ADS LRU. The LRU reads
+// through its own backend, so after RestartSlot an in-flight page-in
+// against the closed old backend fails cleanly instead of touching the
+// new one. An ephemeral backend's LRU is unbounded: evicting from it
+// would lose the ADS.
 func (n *FullNode) newSlot(be storage.Backend) *slot {
-	if _, ephemeral := be.(storage.Ephemeral); ephemeral {
-		return &slot{backend: be, ads: adstore.NewResident[*BlockADS]()}
-	}
 	perSlot := 0
-	if n.cacheBlocks > 0 {
+	if _, ephemeral := be.(storage.Ephemeral); !ephemeral && n.cacheBlocks > 0 {
 		perSlot = max(n.cacheBlocks/len(n.slots), 1)
 	}
 	return &slot{backend: be, ads: adstore.NewPaged(adstore.PagedConfig[*BlockADS]{
@@ -212,7 +206,7 @@ func (n *FullNode) newSlot(be storage.Backend) *slot {
 	})}
 }
 
-// decodePagedADS is the paged sources' decode callback: it decodes the
+// decodePagedADS is the LRUs' decode callback: it decodes the
 // ADS half of the record at height and re-verifies the commitments the
 // lazy reopen deferred — the rebuilt roots must match the validated
 // header, so a tampered record surfaces at page-in exactly as it would
@@ -265,7 +259,7 @@ func (n *FullNode) ownedRecords(slot, h int) int {
 // record's block header matches the chain index. Surplus records can
 // exist when a faulted append landed valid bytes that the commit
 // pipeline rolled back logically — they are dropped. The decoded-ADS
-// set is NOT rebuilt: the slot comes back with an empty source and
+// set is NOT rebuilt: the slot comes back with an empty LRU and
 // repopulates lazily as queries fault heights in (each page-in verified
 // against its header), so the cost is one block decode per owned record
 // regardless of ADS size. Commits pause under the node lock for the
@@ -351,17 +345,14 @@ func (n *FullNode) ADSAt(height int) (*BlockADS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: ADS at height %d: %w", height, err)
 	}
-	if ads == nil {
-		return nil, fmt.Errorf("core: no ADS at committed height %d", height)
-	}
 	return ads, nil
 }
 
-// SlotADSStats snapshots one slot's ADS-source counters (cache hits,
+// SlotADSStats snapshots one slot's ADS-LRU counters (cache hits,
 // misses, decodes, footprint).
 func (n *FullNode) SlotADSStats(i int) adstore.Stats { return n.slots[i].Load().ads.Stats() }
 
-// ADSStats sums the ADS-source counters over every slot.
+// ADSStats sums the ADS-LRU counters over every slot.
 func (n *FullNode) ADSStats() adstore.Stats {
 	var total adstore.Stats
 	for i := range n.slots {
@@ -416,10 +407,10 @@ func (n *FullNode) MineBlock(objs []chain.Object, ts int64) (*chain.Block, error
 	blk := &chain.Block{Header: solved, Objects: objs}
 	adsBytes := ads.SizeBytes(n.Builder.Acc) // counted by the build, not re-encoded
 
-	// One atomic commit: validate, persist, publish block and ADS under
-	// a single lock. A concurrent reader can never see the store at
-	// h+1 with ADSAt(h) still nil, and a losing concurrent miner fails
-	// cleanly here without touching any state.
+	// One atomic commit: check the tip, persist, publish block and ADS
+	// under a single lock. A concurrent reader can never see the store
+	// at h+1 with ADSAt(h) still nil, and a losing concurrent miner
+	// fails cleanly here without touching any state.
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if err := n.commitLocked(blk, ads); err != nil {

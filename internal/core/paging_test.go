@@ -415,3 +415,36 @@ func TestPagedRejectsTamperedRecord(t *testing.T) {
 		})
 	}
 }
+
+// TestEphemeralNodeKeepsEveryADS: an in-memory node keeps its ADSs in
+// the same LRU as a durable one, so queries count as hits, and an
+// ephemeral slot ignores the cache bound — its LRU holds the only copy
+// of each ADS, so a one-entry budget evicts nothing.
+func TestEphemeralNodeKeepsEveryADS(t *testing.T) {
+	b := &Builder{Acc: testAccs(t)["acc2"], Mode: ModeBoth, SkipSize: 2, Width: testWidth}
+	node, err := NewFullNodeOn(0, b, storage.NewNull(), WithADSCache(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blocks = 8
+	for i := 0; i < blocks; i++ {
+		if _, err := node.MineBlock(carObjects(uint64(i*10)), int64(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := node.SP(false).TimeWindowQuery(context.Background(), sedanBenzQuery(0, blocks-1)); err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < blocks; h++ {
+		if ads := mustADS(t, node, h); ads.Height != h {
+			t.Fatalf("ADSAt(%d) holds height %d", h, ads.Height)
+		}
+	}
+	st := node.ADSStats()
+	if st.Hits == 0 {
+		t.Error("an in-memory node's queries counted no ADS hits")
+	}
+	if st.Evictions != 0 || st.Misses != 0 || st.Entries != blocks {
+		t.Errorf("stats %+v, want %d entries and no miss or eviction", st, blocks)
+	}
+}

@@ -73,44 +73,55 @@ func TestReplayRejectsChainInvalidRecord(t *testing.T) {
 
 // TestConcurrentMinersStayAligned drives two miners into the commit
 // pipeline at once: the loser of each height race must fail cleanly,
-// and adss[i] must always correspond to block i.
+// adss[i] must always correspond to block i, and a lost race must
+// never land a record on a retaining backend.
 func TestConcurrentMinersStayAligned(t *testing.T) {
-	acc := testAccs(t)["acc2"]
-	b := &Builder{Acc: acc, Mode: ModeIntra, Width: testWidth}
-	node := NewFullNode(0, b)
+	for name, be := range map[string]storage.Backend{"null": storage.NewNull(), "memory": storage.NewMemory()} {
+		t.Run(name, func(t *testing.T) {
+			acc := testAccs(t)["acc2"]
+			b := &Builder{Acc: acc, Mode: ModeIntra, Width: testWidth}
+			node, err := NewFullNodeOn(0, b, be)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	const perMiner = 4
-	var wg sync.WaitGroup
-	for m := 0; m < 2; m++ {
-		wg.Add(1)
-		go func(m int) {
-			defer wg.Done()
-			mined := 0
-			for attempt := 0; mined < perMiner && attempt < 200; attempt++ {
-				objs := carObjects(uint64(m*1000 + attempt*10))
-				if _, err := node.MineBlock(objs, int64(1000+attempt)); err == nil {
-					mined++
+			const perMiner = 4
+			var wg sync.WaitGroup
+			for m := 0; m < 2; m++ {
+				wg.Add(1)
+				go func(m int) {
+					defer wg.Done()
+					mined := 0
+					for attempt := 0; mined < perMiner && attempt < 200; attempt++ {
+						objs := carObjects(uint64(m*1000 + attempt*10))
+						if _, err := node.MineBlock(objs, int64(1000+attempt)); err == nil {
+							mined++
+						}
+					}
+					if mined < perMiner {
+						t.Errorf("miner %d finished only %d/%d blocks", m, mined, perMiner)
+					}
+				}(m)
+			}
+			wg.Wait()
+
+			if node.Height() != 2*perMiner {
+				t.Fatalf("height %d, want %d", node.Height(), 2*perMiner)
+			}
+			if _, ephemeral := be.(storage.Ephemeral); !ephemeral && be.Len() != node.Height() {
+				t.Fatalf("backend holds %d records for height %d", be.Len(), node.Height())
+			}
+			for h := 0; h < node.Height(); h++ {
+				hdr, err := node.HeaderAt(h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ads := mustADS(t, node, h)
+				if ads.Height != h || ads.MerkleRoot() != hdr.MerkleRoot {
+					t.Fatalf("ADS at %d does not correspond to its block (ads height %d)", h, ads.Height)
 				}
 			}
-			if mined < perMiner {
-				t.Errorf("miner %d finished only %d/%d blocks", m, mined, perMiner)
-			}
-		}(m)
-	}
-	wg.Wait()
-
-	if node.Height() != 2*perMiner {
-		t.Fatalf("height %d, want %d", node.Height(), 2*perMiner)
-	}
-	for h := 0; h < node.Height(); h++ {
-		hdr, err := node.HeaderAt(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ads := mustADS(t, node, h)
-		if ads.Height != h || ads.MerkleRoot() != hdr.MerkleRoot {
-			t.Fatalf("ADS at %d does not correspond to its block (ads height %d)", h, ads.Height)
-		}
+		})
 	}
 }
 

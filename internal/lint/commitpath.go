@@ -6,8 +6,9 @@ import (
 
 // CommitPath enforces the single-choke-point commit discipline: every
 // (block, ADS) pair reaches durable storage through
-// core.FullNode.commitLocked, which validates before a byte lands and
-// rolls back on divergence, whatever the shard count. Outside that
+// core.FullNode.commitLocked, which checks the block still extends the
+// tip before a byte lands and rolls back on divergence, whatever the
+// shard count. Outside that
 // package (and the storage layer itself, the fault injector that wraps
 // it, and tests), a direct Append or Truncate on a storage backend
 // bypasses validation and the torn-state guarantees, so any such call

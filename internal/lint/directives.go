@@ -15,8 +15,8 @@ import (
 // line immediately below (so it can trail the offending statement or
 // sit on its own line above it). When it appears in a function's doc
 // comment, it covers the whole function body — the form used by the
-// deliberate lock-freeze operations (snapshot export/import, shard
-// restart), whose exemption is a property of the function, not of one
+// deliberate lock-freeze operation (core.FullNode.RestartSlot, behind
+// shard restart), whose exemption is a property of the function, not of one
 // statement. A reason is mandatory: an exemption the author cannot
 // justify in half a line is a finding, not an exemption.
 type directive struct {

@@ -15,10 +15,10 @@ import (
 // choke-point callee. The one sanctioned shape is the
 // *Locked-suffix convention: commitLocked-style functions take no lock
 // themselves (their callers do) and are the reviewed, atomic
-// validate-persist-publish path, so calls to same-package *Locked
-// functions under a lock are exempt. Deliberate whole-node freezes
-// (snapshot export/import, shard restart) carry a function-scoped
-// vchainlint:ignore directive instead.
+// check-persist-publish path, so calls to same-package *Locked
+// functions under a lock are exempt. The deliberate whole-node freeze
+// (core.FullNode.RestartSlot, behind shard restart) carries a
+// function-scoped vchainlint:ignore directive instead.
 //
 // The check is intra-procedural with one level of same-package call
 // propagation: a lock-holding function calling a same-package function

@@ -96,6 +96,11 @@ const subBuffer = 16
 // ErrClosed reports an operation on a closed or failed connection.
 var ErrClosed = errors.New("service: connection closed")
 
+// ErrSubscriptionDropped ends a subscription stream that the SP
+// dropped because it could not prove the subscription's clause against
+// a block. The connection and its other streams are unaffected.
+var ErrSubscriptionDropped = errors.New("service: subscription dropped by the SP")
+
 // SPError is a processing error returned by the SP itself (as opposed
 // to a transport failure). SP errors are never retried: the SP heard
 // the request and answered; asking again would get the same answer.

@@ -37,7 +37,8 @@ import (
 //	           u32 n, n × chain.Header.Bytes(),
 //	           u32 n, n × (int Start, int End, u32 len, core.EncodeVO),
 //	           core.WriteGaps, int SubID, u8 hasPub, [push]
-//	push     = int QueryID, int From, int To, core.EncodeVO to the end
+//	push     = int QueryID, int From, int To, str Err,
+//	           core.EncodeVO to the end
 //
 // Every VO on the wire is exactly its canonical core.EncodeVO bytes,
 // and every header exactly its PoW preimage: a decoded frame re-encodes
@@ -61,8 +62,8 @@ const (
 	framePrefixLen = 4
 
 	// protocolVersion is the hello's version. Builds that framed gob
-	// sent no hello; they count as version 1.
-	protocolVersion = 2
+	// sent no hello; they count as version 1. Version 3 added Push.Err.
+	protocolVersion = 3
 )
 
 // The frame kinds: the first payload byte. They are drawn from
@@ -261,10 +262,13 @@ type Part struct {
 
 // Push is a subscription publication on the wire: an unsolicited
 // frame between responses, or the flush riding an unsubscribe's ack.
-// It is subscribe.Publication with its VO in canonical bytes.
+// It is subscribe.Publication with its VO in canonical bytes. A push
+// with a non-empty Err carries no publication: it is the last frame of
+// a subscription the SP dropped, and Err says why.
 type Push struct {
 	QueryID  int
 	From, To int
+	Err      string
 	VO       []byte
 }
 
@@ -330,6 +334,7 @@ func (p *Push) appendTo(w *wire.Writer) {
 	w.Int(p.QueryID)
 	w.Int(p.From)
 	w.Int(p.To)
+	w.String32(p.Err)
 	w.Raw(p.VO)
 }
 
@@ -337,6 +342,7 @@ func (p *Push) readFrom(r *wire.Reader) {
 	p.QueryID = r.Int()
 	p.From = r.Int()
 	p.To = r.Int()
+	p.Err = r.String32()
 	p.VO = r.Rest()
 }
 

@@ -214,9 +214,10 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // queues. The miner calls it once per block, in height order. A
 // subscriber whose queue is full is evicted rather than awaited: one
 // slow consumer must not block the mining path or other subscribers.
-// Likewise a subscription the engine drops because its clause cannot
-// be proved against the block ends its connection, and the block's
-// other publications go out as usual.
+// A subscription the engine drops because its clause cannot be proved
+// against the block is deregistered and its stream ended by a push
+// that says why; the connection, its other subscriptions and the
+// block's other publications go on as usual.
 func (s *Server) ProcessBlock(height int) error {
 	ads, err := s.node.ADSAt(height)
 	if err != nil {
@@ -228,16 +229,9 @@ func (s *Server) ProcessBlock(height int) error {
 	pubs, err := s.engine.ProcessBlock(ads, s.node)
 	var dropped *subscribe.DroppedError
 	if errors.As(err, &dropped) {
-		s.mu.Lock()
-		var owners []*serverConn
+		reason := fmt.Sprintf("block %d: disjointness proof: %v", height, dropped.Err)
 		for _, id := range dropped.IDs {
-			if sc := s.subOwner[id]; sc != nil {
-				owners = append(owners, sc)
-			}
-		}
-		s.mu.Unlock()
-		for _, sc := range owners {
-			sc.teardown()
+			s.dropSub(id, reason)
 		}
 	} else if err != nil {
 		return fmt.Errorf("service: subscriptions at height %d: %w", height, err)
@@ -265,12 +259,37 @@ func (s *Server) pushPub(pub *subscribe.Publication) {
 	if err != nil {
 		return // too large for any frame: the client's continuity check flags the hole
 	}
+	s.send(sc, frame)
+}
+
+// dropSub deregisters a subscription the engine dropped and queues the
+// push that ends its stream with reason. The engine has already
+// forgotten it, so the client sends no unsubscribe.
+func (s *Server) dropSub(id int, reason string) {
+	s.mu.Lock()
+	sc := s.subOwner[id]
+	if sc != nil {
+		delete(s.subOwner, id)
+		delete(sc.subs, id)
+	}
+	s.mu.Unlock()
+	if sc == nil {
+		return // subscriber disconnected between engine and fan-out
+	}
+	frame, err := encodeFrame(&Push{QueryID: id, Err: reason})
+	if err != nil {
+		return
+	}
+	s.send(sc, frame)
+}
+
+// send queues a push frame on sc. A slow consumer, whose outbound
+// queue is full, is dropped (its subscriptions deregister with it)
+// instead of blocking the fan-out.
+func (s *Server) send(sc *serverConn, frame []byte) {
 	select {
 	case sc.out <- outFrame{frame: frame}:
 	default:
-		// Slow consumer: the outbound queue is full. Drop the
-		// connection (its subscriptions deregister with it) instead of
-		// blocking the fan-out.
 		s.mu.Lock()
 		s.evicted++
 		s.mu.Unlock()

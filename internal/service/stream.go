@@ -19,8 +19,9 @@ import (
 // (or core.ErrVODecode) and Objects is nil — a tampered publication is
 // never delivered as results. A Delivery with a nil Pub is no verdict
 // but the stream's end: the last item before C closes, carrying the
-// transport error that Subscription.Err also returns. It is sent only
-// if the consumer is keeping up, so read Err after C closes.
+// error that Subscription.Err also returns (a transport failure, or
+// ErrSubscriptionDropped). It is sent only if the consumer is keeping
+// up, so read Err after C closes.
 type Delivery struct {
 	// Pub is the publication as pushed by the SP (untrusted). Its VO
 	// is nil when the pushed bytes did not decode; Pub itself is nil
@@ -48,7 +49,7 @@ type SubscribeConfig struct {
 // publications. Read C until it closes; call Close to unsubscribe
 // (the SP's final pending lazy span, if any, still arrives on C).
 // After C closes, Err reports whether the stream ended because the
-// connection failed. The stream goroutine runs until C is drained or
+// connection failed or the SP dropped the subscription. The stream goroutine runs until C is drained or
 // the connection closes — a consumer that abandons C without closing
 // the client keeps the goroutine parked.
 type Subscription struct {
@@ -171,14 +172,15 @@ func (s *Subscription) enqueue(pub *Push) {
 // abandonRemote best-effort deregisters a failed stream at the SP and
 // drops it from the client's routing table. It shares Close's once so
 // a later user Close is a no-op; the final-flush publication (if any)
-// is discarded — the stream has already failed.
-func (s *Subscription) abandonRemote() {
+// is discarded — the stream has already failed. tell is false when the
+// SP has already forgotten the subscription.
+func (s *Subscription) abandonRemote(tell bool) {
 	s.closeOnce.Do(func() {
 		s.c.mu.Lock()
 		// Only tell the SP while the stream's own generation is still
 		// current and alive: after a reconnect, the server that knew
 		// this subscription id is gone.
-		dead := s.c.err != nil || s.c.gen != s.gen
+		dead := !tell || s.c.err != nil || s.c.gen != s.gen
 		if s.c.subs[s.ID] == s {
 			delete(s.c.subs, s.ID)
 		}
@@ -219,6 +221,16 @@ func (s *Subscription) run() {
 		failErr, closed := s.failErr, s.closed
 		s.mu.Unlock()
 
+		if pub != nil && pub.Err != "" {
+			// The SP dropped the subscription: its last frame ends
+			// the stream, after every publication queued before it.
+			s.mu.Lock()
+			if s.failErr == nil {
+				s.failErr = fmt.Errorf("%w: subscription %d: %s", ErrSubscriptionDropped, s.ID, pub.Err)
+			}
+			s.mu.Unlock()
+			continue
+		}
 		if pub == nil {
 			switch {
 			case failErr != nil:
@@ -235,8 +247,9 @@ func (s *Subscription) run() {
 				// If the connection itself is still alive (e.g. a
 				// queue overrun ended only this stream), tell the SP:
 				// otherwise it keeps computing proofs and pushing
-				// publications for a stream nothing reads.
-				s.abandonRemote()
+				// publications for a stream nothing reads. A dropped
+				// subscription is one the SP no longer has.
+				s.abandonRemote(!errors.Is(failErr, ErrSubscriptionDropped))
 				close(s.out)
 				return
 			case closed:
@@ -270,9 +283,10 @@ func (s *Subscription) run() {
 	}
 }
 
-// Err returns the terminal transport error that ended the stream, or
-// nil after a clean end (Close, or a clean client shutdown). Read it
-// after C closes to distinguish "the SP went away mid-stream" from a
+// Err returns the error that ended the stream — a transport failure,
+// or ErrSubscriptionDropped — or nil after a clean end (Close, or a
+// clean client shutdown). Read it after C closes to distinguish "the
+// SP went away mid-stream" or "the SP dropped the subscription" from a
 // deliberate unsubscribe.
 func (s *Subscription) Err() error {
 	s.mu.Lock()

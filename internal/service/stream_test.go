@@ -529,13 +529,12 @@ func TestSlowConsumerEviction(t *testing.T) {
 	env.mine(t, block(3, "sedan"))
 }
 
-// TestUnprovableSubscriptionEndsItsStream: a subscription whose clause
-// the SP cannot prove disjoint from a block (its keyword encodes to the
-// code of an element of the block) ends its own stream with an error,
-// while a second connection gets a verified publication for every
-// block and mining continues.
-func TestUnprovableSubscriptionEndsItsStream(t *testing.T) {
-	env := newStreamEnv(t, ServerConfig{})
+// collidingKeyword mines block 1 (height 0) and returns a keyword
+// absent from it whose encoding collides with the code of one of its
+// elements: the SP cannot prove a subscription to it disjoint from a
+// block with the same elements.
+func collidingKeyword(t *testing.T, env *streamEnv) string {
+	t.Helper()
 	env.mine(t, block(1, "van", "audi"))
 	ads, err := env.node.ADSAt(0)
 	if err != nil {
@@ -548,16 +547,45 @@ func TestUnprovableSubscriptionEndsItsStream(t *testing.T) {
 		c, _ := enc.Encode(e.Elem)
 		codes[c] = true
 	}
-	kw := ""
-	for i := 0; kw == "" && i < 1<<16; i++ {
+	for i := 0; i < 1<<16; i++ {
 		el := core.KeywordElement(fmt.Sprintf("absent-%d", i))
 		if c, _ := enc.Encode(el); codes[c] && !w.IntersectsSet([]string{el}) {
-			kw = fmt.Sprintf("absent-%d", i)
+			return fmt.Sprintf("absent-%d", i)
 		}
 	}
-	if kw == "" {
-		t.Fatal("no colliding keyword found")
+	t.Fatal("no colliding keyword found")
+	return ""
+}
+
+// awaitEnd drains sub until its stream closes and returns the
+// terminal delivery's error.
+func awaitEnd(t *testing.T, sub *Subscription) error {
+	t.Helper()
+	var last error
+	deadline := time.After(10 * time.Second)
+	for {
+		select {
+		case d, open := <-sub.C:
+			if !open {
+				return last
+			}
+			if d.Pub == nil {
+				last = d.Err
+			}
+		case <-deadline:
+			t.Fatal("the stream did not end")
+		}
 	}
+}
+
+// TestUnprovableSubscriptionEndsItsStream: a subscription whose clause
+// the SP cannot prove disjoint from a block (its keyword encodes to the
+// code of an element of the block) ends its own stream with an error,
+// while a second connection gets a verified publication for every
+// block and mining continues.
+func TestUnprovableSubscriptionEndsItsStream(t *testing.T) {
+	env := newStreamEnv(t, ServerConfig{})
+	kw := collidingKeyword(t, env)
 
 	_, bad, _ := env.dialSub(t, core.Query{Bool: core.CNF{core.KeywordClause(kw)}, Width: 4})
 	_, good, _ := env.dialSub(t, sedanQuery())
@@ -566,20 +594,51 @@ func TestUnprovableSubscriptionEndsItsStream(t *testing.T) {
 	env.mine(t, block(4, "truck"))
 	for h := 1; h <= 3; h++ {
 		d := recv(t, good)
-		if d.Err != nil || d.Pub.From != h || d.Pub.To != h {
-			t.Fatalf("good stream at height %d: [%d,%d] %v", h, d.Pub.From, d.Pub.To, d.Err)
+		if d.Pub == nil || d.Err != nil || d.Pub.From != h || d.Pub.To != h {
+			t.Fatalf("good stream at height %d: pub %+v, err %v", h, d.Pub, d.Err)
 		}
 	}
-	deadline := time.After(10 * time.Second)
-	for open := true; open; {
-		select {
-		case _, open = <-bad.C:
-		case <-deadline:
-			t.Fatal("the unprovable subscription's stream did not end")
-		}
-	}
+	awaitEnd(t, bad)
 	if bad.Err() == nil {
 		t.Error("the unprovable subscription's stream ended without an error")
+	}
+	if got := env.srv.Subscriptions(); !slices.Equal(got, []int{good.ID}) {
+		t.Errorf("server subscriptions %v, want [%d]", got, good.ID)
+	}
+}
+
+// TestDroppedSubscriptionSparesItsConnection: the SP drops one of two
+// subscriptions on one client. Only that stream ends, with
+// ErrSubscriptionDropped on its terminal delivery and from Err; the
+// other stream keeps publishing, and the connection keeps answering
+// calls.
+func TestDroppedSubscriptionSparesItsConnection(t *testing.T) {
+	env := newStreamEnv(t, ServerConfig{})
+	kw := collidingKeyword(t, env)
+
+	cli, good, light := env.dialSub(t, sedanQuery())
+	bad, err := cli.SubscribeCtx(context.Background(), core.Query{Bool: core.CNF{core.KeywordClause(kw)}, Width: 4},
+		SubscribeConfig{Acc: env.acc, Light: light})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.mine(t, block(2, "van", "audi")) // collides: bad is dropped
+	env.mine(t, block(3, "sedan"))
+	env.mine(t, block(4, "truck"))
+	for h := 1; h <= 3; h++ {
+		d := recv(t, good)
+		if d.Pub == nil || d.Err != nil || d.Pub.From != h || d.Pub.To != h {
+			t.Fatalf("good stream at height %d: pub %+v, err %v", h, d.Pub, d.Err)
+		}
+	}
+	if err := awaitEnd(t, bad); !errors.Is(err, ErrSubscriptionDropped) {
+		t.Errorf("terminal delivery %v, want ErrSubscriptionDropped", err)
+	}
+	if err := bad.Err(); !errors.Is(err, ErrSubscriptionDropped) {
+		t.Errorf("Err() = %v, want ErrSubscriptionDropped", err)
+	}
+	if err := cli.SyncHeaders(context.Background(), chain.NewLightStore(0)); err != nil {
+		t.Errorf("the connection stopped answering: %v", err)
 	}
 	if got := env.srv.Subscriptions(); !slices.Equal(got, []int{good.ID}) {
 		t.Errorf("server subscriptions %v, want [%d]", got, good.ID)

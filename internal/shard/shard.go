@@ -61,10 +61,10 @@ type Options struct {
 	Workers int
 	// ADSCacheBlocks bounds the node's decoded-ADS cache, in blocks,
 	// split evenly across the shards (each worker keeps at least one
-	// entry). 0 leaves the paged sources unbounded — everything faulted
-	// in stays resident, matching the pre-paging footprint once warm.
-	// Durable nodes only; an ephemeral shard's decoded set is its only
-	// copy and stays fully resident.
+	// entry). 0 leaves the LRUs unbounded — everything faulted in stays
+	// resident, matching the pre-paging footprint once warm. Durable
+	// nodes only; an ephemeral shard's LRU is its only copy of the ADSs
+	// and stays unbounded.
 	ADSCacheBlocks int
 	// Storage configures each shard's block-log backend (durable
 	// nodes only).

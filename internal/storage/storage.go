@@ -46,9 +46,9 @@ type Backend interface {
 	// the caller.
 	Read(i int) ([]byte, error)
 	// Truncate discards records n.. so that Len() == n afterwards. It
-	// is the rollback half of an atomic multi-record import: a failed
-	// import truncates back to its start. Truncating beyond Len() is an
-	// error.
+	// is the rollback half of a commit whose block the chain index
+	// rejects, and drops stranded or surplus records at open and slot
+	// restart. Truncating beyond Len() is an error.
 	Truncate(n int) error
 	// Close releases resources. A closed backend rejects further use.
 	Close() error
@@ -98,8 +98,8 @@ func (Null) Truncate(n int) error {
 func (Null) Close() error { return nil }
 
 // Memory is the in-RAM backend: it retains every record for the
-// process lifetime, so replay, import rollback, and export all work
-// uniformly against it — useful for tests and staging flows. A node
+// process lifetime, so replay, commit rollback and slot restart all
+// work uniformly against it — useful for tests and staging flows. A node
 // that only needs the legacy "nothing survives" behavior uses Null
 // instead and skips record serialization altogether.
 type Memory struct {

@@ -105,8 +105,9 @@ func (n *Node) Close() error { return n.node.Close() }
 // disjoint from the block (a hash-encoder collision) is dropped: Mine
 // then returns the block and the other publications with a
 // *DroppedError naming the dropped ids, so a caller tells it apart
-// from a failed mine with errors.As. Remote subscriptions dropped so
-// lose their connection instead.
+// from a failed mine with errors.As. A remote subscription dropped so
+// ends its own stream with ErrSubscriptionDropped; its client's
+// connection and other streams go on.
 func (n *Node) Mine(objs []Object, ts int64) (*Block, []Publication, error) {
 	blk, err := n.node.MineBlock(objs, ts)
 	if err != nil {

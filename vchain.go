@@ -93,8 +93,9 @@ type (
 	DroppedError = subscribe.DroppedError
 	// RemoteStream is a remote subscription's verified delivery
 	// stream (SPClient.Subscribe). A Delivery with a nil Pub is the
-	// stream's end, not a verdict: its Err is the transport error that
-	// RemoteStream.Err returns once C closes.
+	// stream's end, not a verdict: its Err is the transport error, or
+	// ErrSubscriptionDropped, that RemoteStream.Err returns once C
+	// closes.
 	RemoteStream = service.Subscription
 	// Delivery is one item of a RemoteStream: the pushed publication
 	// plus its local verification outcome, or, with a nil Pub, the
@@ -140,6 +141,10 @@ var (
 	// ErrShardUnavailable marks a strict query that touched a
 	// quarantined shard (degraded reads turn it into a Gap instead).
 	ErrShardUnavailable = shard.ErrShardUnavailable
+	// ErrSubscriptionDropped ends a RemoteStream whose subscription
+	// the SP dropped because it could not prove the subscription's
+	// clause against a block; the SP's reason follows it in the error.
+	ErrSubscriptionDropped = service.ErrSubscriptionDropped
 )
 
 // Shard health states (Node.ShardStats, Node.Health).
