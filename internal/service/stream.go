@@ -49,9 +49,10 @@ type SubscribeConfig struct {
 // publications. Read C until it closes; call Close to unsubscribe
 // (the SP's final pending lazy span, if any, still arrives on C).
 // After C closes, Err reports whether the stream ended because the
-// connection failed or the SP dropped the subscription. The stream goroutine runs until C is drained or
-// the connection closes — a consumer that abandons C without closing
-// the client keeps the goroutine parked.
+// connection failed or the SP dropped the subscription. The stream
+// goroutine runs until C is drained or the connection closes — a
+// consumer that abandons C without closing the client keeps the
+// goroutine parked.
 type Subscription struct {
 	// ID is the SP-assigned subscription id.
 	ID int
