@@ -138,28 +138,50 @@ func NewCodec(name string, pr *pairing.Params) (Codec, error) {
 // of tests and harnesses) is looked through to the accumulator it
 // forwards to. Any other implementation is an error.
 func ParamsOf(a Accumulator) (*pairing.Params, error) {
-	for a != nil {
+	for ; a != nil; a = embedded(a) {
 		if p, ok := a.(interface{ Params() *pairing.Params }); ok {
 			return p.Params(), nil
 		}
-		v := reflect.ValueOf(a)
-		if v.Kind() == reflect.Pointer && !v.IsNil() {
-			v = v.Elem()
-		}
-		if v.Kind() != reflect.Struct {
-			break
-		}
-		var inner Accumulator
-		for i := 0; i < v.NumField(); i++ {
-			f := v.Type().Field(i)
-			if f.Anonymous && f.Type == accumulatorType {
-				inner, _ = v.Field(i).Interface().(Accumulator)
-				break
-			}
-		}
-		a = inner
 	}
 	return nil, errors.New("accumulator: cannot tell the pairing parameters of this accumulator")
+}
+
+// Number hands every element of xs, in order, to the element encoder
+// of a, looked through decorators as ParamsOf does. A DictEncoder
+// numbers an element on first sight, so a caller about to prove in
+// parallel numbers its clauses first: the ids, and with them the proof
+// bytes, then do not depend on which proof reaches a new element
+// first. An encoding error is left to the proof that needs the
+// element. Construction 1 has no encoder.
+func Number(a Accumulator, xs []multiset.Multiset) {
+	for ; a != nil; a = embedded(a) {
+		if c, ok := a.(*Con2); ok {
+			for _, x := range xs {
+				for _, e := range x {
+					c.encodeElem(e.Elem)
+				}
+			}
+			return
+		}
+	}
+}
+
+// embedded returns the Accumulator that the decorator a embeds, or nil.
+func embedded(a Accumulator) Accumulator {
+	v := reflect.ValueOf(a)
+	if v.Kind() == reflect.Pointer && !v.IsNil() {
+		v = v.Elem()
+	}
+	if v.Kind() != reflect.Struct {
+		return nil
+	}
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); f.Anonymous && f.Type == accumulatorType {
+			inner, _ := v.Field(i).Interface().(Accumulator)
+			return inner
+		}
+	}
+	return nil
 }
 
 var accumulatorType = reflect.TypeFor[Accumulator]()

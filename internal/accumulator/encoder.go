@@ -20,10 +20,12 @@ type ElementEncoder interface {
 }
 
 // HashEncoder hashes elements into [1, Q−1]. It is stateless and needs
-// no coordination, but two distinct elements may collide; a collision
-// only prevents the SP from proving a true mismatch (a liveness, not a
-// soundness, issue — see DESIGN.md). Choose Q comfortably above the
-// square of the expected vocabulary size to make collisions unlikely.
+// no coordination, but two distinct elements may collide. A collision
+// is a liveness failure, not a soundness one: it leaves an honest SP
+// unable to prove a true mismatch (the codes intersect, so no proof
+// exists), and can never make a false disjointness proof verify.
+// Choose Q comfortably above the square of the expected vocabulary
+// size to make collisions unlikely.
 type HashEncoder struct {
 	// Q is the exclusive domain bound (must match the key's q).
 	Q int

@@ -330,6 +330,15 @@ func (r *Run) WaitCtx(ctx context.Context) error {
 		flights[i] = f
 	}
 
+	// New clause elements are numbered in task order before the fan-out
+	// (accumulator.Number), so a parallel run gives the bytes of a
+	// serial one.
+	clauses := make([]multiset.Multiset, len(own))
+	for k, i := range own {
+		clauses[k] = tasks[i].clauseW
+	}
+	accumulator.Number(e.acc, clauses)
+
 	// One chunk per goroutine that par.For can run: more would only
 	// split the sets of proofs that share their rounds. Every chunk
 	// holds at least one task.

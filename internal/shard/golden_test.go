@@ -43,7 +43,9 @@ func TestGoldenVectors(t *testing.T) {
 	pr := pairing.Toy()
 	// acc2 encodes through a dictionary: ids are assigned on first sight,
 	// which is deterministic here because the monolithic node mines and
-	// answers every query before any sharded node runs concurrently.
+	// answers every query before any sharded node runs concurrently, and
+	// a proof run numbers its clauses in task order before it proves in
+	// parallel.
 	accs := []struct {
 		name string
 		acc  accumulator.Accumulator
