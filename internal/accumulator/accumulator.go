@@ -146,21 +146,16 @@ func ParamsOf(a Accumulator) (*pairing.Params, error) {
 	return nil, errors.New("accumulator: cannot tell the pairing parameters of this accumulator")
 }
 
-// Number hands every element of xs, in order, to the element encoder
-// of a, looked through decorators as ParamsOf does. A DictEncoder
-// numbers an element on first sight, so a caller about to prove in
-// parallel numbers its clauses first: the ids, and with them the proof
-// bytes, then do not depend on which proof reaches a new element
-// first. An encoding error is left to the proof that needs the
-// element. Construction 1 has no encoder.
-func Number(a Accumulator, xs []multiset.Multiset) {
+// Number hands x's elements, in order, to a's element encoder, looked
+// through decorators as ParamsOf does. A DictEncoder numbers elements
+// on first sight, so a caller about to prove in parallel numbers its
+// clauses first, and the ids, with them the proof bytes, do not depend
+// on the schedule. An encoding error is left to the proof that needs
+// the element. Construction 1 has no encoder.
+func Number(a Accumulator, x multiset.Multiset) {
 	for ; a != nil; a = embedded(a) {
 		if c, ok := a.(*Con2); ok {
-			for _, x := range xs {
-				for _, e := range x {
-					c.encodeElem(e.Elem)
-				}
-			}
+			c.encode(nil, x)
 			return
 		}
 	}

@@ -25,47 +25,64 @@ func FuzzVODecode(f *testing.F) {
 	// so seed mutants exercise the full walk (hash replay, clause
 	// checks, pairing batch) rather than dying at the window bound.
 	// Everything here runs under fuzz instrumentation, so the setup is
-	// deliberately tiny — two blocks, small keys — to leave the
-	// fuzztime budget to actual fuzzing.
+	// deliberately tiny — a few blocks, small keys — to leave the
+	// fuzztime budget to actual fuzzing. Blocks 0 and 1 hold the car
+	// example and blocks 2–5 only vans, so that the second query skips
+	// them: under acc2 its skip cites the "sedan" group, beside a
+	// mismatch node of blocks 0 and 1.
 	pr := pairing.Toy()
 	type target struct {
 		acc   accumulator.Accumulator
 		light *chain.LightStore
-		vo    []byte
+		vos   [][]byte
 	}
+	qs := []Query{sedanBenzQuery(0, 1), sedanBenzQuery(0, 5)}
 	var targets []target
 	for _, acc := range []accumulator.Accumulator{
 		accumulator.KeyGenCon1Deterministic(pr, 64, []byte("fuzz")),
 		accumulator.KeyGenCon2Deterministic(pr, 128, accumulator.HashEncoder{Q: 128}, []byte("fuzz")),
 	} {
-		b := &Builder{Acc: acc, Mode: ModeIntra, Width: testWidth}
+		b := &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 1, Width: testWidth}
 		node := NewFullNode(0, b)
-		for i := 0; i < 2; i++ {
-			if _, err := node.MineBlock(carObjects(uint64(i*10)), int64(1000+i)); err != nil {
+		for i := 0; i < 6; i++ {
+			objs := carObjects(uint64(i * 10))
+			if i >= 2 {
+				objs = vanObjects(uint64(i * 10))
+			}
+			if _, err := node.MineBlock(objs, int64(1000+i)); err != nil {
 				f.Fatal(err)
 			}
-		}
-		vo, err := node.SP(acc.SupportsAgg()).TimeWindowQuery(context.Background(), sedanBenzQuery(0, 1))
-		if err != nil {
-			f.Fatal(err)
 		}
 		light := chain.NewLightStore(0)
 		if err := light.Sync(node.Store.Headers()); err != nil {
 			f.Fatal(err)
 		}
-		targets = append(targets, target{acc: acc, light: light, vo: EncodeVO(acc, vo)})
+		tg := target{acc: acc, light: light}
+		for i, q := range qs {
+			vo, err := node.SP(acc.SupportsAgg()).TimeWindowQuery(context.Background(), q)
+			if err != nil {
+				f.Fatal(err)
+			}
+			if i == 1 && acc.SupportsAgg() && groupedSkip(vo) == nil {
+				f.Fatal("the skip seed holds no group-citing skip")
+			}
+			tg.vos = append(tg.vos, EncodeVO(acc, vo))
+		}
+		targets = append(targets, tg)
 	}
-	q := sedanBenzQuery(0, 1)
 
 	for _, tg := range targets {
-		f.Add(tg.vo)
+		f.Add(tg.vos[0])
 	}
 	if b, err := os.ReadFile(filepath.Join("testdata", "golden_vo_toy_acc2.bin")); err == nil {
 		f.Add(b)
 	}
-	f.Add([]byte("vVO1"))
+	f.Add([]byte("vVO2"))
 	f.Add([]byte{})
-	f.Add(append([]byte("vVO1"), 0xFF, 0xFF, 0xFF, 0xFF))
+	f.Add(append([]byte("vVO2"), 0xFF, 0xFF, 0xFF, 0xFF))
+	for _, tg := range targets {
+		f.Add(tg.vos[1])
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, tg := range targets {
@@ -85,11 +102,13 @@ func FuzzVODecode(f *testing.F) {
 			// Verification over a fuzzed VO must reject or accept
 			// gracefully, never panic — in both flush modes, which must
 			// agree on the outcome.
-			seqErr := seqVerifyErr(tg.acc, tg.light, q, vo)
-			batchErr := (&Verifier{Acc: acc, Light: tg.light}).
-				verifyErr(q, vo)
-			if (seqErr == nil) != (batchErr == nil) {
-				t.Fatalf("%s: flush modes disagree: sequential=%v batched=%v", acc.Name(), seqErr, batchErr)
+			for _, q := range qs {
+				seqErr := seqVerifyErr(tg.acc, tg.light, q, vo)
+				batchErr := (&Verifier{Acc: acc, Light: tg.light}).
+					verifyErr(q, vo)
+				if (seqErr == nil) != (batchErr == nil) {
+					t.Fatalf("%s: flush modes disagree: sequential=%v batched=%v", acc.Name(), seqErr, batchErr)
+				}
 			}
 		}
 	})

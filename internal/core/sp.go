@@ -50,17 +50,21 @@ type aggVO struct {
 	clauses []Clause
 }
 
-func newAggVO(eng *proofs.Engine) *aggVO {
-	return &aggVO{agg: eng.NewAggregator()}
-}
-
-// add registers a mismatching node into its clause group.
-func (b *aggVO) add(n *NodeVO, w multiset.Multiset, clause Clause) {
+// cite is the one scheduling path of skips and mismatch nodes: it makes
+// c, the citation of an entry whose multiset w misses clause, cite
+// clause's group, which w joins, or without batching (b nil) cite
+// clause inline, the proof of (w, clause) scheduled on run.
+func (b *aggVO) cite(c *Cite, w multiset.Multiset, clause Clause, run *proofs.Run) {
+	if b == nil {
+		*c = Cite{Group: -1, Clause: clause}
+		run.Add(w, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) { c.Proof = &pf })
+		return
+	}
 	idx := b.agg.Add(clause.Key(), w, clause.Multiset())
 	if idx == len(b.clauses) {
 		b.clauses = append(b.clauses, clause)
 	}
-	n.Group = idx
+	*c = Cite{Group: idx}
 }
 
 // finalize schedules one aggregated proof per group on run and returns
@@ -115,7 +119,7 @@ func (sp *SP) Walk(ctx context.Context, q Query, run *proofs.Run) (vo *VO, err e
 	vo = &VO{}
 	var batch *aggVO
 	if sp.Batch && sp.Acc.SupportsAgg() {
-		batch = newAggVO(sp.Engine)
+		batch = &aggVO{agg: sp.Engine.NewAggregator()}
 	}
 
 	h := q.EndBlock
@@ -133,7 +137,7 @@ func (sp *SP) Walk(ctx context.Context, q Query, run *proofs.Run) (vo *VO, err e
 		// Try the largest usable skip first (Alg. 4): it must stay
 		// inside the window and its aggregated multiset must mismatch
 		// some clause.
-		skip, err := sp.trySkip(ads, cnf, q.StartBlock, run)
+		skip, err := sp.trySkip(ads, cnf, q.StartBlock, batch, run)
 		if err != nil {
 			return nil, fmt.Errorf("core: window walk at height %d: %w", h, err)
 		}
@@ -153,14 +157,14 @@ func (sp *SP) Walk(ctx context.Context, q Query, run *proofs.Run) (vo *VO, err e
 }
 
 // trySkip returns the largest skip at ads.Height that stays within the
-// window and mismatches some clause, or nil (PlanSkip). The skip's
-// proof is scheduled on run.
-func (sp *SP) trySkip(ads *BlockADS, cnf CNF, startBlock int, run *proofs.Run) (*SkipVO, error) {
+// window and mismatches some clause, or nil (PlanSkip). The skip cites
+// its proof as a mismatch node does (aggVO.cite).
+func (sp *SP) trySkip(ads *BlockADS, cnf CNF, startBlock int, batch *aggVO, run *proofs.Run) (*SkipVO, error) {
 	skip, w, err := ads.PlanSkip(sp.View, sp.Acc, startBlock, func(_ int, w multiset.Multiset) (Clause, bool) {
 		return cnf.FindMismatch(w)
 	})
 	if skip != nil {
-		run.Add(w, skip.Clause.Key(), skip.Clause.Multiset(), func(pf accumulator.Proof) { skip.Proof = pf })
+		batch.cite(&skip.Cite, w, skip.Clause, run)
 	}
 	return skip, err
 }
@@ -173,8 +177,8 @@ func (sp *SP) trySkip(ads *BlockADS, cnf CNF, startBlock int, run *proofs.Run) (
 // multiset; it must reject every span that contains one it rejected,
 // as "matches the CNF" does, because deriving the spans, which pages in
 // the covered blocks, stops at the first span pick rejects. A skip over
-// acc's key capacity is passed over for a smaller one. The caller fills
-// the entry's proof.
+// acc's key capacity is passed over for a smaller one. The entry cites
+// pick's clause inline; the caller fills its proof or re-cites it.
 func (a *BlockADS) PlanSkip(view ChainView, acc accumulator.Accumulator, lowest int,
 	pick func(from int, w multiset.Multiset) (Clause, bool)) (*SkipVO, multiset.Multiset, error) {
 	top := len(a.Skips) - 1
@@ -206,8 +210,8 @@ func (a *BlockADS) PlanSkip(view ChainView, acc accumulator.Accumulator, lowest 
 // skipVO builds the VO entry that cites skip entry i, whose span
 // multiset is w (see skipSpans), against clause: the entry's distance,
 // digest and landing hash plus the commitment leaves of its siblings.
-// The caller fills the proof. It returns nil when acc's key is too
-// small to prove w disjoint from clause.
+// It cites clause inline, without a proof. It returns nil when acc's
+// key is too small to prove w disjoint from clause.
 func (a *BlockADS) skipVO(i int, w multiset.Multiset, clause Clause, acc accumulator.Accumulator) *SkipVO {
 	entry := &a.Skips[i]
 	if max := acc.MaxCardinality(); max >= 0 && (w.Cardinality() > max || len(clause) > max) {
@@ -221,7 +225,7 @@ func (a *BlockADS) skipVO(i int, w multiset.Multiset, clause Clause, acc accumul
 	}
 	return &SkipVO{
 		Distance: entry.Distance,
-		Clause:   clause,
+		Cite:     Cite{Group: -1, Clause: clause},
 		Digest:   entry.Digest,
 		PrevHash: entry.PrevHash,
 		Siblings: siblings,
@@ -229,16 +233,15 @@ func (a *BlockADS) skipVO(i int, w multiset.Multiset, clause Clause, acc accumul
 }
 
 // MismatchVO builds the VO node that prunes n, which carries a digest,
-// as missing clause: n's digest and pre-hash. Its proof is the caller's
-// to fill, or its batch group's. The window walk builds one at any
+// as missing clause: n's digest and pre-hash, citing clause inline.
+// Its proof is the caller's to fill. The window walk builds one at any
 // node, and subscriptions at a block root that misses a clause.
 func MismatchVO(n *IntraNode, clause Clause) *NodeVO {
 	out := &NodeVO{
 		Kind:      KindMismatch,
 		Digest:    n.Digest,
 		HasDigest: true,
-		Clause:    clause,
-		Group:     -1,
+		Cite:      Cite{Group: -1, Clause: clause},
 	}
 	if n.IsLeaf() {
 		out.PreHash = leafPreHash(n.Obj.Hash())
@@ -272,8 +275,8 @@ func matchesBelow(c Clause, n *IntraNode, width int) bool {
 
 // blockTreeVO runs Alg. 3 over one block's intra index (which in
 // ModeNil is the plain tree whose internal nodes carry no digests, so
-// traversal always reaches the leaves). Mismatch proofs join their
-// batch group or, unbatched, are scheduled on run. Only a node that
+// traversal always reaches the leaves). Mismatch nodes cite their
+// proofs through batch (aggVO.cite). Only a node that
 // gets proven needs its multiset: the block's BlockW at the root, else
 // the union IntraNode.Multiset derives.
 func (sp *SP) blockTreeVO(ads *BlockADS, cnf CNF, batch *aggVO, run *proofs.Run) *NodeVO {
@@ -289,11 +292,7 @@ func (sp *SP) blockTreeVO(ads *BlockADS, cnf CNF, batch *aggVO, run *proofs.Run)
 					w = n.Multiset(ads.Width)
 				}
 				out := MismatchVO(n, clause)
-				if batch != nil {
-					batch.add(out, w, clause)
-				} else {
-					run.Add(w, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) { out.Proof = &pf })
-				}
+				batch.cite(&out.Cite, w, clause, run)
 				return out
 			}
 		}
@@ -305,7 +304,6 @@ func (sp *SP) blockTreeVO(ads *BlockADS, cnf CNF, batch *aggVO, run *proofs.Run)
 				Obj:       &obj,
 				Digest:    n.Digest,
 				HasDigest: n.HasDigest,
-				Group:     -1,
 			}
 		}
 		// Left before right: batch group indexes follow traversal order.
@@ -317,7 +315,6 @@ func (sp *SP) blockTreeVO(ads *BlockADS, cnf CNF, batch *aggVO, run *proofs.Run)
 			HasDigest: n.HasDigest,
 			Left:      l,
 			Right:     r,
-			Group:     -1,
 		}
 	}
 	return build(ads.Root)

@@ -304,9 +304,9 @@ func (v *Verifier) VerifyWindowParts(q Query, parts []WindowPart) ([]chain.Objec
 // into cc. Callers validate the query and flush the collector; sharing
 // one collector across calls merges multiple VOs into one batch.
 func (v *Verifier) collectWindow(q Query, cnf CNF, vo *VO, cc *checkCollector) ([]chain.Object, error) {
-	// Batched groups: collect member digests during traversal, verify
-	// each group once at the end.
-	groupDigests := make([][]accumulator.Acc, len(vo.Groups))
+	// Batch groups: collect the digests of the entries citing each
+	// during traversal, verify each group once at the end.
+	members := make([][]accumulator.Acc, len(vo.Groups))
 
 	var results []chain.Object
 	h := q.EndBlock
@@ -328,12 +328,12 @@ func (v *Verifier) collectWindow(q Query, cnf CNF, vo *VO, cc *checkCollector) (
 		}
 		switch {
 		case bvo.Skip != nil:
-			if err := v.verifySkip(bvo.Skip, h, hdr, cnf, cc); err != nil {
+			if err := v.verifySkip(bvo.Skip, h, hdr, cnf, members, cc); err != nil {
 				return nil, err
 			}
 			h -= bvo.Skip.Distance
 		case bvo.Tree != nil:
-			objs, err := v.verifyTree(bvo.Tree, hdr, cnf, q, groupDigests, vo, cc)
+			objs, err := v.verifyTree(bvo.Tree, hdr, cnf, q, members, cc)
 			if err != nil {
 				return nil, err
 			}
@@ -347,48 +347,58 @@ func (v *Verifier) collectWindow(q Query, cnf CNF, vo *VO, cc *checkCollector) (
 		return nil, fmt.Errorf("%w: %d surplus VO entries", ErrCompleteness, len(vo.Blocks)-idx)
 	}
 
-	// Verify batched groups: sum the member digests and register one
-	// aggregated check per clause (§6.3).
-	for gi, g := range vo.Groups {
-		if len(groupDigests[gi]) == 0 {
+	// Verify batch groups (§6.3): the sum of a group's member digests
+	// cites the group's clause and proof inline.
+	for gi := range vo.Groups {
+		if len(members[gi]) == 0 {
 			continue // group never referenced; harmless padding
 		}
-		if !cnf.ContainsClause(g.Clause) {
-			return nil, fmt.Errorf("%w: batch group %d proves a foreign clause", ErrSoundness, gi)
-		}
-		if !v.Acc.ValidateProof(g.Proof) {
-			return nil, fmt.Errorf("%w: malformed batched proof in group %d", ErrSoundness, gi)
-		}
-		sum, err := v.Acc.Sum(groupDigests[gi]...)
+		sum, err := v.Acc.Sum(members[gi]...)
 		if err != nil {
 			return nil, fmt.Errorf("%w: batch group %d: %v", ErrSoundness, gi, err)
 		}
-		clAcc, err := cc.clauseAcc(g.Clause)
-		if err != nil {
+		g := &vo.Groups[gi]
+		if err := v.cite(&Cite{Group: -1, Clause: g.Clause, Proof: &g.Proof}, sum, "batch group", gi, cnf, nil, cc); err != nil {
 			return nil, err
 		}
-		cc.add(sum, clAcc, g.Proof,
-			fmt.Errorf("%w: batched disjointness proof for group %d rejected", ErrSoundness, gi))
 	}
 	return results, nil
 }
 
-// verifySkip checks an inter-block jump: clause membership,
-// SkipListRoot reconstruction, landing-hash agreement with the local
-// headers, and (deferred) proof validity.
-func (v *Verifier) verifySkip(s *SkipVO, height int, hdr chain.Header, cnf CNF, cc *checkCollector) error {
-	if !cnf.ContainsClause(s.Clause) {
-		return fmt.Errorf("%w: skip at %d proves a foreign clause", ErrSoundness, height)
+// cite registers the disjointness check of a VO entry whose digest d
+// cites c; entry and n name the entry in errors ("skip at" a height,
+// say). An inline citation defers its own check against its clause.
+// A group citation adds d to the group's members, whose digest sum
+// collectWindow then cites with the group's clause and proof.
+func (v *Verifier) cite(c *Cite, d accumulator.Acc, entry string, n int, cnf CNF, members [][]accumulator.Acc, cc *checkCollector) error {
+	if !v.Acc.ValidateAcc(d) || c.Group < 0 && (c.Proof == nil || !v.Acc.ValidateProof(*c.Proof)) {
+		return fmt.Errorf("%w: malformed group elements in %s %d", ErrSoundness, entry, n)
 	}
-	if !v.Acc.ValidateAcc(s.Digest) || !v.Acc.ValidateProof(s.Proof) {
-		return fmt.Errorf("%w: malformed group elements in skip at %d", ErrSoundness, height)
+	if c.Group >= 0 {
+		if c.Group >= len(members) {
+			return fmt.Errorf("%w: %s %d cites batch group %d of %d", ErrSoundness, entry, n, c.Group, len(members))
+		}
+		members[c.Group] = append(members[c.Group], d)
+		return nil
 	}
-	clAcc, err := cc.clauseAcc(s.Clause)
+	if !cnf.ContainsClause(c.Clause) {
+		return fmt.Errorf("%w: %s %d proves a foreign clause", ErrSoundness, entry, n)
+	}
+	clAcc, err := cc.clauseAcc(c.Clause)
 	if err != nil {
 		return err
 	}
-	cc.add(s.Digest, clAcc, s.Proof,
-		fmt.Errorf("%w: skip disjointness proof at %d rejected", ErrSoundness, height))
+	cc.add(d, clAcc, *c.Proof, fmt.Errorf("%w: disjointness proof of %s %d rejected", ErrSoundness, entry, n))
+	return nil
+}
+
+// verifySkip checks an inter-block jump: its citation (cite),
+// SkipListRoot reconstruction, and landing-hash agreement with the
+// local headers.
+func (v *Verifier) verifySkip(s *SkipVO, height int, hdr chain.Header, cnf CNF, members [][]accumulator.Acc, cc *checkCollector) error {
+	if err := v.cite(&s.Cite, s.Digest, "skip at", height, cnf, members, cc); err != nil {
+		return err
+	}
 	// Reconstruct SkipListRoot from this entry plus sibling hashes.
 	entry := SkipEntry{Distance: s.Distance, PrevHash: s.PrevHash, Digest: s.Digest}
 	hashes := map[int]chain.Digest{s.Distance: entry.hashEntry(v.Acc)}
@@ -421,11 +431,10 @@ func (v *Verifier) verifySkip(s *SkipVO, height int, hdr chain.Header, cnf CNF, 
 }
 
 // verifyTree replays one block's NodeVO: recomputes the Merkle root,
-// registers every mismatch proof with the check collector (or with its
-// batch group), and validates every result object against the raw
-// query predicate.
+// registers every mismatch node's citation (cite), and validates every
+// result object against the raw query predicate.
 func (v *Verifier) verifyTree(root *NodeVO, hdr chain.Header, cnf CNF, q Query,
-	groupDigests [][]accumulator.Acc, vo *VO, cc *checkCollector) ([]chain.Object, error) {
+	members [][]accumulator.Acc, cc *checkCollector) ([]chain.Object, error) {
 
 	var results []chain.Object
 	var walk func(n *NodeVO) (chain.Digest, error)
@@ -451,30 +460,8 @@ func (v *Verifier) verifyTree(root *NodeVO, hdr chain.Header, cnf CNF, q Query,
 			if !n.HasDigest {
 				return chain.Digest{}, fmt.Errorf("%w: mismatch node without digest", ErrSoundness)
 			}
-			if !cnf.ContainsClause(n.Clause) {
-				return chain.Digest{}, fmt.Errorf("%w: mismatch proof against a foreign clause", ErrSoundness)
-			}
-			if !v.Acc.ValidateAcc(n.Digest) {
-				return chain.Digest{}, fmt.Errorf("%w: malformed digest in mismatch node", ErrSoundness)
-			}
-			if n.Proof != nil && !v.Acc.ValidateProof(*n.Proof) {
-				return chain.Digest{}, fmt.Errorf("%w: malformed proof in mismatch node", ErrSoundness)
-			}
-			switch {
-			case n.Proof != nil:
-				clAcc, err := cc.clauseAcc(n.Clause)
-				if err != nil {
-					return chain.Digest{}, err
-				}
-				cc.add(n.Digest, clAcc, *n.Proof,
-					fmt.Errorf("%w: disjointness proof rejected", ErrSoundness))
-			case n.Group >= 0 && n.Group < len(vo.Groups):
-				if !vo.Groups[n.Group].Clause.Equal(n.Clause) {
-					return chain.Digest{}, fmt.Errorf("%w: node clause differs from its batch group", ErrSoundness)
-				}
-				groupDigests[n.Group] = append(groupDigests[n.Group], n.Digest)
-			default:
-				return chain.Digest{}, fmt.Errorf("%w: mismatch node with neither proof nor group", ErrSoundness)
+			if err := v.cite(&n.Cite, n.Digest, "mismatch node at", int(hdr.Height), cnf, members, cc); err != nil {
+				return chain.Digest{}, err
 			}
 			return nodeHash(n.PreHash, v.Acc.AccBytes(n.Digest)), nil
 

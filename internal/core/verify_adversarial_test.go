@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"github.com/vchain-go/vchain/internal/accumulator"
@@ -60,13 +61,18 @@ func firstSkip(vo *VO) *SkipVO {
 	return nil
 }
 
-// mustRejectBoth asserts that both flush modes reject the mutated VO.
+// mustRejectBoth asserts that both flush modes reject the mutated VO
+// with a soundness or completeness violation.
 func mustRejectBoth(t *testing.T, c *advCtx, why string) {
 	t.Helper()
 	for _, seq := range []bool{true, false} {
 		v := &Verifier{Acc: c.acc, Light: c.light, Sequential: seq}
-		if _, err := v.VerifyTimeWindow(c.q, c.vo); err == nil {
+		_, err := v.VerifyTimeWindow(c.q, c.vo)
+		switch {
+		case err == nil:
 			t.Errorf("sequential=%v verifier accepted VO with %s", seq, why)
+		case !errors.Is(err, ErrSoundness) && !errors.Is(err, ErrCompleteness):
+			t.Errorf("sequential=%v verifier rejected VO with %s outside the taxonomy: %v", seq, why, err)
 		}
 	}
 }
@@ -426,7 +432,7 @@ var groupMutations = []mutation{
 		}
 		ms := collectNodes(c.vo, KindMismatch)
 		for _, m := range ms {
-			if m.Group == 0 && !c.vo.Groups[1].Clause.Equal(m.Clause) {
+			if m.Group == 0 {
 				m.Group = 1
 				return true
 			}
@@ -443,12 +449,72 @@ var groupMutations = []mutation{
 		ms := collectNodes(c.vo, KindMismatch)
 		for _, m := range ms {
 			if m.Group == 0 {
-				m.Group = -1
-				m.Proof = &c.vo.Groups[1].Proof
+				m.Cite = Cite{Group: -1, Clause: c.vo.Groups[0].Clause, Proof: &c.vo.Groups[1].Proof}
 				return true
 			}
 		}
 		return false
+	}},
+}
+
+// groupedSkip returns the first skip of the VO that cites a batch
+// group, or nil.
+func groupedSkip(vo *VO) *SkipVO {
+	for i := range vo.Blocks {
+		if s := vo.Blocks[i].Skip; s != nil && s.Group >= 0 {
+			return s
+		}
+	}
+	return nil
+}
+
+// otherGroup returns a group index other than g, or −1.
+func otherGroup(vo *VO, g int) int {
+	for i := range vo.Groups {
+		if i != g {
+			return i
+		}
+	}
+	return -1
+}
+
+// skipCiteMutations tamper with a skip that cites its clause's batch
+// group (§6.2 and §6.3: a skip is a mismatch over a larger multiset).
+var skipCiteMutations = []mutation{
+	{"skip-group-out-of-range", func(t *testing.T, c *advCtx) bool {
+		s := groupedSkip(c.vo)
+		if s == nil {
+			return false
+		}
+		s.Group = len(c.vo.Groups)
+		return true
+	}},
+	{"skip-moved-to-another-group", func(t *testing.T, c *advCtx) bool {
+		s := groupedSkip(c.vo)
+		if s == nil || otherGroup(c.vo, s.Group) < 0 {
+			return false
+		}
+		s.Group = otherGroup(c.vo, s.Group)
+		return true
+	}},
+	{"skip-detached-with-foreign-proof", func(t *testing.T, c *advCtx) bool {
+		// Detach the skip from its group and hand it the other group's
+		// aggregated proof inline, citing its own clause.
+		s := groupedSkip(c.vo)
+		if s == nil || otherGroup(c.vo, s.Group) < 0 {
+			return false
+		}
+		other := otherGroup(c.vo, s.Group)
+		s.Cite = Cite{Group: -1, Clause: c.vo.Groups[s.Group].Clause, Proof: &c.vo.Groups[other].Proof}
+		return true
+	}},
+	{"skip-group-clause-foreign", func(t *testing.T, c *advCtx) bool {
+		s := groupedSkip(c.vo)
+		if s == nil {
+			return false
+		}
+		c.vo.Groups[s.Group].Clause = KeywordClause("spaceship")
+		return true
 	}},
 }
 
@@ -533,6 +599,49 @@ func TestAdversarialGroupVO(t *testing.T) {
 		}
 		return &advCtx{acc: acc, node: node, light: light, q: q, vo: vo}
 	}
+	runMutations(t, fresh, groupMutations)
+}
+
+// vanObjects is a block that holds no sedan.
+func vanObjects(base uint64) []chain.Object {
+	return []chain.Object{
+		{ID: chain.ObjectID(base + 1), TS: int64(base), V: []int64{4}, W: []string{"van", "benz"}},
+		{ID: chain.ObjectID(base + 2), TS: int64(base), V: []int64{6}, W: []string{"van", "audi"}},
+	}
+}
+
+func TestAdversarialBatchedSkipVO(t *testing.T) {
+	acc := testAccs(t)["acc2"]
+	// Blocks 0–3 hold the car example and 4–11 only vans. From height
+	// 11 a skip of distance 8 misses "sedan", as mismatch nodes of
+	// blocks 0–3 do, so it joins their group; the cars add a second
+	// group, for "benz ∨ bmw".
+	node := NewFullNode(0, &Builder{Acc: acc, Mode: ModeBoth, SkipSize: 2, Width: testWidth})
+	for i := 0; i < 12; i++ {
+		objs := carObjects(uint64(i * 10))
+		if i >= 4 {
+			objs = vanObjects(uint64(i * 10))
+		}
+		if _, err := node.MineBlock(objs, int64(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	light := chain.NewLightStore(0)
+	if err := light.Sync(node.Store.Headers()); err != nil {
+		t.Fatal(err)
+	}
+	q := sedanBenzQuery(0, 11)
+	fresh := func(t *testing.T) *advCtx {
+		vo, err := node.SP(true).TimeWindowQuery(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if groupedSkip(vo) == nil || len(vo.Groups) < 2 {
+			t.Fatalf("fixture has %d groups and no grouped skip", len(vo.Groups))
+		}
+		return &advCtx{acc: acc, node: node, light: light, q: q, vo: vo}
+	}
+	runMutations(t, fresh, skipCiteMutations)
 	runMutations(t, fresh, groupMutations)
 }
 

@@ -20,6 +20,18 @@ const (
 	KindExpand
 )
 
+// Cite is how a VO entry that needs a disjointness proof, a mismatch
+// node or a skip, names that proof. In a batched VO (§6.3) it cites
+// its clause's group by index alone: VO.Groups[Group] holds the clause
+// and one proof aggregated over the digests of every entry citing it.
+// Otherwise Group is −1 and the entry carries Clause and Proof inline,
+// as acc1, unbatched walks and subscription publications do.
+type Cite struct {
+	Group  int                // index into VO.Groups, or −1 when inline
+	Clause Clause             // the clause proven disjoint (inline only)
+	Proof  *accumulator.Proof // its proof (inline only); nil until proven
+}
+
 // NodeVO mirrors one node of the SP's intra-block traversal (Alg. 3).
 // The verifier replays the structure bottom-up to reconstruct the
 // block's MerkleRoot.
@@ -39,29 +51,21 @@ type NodeVO struct {
 	// only): H(0x00‖objHash) for leaves, H(0x01‖l‖r) for subtrees.
 	PreHash chain.Digest
 
-	// Clause is the query clause proven disjoint (KindMismatch with
-	// its own proof).
-	Clause Clause
-	// Proof is the disjointness proof; nil when the node participates
-	// in a shared batch group instead.
-	Proof *accumulator.Proof
-	// Group indexes into VO.Groups for batched mismatches; −1 for an
-	// individual proof.
-	Group int
+	// Cite names the proof that the node's digest misses a clause
+	// (KindMismatch only).
+	Cite
 
 	// Left and Right are the children (KindExpand).
 	Left, Right *NodeVO
 }
 
 // SkipVO authenticates an inter-block jump (Alg. 4): all blocks
-// [Height−Distance+1, Height] mismatch Clause.
+// [Height−Distance+1, Height] miss the clause its citation names.
 type SkipVO struct {
 	// Distance is the jump length.
 	Distance int
-	// Clause is the query clause the aggregated multiset misses.
-	Clause Clause
-	// Proof is the disjointness proof for (skip multiset, clause).
-	Proof accumulator.Proof
+	// Cite names the proof that the skip's digest misses a clause.
+	Cite
 	// Digest is the skip entry's AttDigest.
 	Digest accumulator.Acc
 	// PrevHash is the landing block's header hash.
@@ -83,8 +87,9 @@ type BlockVO struct {
 }
 
 // MismatchGroup is an online-batched disjointness proof (§6.3): one
-// aggregated proof for all member nodes sharing Clause. The verifier
-// sums the members' digests and runs a single VerifyDisjoint.
+// aggregated proof for every entry, mismatch node or skip, that cites
+// it. The verifier sums the members' digests and runs a single
+// VerifyDisjoint against Clause.
 type MismatchGroup struct {
 	Clause Clause
 	Proof  accumulator.Proof
@@ -94,7 +99,8 @@ type MismatchGroup struct {
 // ordered newest block first (the traversal order of Alg. 4).
 type VO struct {
 	Blocks []BlockVO
-	// Groups holds batched mismatch proofs (§6.3, acc2 only).
+	// Groups holds the batched proofs, one per distinct clause cited
+	// (§6.3, acc2 only).
 	Groups []MismatchGroup
 }
 
@@ -128,19 +134,8 @@ func (vo *VO) Results() []chain.Object {
 // used to ignore — is counted exactly once.
 func (vo *VO) SizeBytes(acc accumulator.Accumulator) int {
 	total := len(EncodeVO(acc, vo))
-	var walk func(n *NodeVO)
-	walk = func(n *NodeVO) {
-		if n == nil {
-			return
-		}
-		if n.Kind == KindResult && n.Obj != nil {
-			total -= encodedObjectSize(n.Obj)
-		}
-		walk(n.Left)
-		walk(n.Right)
-	}
-	for i := range vo.Blocks {
-		walk(vo.Blocks[i].Tree)
+	for _, o := range vo.Results() {
+		total -= encodedObjectSize(&o)
 	}
 	return total
 }

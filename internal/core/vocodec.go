@@ -20,24 +20,24 @@ import (
 //
 // Layout:
 //
-//	"vVO1" magic
+//	"vVO2" magic
 //	u32 nBlocks, then per block:
 //	  u32 height, u8 tag (0 = skip, 1 = tree)
-//	  skip: u32 distance, clause, proof, digest, 32B prevHash,
+//	  skip: u32 distance, cite, digest, 32B prevHash,
 //	        u16 nSiblings, then (u32 distance, 32B hash)… ascending
 //	  tree: node (recursive):
 //	    u8 kind
 //	    result:   object, u8 hasDigest, [digest]
-//	    mismatch: digest, 32B preHash, clause, u8 hasProof,
-//	              proof | i32 group
+//	    mismatch: digest, 32B preHash, cite
 //	    expand:   u8 hasDigest, [digest], left, right
 //	u16 nGroups, then per group: clause, proof
 //
+//	cite    = u8 0, u16 group | u8 1, clause, proof
 //	clause  = u16 n, then per element u16 len + bytes
 //	object  = u64 id, u64 ts, u16 nV, u64…, u16 nW, (u16 len + bytes)…
 //	digest  = u16 len + AccBytes; proof = u16 len + ProofBytes
 var (
-	voMagic = [4]byte{'v', 'V', 'O', '1'}
+	voMagic = [4]byte{'v', 'V', 'O', '2'}
 
 	// ErrVODecode wraps every malformed-encoding failure.
 	ErrVODecode = errors.New("core: malformed VO encoding")
@@ -192,8 +192,7 @@ type voEncoder struct {
 
 func (e *voEncoder) skip(s *SkipVO) {
 	e.U32(uint32(s.Distance))
-	writeClause(&e.Writer, s.Clause)
-	e.Bytes16(e.acc.ProofBytes(s.Proof))
+	e.cite(&s.Cite)
 	e.Bytes16(e.acc.AccBytes(s.Digest))
 	e.Raw(s.PrevHash[:])
 	ds := make([]int, 0, len(s.Siblings))
@@ -230,19 +229,30 @@ func (e *voEncoder) node(n *NodeVO) {
 	case KindMismatch:
 		e.Bytes16(e.acc.AccBytes(n.Digest))
 		e.Raw(n.PreHash[:])
-		writeClause(&e.Writer, n.Clause)
-		if n.Proof != nil {
-			e.U8(1)
-			e.Bytes16(e.acc.ProofBytes(*n.Proof))
-		} else {
-			e.U8(0)
-			e.U32(uint32(int32(n.Group)))
-		}
+		e.cite(&n.Cite)
 	case KindExpand:
 		e.optDigest(n.HasDigest, n.Digest)
 		e.node(n.Left)
 		e.node(n.Right)
 	}
+}
+
+// cite writes a group citation as its index, any other as inline; a
+// proof not yet computed encodes as the zero proof, which the decoder
+// rejects.
+func (e *voEncoder) cite(c *Cite) {
+	if c.Group >= 0 {
+		e.U8(0)
+		e.U16(uint16(c.Group))
+		return
+	}
+	e.U8(1)
+	writeClause(&e.Writer, c.Clause)
+	pf := c.Proof
+	if pf == nil {
+		pf = &accumulator.Proof{}
+	}
+	e.Bytes16(e.acc.ProofBytes(*pf))
 }
 
 func (e *voEncoder) optDigest(has bool, a accumulator.Acc) {
@@ -297,10 +307,22 @@ func (d *voDecoder) proof() accumulator.Proof {
 	return p
 }
 
+func (d *voDecoder) cite() Cite {
+	tag := d.U8()
+	if tag == 0 {
+		return Cite{Group: int(d.U16())}
+	}
+	if tag != 1 {
+		d.Failf("bad citation tag %d", tag)
+	}
+	c := Cite{Group: -1, Clause: readClause(d.Reader)}
+	pf := d.proof()
+	c.Proof = &pf
+	return c
+}
+
 func (d *voDecoder) skip() *SkipVO {
-	s := &SkipVO{Distance: int(d.U32())}
-	s.Clause = readClause(d.Reader)
-	s.Proof = d.proof()
+	s := &SkipVO{Distance: int(d.U32()), Cite: d.cite()}
 	s.Digest = d.digest()
 	s.PrevHash = readHash(d.Reader)
 	n := d.Count16(36)
@@ -325,7 +347,7 @@ func (d *voDecoder) node(depth int) *NodeVO {
 		return nil
 	}
 	kind := d.U8()
-	n := &NodeVO{Kind: NodeKind(kind), Group: -1}
+	n := &NodeVO{Kind: NodeKind(kind)}
 	switch n.Kind {
 	case KindResult:
 		obj := readObject(d.Reader)
@@ -335,16 +357,7 @@ func (d *voDecoder) node(depth int) *NodeVO {
 		n.HasDigest = true
 		n.Digest = d.digest()
 		n.PreHash = readHash(d.Reader)
-		n.Clause = readClause(d.Reader)
-		switch has := d.U8(); has {
-		case 1:
-			pf := d.proof()
-			n.Proof = &pf
-		case 0:
-			n.Group = int(int32(d.U32()))
-		default:
-			d.Failf("bad proof flag %d", has)
-		}
+		n.Cite = d.cite()
 	case KindExpand:
 		n.HasDigest, n.Digest = d.optDigest()
 		n.Left = d.node(depth + 1)

@@ -330,14 +330,11 @@ func (r *Run) WaitCtx(ctx context.Context) error {
 		flights[i] = f
 	}
 
-	// New clause elements are numbered in task order before the fan-out
-	// (accumulator.Number), so a parallel run gives the bytes of a
-	// serial one.
-	clauses := make([]multiset.Multiset, len(own))
-	for k, i := range own {
-		clauses[k] = tasks[i].clauseW
+	// New clause elements are numbered in task order before the fan-out,
+	// so a parallel run gives the bytes of a serial one.
+	for _, i := range own {
+		accumulator.Number(e.acc, tasks[i].clauseW)
 	}
-	accumulator.Number(e.acc, clauses)
 
 	// One chunk per goroutine that par.For can run: more would only
 	// split the sets of proofs that share their rounds. Every chunk
@@ -397,49 +394,44 @@ func (r *Run) WaitCtx(ctx context.Context) error {
 // Aggregators are not safe for concurrent use.
 type Aggregator struct {
 	e      *Engine
-	groups map[string]*aggGroup
-	order  []string
+	index  map[string]int
+	groups []aggGroup
 }
 
 type aggGroup struct {
-	key     string
-	w       multiset.Multiset
-	clauseW multiset.Multiset
-	index   int
-	members int
+	key        string
+	w, clauseW multiset.Multiset
 }
 
 // NewAggregator starts an empty aggregation.
 func (e *Engine) NewAggregator() *Aggregator {
-	return &Aggregator{e: e, groups: map[string]*aggGroup{}}
+	return &Aggregator{e: e, index: map[string]int{}}
 }
 
 // Add registers a mismatching multiset under its clause and returns
 // the clause's group index (stable insertion order).
 func (a *Aggregator) Add(clauseKey string, w, clauseW multiset.Multiset) int {
-	g, ok := a.groups[clauseKey]
+	i, ok := a.index[clauseKey]
 	if !ok {
-		g = &aggGroup{key: clauseKey, clauseW: clauseW, index: len(a.order)}
-		a.groups[clauseKey] = g
-		a.order = append(a.order, clauseKey)
+		i = len(a.groups)
+		a.index[clauseKey] = i
+		a.groups = append(a.groups, aggGroup{key: clauseKey, clauseW: clauseW})
 	}
-	g.w = multiset.Sum(g.w, w)
-	g.members++
-	return g.index
+	a.groups[i].w = multiset.Sum(a.groups[i].w, w)
+	return i
 }
 
 // Len returns the number of groups.
-func (a *Aggregator) Len() int { return len(a.order) }
+func (a *Aggregator) Len() int { return len(a.groups) }
 
 // Finalize schedules one aggregated proof per group on run, in
 // group-index order; assign fires with each group's proof during
 // Run.WaitCtx.
 func (a *Aggregator) Finalize(run *Run, assign func(index int, pf accumulator.Proof)) {
 	a.e.mu.Lock()
-	a.e.stats.AggGroups += uint64(len(a.order))
+	a.e.stats.AggGroups += uint64(len(a.groups))
 	a.e.mu.Unlock()
-	for _, k := range a.order {
-		g := a.groups[k]
-		run.Add(g.w, g.key, g.clauseW, func(pf accumulator.Proof) { assign(g.index, pf) })
+	for i, g := range a.groups {
+		run.Add(g.w, g.key, g.clauseW, func(pf accumulator.Proof) { assign(i, pf) })
 	}
 }

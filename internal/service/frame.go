@@ -62,8 +62,9 @@ const (
 	framePrefixLen = 4
 
 	// protocolVersion is the hello's version. Builds that framed gob
-	// sent no hello; they count as version 1. Version 3 added Push.Err.
-	protocolVersion = 3
+	// sent no hello; they count as version 1. Version 3 added Push.Err;
+	// version 4 ships VOs in format vVO2 (core.EncodeVO).
+	protocolVersion = 4
 )
 
 // The frame kinds: the first payload byte. They are drawn from

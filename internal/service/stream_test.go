@@ -457,8 +457,8 @@ func swapProof(acc accumulator.Accumulator, vo *core.VO) bool {
 		return walk(n.Left) || walk(n.Right)
 	}
 	for i := range vo.Blocks {
-		if s := vo.Blocks[i].Skip; s != nil {
-			swap(&s.Proof)
+		if s := vo.Blocks[i].Skip; s != nil && s.Proof != nil {
+			swap(s.Proof)
 			return true
 		}
 		if walk(vo.Blocks[i].Tree) {

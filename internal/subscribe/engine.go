@@ -235,10 +235,8 @@ func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Public
 	sp := &core.SP{Acc: e.acc, View: view, Engine: e.proofs}
 	planned := make([]core.BlockVO, len(ids))
 	for i, id := range ids {
-		if m := decided[id]; m != nil && ads.Root.HasDigest {
-			node := core.MismatchVO(ads.Root, m.clause)
-			m.nodes = append(m.nodes, node)
-			planned[i] = core.BlockVO{Height: h, Tree: node}
+		if n := decided[id]; n != nil {
+			planned[i] = core.BlockVO{Height: h, Tree: n}
 			continue
 		}
 		// The block (possibly) holds results, or its root carries no
@@ -278,7 +276,7 @@ func (e *Engine) ProcessBlock(ads *core.BlockADS, view core.ChainView) ([]Public
 		// A mismatch block stays pending until the span holds
 		// LazyThreshold blocks; a block that may hold results publishes
 		// the span at once.
-		if decided[id] != nil {
+		if _, ok := decided[id]; ok {
 			if err := e.collapse(s, ads, view, run, unproved); err != nil {
 				return nil, err
 			}
@@ -335,38 +333,24 @@ func proved(n *core.NodeVO) bool {
 	return proved(n.Left) && proved(n.Right)
 }
 
-// mismatch is a block-level decision: the whole block misses clause,
-// and the queries it decides publish a root mismatch node citing it.
-// Its proof is one task on the block's run, whose callback fills every
-// node.
-type mismatch struct {
-	clause core.Clause
-	nodes  []*core.NodeVO
-}
-
 // decide finds, without proving, the clause the whole block misses for
-// each query that has one, and schedules one (BlockW, clause) proof per
-// decision on run when the block's root carries a digest to cite it.
-// With UseIPTree each distinct clause is tested and proved once for
-// all the queries it decides; without it, per query.
-func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) map[int]*mismatch {
-	decided := make(map[int]*mismatch, len(ids))
+// each query that has one. A decision is the block's root mismatch
+// node citing that clause, with its (BlockW, clause) proof scheduled on
+// run; in ModeNil, whose root carries no digest to cite it, it is nil.
+// With UseIPTree each distinct clause is tested and proved once, in
+// one node, for all the queries it decides; without it, per query.
+func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) map[int]*core.NodeVO {
+	decided := make(map[int]*core.NodeVO, len(ids))
 	blockW := ads.BlockW()
-	schedule := func(clause core.Clause) *mismatch {
-		m := &mismatch{clause: clause}
+	schedule := func(clause core.Clause) *core.NodeVO {
 		if !ads.Root.HasDigest {
-			// ModeNil: no root mismatch node can cite the proof, so
-			// only the decision is kept: it still holds the block in
-			// the pending span.
-			return m
+			// ModeNil: only the decision is kept: it still holds the
+			// block in the pending span.
+			return nil
 		}
-		run.Add(blockW, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) {
-			for _, n := range m.nodes {
-				n.Proof = new(accumulator.Proof)
-				*n.Proof = pf
-			}
-		})
-		return m
+		n := core.MismatchVO(ads.Root, clause)
+		run.Add(blockW, clause.Key(), clause.Multiset(), func(pf accumulator.Proof) { n.Proof = &pf })
+		return n
 	}
 	if !e.opts.UseIPTree {
 		for _, id := range ids {
@@ -381,15 +365,15 @@ func (e *Engine) decide(ads *core.BlockADS, ids []int, run *proofs.Run) map[int]
 			continue
 		}
 		// Prove the clause only if some still-undecided query needs it.
-		var m *mismatch
+		var n *core.NodeVO
 		for _, id := range g.Queries {
 			if _, done := decided[id]; done {
 				continue
 			}
-			if m == nil {
-				m = schedule(g.Clause)
+			if n == nil {
+				n = schedule(g.Clause)
 			}
-			decided[id] = m
+			decided[id] = n
 		}
 	}
 	return decided
@@ -439,13 +423,15 @@ func (e *Engine) collapse(s *subState, ads *core.BlockADS, view core.ChainView, 
 		for _, b := range tail[from-tail[0].Height:] {
 			pfs = append(pfs, *b.Tree.Proof)
 		}
-		if skip.Proof, err = e.acc.ProofSum(pfs...); err != nil {
+		pf, err := e.acc.ProofSum(pfs...)
+		if err != nil {
 			return fmt.Errorf("subscribe: skip proof sum: %w", err)
 		}
+		skip.Proof = &pf
 	} else {
 		unproved[s.id] = true
 		run.Add(w, skip.Clause.Key(), skip.Clause.Multiset(), func(pf accumulator.Proof) {
-			skip.Proof = pf
+			skip.Proof = &pf
 			delete(unproved, s.id)
 		})
 	}
